@@ -58,12 +58,6 @@ def _elem_of(x: Term) -> str:
     raise ShapeMismatch(f"unsupported element type {ir.print_term(x)}")
 
 
-def _is_rank0(op: Operand) -> bool:
-    if op.kind == SCAL:
-        return True
-    return op.rank is not None and nat_view(op.rank) == 0
-
-
 def resolve_dyargs(rank_l: Term | None, shape_l: Term | None,
                    rank_r: Term | None, shape_r: Term | None,
                    names=None, hyps=None) -> str:

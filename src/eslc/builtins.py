@@ -291,9 +291,3 @@ def seed_env() -> Env:
 
 def is_prop_type(t: Term) -> bool:
     return isinstance(t, Def) and t.name in PROP_HEADS
-
-
-def prop_or_dec(t: Term) -> bool:
-    if is_prop_type(t):
-        return True
-    return isinstance(t, Def) and t.name == "Dec"

@@ -9,7 +9,6 @@ from functools import cache
 
 import numpy as np
 
-from . import loader
 from .evaluate import varr, vvec
 
 LOG2 = """
@@ -268,14 +267,3 @@ CORPUS: dict[str, CorpusEntry] = {
                           [("rotate.esl", ROTATE)], sampler=_s_rotate,
                           compare="rel"),
 }
-
-
-def cnn_corpus():
-    """The four network functions with their source and dense oracles."""
-    src = loader.prelude_text("cnn.esl")
-    return [
-        ("logistic", src, oracle_logistic),
-        ("meansqerr", src, oracle_meansqerr),
-        ("backavgpool", src, oracle_backavgpool),
-        ("avgpool", src, oracle_avgpool),
-    ]

@@ -1,22 +1,35 @@
-"""Big-step evaluator for closed programs, the source-level side of every
+"""Evaluator for closed programs, the source-level side of every
 differential test.
 
 Values: naturals and Fin encodings are Python ints, floats are floats,
 vectors/indices/lists are tagged tuples, arrays are ("arr", shape, flat)
-in row major order.  Functions evaluate eagerly; imap enumerates its whole
-index space.
+in row major order, and function values are Python callables of one
+argument.  Functions evaluate eagerly; imap enumerates its whole index
+space.
+
+Terms are compiled once into Python closures over a context list, in which
+de Bruijn index i is ctx[i] (Feeley and Lapalme, "Using Closures for Code
+Generation", 1987).  A Function definition is compiled on its first call
+into one matcher and one body per clause; matchers bind pattern variables
+into a preallocated context.  The code is kept on the Env the definitions
+come from, so it lives as long as that Env, and a definition is compiled
+again when its clause list has grown.  Running out of Python stack is an
+EvalError("recursion depth").
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 from itertools import product
 
 from .ir import (Builtin, Con, Constructor, Datatype, Def, Env, EslError,
                  Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort,
-                 Term, Unknown, Var)
+                 Term, Unknown, UnknownName, Var)
 
 PRF = ("prf",)
+TYPE = ("type",)
 
 
 class EvalError(EslError):
@@ -28,193 +41,392 @@ def eval_closed(t: Term, env: Env):
 
 
 def call(env: Env, name: str, args: list):
-    ev = Eval(env)
-    return ev.apply_def(name, list(args))
+    return Eval(env).apply_def(name, list(args))
 
 
 class Eval:
+    """Evaluation in one environment, through the code compiled for it."""
+
     def __init__(self, env: Env):
-        self.env = env
+        if env.compiled is None:
+            env.compiled = _Code(env._defs)
+            weakref.finalize(env, env.compiled.close)
+        self._code = env.compiled
 
     def eval(self, t: Term, ctx: list):
-        match t:
-            case Lit(v):
-                return v
-            case Var(i, args):
-                return self._apply(ctx[i], [self.eval(a.value, ctx) for a in args])
-            case Con(name, args):
-                return self.apply_con(name, [self.eval(a.value, ctx) for a in args])
-            case Def(name, args):
-                return self.apply_def(name, [self.eval(a.value, ctx) for a in args])
-            case Lam(scope, _):
-                return ("clo", scope.body, list(ctx))
-            case Let(bound, scope):
-                return self.eval(scope.body, [self.eval(bound, ctx)] + ctx)
-            case Unknown():
-                return PRF
-            case Pi() | Sort():
-                return ("type",)
-        raise EvalError(f"cannot evaluate {t!r}")
-
-    def _apply(self, f, args: list):
-        for a in args:
-            f = self._apply1(f, a)
-        return f
-
-    def _apply1(self, f, a):
-        match f:
-            case ("clo", body, ctx):
-                return self.eval(body, [a] + ctx)
-            case ("arrsel", arr):
-                return _arr_index(arr, a)
-            case ("pap-def", name, got):
-                return self.apply_def(name, got + [a])
-            case ("pap-con", name, got):
-                return self.apply_con(name, got + [a])
-        raise EvalError(f"cannot apply non-function value {f!r}")
-
-    def apply_con(self, name: str, args: list):
-        if name in ("zero", "fzero"):
-            return 0
-        if name in ("suc", "fsuc"):
-            if len(args) < 1:
-                return ("pap-con", name, args)
-            return args[-1] + 1
-        if name in ("vnil",):
-            return ("vec", ())
-        if name == "vcons":
-            if len(args) < 2:
-                return ("pap-con", name, args)
-            h, t = args[-2], args[-1]
-            return ("vec", (h,) + t[1])
-        if name == "inil":
-            return ("ix", ())
-        if name == "icons":
-            if len(args) < 2:
-                return ("pap-con", name, args)
-            h, t = args[-2], args[-1]
-            return ("ix", (h,) + t[1])
-        if name == "lnil":
-            return ("list", ())
-        if name == "lcons":
-            if len(args) < 2:
-                return ("pap-con", name, args)
-            h, t = args[-2], args[-1]
-            return ("list", (h,) + t[1])
-        if name == "imap":
-            if len(args) < 1:
-                return ("pap-con", name, args)
-            # hidden arguments carry element type, rank, and shape
-            if len(args) < 4:
-                raise EvalError("imap value lacks its shape argument")
-            shape_v, f = args[-2], args[-1]
-            shape = tuple(shape_v[1])
-            flat = [self._apply1(f, ("ix", ix)) for ix in product(*map(range, shape))]
-            return ("arr", shape, flat)
-        if name == "yes":
-            return ("dec", True)
-        if name == "no":
-            return ("dec", False)
-        if name == "prf":
-            return PRF
-        raise EvalError(f"unknown constructor {name}")
+        try:
+            return self._code.term(t)(ctx)
+        except RecursionError:
+            raise EvalError("recursion depth") from None
 
     def apply_def(self, name: str, args: list):
-        h = _PRIM.get(name)
-        if h is not None:
-            need, fn = h
-            if len(args) < need:
-                return ("pap-def", name, args)
-            out = fn(self, args[:need])
-            return self._apply(out, args[need:])
-        d = self.env.lookup(name)
+        try:
+            return self._code.apply_def(name, args)
+        except RecursionError:
+            raise EvalError("recursion depth") from None
+
+
+class _Code:
+    """The compiled code of one Env's definitions.  It holds the Env's
+    definition table, not the Env, so the two form no reference cycle."""
+
+    def __init__(self, defs: dict):
+        self.defs = defs
+        self.funs: dict[str, object] = {}  # Function name -> its code
+        self.tables: list[list] = []  # the compiled clauses of each
+
+    def close(self) -> None:
+        """Empty every clause table.  Recursive code refers to itself
+        through its table, so this lets it be freed, once its Env is gone,
+        without waiting for the cycle collector."""
+        for table in self.tables:
+            table.clear()
+        self.funs.clear()
+
+    def apply_def(self, name: str, args: list):
+        """The general call of a definition by name, on any number of
+        arguments; compiled calls take it only where nothing is known
+        statically."""
+        prim = _PRIM.get(name)
+        if prim is not None:
+            return _saturate(prim[1], prim[0], args)
+        d = self.defs.get(name)
+        if d is None:
+            raise UnknownName(name)
         payload = d.payload
         if isinstance(payload, Function):
             clauses = payload.clauses
             arity = len(clauses[0].patterns) if clauses else 0
-            n_args = len(args)
-            if n_args < arity:
-                return ("pap-def", name, args)
-            exact = n_args == arity
-            head = args if exact else args[:arity]
-            for cl in clauses:
-                binds: dict[int, object] = {}
-                if self._match_args(cl.patterns, head, binds):
-                    if cl.body is None:
-                        raise EvalError(f"{name}: reached an absurd clause")
-                    # de Bruijn 0 is the last telescope entry
-                    ctx = [binds.get(i, PRF) for i in range(len(cl.telescope))]
-                    out = self.eval(cl.body, ctx)
-                    return out if exact else self._apply(out, args[arity:])
-            raise EvalError(f"{name}: no clause matches {head!r}")
+            return _saturate(self.fun(name, payload), arity, args)
         if isinstance(payload, Constructor):
-            return self.apply_con(name, args)
-        if isinstance(payload, Builtin) and payload.tag == "fin-from-bound":
-            if len(args) < 3:
-                return ("pap-def", name, args)
-            return args[0]
-        if isinstance(payload, Builtin) and payload.tag == "fin-to-nat":
-            if len(args) < 2:
-                return ("pap-def", name, args)
-            return args[-1]
+            return _apply_con(name, args)
+        if isinstance(payload, Builtin) and payload.tag in _BUILTIN:
+            return _collect(*_BUILTIN[payload.tag], args)
         if isinstance(payload, Datatype):
-            return ("type",)
+            return TYPE
         raise EvalError(f"cannot evaluate definition {name}")
 
-    def _match_args(self, pats, args, binds) -> bool:
-        return all(self._match(p.value, a, binds) for p, a in zip(pats, args))
+    def fun(self, name: str, f: Function):
+        """The code of a Function definition: a Python function of exactly
+        its arity.  Its clauses are compiled on the first call, and again
+        whenever the clause list has grown since."""
+        run = self.funs.get(name)
+        if run is not None:
+            return run
+        clauses, table = f.clauses, []
 
-    def _match(self, p, v, binds) -> bool:
-        if isinstance(p, PVar):
-            binds[p.idx] = v
-            return True
-        if isinstance(p, PAbsurd):
-            return False
-        if isinstance(p, PLit):
-            return v == p.value
-        assert isinstance(p, PCon)
-        name = p.name
-        if name in ("zero", "fzero"):
-            return v == 0
-        if name in ("suc", "fsuc"):
-            if not isinstance(v, int) or v == 0:
+        def run(*args):
+            if len(table) != len(clauses):
+                arity = len(clauses[0].patterns)
+                table[:] = [self._clause(name, cl, arity) for cl in clauses]
+            for size, match, body in table:
+                ctx = [PRF] * size
+                if match(args, ctx):
+                    return body(ctx)
+            raise EvalError(f"{name}: no clause matches {list(args)!r}")
+
+        self.funs[name] = run
+        self.tables.append(table)
+        return run
+
+    def _clause(self, name: str, cl, arity: int):
+        """(context size, matcher, body) of one clause; the context is the
+        clause telescope, de Bruijn 0 being its last entry."""
+        size = len(cl.telescope)
+        match = _match_args([_pat(p.value, size) for p in cl.patterns[:arity]])
+        if cl.body is None:
+            def body(ctx):
+                raise EvalError(f"{name}: reached an absurd clause")
+            return size, match, body
+        return size, match, self.term(cl.body)
+
+    def term(self, t: Term):
+        """t as a closure from the context list to its value."""
+        match t:
+            case Lit(v):
+                return lambda ctx: v
+            case Var(i, ()):
+                return operator.itemgetter(i)
+            case Var(i, args):
+                return _var_app(i, [self.term(a.value) for a in args])
+            case Con(name, args):
+                return _con(name, [self.term(a.value) for a in args])
+            case Def(name, args):
+                return self._def(name, [self.term(a.value) for a in args])
+            case Lam(scope, _):
+                body = self.term(scope.body)
+                return lambda ctx: lambda a: body([a, *ctx])
+            case Let(bound, scope):
+                b, body = self.term(bound), self.term(scope.body)
+                return lambda ctx: body([b(ctx), *ctx])
+            case Unknown():
+                return lambda ctx: PRF
+            case Pi() | Sort():
+                return lambda ctx: TYPE
+
+        def fail(ctx):
+            raise EvalError(f"cannot evaluate {t!r}")
+        return fail
+
+    def _def(self, name: str, cs: list):
+        """A call of a definition.  Primitives and Functions whose arity is
+        known are called directly; the callee's code is looked up once."""
+        prim = _PRIM.get(name)
+        if prim is not None:
+            need, fn = prim
+        else:
+            d = self.defs.get(name)
+            f = d.payload if d is not None else None
+            if isinstance(f, Datatype):
+                return _call(_type, cs) if cs else lambda ctx: TYPE
+            if not (isinstance(f, Function) and f.clauses):
+                return lambda ctx: self.apply_def(name, [c(ctx) for c in cs])
+            need, fn = len(f.clauses[0].patterns), self.fun(name, f)
+        if len(cs) == need:
+            return _call(fn, cs)
+        return lambda ctx: _saturate(fn, need, [c(ctx) for c in cs])
+
+
+def _call(fn, cs: list):
+    """fn called on the values of cs."""
+    match cs:
+        case []:
+            return lambda ctx: fn()
+        case [c0]:
+            return lambda ctx: fn(c0(ctx))
+        case [c0, c1]:
+            return lambda ctx: fn(c0(ctx), c1(ctx))
+        case [c0, c1, c2]:
+            return lambda ctx: fn(c0(ctx), c1(ctx), c2(ctx))
+        case [c0, c1, c2, c3]:
+            return lambda ctx: fn(c0(ctx), c1(ctx), c2(ctx), c3(ctx))
+        case [c0, c1, c2, c3, c4]:
+            return lambda ctx: fn(c0(ctx), c1(ctx), c2(ctx), c3(ctx), c4(ctx))
+    return lambda ctx: fn(*[c(ctx) for c in cs])
+
+
+def _type(*args):
+    return TYPE
+
+
+def _saturate(fn, need: int, args: list):
+    """fn, a function of `need` parameters, applied to args: a partial
+    application if there are fewer, its result applied to the rest if
+    there are more."""
+    if len(args) < need:
+        return lambda a: _saturate(fn, need, args + [a])
+    out = fn(*args[:need])
+    for a in args[need:]:
+        out = _apply1(out, a)
+    return out
+
+
+def _apply1(f, a):
+    if callable(f):
+        return f(a)
+    raise EvalError(f"cannot apply non-function value {f!r}")
+
+
+def _var_app(i: int, cs: list):
+    """The function value ctx[i] applied to the values of cs."""
+    if len(cs) == 1:
+        c0 = cs[0]
+
+        def app1(ctx):
+            f, a = ctx[i], c0(ctx)
+            return f(a) if callable(f) else _apply1(f, a)
+        return app1
+
+    def app(ctx):
+        f = ctx[i]
+        for a in [c(ctx) for c in cs]:
+            f = _apply1(f, a)
+        return f
+    return app
+
+
+# --------------------------------------------------------------------------
+# constructors and builtins: the value of a saturated one is computed from
+# its whole argument list, so arguments beyond the needed ones are not
+# applied
+
+
+def _collect(need: int, fn, args: list):
+    if len(args) < need:
+        return lambda a: _collect(need, fn, args + [a])
+    return fn(args)
+
+
+def _apply_con(name: str, args: list):
+    entry = _CON.get(name)
+    if entry is None:
+        raise EvalError(f"unknown constructor {name}")
+    return _collect(*entry, args)
+
+
+def _con(name: str, cs: list):
+    entry = _CON.get(name)
+    if entry is None or len(cs) < entry[0]:
+        return lambda ctx: _apply_con(name, [c(ctx) for c in cs])
+    fn = entry[1]
+    match cs:
+        case []:
+            value = fn([])
+            return lambda ctx: value
+        case [c0]:
+            return lambda ctx: fn([c0(ctx)])
+        case [c0, c1]:
+            return lambda ctx: fn([c0(ctx), c1(ctx)])
+    return lambda ctx: fn([c(ctx) for c in cs])
+
+
+def _c_imap(a):
+    # hidden arguments carry element type, rank, and shape
+    if len(a) < 4:
+        raise EvalError("imap value lacks its shape argument")
+    shape_v, f = a[-2], a[-1]
+    shape = tuple(shape_v[1])
+    ixs = product(*map(range, shape))
+    if callable(f):
+        return ("arr", shape, [f(("ix", ix)) for ix in ixs])
+    return ("arr", shape, [_apply1(f, ("ix", ix)) for ix in ixs])
+
+
+def _cons(tag: str):
+    return lambda a: (tag, (a[-2],) + a[-1][1])
+
+
+_CON = {
+    "zero": (0, lambda a: 0),
+    "fzero": (0, lambda a: 0),
+    "suc": (1, lambda a: a[-1] + 1),
+    "fsuc": (1, lambda a: a[-1] + 1),
+    "vnil": (0, lambda a: ("vec", ())),
+    "vcons": (2, _cons("vec")),
+    "inil": (0, lambda a: ("ix", ())),
+    "icons": (2, _cons("ix")),
+    "lnil": (0, lambda a: ("list", ())),
+    "lcons": (2, _cons("list")),
+    "imap": (1, _c_imap),
+    "yes": (0, lambda a: ("dec", True)),
+    "no": (0, lambda a: ("dec", False)),
+    "prf": (0, lambda a: PRF),
+}
+
+_BUILTIN = {
+    "fin-from-bound": (3, lambda a: a[0]),
+    "fin-to-nat": (2, lambda a: a[-1]),
+}
+
+
+# --------------------------------------------------------------------------
+# patterns: a matcher m(v, ctx) tests v and binds pattern variables in ctx
+
+
+def _match_args(ms: list):
+    """The clause matcher over the argument tuple; patterns are tried left
+    to right and the first failure stops the match."""
+    match ms:
+        case []:
+            return lambda args, ctx: True
+        case [m0]:
+            return lambda args, ctx: m0(args[0], ctx)
+        case [m0, m1]:
+            return lambda args, ctx: m0(args[0], ctx) and m1(args[1], ctx)
+
+    def match(args, ctx):
+        for m, v in zip(ms, args):
+            if not m(v, ctx):
                 return False
-            for a in p.args[:-1]:
-                if isinstance(a.value, PVar):
-                    binds[a.value.idx] = PRF
-            return self._match(p.args[-1].value, v - 1, binds)
-        if name == "vcons":
-            if v[0] != "vec" or not v[1]:
+        return True
+    return match
+
+
+def _bind(i: int):
+    def m(v, ctx):
+        ctx[i] = v
+        return True
+    return m
+
+
+_SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "icons": "ix", "inil": "ix",
+             "lcons": "list", "lnil": "list"}
+
+
+def _pat(p, size: int):
+    if isinstance(p, PVar):
+        # a variable outside the telescope binds nothing
+        return _bind(p.idx) if 0 <= p.idx < size else (lambda v, ctx: True)
+    if isinstance(p, PAbsurd):
+        return lambda v, ctx: False
+    if isinstance(p, PLit):
+        lit = p.value
+        return lambda v, ctx: v == lit
+    assert isinstance(p, PCon)
+    name = p.name
+    if name in ("zero", "fzero"):
+        return lambda v, ctx: v == 0
+    if name in ("suc", "fsuc"):
+        return _pat_suc(p, size)
+    if name in ("vcons", "icons", "lcons"):
+        tag = _SEQ_TAGS[name]
+        pv = [a.value for a in p.args if not a.hidden]
+        head, tail = _pat(pv[0], size), _pat(pv[1], size)
+
+        def cons(v, ctx):
+            if v[0] != tag or not v[1]:
                 return False
-            pv = [a.value for a in p.args if not a.hidden]
-            return self._match(pv[0], v[1][0], binds) and \
-                self._match(pv[1], ("vec", v[1][1:]), binds)
-        if name == "vnil":
-            return v[0] == "vec" and not v[1]
-        if name == "icons":
-            if v[0] != "ix" or not v[1]:
-                return False
-            pv = [a.value for a in p.args if not a.hidden]
-            return self._match(pv[0], v[1][0], binds) and \
-                self._match(pv[1], ("ix", v[1][1:]), binds)
-        if name == "inil":
-            return v[0] == "ix" and not v[1]
-        if name == "lcons":
-            if v[0] != "list" or not v[1]:
-                return False
-            pv = [a.value for a in p.args if not a.hidden]
-            return self._match(pv[0], v[1][0], binds) and \
-                self._match(pv[1], ("list", v[1][1:]), binds)
-        if name == "lnil":
-            return v[0] == "list" and not v[1]
-        if name == "imap":
+            return head(v[1][0], ctx) and tail((tag, v[1][1:]), ctx)
+        return cons
+    if name in ("vnil", "inil", "lnil"):
+        tag = _SEQ_TAGS[name]
+        return lambda v, ctx: v[0] == tag and not v[1]
+    if name == "imap":
+        sub = _pat([a.value for a in p.args if not a.hidden][0], size)
+
+        def imap(v, ctx):
             if v[0] != "arr":
                 return False
-            pv = [a.value for a in p.args if not a.hidden]
-            return self._match(pv[0], ("arrsel", v), binds)
-        if name in ("yes", "no"):
-            return v[0] == "dec" and v[1] == (name == "yes")
+            return sub(lambda ix: _arr_index(v, ix), ctx)
+        return imap
+    if name in ("yes", "no"):
+        want = name == "yes"
+        return lambda v, ctx: v[0] == "dec" and v[1] == want
+
+    def unhandled(v, ctx):
         raise EvalError(f"unhandled pattern constructor {name}")
+    return unhandled
+
+
+def _pat_suc(p, size: int):
+    # the arguments before the last (fsuc's bound) are not matched; a
+    # variable there is bound to the erased PRF
+    proofs = [a.value.idx for a in p.args[:-1]
+              if isinstance(a.value, PVar) and 0 <= a.value.idx < size]
+    inner = p.args[-1].value
+    if not proofs and isinstance(inner, PVar) and 0 <= inner.idx < size:
+        i = inner.idx
+
+        def suc_var(v, ctx):
+            if not isinstance(v, int) or v == 0:
+                return False
+            ctx[i] = v - 1
+            return True
+        return suc_var
+    sub = _pat(inner, size)
+
+    def suc(v, ctx):
+        if not isinstance(v, int) or v == 0:
+            return False
+        for i in proofs:
+            ctx[i] = PRF
+        return sub(v - 1, ctx)
+    return suc
+
+
+# --------------------------------------------------------------------------
+# primitives: a definition named here is evaluated by its Python function,
+# called with exactly as many arguments as its signature has parameters
 
 
 def _arr_index(arr, ix):
@@ -230,37 +442,27 @@ def _arr_index(arr, ix):
     return flat[pos]
 
 
-def _p_add(ev, a):
-    return a[-2] + a[-1]
+def _p_monus(a, b):
+    return max(a - b, 0)
 
 
-def _p_monus(ev, a):
-    return max(a[-2] - a[-1], 0)
-
-
-def _p_mul(ev, a):
-    return a[-2] * a[-1]
-
-
-def _p_div(ev, a):
-    if a[-1] == 0:
+def _p_div(a, b):
+    if b == 0:
         raise EvalError("division by zero")
-    return a[-2] // a[-1]
+    return a // b
 
 
-def _p_mod(ev, a):
-    if a[-1] == 0:
+def _p_mod(a, b):
+    if b == 0:
         raise EvalError("mod by zero")
-    return a[-2] % a[-1]
+    return a % b
 
 
-def _p_div_helper(ev, a):
-    k, m, n, j = a[-4:]
+def _p_div_helper(k, m, n, j):
     return k + (n + m - j) // (1 + m)
 
 
-def _p_mod_helper(ev, a):
-    k, m, n, j = a[-4:]
+def _p_mod_helper(k, m, n, j):
     # accumulator semantics of the standard helper
     while True:
         if n == 0:
@@ -272,85 +474,72 @@ def _p_mod_helper(ev, a):
 
 
 def _p_fbin(op):
-    def h(ev, a):
-        x, y = a[-2], a[-1]
+    def h(x, y):
         if not isinstance(x, float) or not isinstance(y, float):
             raise EvalError("float operation on non-float")
         return op(x, y)
     return h
 
 
-def _p_fdiv(ev, a):
-    if a[-1] == 0.0:
+def _p_fdiv(a, b):
+    if b == 0.0:
         raise EvalError("float division by zero")
-    return a[-2] / a[-1]
+    return a / b
 
 
-def _p_sel(ev, a):
-    return _arr_index(a[-2], a[-1])
-
-
-def _p_vidx(ev, a):
-    i, v = a[-2], a[-1]
+def _p_vidx(X, n, i, v):
     if not 0 <= i < len(v[1]):
         raise EvalError(f"vector index {i} out of bounds")
     return v[1][i]
 
 
-def _p_ravel(ev, a):
-    arr = a[-1]
+def _p_ravel(X, d, s, arr):
     n = 1
-    for s in arr[1]:
-        n *= s
+    for k in arr[1]:
+        n *= k
     return ("arr", (n,), list(arr[2]))
 
 
-def _p_reshape(ev, a):
-    t, arr = a[-2], a[-1]
+def _p_reshape(X, d, s, e, t, arr):
     shape = tuple(t[1])
     n = 1
-    for s in shape:
-        n *= s
+    for k in shape:
+        n *= k
     if n != len(arr[2]):
         raise EvalError("reshape changes the number of elements")
     return ("arr", shape, list(arr[2]))
 
 
-def _p_ixc(ev, a):
-    k, ix = a[-2], a[-1]
-    return ix[1][k]
-
-
 _PRIM = {
-    "_+_": (2, _p_add),
+    "_+_": (2, operator.add),
     "_-_": (2, _p_monus),
-    "_*_": (2, _p_mul),
+    "_*_": (2, operator.mul),
     "_/_": (2, _p_div),
     "_%_": (2, _p_mod),
     "div-helper": (4, _p_div_helper),
     "mod-helper": (4, _p_mod_helper),
-    "_+f_": (2, _p_fbin(lambda x, y: x + y)),
-    "_-f_": (2, _p_fbin(lambda x, y: x - y)),
-    "_*f_": (2, _p_fbin(lambda x, y: x * y)),
+    "_+f_": (2, _p_fbin(operator.add)),
+    "_-f_": (2, _p_fbin(operator.sub)),
+    "_*f_": (2, _p_fbin(operator.mul)),
     "_/f_": (2, _p_fdiv),
-    "expf": (1, lambda ev, a: math.exp(a[-1])),
-    "_≟_": (2, lambda ev, a: ("dec", a[-2] == a[-1])),
-    "_<?_": (2, lambda ev, a: ("dec", a[-2] < a[-1])),
-    "fromN<": (3, lambda ev, a: a[-3]),
-    "sel": (5, _p_sel),
+    "expf": (1, math.exp),
+    "_≟_": (2, lambda a, b: ("dec", a == b)),
+    "_<?_": (2, lambda a, b: ("dec", a < b)),
+    "fromN<": (3, lambda m, n, p: m),
+    "sel": (5, lambda X, d, s, a, i: _arr_index(a, i)),
     "vidx": (4, _p_vidx),
-    "vreverse": (3, lambda ev, a: ("vec", tuple(reversed(a[-1][1])))),
-    "vhd": (3, lambda ev, a: a[-1][1][0]),
-    "vtl": (3, lambda ev, a: ("vec", a[-1][1][1:])),
-    "vtake": (4, lambda ev, a: ("vec", a[-1][1][:a[-2]])),
-    "vdrop": (4, lambda ev, a: ("vec", a[-1][1][a[-2]:])),
-    "vappend": (5, lambda ev, a: ("vec", a[-2][1] + a[-1][1])),
-    "_*v_": (3, lambda ev, a: ("vec", tuple(x * a[-1] for x in a[-2][1]))),
-    "prodv": (2, lambda ev, a: math.prod(a[-1][1])),
+    "vreverse": (3, lambda X, n, v: ("vec", tuple(reversed(v[1])))),
+    "vhd": (3, lambda X, n, v: v[1][0]),
+    "vtl": (3, lambda X, n, v: ("vec", v[1][1:])),
+    "vtake": (4, lambda X, n, k, v: ("vec", v[1][:k])),
+    "vdrop": (4, lambda X, n, k, v: ("vec", v[1][k:])),
+    "vappend": (5, lambda X, m, n, a, b: ("vec", a[1] + b[1])),
+    "_*v_": (3, lambda d, v, k: ("vec", tuple(x * k for x in v[1]))),
+    "prodv": (2, lambda d, v: math.prod(v[1])),
     "ravel": (4, _p_ravel),
     "reshape": (6, _p_reshape),
-    "ixc": (4, _p_ixc),
-    "ixReverse": (3, lambda ev, a: ("ix", tuple(reversed(a[-1][1])))),
+    "ixc": (4, lambda d, s, k, i: i[1][k]),
+    "ixReverse": (3, lambda d, s, i: ("ix", tuple(reversed(i[1])))),
 }
 
 
@@ -362,7 +551,3 @@ def varr(shape, flat):
 
 def vvec(items):
     return ("vec", tuple(items))
-
-
-def vix(items):
-    return ("ix", tuple(items))

@@ -33,7 +33,6 @@ class ExtractOptions:
     fuel: int = 10**6
     faithful_lets: bool = False
     no_assert: bool = False
-    unknown_policy: str = "error"  # "error" | "warn"
 
 
 class ExtractState:

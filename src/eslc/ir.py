@@ -222,13 +222,13 @@ class Env:
 
     def __init__(self) -> None:
         self._defs: dict[str, Definition] = {}
+        # the evaluator's code compiled from these definitions
+        # (eslc.evaluate), made on first use
+        self.compiled = None
 
     def add(self, d: Definition) -> None:
         if d.name in self._defs:
             raise EslError(f"duplicate definition: {d.name}")
-        self._defs[d.name] = d
-
-    def replace(self, d: Definition) -> None:
         self._defs[d.name] = d
 
     def lookup(self, name: str) -> Definition:
@@ -410,10 +410,6 @@ def nat_view(t: Term) -> int | None:
                 n, t = n + 1, inner
             case _:
                 return None
-
-
-def nat_lit(n: int) -> Lit:
-    return Lit(n)
 
 
 def suc_view(t: Term) -> Term | None:

@@ -8,6 +8,7 @@ with C-style booleans, truncating subtraction and an abort-on-zero assert.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -696,11 +697,13 @@ _PY_CMP = {"Eq": "==", "Neq": "!=", "Gt": ">", "Lt": "<"}
 
 class _Stager:
     """Writes each KFun as the source of one Python def.  Kaleidoscope
-    names become indexed locals (`v0`, `v1`, ...), so primes and `__ret`
-    are safe; block-level lets and ifs become statements."""
+    names become indexed locals (`v0`, `v1`, ...), numbered across the
+    whole program so `names` maps each back; primes and `__ret` are safe.
+    Block-level lets and ifs become statements."""
 
     def __init__(self, funs: dict[str, tuple[str, int]]):
         self.funs = funs  # Kaleidoscope name -> (Python name, arity)
+        self.names: dict[str, str] = {}  # Python local -> Kaleidoscope name
 
     def fun(self, f: KFun, pyname: str) -> str:
         self.vars: dict[str, str] = {}
@@ -714,7 +717,8 @@ class _Stager:
 
     def _var(self, name: str) -> str:
         if name not in self.vars:
-            self.vars[name] = f"v{len(self.vars)}"
+            local = self.vars[name] = f"v{len(self.names)}"
+            self.names[local] = name
         return self.vars[name]
 
     def _temp(self) -> str:
@@ -802,7 +806,7 @@ def _stage(program: str | tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
         raise KParseError("only functions can be interpreted")
     funs = {f.name: (f"f{i}", len(f.params)) for i, f in enumerate(fns)}
     stager = _Stager(funs)
-    ns: dict[str, object] = {"_fail": _fail}
+    ns: dict[str, object] = {"_fail": _fail, "_names": stager.names}
     src = "\n".join(stager.fun(f, f"f{i}") for i, f in enumerate(fns))
     exec(compile(src, "<kaleidoscope>", "exec"), ns)
     return {name: (arity, ns[pyname]) for name, (pyname, arity) in funs.items()}
@@ -814,9 +818,10 @@ def interp_kaleid(program, entry: str, args: list[int]):
     The program (text or parsed functions) is staged once per process into
     one Python function per Kaleidoscope function, and the staged program
     is cached, keyed on the text or on the tuple of functions.  Unbounded
-    recursion returns Aborted("recursion depth").  A program nested too
-    deeply to stage (Python's parser allows about 100 levels of blocks or
-    brackets) raises KParseError."""
+    recursion returns Aborted("recursion depth"), and reading a let name
+    that the branch taken did not bind returns Aborted("unbound variable
+    <name>").  A program nested too deeply to stage (Python's parser
+    allows about 100 levels of blocks or brackets) raises KParseError."""
     try:
         fns = _stage(program if isinstance(program, str) else tuple(program))
     except (SyntaxError, RecursionError) as err:
@@ -835,5 +840,9 @@ def interp_kaleid(program, entry: str, args: list[int]):
         return Aborted(ab.reason)
     except RecursionError:
         return Aborted("recursion depth")
+    except UnboundLocalError as err:
+        # a let bound only on a branch that was not taken
+        local = re.search(r"'(\w+)'", str(err)).group(1)
+        return Aborted(f"unbound variable {fn.__globals__['_names'][local]}")
     finally:
         sys.setrecursionlimit(old)

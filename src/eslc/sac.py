@@ -585,10 +585,6 @@ def _uniq(name: str, venv, state) -> str:
     return state.fresh("t_")
 
 
-def _is_ixc(t: Term) -> bool:
-    return isinstance(t, Def) and t.name == "ixc"
-
-
 def _is_prop(ty: Term) -> bool:
     return isinstance(ty, Def) and ty.name in ("_<_", "_≡_")
 
@@ -1146,6 +1142,8 @@ class _SacEval:
                 return a // b
             return a / b
         if op == "%":
+            if np.isscalar(b) and b == 0:
+                raise _SacAbort("mod by zero")
             return a % b
         if op == "==":
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):

@@ -1,7 +1,13 @@
-"""Command line behaviour: exit codes, determinism, output files."""
+"""Command line behaviour: exit codes, determinism, output files, and the
+README's examples."""
+
+import shlex
+from pathlib import Path
 
 from eslc import corpus
 from eslc.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, text):
@@ -95,3 +101,35 @@ f x = x
     assert code == 1
     assert main(["kompile", src, "--entry", "f", "--backend", "kaleid",
                  "--trials", "0"]) == 0
+
+
+def _readme_commands() -> list[list[str]]:
+    """The eslc lines of the README's "Command line" block, as argv lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("eslc ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    commands = _readme_commands()
+    assert len(commands) == 5
+    for argv in commands:
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        assert main(argv) == 0, argv
+
+
+def test_example_sources_are_the_corpus_texts():
+    assert (ROOT / "examples/esl/log2.esl").read_text("utf-8") == corpus.LOG2
+    assert (ROOT / "examples/esl/ack.esl").read_text("utf-8") == corpus.ACK
+
+
+def test_diff_out_of_stack_is_a_user_error(capsys):
+    code = main(["diff", str(ROOT / "examples/esl/ack.esl"), "--entry", "ack",
+                 "--backend", "kaleid"])
+    assert code == 1
+    assert capsys.readouterr().err == "eslc: recursion depth\n"

@@ -1,14 +1,22 @@
 """Evaluator details not exercised elsewhere: clause normalization
-helpers, sharing flags, reshape, and Dec-returning extraction."""
+helpers, sharing flags, reshape, Dec-returning extraction, and the
+evaluator's semantics: partial and over-application, closures, imap
+patterns, lets, error messages and definitions added after a call."""
+
+import gc
+import weakref
 
 import pytest
 
 from eslc import corpus
-from eslc.evaluate import call, varr
+from eslc.builtins import seed_env
+from eslc.evaluate import (PRF, Eval, EvalError, call, eval_closed, varr,
+                           vvec)
 from eslc.extract import ExtractOptions, kompile
-from eslc.ir import Function, Let
+from eslc.ir import (Abs, Clause, Def, Definition, Function, Let, Lit,
+                     PAbsurd, PCon, Pi, PVar, Var, hid, vis)
 from eslc.kaleid import KaleidBackend, interp_kaleid
-from eslc.loader import load_sources
+from eslc.loader import load_prelude, load_sources
 from eslc.normalize import (NotGroundable, ReductionPolicy, check_rewrite,
                             normalise_clause)
 
@@ -125,3 +133,167 @@ def test_fixture_format_shape_data_pairs():
     # arrays as (shape, row-major data) pairs
     out = interp_sac(text, "logistic", [1, ((1,), [2]), ((2,), [0.0, 0.0])])
     assert list(out) == [0.5, 0.5]
+
+
+# -- evaluator semantics --------------------------------------------------------
+
+HIGHER = corpus.REWRITES + """
+addk : Nat -> Nat -> Nat
+addk k = \\x -> x + k
+
+useaddk : Nat -> Nat
+useaddk x = addk 3 x
+
+app : (Nat -> Nat) -> Nat -> Nat
+app f x = f x
+
+incall : List Nat -> List Nat
+incall xs = map (\\x -> x + 1) xs
+"""
+
+
+@pytest.fixture(scope="module")
+def higher():
+    return load_sources([("higher", HIGHER)]).env
+
+
+def test_partial_application_of_primitives_and_definitions(higher):
+    add10 = call(higher, "_+_", [10])
+    assert call(higher, "map", [add10, ("list", (1, 2))]) == ("list", (11, 12))
+    double_after_suc = call(higher, "comp", [call(higher, "_*_", [2]),
+                                             Eval(higher).apply_def("suc", [])])
+    assert call(higher, "app", [double_after_suc, 4]) == 10
+
+
+def test_partial_application_of_a_constructor(higher):
+    suc = Eval(higher).apply_def("suc", [])
+    assert call(higher, "app", [suc, 4]) == 5
+    assert call(higher, "map", [suc, ("list", (0, 7))]) == ("list", (1, 8))
+
+
+def test_over_application(higher):
+    assert call(higher, "addk", [3, 4]) == 7  # one pattern, two arguments
+    assert call(higher, "useaddk", [5]) == 8  # the same inside a body
+    assert call(higher, "comp", [call(higher, "_+_", [1]),
+                                 call(higher, "_*_", [3]), 2]) == 7
+
+
+def test_higher_order_closures(higher):
+    assert call(higher, "incall", [("list", (1, 2, 3))]) == ("list", (2, 3, 4))
+    assert call(higher, "map", [call(higher, "addk", [5]), ("list", ())]) \
+        == ("list", ())
+
+
+def test_imap_pattern_binds_a_selector():
+    e = load_prelude()
+    w = varr((2, 4), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    out = call(e.env, "avgpool", [vvec((1, 2)), w])
+    assert out == ("arr", (1, 2), [3.5, 5.5])
+
+
+def test_lets_are_shared_and_scoped():
+    e = load_sources([("sh", corpus.SHARING)])
+    assert call(e.env, "ex8", [3]) == 2 * (9 + 9 + 5)
+    assert [call(e.env, "fib", [n]) for n in range(8)] == \
+        [0, 1, 1, 2, 3, 5, 8, 13]
+
+
+def test_eval_of_a_closed_term():
+    e = load_sources([("sh", corpus.SHARING)])
+    t = Let(Def("ex8", (vis(Lit(1)),)),
+            Abs("a", Def("_+_", (vis(Var(0)), vis(Var(0))))))
+    assert eval_closed(t, e.env) == 2 * 18
+    assert Eval(e.env).eval(Var(1), [7, 9]) == 9
+
+
+def _error(env, name, args) -> str:
+    with pytest.raises(EvalError) as err:
+        call(env, name, args)
+    return str(err.value)
+
+
+def test_error_messages():
+    e = load_sources([("ex", corpus.EX7)])
+    assert _error(e.env, "ex11", [3, PRF]) == \
+        "ex11: no clause matches [3, ('prf',)]"
+    assert _error(e.env, "_/_", [1, 0]) == "division by zero"
+    assert _error(e.env, "_%_", [1, 0]) == "mod by zero"
+    assert _error(e.env, "_+_", [1, 2, 3]) == \
+        "cannot apply non-function value 3"
+    arr = varr((3,), [1, 2, 3])
+    assert _error(e.env, "sel", [("type",), 1, vvec((3,)), arr, ("ix", (5,))]) \
+        == "index (5,) out of bounds for shape (3,)"
+    assert _error(e.env, "vidx", [("type",), 3, 7, vvec((1, 2, 3))]) == \
+        "vector index 7 out of bounds"
+
+
+def test_reaching_an_absurd_clause_is_an_error():
+    # a hidden constructor argument is never matched, so the absurd
+    # pattern below it does not stop the clause from matching
+    env = seed_env()
+    cl = Clause((("n", vis(Def("Nat"))),),
+                (vis(PCon("suc", (hid(PAbsurd()), vis(PVar(0))))),), None)
+    env.add(Definition("f", Pi(vis(Def("Nat")), Abs("n", Def("Nat"))),
+                       Function([cl])))
+    assert _error(env, "f", [1]) == "f: reached an absurd clause"
+    assert _error(env, "f", [0]) == "f: no clause matches [0]"
+
+
+def test_check_rewrite_evaluates_both_sides():
+    for src, name in [(corpus.REWRITES, "plus-0"),
+                      (corpus.PLUS_SUC_0, "plus-suc-0")]:
+        e = load_sources([("rw", src)])
+        rule = next(r for r in e.rules.rules if r.name == name)
+        assert check_rewrite(rule, 20, e.env) == "pass"
+    wrong = """
+{-# TRUST wrong #-}
+
+wrong : (a b c d e : Nat) -> a + b + c + d + e ≡ a + b + c + d + e + 1
+wrong a b c d e = prf
+
+{-# REWRITE wrong #-}
+"""
+    e = load_sources([("bad", wrong)])
+    rule = next(r for r in e.rules.rules if r.name == "wrong")
+    out = check_rewrite(rule, 5, e.env)
+    assert out["rhs"] == out["lhs"] + 1 == sum(t.value for t in out["assignment"]) + 1
+
+
+def test_definitions_loaded_after_a_call_are_seen():
+    elab = load_sources([("f", "f : Nat -> Nat\nf x = x * 2\n")])
+    assert call(elab.env, "f", [4]) == 8
+    elab.load_source("g : Nat -> Nat\ng x = f x + 1\n", "g")
+    assert call(elab.env, "g", [4]) == 9
+    assert call(elab.env, "f", [5]) == 10
+
+
+def test_clauses_appended_after_a_call_are_seen():
+    elab = load_sources([("h", "h : Nat -> Nat\nh 0 = 1\nh (suc n) = n\n")])
+    clauses = elab.env.lookup("h").payload.clauses
+    second = clauses.pop()
+    assert call(elab.env, "h", [0]) == 1
+    assert _error(elab.env, "h", [3]) == "h: no clause matches [3]"
+    clauses.append(second)
+    assert call(elab.env, "h", [3]) == 2
+
+
+def test_running_out_of_stack_is_an_eval_error():
+    e = load_sources([("loop", "loop : Nat -> Nat\nloop n = loop (suc n)\n")])
+    assert _error(e.env, "loop", [0]) == "recursion depth"
+    with pytest.raises(EvalError, match="recursion depth"):
+        eval_closed(Def("loop", (vis(Lit(0)),)), e.env)
+
+
+def test_compiled_code_lives_as_long_as_its_env():
+    env = load_sources([("ack", corpus.ACK)]).env
+    assert call(env, "ack", [2, 2]) == 7
+    compiled = env.compiled
+    assert call(env, "ack", [1, 1]) == 3 and env.compiled is compiled
+    env_ref, code_ref = weakref.ref(env), weakref.ref(compiled)
+    gc.disable()
+    try:
+        # both go by reference counting alone, recursive code included
+        del env, compiled
+        assert env_ref() is None and code_ref() is None
+    finally:
+        gc.enable()

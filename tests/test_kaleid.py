@@ -276,6 +276,18 @@ def test_let_in_a_branch_writes_the_call_environment():
     assert interp_kaleid([KFun("f", (), e)], "f", []) == 4
 
 
+def test_let_bound_on_the_untaken_branch_aborts():
+    body = ("let r = if (x_1 > 0):\n"
+            "  let y = 2\n"
+            "  y\n"
+            "else:\n"
+            "  0\n"
+            "let __ret = r + y\n"
+            "__ret")
+    assert _run(body, 3) == 4
+    assert _run(body, 0) == Aborted("unbound variable y")
+
+
 def test_lets_are_local_to_their_call():
     text = ("def g (a):\n  let y = 100\n  a\n\n"
             "def f (x_1):\n  let y = 1\n  let z = g (x_1)\n  y + z\n")

@@ -316,3 +316,16 @@ whole a = sel a []
     assert "sel ([], a)" in out
     m = np.arange(4.0).reshape(2, 2)
     assert np.array_equal(interp_sac(out, "whole", [np.array([2, 2]), m]), m)
+
+
+def test_mod_by_zero_aborts():
+    prog = """
+int f(int x, int y) {
+  int __ret;
+  __ret = x $% y;
+  return __ret;
+}
+"""
+    for zero in (0, np.int64(0)):
+        assert interp_sac(prog, "f", [7, zero]) == SacAborted("mod by zero")
+    assert interp_sac(prog, "f", [7, np.int64(3)]) == 1
