@@ -136,47 +136,61 @@ class _Metas:
         return int(name.split("@")[1])
 
     def zonk(self, t: Term, depth: int) -> Term:
+        """`t` with every solved meta replaced by its solution; subterms
+        without one come back as the same objects."""
+        return self._zonk(t, depth) if self.sol else t
+
+    def _zonk(self, t: Term, depth: int) -> Term:
         match t:
             case Def(name, args) if name.startswith("?m"):
                 if name in self.sol:
                     sol, d = self.sol[name]
-                    out = ir.shift(self.zonk(sol, d), depth - d)
-                    return ir.apply_term(out, tuple(
-                        Arg(self.zonk(a.value, depth), a.hidden) for a in args))
+                    out = ir.shift(self._zonk(sol, d), depth - d)
+                    return ir.apply_term(out, ir.map_args(args, self._zonk, depth))
                 return t
             case Var(i, args):
-                return Var(i, tuple(Arg(self.zonk(a.value, depth), a.hidden)
-                                    for a in args))
-            case Con(name, args):
-                return Con(name, tuple(Arg(self.zonk(a.value, depth), a.hidden)
-                                       for a in args))
-            case Def(name, args):
-                return Def(name, tuple(Arg(self.zonk(a.value, depth), a.hidden)
-                                       for a in args))
+                nargs = ir.map_args(args, self._zonk, depth) if args else args
+                return t if nargs is args else Var(i, nargs)
+            case Con(name, args) if args:
+                nargs = ir.map_args(args, self._zonk, depth)
+                return t if nargs is args else Con(name, nargs)
+            case Def(name, args) if args:
+                nargs = ir.map_args(args, self._zonk, depth)
+                return t if nargs is args else Def(name, nargs)
             case Lam(scope, h):
-                return Lam(Abs(scope.name, self.zonk(scope.body, depth + 1)), h)
+                body = self._zonk(scope.body, depth + 1)
+                return t if body is scope.body else Lam(Abs(scope.name, body), h)
             case Let(bound, scope):
-                return Let(self.zonk(bound, depth),
-                           Abs(scope.name, self.zonk(scope.body, depth + 1)))
+                nbound = self._zonk(bound, depth)
+                body = self._zonk(scope.body, depth + 1)
+                if nbound is bound and body is scope.body:
+                    return t
+                return Let(nbound, Abs(scope.name, body))
             case Pi(dom, scope):
-                return Pi(Arg(self.zonk(dom.value, depth), dom.hidden),
-                          Abs(scope.name, self.zonk(scope.body, depth + 1)))
+                ndom = self._zonk(dom.value, depth)
+                body = self._zonk(scope.body, depth + 1)
+                if ndom is dom.value and body is scope.body:
+                    return t
+                return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
             case _:
                 return t
 
     def has_unsolved(self, t: Term) -> bool:
+        return bool(self.count) and self._has_unsolved(t)
+
+    def _has_unsolved(self, t: Term) -> bool:
         match t:
             case Def(name, args) if name.startswith("?m"):
-                return name not in self.sol or any(self.has_unsolved(a.value)
+                return name not in self.sol or any(self._has_unsolved(a.value)
                                                    for a in args)
             case Var(_, args) | Con(_, args) | Def(_, args):
-                return any(self.has_unsolved(a.value) for a in args)
+                return any(self._has_unsolved(a.value) for a in args)
             case Lam(scope, _):
-                return self.has_unsolved(scope.body)
+                return self._has_unsolved(scope.body)
             case Let(bound, scope):
-                return self.has_unsolved(bound) or self.has_unsolved(scope.body)
+                return self._has_unsolved(bound) or self._has_unsolved(scope.body)
             case Pi(dom, scope):
-                return self.has_unsolved(dom.value) or self.has_unsolved(scope.body)
+                return self._has_unsolved(dom.value) or self._has_unsolved(scope.body)
             case _:
                 return False
 

@@ -248,29 +248,55 @@ class Env:
 # de Bruijn plumbing
 
 
+def map_args(args: tuple[Arg, ...], f, *rest) -> tuple[Arg, ...]:
+    """`args` with `f(value, *rest)` applied to every value; `args` itself
+    when no value changed, so unchanged terms are shared, not rebuilt."""
+    for i, a in enumerate(args):
+        v = f(a.value, *rest)
+        if v is not a.value:
+            out = list(args[:i])
+            out.append(Arg(v, a.hidden))
+            for b in args[i + 1:]:
+                w = f(b.value, *rest)
+                out.append(b if w is b.value else Arg(w, b.hidden))
+            return tuple(out)
+    return args
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Standard de Bruijn shift of free variables >= cutoff."""
+    """Standard de Bruijn shift of free variables >= cutoff.  Subterms
+    without free variables >= cutoff come back as the same objects."""
     if by == 0:
         return t
     match t:
         case Var(idx, args):
-            nargs = tuple(Arg(shift(a.value, by, cutoff), a.hidden) for a in args)
+            nargs = map_args(args, shift, by, cutoff) if args else args
             if idx >= cutoff:
                 if idx + by < 0:
                     raise NegativeIndex(f"shift drives index {idx} below zero")
                 return Var(idx + by, nargs)
-            return Var(idx, nargs)
-        case Con(name, args):
-            return Con(name, tuple(Arg(shift(a.value, by, cutoff), a.hidden) for a in args))
-        case Def(name, args):
-            return Def(name, tuple(Arg(shift(a.value, by, cutoff), a.hidden) for a in args))
+            return t if nargs is args else Var(idx, nargs)
+        case Con(name, args) if args:
+            nargs = map_args(args, shift, by, cutoff)
+            return t if nargs is args else Con(name, nargs)
+        case Def(name, args) if args:
+            nargs = map_args(args, shift, by, cutoff)
+            return t if nargs is args else Def(name, nargs)
         case Lam(scope, hidden):
-            return Lam(Abs(scope.name, shift(scope.body, by, cutoff + 1)), hidden)
+            body = shift(scope.body, by, cutoff + 1)
+            return t if body is scope.body else Lam(Abs(scope.name, body), hidden)
         case Let(bound, scope):
-            return Let(shift(bound, by, cutoff), Abs(scope.name, shift(scope.body, by, cutoff + 1)))
+            nbound = shift(bound, by, cutoff)
+            body = shift(scope.body, by, cutoff + 1)
+            if nbound is bound and body is scope.body:
+                return t
+            return Let(nbound, Abs(scope.name, body))
         case Pi(dom, scope):
-            return Pi(Arg(shift(dom.value, by, cutoff), dom.hidden),
-                      Abs(scope.name, shift(scope.body, by, cutoff + 1)))
+            ndom = shift(dom.value, by, cutoff)
+            body = shift(scope.body, by, cutoff + 1)
+            if ndom is dom.value and body is scope.body:
+                return t
+            return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
         case _:
             return t
 
@@ -299,27 +325,37 @@ def apply_term(t: Term, args: tuple[Arg, ...]) -> Term:
 
 def subst(t: Term, idx: int, repl: Term) -> Term:
     """Capture-avoiding substitution of `repl` for Var(idx); higher free
-    indices are decremented."""
+    indices are decremented.  Subterms without free variables >= idx come
+    back as the same objects."""
     match t:
         case Var(i, args):
-            nargs = tuple(Arg(subst(a.value, idx, repl), a.hidden) for a in args)
+            nargs = map_args(args, subst, idx, repl) if args else args
             if i == idx:
                 return apply_term(repl, nargs)
             if i > idx:
                 return Var(i - 1, nargs)
-            return Var(i, nargs)
-        case Con(name, args):
-            return Con(name, tuple(Arg(subst(a.value, idx, repl), a.hidden) for a in args))
-        case Def(name, args):
-            return Def(name, tuple(Arg(subst(a.value, idx, repl), a.hidden) for a in args))
+            return t if nargs is args else Var(i, nargs)
+        case Con(name, args) if args:
+            nargs = map_args(args, subst, idx, repl)
+            return t if nargs is args else Con(name, nargs)
+        case Def(name, args) if args:
+            nargs = map_args(args, subst, idx, repl)
+            return t if nargs is args else Def(name, nargs)
         case Lam(scope, hidden):
-            return Lam(Abs(scope.name, subst(scope.body, idx + 1, shift(repl, 1))), hidden)
+            body = subst(scope.body, idx + 1, shift(repl, 1))
+            return t if body is scope.body else Lam(Abs(scope.name, body), hidden)
         case Let(bound, scope):
-            return Let(subst(bound, idx, repl),
-                       Abs(scope.name, subst(scope.body, idx + 1, shift(repl, 1))))
+            nbound = subst(bound, idx, repl)
+            body = subst(scope.body, idx + 1, shift(repl, 1))
+            if nbound is bound and body is scope.body:
+                return t
+            return Let(nbound, Abs(scope.name, body))
         case Pi(dom, scope):
-            return Pi(Arg(subst(dom.value, idx, repl), dom.hidden),
-                      Abs(scope.name, subst(scope.body, idx + 1, shift(repl, 1))))
+            ndom = subst(dom.value, idx, repl)
+            body = subst(scope.body, idx + 1, shift(repl, 1))
+            if ndom is dom.value and body is scope.body:
+                return t
+            return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
         case _:
             return t
 

@@ -1135,16 +1135,19 @@ class _SacEval:
             return a - b
         if op == "*":
             return a * b
-        if op == "/":
+        if op == "/" or op == "%":
+            # a 0-d array (how a `((), [x])` argument arrives) is a scalar
+            if type(a) is np.ndarray and not a.ndim:
+                a = a[()]
+            if type(b) is np.ndarray and not b.ndim:
+                b = b[()]
             if np.isscalar(b) and b == 0:
-                raise _SacAbort("division by zero")
+                raise _SacAbort("division by zero" if op == "/" else "mod by zero")
+            if op == "%":
+                return a % b
             if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
                 return a // b
             return a / b
-        if op == "%":
-            if np.isscalar(b) and b == 0:
-                raise _SacAbort("mod by zero")
-            return a % b
         if op == "==":
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
                 return np.array_equal(np.asarray(a), np.asarray(b))

@@ -6,16 +6,18 @@ elementwise scaling.  The decider answers yes/no/unknown and is sound:
 `yes` means the constraint holds for every assignment of naturals, `no`
 comes with a concrete counterexample.
 
-Validity is checked by refuting the negated goal with exact-rational
-Fourier-Motzkin elimination after compiling floor-division and mod into
-linear side constraints and case-splitting monus.
+Validity is checked by refuting the negated goal with Fourier-Motzkin
+elimination after compiling floor-division and mod into linear side
+constraints and case-splitting monus.  Every row has integer
+coefficients and each elimination step combines two rows with integer
+multipliers, so the arithmetic is exact on plain ints.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from . import ir
 from .ir import Term
@@ -285,11 +287,21 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """The product of two monomials: their atoms, sorted by repr."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    return tuple(sorted(m1 + m2, key=repr))
+
+
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2, key=repr))
+            m = _mono_mul(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
             if out[m] == 0:
                 del out[m]
@@ -400,23 +412,23 @@ class _NonLinear(Exception):
     pass
 
 
-# linear rows: dict[atom-or-(): Fraction], meaning sum >= 0
+# linear rows: dict[monomial-or-(): int], meaning sum >= 0
 
 
 def _lin(p: Poly) -> dict:
     row: dict = {}
     for m, c in p.items():
         if len(m) == 0:
-            row[()] = row.get((), Fraction(0)) + c
+            row[()] = row.get((), 0) + c
         else:
-            row[m] = row.get(m, Fraction(0)) + c
+            row[m] = row.get(m, 0) + c
     return row
 
 
 def _row_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) - v
+        out[k] = out.get(k, 0) - v
         if out[k] == 0 and k != ():
             del out[k]
     return out
@@ -430,7 +442,7 @@ def _constraint_rows(c: Constraint, split, atoms, negate: bool) -> list[dict]:
 
     if c.kind == "nonzero":
         l = _lin(poly_of(c.lhs))
-        row = _row_sub(l, {(): Fraction(1)})  # e - 1 >= 0
+        row = _row_sub(l, {(): 1})  # e - 1 >= 0
         return [_neg_row(row)] if negate else [row]
     l, r = poly_of(c.lhs), poly_of(c.rhs)
     if c.kind == "lt":
@@ -449,14 +461,14 @@ def _constraint_rows(c: Constraint, split, atoms, negate: bool) -> list[dict]:
 
 def _row_add1(row: dict) -> dict:
     out = dict(row)
-    out[()] = out.get((), Fraction(0)) + 1
+    out[()] = out.get((), 0) + 1
     return out
 
 
 def _neg_row(row: dict) -> dict:
     # not(e >= 0)  <=>  e <= -1  <=>  -e - 1 >= 0   (integer-valued e)
     out = {k: -v for k, v in row.items()}
-    out[()] = out.get((), Fraction(0)) - 1
+    out[()] = out.get((), 0) - 1
     return out
 
 
@@ -499,20 +511,20 @@ def _atom_rows(atoms: dict, split, base_rows) -> list[dict]:
         if isinstance(a, SDiv):
             # d*q <= n <= d*q + d-1
             n = _lin(_poly_split(a.num, split))
-            q = {(a,): Fraction(a.den)}
+            q = {(a,): a.den}
             rows.append(_row_sub(n, q))
             upper = dict(q)
-            upper[()] = upper.get((), Fraction(0)) + a.den - 1
+            upper[()] = upper.get((), 0) + a.den - 1
             rows.append(_row_sub(upper, n))
         elif isinstance(a, SMod):
             # r <= n, and r <= den-1 when den >= 1 is already derivable
             n = _lin(_poly_split(a.num, split))
-            rows.append(_row_sub(n, {(a,): Fraction(1)}))
+            rows.append(_row_sub(n, {(a,): 1}))
             den = _lin(_poly_split(a.den, split))
-            probe = base_rows + [_neg_row(_row_sub(den, {(): Fraction(1)}))]
+            probe = base_rows + [_neg_row(_row_sub(den, {(): 1}))]
             if _fm_infeasible(probe):
-                upper = _row_sub(den, {(a,): Fraction(1)})
-                upper[()] = upper.get((), Fraction(0)) - 1
+                upper = _row_sub(den, {(a,): 1})
+                upper[()] = upper.get((), 0) - 1
                 rows.append(upper)
     return rows
 
@@ -546,18 +558,20 @@ def _monus_splits(constraints: list[Constraint]) -> list[dict]:
 def _fm_infeasible(rows: list[dict]) -> bool:
     """Fourier-Motzkin: True if the system {row >= 0} has no rational
     solution (hence no integer one).  Every monomial variable is a product
-    of naturals, so an implicit >= 0 row is added for each."""
+    of naturals, so an implicit >= 0 row is added for each.  Variables are
+    eliminated in the order of their reprs."""
     rows = [dict(r) for r in rows]
-    for k in {k for r in rows for k in r if k != ()}:
-        rows.append({k: Fraction(1)})
+    order = {k: repr(k) for r in rows for k in r if k != ()}
+    for k in order:
+        rows.append({k: 1})
     while True:
-        variables = sorted({k for r in rows for k in r if k != ()}, key=repr)
+        variables = {k for r in rows for k in r if k != ()}
         if not variables:
             break
-        v = variables[0]
+        v = min(variables, key=order.__getitem__)
         lowers, uppers, rest = [], [], []
         for r in rows:
-            c = r.get(v, Fraction(0))
+            c = r.get(v, 0)
             if c > 0:
                 lowers.append(r)
             elif c < 0:
@@ -573,14 +587,14 @@ def _fm_infeasible(rows: list[dict]) -> bool:
                 for k in set(lo) | set(up):
                     if k == v:
                         continue
-                    val = lo.get(k, Fraction(0)) * cu + up.get(k, Fraction(0)) * cl
+                    val = lo.get(k, 0) * cu + up.get(k, 0) * cl
                     if val != 0 or k == ():
                         comb[k] = val
                 new.append(comb)
         rows = new
         if len(rows) > 4000:  # safety valve; give up refuting
             return False
-    return any(r.get((), Fraction(0)) < 0 for r in rows)
+    return any(r.get((), 0) < 0 for r in rows)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eslc import ir
 from eslc.builtins import seed_env
+from eslc.elaborate import _Metas
 from eslc.ir import (Abs, Arg, Con, Def, Lam, Let, Lit, Pi, Sort, Unknown,
                      UnknownName, Var, parse_term, print_term, shift, subst,
                      vis)
@@ -34,6 +35,33 @@ def test_subst_applies_lambdas():
     # (Var 0) x with Var 0 := λy. y  reduces on the spot
     t = Var(0, (vis(Lit(7)),))
     assert subst(t, 0, Lam(Abs("y", Var(0)))) == Lit(7)
+
+
+def test_shift_shares_a_closed_term():
+    t = Lam(Abs("x", Def("_+_", (vis(Var(0)), vis(Con("suc", (vis(Lit(1)),)))))))
+    assert shift(t, 1) is t
+    # only the changed spine is rebuilt; the unchanged argument is shared
+    u = Def("_+_", (vis(Var(0)), vis(t)))
+    assert shift(u, 1).args[1] is u.args[1]
+
+
+def test_subst_shares_a_term_without_the_variable():
+    t = Pi(vis(Def("Nat")), Abs("n", Def("Vec", (vis(Def("Nat")), vis(Var(0))))))
+    assert subst(t, 0, Lit(3)) is t
+    # free variables below the substituted index are left alone too
+    u = Lam(Abs("y", Var(0, (vis(Var(1)),))))
+    assert subst(u, 1, Lit(3)) is u
+
+
+def test_zonk_without_solved_metas_returns_its_input():
+    metas = _Metas()
+    t = Def("_+_", (vis(metas.fresh(0)), vis(Lam(Abs("x", Var(0))))))
+    assert metas.zonk(t, 0) is t
+    # once a meta is solved, subterms without one are still shared
+    metas.sol[t.args[0].value.name] = (Lit(2), 0)
+    z = metas.zonk(t, 0)
+    assert z.args[0].value == Lit(2) and z.args[1] is t.args[1]
+    assert not metas.has_unsolved(z)
 
 
 # random term generator (free variables allowed)

@@ -2,6 +2,7 @@
 printer/parser pair, and the interpreter."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -329,3 +330,21 @@ int f(int x, int y) {
     for zero in (0, np.int64(0)):
         assert interp_sac(prog, "f", [7, zero]) == SacAborted("mod by zero")
     assert interp_sac(prog, "f", [7, np.int64(3)]) == 1
+
+
+def test_zero_rank_operands_are_scalars():
+    # ((), [x]) arguments arrive as 0-d arrays; `$/` and `$%` treat them
+    # as the scalars they hold
+    div = "int f(int x, int y) { return x $/ y; }"
+    mod = "int f(int x, int y) { return x $% y; }"
+    fdiv = "double f(double x, double y) { return x $/ y; }"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert interp_sac(div, "f", [7, 2]) == 3
+        q = interp_sac(div, "f", [((), [7]), ((), [2])])
+        assert q == 3 and isinstance(q, (int, np.integer))
+        assert interp_sac(mod, "f", [((), [7]), ((), [3])]) == 1
+        assert interp_sac(fdiv, "f", [((), [7.0]), ((), [2.0])]) == 3.5
+        assert interp_sac(div, "f", [((), [7]), ((), [0])]) == SacAborted("division by zero")
+        assert interp_sac(mod, "f", [((), [7]), ((), [0])]) == SacAborted("mod by zero")
+        assert interp_sac(fdiv, "f", [((), [7.0]), ((), [0.0])]) == SacAborted("division by zero")

@@ -125,3 +125,38 @@ def test_soundness_against_exhaustive_evaluation():
             assert all(sh._eval_constraint(h, cx) for h in hyps)
             assert not sh._eval_constraint(goal, cx)
     assert checked > 50
+
+
+# Exactness: each "yes" below rests on a margin of 1 between products of
+# about 10**24, which float64 rows (53-bit mantissa) would round away.
+
+A, B = 10**12 + 39, 10**12 + 61
+
+
+def test_exact_lt_with_large_coefficients():
+    # B*P - A*Q == 1, so A*x >= P forces B*x >= Q + 1/A, hence B*x > Q
+    p = pow(B, -1, A)
+    q = (B * p - 1) // A
+    hyp = [lt(SLit(p - 1), SMul(SLit(A), v("x")))]
+    assert decide(lt(SLit(q), SMul(SLit(B), v("x"))), hyp) == "yes"
+    assert decide(lt(SLit(q + 1), SMul(SLit(B), v("x"))), hyp) != "yes"
+
+
+def test_exact_eq_with_large_coefficients():
+    # A*x == p puts B*x at B*p/A == q + (A-1)/A: within 1 of q, not of q-1
+    p = (-pow(B, -1, A)) % A
+    q = B * p // A
+    assert B * p - A * q == A - 1
+    hyp = [eq(SMul(SLit(A), v("x")), SLit(p))]
+    assert decide(eq(SMul(SLit(B), v("x")), SLit(q)), hyp) == "yes"
+    assert decide(eq(SMul(SLit(B), v("x")), SLit(q - 1)), hyp) != "yes"
+
+
+def test_exact_div_and_mod_atoms_with_large_operands():
+    k = 10**6 + 3
+    goal = lt(SDiv(v("x"), A), SLit(k))
+    assert decide(goal, [lt(v("x"), SLit(A * k))]) == "yes"
+    assert decide(goal, [lt(v("x"), SLit(A * k + 1))]) != "yes"
+    m = 10**16 + 1
+    assert decide(lt(SMod(v("x"), SLit(m)), SLit(m)), []) == "yes"
+    assert decide(lt(SMod(v("x"), SLit(m)), SLit(m - 1)), []) != "yes"
