@@ -1,22 +1,44 @@
-"""Seeded definition environment: datatypes, constructors and the small
-set of computational builtins everything else is defined on top of.
+"""The seeded definition environment and the table of primitives.
 
-Arithmetic on naturals is given by ordinary clauses (zero/suc matching) so
-the normalizer can reduce it like any user function; division and mod go
-through the usual accumulator helpers so symbolic divisions leave the
-residual the backends expect.
+Each primitive is declared once, in PRIMS: its signature, its clauses if
+it has any, and its meaning as a Python function of all its parameters,
+hidden ones included.  The evaluator calls that function; the normalizer
+computes with it the entries marked `folds` whose arguments are literals.
+
+Arithmetic on naturals also has ordinary clauses (zero/suc matching), so
+the normalizer can reduce it on symbolic arguments like any user
+function; division and mod go through the usual accumulator helpers so
+symbolic divisions leave the residual the backends expect.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass
+
 from .ir import (Abs, Arg, Builtin, Clause, Con, Constructor, Datatype, Def,
-                 Definition, Env, Function, Lit, PCon, Pi, PVar, Sort, Term,
-                 Var, hid, vis)
+                 Definition, Env, EvalError, Function, Lit, PCon, Pi, PVar,
+                 Sort, Term, Var, hid, pi_spine, vis)
 
 NAT = "Nat"
 FLOAT = "Float"
 
 PROP_HEADS = ("_<_", "_≡_")
+
+
+@dataclass(frozen=True)
+class Prim:
+    name: str
+    sig: Term
+    fn: Callable  # called with exactly `arity` arguments
+    clauses: tuple[Clause, ...] | None = None  # None: a Builtin
+    folds: bool = False  # the normalizer computes it on literal arguments
+
+    @property
+    def arity(self) -> int:
+        return len(pi_spine(self.sig)[0])
 
 
 def mk_pi(binders: list[tuple[str, Term, bool]], ret: Term) -> Term:
@@ -42,6 +64,299 @@ def _setty() -> Term:
     return Sort()
 
 
+# --------------------------------------------------------------------------
+# the meaning of each primitive: a Python function of all its parameters
+
+
+def arr_index(arr, ix):
+    _, shape, flat = arr
+    comps = ix[1]
+    if len(comps) != len(shape):
+        raise EvalError("partial selection must go through sel")
+    pos = 0
+    for c, n in zip(comps, shape):
+        if not 0 <= c < n:
+            raise EvalError(f"index {comps} out of bounds for shape {shape}")
+        pos = pos * n + c
+    return flat[pos]
+
+
+def _monus(a, b):
+    return max(a - b, 0)
+
+
+def _div(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    return a // b
+
+
+def _mod(a, b):
+    if b == 0:
+        raise EvalError("mod by zero")
+    return a % b
+
+
+def _div_helper(k, m, n, j):
+    return k + (n + m - j) // (1 + m)
+
+
+def _mod_helper(k, m, n, j):
+    # accumulator semantics of the standard helper
+    while True:
+        if n == 0:
+            return k
+        if j == 0:
+            k, n, j = 0, n - 1, m
+        else:
+            k, n, j = k + 1, n - 1, j - 1
+
+
+def _float_op(op):
+    def h(x, y):
+        if not isinstance(x, float) or not isinstance(y, float):
+            raise EvalError("float operation on non-float")
+        return op(x, y)
+    return h
+
+
+def _fdiv(a, b):
+    if b == 0.0:
+        raise EvalError("float division by zero")
+    return a / b
+
+
+def _expf(a):
+    try:
+        return math.exp(a)
+    except OverflowError:  # as C's expf: too large a result is infinity
+        return math.inf
+
+
+def _vidx(X, n, i, v):
+    if not 0 <= i < len(v[1]):
+        raise EvalError(f"vector index {i} out of bounds")
+    return v[1][i]
+
+
+def _ravel(X, d, s, arr):
+    return ("arr", (math.prod(arr[1]),), list(arr[2]))
+
+
+def _reshape(X, d, s, e, t, arr):
+    shape = tuple(t[1])
+    if math.prod(shape) != len(arr[2]):
+        raise EvalError("reshape changes the number of elements")
+    return ("arr", shape, list(arr[2]))
+
+
+# --------------------------------------------------------------------------
+# the table
+
+
+def _prims() -> list[Prim]:
+    out: list[Prim] = []
+
+    def prim(name: str, sig: Term, fn: Callable, clauses=None,
+             folds: bool = False):
+        out.append(Prim(name, sig, fn,
+                        None if clauses is None else tuple(clauses), folds))
+
+    nat2 = mk_pi([("a", _nat(), False), ("b", _nat(), False)], _nat())
+
+    # _+_ : zero + n = n ; suc m + n = suc (m + n)
+    prim("_+_", nat2, operator.add, folds=True, clauses=[
+        Clause((("n", vis(_nat())),),
+               (vis(PCon("zero")), vis(PVar(0))),
+               Var(0)),
+        Clause((("m", vis(_nat())), ("n", vis(_nat()))),
+               (vis(PCon("suc", (vis(PVar(1)),))), vis(PVar(0))),
+               Con("suc", (vis(Def("_+_", (vis(Var(1)), vis(Var(0))))),))),
+    ])
+
+    # _*_ : zero * n = zero ; suc m * n = n + m * n
+    prim("_*_", nat2, operator.mul, folds=True, clauses=[
+        Clause((("n", vis(_nat())),),
+               (vis(PCon("zero")), vis(PVar(0))),
+               Con("zero")),
+        Clause((("m", vis(_nat())), ("n", vis(_nat()))),
+               (vis(PCon("suc", (vis(PVar(1)),))), vis(PVar(0))),
+               Def("_+_", (vis(Var(0)),
+                           vis(Def("_*_", (vis(Var(1)), vis(Var(0)))))))),
+    ])
+
+    # monus
+    prim("_-_", nat2, _monus, folds=True, clauses=[
+        Clause((("n", vis(_nat())),),
+               (vis(PVar(0)), vis(PCon("zero"))),
+               Var(0)),
+        Clause((("m", vis(_nat())),),
+               (vis(PCon("zero")), vis(PCon("suc", (vis(PVar(0)),)))),
+               Con("zero")),
+        Clause((("n", vis(_nat())), ("m", vis(_nat()))),
+               (vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
+               Def("_-_", (vis(Var(1)), vis(Var(0))))),
+    ])
+
+    nat4 = mk_pi([("k", _nat(), False), ("m", _nat(), False),
+                  ("n", _nat(), False), ("j", _nat(), False)], _nat())
+
+    def dh(k, m, n, j):
+        return Def("div-helper", (vis(k), vis(m), vis(n), vis(j)))
+
+    prim("div-helper", nat4, _div_helper, clauses=[
+        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("j", vis(_nat()))),
+               (vis(PVar(2)), vis(PVar(1)), vis(PCon("zero")), vis(PVar(0))),
+               Var(2)),
+        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("n", vis(_nat()))),
+               (vis(PVar(2)), vis(PVar(1)),
+                vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero"))),
+               dh(Con("suc", (vis(Var(2)),)), Var(1), Var(0), Var(1))),
+        Clause((("k", vis(_nat())), ("m", vis(_nat())),
+                ("n", vis(_nat())), ("j", vis(_nat()))),
+               (vis(PVar(3)), vis(PVar(2)),
+                vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
+               dh(Var(3), Var(2), Var(1), Var(0))),
+    ])
+
+    def mh(k, m, n, j):
+        return Def("mod-helper", (vis(k), vis(m), vis(n), vis(j)))
+
+    prim("mod-helper", nat4, _mod_helper, clauses=[
+        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("j", vis(_nat()))),
+               (vis(PVar(2)), vis(PVar(1)), vis(PCon("zero")), vis(PVar(0))),
+               Var(2)),
+        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("n", vis(_nat()))),
+               (vis(PVar(2)), vis(PVar(1)),
+                vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero"))),
+               mh(Lit(0), Var(1), Var(0), Var(1))),
+        Clause((("k", vis(_nat())), ("m", vis(_nat())),
+                ("n", vis(_nat())), ("j", vis(_nat()))),
+               (vis(PVar(3)), vis(PVar(2)),
+                vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
+               mh(Con("suc", (vis(Var(3)),)), Var(2), Var(1), Var(0))),
+    ])
+
+    # a / (suc m) = div-helper 0 m a m ; use sites owe a NonZero obligation
+    prim("_/_", nat2, _div, clauses=[
+        Clause((("a", vis(_nat())), ("m", vis(_nat()))),
+               (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
+               dh(Lit(0), Var(0), Var(1), Var(0))),
+    ])
+    prim("_%_", nat2, _mod, clauses=[
+        Clause((("a", vis(_nat())), ("m", vis(_nat()))),
+               (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
+               mh(Lit(0), Var(0), Var(1), Var(0))),
+    ])
+
+    # a Fin is encoded by the bound's left endpoint, its first argument
+    prim("fromN<",
+         mk_pi([("m", _nat(), True), ("n", _nat(), True),
+                ("p", Def("_<_", (vis(Var(1)), vis(Var(0)))), False)],
+               Def("Fin", (vis(Var(1)),))),
+         lambda m, n, p: m)
+    prim("toN",
+         mk_pi([("n", _nat(), True), ("i", Def("Fin", (vis(Var(0)),)), False)],
+               _nat()),
+         lambda n, i: i)
+
+    prim("_≟_",
+         mk_pi([("a", _nat(), False), ("b", _nat(), False)],
+               Def("Dec", (vis(Def("_≡_", (hid(_nat()), vis(Var(1)), vis(Var(0))))),))),
+         lambda a, b: ("dec", a == b), folds=True)
+    prim("_<?_",
+         mk_pi([("a", _nat(), False), ("b", _nat(), False)],
+               Def("Dec", (vis(Def("_<_", (vis(Var(1)), vis(Var(0))))),))),
+         lambda a, b: ("dec", a < b), folds=True)
+
+    fl2 = mk_pi([("a", _float(), False), ("b", _float(), False)], _float())
+    for name, fn in [("_+f_", _float_op(operator.add)),
+                     ("_-f_", _float_op(operator.sub)),
+                     ("_*f_", _float_op(operator.mul)), ("_/f_", _fdiv)]:
+        prim(name, fl2, fn, folds=True)
+    prim("expf", mk_pi([("a", _float(), False)], _float()), _expf, folds=True)
+
+    # array/vector primitives
+    vecXn = [("X", _setty(), True), ("n", _nat(), True)]
+    prim("vidx",
+         mk_pi(vecXn + [("i", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
+               Var(3)),
+         _vidx)
+    prim("vreverse",
+         mk_pi(vecXn + [("v", _vec(Var(1), Var(0)), False)], _vec(Var(2), Var(1))),
+         lambda X, n, v: ("vec", tuple(reversed(v[1]))))
+    prim("vhd",
+         mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
+               Var(2)),
+         lambda X, n, v: v[1][0])
+    prim("vtl",
+         mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
+               _vec(Var(2), Var(1))),
+         lambda X, n, v: ("vec", v[1][1:]))
+    prim("vtake",
+         mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
+               _vec(Var(3), Var(1))),
+         lambda X, n, k, v: ("vec", v[1][:k]))
+    prim("vdrop",
+         mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
+               _vec(Var(3), Def("_-_", (vis(Var(2)), vis(Var(1)))))),
+         lambda X, n, k, v: ("vec", v[1][k:]))
+    prim("vappend",
+         mk_pi([("X", _setty(), True), ("m", _nat(), True), ("n", _nat(), True),
+                ("a", _vec(Var(2), Var(1)), False), ("b", _vec(Var(3), Var(1)), False)],
+               _vec(Var(4), Def("_+_", (vis(Var(3)), vis(Var(2)))))),
+         lambda X, m, n, a, b: ("vec", a[1] + b[1]))
+    prim("_*v_",
+         mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False),
+                ("k", _nat(), False)],
+               _vec(_nat(), Var(2))),
+         lambda d, v, k: ("vec", tuple(x * k for x in v[1])))
+    prim("prodv",
+         mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False)], _nat()),
+         lambda d, v: math.prod(v[1]))
+
+    arXds = [("X", _setty(), True), ("d", _nat(), True),
+             ("s", _vec(_nat(), Var(0)), True)]
+
+    def ar(x, d, s):
+        return Def("Ar", (vis(x), vis(d), vis(s)))
+
+    def ix(d, s):
+        return Def("Ix", (vis(d), vis(s)))
+
+    prim("sel",
+         mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False),
+                        ("i", ix(Var(2), Var(1)), False)],
+               Var(4)),
+         lambda X, d, s, a, i: arr_index(a, i))
+    prim("ravel",
+         mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False)],
+               ar(Var(3), Lit(1),
+                  Con("vcons", (vis(Def("prodv", (hid(Var(2)), vis(Var(1))))),
+                                vis(Con("vnil")))))),
+         _ravel)
+    prim("reshape",
+         mk_pi(arXds + [("e", _nat(), True), ("t", _vec(_nat(), Var(0)), False),
+                        ("a", ar(Var(4), Var(3), Var(2)), False)],
+               ar(Var(5), Var(2), Var(1))),
+         _reshape)
+    prim("ixc",
+         mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
+                ("k", _nat(), False), ("i", ix(Var(2), Var(1)), False)],
+               _nat()),
+         lambda d, s, k, i: i[1][k])
+    prim("ixReverse",
+         mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
+                ("i", ix(Var(1), Var(0)), False)],
+               ix(Var(2), Def("vreverse", (hid(_nat()), hid(Var(2)), vis(Var(1)))))),
+         lambda d, s, i: ("ix", tuple(reversed(i[1]))))
+
+    return out
+
+
+PRIMS: dict[str, Prim] = {p.name: p for p in _prims()}
+
+
 def seed_env() -> Env:
     env = Env()
 
@@ -50,12 +365,6 @@ def seed_env() -> Env:
 
     def con(name: str, of: str, sig: Term, hidden: tuple[bool, ...]):
         env.add(Definition(name, sig, Constructor(of, hidden)))
-
-    def fun(name: str, sig: Term, clauses: list[Clause]):
-        env.add(Definition(name, sig, Function(clauses)))
-
-    def builtin(name: str, sig: Term, tag: str):
-        env.add(Definition(name, sig, Builtin(tag)))
 
     data(NAT, _setty(), ["zero", "suc"])
     con("zero", NAT, _nat(), ())
@@ -99,193 +408,9 @@ def seed_env() -> Env:
     con("no", "Dec", _setty(), ())
     con("prf", "Prop", _setty(), ())  # the erased witness of any proposition
 
-    nat2 = mk_pi([("a", _nat(), False), ("b", _nat(), False)], _nat())
-
-    # _+_ : zero + n = n ; suc m + n = suc (m + n)
-    fun("_+_", nat2, [
-        Clause((("n", vis(_nat())),),
-               (vis(PCon("zero")), vis(PVar(0))),
-               Var(0)),
-        Clause((("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PCon("suc", (vis(PVar(1)),))), vis(PVar(0))),
-               Con("suc", (vis(Def("_+_", (vis(Var(1)), vis(Var(0))))),))),
-    ])
-
-    # _*_ : zero * n = zero ; suc m * n = n + m * n
-    fun("_*_", nat2, [
-        Clause((("n", vis(_nat())),),
-               (vis(PCon("zero")), vis(PVar(0))),
-               Con("zero")),
-        Clause((("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PCon("suc", (vis(PVar(1)),))), vis(PVar(0))),
-               Def("_+_", (vis(Var(0)),
-                           vis(Def("_*_", (vis(Var(1)), vis(Var(0)))))))),
-    ])
-
-    # monus
-    fun("_-_", nat2, [
-        Clause((("n", vis(_nat())),),
-               (vis(PVar(0)), vis(PCon("zero"))),
-               Var(0)),
-        Clause((("m", vis(_nat())),),
-               (vis(PCon("zero")), vis(PCon("suc", (vis(PVar(0)),)))),
-               Con("zero")),
-        Clause((("n", vis(_nat())), ("m", vis(_nat()))),
-               (vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
-               Def("_-_", (vis(Var(1)), vis(Var(0))))),
-    ])
-
-    nat4 = mk_pi([("k", _nat(), False), ("m", _nat(), False),
-                  ("n", _nat(), False), ("j", _nat(), False)], _nat())
-
-    def dh(k, m, n, j):
-        return Def("div-helper", (vis(k), vis(m), vis(n), vis(j)))
-
-    fun("div-helper", nat4, [
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)), vis(PCon("zero")), vis(PVar(0))),
-               Var(2)),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)),
-                vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero"))),
-               dh(Con("suc", (vis(Var(2)),)), Var(1), Var(0), Var(1))),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())),
-                ("n", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(3)), vis(PVar(2)),
-                vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
-               dh(Var(3), Var(2), Var(1), Var(0))),
-    ])
-
-    def mh(k, m, n, j):
-        return Def("mod-helper", (vis(k), vis(m), vis(n), vis(j)))
-
-    fun("mod-helper", nat4, [
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)), vis(PCon("zero")), vis(PVar(0))),
-               Var(2)),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)),
-                vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero"))),
-               mh(Lit(0), Var(1), Var(0), Var(1))),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())),
-                ("n", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(3)), vis(PVar(2)),
-                vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
-               mh(Con("suc", (vis(Var(3)),)), Var(2), Var(1), Var(0))),
-    ])
-
-    # a / (suc m) = div-helper 0 m a m ; use sites owe a NonZero obligation
-    fun("_/_", nat2, [
-        Clause((("a", vis(_nat())), ("m", vis(_nat()))),
-               (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
-               dh(Lit(0), Var(0), Var(1), Var(0))),
-    ])
-    fun("_%_", nat2, [
-        Clause((("a", vis(_nat())), ("m", vis(_nat()))),
-               (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
-               mh(Lit(0), Var(0), Var(1), Var(0))),
-    ])
-
-    builtin("fromN<",
-            mk_pi([("m", _nat(), True), ("n", _nat(), True),
-                   ("p", Def("_<_", (vis(Var(1)), vis(Var(0)))), False)],
-                  Def("Fin", (vis(Var(1)),))),
-            "fin-from-bound")
-    builtin("toN",
-            mk_pi([("n", _nat(), True), ("i", Def("Fin", (vis(Var(0)),)), False)],
-                  _nat()),
-            "fin-to-nat")
-
-    builtin("_≟_",
-            mk_pi([("a", _nat(), False), ("b", _nat(), False)],
-                  Def("Dec", (vis(Def("_≡_", (hid(_nat()), vis(Var(1)), vis(Var(0))))),))),
-            "nat-eq-dec")
-    builtin("_<?_",
-            mk_pi([("a", _nat(), False), ("b", _nat(), False)],
-                  Def("Dec", (vis(Def("_<_", (vis(Var(1)), vis(Var(0))))),))),
-            "nat-lt-dec")
-
-    fl2 = mk_pi([("a", _float(), False), ("b", _float(), False)], _float())
-    for name, tag in [("_+f_", "fadd"), ("_-f_", "fsub"), ("_*f_", "fmul"),
-                      ("_/f_", "fdiv")]:
-        builtin(name, fl2, tag)
-    builtin("expf", mk_pi([("a", _float(), False)], _float()), "fexp")
-
-    # array/vector primitives
-    vecXn = [("X", _setty(), True), ("n", _nat(), True)]
-    builtin("vidx",
-            mk_pi(vecXn + [("i", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
-                  Var(3)),
-            "vec-index")
-    builtin("vreverse",
-            mk_pi(vecXn + [("v", _vec(Var(1), Var(0)), False)], _vec(Var(2), Var(1))),
-            "vec-reverse")
-    builtin("vhd",
-            mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
-                  Var(2)),
-            "vec-head")
-    builtin("vtl",
-            mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
-                  _vec(Var(2), Var(1))),
-            "vec-tail")
-    builtin("vtake",
-            mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
-                  _vec(Var(3), Var(1))),
-            "vec-take")
-    builtin("vdrop",
-            mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
-                  _vec(Var(3), Def("_-_", (vis(Var(2)), vis(Var(1)))))),
-            "vec-drop")
-    builtin("vappend",
-            mk_pi([("X", _setty(), True), ("m", _nat(), True), ("n", _nat(), True),
-                   ("a", _vec(Var(2), Var(1)), False), ("b", _vec(Var(3), Var(1)), False)],
-                  _vec(Var(4), Def("_+_", (vis(Var(3)), vis(Var(2)))))),
-            "vec-append")
-    builtin("_*v_",
-            mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False),
-                   ("k", _nat(), False)],
-                  _vec(_nat(), Var(2))),
-            "vec-scale")
-    builtin("prodv",
-            mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False)], _nat()),
-            "vec-product")
-
-    arXds = [("X", _setty(), True), ("d", _nat(), True),
-             ("s", _vec(_nat(), Var(0)), True)]
-
-    def ar(x, d, s):
-        return Def("Ar", (vis(x), vis(d), vis(s)))
-
-    def ix(d, s):
-        return Def("Ix", (vis(d), vis(s)))
-
-    builtin("sel",
-            mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False),
-                           ("i", ix(Var(2), Var(1)), False)],
-                  Var(4)),
-            "array-select")
-    builtin("ravel",
-            mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False)],
-                  ar(Var(3), Lit(1),
-                     Con("vcons", (vis(Def("prodv", (hid(Var(2)), vis(Var(1))))),
-                                   vis(Con("vnil")))))),
-            "array-ravel")
-    builtin("reshape",
-            mk_pi(arXds + [("e", _nat(), True), ("t", _vec(_nat(), Var(0)), False),
-                           ("a", ar(Var(4), Var(3), Var(2)), False)],
-                  ar(Var(5), Var(2), Var(1))),
-            "array-reshape")
-    builtin("ixc",
-            mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
-                   ("k", _nat(), False), ("i", ix(Var(2), Var(1)), False)],
-                  _nat()),
-            "index-component")
-    builtin("ixReverse",
-            mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
-                   ("i", ix(Var(1), Var(0)), False)],
-                  ix(Var(2), Def("vreverse", (hid(_nat()), hid(Var(2)), vis(Var(1)))))),
-            "index-reverse")
-
+    for p in PRIMS.values():
+        payload = Builtin() if p.clauses is None else Function(list(p.clauses))
+        env.add(Definition(p.name, p.sig, payload))
     return env
 
 

@@ -5,7 +5,8 @@ Values: naturals and Fin encodings are Python ints, floats are floats,
 vectors/indices/lists are tagged tuples, arrays are ("arr", shape, flat)
 in row major order, and function values are Python callables of one
 argument.  Functions evaluate eagerly; imap enumerates its whole index
-space.
+space.  A primitive is computed by the Python function of its
+builtins.PRIMS entry.
 
 Terms are compiled once into Python closures over a context list, in which
 de Bruijn index i is ctx[i] (Feeley and Lapalme, "Using Closures for Code
@@ -19,21 +20,21 @@ EvalError("recursion depth").
 
 from __future__ import annotations
 
-import math
 import operator
 import weakref
 from itertools import product
 
-from .ir import (Builtin, Con, Constructor, Datatype, Def, Env, EslError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort,
-                 Term, Unknown, UnknownName, Var)
+from .builtins import PRIMS, arr_index
+from .ir import (Con, Constructor, Datatype, Def, Env, EvalError, Function,
+                 Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort, Term,
+                 Unknown, UnknownName, Var)
 
 PRF = ("prf",)
 TYPE = ("type",)
 
-
-class EvalError(EslError):
-    pass
+# primitive name -> (arity, the Python function of exactly that many
+# arguments that is its meaning)
+_PRIM = {p.name: (p.arity, p.fn) for p in PRIMS.values()}
 
 
 def eval_closed(t: Term, env: Env):
@@ -100,8 +101,6 @@ class _Code:
             return _saturate(self.fun(name, payload), arity, args)
         if isinstance(payload, Constructor):
             return _apply_con(name, args)
-        if isinstance(payload, Builtin) and payload.tag in _BUILTIN:
-            return _collect(*_BUILTIN[payload.tag], args)
         if isinstance(payload, Datatype):
             return TYPE
         raise EvalError(f"cannot evaluate definition {name}")
@@ -246,9 +245,8 @@ def _var_app(i: int, cs: list):
 
 
 # --------------------------------------------------------------------------
-# constructors and builtins: the value of a saturated one is computed from
-# its whole argument list, so arguments beyond the needed ones are not
-# applied
+# constructors: the value of a saturated one is computed from its whole
+# argument list, so arguments beyond the needed ones are not applied
 
 
 def _collect(need: int, fn, args: list):
@@ -311,11 +309,6 @@ _CON = {
     "yes": (0, lambda a: ("dec", True)),
     "no": (0, lambda a: ("dec", False)),
     "prf": (0, lambda a: PRF),
-}
-
-_BUILTIN = {
-    "fin-from-bound": (3, lambda a: a[0]),
-    "fin-to-nat": (2, lambda a: a[-1]),
 }
 
 
@@ -387,7 +380,7 @@ def _pat(p, size: int):
         def imap(v, ctx):
             if v[0] != "arr":
                 return False
-            return sub(lambda ix: _arr_index(v, ix), ctx)
+            return sub(lambda ix: arr_index(v, ix), ctx)
         return imap
     if name in ("yes", "no"):
         want = name == "yes"
@@ -422,125 +415,6 @@ def _pat_suc(p, size: int):
             ctx[i] = PRF
         return sub(v - 1, ctx)
     return suc
-
-
-# --------------------------------------------------------------------------
-# primitives: a definition named here is evaluated by its Python function,
-# called with exactly as many arguments as its signature has parameters
-
-
-def _arr_index(arr, ix):
-    _, shape, flat = arr
-    comps = ix[1]
-    if len(comps) != len(shape):
-        raise EvalError("partial selection must go through sel")
-    pos = 0
-    for c, n in zip(comps, shape):
-        if not 0 <= c < n:
-            raise EvalError(f"index {comps} out of bounds for shape {shape}")
-        pos = pos * n + c
-    return flat[pos]
-
-
-def _p_monus(a, b):
-    return max(a - b, 0)
-
-
-def _p_div(a, b):
-    if b == 0:
-        raise EvalError("division by zero")
-    return a // b
-
-
-def _p_mod(a, b):
-    if b == 0:
-        raise EvalError("mod by zero")
-    return a % b
-
-
-def _p_div_helper(k, m, n, j):
-    return k + (n + m - j) // (1 + m)
-
-
-def _p_mod_helper(k, m, n, j):
-    # accumulator semantics of the standard helper
-    while True:
-        if n == 0:
-            return k
-        if j == 0:
-            k, n, j = 0, n - 1, m
-        else:
-            k, n, j = k + 1, n - 1, j - 1
-
-
-def _p_fbin(op):
-    def h(x, y):
-        if not isinstance(x, float) or not isinstance(y, float):
-            raise EvalError("float operation on non-float")
-        return op(x, y)
-    return h
-
-
-def _p_fdiv(a, b):
-    if b == 0.0:
-        raise EvalError("float division by zero")
-    return a / b
-
-
-def _p_vidx(X, n, i, v):
-    if not 0 <= i < len(v[1]):
-        raise EvalError(f"vector index {i} out of bounds")
-    return v[1][i]
-
-
-def _p_ravel(X, d, s, arr):
-    n = 1
-    for k in arr[1]:
-        n *= k
-    return ("arr", (n,), list(arr[2]))
-
-
-def _p_reshape(X, d, s, e, t, arr):
-    shape = tuple(t[1])
-    n = 1
-    for k in shape:
-        n *= k
-    if n != len(arr[2]):
-        raise EvalError("reshape changes the number of elements")
-    return ("arr", shape, list(arr[2]))
-
-
-_PRIM = {
-    "_+_": (2, operator.add),
-    "_-_": (2, _p_monus),
-    "_*_": (2, operator.mul),
-    "_/_": (2, _p_div),
-    "_%_": (2, _p_mod),
-    "div-helper": (4, _p_div_helper),
-    "mod-helper": (4, _p_mod_helper),
-    "_+f_": (2, _p_fbin(operator.add)),
-    "_-f_": (2, _p_fbin(operator.sub)),
-    "_*f_": (2, _p_fbin(operator.mul)),
-    "_/f_": (2, _p_fdiv),
-    "expf": (1, math.exp),
-    "_≟_": (2, lambda a, b: ("dec", a == b)),
-    "_<?_": (2, lambda a, b: ("dec", a < b)),
-    "fromN<": (3, lambda m, n, p: m),
-    "sel": (5, lambda X, d, s, a, i: _arr_index(a, i)),
-    "vidx": (4, _p_vidx),
-    "vreverse": (3, lambda X, n, v: ("vec", tuple(reversed(v[1])))),
-    "vhd": (3, lambda X, n, v: v[1][0]),
-    "vtl": (3, lambda X, n, v: ("vec", v[1][1:])),
-    "vtake": (4, lambda X, n, k, v: ("vec", v[1][:k])),
-    "vdrop": (4, lambda X, n, k, v: ("vec", v[1][k:])),
-    "vappend": (5, lambda X, m, n, a, b: ("vec", a[1] + b[1])),
-    "_*v_": (3, lambda d, v, k: ("vec", tuple(x * k for x in v[1]))),
-    "prodv": (2, lambda d, v: math.prod(v[1])),
-    "ravel": (4, _p_ravel),
-    "reshape": (6, _p_reshape),
-    "ixc": (4, lambda d, s, k, i: i[1][k]),
-    "ixReverse": (3, lambda d, s, i: ("ix", tuple(reversed(i[1])))),
-}
 
 
 # value construction helpers for tests and the harness

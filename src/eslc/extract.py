@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .ir import Definition, Env, EslError, Function
+from .ir import Con, Definition, Env, EslError, Function, Term, nat_view
 from .normalize import Normalizer, RuleSet, dont_reduce, normalise_clause
 
 
@@ -131,6 +131,19 @@ def sac_final_pass(s: str) -> str:
     keep = [c for c in s if c.isalnum() or c == "_"]
     out = "".join(keep)
     return out.lstrip("0123456789") or out
+
+
+def suc_spine(t: Term) -> tuple[int, Term | None]:
+    """t as k sucs around a rest: (k + n, None) when the rest is the
+    natural n, else (k, rest)."""
+    k = 0
+    while isinstance(t, Con) and t.name in ("suc", "fsuc"):
+        k += 1
+        t = t.args[-1].value
+    n = nat_view(t)
+    if n is not None:
+        return k + n, None
+    return k, t
 
 
 def kompile(entry: str, base, skip, backend, env: Env,

@@ -19,6 +19,11 @@ class UnknownName(EslError):
     pass
 
 
+class EvalError(EslError):
+    """A source-level computation went wrong: division by zero, an index
+    out of bounds, no matching clause, running out of stack."""
+
+
 class NegativeIndex(EslError):
     pass
 
@@ -198,7 +203,7 @@ class Postulate:
 
 @dataclass(frozen=True)
 class Builtin:
-    tag: str
+    """A primitive with no clauses; its meaning is its builtins.PRIMS entry."""
 
 
 Payload = Function | Constructor | Datatype | Postulate | Builtin
@@ -428,9 +433,6 @@ def max_free_var(t: Term, depth: int = 0) -> int:
 
 # --------------------------------------------------------------------------
 # natural literals vs zero/suc spines
-
-ZERO = "zero"
-SUC = "suc"
 
 
 def nat_view(t: Term) -> int | None:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ir
+from .builtins import is_prop_type
 from .extract import (EmittedFunction, ExtractError, ExtractOptions,
-                      ExtractState, kaleid_final_pass)
+                      ExtractState, kaleid_final_pass, suc_spine)
 from .ir import (Arg, Clause, Con, Def, Definition, Env, Function, Lam, Let,
-                 Lit, PAbsurd, PCon, PLit, PVar, Term, Unknown, Var, nat_view,
-                 pi_spine)
+                 Lit, PAbsurd, PCon, PLit, PVar, Term, Unknown, Var, pi_spine)
 
 OPS = ("Plus", "Minus", "Times", "Divide", "Eq", "Neq", "And", "Gt", "Lt")
 _OP_TEXT = {"Plus": "+", "Minus": "-", "Times": "*", "Divide": "/",
@@ -259,7 +259,7 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env,
         case Con("no", _):
             return KNat(0)
         case Con(("suc" | "fsuc"), _):
-            k, inner = _suc_spine(t)
+            k, inner = suc_spine(t)
             if inner is None:
                 return KNat(k)
             return KBin("Plus", KNat(k),
@@ -302,12 +302,11 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
     if name == "toN":
         return kompile_arglist(args, [len(args) - 1], venv, state, env, caller)[0]
     d = env.lookup(name) if name in env else None
-    if d is not None and _returns_prop(d.signature):
+    if d is not None and is_prop_type(pi_spine(d.signature)[1]):
         return KNat(1)  # proofs erase to the unit witness
     if d is None:
         raise ExtractError(f"unknown definition {name}")
-    mask = mk_iota_mask(len(args))
-    kargs = kompile_arglist(args, mask, venv, state, env, caller)
+    kargs = [kompile_term(a.value, venv, state, env, caller) for a in args]
     state.push(name)
     if caller:
         state.note_dep(caller, name)
@@ -319,30 +318,10 @@ def kompile_arglist(args: tuple[Arg, ...], mask: list[int], venv, state, env,
     return [kompile_term(args[i].value, venv, state, env, caller) for i in mask]
 
 
-def mk_iota_mask(n: int) -> list[int]:
-    return list(range(n))
-
-
-def _suc_spine(t: Term) -> tuple[int, Term | None]:
-    k = 0
-    while isinstance(t, Con) and t.name in ("suc", "fsuc"):
-        k += 1
-        t = t.args[-1].value
-    n = nat_view(t)
-    if n is not None:
-        return k + n, None
-    return k, t
-
-
 def _fresh_binder(name: str, venv: list[str], state: ExtractState) -> str:
     if name not in venv and name != RET and not name.startswith("x_"):
         return name
     return state.fresh(f"{name}_")
-
-
-def _returns_prop(sig: Term) -> bool:
-    _, ret = pi_spine(sig)
-    return isinstance(ret, Def) and ret.name in ("_<_", "_≡_")
 
 
 # --------------------------------------------------------------------------

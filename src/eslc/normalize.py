@@ -3,7 +3,9 @@
 Strategy: normal order to weak head normal form, then recurse into
 subterms, trying registered rewrite rules innermost-leftmost after each
 head step.  Clause matching (iota) reduces calls to pattern-matching
-functions; a handful of builtins carry delta rules.  Let bindings whose
+functions; primitives marked `folds` in builtins.PRIMS are computed by
+their Python function once their arguments are literals, and the vector,
+index and array builtins carry structural delta rules.  Let bindings whose
 binder occurs more than once are preserved to keep sharing; a
 faithful-lets mode restores eager substitution.
 """
@@ -15,9 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 from . import ir
-from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, Function, Lam,
-                 Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Term, Unknown, Var,
-                 apply_term, free_var_count, nat_view, subst, vis)
+from .builtins import PRIMS
+from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, EvalError,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Term,
+                 Unknown, Var, apply_term, free_var_count, nat_view, pi_spine,
+                 subst, vis)
 
 
 class FuelExhausted(EslError):
@@ -449,42 +453,37 @@ def _match_rule(pat: Term, t: Term, arity: int, binds, depth: int = 0) -> bool:
 # delta handlers
 
 
-def _two_floats(nz: Normalizer, args):
-    va = [a.value for a in args if not a.hidden]
-    if len(va) != 2:
-        return None
-    x, y = nz.whnf(va[0]), nz.whnf(va[1])
-    if isinstance(x, Lit) and isinstance(y, Lit) and \
-            isinstance(x.value, float) and isinstance(y.value, float):
-        return x.value, y.value
-    return None
+def _float_lit(t: Term) -> float | None:
+    return t.value if isinstance(t, Lit) and isinstance(t.value, float) else None
 
 
-def _d_fbin(op):
+_LITERAL = {"Nat": nat_view, "Float": _float_lit}
+
+
+def _d_fold(fn, reads):
+    """A primitive computed by its Python function.  Its arguments are
+    brought to whnf left to right and read as literals; the first that is
+    not one leaves the call to the primitive's clauses, if it has any (1 + x
+    must expose its constructor), and so does an EvalError or a result that
+    no literal denotes (a float overflowing to infinity)."""
     def h(nz, args):
-        pair = _two_floats(nz, args)
-        if pair is None:
+        if len(args) != len(reads):
             return None
+        vals = []
+        for read, a in zip(reads, args):
+            v = read(nz.whnf(a.value))
+            if v is None:
+                return None
+            vals.append(v)
         try:
-            return Lit(float(op(*pair)))
-        except ZeroDivisionError:
+            out = fn(*vals)
+        except EvalError:
             return None
-    return h
-
-
-def _d_fexp(nz, args):
-    x = nz.whnf(args[-1].value)
-    if isinstance(x, Lit) and isinstance(x.value, float):
-        return Lit(math.exp(x.value))
-    return None
-
-
-def _d_dec(cmp):
-    def h(nz, args):
-        a, b = nat_view(nz.whnf(args[0].value)), nat_view(nz.whnf(args[1].value))
-        if a is None or b is None:
+        if isinstance(out, tuple):  # ("dec", bool)
+            return Con("yes") if out[1] else Con("no")
+        if isinstance(out, float) and not math.isfinite(out):
             return None
-        return Con("yes") if cmp(a, b) else Con("no")
+        return Lit(out)
     return h
 
 
@@ -605,33 +604,10 @@ def _d_ixreverse(nz, args):
     return _ix_of(list(reversed(items)))
 
 
-def _d_nat_fast(op):
-    """Both-literal naturals compute directly; symbolic spines still go
-    through the ordinary clauses (1 + x must expose its constructor)."""
-    def h(nz, args):
-        if len(args) != 2:
-            return None
-        a = nat_view(nz.whnf(args[0].value))
-        if a is None:
-            return None
-        b = nat_view(nz.whnf(args[1].value))
-        if b is None:
-            return None
-        return Lit(op(a, b))
-    return h
-
-
-_DELTA = {
-    "_+_": _d_nat_fast(lambda a, b: a + b),
-    "_-_": _d_nat_fast(lambda a, b: max(a - b, 0)),
-    "_*_": _d_nat_fast(lambda a, b: a * b),
-    "_+f_": _d_fbin(lambda a, b: a + b),
-    "_-f_": _d_fbin(lambda a, b: a - b),
-    "_*f_": _d_fbin(lambda a, b: a * b),
-    "_/f_": _d_fbin(lambda a, b: a / b),
-    "expf": _d_fexp,
-    "_≟_": _d_dec(lambda a, b: a == b),
-    "_<?_": _d_dec(lambda a, b: a < b),
+_DELTA = {p.name: _d_fold(p.fn, [_LITERAL[a.value.name]
+                                 for _, a in pi_spine(p.sig)[0]])
+          for p in PRIMS.values() if p.folds}
+_DELTA.update({
     "vidx": _d_vidx,
     "vreverse": _d_vreverse,
     "vhd": _d_vhd,
@@ -644,7 +620,7 @@ _DELTA = {
     "sel": _d_sel,
     "ixc": _d_ixc,
     "ixReverse": _d_ixreverse,
-}
+})
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ir
+from .builtins import is_prop_type
 from .extract import (EmittedFunction, ExtractError, ExtractOptions,
-                      ExtractState, sac_final_pass)
+                      ExtractState, sac_final_pass, suc_spine)
 from .ir import (Arg, Clause, Con, Def, Definition, Env, Function, Lam, Let,
                  Lit, PCon, PVar, Term, Var, nat_view, pi_spine)
 
@@ -238,14 +239,14 @@ class SacBackend:
         params, pos_name = [], {}
         for j, (_, a) in enumerate(tel):
             pos_name[j] = f"x_{j + 1}"
-            if _is_prop(a.value):
+            if is_prop_type(a.value):
                 continue  # proofs carry no runtime data; asserts keep the fact
             params.append((flatten_type(a.value).result.render(), f"x_{j + 1}"))
         fn = SacFunction(state.target_name(name, sac_final_pass),
                          flatten_type(ret).result.render(), params,
                          [], [], [], None, [])
         cx = _Cx(state, env, name, self)
-        prop_pos = {j for j, (_, a) in enumerate(tel) if _is_prop(a.value)}
+        prop_pos = {j for j, (_, a) in enumerate(tel) if is_prop_type(a.value)}
         venv = self._clause_bindings(cl, pos_name, fn, cx, prop_pos)
         fn.arg_asserts, fn.ret_asserts = shape_assertions(d.signature, pos_name, cx)
         body = cl.body
@@ -326,7 +327,7 @@ class SacBackend:
             case Con("prf", _):
                 return SNum(1)
             case Con(("suc" | "fsuc"), _):
-                k, inner = _suc_spine(t)
+                k, inner = suc_spine(t)
                 if inner is None:
                     return SNum(k)
                 return SBin("+", SNum(k), self._term(inner, venv, cx))
@@ -407,13 +408,13 @@ class SacBackend:
             return SCall("reshape", (self._term(vis[0], venv, cx),
                                      self._term(vis[1], venv, cx)))
         d = cx.env.lookup(name) if name in cx.env else None
-        if d is not None and _returns_prop(d.signature):
+        if d is not None and is_prop_type(pi_spine(d.signature)[1]):
             return SNum(1)
         if d is None:
             raise ExtractError(f"unknown definition {name}")
         tel, _ = pi_spine(d.signature)
         kargs = [self._term(a.value, venv, cx)
-                 for (a, (_, dom)) in zip(args, tel) if not _is_prop(dom.value)]
+                 for (a, (_, dom)) in zip(args, tel) if not is_prop_type(dom.value)]
         cx.state.push(name)
         cx.state.note_dep(cx.caller, name)
         return SCall(cx.state.target_name(name, sac_final_pass), tuple(kargs))
@@ -568,35 +569,15 @@ def _term_spine(t: Term) -> tuple[list[Term], bool]:
     return items, closed
 
 
-def _suc_spine(t: Term) -> tuple[int, Term | None]:
-    k = 0
-    while isinstance(t, Con) and t.name in ("suc", "fsuc"):
-        k += 1
-        t = t.args[-1].value
-    n = nat_view(t)
-    if n is not None:
-        return k + n, None
-    return k, t
-
-
 def _uniq(name: str, venv, state) -> str:
     if name and name != "_" and name not in venv:
         return name
     return state.fresh("t_")
 
 
-def _is_prop(ty: Term) -> bool:
-    return isinstance(ty, Def) and ty.name in ("_<_", "_≡_")
-
-
 def _is_array_type(ty: Term) -> bool:
     return isinstance(ty, Def) and ty.name in ("Ar", "Vec", "Nat", "Float",
                                                "Fin", "List")
-
-
-def _returns_prop(sig: Term) -> bool:
-    _, ret = pi_spine(sig)
-    return _is_prop(ret)
 
 
 # --------------------------------------------------------------------------
