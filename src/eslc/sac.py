@@ -9,6 +9,7 @@ turns into an assert over shape/take/cons expressions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,8 +357,10 @@ class SacBackend:
     def _def(self, name: str, args, venv, cx) -> SExp:
         va = [a.value for a in args]
         if name in _SCALAR_BIN and len(va) == 2:
-            return SBin(_SCALAR_BIN[name], self._term(va[0], venv, cx),
-                        self._term(va[1], venv, cx))
+            out = SBin(_SCALAR_BIN[name], self._term(va[0], venv, cx),
+                       self._term(va[1], venv, cx))
+            # subtraction on naturals truncates at zero
+            return SCall("max", (out, SNum(0))) if name == "_-_" else out
         if name == "expf":
             return SCall("expf", (self._term(va[-1], venv, cx),))
         if name == "div-helper" and len(va) == 4:
@@ -1190,9 +1193,16 @@ class _SacEval:
         if f == "zero_int":
             shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
             return 0 if not shp else np.zeros(shp, dtype=np.int64)
+        if f == "max":
+            a, b = vals
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                return np.maximum(a, b)
+            return max(a, b)
         if f == "expf":
-            import math
-            return math.exp(vals[0])
+            try:
+                return math.exp(vals[0])
+            except OverflowError:  # as C's expf
+                return math.inf
         return self.call(f, vals)
 
     def _with(self, w: SWith, env):

@@ -28,7 +28,7 @@ GOLDEN = {
     "avgpool": "9daa72c5cb87aebd5745a608768092423e43e6ab58448993feae6d0692390a54",
     "fuse2": "ee3896c96c75d6b6e163ed7b984ab6aedaa2eba98c8ee073ad7fa34da51e91c4",
     "matmul": "e4d9a664bf0538e3e843f14ce4614df36d9582e1775e49ecf0955eaef1b2db3f",
-    "rotate": "d40cba8eba760a7856898b6ad5e780bb23200c3d6cb77111203e4bbe1c9b8259",
+    "rotate": "ade32a5176110486d3a0581df4e31575bac79b5ee90d4130adde5876dc158ca6",
 }
 
 

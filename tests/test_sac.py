@@ -348,3 +348,26 @@ def test_zero_rank_operands_are_scalars():
         assert interp_sac(div, "f", [((), [7]), ((), [0])]) == SacAborted("division by zero")
         assert interp_sac(mod, "f", [((), [7]), ((), [0])]) == SacAborted("mod by zero")
         assert interp_sac(fdiv, "f", [((), [7.0]), ((), [0.0])]) == SacAborted("division by zero")
+
+
+def test_nat_subtraction_truncates_at_zero():
+    e = load_sources([("s", "sub : Nat -> Nat -> Nat\nsub a b = a - b\n")])
+    out = kompile("sub", [], [], SacBackend(), e.env, e.rules,
+                  def_meta=e.def_meta)
+    assert "max (a $- b, 0)" in out
+    assert interp_sac(out, "sub", [3, 5]) == 0
+    assert interp_sac(out, "sub", [5, 3]) == 2
+
+
+def test_max_of_scalars_and_arrays():
+    prog = "int[.] f(int[.] x, int y) { return max (x, y); }"
+    out = interp_sac(prog, "f", [np.array([-1, 4]), 0])
+    assert np.array_equal(out, np.array([0, 4]))
+    assert interp_sac("int f(int x, int y) { return max (x, y); }",
+                      "f", [-2, 0]) == 0
+
+
+def test_expf_overflows_to_infinity():
+    prog = "float f(float x) { return expf (x); }"
+    assert interp_sac(prog, "f", [1000.0]) == float("inf")
+    assert interp_sac(prog, "f", [0.0]) == 1.0
