@@ -297,3 +297,9 @@ def test_compiled_code_lives_as_long_as_its_env():
         assert env_ref() is None and code_ref() is None
     finally:
         gc.enable()
+
+
+def test_expf_overflows_to_infinity():
+    env = seed_env()
+    assert call(env, "expf", [1000.0]) == float("inf")
+    assert call(env, "expf", [0.0]) == 1.0

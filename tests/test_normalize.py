@@ -39,6 +39,24 @@ def test_literal_arithmetic():
     assert nf(Def("_%_", (vis(Lit(9)), vis(Lit(2))))) == Lit(1)
 
 
+def test_literal_floats_and_decisions():
+    def f(name, *xs):
+        return Def(name, tuple(vis(Lit(x)) for x in xs))
+    assert nf(f("_+f_", 1.5, 2.25)) == Lit(3.75)
+    assert nf(f("_/f_", 3.0, 2.0)) == Lit(1.5)
+    assert nf(f("expf", 0.0)) == Lit(1.0)
+    assert nf(f("_≟_", 3, 3)) == Con("yes")
+    assert nf(f("_<?_", 3, 3)) == Con("no")
+    # no literal for the result: the call stays as it is
+    assert nf(f("_/f_", 3.0, 0.0)) == f("_/f_", 3.0, 0.0)
+    assert nf(f("_+f_", 1e308, 1e308)) == f("_+f_", 1e308, 1e308)
+
+
+def test_expf_overflow_is_left_unfolded():
+    big = Def("expf", (vis(Lit(1000.0)),))
+    assert nf(big) == big
+
+
 def test_one_plus_neutral_is_suc():
     # 1 + x exposes the constructor; x + 1 is stuck on the neutral head
     t = nf(plus(Lit(1), Var(0)))
