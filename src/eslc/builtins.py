@@ -30,6 +30,7 @@ PROP_HEADS = ("_<_", "_≡_")
 
 @dataclass(frozen=True)
 class Prim:
+    """One primitive; its arity is the number of its signature's binders."""
     name: str
     sig: Term
     fn: Callable  # called with exactly `arity` arguments

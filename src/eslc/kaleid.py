@@ -298,24 +298,19 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
                          KBin("Plus", KNat(1), m)))
     if name == "fromN<":
         # the Fin is encoded by the bound's left endpoint, the hidden head
-        return kompile_arglist(args, [0], venv, state, env, caller)[0]
+        return kompile_term(va[0], venv, state, env, caller)
     if name == "toN":
-        return kompile_arglist(args, [len(args) - 1], venv, state, env, caller)[0]
+        return kompile_term(va[-1], venv, state, env, caller)
     d = env.lookup(name) if name in env else None
     if d is not None and is_prop_type(pi_spine(d.signature)[1]):
         return KNat(1)  # proofs erase to the unit witness
     if d is None:
         raise ExtractError(f"unknown definition {name}")
-    kargs = [kompile_term(a.value, venv, state, env, caller) for a in args]
+    kargs = [kompile_term(x, venv, state, env, caller) for x in va]
     state.push(name)
     if caller:
         state.note_dep(caller, name)
     return KCall(state.target_name(name, kaleid_final_pass), tuple(kargs))
-
-
-def kompile_arglist(args: tuple[Arg, ...], mask: list[int], venv, state, env,
-                    caller: str = "") -> list[KExpr]:
-    return [kompile_term(args[i].value, venv, state, env, caller) for i in mask]
 
 
 def _fresh_binder(name: str, venv: list[str], state: ExtractState) -> str:

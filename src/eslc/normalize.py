@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import ir
-from .builtins import PRIMS
+from .builtins import FLOAT, NAT, PRIMS
 from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, EvalError,
                  Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Term,
                  Unknown, Var, apply_term, free_var_count, nat_view, pi_spine,
@@ -457,7 +457,7 @@ def _float_lit(t: Term) -> float | None:
     return t.value if isinstance(t, Lit) and isinstance(t.value, float) else None
 
 
-_LITERAL = {"Nat": nat_view, "Float": _float_lit}
+_LITERAL = {NAT: nat_view, FLOAT: _float_lit}
 
 
 def _d_fold(fn, reads):
