@@ -52,6 +52,12 @@ def test_literal_floats_and_decisions():
     assert nf(f("_+f_", 1e308, 1e308)) == f("_+f_", 1e308, 1e308)
 
 
+def test_partial_primitive_calls_stay():
+    for t in (Def("_≟_", (vis(Lit(3)),)), Def("_+_", (vis(Lit(3)),)),
+              Def("expf")):
+        assert nf(t) == t
+
+
 def test_expf_overflow_is_left_unfolded():
     big = Def("expf", (vis(Lit(1000.0)),))
     assert nf(big) == big
