@@ -301,11 +301,10 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
         return kompile_term(va[0], venv, state, env, caller)
     if name == "toN":
         return kompile_term(va[-1], venv, state, env, caller)
-    d = env.lookup(name) if name in env else None
-    if d is not None and is_prop_type(pi_spine(d.signature)[1]):
-        return KNat(1)  # proofs erase to the unit witness
-    if d is None:
+    if name not in env:
         raise ExtractError(f"unknown definition {name}")
+    if is_prop_type(pi_spine(env.lookup(name).signature)[1]):
+        return KNat(1)  # proofs erase to the unit witness
     kargs = [kompile_term(x, venv, state, env, caller) for x in va]
     state.push(name)
     if caller:

@@ -410,14 +410,13 @@ class SacBackend:
             vis = [a.value for a in args if not a.hidden]
             return SCall("reshape", (self._term(vis[0], venv, cx),
                                      self._term(vis[1], venv, cx)))
-        d = cx.env.lookup(name) if name in cx.env else None
-        if d is not None and is_prop_type(pi_spine(d.signature)[1]):
-            return SNum(1)
-        if d is None:
+        if name not in cx.env:
             raise ExtractError(f"unknown definition {name}")
-        tel, _ = pi_spine(d.signature)
-        kargs = [self._term(a.value, venv, cx)
-                 for (a, (_, dom)) in zip(args, tel) if not is_prop_type(dom.value)]
+        tel, ret = pi_spine(cx.env.lookup(name).signature)
+        if is_prop_type(ret):
+            return SNum(1)
+        kargs = [self._term(a.value, venv, cx) for (a, (_, dom)) in zip(args, tel)
+                 if not is_prop_type(dom.value)]
         cx.state.push(name)
         cx.state.note_dep(cx.caller, name)
         return SCall(cx.state.target_name(name, sac_final_pass), tuple(kargs))
