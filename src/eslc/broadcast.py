@@ -109,9 +109,6 @@ class _Binder:
             inner = Let(ir.shift(self.bound[i], i), Abs("lifted", inner))
         return inner
 
-    def depth_under_lambda(self) -> int:
-        return len(self.bound) + 1
-
 
 def _select(op: Operand, ref, replicated: bool, depth: int,
             d_res: Term, s_res: Term) -> Term:

@@ -54,16 +54,24 @@ _CON_NAMES = {"zero", "suc", "fzero", "fsuc", "vnil", "vcons", "inil",
 class CtxEntry:
     name: str
     type: Term  # scoped over the *earlier* entries
-    hyps: list = field(default_factory=list)  # extra shape constraints
-    is_let: bool = False
+    # shape constraints that hold while the entry is in scope, its own
+    # type's (if a decidable proposition) last
+    hyps: list
 
 
 class Ctx:
     def __init__(self) -> None:
         self.entries: list[CtxEntry] = []
 
-    def push(self, name: str, ty: Term, hyps=None, is_let=False) -> None:
-        self.entries.append(CtxEntry(name, ty, hyps or [], is_let))
+    def push(self, name: str, ty: Term, hyps=()) -> None:
+        hyps = list(hyps)
+        if is_prop_type(ty):
+            # the constraint keys variables by absolute position, so it
+            # is the same at every later depth: derive it once, here
+            c = _prop_to_constraint(ty, self.names_for_shapes())
+            if c is not None:
+                hyps.append(c)
+        self.entries.append(CtxEntry(name, ty, hyps))
 
     def pop(self, k: int = 1) -> None:
         del self.entries[len(self.entries) - k:]
@@ -81,25 +89,12 @@ class Ctx:
         e = self.entries[len(self.entries) - 1 - idx]
         return ir.shift(e.type, idx + 1)
 
-    def key_of(self, idx: int) -> str:
-        pos = len(self.entries) - 1 - idx
-        return f"{self.entries[pos].name}#{pos}"
-
     def names_for_shapes(self) -> list[str]:
         n = len(self.entries)
         return [f"{self.entries[n - 1 - i].name}#{n - 1 - i}" for i in range(n)]
 
     def hypotheses(self) -> list[shapes.Constraint]:
-        out: list[shapes.Constraint] = []
-        names = self.names_for_shapes()
-        for i in range(len(self.entries)):
-            e = self.entries[len(self.entries) - 1 - i]
-            out.extend(e.hyps)
-            ty = self.type_of(i)
-            c = _prop_to_constraint(ty, names)
-            if c is not None:
-                out.append(c)
-        return out
+        return [h for e in reversed(self.entries) for h in e.hyps]
 
 
 def _prop_to_constraint(ty: Term, names) -> shapes.Constraint | None:
@@ -347,7 +342,7 @@ class Elaborator:
                 return self._elab_app(fn, args, ctx, metas, expected=None)
             case SLet(name, bound, body):
                 bt, bty = self._infer(bound, ctx, metas)
-                ctx.push(name, bty if bty is not None else Unknown(), is_let=True)
+                ctx.push(name, bty if bty is not None else Unknown())
                 try:
                     inner, ity = self._infer(body, ctx, metas)
                 finally:
@@ -420,7 +415,7 @@ class Elaborator:
                 return Con("imap", (hid(x), hid(d), hid(sh), vis(f)))
             case SLet(name, bound, body):
                 bt, bty = self._infer(bound, ctx, metas)
-                ctx.push(name, bty if bty is not None else Unknown(), is_let=True)
+                ctx.push(name, bty if bty is not None else Unknown())
                 try:
                     inner = self._check(body, ir.shift(ty, 1), ctx, metas)
                 finally:
@@ -456,7 +451,7 @@ class Elaborator:
             extent = shapes.vec_component(svec, k)
             key = f"{comps[k]}#{len(ctx)}"
             ctx.push(comps[k], Def("Nat"),
-                     hyps=[shapes.lt(shapes.SVar(key), extent)], is_let=True)
+                     hyps=[shapes.lt(shapes.SVar(key), extent)])
         try:
             inner = self._check(body, ir.shift(inner_ty, len(kept)), ctx, metas)
         finally:
@@ -592,12 +587,21 @@ class Elaborator:
     def _apply_spine(self, head: Term, sig: Term, args: list, ctx: Ctx,
                      metas, name: str):
         spine: list[Arg] = []
+        # `rest` sits under one binder per value in `env` (newest first);
+        # a part of it is instantiated only when it is inspected
         rest = sig
+        env: list[Term] = []
         queue = list(args)
         nz = Normalizer(self.env, ReductionPolicy(fuel=20000))
+
+        def inst(t: Term) -> Term:
+            return metas.zonk(ir.subst(t, 0, *env), len(ctx))
+
         while True:
-            rest = metas.zonk(rest, len(ctx))
             if not isinstance(rest, Pi):
+                rest, env = inst(rest), []
+                if isinstance(rest, Pi):
+                    continue
                 if queue and isinstance(rest, Def) and not _Metas.is_meta(rest):
                     r2 = nz.whnf(rest)
                     if isinstance(r2, Pi):
@@ -606,19 +610,20 @@ class Elaborator:
                 break
             dom, cod = rest.domain, rest.scope.body
             if dom.hidden and not (queue and queue[0][1]):
-                dz = metas.zonk(dom.value, len(ctx))
+                dz = inst(dom.value)
                 if is_prop_type(dz) and not metas.has_unsolved(dz):
                     self._discharge(dz, ctx)
                     val: Term = Con("prf")
                 else:
                     val = metas.fresh(len(ctx))
                 spine.append(Arg(val, True))
-                rest = ir.subst(cod, 0, val)
+                rest = cod
+                env.insert(0, val)
                 continue
             if not queue:
                 break
             sarg, hidden = queue.pop(0)
-            dz = metas.zonk(dom.value, len(ctx))
+            dz = inst(dom.value)
             if is_prop_type(dz) and isinstance(sarg, SName) and sarg.name == "prf":
                 self._discharge(dz, ctx)
                 val = Con("prf")
@@ -631,10 +636,11 @@ class Elaborator:
             else:
                 val = self._check(sarg, dz, ctx, metas)
             spine.append(Arg(val, dom.hidden))
-            rest = ir.subst(cod, 0, val)
+            rest = cod
+            env.insert(0, val)
         if queue:
             raise EslError(f"{name}: too many arguments")
-        return ir.apply_term(head, tuple(spine)), rest
+        return ir.apply_term(head, tuple(spine)), inst(rest)
 
     # -- lifted array operators --------------------------------------------------
 
@@ -664,11 +670,10 @@ class Elaborator:
     # -- unification -------------------------------------------------------------
 
     def _unify(self, a: Term, b: Term, ctx: Ctx, metas) -> None:
-        a = metas.zonk(a, len(ctx))
-        b = metas.zonk(b, len(ctx))
         if not self._unify1(a, b, ctx, metas):
             raise UnsupportedType(
-                f"type mismatch: {_show_t(a)} vs {_show_t(b)}")
+                f"type mismatch: {_show_t(metas.zonk(a, len(ctx)))} vs "
+                f"{_show_t(metas.zonk(b, len(ctx)))}")
 
     def _unify1(self, a: Term, b: Term, ctx: Ctx, metas) -> bool:
         a = metas.zonk(a, len(ctx))
@@ -785,8 +790,7 @@ class Elaborator:
             nonlocal sig_rest
             ctx.push(binder, dom.value)
             patterns.append(Arg(PVar(len(ctx) - 1), True))
-            cod = sig_rest.scope.body
-            sig_rest = ir.subst(ir.shift(cod, 1, 1), 0, Var(0))
+            sig_rest = sig_rest.scope.body
 
         while True:
             if not isinstance(sig_rest, Pi):

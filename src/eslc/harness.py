@@ -4,7 +4,6 @@ interpreter on seeded random, precondition-respecting inputs."""
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,24 +71,19 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
     program = parse_kaleid(text) if entry.backend == "kaleid" else parse_sac(text)
     rng = random.Random(seed)
     mism, max_err = 0, 0.0
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100000))
-    try:
-        target = backend.final_pass(normalise_name(entry.entry))
-        for _ in range(samples):
-            eval_args, target_args = entry.sampler(rng)
-            ev = evaluate.call(elab.env, entry.entry, list(eval_args))
-            if entry.backend == "kaleid":
-                tv = interp_kaleid(program, target, list(target_args))
-            else:
-                tv = interp_sac(program, target, list(target_args))
-            err = compare(ev, tv, entry.compare)
-            if err is None or err > 1e-9:
-                mism += 1
-            else:
-                max_err = max(max_err, err)
-    finally:
-        sys.setrecursionlimit(old)
+    target = backend.final_pass(normalise_name(entry.entry))
+    for _ in range(samples):
+        eval_args, target_args = entry.sampler(rng)
+        ev = evaluate.call(elab.env, entry.entry, list(eval_args))
+        if entry.backend == "kaleid":
+            tv = interp_kaleid(program, target, list(target_args))
+        else:
+            tv = interp_sac(program, target, list(target_args))
+        err = compare(ev, tv, entry.compare)
+        if err is None or err > 1e-9:
+            mism += 1
+        else:
+            max_err = max(max_err, err)
     return DiffRow(entry.name, samples, mism, max_err)
 
 
@@ -102,8 +96,7 @@ def signature_sampler(env, name: str, rng, hi: int = 24):
         vals: list[int] = []
         ok = True
         for _, arg in tel:
-            ty = ir.msubst(arg.value, [ir.Lit(v) for v in reversed(vals)]) \
-                if vals else arg.value
+            ty = ir.subst(arg.value, 0, *(ir.Lit(v) for v in reversed(vals)))
             match ty:
                 case ir.Def("Nat", ()):
                     vals.append(rng.randrange(0, hi))

@@ -328,69 +328,46 @@ def apply_term(t: Term, args: tuple[Arg, ...]) -> Term:
             raise EslError(f"cannot apply arguments to {t!r}")
 
 
-def subst(t: Term, idx: int, repl: Term) -> Term:
-    """Capture-avoiding substitution of `repl` for Var(idx); higher free
-    indices are decremented.  Subterms without free variables >= idx come
-    back as the same objects."""
+def subst(t: Term, idx: int, *vals: Term) -> Term:
+    """Simultaneous capture-avoiding substitution: vals[i] replaces
+    Var(idx + i) and higher free indices drop by len(vals).  The values
+    are scoped like the result; under binders a value is shifted only
+    where its variable occurs.  Subterms without free variables >= idx
+    come back as the same objects."""
+    return _subst(t, vals, idx, 0) if vals else t
+
+
+def _subst(t: Term, vals: tuple[Term, ...], idx: int, depth: int) -> Term:
+    # idx is the first replaced index as seen under `depth` binders
     match t:
         case Var(i, args):
-            nargs = map_args(args, subst, idx, repl) if args else args
-            if i == idx:
-                return apply_term(repl, nargs)
-            if i > idx:
-                return Var(i - 1, nargs)
-            return t if nargs is args else Var(i, nargs)
+            nargs = map_args(args, _subst, vals, idx, depth) if args else args
+            if i < idx:
+                return t if nargs is args else Var(i, nargs)
+            if i - idx < len(vals):
+                return apply_term(shift(vals[i - idx], depth), nargs)
+            return Var(i - len(vals), nargs)
         case Con(name, args) if args:
-            nargs = map_args(args, subst, idx, repl)
+            nargs = map_args(args, _subst, vals, idx, depth)
             return t if nargs is args else Con(name, nargs)
         case Def(name, args) if args:
-            nargs = map_args(args, subst, idx, repl)
+            nargs = map_args(args, _subst, vals, idx, depth)
             return t if nargs is args else Def(name, nargs)
         case Lam(scope, hidden):
-            body = subst(scope.body, idx + 1, shift(repl, 1))
+            body = _subst(scope.body, vals, idx + 1, depth + 1)
             return t if body is scope.body else Lam(Abs(scope.name, body), hidden)
         case Let(bound, scope):
-            nbound = subst(bound, idx, repl)
-            body = subst(scope.body, idx + 1, shift(repl, 1))
+            nbound = _subst(bound, vals, idx, depth)
+            body = _subst(scope.body, vals, idx + 1, depth + 1)
             if nbound is bound and body is scope.body:
                 return t
             return Let(nbound, Abs(scope.name, body))
         case Pi(dom, scope):
-            ndom = subst(dom.value, idx, repl)
-            body = subst(scope.body, idx + 1, shift(repl, 1))
+            ndom = _subst(dom.value, vals, idx, depth)
+            body = _subst(scope.body, vals, idx + 1, depth + 1)
             if ndom is dom.value and body is scope.body:
                 return t
             return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
-        case _:
-            return t
-
-
-def msubst(t: Term, vals: list[Term], depth: int = 0) -> Term:
-    """Simultaneous substitution: vals[i] (an outside term) replaces
-    Var(depth+i); higher indices drop by len(vals)."""
-    k = len(vals)
-    if k == 0:
-        return t
-    match t:
-        case Var(i, args):
-            nargs = tuple(Arg(msubst(a.value, vals, depth), a.hidden) for a in args)
-            if depth <= i < depth + k:
-                return apply_term(shift(vals[i - depth], depth), nargs)
-            if i >= depth + k:
-                return Var(i - k, nargs)
-            return Var(i, nargs)
-        case Con(name, args):
-            return Con(name, tuple(Arg(msubst(a.value, vals, depth), a.hidden) for a in args))
-        case Def(name, args):
-            return Def(name, tuple(Arg(msubst(a.value, vals, depth), a.hidden) for a in args))
-        case Lam(scope, hidden):
-            return Lam(Abs(scope.name, msubst(scope.body, vals, depth + 1)), hidden)
-        case Let(bound, scope):
-            return Let(msubst(bound, vals, depth),
-                       Abs(scope.name, msubst(scope.body, vals, depth + 1)))
-        case Pi(dom, scope):
-            return Pi(Arg(msubst(dom.value, vals, depth), dom.hidden),
-                      Abs(scope.name, msubst(scope.body, vals, depth + 1)))
         case _:
             return t
 
@@ -411,24 +388,6 @@ def free_var_count(t: Term, idx: int) -> int:
             return free_var_count(dom.value, idx) + free_var_count(scope.body, idx + 1)
         case _:
             return 0
-
-
-def max_free_var(t: Term, depth: int = 0) -> int:
-    """Largest free index relative to the outside, -1 if closed."""
-    match t:
-        case Var(i, args):
-            m = i - depth if i >= depth else -1
-            return max([m] + [max_free_var(a.value, depth) for a in args])
-        case Con(_, args) | Def(_, args):
-            return max([-1] + [max_free_var(a.value, depth) for a in args])
-        case Lam(scope, _):
-            return max_free_var(scope.body, depth + 1)
-        case Let(bound, scope):
-            return max(max_free_var(bound, depth), max_free_var(scope.body, depth + 1))
-        case Pi(dom, scope):
-            return max(max_free_var(dom.value, depth), max_free_var(scope.body, depth + 1))
-        case _:
-            return -1
 
 
 # --------------------------------------------------------------------------

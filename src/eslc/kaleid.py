@@ -9,7 +9,6 @@ with C-style booleans, truncating subtraction and an abort-on-zero assert.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -291,6 +290,21 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
         return KBin(_BINOPS[name],
                     kompile_term(va[0], venv, state, env, caller),
                     kompile_term(va[1], venv, state, env, caller))
+    if name == "_%_" and len(va) == 2:
+        # a - (a / b) * b, each operand evaluated once; `/` aborts on zero
+        lets, ops = [], []
+        for x in va:
+            e = kompile_term(x, venv, state, env, caller)
+            if not isinstance(e, (KVar, KNat)):
+                v = state.fresh("mod_")
+                lets.append((v, e))
+                e = KVar(v)
+            ops.append(e)
+        a, b = ops
+        out: KExpr = KBin("Minus", a, KBin("Times", KBin("Divide", a, b), b))
+        for v, e in reversed(lets):
+            out = KLet(v, e, out)
+        return out
     if name == "div-helper" and len(va) == 4:
         k, m, n, j = (kompile_term(x, venv, state, env, caller) for x in va)
         return KBin("Plus", k,
@@ -458,7 +472,8 @@ def _pp(e: KExpr, prec: int) -> str:
             s = f"{ls} {_OP_TEXT[op]} {rs}"
             return f"({s})" if prec > p else s
         case KLet(n, b, body):
-            return f"let {n} = {_pp(b, 0)} in {_pp(body, 0)}"
+            s = f"let {n} = {_pp(b, 0)} in {_pp(body, 0)}"
+            return f"({s})" if prec > 0 else s
         case KIf():
             raise ExtractError("conditionals print at statement level")
     raise ExtractError(f"unprintable {e!r}")
@@ -566,7 +581,7 @@ def _tokenize_expr(s: str) -> list[str]:
             toks.append(s[i:i + 2])
             i += 2
             continue
-        if c in "()+-*/<>,":
+        if c in "()+-*/<>,=":
             toks.append(c)
             i += 1
             continue
@@ -601,6 +616,14 @@ def _parse_expr_str(s: str) -> KExpr:
             return e
         if t.isdigit():
             return KNat(int(t))
+        if t == "let":  # its body extends as far as possible
+            name = take()
+            if take() != "=":
+                raise KParseError("let needs =")
+            bound = level(1)
+            if take() != "in":
+                raise KParseError("let needs in")
+            return KLet(name, bound, level(1))
         if t == "assert":
             if take() != "(":
                 raise KParseError("assert needs parens")
@@ -790,8 +813,9 @@ def interp_kaleid(program, entry: str, args: list[int]):
 
     The program (text or parsed functions) is staged once per process into
     one Python function per Kaleidoscope function, and the staged program
-    is cached, keyed on the text or on the tuple of functions.  Unbounded
-    recursion returns Aborted("recursion depth"), and reading a let name
+    is cached, keyed on the text or on the tuple of functions.  Each call
+    takes one Python frame, so recursion deeper than Python's recursion
+    limit returns Aborted("recursion depth"), and reading a let name
     that the branch taken did not bind returns Aborted("unbound variable
     <name>").  A program nested too deeply to stage (Python's parser
     allows about 100 levels of blocks or brackets) raises KParseError."""
@@ -805,8 +829,6 @@ def interp_kaleid(program, entry: str, args: list[int]):
     arity, fn = fns[entry]
     if arity != len(args):
         raise ExtractError(f"{entry} expects {arity} arguments")
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100000))
     try:
         return fn(*args)
     except _Abort as ab:
@@ -817,5 +839,3 @@ def interp_kaleid(program, entry: str, args: list[int]):
         # a let bound only on a branch that was not taken
         local = re.search(r"'(\w+)'", str(err)).group(1)
         return Aborted(f"unbound variable {fn.__globals__['_names'][local]}")
-    finally:
-        sys.setrecursionlimit(old)

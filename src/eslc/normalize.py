@@ -272,7 +272,7 @@ class Normalizer:
             body = cl.body
             assert body is not None
             vals = [binds.get(i, Unknown()) for i in range(len(cl.telescope))]
-            return apply_term(ir.msubst(body, vals), args[k:])
+            return apply_term(subst(body, 0, *vals), args[k:])
         return None
 
     def _match_args(self, pats, args, binds) -> int:
@@ -408,7 +408,7 @@ class Normalizer:
             binds: dict[int, Term] = {}
             if _match_rule(rule.lhs, t, rule.arity, binds) and \
                     len(binds) == rule.arity:
-                return ir.msubst(rule.rhs, [binds[i] for i in range(rule.arity)])
+                return subst(rule.rhs, 0, *(binds[i] for i in range(rule.arity)))
         return None
 
 

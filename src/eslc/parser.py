@@ -9,6 +9,7 @@ header may extend.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .ir import EslError
@@ -124,7 +125,8 @@ class SourceModule:
 # --------------------------------------------------------------------------
 # tokens
 
-_SELF_DELIM = "(){};\\"
+# a self-delimiting character, or a run of anything else but space
+_TOKEN = re.compile(r"[(){};\\]|[^\s(){};\\]+")
 _ALIASES = {"::": "∷", "->": "->", "→": "->", "λ": "\\"}
 RESERVED = {"let", "in", ":", "=", "->", "\\", "(", ")", "{", "}", ";",
             "infixl", "infixr", "infix", "_"}
@@ -139,25 +141,11 @@ class Tok:
 
 def tokenize_line(text: str, line_no: int) -> list[Tok]:
     toks: list[Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SELF_DELIM:
-            toks.append(Tok(c, line_no, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _SELF_DELIM:
-            j += 1
-        chunk = text[i:j]
+    for m in _TOKEN.finditer(text):
+        chunk = m.group()
         if chunk.startswith("--"):
             break
-        chunk = _ALIASES.get(chunk, chunk)
-        toks.append(Tok(chunk, line_no, i))
-        i = j
+        toks.append(Tok(_ALIASES.get(chunk, chunk), line_no, m.start()))
     return toks
 
 

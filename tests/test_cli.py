@@ -2,10 +2,13 @@
 README's examples."""
 
 import shlex
+import sys
 from pathlib import Path
 
 from eslc import corpus
 from eslc.cli import main
+from eslc.harness import run_corpus_diff
+from eslc.kaleid import interp_kaleid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,6 +74,16 @@ def test_diff_reports_tsv_and_is_seed_deterministic(tmp_path, capsys):
     header, row = reports[0].strip().splitlines()
     assert header.split("\t") == ["function", "samples", "mismatches", "max_err"]
     assert row.split("\t")[1] == "20" and row.split("\t")[2] == "0"
+
+
+def test_no_code_raises_the_recursion_limit(monkeypatch, capsys):
+    limit, calls = sys.getrecursionlimit(), []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    assert interp_kaleid("def f (x_1):\n  x_1\n", "f", [1]) == 1
+    assert run_corpus_diff(corpus.CORPUS["ack"], 5, 1).mismatches == 0
+    assert main(["diff", "--entry", "ack", "--backend", "kaleid",
+                 "--samples", "5"]) == 0
+    assert calls == [] and sys.getrecursionlimit() == limit
 
 
 def test_diff_adhoc_scalar_entry(tmp_path, capsys):

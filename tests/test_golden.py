@@ -6,13 +6,19 @@ snapshot), so a change anywhere in parsing, elaboration, the shape
 decider, normalization or the backends that alters a single byte of
 output fails here.  After a deliberate change to the emitted text,
 update the digests in the same commit and say why.
+
+The shape decider's questions are pinned the same way: per entry, the
+number of `shapes.decide` calls, how many were answered "yes" and a
+sha256 of the sequence of (goal, hypotheses, verdict), so a change to
+elaboration that asks a different question, in a different order or
+under different hypotheses fails here even if the text does not change.
 """
 
 import hashlib
 
 import pytest
 
-from eslc import corpus, extract, loader
+from eslc import corpus, extract, loader, shapes
 from eslc.elaborate import Elaborator
 from eslc.kaleid import KaleidBackend, parse_kaleid
 from eslc.sac import SacBackend, parse_sac
@@ -32,12 +38,21 @@ GOLDEN = {
 }
 
 
+# (decide calls, "yes" answers, sha256 of the (goal, hypotheses, verdict)
+# sequence); all but log2 and fuse2 ask only the prelude's questions
+PRELUDE_QUESTIONS = (
+    34, 33, "04707c9d5eae9f9426c02f1c0c3e438d247e6d38a21bc7e2f3737507d73b72b6")
+DECIDER = {
+    "log2": (37, 36, "a58a79292dcc6127f99041318ab293a61d8376a9d5c03bdbadd3fc34dde06b49"),
+    "fuse2": (36, 35, "6029cd2d57eee1107a007fec9df43df0ff5c13d4ddd612943fba220c74971eff"),
+}
+
+
 def test_every_corpus_entry_is_pinned():
     assert set(GOLDEN) == set(corpus.CORPUS)
 
 
-@pytest.mark.parametrize("name", list(corpus.CORPUS))
-def test_emitted_text_is_unchanged(name):
+def _kompile(name: str) -> str:
     entry = corpus.CORPUS[name]
     elab = Elaborator()
     for module in loader.PRELUDE_MODULES:
@@ -51,4 +66,26 @@ def test_emitted_text_is_unchanged(name):
     text = extract.kompile(entry.entry, entry.base, [], backend, elab.env,
                            elab.rules, None, elab.def_meta)
     parse(text)
+    return text
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_emitted_text_is_unchanged(name):
+    text = _kompile(name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_decider_questions_are_unchanged(name, monkeypatch):
+    decide, log = shapes.decide, []
+
+    def logged(goal, hyps):
+        verdict = decide(goal, hyps)
+        log.append((repr(goal), repr(hyps), verdict))
+        return verdict
+
+    monkeypatch.setattr(shapes, "decide", logged)
+    _kompile(name)
+    digest = hashlib.sha256(repr(log).encode("utf-8")).hexdigest()
+    yes = sum(verdict == "yes" for _, _, verdict in log)
+    assert (len(log), yes, digest) == DECIDER.get(name, PRELUDE_QUESTIONS)

@@ -66,19 +66,30 @@ def test_zonk_without_solved_metas_returns_its_input():
 
 # random term generator (free variables allowed)
 
-_term_st = st.recursive(
-    st.one_of(
-        st.integers(0, 3).map(Var),
-        st.integers(0, 9).map(Lit),
-        st.just(Con("zero")),
-    ),
-    lambda sub: st.one_of(
-        st.tuples(sub, sub).map(lambda ab: Def("_+_", (vis(ab[0]), vis(ab[1])))),
-        sub.map(lambda b: Lam(Abs("x", b))),
-        st.tuples(sub, sub).map(lambda ab: Let(ab[0], Abs("y", ab[1]))),
-    ),
-    max_leaves=24,
-)
+
+def _terms(applied: bool):
+    def compound(sub):
+        forms = [
+            st.tuples(sub, sub).map(lambda ab: Def("_+_", (vis(ab[0]), vis(ab[1])))),
+            sub.map(lambda b: Lam(Abs("x", b))),
+            st.tuples(sub, sub).map(lambda ab: Let(ab[0], Abs("y", ab[1]))),
+            st.tuples(sub, sub).map(lambda ab: Pi(vis(ab[0]), Abs("z", ab[1]))),
+        ]
+        if applied:
+            forms.append(st.tuples(st.integers(0, 3), sub)
+                         .map(lambda ib: Var(ib[0], (vis(ib[1]),))))
+        return st.one_of(*forms)
+
+    leaves = st.one_of(st.integers(0, 3).map(Var), st.integers(0, 9).map(Lit),
+                       st.just(Con("zero")))
+    return st.recursive(leaves, compound, max_leaves=24)
+
+
+_term_st = _terms(applied=True)
+# what may stand in an applied variable's place: a variable, or a lambda
+# that reduces on the spot to a term that applies nothing
+_value_st = st.one_of(st.integers(0, 3).map(Var),
+                      _terms(applied=False).map(lambda b: Lam(Abs("y", b))))
 
 
 @settings(max_examples=250, deadline=None)
@@ -91,6 +102,24 @@ def test_shift_composes(t, a, b):
 @given(_term_st, st.integers(0, 6))
 def test_subst_after_shift_is_identity(t, n):
     assert subst(shift(t, 1, 1), 1, Var(n)) == t
+
+
+@settings(max_examples=250, deadline=None)
+@given(_term_st, st.integers(0, 2), st.lists(_value_st, min_size=1, max_size=3))
+def test_block_subst_is_iterated_single_subst(t, idx, vals):
+    # one at a time from the last: the block variables still in place sit
+    # below the rest, so each value is shifted past them
+    want = t
+    for i in reversed(range(len(vals))):
+        want = subst(want, idx + i, shift(vals[i], i, idx))
+    assert subst(t, idx, *vals) == want
+
+
+@settings(max_examples=250, deadline=None)
+@given(_term_st, st.lists(_value_st, min_size=1, max_size=3))
+def test_block_subst_shares_a_term_without_the_variables(t, vals):
+    # the generated terms have no free variable above 3
+    assert subst(t, 4, *vals) is t
 
 
 @settings(max_examples=250, deadline=None)

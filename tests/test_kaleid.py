@@ -7,6 +7,7 @@ import pytest
 
 from eslc import corpus
 from eslc.builtins import mk_pi, seed_env
+from eslc.evaluate import call
 from eslc.extract import ExtractError, ExtractState, kompile
 from eslc.harness import run_corpus_diff
 from eslc.ir import Con, Def, Lit, PCon, PVar, Var, hid, vis
@@ -132,6 +133,26 @@ def test_div_helper_inline_formula():
     out = kompile_term(t, ["x"], _st(), ENV)
     assert print_kaleid([KFun("t", ("x",), out)]).splitlines()[1].strip() \
         == "0 + (x + 1 - 0) / (1 + 1)"
+
+
+def test_mod_is_one_expression():
+    # a - (a / b) * b: no call per unit of the dividend
+    src = "w : (a b : Nat) -> 0 < b -> Nat\nw a b p = a % b\n"
+    _, text = _extract([("w", src)], "w")
+    assert "mod_helper" not in text
+    assert interp_kaleid(text, "w", [100000, 3, 1]) == 1
+
+
+def test_lets_inside_expressions_print_parse_and_run():
+    # each non-variable operand of % is let-bound once, inside the sum
+    src = ("w : (a b c : Nat) -> 0 < c -> Nat\n"
+           "w a b c p = ((a + b) % c) + (let x = a + 1 in x * x)\n")
+    e, text = _extract([("w", src)], "w")
+    assert "(let " in text
+    assert print_kaleid(parse_kaleid(text)) == text
+    for a, b, c in [(0, 0, 1), (17, 5, 4), (3, 9, 12)]:
+        assert interp_kaleid(text, "w", [a, b, c, 1]) == \
+            call(e.env, "w", [a, b, c, 1]) == (a + b) % c + (a + 1) ** 2
 
 
 def test_general_call_pushes_pending():
