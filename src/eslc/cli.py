@@ -11,7 +11,8 @@ import sys
 
 from . import corpus as corpus_mod
 from .extract import ExtractOptions, kompile
-from .harness import run_corpus_diff, run_signature_diff
+from .harness import (EXHAUSTED, DiffRow, run_corpus_diff,
+                      run_signature_diff)
 from .ir import EslError, Function, print_term
 from .kaleid import KaleidBackend
 from .loader import load_sources
@@ -104,7 +105,7 @@ def cmd_kompile(args) -> int:
 
 def cmd_diff(args) -> int:
     opts = ExtractOptions(fuel=args.fuel, faithful_lets=args.faithful_lets)
-    print("function\tsamples\tmismatches\tmax_err")
+    print(DiffRow.HEADER)
     if not args.inputs and args.entry in corpus_mod.CORPUS:
         entry = corpus_mod.CORPUS[args.entry]
         if entry.backend != args.backend:
@@ -123,6 +124,9 @@ def cmd_diff(args) -> int:
             return 1
         row = run_signature_diff(elab, args.entry, args.samples, args.seed,
                                  _names(args.base), opts)
+    for sample in row.inconclusive:
+        print(f"eslc: {row.function} {' '.join(map(repr, sample))}: "
+              f"inconclusive, {EXHAUSTED}", file=sys.stderr)
     print(row.tsv())
     return 0 if row.mismatches == 0 else 1
 

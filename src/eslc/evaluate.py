@@ -4,26 +4,36 @@ differential test.
 Values: naturals and Fin encodings are Python ints, floats are floats,
 vectors/indices/lists are tagged tuples, arrays are ("arr", shape, flat)
 in row major order, and function values are Python callables of one
-argument.  Functions evaluate eagerly; imap enumerates its whole index
-space.  A primitive is computed by the Python function of its
-builtins.PRIMS entry.
+argument.  Functions evaluate eagerly, arguments left to right; imap
+enumerates its whole index space.  A primitive is computed by the Python
+function of its builtins.PRIMS entry, a constructor by its _CON entry
+(`suc` is `+ 1` inline).
 
-Terms are compiled once into Python closures over a context list, in which
-de Bruijn index i is ctx[i] (Feeley and Lapalme, "Using Closures for Code
-Generation", 1987).  A Function definition is compiled on its first call
-into one matcher and one body per clause; matchers bind pattern variables
-into a preallocated context.  The code is kept on the Env the definitions
-come from, so it lives as long as that Env, and a definition is compiled
-again when its clause list has grown.  Running out of Python stack is an
-EvalError("recursion depth").
+Each Function definition is staged, on its first call, into one Python
+function of its arity (eslc.pycode): its clauses become an `if` chain of
+inline pattern tests, each pattern variable a numbered local, a `let` a
+local assignment and a lambda a nested Python function.  A saturated
+call of a Function or a primitive is a direct Python call, so one ESL
+call takes one Python frame.  The functions of one Env share one
+namespace, in which `f<k>` is the k-th Function staged or called from
+staged code (`_Code.globals` maps the ESL names) and `p<k>` the
+primitive at position k of PRIMS.  The namespace is kept on the Env, so
+the code lives as long as the Env.  A definition is staged again when
+its clause list has grown: clauses are only appended, so code in which
+no clause matched checks for that before it fails, and a call by name
+checks for it first.  A term given to eval_closed is staged the same
+way, into a function of the context list from which its free variables
+are read (de Bruijn index i is ctx[i]).  Running out of Python stack is
+an EvalError("recursion depth").
 """
 
 from __future__ import annotations
 
-import operator
+import ast
 import weakref
 from itertools import product
 
+from . import pycode as py
 from .builtins import PRIMS, arr_index
 from .ir import (Con, Constructor, Datatype, Def, Env, EvalError, Function,
                  Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort, Term,
@@ -32,9 +42,9 @@ from .ir import (Con, Constructor, Datatype, Def, Env, EvalError, Function,
 PRF = ("prf",)
 TYPE = ("type",)
 
-# primitive name -> (arity, the Python function of exactly that many
-# arguments that is its meaning)
-_PRIM = {p.name: (p.arity, p.fn) for p in PRIMS.values()}
+# primitive name -> (its global in staged code, its arity); its Python
+# function is read from PRIMS when a call of it is staged
+_PRIM = {name: (f"p{i}", p.arity) for i, (name, p) in enumerate(PRIMS.items())}
 
 
 def eval_closed(t: Term, env: Env):
@@ -46,7 +56,7 @@ def call(env: Env, name: str, args: list):
 
 
 class Eval:
-    """Evaluation in one environment, through the code compiled for it."""
+    """Evaluation in one environment, through the code staged for it."""
 
     def __init__(self, env: Env):
         if env.compiled is None:
@@ -68,29 +78,31 @@ class Eval:
 
 
 class _Code:
-    """The compiled code of one Env's definitions.  It holds the Env's
-    definition table, not the Env, so the two form no reference cycle."""
+    """The staged code of one Env's definitions: one namespace of Python
+    functions.  It holds the Env's definition table, not the Env, so the
+    two form no reference cycle."""
 
     def __init__(self, defs: dict):
         self.defs = defs
-        self.funs: dict[str, object] = {}  # Function name -> its code
-        self.tables: list[list] = []  # the compiled clauses of each
+        self.ns: dict[str, object] = {
+            **_HELPERS, "_apply_def": self.apply_def, "_nomatch": self.nomatch}
+        self.staged: dict[str, int] = {}  # Function -> clauses it was staged from
+        self.globals: dict[str, str] = {}  # Function -> its global
 
     def close(self) -> None:
-        """Empty every clause table.  Recursive code refers to itself
-        through its table, so this lets it be freed, once its Env is gone,
-        without waiting for the cycle collector."""
-        for table in self.tables:
-            table.clear()
-        self.funs.clear()
+        """Empty the namespace.  Staged functions refer to it as their
+        globals and it to them, so this lets the code be freed by
+        reference counting, once its Env is gone, without waiting for the
+        cycle collector."""
+        self.ns.clear()
+        self.staged.clear()
 
     def apply_def(self, name: str, args: list):
         """The general call of a definition by name, on any number of
-        arguments; compiled calls take it only where nothing is known
+        arguments; staged calls take it only where nothing is known
         statically."""
-        prim = _PRIM.get(name)
-        if prim is not None:
-            return _saturate(prim[1], prim[0], args)
+        if name in _PRIM:
+            return _saturate(PRIMS[name].fn, _PRIM[name][1], args)
         d = self.defs.get(name)
         if d is None:
             raise UnknownName(name)
@@ -98,110 +110,256 @@ class _Code:
         if isinstance(payload, Function):
             clauses = payload.clauses
             arity = len(clauses[0].patterns) if clauses else 0
-            return _saturate(self.fun(name, payload), arity, args)
+            return _saturate(self.fun(name), arity, args)
         if isinstance(payload, Constructor):
             return _apply_con(name, args)
         if isinstance(payload, Datatype):
             return TYPE
         raise EvalError(f"cannot evaluate definition {name}")
 
-    def fun(self, name: str, f: Function):
-        """The code of a Function definition: a Python function of exactly
-        its arity.  Its clauses are compiled on the first call, and again
-        whenever the clause list has grown since."""
-        run = self.funs.get(name)
-        if run is not None:
-            return run
-        clauses, table = f.clauses, []
+    def fun(self, name: str):
+        """The code of Function `name`: a Python function of exactly its
+        arity, staged again if the clause list has grown since."""
+        clauses = self.defs[name].payload.clauses
+        g = self.fun_global(name)
+        if self.staged.get(name) != len(clauses):
+            code = _Stager(self, None).function(name, g, clauses)
+            exec(py.compile_defs([code], "<esl>"), self.ns)
+            self.staged[name] = len(clauses)
+        return self.ns[g]
 
-        def run(*args):
-            if len(table) != len(clauses):
-                arity = len(clauses[0].patterns)
-                table[:] = [self._clause(name, cl, arity) for cl in clauses]
-            for size, match, body in table:
-                ctx = [PRF] * size
-                if match(args, ctx):
-                    return body(ctx)
-            raise EvalError(f"{name}: no clause matches {list(args)!r}")
-
-        self.funs[name] = run
-        self.tables.append(table)
-        return run
-
-    def _clause(self, name: str, cl, arity: int):
-        """(context size, matcher, body) of one clause; the context is the
-        clause telescope, de Bruijn 0 being its last entry."""
-        size = len(cl.telescope)
-        match = _match_args([_pat(p.value, size) for p in cl.patterns[:arity]])
-        if cl.body is None:
-            def body(ctx):
-                raise EvalError(f"{name}: reached an absurd clause")
-            return size, match, body
-        return size, match, self.term(cl.body)
+    def nomatch(self, name: str, staged: int, *args):
+        """No clause of code staged from `staged` clauses matched args: the
+        code staged anew decides if the clause list has grown since."""
+        if len(self.defs[name].payload.clauses) != staged:
+            return self.fun(name)(*args)
+        raise EvalError(f"{name}: no clause matches {list(args)!r}")
 
     def term(self, t: Term):
-        """t as a closure from the context list to its value."""
+        """t as a Python function of the context list."""
+        code = py.fundef("_term", ["ctx"], _Stager(self, "ctx").body(t, []))
+        exec(py.compile_defs([code], "<esl>"), self.ns)
+        return self.ns.pop("_term")
+
+    def fun_global(self, name: str) -> str:
+        """The global of Function `name`, numbered in the order the
+        Functions were first staged or called from staged code."""
+        return self.globals.setdefault(name, f"f{len(self.globals)}")
+
+    def callee(self, name: str) -> str:
+        """The global that staged code calls Function `name` through; until
+        the first call it holds a stub that stages the function."""
+        g = self.fun_global(name)
+        if g not in self.ns:
+            self.ns[g] = lambda *args: self.fun(name)(*args)
+        return g
+
+    def prim(self, name: str) -> tuple[str, int]:
+        """The global holding the Python function of primitive `name`, and
+        its arity."""
+        g, arity = _PRIM[name]
+        if g not in self.ns:
+            self.ns[g] = PRIMS[name].fn
+        return g, arity
+
+
+_SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "icons": "ix", "inil": "ix",
+             "lcons": "list", "lnil": "list"}
+
+
+class _Stager:
+    """Writes the Python ast of one staged function.  Outside its binders a
+    term's variables are read from the context list `outer`; in a Function
+    (`outer` None) the clause telescope binds every variable."""
+
+    def __init__(self, code: _Code, outer: str | None):
+        self.code = code
+        self.outer = outer
+        self.nlocals = 0
+        self.used: set[str] = set()  # the locals a body reads
+
+    def fresh(self) -> str:
+        self.nlocals += 1
+        return f"x{self.nlocals}"
+
+    def function(self, name: str, g: str, clauses) -> ast.FunctionDef:
+        arity = len(clauses[0].patterns) if clauses else 0
+        params = [f"a{j}" for j in range(arity)]
+        stmts: list[ast.stmt] = []
+        for cl in clauses:
+            test, run = self.clause(name, cl, params)
+            if test is None:  # every later clause is unreachable
+                stmts += run
+                break
+            stmts.append(py.if_(test, run))
+        else:
+            stmts.append(py.ret(py.call("_nomatch", [
+                py.const(name), py.const(len(clauses)), *map(py.load, params)])))
+        return py.fundef(g, params, stmts)
+
+    def clause(self, name: str, cl, params: list[str]):
+        """The test of one clause (None if it always matches) and the
+        statements run when it matches: its pattern variables bound, then
+        its body."""
+        size = len(cl.telescope)
+        tests: list[ast.expr] = []
+        binds: dict[int, ast.expr] = {}  # the last binding of an index wins
+        for p, v in zip(cl.patterns[:len(params)], params):
+            self.pat(p.value, py.load(v), size, tests, binds)
+        # index i is scope[-1 - i]: the parameter a variable pattern binds,
+        # else a local
+        scope = [binds[i].id if isinstance(binds.get(i), ast.Name)
+                 else self.fresh() for i in reversed(range(size))]
+        if cl.body is None:
+            run = [py.ret(py.call("_absurd", [py.const(name)]))]
+        else:
+            run = self.body(cl.body, scope)
+        # a variable no pattern binds is the erased proof
+        run[:0] = [py.assign(scope[-1 - i], binds.get(i, py.load("_PRF")))
+                   for i in range(size)
+                   if scope[-1 - i] in self.used
+                   and not isinstance(binds.get(i), ast.Name)]
+        return (py.all_of(tests) if tests else None), run
+
+    def pat(self, p, v: ast.expr, size: int, tests: list, binds: dict) -> None:
+        """Appends the tests that value v matches p, left to right, and
+        records the values p binds."""
+        if isinstance(p, PVar):
+            # a variable outside the telescope binds nothing
+            if 0 <= p.idx < size:
+                binds[p.idx] = v
+            return
+        if isinstance(p, PAbsurd):
+            tests.append(py.const(False))
+            return
+        if isinstance(p, PLit):
+            tests.append(py.compare(v, ast.Eq(), py.const(p.value)))
+            return
+        assert isinstance(p, PCon)
+        name = p.name
+        if name in ("zero", "fzero"):
+            tests.append(py.compare(v, ast.Eq(), py.const(0)))
+        elif name in ("suc", "fsuc"):
+            if not isinstance(v, ast.BinOp):  # n - 1 of a tested n is an int
+                tests.append(py.call("isinstance", [v, py.load("int")]))
+            tests.append(py.compare(v, ast.NotEq(), py.const(0)))
+            # the arguments before the last (fsuc's bound) are not matched;
+            # a variable there is bound to the erased proof
+            for a in p.args[:-1]:
+                if isinstance(a.value, PVar) and 0 <= a.value.idx < size:
+                    binds[a.value.idx] = py.load("_PRF")
+            self.pat(p.args[-1].value, py.binop(v, ast.Sub(), py.const(1)),
+                     size, tests, binds)
+        elif name in _SEQ_TAGS:
+            tag = _SEQ_TAGS[name]
+            if not isinstance(v, ast.Tuple):
+                tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const(tag)))
+            elif v.elts[0].value != tag:  # the tail of another sequence
+                tests.append(py.const(False))
+            items = py.item(v, 1)
+            if name in ("vnil", "inil", "lnil"):
+                tests.append(py.node(ast.UnaryOp, ast.Not(), items))
+                return
+            tests.append(items)
+            head, tail = [a.value for a in p.args if not a.hidden][:2]
+            self.pat(head, py.item(items, 0), size, tests, binds)
+            rest = py.item(items, py.node(ast.Slice, py.const(1), None, None))
+            self.pat(tail, py.tup([py.const(tag), rest]), size, tests, binds)
+        elif name == "imap":
+            tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const("arr")))
+            ix = self.fresh()
+            sel = py.lam([ix], py.call("_arr_index", [v, py.load(ix)]))
+            sub = [a.value for a in p.args if not a.hidden][0]
+            self.pat(sub, sel, size, tests, binds)
+        elif name in ("yes", "no"):
+            tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const("dec")))
+            tests.append(py.compare(py.item(v, 1), ast.Eq(),
+                                    py.const(name == "yes")))
+        else:
+            tests.append(py.call("_unhandled", [py.const(name)]))
+
+    def body(self, t: Term, scope: list[str]) -> list[ast.stmt]:
+        """Statements returning the value of t: its outer lets become
+        assignments."""
+        stmts: list[ast.stmt] = []
+        while isinstance(t, Let):
+            x = self.fresh()
+            stmts.append(py.assign(x, self.expr(t.bound, scope)))
+            scope = [*scope, x]
+            t = t.scope.body
+        stmts.append(py.ret(self.expr(t, scope)))
+        return stmts
+
+    def var(self, i: int, scope: list[str]) -> ast.expr:
+        if i < len(scope):
+            local = scope[-1 - i]
+            self.used.add(local)
+            return py.load(local)
+        outer = py.lst([]) if self.outer is None else py.load(self.outer)
+        return py.item(outer, i - len(scope))
+
+    def expr(self, t: Term, scope: list[str]) -> ast.expr:
+        """t as one Python expression."""
         match t:
             case Lit(v):
-                return lambda ctx: v
-            case Var(i, ()):
-                return operator.itemgetter(i)
+                return py.const(v)
             case Var(i, args):
-                return _var_app(i, [self.term(a.value) for a in args])
+                f = self.var(i, scope)
+                if not args:
+                    return f
+                vals = [self.expr(a.value, scope) for a in args]
+                return py.call("_apply1" if len(vals) == 1 else "_apply",
+                               [f, *vals])
             case Con(name, args):
-                return _con(name, [self.term(a.value) for a in args])
+                return self.con(name, [self.expr(a.value, scope) for a in args])
             case Def(name, args):
-                return self._def(name, [self.term(a.value) for a in args])
-            case Lam(scope, _):
-                body = self.term(scope.body)
-                return lambda ctx: lambda a: body([a, *ctx])
-            case Let(bound, scope):
-                b, body = self.term(bound), self.term(scope.body)
-                return lambda ctx: body([b(ctx), *ctx])
+                return self.call(name, [self.expr(a.value, scope) for a in args])
+            case Lam(s, _):
+                x = self.fresh()
+                return py.lam([x], self.expr(s.body, [*scope, x]))
+            case Let(bound, s):
+                x = self.fresh()
+                value = self.expr(bound, scope)
+                return py.let(x, value, self.expr(s.body, [*scope, x]))
             case Unknown():
-                return lambda ctx: PRF
+                return py.load("_PRF")
             case Pi() | Sort():
-                return lambda ctx: TYPE
+                return py.load("_TYPE")
+        return py.call("_fail", [py.const(f"cannot evaluate {t!r}")])
 
-        def fail(ctx):
-            raise EvalError(f"cannot evaluate {t!r}")
-        return fail
+    def con(self, name: str, vals: list[ast.expr]) -> ast.expr:
+        entry = _CON.get(name)
+        if entry is None or len(vals) < entry[0]:
+            return py.call("_apply_con", [py.const(name),
+                                          py.lst(vals)])
+        if not vals:
+            return py.const(entry[1]([]))
+        if name == "suc" and len(vals) == 1:
+            return py.binop(vals[0], ast.Add(), py.const(1))
+        return py.call(_CON_GLOBAL[name], [py.lst(vals)])
 
-    def _def(self, name: str, cs: list):
+    def call(self, name: str, vals: list[ast.expr]) -> ast.expr:
         """A call of a definition.  Primitives and Functions whose arity is
-        known are called directly; the callee's code is looked up once."""
-        prim = _PRIM.get(name)
-        if prim is not None:
-            need, fn = prim
+        known are called directly when saturated."""
+        if name in _PRIM:
+            fn, need = self.code.prim(name)
         else:
-            d = self.defs.get(name)
+            d = self.code.defs.get(name)
             f = d.payload if d is not None else None
             if isinstance(f, Datatype):
-                return _call(_type, cs) if cs else lambda ctx: TYPE
+                return py.call("_type", vals) if vals else py.load("_TYPE")
             if not (isinstance(f, Function) and f.clauses):
-                return lambda ctx: self.apply_def(name, [c(ctx) for c in cs])
-            need, fn = len(f.clauses[0].patterns), self.fun(name, f)
-        if len(cs) == need:
-            return _call(fn, cs)
-        return lambda ctx: _saturate(fn, need, [c(ctx) for c in cs])
+                return py.call("_apply_def", [py.const(name),
+                                              py.lst(vals)])
+            fn, need = self.code.callee(name), len(f.clauses[0].patterns)
+        if len(vals) == need:
+            return py.call(fn, vals)
+        return py.call("_saturate", [py.load(fn), py.const(need),
+                                     py.lst(vals)])
 
 
-def _call(fn, cs: list):
-    """fn called on the values of cs."""
-    match cs:
-        case []:
-            return lambda ctx: fn()
-        case [c0]:
-            return lambda ctx: fn(c0(ctx))
-        case [c0, c1]:
-            return lambda ctx: fn(c0(ctx), c1(ctx))
-        case [c0, c1, c2]:
-            return lambda ctx: fn(c0(ctx), c1(ctx), c2(ctx))
-        case [c0, c1, c2, c3]:
-            return lambda ctx: fn(c0(ctx), c1(ctx), c2(ctx), c3(ctx))
-        case [c0, c1, c2, c3, c4]:
-            return lambda ctx: fn(c0(ctx), c1(ctx), c2(ctx), c3(ctx), c4(ctx))
-    return lambda ctx: fn(*[c(ctx) for c in cs])
+# --------------------------------------------------------------------------
+# helpers that staged code calls
 
 
 def _type(*args):
@@ -226,22 +384,22 @@ def _apply1(f, a):
     raise EvalError(f"cannot apply non-function value {f!r}")
 
 
-def _var_app(i: int, cs: list):
-    """The function value ctx[i] applied to the values of cs."""
-    if len(cs) == 1:
-        c0 = cs[0]
+def _apply(f, *args):
+    for a in args:
+        f = _apply1(f, a)
+    return f
 
-        def app1(ctx):
-            f, a = ctx[i], c0(ctx)
-            return f(a) if callable(f) else _apply1(f, a)
-        return app1
 
-    def app(ctx):
-        f = ctx[i]
-        for a in [c(ctx) for c in cs]:
-            f = _apply1(f, a)
-        return f
-    return app
+def _fail(message: str):
+    raise EvalError(message)
+
+
+def _absurd(name: str):
+    raise EvalError(f"{name}: reached an absurd clause")
+
+
+def _unhandled(name: str):
+    raise EvalError(f"unhandled pattern constructor {name}")
 
 
 # --------------------------------------------------------------------------
@@ -260,22 +418,6 @@ def _apply_con(name: str, args: list):
     if entry is None:
         raise EvalError(f"unknown constructor {name}")
     return _collect(*entry, args)
-
-
-def _con(name: str, cs: list):
-    entry = _CON.get(name)
-    if entry is None or len(cs) < entry[0]:
-        return lambda ctx: _apply_con(name, [c(ctx) for c in cs])
-    fn = entry[1]
-    match cs:
-        case []:
-            value = fn([])
-            return lambda ctx: value
-        case [c0]:
-            return lambda ctx: fn([c0(ctx)])
-        case [c0, c1]:
-            return lambda ctx: fn([c0(ctx), c1(ctx)])
-    return lambda ctx: fn([c(ctx) for c in cs])
 
 
 def _c_imap(a):
@@ -310,111 +452,16 @@ _CON = {
     "no": (0, lambda a: ("dec", False)),
     "prf": (0, lambda a: PRF),
 }
+_CON_GLOBAL = {name: f"c{i}" for i, name in enumerate(_CON)}
 
-
-# --------------------------------------------------------------------------
-# patterns: a matcher m(v, ctx) tests v and binds pattern variables in ctx
-
-
-def _match_args(ms: list):
-    """The clause matcher over the argument tuple; patterns are tried left
-    to right and the first failure stops the match."""
-    match ms:
-        case []:
-            return lambda args, ctx: True
-        case [m0]:
-            return lambda args, ctx: m0(args[0], ctx)
-        case [m0, m1]:
-            return lambda args, ctx: m0(args[0], ctx) and m1(args[1], ctx)
-
-    def match(args, ctx):
-        for m, v in zip(ms, args):
-            if not m(v, ctx):
-                return False
-        return True
-    return match
-
-
-def _bind(i: int):
-    def m(v, ctx):
-        ctx[i] = v
-        return True
-    return m
-
-
-_SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "icons": "ix", "inil": "ix",
-             "lcons": "list", "lnil": "list"}
-
-
-def _pat(p, size: int):
-    if isinstance(p, PVar):
-        # a variable outside the telescope binds nothing
-        return _bind(p.idx) if 0 <= p.idx < size else (lambda v, ctx: True)
-    if isinstance(p, PAbsurd):
-        return lambda v, ctx: False
-    if isinstance(p, PLit):
-        lit = p.value
-        return lambda v, ctx: v == lit
-    assert isinstance(p, PCon)
-    name = p.name
-    if name in ("zero", "fzero"):
-        return lambda v, ctx: v == 0
-    if name in ("suc", "fsuc"):
-        return _pat_suc(p, size)
-    if name in ("vcons", "icons", "lcons"):
-        tag = _SEQ_TAGS[name]
-        pv = [a.value for a in p.args if not a.hidden]
-        head, tail = _pat(pv[0], size), _pat(pv[1], size)
-
-        def cons(v, ctx):
-            if v[0] != tag or not v[1]:
-                return False
-            return head(v[1][0], ctx) and tail((tag, v[1][1:]), ctx)
-        return cons
-    if name in ("vnil", "inil", "lnil"):
-        tag = _SEQ_TAGS[name]
-        return lambda v, ctx: v[0] == tag and not v[1]
-    if name == "imap":
-        sub = _pat([a.value for a in p.args if not a.hidden][0], size)
-
-        def imap(v, ctx):
-            if v[0] != "arr":
-                return False
-            return sub(lambda ix: arr_index(v, ix), ctx)
-        return imap
-    if name in ("yes", "no"):
-        want = name == "yes"
-        return lambda v, ctx: v[0] == "dec" and v[1] == want
-
-    def unhandled(v, ctx):
-        raise EvalError(f"unhandled pattern constructor {name}")
-    return unhandled
-
-
-def _pat_suc(p, size: int):
-    # the arguments before the last (fsuc's bound) are not matched; a
-    # variable there is bound to the erased PRF
-    proofs = [a.value.idx for a in p.args[:-1]
-              if isinstance(a.value, PVar) and 0 <= a.value.idx < size]
-    inner = p.args[-1].value
-    if not proofs and isinstance(inner, PVar) and 0 <= inner.idx < size:
-        i = inner.idx
-
-        def suc_var(v, ctx):
-            if not isinstance(v, int) or v == 0:
-                return False
-            ctx[i] = v - 1
-            return True
-        return suc_var
-    sub = _pat(inner, size)
-
-    def suc(v, ctx):
-        if not isinstance(v, int) or v == 0:
-            return False
-        for i in proofs:
-            ctx[i] = PRF
-        return sub(v - 1, ctx)
-    return suc
+# the globals every staged function of an Env starts from
+_HELPERS = {
+    "_PRF": PRF, "_TYPE": TYPE, "_type": _type, "_saturate": _saturate,
+    "_apply1": _apply1, "_apply": _apply, "_apply_con": _apply_con,
+    "_arr_index": arr_index, "_fail": _fail, "_absurd": _absurd,
+    "_unhandled": _unhandled,
+    **{_CON_GLOBAL[name]: fn for name, (_, fn) in _CON.items()},
+}
 
 
 # value construction helpers for tests and the harness

@@ -1,10 +1,15 @@
 """Differential testing: source-level evaluation against the target
-interpreter on seeded random, precondition-respecting inputs."""
+interpreter on seeded random, precondition-respecting inputs.
+
+A sample on which either side runs out of Python stack (the source
+evaluator's EvalError("recursion depth"), the target's Aborted or
+SacAborted("recursion depth")) shows neither agreement nor a mismatch: it
+is counted as inconclusive, its input kept, and the run goes on."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,15 +22,45 @@ from .loader import load_sources
 from .sac import SacAborted, SacBackend, interp_sac
 
 
+EXHAUSTED = "recursion depth"
+
+
 @dataclass
 class DiffRow:
     function: str
     samples: int
     mismatches: int
     max_err: float
+    # the source-evaluator arguments of each inconclusive sample
+    inconclusive: list = field(default_factory=list)
+
+    HEADER = "function\tsamples\tmismatches\tinconclusive\tmax_err"
 
     def tsv(self) -> str:
-        return f"{self.function}\t{self.samples}\t{self.mismatches}\t{self.max_err:.3g}"
+        return (f"{self.function}\t{self.samples}\t{self.mismatches}\t"
+                f"{len(self.inconclusive)}\t{self.max_err:.3g}")
+
+
+def _sample(row: DiffRow, env, name: str, args, kind: str, run_target):
+    """Adds one sample to row: the source evaluator's value of name on
+    args against run_target(), which is called only if the source
+    evaluator did not run out of stack."""
+    try:
+        ev = evaluate.call(env, name, list(args))
+    except evaluate.EvalError as err:
+        if str(err) != EXHAUSTED:
+            raise
+        row.inconclusive.append(args)
+        return
+    tv = run_target()
+    if isinstance(tv, (Aborted, SacAborted)) and tv.reason == EXHAUSTED:
+        row.inconclusive.append(args)
+        return
+    err = compare(ev, tv, kind)
+    if err is None or err > 1e-9:
+        row.mismatches += 1
+    else:
+        row.max_err = max(row.max_err, err)
 
 
 def to_plain(v):
@@ -66,25 +101,20 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
     backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
     text = kompile(entry.entry, entry.base, [], backend, elab.env,
                    elab.rules, opts, elab.def_meta)
-    from .kaleid import parse_kaleid
     from .sac import parse_sac
-    program = parse_kaleid(text) if entry.backend == "kaleid" else parse_sac(text)
+    # Kaleidoscope text is staged once per process, keyed on the text
+    if entry.backend == "kaleid":
+        program, interp = text, interp_kaleid
+    else:
+        program, interp = parse_sac(text), interp_sac
     rng = random.Random(seed)
-    mism, max_err = 0, 0.0
+    row = DiffRow(entry.name, samples, 0, 0.0)
     target = backend.final_pass(normalise_name(entry.entry))
     for _ in range(samples):
         eval_args, target_args = entry.sampler(rng)
-        ev = evaluate.call(elab.env, entry.entry, list(eval_args))
-        if entry.backend == "kaleid":
-            tv = interp_kaleid(program, target, list(target_args))
-        else:
-            tv = interp_sac(program, target, list(target_args))
-        err = compare(ev, tv, entry.compare)
-        if err is None or err > 1e-9:
-            mism += 1
-        else:
-            max_err = max(max_err, err)
-    return DiffRow(entry.name, samples, mism, max_err)
+        _sample(row, elab.env, entry.entry, eval_args, entry.compare,
+                lambda: interp(program, target, list(target_args)))
+    return row
 
 
 def signature_sampler(env, name: str, rng, hi: int = 24):
@@ -123,16 +153,13 @@ def signature_sampler(env, name: str, rng, hi: int = 24):
 def run_signature_diff(elab, entry: str, samples: int, seed: int,
                        base=(), opts: ExtractOptions | None = None) -> DiffRow:
     backend = KaleidBackend()
-    from .kaleid import parse_kaleid
-    program = parse_kaleid(kompile(entry, list(base), [], backend, elab.env,
-                                   elab.rules, opts, elab.def_meta))
+    program = kompile(entry, list(base), [], backend, elab.env, elab.rules,
+                      opts, elab.def_meta)
     target = backend.final_pass(normalise_name(entry))
     rng = random.Random(seed)
-    mism = 0
+    row = DiffRow(entry, samples, 0, 0.0)
     for _ in range(samples):
         vals = signature_sampler(elab.env, entry, rng)
-        ev = evaluate.call(elab.env, entry, list(vals))
-        tv = interp_kaleid(program, target, list(vals))
-        if compare(ev, tv, "exact") is None:
-            mism += 1
-    return DiffRow(entry, samples, mism, 0.0)
+        _sample(row, elab.env, entry, vals, "exact",
+                lambda: interp_kaleid(program, target, list(vals)))
+    return row

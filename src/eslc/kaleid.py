@@ -8,12 +8,13 @@ with C-style booleans, truncating subtraction and an abort-on-zero assert.
 
 from __future__ import annotations
 
+import ast
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import ir
+from . import pycode as py
 from .builtins import is_prop_type
 from .extract import (EmittedFunction, ExtractError, ExtractOptions,
                       ExtractState, kaleid_final_pass, suc_spine)
@@ -685,31 +686,37 @@ def _fail(reason: str):
     raise _Abort(reason)
 
 
-# precedence of staged Python expressions: a conditional expression, a sum,
-# a product, an atom.  An operand below its slot's level is parenthesized.
-_COND, _SUM, _PROD, _ATOM = range(4)
-_PY_CMP = {"Eq": "==", "Neq": "!=", "Gt": ">", "Lt": "<"}
+_PY_CMP = {"Eq": ast.Eq, "Neq": ast.NotEq, "Gt": ast.Gt, "Lt": ast.Lt}
+
+
+# expression nesting, in Kaleidoscope nodes, beyond which a subexpression
+# is staged as a nested function: Python's compile() spends one level of
+# the recursion limit on each level of an expression it is given
+_SPILL = 60
 
 
 class _Stager:
-    """Writes each KFun as the source of one Python def.  Kaleidoscope
-    names become indexed locals (`v0`, `v1`, ...), numbered across the
-    whole program so `names` maps each back; primes and `__ret` are safe.
-    Block-level lets and ifs become statements."""
+    """Writes each KFun as the ast of one Python def (eslc.pycode).
+    Kaleidoscope names become indexed locals (`v0`, `v1`, ...), numbered
+    across the whole program so `names` maps each back; primes and `__ret`
+    are safe.  Block-level lets and ifs become statements.  A subexpression
+    nested more than _SPILL deep becomes a nested function without
+    parameters, called where the subexpression stood, unless it binds a
+    let name, which must stay a local of the def."""
 
     def __init__(self, funs: dict[str, tuple[str, int]]):
         self.funs = funs  # Kaleidoscope name -> (Python name, arity)
         self.names: dict[str, str] = {}  # Python local -> Kaleidoscope name
 
-    def fun(self, f: KFun, pyname: str) -> str:
+    def fun(self, f: KFun, pyname: str) -> ast.FunctionDef:
         self.vars: dict[str, str] = {}
-        self.ntemps = 0
-        self.lines: list[str] = []
+        self.ntemps = self.nlets = 0
+        self.helpers: list[ast.stmt] = []
         # a repeated parameter name binds the last of its arguments
         params = [f"_{j}" if p in f.params[j + 1:] else self._var(p)
                   for j, p in enumerate(f.params)]
-        self._block(f.body, 1, None)
-        return "\n".join([f"def {pyname}({', '.join(params)}):", *self.lines])
+        body = self._block(f.body, None)
+        return py.fundef(pyname, params, self.helpers + body)
 
     def _var(self, name: str) -> str:
         if name not in self.vars:
@@ -721,91 +728,130 @@ class _Stager:
         self.ntemps += 1
         return f"t{self.ntemps}"
 
-    def _block(self, e: KExpr, ind: int, target: str | None) -> None:
+    def _block(self, e: KExpr, target: str | None) -> list[ast.stmt]:
         """Statements that return e, or assign it to target."""
-        pad = "  " * ind
+        stmts: list[ast.stmt] = []
         while isinstance(e, KLet):
-            self._block(e.bound, ind, self._var(e.name))
+            stmts += self._block(e.bound, self._var(e.name))
             e = e.body
         if isinstance(e, KIf):
-            kw = "if"
-            while isinstance(e, KIf):
-                self.lines.append(f"{pad}{kw} {self._test(e.cond)}:")
-                self._block(e.then, ind + 1, target)
-                kw, e = "elif", e.other
-            self.lines.append(f"{pad}else:")
-            self._block(e, ind + 1, target)
-            return
-        lhs = "return" if target is None else f"{target} ="
-        self.lines.append(f"{pad}{lhs} {self._expr(e)[0]}")
+            stmts.append(py.if_(self._test(e.cond), self._block(e.then, target),
+                                self._block(e.other, target)))
+        elif target is None:
+            stmts.append(py.ret(self._expr(e)))
+        else:
+            stmts.append(py.assign(target, self._expr(e)))
+        return stmts
 
-    def _test(self, e: KExpr) -> str:
+    def _spill(self, e: KExpr) -> ast.expr:
+        lets = self.nlets
+        value = self._expr(e)
+        if self.nlets != lets:
+            return value
+        helper = f"h{len(self.helpers)}"
+        self.helpers.append(py.fundef(helper, [], [py.ret(value)]))
+        return py.call(helper, [])
+
+    def _test(self, e: KExpr, depth: int = 0) -> ast.expr:
         """A Python condition that holds iff e is nonzero."""
         match e:
             case KBin("And", l, r):
-                return f"{self._test(l)} and {self._test(r)}"
+                return py.all_of([self._test(l, depth + 1),
+                                  self._test(r, depth + 1)])
             case KBin(("Eq" | "Neq" | "Gt" | "Lt") as op, l, r):
-                return f"{self._par(l, _SUM)} {_PY_CMP[op]} {self._par(r, _SUM)}"
-        return f"{self._par(e, _SUM)} != 0"
+                return py.compare(self._expr(l, depth + 1), _PY_CMP[op](),
+                                  self._expr(r, depth + 1))
+        return py.compare(self._expr(e, depth), ast.NotEq(), py.const(0))
 
-    def _par(self, e: KExpr, level: int) -> str:
-        code, prec = self._expr(e)
-        return code if prec >= level else f"({code})"
-
-    def _expr(self, e: KExpr) -> tuple[str, int]:
+    def _expr(self, e: KExpr, depth: int = 0) -> ast.expr:
+        if depth > _SPILL:
+            return self._spill(e)
+        depth += 1
         match e:
             case KNat(v):
-                return repr(v), _ATOM
+                return py.const(v)
             case KVar(n):
-                return self._var(n), _ATOM
+                return py.load(self._var(n))
             case KBin("Plus", l, r):
-                return f"{self._par(l, _SUM)} + {self._par(r, _PROD)}", _SUM
+                return py.binop(self._expr(l, depth), ast.Add(),
+                                self._expr(r, depth))
             case KBin("Times", l, r):
-                return f"{self._par(l, _PROD)} * {self._par(r, _ATOM)}", _PROD
+                return py.binop(self._expr(l, depth), ast.Mult(),
+                                self._expr(r, depth))
             case KBin("Minus", l, r):
                 t = self._temp()
-                return (f"{t} if ({t} := {self._par(l, _SUM)} - "
-                        f"{self._par(r, _PROD)}) > 0 else 0"), _COND
+                diff = py.binop(self._expr(l, depth), ast.Sub(),
+                                self._expr(r, depth))
+                return py.if_else(
+                    py.compare(py.walrus(t, diff), ast.Gt(), py.const(0)),
+                    py.load(t), py.const(0))
             case KBin("Divide", l, r):
                 # the divisor is evaluated first, the dividend only if it is
                 # nonzero
                 t = self._temp()
-                return (f"{self._par(l, _PROD)} // {t} if "
-                        f"({t} := {self._expr(r)[0]}) != 0 "
-                        f"else _fail('division by zero')"), _COND
+                return py.if_else(
+                    py.compare(py.walrus(t, self._expr(r, depth)),
+                               ast.NotEq(), py.const(0)),
+                    py.binop(self._expr(l, depth), ast.FloorDiv(), py.load(t)),
+                    _fail_with("division by zero"))
             case KBin():
-                return f"1 if {self._test(e)} else 0", _COND
+                return py.if_else(self._test(e, depth), py.const(1),
+                                  py.const(0))
             case KAssert(a):
                 why = "assert (0)" if isinstance(a, KNat) else "assertion failed"
-                return f"1 if {self._test(a)} else _fail({why!r})", _COND
+                return py.if_else(self._test(a, depth), py.const(1),
+                                  _fail_with(why))
             case KIf(c, t, o):
-                return (f"{self._par(t, _SUM)} if {self._test(c)} "
-                        f"else {self._expr(o)[0]}"), _COND
+                return py.if_else(self._test(c, depth), self._expr(t, depth),
+                                  self._expr(o, depth))
             case KLet(n, b, body):
-                return (f"({self._var(n)} := {self._expr(b)[0]}, "
-                        f"{self._expr(body)[0]})[1]"), _ATOM
+                self.nlets += 1
+                return py.let(self._var(n), self._expr(b, depth),
+                              self._expr(body, depth))
             case KCall(f, args):
                 if f not in self.funs:
-                    return f"_fail({f'unknown function {f}'!r})", _ATOM
+                    return _fail_with(f"unknown function {f}")
                 pyname, arity = self.funs[f]
                 if arity != len(args):
-                    return f"_fail({f'arity mismatch calling {f}'!r})", _ATOM
-                return f"{pyname}({', '.join(self._expr(a)[0] for a in args)})", _ATOM
+                    return _fail_with(f"arity mismatch calling {f}")
+                return py.call(pyname, [self._expr(a, depth) for a in args])
         raise KParseError(f"cannot compile {e!r}")
 
 
-@lru_cache(maxsize=64)
-def _stage(program: str | tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
+def _fail_with(reason: str) -> ast.expr:
+    return py.call("_fail", [py.const(reason)])
+
+
+def _stage(fns: tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
     """The program's functions as Python functions, by name, with arity."""
-    fns = parse_kaleid(program) if isinstance(program, str) else program
     if not all(isinstance(f, KFun) for f in fns):
         raise KParseError("only functions can be interpreted")
     funs = {f.name: (f"f{i}", len(f.params)) for i, f in enumerate(fns)}
     stager = _Stager(funs)
     ns: dict[str, object] = {"_fail": _fail, "_names": stager.names}
-    src = "\n".join(stager.fun(f, f"f{i}") for i, f in enumerate(fns))
-    exec(compile(src, "<kaleidoscope>", "exec"), ns)
+    defs = [stager.fun(f, f"f{i}") for i, f in enumerate(fns)]
+    exec(py.compile_defs(defs, "<kaleidoscope>"), ns)
     return {name: (arity, ns[pyname]) for name, (pyname, arity) in funs.items()}
+
+
+# staged programs, keyed on the text or on the identity of the parsed
+# functions, with the functions that keep those identities alive; bounded,
+# oldest dropped first
+_STAGED: dict[object, tuple[tuple[KExpr, ...], dict]] = {}
+_STAGED_LIMIT = 64
+
+
+def _staged(program) -> dict[str, tuple[int, Callable]]:
+    key = program if isinstance(program, str) else tuple(map(id, program))
+    hit = _STAGED.get(key)
+    if hit is None:
+        fns = tuple(parse_kaleid(program) if isinstance(program, str)
+                    else program)
+        hit = (fns, _stage(fns))
+        if len(_STAGED) >= _STAGED_LIMIT:
+            del _STAGED[next(iter(_STAGED))]
+        _STAGED[key] = hit
+    return hit[1]
 
 
 def interp_kaleid(program, entry: str, args: list[int]):
@@ -813,16 +859,15 @@ def interp_kaleid(program, entry: str, args: list[int]):
 
     The program (text or parsed functions) is staged once per process into
     one Python function per Kaleidoscope function, and the staged program
-    is cached, keyed on the text or on the tuple of functions.  Each call
-    takes one Python frame, so recursion deeper than Python's recursion
-    limit returns Aborted("recursion depth"), and reading a let name
-    that the branch taken did not bind returns Aborted("unbound variable
-    <name>").  A program nested too deeply to stage (Python's parser
-    allows about 100 levels of blocks or brackets) raises KParseError."""
+    is cached, keyed on the text or on the identity of the functions.  Each
+    call takes one Python frame, so recursion deeper than Python's
+    recursion limit returns Aborted("recursion depth"), and reading a let
+    name that the branch taken did not bind returns Aborted("unbound
+    variable <name>").  A program nested deeper than the recursion limit
+    allows to parse or stage raises KParseError."""
     try:
-        fns = _stage(program if isinstance(program, str) else tuple(program))
-    except (SyntaxError, RecursionError) as err:
-        # hashing the cache key, parsing or staging ran out of depth
+        fns = _staged(program)
+    except RecursionError as err:
         raise KParseError(f"program too deeply nested to stage: {err}") from err
     if entry not in fns:
         raise ExtractError(f"unknown entry {entry}")
@@ -835,7 +880,8 @@ def interp_kaleid(program, entry: str, args: list[int]):
         return Aborted(ab.reason)
     except RecursionError:
         return Aborted("recursion depth")
-    except UnboundLocalError as err:
-        # a let bound only on a branch that was not taken
+    except NameError as err:
+        # a let bound only on a branch that was not taken (read in the def,
+        # or in a nested function staged from a deep subexpression)
         local = re.search(r"'(\w+)'", str(err)).group(1)
         return Aborted(f"unbound variable {fn.__globals__['_names'][local]}")

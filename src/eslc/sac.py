@@ -1039,7 +1039,8 @@ class _SacAbort(Exception):
 
 def interp_sac(program, entry: str, args):
     """Evaluate the emitted subset over numpy values.  Arrays come in as
-    (shape, flat data) pairs, numpy arrays, or scalars; Aborted is a value."""
+    (shape, flat data) pairs, numpy arrays, or scalars; Aborted is a value,
+    also when the program runs out of Python stack."""
     prog = parse_sac(program) if isinstance(program, str) else program
     vals = [_to_value(a) for a in args]
     try:
@@ -1048,6 +1049,8 @@ def interp_sac(program, entry: str, args):
         return SacAborted(ab.reason)
     except ZeroDivisionError:
         return SacAborted("division by zero")
+    except RecursionError:
+        return SacAborted("recursion depth")
     return out
 
 

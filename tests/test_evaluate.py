@@ -1,15 +1,17 @@
 """Evaluator details not exercised elsewhere: clause normalization
 helpers, sharing flags, reshape, Dec-returning extraction, and the
 evaluator's semantics: partial and over-application, closures, imap
-patterns, lets, error messages and definitions added after a call."""
+patterns, lets, error messages, definitions added after a call, deep
+recursion and nesting, and primitives read from PRIMS."""
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from eslc import corpus
-from eslc.builtins import seed_env
+from eslc.builtins import PRIMS, seed_env
 from eslc.evaluate import (PRF, Eval, EvalError, call, eval_closed, varr,
                            vvec)
 from eslc.extract import ExtractOptions, kompile
@@ -303,3 +305,38 @@ def test_expf_overflows_to_infinity():
     env = seed_env()
     assert call(env, "expf", [1000.0]) == float("inf")
     assert call(env, "expf", [0.0]) == 1.0
+
+
+def test_ack_3_6_runs_at_the_default_recursion_limit():
+    # about 510 calls deep: one Python frame per ESL call
+    e = load_sources([("ack", corpus.ACK)])
+    text = kompile("ack", [], [], KaleidBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    assert call(e.env, "ack", [3, 6]) == interp_kaleid(text, "ack", [3, 6]) \
+        == corpus.oracle_ack(3, 6)
+
+
+def _nested_sum(depth: int, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = Def("_+_", (vis(Lit(1)), vis(t)))
+    return t
+
+
+def test_deeply_nested_terms_evaluate():
+    env = seed_env()
+    cl = Clause((("x", vis(Def("Nat"))),), (vis(PVar(0)),),
+                _nested_sum(300, Var(0)))
+    env.add(Definition("deep", Pi(vis(Def("Nat")), Abs("x", Def("Nat"))),
+                       Function([cl])))
+    assert call(env, "deep", [5]) == 305
+    assert eval_closed(_nested_sum(300, Lit(0)), env) == 300
+
+
+def test_staged_code_reads_primitives_from_prims(monkeypatch):
+    e = load_sources([("sh", corpus.SHARING)])
+    plus = PRIMS["_+_"]
+    # the code is staged on the first call, after the table changed
+    monkeypatch.setitem(PRIMS, "_+_", replace(plus, fn=lambda a, b: a * b))
+    assert call(e.env, "ex8", [3]) == (9 * 3 * 3 * 5) ** 2
+    assert call(e.env, "_+_", [4, 5]) == 20

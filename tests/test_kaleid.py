@@ -12,7 +12,7 @@ from eslc.extract import ExtractError, ExtractState, kompile
 from eslc.harness import run_corpus_diff
 from eslc.ir import Con, Def, Lit, PCon, PVar, Var, hid, vis
 from eslc.kaleid import (Aborted, Assrt, KaleidBackend, KBin, KCall, KFun,
-                         KLet, KNat, KParseError, KVar, PatSt,
+                         KIf, KLet, KNat, KParseError, KVar, PatSt,
                          UnsupportedPattern, interp_kaleid, kompile_clpats,
                          kompile_term, kompile_ty, parse_kaleid, print_kaleid)
 from eslc.loader import load_sources
@@ -325,6 +325,21 @@ def test_bad_entry_or_argument_count_is_an_error():
 def test_unbounded_recursion_aborts():
     out = _run("let __ret = f (x_1 + 1)\n__ret", 0)
     assert out == Aborted("recursion depth")
+
+
+def test_deep_nesting_stages_and_runs():
+    minus = KVar("x_1")
+    for _ in range(300):
+        minus = KBin("Minus", minus, KNat(1))
+    chain = KNat(7)
+    for i in range(300):
+        chain = KIf(KBin("Eq", KVar("x_1"), KNat(i)), KNat(2 * i), chain)
+    fns = [KFun("f", ("x_1",), minus), KFun("g", ("x_1",), chain)]
+    for program in (fns, print_kaleid(fns)):
+        assert interp_kaleid(program, "f", [1000]) == 700
+        assert interp_kaleid(program, "f", [5]) == 0
+        assert [interp_kaleid(program, "g", [x]) for x in (5, 299, 300)] == \
+            [10, 598, 7]
 
 
 def test_too_deep_nesting_is_a_parse_error():
