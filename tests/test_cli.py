@@ -5,10 +5,11 @@ import shlex
 import sys
 from pathlib import Path
 
-from eslc import corpus
+from eslc import corpus, harness
 from eslc.cli import main
-from eslc.harness import run_corpus_diff
-from eslc.kaleid import interp_kaleid
+from eslc.harness import run_corpus_diff, run_signature_diff
+from eslc.kaleid import Aborted, interp_kaleid
+from eslc.loader import load_sources
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -153,3 +154,13 @@ def test_diff_out_of_stack_is_inconclusive(capsys):
     assert err.splitlines() == [
         "eslc: ack 5 23: inconclusive, recursion depth",
         "eslc: ack 21 9: inconclusive, recursion depth"]
+
+
+def test_target_out_of_stack_is_inconclusive(monkeypatch):
+    elab = load_sources([("sq", "sq : Nat -> Nat\nsq x = x * x\n")])
+    for reason, counts in [("recursion depth", (0, 3)),
+                           ("division by zero", (3, 0))]:
+        monkeypatch.setattr(harness, "interp_kaleid",
+                            lambda *args: Aborted(reason))
+        row = run_signature_diff(elab, "sq", 3, 0)
+        assert (row.mismatches, len(row.inconclusive)) == counts, reason

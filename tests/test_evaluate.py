@@ -184,6 +184,7 @@ def test_higher_order_closures(higher):
     assert call(higher, "incall", [("list", (1, 2, 3))]) == ("list", (2, 3, 4))
     assert call(higher, "map", [call(higher, "addk", [5]), ("list", ())]) \
         == ("list", ())
+    assert _error(higher, "app", [3, 4]) == "cannot apply non-function value 3"
 
 
 def test_imap_pattern_binds_a_selector():
@@ -229,6 +230,22 @@ def test_error_messages():
         "vector index 7 out of bounds"
 
 
+def test_cons_pattern_does_not_match_an_empty_sequence():
+    e = load_sources([("hd", "hd : List Nat -> Nat\nhd (x ∷ xs) = x\n"
+                             "hd [] = 0\n")])
+    assert call(e.env, "hd", [("list", (4, 5))]) == 4
+    assert call(e.env, "hd", [("list", ())]) == 0
+
+
+def test_a_variable_no_pattern_binds_is_the_erased_proof():
+    env = seed_env()
+    cl = Clause((("p", vis(Def("Nat"))), ("n", vis(Def("Nat")))),
+                (vis(PVar(0)),), Var(1))
+    env.add(Definition("f", Pi(vis(Def("Nat")), Abs("n", Def("Nat"))),
+                       Function([cl])))
+    assert call(env, "f", [1]) == PRF
+
+
 def test_reaching_an_absurd_clause_is_an_error():
     # a hidden constructor argument is never matched, so the absurd
     # pattern below it does not stop the clause from matching
@@ -270,13 +287,19 @@ def test_definitions_loaded_after_a_call_are_seen():
 
 
 def test_clauses_appended_after_a_call_are_seen():
-    elab = load_sources([("h", "h : Nat -> Nat\nh 0 = 1\nh (suc n) = n\n")])
+    elab = load_sources([("h", "h : Nat -> Nat\nh 0 = 1\nh (suc n) = n\n"
+                               "g : Nat -> Nat\ng x = h x\n")])
     clauses = elab.env.lookup("h").payload.clauses
     second = clauses.pop()
     assert call(elab.env, "h", [0]) == 1
     assert _error(elab.env, "h", [3]) == "h: no clause matches [3]"
+    assert _error(elab.env, "g", [3]) == "h: no clause matches [3]"
     clauses.append(second)
+    # g's code calls the code of h made before the clause was appended
+    assert call(elab.env, "g", [3]) == 2
     assert call(elab.env, "h", [3]) == 2
+    # a suc pattern matches naturals only
+    assert _error(elab.env, "h", [2.5]) == "h: no clause matches [2.5]"
 
 
 def test_running_out_of_stack_is_an_eval_error():

@@ -334,12 +334,20 @@ def test_deep_nesting_stages_and_runs():
     chain = KNat(7)
     for i in range(300):
         chain = KIf(KBin("Eq", KVar("x_1"), KNat(i)), KNat(2 * i), chain)
-    fns = [KFun("f", ("x_1",), minus), KFun("g", ("x_1",), chain)]
+    # a let deep inside an expression binds a local of the whole function,
+    # as a shallow one does
+    sums = KLet("z", KNat(5), KVar("z"))
+    for _ in range(300):
+        sums = KBin("Plus", KNat(1), sums)
+    let = KLet("r", sums, KBin("Plus", KVar("r"), KVar("z")))
+    fns = [KFun("f", ("x_1",), minus), KFun("g", ("x_1",), chain),
+           KFun("h", (), let)]
     for program in (fns, print_kaleid(fns)):
         assert interp_kaleid(program, "f", [1000]) == 700
         assert interp_kaleid(program, "f", [5]) == 0
         assert [interp_kaleid(program, "g", [x]) for x in (5, 299, 300)] == \
             [10, 598, 7]
+        assert interp_kaleid(program, "h", []) == 310
 
 
 def test_too_deep_nesting_is_a_parse_error():
