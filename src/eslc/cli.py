@@ -11,9 +11,8 @@ import sys
 
 from . import corpus as corpus_mod
 from .extract import ExtractOptions, kompile
-from .harness import (EXHAUSTED, DiffRow, run_corpus_diff,
-                      run_signature_diff)
-from .ir import EslError, Function, print_term
+from .harness import DiffRow, run_corpus_diff, run_signature_diff
+from .ir import EXHAUSTED, EslError, Function, print_term
 from .kaleid import KaleidBackend
 from .loader import load_sources
 from .sac import SacBackend
@@ -128,6 +127,9 @@ def cmd_diff(args) -> int:
         print(f"eslc: {row.function} {' '.join(map(repr, sample))}: "
               f"inconclusive, {EXHAUSTED}", file=sys.stderr)
     print(row.tsv())
+    if len(row.inconclusive) == row.samples:
+        print(f"eslc: {row.function}: no sample compared", file=sys.stderr)
+        return 1
     return 0 if row.mismatches == 0 else 1
 
 

@@ -35,9 +35,9 @@ from itertools import product
 
 from . import pycode as py
 from .builtins import PRIMS, arr_index
-from .ir import (Con, Constructor, Datatype, Def, Env, EvalError, Function,
-                 Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort, Term,
-                 Unknown, UnknownName, Var)
+from .ir import (EXHAUSTED, Con, Constructor, Datatype, Def, Env, EvalError,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort,
+                 Term, Unknown, UnknownName, Var)
 
 PRF = ("prf",)
 TYPE = ("type",)
@@ -68,13 +68,13 @@ class Eval:
         try:
             return self._code.term(t)(ctx)
         except RecursionError:
-            raise EvalError("recursion depth") from None
+            raise EvalError(EXHAUSTED) from None
 
     def apply_def(self, name: str, args: list):
         try:
             return self._code.apply_def(name, args)
         except RecursionError:
-            raise EvalError("recursion depth") from None
+            raise EvalError(EXHAUSTED) from None
 
 
 class _Code:

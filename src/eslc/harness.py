@@ -16,13 +16,10 @@ import numpy as np
 from . import evaluate, ir
 from .corpus import CorpusEntry
 from .extract import ExtractOptions, kompile, normalise_name
-from .ir import pi_spine
+from .ir import EXHAUSTED, pi_spine
 from .kaleid import Aborted, KaleidBackend, interp_kaleid
 from .loader import load_sources
 from .sac import SacAborted, SacBackend, interp_sac
-
-
-EXHAUSTED = "recursion depth"
 
 
 @dataclass

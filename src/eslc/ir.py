@@ -24,6 +24,11 @@ class EvalError(EslError):
     out of bounds, no matching clause, running out of stack."""
 
 
+# the reason every evaluator gives for running out of Python stack: the
+# source evaluator's EvalError, the target interpreters' Aborted/SacAborted
+EXHAUSTED = "recursion depth"
+
+
 class NegativeIndex(EslError):
     pass
 

@@ -836,21 +836,21 @@ def _stage(fns: tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
 
 # staged programs, keyed on the text or on the identity of the parsed
 # functions, with the functions that keep those identities alive; bounded,
-# oldest dropped first
+# least recently used dropped first
 _STAGED: dict[object, tuple[tuple[KExpr, ...], dict]] = {}
 _STAGED_LIMIT = 64
 
 
 def _staged(program) -> dict[str, tuple[int, Callable]]:
     key = program if isinstance(program, str) else tuple(map(id, program))
-    hit = _STAGED.get(key)
+    hit = _STAGED.pop(key, None)
     if hit is None:
         fns = tuple(parse_kaleid(program) if isinstance(program, str)
                     else program)
         hit = (fns, _stage(fns))
         if len(_STAGED) >= _STAGED_LIMIT:
             del _STAGED[next(iter(_STAGED))]
-        _STAGED[key] = hit
+    _STAGED[key] = hit
     return hit[1]
 
 
@@ -879,7 +879,7 @@ def interp_kaleid(program, entry: str, args: list[int]):
     except _Abort as ab:
         return Aborted(ab.reason)
     except RecursionError:
-        return Aborted("recursion depth")
+        return Aborted(ir.EXHAUSTED)
     except NameError as err:
         # a let bound only on a branch that was not taken (read in the def,
         # or in a nested function staged from a deep subexpression)

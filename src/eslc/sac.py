@@ -1050,7 +1050,7 @@ def interp_sac(program, entry: str, args):
     except ZeroDivisionError:
         return SacAborted("division by zero")
     except RecursionError:
-        return SacAborted("recursion depth")
+        return SacAborted(ir.EXHAUSTED)
     return out
 
 

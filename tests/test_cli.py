@@ -82,9 +82,12 @@ def test_no_code_raises_the_recursion_limit(monkeypatch, capsys):
     limit, calls = sys.getrecursionlimit(), []
     monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
     assert interp_kaleid("def f (x_1):\n  x_1\n", "f", [1]) == 1
-    assert run_corpus_diff(corpus.CORPUS["ack"], 5, 1).mismatches == 0
+    row = run_corpus_diff(corpus.CORPUS["ack"], 5, 1)
+    assert row.mismatches == 0 and not row.inconclusive
     assert main(["diff", "--entry", "ack", "--backend", "kaleid",
                  "--samples", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[2:4] == \
+        ["0", "0"]
     assert calls == [] and sys.getrecursionlimit() == limit
 
 
@@ -144,16 +147,21 @@ def test_example_sources_are_the_corpus_texts():
 
 
 def test_diff_out_of_stack_is_inconclusive(capsys):
-    # signature sampling draws ack 5 23 and ack 21 9 third and fourth here,
-    # too deep for the source evaluator; the run reports them and goes on
-    code = main(["diff", str(ROOT / "examples/esl/ack.esl"), "--entry", "ack",
-                 "--backend", "kaleid", "--samples", "4", "--seed", "2"])
-    assert code == 0
-    out, err = capsys.readouterr()
-    assert out.splitlines()[1].split("\t") == ["ack", "4", "0", "2", "0"]
-    assert err.splitlines() == [
-        "eslc: ack 5 23: inconclusive, recursion depth",
-        "eslc: ack 21 9: inconclusive, recursion depth"]
+    # signature sampling draws ack 5 23 and ack 21 9 third and fourth with
+    # seed 2, and ack 19 8 and ack 23 11 with seed 5, all too deep for the
+    # source evaluator; the run reports them and goes on, and fails when it
+    # compared no sample
+    for samples, seed, code, row, deep in [
+            ("4", "2", 0, "ack 4 0 2 0", ["5 23", "21 9"]),
+            ("2", "5", 1, "ack 2 0 2 0", ["19 8", "23 11"])]:
+        assert main(["diff", str(ROOT / "examples/esl/ack.esl"),
+                     "--entry", "ack", "--backend", "kaleid",
+                     "--samples", samples, "--seed", seed]) == code
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].split("\t") == row.split()
+        assert err.splitlines() == [
+            f"eslc: ack {args}: inconclusive, recursion depth"
+            for args in deep] + ["eslc: ack: no sample compared"] * code
 
 
 def test_target_out_of_stack_is_inconclusive(monkeypatch):
