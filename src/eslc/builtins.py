@@ -1,9 +1,12 @@
 """The seeded definition environment and the table of primitives.
 
 Each primitive is declared once, in PRIMS: its signature, its clauses if
-it has any, and its meaning as a Python function of all its parameters,
-hidden ones included.  The evaluator calls that function; the normalizer
-computes with it the entries marked `folds` whose arguments are literals.
+it has any, its meaning as a Python function of all its parameters,
+hidden ones included, and the obligation a call of it owes if it takes
+no proof argument.  The function is total: it returns a value or raises
+EvalError.  The evaluator calls it; the normalizer computes with it the
+entries marked `folds` once their arguments are closed; the elaborator
+discharges the obligation at each saturated call.
 
 Arithmetic on naturals also has ordinary clauses (zero/suc matching), so
 the normalizer can reduce it on symbolic arguments like any user
@@ -18,6 +21,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from . import shapes
 from .ir import (Abs, Arg, Builtin, Clause, Con, Constructor, Datatype, Def,
                  Definition, Env, EvalError, Function, Lit, PCon, Pi, PVar,
                  Sort, Term, Var, hid, pi_spine, vis)
@@ -35,7 +39,12 @@ class Prim:
     sig: Term
     fn: Callable  # called with exactly `arity` arguments
     clauses: tuple[Clause, ...] | None = None  # None: a Builtin
-    folds: bool = False  # the normalizer computes it on literal arguments
+    # the normalizer computes it once every visible argument is closed: a
+    # literal, or a vcons/icons spine of terms
+    folds: bool = False
+    # a use-site obligation: how it is described, and its constraint as a
+    # function of the shape keys and of all the call's arguments
+    owes: tuple[str, Callable] | None = None
 
     @property
     def arity(self) -> int:
@@ -140,6 +149,31 @@ def _vidx(X, n, i, v):
     return v[1][i]
 
 
+def _vhd(X, n, v):
+    if not v[1]:
+        raise EvalError("vhd of an empty vector")
+    return v[1][0]
+
+
+def _vtl(X, n, v):
+    if not v[1]:
+        raise EvalError("vtl of an empty vector")
+    return ("vec", v[1][1:])
+
+
+def _vtake(X, n, k, v):
+    if k > len(v[1]):
+        raise EvalError(f"vtake {k} of a vector of length {len(v[1])}")
+    return ("vec", v[1][:k])
+
+
+def _ixc(d, s, k, i):
+    try:  # in range, this costs no more than the bare subscript
+        return i[1][k]
+    except IndexError:
+        raise EvalError(f"index component {k} past rank {len(i[1])}") from None
+
+
 def _ravel(X, d, s, arr):
     return ("arr", (math.prod(arr[1]),), list(arr[2]))
 
@@ -159,9 +193,13 @@ def _prims() -> list[Prim]:
     out: list[Prim] = []
 
     def prim(name: str, sig: Term, fn: Callable, clauses=None,
-             folds: bool = False):
-        out.append(Prim(name, sig, fn,
-                        None if clauses is None else tuple(clauses), folds))
+             folds: bool = False, owes=None):
+        out.append(Prim(name, sig, fn, None if clauses is None
+                        else tuple(clauses), folds, owes))
+
+    def nonzero_divisor(name):
+        return (f"nonzero divisor in {name}", lambda names, a, b:
+                shapes.nonzero(shapes.term_to_scalar(b, names)))
 
     nat2 = mk_pi([("a", _nat(), False), ("b", _nat(), False)], _nat())
 
@@ -239,12 +277,12 @@ def _prims() -> list[Prim]:
     ])
 
     # a / (suc m) = div-helper 0 m a m ; use sites owe a NonZero obligation
-    prim("_/_", nat2, _div, clauses=[
+    prim("_/_", nat2, _div, owes=nonzero_divisor("_/_"), clauses=[
         Clause((("a", vis(_nat())), ("m", vis(_nat()))),
                (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
                dh(Lit(0), Var(0), Var(1), Var(0))),
     ])
-    prim("_%_", nat2, _mod, clauses=[
+    prim("_%_", nat2, _mod, owes=nonzero_divisor("_%_"), clauses=[
         Clause((("a", vis(_nat())), ("m", vis(_nat()))),
                (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
                mh(Lit(0), Var(0), Var(1), Var(0))),
@@ -282,31 +320,33 @@ def _prims() -> list[Prim]:
     prim("vidx",
          mk_pi(vecXn + [("i", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
                Var(3)),
-         _vidx)
+         _vidx, folds=True,
+         owes=("vector index in bounds", lambda names, X, n, i, v: shapes.lt(
+             shapes.term_to_scalar(i, names), shapes.term_to_scalar(n, names))))
     prim("vreverse",
          mk_pi(vecXn + [("v", _vec(Var(1), Var(0)), False)], _vec(Var(2), Var(1))),
-         lambda X, n, v: ("vec", tuple(reversed(v[1]))))
+         lambda X, n, v: ("vec", tuple(reversed(v[1]))), folds=True)
     prim("vhd",
          mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
                Var(2)),
-         lambda X, n, v: v[1][0])
+         _vhd, folds=True)
     prim("vtl",
          mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
                _vec(Var(2), Var(1))),
-         lambda X, n, v: ("vec", v[1][1:]))
+         _vtl, folds=True)
     prim("vtake",
          mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
                _vec(Var(3), Var(1))),
-         lambda X, n, k, v: ("vec", v[1][:k]))
+         _vtake, folds=True)
     prim("vdrop",
          mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
                _vec(Var(3), Def("_-_", (vis(Var(2)), vis(Var(1)))))),
-         lambda X, n, k, v: ("vec", v[1][k:]))
+         lambda X, n, k, v: ("vec", v[1][k:]), folds=True)
     prim("vappend",
          mk_pi([("X", _setty(), True), ("m", _nat(), True), ("n", _nat(), True),
                 ("a", _vec(Var(2), Var(1)), False), ("b", _vec(Var(3), Var(1)), False)],
                _vec(Var(4), Def("_+_", (vis(Var(3)), vis(Var(2)))))),
-         lambda X, m, n, a, b: ("vec", a[1] + b[1]))
+         lambda X, m, n, a, b: ("vec", a[1] + b[1]), folds=True)
     prim("_*v_",
          mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False),
                 ("k", _nat(), False)],
@@ -340,17 +380,21 @@ def _prims() -> list[Prim]:
          mk_pi(arXds + [("e", _nat(), True), ("t", _vec(_nat(), Var(0)), False),
                         ("a", ar(Var(4), Var(3), Var(2)), False)],
                ar(Var(5), Var(2), Var(1))),
-         _reshape)
+         _reshape,
+         owes=("reshape preserves the element count",
+               lambda names, X, d, s, e, t, a: shapes.eq(
+                   shapes.SProd(shapes.term_to_vec(t, names)),
+                   shapes.SProd(shapes.term_to_vec(s, names)))))
     prim("ixc",
          mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
                 ("k", _nat(), False), ("i", ix(Var(2), Var(1)), False)],
                _nat()),
-         lambda d, s, k, i: i[1][k])
+         _ixc, folds=True)
     prim("ixReverse",
          mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
                 ("i", ix(Var(1), Var(0)), False)],
                ix(Var(2), Def("vreverse", (hid(_nat()), hid(Var(2)), vis(Var(1)))))),
-         lambda d, s, i: ("ix", tuple(reversed(i[1]))))
+         lambda d, s, i: ("ix", tuple(reversed(i[1]))), folds=True)
 
     return out
 

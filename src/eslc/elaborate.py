@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import broadcast, ir, shapes
-from .builtins import is_prop_type, seed_env
-from .ir import (Abs, Arg, Clause, Con, Datatype, Def, Definition, Env,
+from .builtins import PRIMS, is_prop_type, seed_env
+from .ir import (Abs, Arg, Clause, Con, Def, Definition, Env,
                  EslError, Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar,
                  Sort, Term, Unknown, Var, hid, nat_view, pi_spine, vis)
 from .normalize import (Normalizer, ReductionPolicy, RewriteRule, RuleSet)
@@ -211,6 +211,7 @@ class Elaborator:
         self._current: str | None = None
 
     def _whnf(self, t: Term) -> Term:
+        """Weak head normal form with a fresh budget of reduction steps."""
         return Normalizer(self.env, ReductionPolicy(fuel=100000)).whnf(t)
 
     # -- module driver -------------------------------------------------------
@@ -242,7 +243,7 @@ class Elaborator:
                 sigs[decl.name] = ty
                 order.append(decl.name)
                 meta = DefMeta(source_line=decl.line)
-                meta.unsupported = _policy_reason(ty, self.env)
+                meta.unsupported = _policy_reason(ty)
                 if meta.unsupported == "no strings in the target language":
                     raise UnsupportedType(
                         f"{decl.name}: {meta.unsupported}")
@@ -376,15 +377,12 @@ class Elaborator:
                 return Con("suc"), ir.Pi(vis(Def("Nat")), Abs("n", Def("Nat")))
             return Con(name), None
         if name in self.env:
-            d = self.env.lookup(name)
-            if isinstance(d.payload, (Datatype,)):
-                return Def(name), d.signature
-            return Def(name), d.signature
+            return Def(name), self.env.lookup(name).signature
         raise ScopeError(f"line {line}: unknown name {name}")
 
     def _check(self, s: SExpr, ty: Term, ctx: Ctx, metas) -> Term:
         ty = metas.zonk(ty, len(ctx))
-        whty = Normalizer(self.env, ReductionPolicy(fuel=10000)).whnf(ty) \
+        whty = self._whnf(ty) \
             if isinstance(ty, Def) and not _Metas.is_meta(ty) else ty
         match s:
             case SLam(binder, body):
@@ -469,8 +467,7 @@ class Elaborator:
 
     def _check_spine(self, s: SExpr, ty: Term, ctx: Ctx, metas) -> Term:
         """[] and _∷_ against Vec / Ix / List."""
-        nz = Normalizer(self.env, ReductionPolicy(fuel=10000))
-        ty = nz.whnf(ty)
+        ty = self._whnf(ty)
         if not isinstance(ty, Def) or ty.name not in ("Vec", "Ix", "List"):
             raise UnsupportedType(f"container literal against {_show_t(ty)}")
         if isinstance(s, SName):  # []
@@ -500,7 +497,6 @@ class Elaborator:
 
     def _check_ix_spine(self, s: SExpr, d: Term, sh: Term, k: int,
                         ctx: Ctx, metas) -> Term:
-        nz = Normalizer(self.env, ReductionPolicy(fuel=10000))
         if isinstance(s, SName) and s.name == "[]":
             self._want_zero(d, ctx, metas)
             return Con("inil")
@@ -525,7 +521,7 @@ class Elaborator:
         if _Metas.is_meta(n):
             self._unify(n, Lit(0), ctx, metas)
             return
-        nv = nat_view(Normalizer(self.env, ReductionPolicy(fuel=10000)).whnf(n))
+        nv = nat_view(self._whnf(n))
         if nv != 0:
             raise UnsupportedType("container literal is shorter than its type")
 
@@ -535,7 +531,7 @@ class Elaborator:
             m = metas.fresh(len(ctx))
             self._unify(n, Con("suc", (vis(m),)), ctx, metas)
             return m
-        n = Normalizer(self.env, ReductionPolicy(fuel=10000)).whnf(n)
+        n = self._whnf(n)
         inner = ir.suc_view(n)
         if inner is None:
             raise UnsupportedType(
@@ -552,9 +548,9 @@ class Elaborator:
             raise EslError(f"cannot apply {fn!r}")
         name = self.aliases.get(fn.name, fn.name)
         if name in LIFTED_BINARY:
-            return self._lifted_binary(name, fn, args, ctx, metas)
+            return self._lifted_binary(name, args, ctx, metas)
         if name in LIFTED_UNARY:
-            return self._lifted_unary(name, fn, args, ctx, metas)
+            return self._lifted_unary(name, args, ctx, metas)
         if name == "imap" and expected is None:
             raise UnprovenConstraint("imap needs an expected array type")
         head, sig = self._infer_name(name, getattr(fn, "line", 0), ctx)
@@ -565,24 +561,16 @@ class Elaborator:
         return term, ty
 
     def _builtin_obligations(self, name: str, term: Term, ctx: Ctx, metas) -> None:
-        """Use-site obligations of builtins that carry no proof argument."""
-        if not isinstance(term, Def) or name not in ("_/_", "_%_", "vidx",
-                                                     "reshape"):
+        """The use-site obligation of a primitive that takes no proof
+        argument, once the call is saturated."""
+        p = PRIMS.get(name)
+        if p is None or p.owes is None or not isinstance(term, Def) \
+                or len(term.args) != p.arity:
             return
-        names = ctx.names_for_shapes()
-        zonked = [metas.zonk(a.value, len(ctx)) for a in term.args]
-        if name in ("_/_", "_%_") and len(zonked) == 2:
-            c = shapes.nonzero(shapes.term_to_scalar(zonked[1], names))
-            self._discharge_constraint(c, ctx, what=f"nonzero divisor in {name}")
-        elif name == "vidx" and len(zonked) == 4:
-            c = shapes.lt(shapes.term_to_scalar(zonked[2], names),
-                          shapes.term_to_scalar(zonked[1], names))
-            self._discharge_constraint(c, ctx, what="vector index in bounds")
-        elif name == "reshape" and len(zonked) == 6:
-            c = shapes.eq(shapes.SProd(shapes.term_to_vec(zonked[4], names)),
-                          shapes.SProd(shapes.term_to_vec(zonked[2], names)))
-            self._discharge_constraint(c, ctx, what="reshape preserves the "
-                                                    "element count")
+        what, build = p.owes
+        c = build(ctx.names_for_shapes(),
+                  *(metas.zonk(a.value, len(ctx)) for a in term.args))
+        self._discharge_constraint(c, ctx, what=what)
 
     def _apply_spine(self, head: Term, sig: Term, args: list, ctx: Ctx,
                      metas, name: str):
@@ -592,7 +580,6 @@ class Elaborator:
         rest = sig
         env: list[Term] = []
         queue = list(args)
-        nz = Normalizer(self.env, ReductionPolicy(fuel=20000))
 
         def inst(t: Term) -> Term:
             return metas.zonk(ir.subst(t, 0, *env), len(ctx))
@@ -603,7 +590,7 @@ class Elaborator:
                 if isinstance(rest, Pi):
                     continue
                 if queue and isinstance(rest, Def) and not _Metas.is_meta(rest):
-                    r2 = nz.whnf(rest)
+                    r2 = self._whnf(rest)
                     if isinstance(r2, Pi):
                         rest = r2
                         continue
@@ -651,7 +638,7 @@ class Elaborator:
             raise UnprovenConstraint(f"cannot classify operand {_show(s)}")
         return broadcast.classify(t, ty, self.env)
 
-    def _lifted_binary(self, name: str, fn, args, ctx: Ctx, metas):
+    def _lifted_binary(self, name: str, args, ctx: Ctx, metas):
         if len(args) != 2:
             raise EslError(f"{name} expects two operands")
         l = self._operand(args[0][0], ctx, metas)
@@ -661,7 +648,7 @@ class Elaborator:
         term, ty = broadcast.lift_binary(LIFTED_BINARY[name], l, r, names, hyps)
         return term, ty
 
-    def _lifted_unary(self, name: str, fn, args, ctx: Ctx, metas):
+    def _lifted_unary(self, name: str, args, ctx: Ctx, metas):
         if len(args) != 1:
             raise EslError(f"{name} expects one operand")
         op = self._operand(args[0][0], ctx, metas)
@@ -784,7 +771,6 @@ class Elaborator:
         patterns: list[Arg] = []  # PVar carries *absolute* positions here
         sig_rest = sig
         queue = list(decl.pats)
-        nz = Normalizer(self.env, ReductionPolicy(fuel=20000))
 
         def push_auto(dom: Arg, binder: str):
             nonlocal sig_rest
@@ -822,8 +808,7 @@ class Elaborator:
     def _elab_pattern(self, p: SPat, ty: Term, ctx: Ctx, line: int):
         """Returns (pattern with absolute PVar positions, #entries pushed,
         value term in the extended context)."""
-        nz = Normalizer(self.env, ReductionPolicy(fuel=20000))
-        ty_w = nz.whnf(ty)
+        ty_w = self._whnf(ty)
         match p.kind:
             case "var" | "wild":
                 name = p.name if p.kind == "var" else "_"
@@ -889,14 +874,13 @@ class Elaborator:
         raise UnsupportedType(f"line {line}: unsupported pattern head {name}")
 
     def _vec_pattern(self, p: SPat, ty: Term, ctx: Ctx, line: int):
-        nz = Normalizer(self.env, ReductionPolicy(fuel=20000))
         x, n = (a.value for a in ty.args)
         if p.name == "[]":
-            nv = nat_view(nz.whnf(n))
+            nv = nat_view(self._whnf(n))
             if nv != 0:
                 raise UnsupportedType(f"line {line}: [] pattern at length {_show_t(n)}")
             return PCon("vnil"), 0, Con("vnil")
-        inner = ir.suc_view(nz.whnf(n))
+        inner = ir.suc_view(self._whnf(n))
         if inner is None:
             raise UnsupportedType(
                 f"line {line}: cons pattern needs a known vector length")
@@ -935,36 +919,27 @@ def _is_container_literal(s: SExpr) -> bool:
 
 
 def _shapeish(t: Term) -> bool:
-    if isinstance(t, (Lit, Var)):
-        return True
-    if isinstance(t, Con) and t.name in ("suc", "zero", "vcons", "vnil"):
-        return True
-    if isinstance(t, Def) and t.name in ("_+_", "_-_", "_*_", "_/_", "_%_",
-                                         "vidx", "prodv", "_*v_", "vreverse",
-                                         "vappend"):
-        return True
-    return False
+    return isinstance(t, (Lit, Var)) or \
+        isinstance(t, (Con, Def)) and t.name in shapes.SHAPE_HEADS
 
 
-def _policy_reason(sig: Term, env: Env) -> str | None:
+def _policy_reason(sig: Term) -> str | None:
     """Check the supported-type grammar; a reason marks the definition as
     not extractable (it stays available to the normalizer)."""
     tel, ret = pi_spine(sig)
     for name, a in tel:
-        r = _type_reason(a.value, env, first_order=True)
+        r = _type_reason(a.value)
         if r:
             return r
-    return _type_reason(ret, env, first_order=True)
+    return _type_reason(ret)
 
 
-def _type_reason(t: Term, env: Env, first_order: bool) -> str | None:
+def _type_reason(t: Term) -> str | None:
     match t:
         case Sort():
             return "type-valued argument"
         case Pi():
-            if first_order:
-                return "higher-order argument"
-            return None
+            return "higher-order argument"
         case Def("String", _):
             return "no strings in the target language"
         case Def(("Nat" | "Float" | "_<_" | "_≡_"), _):
@@ -972,11 +947,11 @@ def _type_reason(t: Term, env: Env, first_order: bool) -> str | None:
         case Def("Fin", _):
             return None
         case Def("Dec", (Arg(p, _),)):
-            return _type_reason(p, env, first_order)
+            return _type_reason(p)
         case Def(("Vec" | "List"), (Arg(x, _), *_)):
-            return _type_reason(x, env, first_order)
+            return _type_reason(x)
         case Def("Ar", (Arg(x, _), *_)):
-            return _type_reason(x, env, first_order)
+            return _type_reason(x)
         case Def("Ix", _):
             return None
         case Var(_, _):

@@ -126,8 +126,10 @@ class Sort(Term):
 
 @dataclass(frozen=True, slots=True)
 class Unknown(Term):
-    """Erased position; never produced by the frontend, kept so IR dumps
-    of externally produced terms can be replayed."""
+    """An erased position.  The normalizer puts it for a telescope
+    variable that no pattern binds and for a hidden constructor argument
+    it cannot recover; the elaborator, for the value of an absurd pattern
+    and the type of a let whose bound term has none inferred."""
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +428,7 @@ def suc_view(t: Term) -> Term | None:
 
 
 # --------------------------------------------------------------------------
-# stable line-oriented debug printer (s-expression style) and its reader
+# stable line-oriented debug printer (s-expression style)
 
 
 def print_term(t: Term) -> str:
@@ -463,83 +465,6 @@ def _sx_arg(a: Arg) -> str:
 
 def _sx_str(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def parse_term(src: str) -> Term:
-    toks = _sx_tokens(src)
-    t, rest = _parse_sx(toks, 0)
-    if rest != len(toks):
-        raise EslError("trailing tokens in term dump")
-    return _sx_to_term(t)
-
-
-def _sx_tokens(src: str) -> list[str]:
-    toks, i = [], 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            toks.append(c)
-            i += 1
-        elif c == '"':
-            j, buf = i + 1, []
-            while src[j] != '"':
-                if src[j] == "\\":
-                    j += 1
-                buf.append(src[j])
-                j += 1
-            toks.append('"' + "".join(buf))
-            i = j + 1
-        else:
-            j = i
-            while j < len(src) and not src[j].isspace() and src[j] not in "()":
-                j += 1
-            toks.append(src[i:j])
-            i = j
-    return toks
-
-
-def _parse_sx(toks, i):
-    if toks[i] == "(":
-        out, i = [], i + 1
-        while toks[i] != ")":
-            node, i = _parse_sx(toks, i)
-            out.append(node)
-        return out, i + 1
-    return toks[i], i + 1
-
-
-def _sx_to_term(node) -> Term:
-    if not isinstance(node, list):
-        raise EslError(f"bad term dump atom: {node}")
-    head = node[0]
-    if head == "var":
-        return Var(int(node[1]), tuple(_sx_to_argt(a) for a in node[2:]))
-    if head == "con":
-        return Con(node[1][1:], tuple(_sx_to_argt(a) for a in node[2:]))
-    if head == "def":
-        return Def(node[1][1:], tuple(_sx_to_argt(a) for a in node[2:]))
-    if head == "lam":
-        return Lam(Abs(node[2][1:], _sx_to_term(node[3])), node[1] == "h")
-    if head == "lit":
-        return Lit(int(node[1]))
-    if head == "flit":
-        return Lit(float(node[1]))
-    if head == "let":
-        return Let(_sx_to_term(node[2]), Abs(node[1][1:], _sx_to_term(node[3])))
-    if head == "pi":
-        return Pi(Arg(_sx_to_term(node[3]), node[1] == "h"),
-                  Abs(node[2][1:], _sx_to_term(node[4])))
-    if head == "sort":
-        return Sort()
-    if head == "unknown":
-        return Unknown()
-    raise EslError(f"bad term dump head: {head}")
-
-
-def _sx_to_argt(node) -> Arg:
-    return Arg(_sx_to_term(node[1]), node[0] == "h")
 
 
 def pi_spine(sig: Term) -> tuple[list[tuple[str, Arg]], Term]:

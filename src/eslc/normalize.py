@@ -4,10 +4,11 @@ Strategy: normal order to weak head normal form, then recurse into
 subterms, trying registered rewrite rules innermost-leftmost after each
 head step.  Clause matching (iota) reduces calls to pattern-matching
 functions; primitives marked `folds` in builtins.PRIMS are computed by
-their Python function once their arguments are literals, and the vector,
-index and array builtins carry structural delta rules.  Let bindings whose
-binder occurs more than once are preserved to keep sharing; a
-faithful-lets mode restores eager substitution.
+their Python function once their visible arguments are closed (literals,
+or vcons/icons spines), and only the three builtins that build symbolic
+terms (`_*v_`, `prodv`, `sel`) carry delta rules of their own.  Let
+bindings whose binder occurs more than once are preserved to keep
+sharing; a faithful-lets mode restores eager substitution.
 """
 
 from __future__ import annotations
@@ -38,29 +39,19 @@ class NotGroundable(EslError):
 
 @dataclass(frozen=True)
 class ReductionPolicy:
-    mode: str = "all"  # "all" | "only" | "dont"
-    names: frozenset = frozenset()
+    names: frozenset = frozenset()  # the heads never unfolded
     fuel: int = 10**6
     faithful_lets: bool = False
 
     def __post_init__(self):
         assert self.fuel > 0
-        assert self.mode in ("all", "only", "dont")
 
     def allows(self, name: str) -> bool:
-        if self.mode == "only":
-            return name in self.names
-        if self.mode == "dont":
-            return name not in self.names
-        return True
-
-
-def only_reduce(names, **kw) -> ReductionPolicy:
-    return ReductionPolicy("only", frozenset(names), **kw)
+        return name not in self.names
 
 
 def dont_reduce(names, **kw) -> ReductionPolicy:
-    return ReductionPolicy("dont", frozenset(names), **kw)
+    return ReductionPolicy(frozenset(names), **kw)
 
 
 REDUCE_ALL = ReductionPolicy()
@@ -346,22 +337,6 @@ class Normalizer:
             return None
         return h(self, args)
 
-    def _spine(self, t: Term, cons: str, nil: str) -> list[Term] | None:
-        items = []
-        t = self.whnf(t)
-        while isinstance(t, Con) and t.name == cons:
-            items.append(t.args[-2].value)
-            t = self.whnf(t.args[-1].value)
-        if isinstance(t, Con) and t.name == nil:
-            return items
-        return None
-
-    def vec_spine(self, t: Term) -> list[Term] | None:
-        return self._spine(t, "vcons", "vnil")
-
-    def ix_spine(self, t: Term) -> list[Term] | None:
-        return self._spine(t, "icons", "inil")
-
     # -- full normalization ---------------------------------------------------
 
     def norm(self, t: Term) -> Term:
@@ -457,13 +432,50 @@ def _float_lit(t: Term) -> float | None:
     return t.value if isinstance(t, Lit) and isinstance(t.value, float) else None
 
 
-_LITERAL = {NAT: nat_view, FLOAT: _float_lit}
+def _literal(view):
+    return lambda nz, t: view(nz.whnf(t))
+
+
+_SPINES = {"vec": ("vcons", "vnil"), "ix": ("icons", "inil")}
+
+
+def _spine(kind: str):
+    """Read a closed spine as the evaluator's value of its kind, with the
+    items left as terms."""
+    cons, nil = _SPINES[kind]
+
+    def read(nz, t):
+        items = []
+        t = nz.whnf(t)
+        while isinstance(t, Con) and t.name == cons:
+            items.append(t.args[-2].value)
+            t = nz.whnf(t.args[-1].value)
+        return (kind, tuple(items)) if isinstance(t, Con) and t.name == nil else None
+    return read
+
+
+def _spine_of(kind: str, items) -> Term:
+    cons, nil = _SPINES[kind]
+    out: Term = Con(nil)
+    for x in reversed(items):
+        out = Con(cons, (vis(x), vis(out)))
+    return out
+
+
+# a visible parameter is read by the head of its declared type
+_READ = {NAT: _literal(nat_view), FLOAT: _literal(_float_lit),
+         "Vec": _spine("vec"), "Ix": _spine("ix")}
+_vec_items = _READ["Vec"]
+
+
+def _hidden(nz, t):
+    return t
 
 
 def _d_fold(fn, reads):
-    """A primitive computed by its Python function.  Its arguments are
-    brought to whnf left to right and read as literals; the first that is
-    not one leaves the call to the primitive's clauses, if it has any (1 + x
+    """A primitive computed by its Python function.  Its arguments are read
+    left to right, a hidden one as the term itself; the first that is not
+    closed leaves the call to the primitive's clauses, if it has any (1 + x
     must expose its constructor), and so does an EvalError or a result that
     no literal denotes (a float overflowing to infinity)."""
     def h(nz, args):
@@ -471,7 +483,7 @@ def _d_fold(fn, reads):
             return None
         vals = []
         for read, a in zip(reads, args):
-            v = read(nz.whnf(a.value))
+            v = read(nz, a.value)
             if v is None:
                 return None
             vals.append(v)
@@ -479,94 +491,32 @@ def _d_fold(fn, reads):
             out = fn(*vals)
         except EvalError:
             return None
-        if isinstance(out, tuple):  # ("dec", bool)
-            return Con("yes") if out[1] else Con("no")
+        if isinstance(out, tuple):  # ("dec", bool) or a ("vec" | "ix", items)
+            if out[0] == "dec":
+                return Con("yes") if out[1] else Con("no")
+            return _spine_of(*out)
+        if isinstance(out, Term):  # an item of a spine argument
+            return out
         if isinstance(out, float) and not math.isfinite(out):
             return None
         return Lit(out)
     return h
 
 
-def _d_vidx(nz, args):
-    va = [a.value for a in args if not a.hidden]
-    k = nat_view(nz.whnf(va[0]))
-    if k is None:
-        return None
-    items = nz.vec_spine(va[1])
-    if items is None or k >= len(items):
-        return None
-    return items[k]
-
-
-def _d_vreverse(nz, args):
-    items = nz.vec_spine(args[-1].value)
-    if items is None:
-        return None
-    return _vec_of(list(reversed(items)))
-
-
-def _vec_of(items) -> Term:
-    out: Term = Con("vnil")
-    for x in reversed(items):
-        out = Con("vcons", (vis(x), vis(out)))
-    return out
-
-
-def _ix_of(items) -> Term:
-    out: Term = Con("inil")
-    for x in reversed(items):
-        out = Con("icons", (vis(x), vis(out)))
-    return out
-
-
-def _d_vhd(nz, args):
-    items = nz.vec_spine(args[-1].value)
-    return items[0] if items else None
-
-
-def _d_vtl(nz, args):
-    items = nz.vec_spine(args[-1].value)
-    return _vec_of(items[1:]) if items else None
-
-
-def _d_vtake(nz, args):
-    va = [a.value for a in args if not a.hidden]
-    k, items = nat_view(nz.whnf(va[0])), nz.vec_spine(va[1])
-    if k is None or items is None or k > len(items):
-        return None
-    return _vec_of(items[:k])
-
-
-def _d_vdrop(nz, args):
-    va = [a.value for a in args if not a.hidden]
-    k, items = nat_view(nz.whnf(va[0])), nz.vec_spine(va[1])
-    if k is None or items is None:
-        return None
-    return _vec_of(items[k:])
-
-
-def _d_vappend(nz, args):
-    va = [a.value for a in args if not a.hidden]
-    a, b = nz.vec_spine(va[0]), nz.vec_spine(va[1])
-    if a is None or b is None:
-        return None
-    return _vec_of(a + b)
-
-
 def _d_vscale(nz, args):
     va = [a.value for a in args if not a.hidden]
-    items = nz.vec_spine(va[0])
-    if items is None:
+    v = _vec_items(nz, va[0])
+    if v is None:
         return None
     k = va[1]
-    return _vec_of([Def("_*_", (vis(x), vis(k))) for x in items])
+    return _spine_of("vec", [Def("_*_", (vis(x), vis(k))) for x in v[1]])
 
 
 def _d_prodv(nz, args):
-    items = nz.vec_spine(args[-1].value)
-    if items is None:
+    vec = _vec_items(nz, args[-1].value)
+    if vec is None:
         return None
-    out: Term = Lit(1)
+    items = vec[1]
     total = 1
     lits = [nat_view(nz.whnf(x)) for x in items]
     if all(v is not None for v in lits):
@@ -589,38 +539,10 @@ def _d_sel(nz, args):
     return None
 
 
-def _d_ixc(nz, args):
-    va = [a.value for a in args if not a.hidden]
-    k, items = nat_view(nz.whnf(va[0])), nz.ix_spine(va[1])
-    if k is None or items is None or k >= len(items):
-        return None
-    return items[k]
-
-
-def _d_ixreverse(nz, args):
-    items = nz.ix_spine(args[-1].value)
-    if items is None:
-        return None
-    return _ix_of(list(reversed(items)))
-
-
-_DELTA = {p.name: _d_fold(p.fn, [_LITERAL[a.value.name]
+_DELTA = {p.name: _d_fold(p.fn, [_hidden if a.hidden else _READ[a.value.name]
                                  for _, a in pi_spine(p.sig)[0]])
           for p in PRIMS.values() if p.folds}
-_DELTA.update({
-    "vidx": _d_vidx,
-    "vreverse": _d_vreverse,
-    "vhd": _d_vhd,
-    "vtl": _d_vtl,
-    "vtake": _d_vtake,
-    "vdrop": _d_vdrop,
-    "vappend": _d_vappend,
-    "_*v_": _d_vscale,
-    "prodv": _d_prodv,
-    "sel": _d_sel,
-    "ixc": _d_ixc,
-    "ixReverse": _d_ixreverse,
-})
+_DELTA.update({"_*v_": _d_vscale, "prodv": _d_prodv, "sel": _d_sel})
 
 
 # --------------------------------------------------------------------------
@@ -678,5 +600,6 @@ def _ground(ty: Term, rng) -> Term:
                 out = Con("lcons", (vis(x), vis(out)))
             return out
         case Def("Vec", (Arg(Def("Nat", ()), _), Arg(n, _))) if nat_view(n) is not None:
-            return _vec_of([Lit(rng.randrange(20)) for _ in range(nat_view(n))])
+            return _spine_of("vec", [Lit(rng.randrange(20))
+                                     for _ in range(nat_view(n))])
     raise NotGroundable(f"cannot ground a variable of type {ir.print_term(ty)}")

@@ -77,13 +77,11 @@ def attr_le(a: tuple, b: tuple) -> bool:
 
 @dataclass(frozen=True)
 class FlattenedType:
-    origin: Term
     result: SacType
     prefix: tuple  # outer dims: ints or symbolic Terms or None (dynamic)
-    suffix: tuple  # element dims
 
 
-def flatten_type(ty: Term, env: Env | None = None) -> FlattenedType:
+def flatten_type(ty: Term) -> FlattenedType:
     base, dims, exact_rank = _flatten(ty, outermost=True)
     static = all(isinstance(d, int) for d in dims) and exact_rank
     if static:
@@ -92,7 +90,7 @@ def flatten_type(ty: Term, env: Env | None = None) -> FlattenedType:
         attr = ("rank", len(dims))
     else:
         attr = ("any",)
-    return FlattenedType(ty, SacType(base, attr), tuple(dims), ())
+    return FlattenedType(SacType(base, attr), tuple(dims))
 
 
 def _flatten(ty: Term, outermost: bool) -> tuple[str, list, bool]:
@@ -221,6 +219,10 @@ _FOLD_OPS = {"_+_": ("+", SNum(0)), "_*_": ("*", SNum(1)),
 _SCALAR_BIN = {"_+_": "+", "_-_": "-", "_*_": "*", "_/_": "/", "_%_": "%",
                "_+f_": "+", "_-f_": "-", "_*f_": "*", "_/f_": "/"}
 
+# primitives that become a SaC call on their two visible arguments, in order
+_VIS2_CALLS = {"vtake": "take", "vdrop": "drop", "vappend": "append",
+               "reshape": "reshape"}
+
 
 class SacBackend:
     final_pass = staticmethod(sac_final_pass)
@@ -290,7 +292,7 @@ class SacBackend:
                                 fn.assigns.append(
                                     (nm, SSel(SVarE(param), SNum(k))))
                                 names_by_db[item.idx] = nm
-                        elif not (isinstance(item, PVar)):
+                        else:
                             raise ExtractError(
                                 "nested component patterns are not supported here")
                 case PCon("vnil", _):
@@ -373,32 +375,20 @@ class SacBackend:
             return self._term(va[-1], venv, cx)
         if name == "sel":
             return self.kompile_sel(args, venv, cx)
-        if name == "vidx":
+        if name in ("vidx", "ixc"):
             vis = [a.value for a in args if not a.hidden]
             return SSel(self._term(vis[1], venv, cx),
                         self._term(vis[0], venv, cx))
-        if name == "ixc":
+        if name in _VIS2_CALLS:
             vis = [a.value for a in args if not a.hidden]
-            return SSel(self._term(vis[1], venv, cx),
-                        self._term(vis[0], venv, cx))
+            return SCall(_VIS2_CALLS[name], (self._term(vis[0], venv, cx),
+                                             self._term(vis[1], venv, cx)))
         if name in ("vreverse", "ixReverse"):
             return SCall("reverse", (self._term(va[-1], venv, cx),))
         if name == "vhd":
             return SSel(self._term(va[-1], venv, cx), SNum(0))
         if name == "vtl":
             return SCall("drop", (SNum(1), self._term(va[-1], venv, cx)))
-        if name == "vtake":
-            vis = [a.value for a in args if not a.hidden]
-            return SCall("take", (self._term(vis[0], venv, cx),
-                                  self._term(vis[1], venv, cx)))
-        if name == "vdrop":
-            vis = [a.value for a in args if not a.hidden]
-            return SCall("drop", (self._term(vis[0], venv, cx),
-                                  self._term(vis[1], venv, cx)))
-        if name == "vappend":
-            vis = [a.value for a in args if not a.hidden]
-            return SCall("append", (self._term(vis[0], venv, cx),
-                                    self._term(vis[1], venv, cx)))
         if name == "_*v_":
             return self._scale(args, venv, cx)
         if name == "prodv":
@@ -406,10 +396,6 @@ class SacBackend:
         if name == "ravel":
             self.need_ravel = True
             return SCall("ravel", (self._term(va[-1], venv, cx),))
-        if name == "reshape":
-            vis = [a.value for a in args if not a.hidden]
-            return SCall("reshape", (self._term(vis[0], venv, cx),
-                                     self._term(vis[1], venv, cx)))
         if name not in cx.env:
             raise ExtractError(f"unknown definition {name}")
         tel, ret = pi_spine(cx.env.lookup(name).signature)
@@ -446,7 +432,7 @@ class SacBackend:
     def kompile_imap(self, t: Term, venv, cx) -> SExp:
         x, d, s = (a.value for a in t.args[:3])
         f = t.args[-1].value
-        shape = self.shape_expr(s, venv, cx)
+        shape = self._term(s, venv, cx)
         default = self._zero_default(x, venv, cx)
         iv = cx.state.fresh("iv_")
         if isinstance(f, Lam):
@@ -503,7 +489,7 @@ class SacBackend:
         iv = cx.state.fresh("iv_")
         if isinstance(arr, Con) and arr.name == "imap":
             s = arr.args[2].value
-            shape = self.shape_expr(s, venv, cx)
+            shape = self._term(s, venv, cx)
             f_arr = arr.args[-1].value
             if isinstance(f_arr, Lam):
                 block, body = self._loop_body(f_arr, iv, venv, cx)
@@ -531,9 +517,6 @@ class SacBackend:
             return SCall("sel", (idx_x, arr_x))
         return SSel(arr_x, idx_x)
 
-    def shape_expr(self, s: Term, venv, cx) -> SExp:
-        return self._term(s, venv, cx)
-
     def assemble(self, fns: list[EmittedFunction], state: ExtractState,
                  opts: ExtractOptions) -> str:
         pre = []
@@ -557,7 +540,7 @@ def _pat_spine(p) -> list:
     items = []
     while isinstance(p, PCon) and p.name in ("vcons", "lcons"):
         pv = [a.value for a in p.args if not a.hidden]
-        items.append(pv[0] if not isinstance(pv[0], PCon) or True else pv[0])
+        items.append(pv[0])
         p = pv[1]
     return items
 
@@ -594,7 +577,6 @@ def shape_assertions(sig: Term, pos_name: dict[int, str], cx) -> tuple[list, lis
     def venv_for(j: int) -> list[str]:
         return [pos_name[i] for i in range(j - 1, -1, -1)]
 
-    be = cx.backend
     for j, (_, a) in enumerate(tel):
         nm = pos_name[j]
         args_out.extend(_type_asserts(a.value, SVarE(nm), venv_for(j), cx))
@@ -1174,10 +1156,6 @@ class _SacEval:
             head, tail = vals
             return np.concatenate([np.atleast_1d(head), np.atleast_1d(tail)]) \
                 if tail is not None else np.atleast_1d(head)
-        if f == "hd":
-            return vals[0][0]
-        if f == "tl":
-            return vals[0][1:]
         if f == "append":
             return np.concatenate([np.atleast_1d(vals[0]), np.atleast_1d(vals[1])])
         if f == "reverse":
@@ -1187,8 +1165,6 @@ class _SacEval:
         if f == "reshape":
             shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
             return np.asarray(vals[1]).reshape(shp)
-        if f == "empty":
-            return np.array([], dtype=np.int64)
         if f == "zero_float":
             shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
             return 0.0 if not shp else np.zeros(shp)

@@ -246,17 +246,17 @@ def _poly(s: ShapeExpr) -> Poly:
                 return diff
             if not pa:  # 0 - b
                 return {}
-            return {(_atom(SMonus(_poly_to_expr(pa), _poly_to_expr(pb))),): 1}
+            return {(SMonus(_poly_to_expr(pa), _poly_to_expr(pb)),): 1}
         case SDiv(n, d):
             pn = _poly(n)
             if list(pn) in ([], [()]):
                 return {(): pn.get((), 0) // d}
-            return {(_atom(SDiv(_poly_to_expr(pn), d)),): 1}
+            return {(SDiv(_poly_to_expr(pn), d),): 1}
         case SMod(n, d):
             pn, pd = _poly(n), _poly(d)
             if list(pn) in ([], [()]) and list(pd) == [()] and pd[()] > 0:
                 return {(): pn.get((), 0) % pd[()]}
-            return {(_atom(SMod(_poly_to_expr(pn), _poly_to_expr(pd))),): 1}
+            return {(SMod(_poly_to_expr(pn), _poly_to_expr(pd)),): 1}
         case SIdx(k, v):
             comp = vec_component(v, k)
             if isinstance(comp, SIdx) and comp.pos == k and comp.vec == v:
@@ -272,10 +272,6 @@ def _poly(s: ShapeExpr) -> Poly:
             return {(SProd(norm_vec(v)),): 1}
         case _:
             return {(s,): 1}
-
-
-def _atom(s: ShapeExpr):
-    return s
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -338,13 +334,13 @@ def decide(goal: Constraint, hyps: list[Constraint]) -> str:
         b = _decide_ineq(Constraint("le", goal.rhs, goal.lhs), hyps)
         if a == "yes" and b == "yes":
             return "yes"
-        if _find_counterexample(goal, hyps):
+        if find_counterexample(goal, hyps):
             return "no"
         return "unknown"
     res = _decide_ineq(goal, hyps)
     if res == "yes":
         return "yes"
-    if _find_counterexample(goal, hyps):
+    if find_counterexample(goal, hyps):
         return "no"
     return "unknown"
 
@@ -402,9 +398,9 @@ def _split_condition_rows(split: dict, atoms: dict) -> list[dict]:
         r = _poly_split(a.rhs, split)
         _collect_atoms(l, atoms), _collect_atoms(r, atoms)
         if ge:
-            rows.append(_row_sub(_lin(l), _lin(r)))
+            rows.append(_row_sub(l, r))
         else:
-            rows.append(_row_sub(_lin(r), _row_add1(_lin(l))))
+            rows.append(_row_sub(r, _row_add1(l)))
     return rows
 
 
@@ -412,17 +408,8 @@ class _NonLinear(Exception):
     pass
 
 
-# linear rows: dict[monomial-or-(): int], meaning sum >= 0
-
-
-def _lin(p: Poly) -> dict:
-    row: dict = {}
-    for m, c in p.items():
-        if len(m) == 0:
-            row[()] = row.get((), 0) + c
-        else:
-            row[m] = row.get(m, 0) + c
-    return row
+# linear rows: dict[monomial-or-(): int], meaning sum >= 0; a polynomial
+# is read as a row as it stands
 
 
 def _row_sub(a: dict, b: dict) -> dict:
@@ -441,21 +428,21 @@ def _constraint_rows(c: Constraint, split, atoms, negate: bool) -> list[dict]:
         return p
 
     if c.kind == "nonzero":
-        l = _lin(poly_of(c.lhs))
+        l = poly_of(c.lhs)
         row = _row_sub(l, {(): 1})  # e - 1 >= 0
         return [_neg_row(row)] if negate else [row]
     l, r = poly_of(c.lhs), poly_of(c.rhs)
     if c.kind == "lt":
-        row = _row_sub(_lin(r), _row_add1(_lin(l)))  # r - (l+1) >= 0
+        row = _row_sub(r, _row_add1(l))  # r - (l+1) >= 0
         return [_neg_row(row)] if negate else [row]
     if c.kind == "le":
-        row = _row_sub(_lin(r), _lin(l))
+        row = _row_sub(r, l)
         return [_neg_row(row)] if negate else [row]
     if c.kind == "eq":
         if negate:  # l < r or r < l
-            return [_row_sub(_lin(r), _row_add1(_lin(l))),
-                    _row_sub(_lin(l), _row_add1(_lin(r)))]
-        return [_row_sub(_lin(r), _lin(l)), _row_sub(_lin(l), _lin(r))]
+            return [_row_sub(r, _row_add1(l)),
+                    _row_sub(l, _row_add1(r))]
+        return [_row_sub(r, l), _row_sub(l, r)]
     raise AssertionError(c.kind)
 
 
@@ -510,7 +497,7 @@ def _atom_rows(atoms: dict, split, base_rows) -> list[dict]:
     for a in list(atoms):
         if isinstance(a, SDiv):
             # d*q <= n <= d*q + d-1
-            n = _lin(_poly_split(a.num, split))
+            n = _poly_split(a.num, split)
             q = {(a,): a.den}
             rows.append(_row_sub(n, q))
             upper = dict(q)
@@ -518,9 +505,9 @@ def _atom_rows(atoms: dict, split, base_rows) -> list[dict]:
             rows.append(_row_sub(upper, n))
         elif isinstance(a, SMod):
             # r <= n, and r <= den-1 when den >= 1 is already derivable
-            n = _lin(_poly_split(a.num, split))
+            n = _poly_split(a.num, split)
             rows.append(_row_sub(n, {(a,): 1}))
-            den = _lin(_poly_split(a.den, split))
+            den = _poly_split(a.den, split)
             probe = base_rows + [_neg_row(_row_sub(den, {(): 1}))]
             if _fm_infeasible(probe):
                 upper = _row_sub(den, {(a,): 1})
@@ -648,7 +635,7 @@ def _eval_constraint(c: Constraint, env: dict) -> bool:
     return l == r
 
 
-def _find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None:
+def find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None:
     ok = [True]
     names: set[str] = set()
     for c in [goal] + hyps:
@@ -670,14 +657,14 @@ def _find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | Non
     return None
 
 
-def find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None:
-    return _find_counterexample(goal, hyps)
-
-
 # --------------------------------------------------------------------------
 # Term -> ShapeExpr translation
 
 _SCALAR_DEFS = {"_+_": SAdd, "_*_": SMul, "_-_": SMonus}
+# the constructor and definition heads that the two translations below read
+# structurally; under any other head a term is an opaque atom
+SHAPE_HEADS = frozenset({"zero", "suc", "vnil", "vcons", *_SCALAR_DEFS, "_/_",
+                         "_%_", "vidx", "prodv", "_*v_", "vreverse", "vappend"})
 
 
 def term_to_scalar(t: Term, names: list[str]) -> ShapeExpr:

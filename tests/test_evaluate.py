@@ -228,6 +228,16 @@ def test_error_messages():
         == "index (5,) out of bounds for shape (3,)"
     assert _error(e.env, "vidx", [("type",), 3, 7, vvec((1, 2, 3))]) == \
         "vector index 7 out of bounds"
+    # each primitive is total: out of contract, an EvalError, not a
+    # Python IndexError or a value its type misstates
+    assert _error(e.env, "vhd", [("type",), 0, vvec(())]) == \
+        "vhd of an empty vector"
+    assert _error(e.env, "vtl", [("type",), 0, vvec(())]) == \
+        "vtl of an empty vector"
+    assert _error(e.env, "ixc", [1, vvec((3,)), 1, ("ix", (2,))]) == \
+        "index component 1 past rank 1"
+    assert _error(e.env, "vtake", [("type",), 2, 5, vvec((1, 2))]) == \
+        "vtake 5 of a vector of length 2"
 
 
 def test_cons_pattern_does_not_match_an_empty_sequence():

@@ -8,8 +8,7 @@ from eslc.builtins import seed_env
 from eslc.ir import Abs, Con, Def, Lam, Let, Lit, Var, hid, vis
 from eslc.normalize import (REDUCE_ALL, ConfluenceWarning, FuelExhausted,
                             IllFormedRule, ReductionPolicy, RewriteRule,
-                            RuleSet, check_rewrite, dont_reduce, normalise,
-                            only_reduce)
+                            RuleSet, check_rewrite, dont_reduce, normalise)
 
 
 def plus(a, b):
@@ -83,12 +82,6 @@ def test_dont_reduce_keeps_heads():
     out = nf(t, dont_reduce(["_≟_"]))
     assert out == t
     assert nf(Def("_≟_", (vis(Lit(42)), vis(Lit(42))))) == Con("yes")
-
-
-def test_only_reduce():
-    t = Def("_≟_", (vis(plus(Lit(1), Lit(2))), vis(Var(0))))
-    out = nf(t, only_reduce(["_+_"]))
-    assert out == Def("_≟_", (vis(Lit(3)), vis(Var(0))))
 
 
 def test_let_sharing_preserved():

@@ -1,6 +1,8 @@
 """One meaning per primitive: the source evaluator and both target
-interpreters agree on each primitive a backend lowers to an operator, and
-every layer's table names only primitives of builtins.PRIMS."""
+interpreters agree on each primitive a backend lowers to an operator, the
+normalizer folds a vector or index primitive exactly where the evaluator
+computes it, and every layer's table names only primitives of
+builtins.PRIMS."""
 
 import inspect
 from functools import cache
@@ -9,11 +11,12 @@ import pytest
 
 from eslc import builtins, kaleid, sac, shapes
 from eslc.builtins import PRIMS, seed_env
-from eslc.evaluate import EvalError, call
+from eslc.evaluate import EvalError, call, eval_closed
 from eslc.extract import kompile
-from eslc.ir import Builtin, Function
+from eslc.ir import Builtin, Con, Def, Function, Lit, hid, pi_spine, vis
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
+from eslc.normalize import normalise
 from eslc.sac import SacAborted, SacBackend, interp_sac, parse_sac
 
 NAT2 = "w : Nat -> Nat -> Nat\nw a b = a {} b\n"
@@ -121,3 +124,69 @@ def test_every_builtin_has_exactly_one_table_entry():
             assert isinstance(d.payload, Function)
             assert tuple(d.payload.clauses) == p.clauses
         assert len(inspect.signature(p.fn).parameters) == p.arity == d.arity()
+
+
+def _spine(cons, nil, items):
+    out = Con(nil)
+    for x in reversed(items):
+        out = Con(cons, (vis(x), vis(out)))
+    return out
+
+
+def _vec(n):
+    return _spine("vcons", "vnil", [Lit(10 + j) for j in range(n)])
+
+
+def _ix(n):  # the index (0, 1, ...) of rank n into a shape of extent 5
+    return (hid(Lit(n)), hid(_spine("vcons", "vnil", [Lit(5)] * n)),
+            vis(_spine("icons", "inil", [Lit(j) for j in range(n)])))
+
+
+LENGTHS = range(4)
+COUNTS = range(5)
+
+
+def _vec_args(n):
+    return (hid(Def("Nat")), hid(Lit(n)), vis(_vec(n)))
+
+
+def _counted(calls):  # a count or position before the last argument
+    return [a[:-1] + (vis(Lit(k)), a[-1]) for a in calls for k in COUNTS]
+
+
+# each primitive the normalizer folds through its PRIMS function, on closed
+# calls inside and outside its contract
+FOLD_CALLS = {
+    "vidx": _counted(map(_vec_args, LENGTHS)),
+    "vreverse": [_vec_args(n) for n in LENGTHS],
+    "vhd": [_vec_args(n) for n in LENGTHS],
+    "vtl": [_vec_args(n) for n in LENGTHS],
+    "vtake": _counted(map(_vec_args, LENGTHS)),
+    "vdrop": _counted(map(_vec_args, LENGTHS)),
+    "vappend": [(hid(Def("Nat")), hid(Lit(m)), hid(Lit(n)), vis(_vec(m)),
+                 vis(_vec(n))) for m in LENGTHS for n in LENGTHS],
+    "ixc": _counted(map(_ix, LENGTHS)),
+    "ixReverse": [_ix(n) for n in LENGTHS],
+}
+
+
+def test_fold_calls_cover_every_primitive_the_normalizer_folds_on_spines():
+    spines = {p.name for p in PRIMS.values() if p.folds and any(
+        isinstance(a.value, Def) and a.value.name in ("Vec", "Ix")
+        for _, a in pi_spine(p.sig)[0])}
+    assert spines == set(FOLD_CALLS)
+
+
+@pytest.mark.parametrize("name", list(FOLD_CALLS))
+def test_normalizer_folds_exactly_where_the_evaluator_computes(name):
+    env = seed_env()
+    for args in FOLD_CALLS[name]:
+        call_t = Def(name, args)
+        nf = normalise(call_t, env)
+        try:
+            want = eval_closed(call_t, env)
+        except EvalError:
+            assert nf == call_t, (name, args)
+            continue
+        assert not (isinstance(nf, Def) and nf.name == name), (name, args)
+        assert eval_closed(nf, env) == want, (name, args)
