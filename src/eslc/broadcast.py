@@ -1,6 +1,6 @@
 """Broadcast resolution for the lifted array operators.
 
-Operands of a lifted binary operation are classified as scalars, vectors
+Operands of a lifted operation are classified as scalars, vectors
 or arrays, cast up to arrays, and their shapes related: either both
 shapes are (provably) identical, or one operand is rank zero and gets
 replicated.  The choice is made once, during elaboration; nothing is
@@ -129,52 +129,34 @@ def _select(op: Operand, ref, replicated: bool, depth: int,
                        hid(ir.shift(op.shape, depth)), vis(t), vis(Var(0))))
 
 
-def _scalar_apply(op_name: str, a: Term, b: Term | None) -> Term:
-    if op_name == "neg":
-        return Def("_-f_", (vis(Lit(0.0)), vis(a)))
-    return Def(op_name, (vis(a), vis(b)))
-
-
-def lift_binary(ops: tuple[str, str], l: Operand, r: Operand,
-                names, hyps) -> tuple[Term, Term]:
+def lift(ops: tuple[str | None, str], operands: list[Operand],
+         names, hyps) -> tuple[Term, Term]:
+    """One or two operands under the scalar operator ops[0] (naturals) or
+    ops[1] (floats): the operator itself on scalars, else an imap over
+    the carrier's shape.  Returns the term and its type."""
+    l, r = operands[0], operands[-1]
     if l.elem != r.elem:
         raise ShapeMismatch(f"mixed element types {l.elem} and {r.elem}")
     op_name = ops[0] if l.elem == "nat" else ops[1]
+    if op_name is None:
+        raise ShapeMismatch("this lifted operator acts on floats only")
     x = _elem_type(l.elem)
-    if l.kind == SCAL and r.kind == SCAL:
-        return Def(op_name, (vis(l.term), vis(r.term))), x
-    dy = resolve_dyargs(l.rank, l.shape, r.rank, r.shape, names, hyps)
+    if all(o.kind == SCAL for o in operands):
+        return Def(op_name, tuple(vis(o.term) for o in operands)), x
+    dy = resolve_dyargs(l.rank, l.shape, r.rank, r.shape, names, hyps) \
+        if len(operands) == 2 else NN
     carrier = l if dy in (NN, N0) and l.kind != SCAL else r
     if carrier.kind == SCAL:
         carrier = r if carrier is l else l
     d_res, s_res = carrier.rank, carrier.shape
     binder = _Binder()
-    lref, rref = binder.ref(l.term), binder.ref(r.term)
+    refs = [binder.ref(o.term) for o in operands]
     k = len(binder.bound)
-    depth = k + 1
-    le = _select(l, lref, dy == ZN and l.kind != SCAL, depth, d_res, s_res)
-    re = _select(r, rref, dy == N0 and r.kind != SCAL, depth, d_res, s_res)
-    body = _scalar_apply(op_name, le, re)
-    imap = Con("imap", (hid(ir.shift(x, k)), hid(ir.shift(d_res, k)),
-                        hid(ir.shift(s_res, k)), vis(Lam(Abs("iv", body)))))
-    return binder.wrap(imap), Def("Ar", (vis(x), vis(d_res), vis(s_res)))
-
-
-def lift_unary(op_name: str, op: Operand) -> tuple[Term, Term]:
-    if op.elem != "float":
-        raise ShapeMismatch("lifted unary operators act on floats")
-    x = _elem_type(op.elem)
-    if op.kind == SCAL:
-        if op_name == "neg":
-            return _scalar_apply("neg", op.term, None), x
-        return Def(op_name, (vis(op.term),)), x
-    d_res, s_res = op.rank, op.shape
-    binder = _Binder()
-    ref = binder.ref(op.term)
-    k = len(binder.bound)
-    elem = _select(op, ref, False, k + 1, d_res, s_res)
-    body = _scalar_apply("neg", elem, None) if op_name == "neg" \
-        else Def(op_name, (vis(elem),))
+    # a rank-zero array against a bigger one is replicated
+    replicated = (dy == ZN, dy == N0)
+    body = Def(op_name, tuple(
+        vis(_select(o, ref, rep and o.kind != SCAL, k + 1, d_res, s_res))
+        for o, ref, rep in zip(operands, refs, replicated)))
     imap = Con("imap", (hid(ir.shift(x, k)), hid(ir.shift(d_res, k)),
                         hid(ir.shift(s_res, k)), vis(Lam(Abs("iv", body)))))
     return binder.wrap(imap), Def("Ar", (vis(x), vis(d_res), vis(s_res)))

@@ -337,7 +337,10 @@ def _prims() -> list[Prim]:
     prim("vtake",
          mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
                _vec(Var(3), Var(1))),
-         _vtake, folds=True)
+         _vtake, folds=True,
+         owes=("vector prefix within the length", lambda names, X, n, k, v:
+               shapes.lt(shapes.term_to_scalar(k, names), shapes.SAdd(
+                   shapes.term_to_scalar(n, names), shapes.SLit(1)))))
     prim("vdrop",
          mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
                _vec(Var(3), Def("_-_", (vis(Var(2)), vis(Var(1)))))),

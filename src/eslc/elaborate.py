@@ -35,9 +35,11 @@ class ScopeError(EslError):
     pass
 
 
-LIFTED_BINARY = {"_+a_": ("_+_", "_+f_"), "_-a_": ("_-_", "_-f_"),
-                 "_*a_": ("_*_", "_*f_"), "_/a_": ("_/_", "_/f_")}
-LIFTED_UNARY = {"expa": "expf", "nega": "neg"}
+# lifted array operator -> (operands, Nat operator, Float operator);
+# `nega x` is `0.0 -a x`
+LIFTED = {"_+a_": (2, "_+_", "_+f_"), "_-a_": (2, "_-_", "_-f_"),
+          "_*a_": (2, "_*_", "_*f_"), "_/a_": (2, "_/_", "_/f_"),
+          "expa": (1, None, "expf"), "nega": (1, None, "_-f_")}
 
 _BUILTIN_TAGS = {
     "NAT": "Nat", "FLOAT": "Float", "FIN": "Fin", "VEC": "Vec", "LIST": "List",
@@ -547,10 +549,8 @@ class Elaborator:
         if not isinstance(fn, SName):
             raise EslError(f"cannot apply {fn!r}")
         name = self.aliases.get(fn.name, fn.name)
-        if name in LIFTED_BINARY:
-            return self._lifted_binary(name, args, ctx, metas)
-        if name in LIFTED_UNARY:
-            return self._lifted_unary(name, args, ctx, metas)
+        if name in LIFTED:
+            return self._lifted(name, args, ctx, metas)
         if name == "imap" and expected is None:
             raise UnprovenConstraint("imap needs an expected array type")
         head, sig = self._infer_name(name, getattr(fn, "line", 0), ctx)
@@ -638,21 +638,15 @@ class Elaborator:
             raise UnprovenConstraint(f"cannot classify operand {_show(s)}")
         return broadcast.classify(t, ty, self.env)
 
-    def _lifted_binary(self, name: str, args, ctx: Ctx, metas):
-        if len(args) != 2:
-            raise EslError(f"{name} expects two operands")
-        l = self._operand(args[0][0], ctx, metas)
-        r = self._operand(args[1][0], ctx, metas)
-        names = ctx.names_for_shapes()
-        hyps = ctx.hypotheses()
-        term, ty = broadcast.lift_binary(LIFTED_BINARY[name], l, r, names, hyps)
-        return term, ty
-
-    def _lifted_unary(self, name: str, args, ctx: Ctx, metas):
-        if len(args) != 1:
-            raise EslError(f"{name} expects one operand")
-        op = self._operand(args[0][0], ctx, metas)
-        return broadcast.lift_unary(LIFTED_UNARY[name], op)
+    def _lifted(self, name: str, args, ctx: Ctx, metas):
+        count, nat_op, float_op = LIFTED[name]
+        if len(args) != count:
+            raise EslError(f"{name} expects {count} operand(s)")
+        operands = [self._operand(s, ctx, metas) for s, _ in args]
+        if name == "nega":
+            operands.insert(0, broadcast.classify(Lit(0.0), Def("Float"), self.env))
+        return broadcast.lift((nat_op, float_op), operands,
+                              ctx.names_for_shapes(), ctx.hypotheses())
 
     # -- unification -------------------------------------------------------------
 

@@ -44,11 +44,9 @@ class ExtractState:
         self.base = base
         self.skip = skip
         self.fresh_counter = 0
-        self.output: list[EmittedFunction] = []
         self.names: dict[str, str] = {}
         self.used_names: set[str] = set()
         self.deps: dict[str, list[str]] = {}
-        self.trusted: dict[str, list[str]] = {}
 
     def push(self, name: str) -> None:
         if name in self.compiled or name in self.pending:
@@ -153,9 +151,6 @@ def kompile(entry: str, base, skip, backend, env: Env,
     """Extract `entry` and its call-graph closure; returns the program text."""
     opts = opts or ExtractOptions()
     state = ExtractState(frozenset(base), frozenset(skip))
-    if def_meta:
-        state.trusted = {k: list(m.trusted_obligations)
-                         for k, m in def_meta.items() if m.trusted_obligations}
     d = env.lookup(entry)
     if not isinstance(d.payload, Function):
         raise ExtractError(f"{entry} is not a function")

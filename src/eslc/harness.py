@@ -2,8 +2,8 @@
 interpreter on seeded random, precondition-respecting inputs.
 
 A sample on which either side runs out of Python stack (the source
-evaluator's EvalError("recursion depth"), the target's Aborted or
-SacAborted("recursion depth")) shows neither agreement nor a mismatch: it
+evaluator's EvalError("recursion depth"), the target's
+Aborted("recursion depth")) shows neither agreement nor a mismatch: it
 is counted as inconclusive, its input kept, and the run goes on."""
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import numpy as np
 from . import evaluate, ir
 from .corpus import CorpusEntry
 from .extract import ExtractOptions, kompile, normalise_name
-from .ir import EXHAUSTED, pi_spine
-from .kaleid import Aborted, KaleidBackend, interp_kaleid
+from .ir import EXHAUSTED, Aborted, pi_spine
+from .kaleid import KaleidBackend, interp_kaleid
 from .loader import load_sources
-from .sac import SacAborted, SacBackend, interp_sac
+from .sac import SacBackend, interp_sac, parse_sac
 
 
 @dataclass
@@ -50,7 +50,7 @@ def _sample(row: DiffRow, env, name: str, args, kind: str, run_target):
         row.inconclusive.append(args)
         return
     tv = run_target()
-    if isinstance(tv, (Aborted, SacAborted)) and tv.reason == EXHAUSTED:
+    if isinstance(tv, Aborted) and tv.reason == EXHAUSTED:
         row.inconclusive.append(args)
         return
     err = compare(ev, tv, kind)
@@ -61,13 +61,12 @@ def _sample(row: DiffRow, env, name: str, args, kind: str, run_target):
 
 
 def to_plain(v):
-    """Flatten both value domains into comparable python data."""
+    """Flatten both value domains into comparable python data; a decision
+    is the C boolean both targets return for it."""
     if isinstance(v, tuple) and v and v[0] == "arr":
         return np.array(v[2]).reshape(v[1])
-    if isinstance(v, (Aborted, SacAborted)):
-        return v
-    if isinstance(v, np.ndarray):
-        return v
+    if isinstance(v, tuple) and v and v[0] == "dec":
+        return int(v[1])
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.floating,)):
@@ -78,10 +77,8 @@ def to_plain(v):
 def compare(a, b, kind: str) -> float | None:
     """Error measure, or None for a hard mismatch."""
     a, b = to_plain(a), to_plain(b)
-    if isinstance(a, (Aborted, SacAborted)) or isinstance(b, (Aborted, SacAborted)):
-        both = isinstance(a, (Aborted, SacAborted)) and \
-            isinstance(b, (Aborted, SacAborted))
-        return 0.0 if both else None
+    if isinstance(a, Aborted) or isinstance(b, Aborted):
+        return 0.0 if isinstance(a, Aborted) and isinstance(b, Aborted) else None
     av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if av.shape != bv.shape:
         return None
@@ -98,7 +95,6 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
     backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
     text = kompile(entry.entry, entry.base, [], backend, elab.env,
                    elab.rules, opts, elab.def_meta)
-    from .sac import parse_sac
     # Kaleidoscope text is staged once per process, keyed on the text
     if entry.backend == "kaleid":
         program, interp = text, interp_kaleid

@@ -25,8 +25,25 @@ class EvalError(EslError):
 
 
 # the reason every evaluator gives for running out of Python stack: the
-# source evaluator's EvalError, the target interpreters' Aborted/SacAborted
+# source evaluator's EvalError, the target interpreters' Aborted
 EXHAUSTED = "recursion depth"
+
+
+@dataclass(frozen=True)
+class Aborted:
+    """What a target interpreter returns for a run that aborts: a failed
+    assert, a zero divisor, a selection out of bounds, running out of
+    stack.  A value, not a crash."""
+
+    reason: str
+
+
+class Abort(Exception):
+    """Raised inside a target interpreter, which returns Aborted(reason)."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
 
 
 class NegativeIndex(EslError):
@@ -204,16 +221,11 @@ class Datatype:
 
 
 @dataclass(frozen=True)
-class Postulate:
-    pass
-
-
-@dataclass(frozen=True)
 class Builtin:
     """A primitive with no clauses; its meaning is its builtins.PRIMS entry."""
 
 
-Payload = Function | Constructor | Datatype | Postulate | Builtin
+Payload = Function | Constructor | Datatype | Builtin
 
 
 @dataclass

@@ -9,6 +9,7 @@ with C-style booleans, truncating subtraction and an abort-on-zero assert.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ from . import pycode as py
 from .builtins import is_prop_type
 from .extract import (EmittedFunction, ExtractError, ExtractOptions,
                       ExtractState, kaleid_final_pass, suc_spine)
-from .ir import (Arg, Clause, Con, Def, Definition, Env, Function, Lam, Let,
-                 Lit, PAbsurd, PCon, PLit, PVar, Term, Unknown, Var, pi_spine)
+from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, PVar, Term,
+                 Unknown, Var, pi_spine)
 
 OPS = ("Plus", "Minus", "Times", "Divide", "Eq", "Neq", "And", "Gt", "Lt")
 _OP_TEXT = {"Plus": "+", "Minus": "-", "Times": "*", "Divide": "/",
@@ -63,12 +65,6 @@ class KFun(KExpr):
     name: str
     params: tuple[str, ...]
     body: KExpr
-
-
-@dataclass(frozen=True, slots=True)
-class KExtern(KExpr):
-    name: str
-    params: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,6 +342,8 @@ class KaleidBackend:
         tel, _ = pi_spine(d.signature)
         params = tuple(f"x_{j + 1}" for j in range(len(tel)))
         asserts = kompile_ty(d.signature, state, env)
+        if opts.no_assert:  # built anyway: they reject types the target lacks
+            asserts = []
         clauses = [_rename_clashes(c, set(params)) for c in d.payload.clauses]
         chain = kompile_cls(clauses, list(params), RET, state, env, name)
         hoisted: list[tuple[str, KExpr]] = []
@@ -361,8 +359,6 @@ class KaleidBackend:
         for a in reversed([a for a in asserts if a.v != RET]):
             body = KLet(f"{a.v}_assrt", KAssert(a.a), body)
         fn = KFun(state.target_name(name, kaleid_final_pass), params, body)
-        if opts.no_assert:
-            fn = strip_asserts(fn)
         return EmittedFunction(state.names[name], print_kaleid([fn]),
                                state.deps.get(name, []))
 
@@ -387,24 +383,6 @@ def _rename_clashes(cl: Clause, taken: set[str]) -> Clause:
     return Clause(tuple(tele), cl.patterns, cl.body)
 
 
-def strip_asserts(e: KExpr) -> KExpr:
-    match e:
-        case KAssert(_):
-            return KNat(1)
-        case KBin(op, l, r):
-            return KBin(op, strip_asserts(l), strip_asserts(r))
-        case KCall(f, args):
-            return KCall(f, tuple(strip_asserts(a) for a in args))
-        case KFun(n, p, b):
-            return KFun(n, p, strip_asserts(b))
-        case KLet(n, b, body):
-            return KLet(n, strip_asserts(b), strip_asserts(body))
-        case KIf(c, t, o):
-            return KIf(strip_asserts(c), strip_asserts(t), strip_asserts(o))
-        case _:
-            return e
-
-
 # --------------------------------------------------------------------------
 # printer
 
@@ -416,8 +394,6 @@ def print_kaleid(fns: list[KExpr]) -> str:
             case KFun(name, params, body):
                 out.append(f"def {name} ({', '.join(params)}):")
                 out.extend(_print_block(body, 2))
-            case KExtern(name, params):
-                out.append(f"extern {name} ({', '.join(params)})")
             case _:
                 raise ExtractError("only functions can appear at top level")
         out.append("")
@@ -672,18 +648,8 @@ def _parse_expr_str(s: str) -> KExpr:
 # interpreter
 
 
-@dataclass(frozen=True)
-class Aborted:
-    reason: str
-
-
-class _Abort(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
 def _fail(reason: str):
-    raise _Abort(reason)
+    raise Abort(reason)
 
 
 _PY_CMP = {"Eq": ast.Eq, "Neq": ast.NotEq, "Gt": ast.Gt, "Lt": ast.Lt}
@@ -834,24 +800,11 @@ def _stage(fns: tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
     return {name: (arity, ns[pyname]) for name, (pyname, arity) in funs.items()}
 
 
-# staged programs, keyed on the text or on the identity of the parsed
-# functions, with the functions that keep those identities alive; bounded,
-# least recently used dropped first
-_STAGED: dict[object, tuple[tuple[KExpr, ...], dict]] = {}
-_STAGED_LIMIT = 64
-
-
-def _staged(program) -> dict[str, tuple[int, Callable]]:
-    key = program if isinstance(program, str) else tuple(map(id, program))
-    hit = _STAGED.pop(key, None)
-    if hit is None:
-        fns = tuple(parse_kaleid(program) if isinstance(program, str)
-                    else program)
-        hit = (fns, _stage(fns))
-        if len(_STAGED) >= _STAGED_LIMIT:
-            del _STAGED[next(iter(_STAGED))]
-    _STAGED[key] = hit
-    return hit[1]
+@functools.lru_cache(maxsize=64)
+def _staged(program: str | tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
+    """The staged program, cached on its text or its parsed functions."""
+    return _stage(tuple(parse_kaleid(program)) if isinstance(program, str)
+                  else program)
 
 
 def interp_kaleid(program, entry: str, args: list[int]):
@@ -859,14 +812,14 @@ def interp_kaleid(program, entry: str, args: list[int]):
 
     The program (text or parsed functions) is staged once per process into
     one Python function per Kaleidoscope function, and the staged program
-    is cached, keyed on the text or on the identity of the functions.  Each
+    is cached, keyed on the text or on the value of the functions.  Each
     call takes one Python frame, so recursion deeper than Python's
     recursion limit returns Aborted("recursion depth"), and reading a let
     name that the branch taken did not bind returns Aborted("unbound
     variable <name>").  A program nested deeper than the recursion limit
     allows to parse or stage raises KParseError."""
     try:
-        fns = _staged(program)
+        fns = _staged(program if isinstance(program, str) else tuple(program))
     except RecursionError as err:
         raise KParseError(f"program too deeply nested to stage: {err}") from err
     if entry not in fns:
@@ -876,7 +829,7 @@ def interp_kaleid(program, entry: str, args: list[int]):
         raise ExtractError(f"{entry} expects {arity} arguments")
     try:
         return fn(*args)
-    except _Abort as ab:
+    except Abort as ab:
         return Aborted(ab.reason)
     except RecursionError:
         return Aborted(ir.EXHAUSTED)

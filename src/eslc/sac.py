@@ -10,6 +10,7 @@ turns into an assert over shape/take/cons expressions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,9 @@ from . import ir
 from .builtins import is_prop_type
 from .extract import (EmittedFunction, ExtractError, ExtractOptions,
                       ExtractState, sac_final_pass, suc_spine)
-from .ir import (Arg, Clause, Con, Def, Definition, Env, Function, Lam, Let,
-                 Lit, PCon, PVar, Term, Var, nat_view, pi_spine)
+from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
+                 Function, Lam, Let, Lit, PCon, PVar, Term, Var, nat_view,
+                 pi_spine)
 
 RET = "__ret"
 
@@ -251,13 +253,15 @@ class SacBackend:
         cx = _Cx(state, env, name, self)
         prop_pos = {j for j, (_, a) in enumerate(tel) if is_prop_type(a.value)}
         venv = self._clause_bindings(cl, pos_name, fn, cx, prop_pos)
-        fn.arg_asserts, fn.ret_asserts = shape_assertions(d.signature, pos_name, cx)
+        asserts = shape_assertions(d.signature, pos_name, cx)
+        if not opts.no_assert:  # built anyway: building draws fresh names
+            fn.arg_asserts, fn.ret_asserts = asserts
         body = cl.body
         if body is None:
             raise ExtractError(f"{name}: absurd clauses have no array translation")
         fn.body = self._term(body, venv, cx)
         fn.assigns.extend(cx.hoisted)
-        code = render_function(fn, opts)
+        code = render_function(fn)
         return EmittedFunction(fn.name, code, state.deps.get(name, []))
 
     def _clause_bindings(self, cl: Clause, pos_name, fn: SacFunction, cx,
@@ -435,16 +439,20 @@ class SacBackend:
         shape = self._term(s, venv, cx)
         default = self._zero_default(x, venv, cx)
         iv = cx.state.fresh("iv_")
-        if isinstance(f, Lam):
-            block, body = self._loop_body(f, iv, venv, cx)
-        else:
-            block, body = (), self._term_fn_apply(f, SVarE(iv), venv, cx)
+        block, body = self._loop_body(f, iv, venv, cx)
         return SWith("genarray", ((None, None, iv, block, body),),
                      shape=shape, default=default)
 
-    def _loop_body(self, f: Lam, iv: str, venv, cx):
-        """Leading lets of a with-loop body become partition-block assigns
-        (index components from a pattern lambda in particular)."""
+    def _loop_body(self, f: Term, iv: str, venv, cx):
+        """A partition's block and body from the function an imap maps:
+        leading lets of a lambda body become block assigns (index
+        components from a pattern lambda in particular); a matched
+        selection function is applied to the index."""
+        if not isinstance(f, Lam):
+            if isinstance(f, Var) and not f.args and venv[f.idx].startswith("#"):
+                return (), SMacroApp(venv[f.idx][1:], SVarE(iv))
+            raise ExtractError(
+                "imap takes a lambda or a matched selection function")
         block: list[tuple[str, SExp]] = []
         body_t = f.scope.body
         benv = [iv] + venv
@@ -454,11 +462,6 @@ class SacBackend:
             benv = [nm] + benv
             body_t = body_t.scope.body
         return tuple(block), self._term(body_t, benv, cx)
-
-    def _term_fn_apply(self, f: Term, ivx: SExp, venv, cx) -> SExp:
-        if isinstance(f, Var) and not f.args and venv[f.idx].startswith("#"):
-            return SMacroApp(venv[f.idx][1:], ivx)
-        raise ExtractError("imap takes a lambda or a matched selection function")
 
     def _zero_default(self, x: Term, venv, cx) -> SExp:
         """The default element fixes the element shape, so flattened
@@ -490,11 +493,7 @@ class SacBackend:
         if isinstance(arr, Con) and arr.name == "imap":
             s = arr.args[2].value
             shape = self._term(s, venv, cx)
-            f_arr = arr.args[-1].value
-            if isinstance(f_arr, Lam):
-                block, body = self._loop_body(f_arr, iv, venv, cx)
-            else:
-                block, body = (), self._term_fn_apply(f_arr, SVarE(iv), venv, cx)
+            block, body = self._loop_body(arr.args[-1].value, iv, venv, cx)
             lower = SBin("*", SNum(0), shape, scalar=False)
             return SWith("fold", ((lower, shape, iv, block, body),),
                          op=op, neutral=neutral_x)
@@ -668,20 +667,18 @@ def render_with(w: SWith, ind: int) -> str:
     return "\n".join(lines)
 
 
-def render_function(fn: SacFunction, opts: ExtractOptions) -> str:
+def render_function(fn: SacFunction) -> str:
     lines = [f"{fn.ret} {fn.name}({', '.join(f'{t} {n}' for t, n in fn.params)}) {{"]
     lines.append(f"  {fn.ret} {RET};")
     for nm, e in fn.assigns:
         lines.append(f"  {nm} = {render_expr(e)};")
-    if not opts.no_assert:
-        for a in fn.arg_asserts:
-            lines.append(f"  assert ({render_expr(a)});")
+    for a in fn.arg_asserts:
+        lines.append(f"  assert ({render_expr(a)});")
     for macro, target in fn.macros:
         lines.append(f"  #define {macro}(__x) ({target})[__x]")
     lines.append(f"  {RET} = {render_expr(fn.body, 0, 2)};")
-    if not opts.no_assert:
-        for a in fn.ret_asserts:
-            lines.append(f"  assert ({render_expr(a)});")
+    for a in fn.ret_asserts:
+        lines.append(f"  assert ({render_expr(a)});")
     lines.append(f"  return {RET};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -1009,14 +1006,7 @@ class _SacParser(_SacExprParser):
 # interpreter
 
 
-@dataclass(frozen=True)
-class SacAborted:
-    reason: str
-
-
-class _SacAbort(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+SacAborted = Aborted  # the shared abort value under its SaC-side name
 
 
 def interp_sac(program, entry: str, args):
@@ -1027,12 +1017,12 @@ def interp_sac(program, entry: str, args):
     vals = [_to_value(a) for a in args]
     try:
         out = _SacEval(prog).call(entry, vals)
-    except _SacAbort as ab:
-        return SacAborted(ab.reason)
+    except Abort as ab:
+        return Aborted(ab.reason)
     except ZeroDivisionError:
-        return SacAborted("division by zero")
+        return Aborted("division by zero")
     except RecursionError:
-        return SacAborted(ir.EXHAUSTED)
+        return Aborted(ir.EXHAUSTED)
     return out
 
 
@@ -1064,7 +1054,7 @@ class _SacEval:
                 v = self.eval(st[1], env)
                 ok = bool(np.all(v)) if isinstance(v, np.ndarray) else bool(v)
                 if not ok:
-                    raise _SacAbort("assertion failed")
+                    raise Abort("assertion failed")
             else:
                 return self.eval(st[1], env)
         raise SacParseError(f"{name} has no return statement")
@@ -1110,7 +1100,7 @@ class _SacEval:
             if type(b) is np.ndarray and not b.ndim:
                 b = b[()]
             if np.isscalar(b) and b == 0:
-                raise _SacAbort("division by zero" if op == "/" else "mod by zero")
+                raise Abort("division by zero" if op == "/" else "mod by zero")
             if op == "%":
                 return a % b
             if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
@@ -1130,15 +1120,15 @@ class _SacEval:
         if isinstance(idx, np.ndarray):
             comps = tuple(int(c) for c in idx.tolist())
             if len(comps) > arr.ndim:
-                raise _SacAbort("selection index longer than array rank")
+                raise Abort("selection index longer than array rank")
             for c, n in zip(comps, arr.shape):
                 if not 0 <= c < n:
-                    raise _SacAbort(f"index {comps} out of bounds")
+                    raise Abort(f"index {comps} out of bounds")
             out = arr[comps]
             return out
         i = int(idx)
         if not 0 <= i < arr.shape[0]:
-            raise _SacAbort(f"index {i} out of bounds")
+            raise Abort(f"index {i} out of bounds")
         return arr[i]
 
     def _call(self, f, vals, env):
@@ -1184,36 +1174,31 @@ class _SacEval:
         return self.call(f, vals)
 
     def _with(self, w: SWith, env):
-        if w.kind == "genarray":
+        """Each partition's body at each index of its range, in row-major
+        order: stored into a genarray's result, or folded left to right."""
+        fold = w.kind == "fold"
+        if fold:
+            if w.op not in _FOLD:
+                raise SacParseError(f"unknown fold operator {w.op}")
+            shape, acc = None, self.eval(w.neutral, env)
+        else:
             shape_v = np.atleast_1d(self.eval(w.shape, env))
             shape = tuple(int(x) for x in shape_v.tolist())
             default = self.eval(w.default, env)
             dshape = default.shape if isinstance(default, np.ndarray) else ()
-            out = np.empty(shape + dshape,
+            acc = np.empty(shape + dshape,
                            dtype=np.float64 if _is_floaty(default) else np.int64)
-            out[...] = default
-            for lower, upper, iv, block, body in w.partitions:
-                for ix in self._indices(lower, upper, shape, env):
-                    benv = dict(env)
-                    benv[iv] = np.array(ix, dtype=np.int64)
-                    for nm, be in block:
-                        benv[nm] = self.eval(be, benv)
-                    out[ix] = self.eval(body, benv)
-            return out
-        acc = self.eval(w.neutral, env)
-        opf = {"+": lambda a, b: a + b, "*": lambda a, b: a * b}[w.op]
+            acc[...] = default
         for lower, upper, iv, block, body in w.partitions:
-            lo = np.atleast_1d(self.eval(lower, env))
-            hi = np.atleast_1d(self.eval(upper, env))
-            shape = tuple(int(a) for a in (hi - lo).tolist())
-            base = tuple(int(a) for a in lo.tolist())
-            for ix in np.ndindex(shape):
-                full = tuple(b + i for b, i in zip(base, ix))
+            for ix in self._indices(lower, upper, shape, env):
                 benv = dict(env)
-                benv[iv] = np.array(full, dtype=np.int64)
+                benv[iv] = np.array(ix, dtype=np.int64)
                 for nm, be in block:
                     benv[nm] = self.eval(be, benv)
-                acc = opf(acc, self.eval(body, benv))
+                if fold:
+                    acc = _FOLD[w.op](acc, self.eval(body, benv))
+                else:
+                    acc[ix] = self.eval(body, benv)
         return acc
 
     def _indices(self, lower, upper, shape, env):
@@ -1226,6 +1211,9 @@ class _SacEval:
         base = tuple(int(a) for a in lo.tolist())
         for ix in np.ndindex(span):
             yield tuple(b + i for b, i in zip(base, ix))
+
+
+_FOLD = {"+": operator.add, "*": operator.mul}
 
 
 def _all_int(vals) -> bool:

@@ -334,13 +334,13 @@ def decide(goal: Constraint, hyps: list[Constraint]) -> str:
         b = _decide_ineq(Constraint("le", goal.rhs, goal.lhs), hyps)
         if a == "yes" and b == "yes":
             return "yes"
-        if find_counterexample(goal, hyps):
+        if find_counterexample(goal, hyps) is not None:
             return "no"
         return "unknown"
     res = _decide_ineq(goal, hyps)
     if res == "yes":
         return "yes"
-    if find_counterexample(goal, hyps):
+    if find_counterexample(goal, hyps) is not None:
         return "no"
     return "unknown"
 

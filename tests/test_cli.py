@@ -99,6 +99,15 @@ def test_diff_adhoc_scalar_entry(tmp_path, capsys):
     assert code == 0
 
 
+def test_diff_of_a_decision(tmp_path, capsys):
+    src = _write(tmp_path, "dec.esl",
+                 "w : (a b : Nat) -> Dec (a ≡ b)\nw a b = a ≟ b\n")
+    assert main(["diff", src, "--entry", "w", "--backend", "kaleid",
+                 "--samples", "50"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert row[:4] == ["w", "50", "0", "0"]
+
+
 def test_trials_flag_rejects_broken_rules(tmp_path, capsys):
     # five variables put the falsehood beyond the decider's counterexample
     # search, so TRUST defers it and only randomized checking catches it

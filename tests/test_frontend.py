@@ -79,6 +79,24 @@ def test_false_obligation_is_rejected_even_with_trust():
         load_sources([("t", "{-# TRUST f #-}\n" + src)])
 
 
+def test_ground_false_obligation_is_false_not_undecided():
+    with pytest.raises(UnprovenConstraint, match="vector index in bounds is false"):
+        load_sources([("t", "w : Vec Nat 2 -> Nat\nw v = vidx 2 v\n")])
+    # TRUST defers only what the decider cannot answer
+    with pytest.raises(UnprovenConstraint, match="nonzero divisor in _/_ is false"):
+        load_sources([("t", "{-# TRUST w #-}\nw : Nat\nw = 7 / 0\n")])
+
+
+def test_vtake_owes_a_prefix_within_the_length():
+    with pytest.raises(UnprovenConstraint, match="is false$"):
+        load_sources([("t", "w : Vec Nat 2 -> Vec Nat 5\nw v = vtake 5 v\n")])
+    with pytest.raises(UnprovenConstraint, match="counterexample"):
+        load_sources([("t", "w : {n : Nat} -> Vec Nat n -> Vec Nat (suc n)\n"
+                            "w {n} v = vtake (suc n) v\n")])
+    e = load_sources([("t", "w : Vec Nat 3 -> Vec Nat 2\nw v = vtake 2 v\n")])
+    assert call(e.env, "w", [vvec((4, 5, 6))]) == vvec((4, 5))
+
+
 def test_unknown_obligation_needs_trust():
     # true for every natural, but out of reach for the linear decider
     src = "f : (a : Nat) -> a < a * a + 1\nf a = prf\n"
@@ -152,6 +170,20 @@ def test_broadcast_table():
     assert call(e.env, "bsv", [])[2] == [2, 3, 4]
     with pytest.raises(ShapeMismatch):
         load_sources([("bad", corpus.BROADCAST_BAD)])
+
+
+def test_nega_is_zero_minus_and_lifted_unaries_take_floats():
+    sig = "{d : Nat} -> {s : Vec Nat d} -> Ar Float d s -> Ar Float d s"
+    e = load_sources([("n", f"neg : {sig}\nneg w = nega w\n"
+                            f"sub : {sig}\nsub w = 0.0 -a w\n"
+                            "negs : Float -> Float\nnegs x = nega x\n"
+                            "subs : Float -> Float\nsubs x = 0.0 -f x\n")])
+    for a, b in [("neg", "sub"), ("negs", "subs")]:
+        assert e.env.lookup(a).payload.clauses[0].body == \
+            e.env.lookup(b).payload.clauses[0].body
+    for op in ("nega", "expa"):
+        with pytest.raises(ShapeMismatch):
+            load_sources([("bad", f"w : Nat -> Nat\nw x = {op} x\n")])
 
 
 def test_resolver_is_total_on_rank0_combinations():

@@ -422,6 +422,15 @@ def test_no_assert_strips_assertions():
     assert "assert" not in text
 
 
+def test_no_assert_keeps_the_clause_fallback():
+    e = load_sources([("f", "f : Nat -> Nat\nf 0 = 1\n")])
+    from eslc.extract import ExtractOptions
+    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
+                   ExtractOptions(no_assert=True), e.def_meta)
+    assert interp_kaleid(text, "f", [0]) == 1
+    assert interp_kaleid(text, "f", [3]) == Aborted("assert (0)")
+
+
 def test_differential_against_evaluator():
     row = run_corpus_diff(corpus.CORPUS["ack"], 200, 3)
     assert row.mismatches == 0 and not row.inconclusive

@@ -17,7 +17,7 @@ from eslc.ir import Builtin, Con, Def, Function, Lit, hid, pi_spine, vis
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.normalize import normalise
-from eslc.sac import SacAborted, SacBackend, interp_sac, parse_sac
+from eslc.sac import SacBackend, interp_sac, parse_sac
 
 NAT2 = "w : Nat -> Nat -> Nat\nw a b = a {} b\n"
 DIVIDES = "w : (a b : Nat) -> 0 < b -> Nat\nw a b p = a {} b\n"
@@ -77,7 +77,7 @@ def _source(src: str, args: list):
 def _target(src: str, target: str, args: list):
     run = interp_kaleid if target == "kaleid" else interp_sac
     v = run(_program(src, target), "w", args)
-    return ABORT if isinstance(v, (Aborted, SacAborted)) else v
+    return ABORT if isinstance(v, Aborted) else v
 
 
 @pytest.mark.parametrize("name", list(NAT_CASES))
@@ -190,3 +190,31 @@ def test_normalizer_folds_exactly_where_the_evaluator_computes(name):
             continue
         assert not (isinstance(nf, Def) and nf.name == name), (name, args)
         assert eval_closed(nf, env) == want, (name, args)
+
+
+# vector primitives the SaC backend lowers to a library call or a
+# selection: (one-line wrapper w, argument lists)
+VEC_CASES = {
+    "vtake": ("w : Vec Nat 4 -> Vec Nat 2\nw v = vtake 2 v\n", [[4]]),
+    "vdrop": ("w : Vec Nat 4 -> Vec Nat 1\nw v = vdrop 3 v\n", [[4]]),
+    "vappend": ("w : Vec Nat 2 -> Vec Nat 3 -> Vec Nat 5\nw a b = vappend a b\n",
+                [[2], [3]]),
+    "vhd": ("w : Vec Nat 3 -> Nat\nw v = vhd v\n", [[3]]),
+    "vtl": ("w : Vec Nat 3 -> Vec Nat 2\nw v = vtl v\n", [[3]]),
+    "prodv": ("w : Vec Nat 3 -> Nat\nw v = prodv v\n", [[3]]),
+}
+
+
+@pytest.mark.parametrize("name", list(VEC_CASES))
+def test_vector_primitive_means_the_same_in_sac(name):
+    src, lengths = VEC_CASES[name]
+    for first in (0, 2, 7):
+        vecs = [[first + 3 * j + i for i in range(n)]
+                for j, (n,) in enumerate(lengths)]
+        want = call(_elaborated(src).env, "w",
+                    [("vec", tuple(v)) for v in vecs])
+        got = interp_sac(_program(src, "sac"), "w", vecs)
+        if isinstance(want, tuple):
+            assert got.tolist() == list(want[1]), (name, vecs)
+        else:
+            assert got == want, (name, vecs)

@@ -10,7 +10,7 @@ import pytest
 from eslc import corpus
 from eslc.extract import kompile
 from eslc.harness import run_corpus_diff
-from eslc.ir import Con, Def, Lit, Var, vis
+from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, attr_le,
                       flatten_type, interp_sac, parse_sac)
@@ -348,6 +348,12 @@ def test_zero_rank_operands_are_scalars():
         assert interp_sac(div, "f", [((), [7]), ((), [0])]) == SacAborted("division by zero")
         assert interp_sac(mod, "f", [((), [7]), ((), [0])]) == SacAborted("mod by zero")
         assert interp_sac(fdiv, "f", [((), [7.0]), ((), [0.0])]) == SacAborted("division by zero")
+
+
+def test_unbounded_recursion_aborts():
+    prog = "int f(int x) { return f (x $+ 1); }"
+    assert interp_sac(prog, "f", [0]) == Aborted("recursion depth")
+    assert SacAborted is Aborted
 
 
 def test_nat_subtraction_truncates_at_zero():

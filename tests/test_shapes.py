@@ -71,6 +71,11 @@ def test_vector_reverse_involution():
     assert sh.norm_vec(sh.VReverse(sh.VReverse(s))) == s
 
 
+def test_ground_false_goal_is_no():
+    assert sh.decide(sh.lt(SLit(5), SLit(3)), []) == "no"
+    assert sh.decide(sh.eq(SLit(2), SLit(3)), []) == "no"
+
+
 def test_nonzero():
     assert decide(nonzero(SAdd(v("x"), SLit(1))), []) == "yes"
     assert decide(nonzero(v("x")), []) == "no"
