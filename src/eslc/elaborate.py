@@ -200,7 +200,6 @@ class _Metas:
 class DefMeta:
     unsupported: str | None = None
     trusted_obligations: list[str] = field(default_factory=list)
-    source_line: int = 0
 
 
 class Elaborator:
@@ -244,8 +243,7 @@ class Elaborator:
                 ty = self.elab_type(decl.type, Ctx())
                 sigs[decl.name] = ty
                 order.append(decl.name)
-                meta = DefMeta(source_line=decl.line)
-                meta.unsupported = _policy_reason(ty)
+                meta = DefMeta(_policy_reason(ty))
                 if meta.unsupported == "no strings in the target language":
                     raise UnsupportedType(
                         f"{decl.name}: {meta.unsupported}")

@@ -36,7 +36,7 @@ from itertools import product
 from . import pycode as py
 from .builtins import PRIMS, arr_index
 from .ir import (EXHAUSTED, Con, Constructor, Datatype, Def, Env, EvalError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Sort,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Sort,
                  Term, Unknown, UnknownName, Var)
 
 PRF = ("prf",)
@@ -231,9 +231,6 @@ class _Stager:
             return
         if isinstance(p, PAbsurd):
             tests.append(py.const(False))
-            return
-        if isinstance(p, PLit):
-            tests.append(py.compare(v, ast.Eq(), py.const(p.value)))
             return
         assert isinstance(p, PCon)
         name = p.name

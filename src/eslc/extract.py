@@ -22,13 +22,6 @@ class ExtractError(EslError):
 
 
 @dataclass
-class EmittedFunction:
-    name: str
-    code: str
-    dependencies: list[str]
-
-
-@dataclass
 class ExtractOptions:
     fuel: int = 10**6
     faithful_lets: bool = False
@@ -119,16 +112,24 @@ def normalise_name(name: str) -> str:
     return "".join(out)
 
 
+KALEID_KEYWORDS = frozenset({"def", "let", "in", "if", "else", "assert"})
+SAC_KEYWORDS = frozenset({"return", "assert", "with"})
+
+
+def unkeyword(name: str, keywords: frozenset[str]) -> str:
+    """A target keyword gets a `_` suffix, so it can name a variable."""
+    return name + "_" if name in keywords else name
+
+
 def kaleid_final_pass(s: str) -> str:
     """Kaleidoscope identifiers admit primes, OCaml style."""
-    keep = [c for c in s if c.isalnum() or c in "_'"]
-    return "".join(keep).lstrip("_'0123456789") or "".join(keep)
+    keep = "".join(c for c in s if c.isalnum() or c in "_'")
+    return unkeyword(keep.lstrip("_'0123456789") or keep, KALEID_KEYWORDS)
 
 
 def sac_final_pass(s: str) -> str:
-    keep = [c for c in s if c.isalnum() or c == "_"]
-    out = "".join(keep)
-    return out.lstrip("0123456789") or out
+    keep = "".join(c for c in s if c.isalnum() or c == "_")
+    return unkeyword(keep.lstrip("0123456789") or keep, SAC_KEYWORDS)
 
 
 def suc_spine(t: Term) -> tuple[int, Term | None]:
@@ -158,7 +159,7 @@ def kompile(entry: str, base, skip, backend, env: Env,
     state.target_name(entry, backend.final_pass)
     policy = dont_reduce(state.base, fuel=opts.fuel,
                          faithful_lets=opts.faithful_lets)
-    emitted: dict[str, EmittedFunction] = {}
+    emitted: dict[str, str] = {}  # name -> the function's text
     state.pending.append(entry)
     while state.pending:
         name = state.pending.popleft()
@@ -176,14 +177,13 @@ def kompile(entry: str, base, skip, backend, env: Env,
         nclauses = [normalise_clause(c, env, policy, rules)
                     for c in dn.payload.clauses]
         state.reset_fresh()
-        fn = backend.kompile_fun(name, Definition(name, nsig, Function(nclauses)),
-                                 state, env, opts)
-        emitted[name] = fn
+        emitted[name] = backend.kompile_fun(
+            name, Definition(name, nsig, Function(nclauses)), state, env, opts)
     return backend.assemble(_ordered(emitted, entry, state), state, opts)
 
 
-def _ordered(emitted: dict[str, EmittedFunction], entry: str,
-             state: ExtractState) -> list[EmittedFunction]:
+def _ordered(emitted: dict[str, str], entry: str,
+             state: ExtractState) -> list[str]:
     """Postorder over the call graph from the entry: callees first, entry
     last; cycles resolve in discovery order."""
     seen: set[str] = set()

@@ -169,11 +169,6 @@ class PCon(Pattern):
 
 
 @dataclass(frozen=True, slots=True)
-class PLit(Pattern):
-    value: int | float
-
-
-@dataclass(frozen=True, slots=True)
 class PAbsurd(Pattern):
     pass
 

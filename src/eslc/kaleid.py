@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from . import ir
 from . import pycode as py
 from .builtins import is_prop_type
-from .extract import (EmittedFunction, ExtractError, ExtractOptions,
-                      ExtractState, kaleid_final_pass, suc_spine)
+from .extract import (KALEID_KEYWORDS, ExtractError, ExtractOptions,
+                      ExtractState, kaleid_final_pass, suc_spine, unkeyword)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, PVar, Term,
-                 Unknown, Var, pi_spine)
+                 Function, Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown,
+                 Var, pi_spine)
 
 OPS = ("Plus", "Minus", "Times", "Divide", "Eq", "Neq", "And", "Gt", "Lt")
 _OP_TEXT = {"Plus": "+", "Minus": "-", "Times": "*", "Divide": "/",
@@ -174,10 +174,6 @@ def kompile_clpats(tel, pats, exprs: list[KExpr], pst: PatSt,
                     pst.assigns.append((name, e))
             case PAbsurd():
                 pass
-            case PLit(v):
-                if not isinstance(v, int):
-                    raise UnsupportedPattern("float patterns are not supported")
-                pst.conds.append(KBin("Eq", e, KNat(v)))
             case PCon(("zero" | "fzero"), _):
                 pst.conds.append(KBin("Eq", e, KNat(0)))
             case PCon("suc", (Arg(sub, _),)):
@@ -324,6 +320,7 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
 
 
 def _fresh_binder(name: str, venv: list[str], state: ExtractState) -> str:
+    name = unkeyword(name, KALEID_KEYWORDS)
     if name not in venv and name != RET and not name.startswith("x_"):
         return name
     return state.fresh(f"{name}_")
@@ -337,7 +334,7 @@ class KaleidBackend:
     final_pass = staticmethod(kaleid_final_pass)
 
     def kompile_fun(self, name: str, d: Definition, state: ExtractState,
-                    env: Env, opts: ExtractOptions) -> EmittedFunction:
+                    env: Env, opts: ExtractOptions) -> str:
         assert isinstance(d.payload, Function)
         tel, _ = pi_spine(d.signature)
         params = tuple(f"x_{j + 1}" for j in range(len(tel)))
@@ -358,21 +355,21 @@ class KaleidBackend:
             body = KLet(n2, b2, body)
         for a in reversed([a for a in asserts if a.v != RET]):
             body = KLet(f"{a.v}_assrt", KAssert(a.a), body)
-        fn = KFun(state.target_name(name, kaleid_final_pass), params, body)
-        return EmittedFunction(state.names[name], print_kaleid([fn]),
-                               state.deps.get(name, []))
+        return print_kaleid([KFun(state.target_name(name, kaleid_final_pass),
+                                  params, body)])
 
-    def assemble(self, fns: list[EmittedFunction], state: ExtractState,
+    def assemble(self, fns: list[str], state: ExtractState,
                  opts: ExtractOptions) -> str:
-        return "\n".join(f.code for f in fns)
+        return "\n".join(fns)
 
 
 def _rename_clashes(cl: Clause, taken: set[str]) -> Clause:
-    """Telescope names that collide with parameter names get a suffix so
-    the emitted lets never shadow the arguments."""
+    """Telescope names that collide with parameter names or keywords get a
+    suffix so the emitted lets never shadow the arguments."""
     seen: set[str] = set(taken)
     tele = []
     for n, ty in cl.telescope:
+        n = unkeyword(n, KALEID_KEYWORDS)
         base, k = n, 0
         while n in seen:
             k += 1
@@ -464,184 +461,155 @@ class KParseError(ExtractError):
     pass
 
 
+# the printer's operators by spelling, with their precedence
+_BINARY = {_OP_TEXT[op]: (op, p) for op, p in _OP_PREC.items()}
+# a word (name or numeral), a two-character operator, or any other character
+_TOKEN = re.compile("|".join([r"[\w']+", *(re.escape(s) for s in _BINARY
+                                            if len(s) > 1), r"\S"]))
+
+
 def parse_kaleid(text: str) -> list[KExpr]:
-    lines = [(len(l) - len(l.lstrip()), l.strip())
-             for l in text.splitlines() if l.strip()]
-    fns: list[KExpr] = []
-    i = 0
-    while i < len(lines):
-        ind, l = lines[i]
-        if not l.startswith("def "):
-            raise KParseError(f"expected a def, found {l!r}")
-        head = l[4:]
-        name, rest = head.split("(", 1)
-        params = tuple(p.strip() for p in rest.rstrip(": )").split(",")
-                       if p.strip())
-        body, i = _parse_block(lines, i + 1, ind + 1)
-        fns.append(KFun(name.strip(), params, body))
-    return fns
+    try:
+        return _KReader(text).program()
+    except RecursionError as err:
+        raise KParseError(f"program too deeply nested to read: {err}") from err
 
 
-def _parse_block(lines, i, min_ind):
-    stmts: list[tuple[str, KExpr]] = []
-    final: KExpr | None = None
-    base_ind = lines[i][0]
-    if base_ind < min_ind:
-        raise KParseError("empty block")
-    while i < len(lines):
-        ind, l = lines[i]
-        if ind < base_ind:
-            break
-        if l.startswith(("else if", "else:")):
-            break
-        if l.startswith("let "):
-            name, rest = l[4:].split("=", 1)
-            rest = rest.strip()
-            if rest.startswith("if"):
-                e, i = _parse_if(lines, i, base_ind, rest)
-            else:
-                e = _parse_expr_str(rest)
-                i += 1
-            stmts.append((name.strip(), e))
-        elif l.startswith("if"):
-            final, i = _parse_if(lines, i, base_ind, l)
-            break
-        else:
-            final = _parse_expr_str(l)
-            i += 1
-            break
-    if final is None:
-        raise KParseError("block lacks a result expression")
-    out = final
-    for name, e in reversed(stmts):
-        out = KLet(name, e, out)
-    return out, i
+class _KReader:
+    """Recursive descent over the tokens of the text's non-blank lines,
+    each line's tokens led by its indentation as an int."""
 
+    def __init__(self, text: str):
+        self.toks: list = []
+        for line in text.splitlines():
+            if line.strip():
+                self.toks += [len(line) - len(line.lstrip()),
+                              *_TOKEN.findall(line)]
+        self.pos = 0
 
-def _parse_if(lines, i, base_ind, first: str):
-    def cond_of(s: str) -> KExpr:
-        s = s[s.index("if") + 2:].strip()
-        if not s.endswith(":"):
-            raise KParseError(f"malformed conditional {s!r}")
-        return _parse_expr_str(s[:-1].strip())
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    cond = cond_of(first)
-    then, i = _parse_block(lines, i + 1, base_ind + 1)
-    arms = [(cond, then)]
-    other: KExpr | None = None
-    while i < len(lines) and lines[i][0] == base_ind:
-        ind, l = lines[i]
-        if l.startswith("else if"):
-            c = cond_of(l)
-            b, i = _parse_block(lines, i + 1, base_ind + 1)
-            arms.append((c, b))
-        elif l.startswith("else:"):
-            other, i = _parse_block(lines, i + 1, base_ind + 1)
-            break
-        else:
-            break
-    if other is None:
-        raise KParseError("conditional lacks an else branch")
-    for c, b in reversed(arms):
-        other = KIf(c, b, other)
-    return other, i
-
-
-def _tokenize_expr(s: str) -> list[str]:
-    toks, i = [], 0
-    while i < len(s):
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        if s.startswith(("==", "!=", "&&"), i):
-            toks.append(s[i:i + 2])
-            i += 2
-            continue
-        if c in "()+-*/<>,=":
-            toks.append(c)
-            i += 1
-            continue
-        j = i
-        while j < len(s) and (s[j].isalnum() or s[j] in "_'"):
-            j += 1
-        if j == i:
-            raise KParseError(f"bad character {c!r} in expression")
-        toks.append(s[i:j])
-        i = j
-    return toks
-
-
-def _parse_expr_str(s: str) -> KExpr:
-    toks = _tokenize_expr(s)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def take():
-        t = toks[pos[0]]
-        pos[0] += 1
+    def take(self) -> str:
+        t = self.peek()
+        if not isinstance(t, str):
+            raise KParseError("unexpected end of line")
+        self.pos += 1
         return t
 
-    def atom() -> KExpr:
-        t = take()
-        if t == "(":
-            e = level(1)
-            if take() != ")":
-                raise KParseError("unbalanced parens")
+    def accept(self, t: str) -> bool:
+        if self.peek() == t:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, t: str) -> None:
+        got = self.take()
+        if got != t:
+            raise KParseError(f"expected {t!r}, found {got!r}")
+
+    def name(self) -> str:
+        t = self.take()
+        if t in KALEID_KEYWORDS or t.isdecimal() or not (
+                t[0].isalnum() or t[0] in "_'"):
+            raise KParseError(f"expected a name, found {t!r}")
+        return t
+
+    def line(self, min_ind: int, why: str) -> int:
+        """Enter the next line, which must be indented at least min_ind."""
+        ind = self.peek()
+        if isinstance(ind, str):
+            raise KParseError(f"unexpected {ind!r} at the end of a line")
+        if ind is None or ind < min_ind:
+            raise KParseError(why)
+        self.pos += 1
+        return ind
+
+    def items(self, item) -> list:
+        """`item, ..., item)` after an opening parenthesis."""
+        out = []
+        if not self.accept(")"):
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+            self.expect(")")
+        return out
+
+    def program(self) -> list[KExpr]:
+        fns: list[KExpr] = []
+        while self.pos < len(self.toks):
+            ind = self.line(0, "expected a def")
+            self.expect("def")
+            name = self.name()
+            self.expect("(")
+            params = tuple(self.items(self.name))
+            self.expect(":")
+            fns.append(KFun(name, params, self.block(ind + 1)))
+        return fns
+
+    def block(self, min_ind: int) -> KExpr:
+        """Lets, one per line, then a conditional or an expression."""
+        base = self.line(min_ind, "empty block")
+        lets = []
+        while self.accept("let"):
+            name = self.name()
+            self.expect("=")
+            lets.append((name, self.statement(base)))
+            self.line(base, "block lacks a result expression")
+        out = self.statement(base)
+        for name, e in reversed(lets):
+            out = KLet(name, e, out)
+        return out
+
+    def statement(self, base: int) -> KExpr:
+        if not self.accept("if"):
+            return self.expr()
+        arms = []
+        while True:  # `if` or `else if` has been read
+            cond = self.expr()
+            self.expect(":")
+            arms.append((cond, self.block(base + 1)))
+            if self.peek() != base or self.toks[self.pos + 1] != "else":
+                raise KParseError("conditional lacks an else branch")
+            self.pos += 2
+            if not self.accept("if"):
+                break
+        self.expect(":")
+        out = self.block(base + 1)
+        for cond, then in reversed(arms):
+            out = KIf(cond, then, out)
+        return out
+
+    def expr(self, min_prec: int = 1) -> KExpr:
+        lhs = self.atom()
+        while (op := _BINARY.get(self.peek())) and op[1] >= min_prec:
+            self.pos += 1
+            lhs = KBin(op[0], lhs, self.expr(op[1] + 1))
+        return lhs
+
+    def atom(self) -> KExpr:
+        if self.accept("("):
+            e = self.expr()
+            self.expect(")")
             return e
-        if t.isdigit():
-            return KNat(int(t))
-        if t == "let":  # its body extends as far as possible
-            name = take()
-            if take() != "=":
-                raise KParseError("let needs =")
-            bound = level(1)
-            if take() != "in":
-                raise KParseError("let needs in")
-            return KLet(name, bound, level(1))
-        if t == "assert":
-            if take() != "(":
-                raise KParseError("assert needs parens")
-            e = level(1)
-            if take() != ")":
-                raise KParseError("unbalanced assert")
+        if self.accept("let"):  # its body extends as far as possible
+            name = self.name()
+            self.expect("=")
+            bound = self.expr()
+            self.expect("in")
+            return KLet(name, bound, self.expr())
+        if self.accept("assert"):
+            self.expect("(")
+            e = self.expr()
+            self.expect(")")
             return KAssert(e)
-        if peek() == "(":
-            take()
-            args = []
-            if peek() != ")":
-                args.append(level(1))
-                while peek() == ",":
-                    take()
-                    args.append(level(1))
-            if take() != ")":
-                raise KParseError("unbalanced call")
-            return KCall(t, tuple(args))
-        return KVar(t)
-
-    table = {"&&": ("And", 1), "==": ("Eq", 2), "!=": ("Neq", 2),
-             ">": ("Gt", 2), "<": ("Lt", 2), "+": ("Plus", 3),
-             "-": ("Minus", 3), "*": ("Times", 4), "/": ("Divide", 4)}
-
-    def level(min_p: int) -> KExpr:
-        lhs = atom()
-        while True:
-            t = peek()
-            if t not in table:
-                return lhs
-            op, p = table[t]
-            if p < min_p:
-                return lhs
-            take()
-            rhs = level(p + 1)
-            lhs = KBin(op, lhs, rhs)
-
-    e = level(1)
-    if pos[0] != len(toks):
-        raise KParseError(f"trailing tokens in {s!r}")
-    return e
+        if isinstance(t := self.peek(), str) and t.isdecimal():
+            self.pos += 1
+            return KNat(int(t))
+        name = self.name()
+        if self.accept("("):
+            return KCall(name, tuple(self.items(self.expr)))
+        return KVar(name)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import ir
 from .builtins import FLOAT, NAT, PRIMS
 from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, EvalError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, PLit, Pi, PVar, Term,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Term,
                  Unknown, Var, apply_term, free_var_count, nat_view, pi_spine,
                  subst, vis)
 
@@ -280,17 +280,6 @@ class Normalizer:
         if isinstance(p, PAbsurd):
             return _NO
         t = self.whnf(t)
-        if isinstance(p, PLit):
-            n = nat_view(t)
-            if isinstance(p.value, int):
-                if n is not None:
-                    return _YES if n == p.value else _NO
-                if isinstance(t, Con):
-                    return _NO
-                return _STUCK
-            if isinstance(t, Lit):
-                return _YES if t.value == p.value else _NO
-            return _STUCK
         assert isinstance(p, PCon)
         if p.name == "zero" or p.name == "fzero":
             n = nat_view(t)

@@ -119,7 +119,6 @@ class SFixity:
 class SourceModule:
     path: str
     decls: list
-    pragmas: list[SPragma]
 
 
 # --------------------------------------------------------------------------
@@ -166,12 +165,9 @@ DEFAULT_FIXITY: dict[str, tuple[str, int]] = {
 
 
 class OpTable:
-    def __init__(self, extra: dict | None = None):
+    def __init__(self):
         self.by_symbol: dict[str, tuple[str, str, int]] = {}
-        table = dict(DEFAULT_FIXITY)
-        if extra:
-            table.update(extra)
-        for name, (assoc, level) in table.items():
+        for name, (assoc, level) in DEFAULT_FIXITY.items():
             self.by_symbol[name.strip("_")] = (name, assoc, level)
 
     def add(self, fix: SFixity) -> None:
@@ -210,13 +206,11 @@ def _logical_decls(src: str):
 
 def parse(src: str, path: str = "<string>") -> SourceModule:
     decls: list = []
-    pragmas: list[SPragma] = []
     ops = OpTable()
     for line_no, text in _logical_decls(src):
         flat = " ".join(text.split())
         if flat.startswith("{-#"):
-            pragmas.append(_parse_pragma(flat, line_no))
-            decls.append(pragmas[-1])
+            decls.append(_parse_pragma(flat, line_no))
             continue
         toks = []
         for i, ln in enumerate(text.splitlines()):
@@ -229,7 +223,7 @@ def parse(src: str, path: str = "<string>") -> SourceModule:
             decls.append(fix)
             continue
         decls.append(_parse_decl(toks, ops, line_no))
-    return SourceModule(path, decls, pragmas)
+    return SourceModule(path, decls)
 
 
 def _parse_pragma(flat: str, line: int) -> SPragma:

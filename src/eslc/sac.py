@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ir
 from .builtins import is_prop_type
-from .extract import (EmittedFunction, ExtractError, ExtractOptions,
-                      ExtractState, sac_final_pass, suc_spine)
+from .extract import (SAC_KEYWORDS, ExtractError, ExtractOptions,
+                      ExtractState, sac_final_pass, suc_spine, unkeyword)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PCon, PVar, Term, Var, nat_view,
                  pi_spine)
@@ -209,6 +210,7 @@ class SacFunction:
     macros: list[tuple[str, str]]  # (macro name, argument array param)
     body: SExp | None
     ret_asserts: list[SExp]
+    lets: list[tuple[str, SExp]] = field(default_factory=list)  # after macros
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +236,7 @@ class SacBackend:
         self.need_ravel = False
 
     def kompile_fun(self, name: str, d: Definition, state: ExtractState,
-                    env: Env, opts: ExtractOptions) -> EmittedFunction:
+                    env: Env, opts: ExtractOptions) -> str:
         assert isinstance(d.payload, Function)
         if len(d.payload.clauses) != 1:
             raise ExtractError(
@@ -256,13 +258,13 @@ class SacBackend:
         asserts = shape_assertions(d.signature, pos_name, cx)
         if not opts.no_assert:  # built anyway: building draws fresh names
             fn.arg_asserts, fn.ret_asserts = asserts
+        fn.assigns += cx.hoisted  # lets of the asserted types precede them
         body = cl.body
         if body is None:
             raise ExtractError(f"{name}: absurd clauses have no array translation")
+        cx.hoisted = fn.lets  # the body's lets may use the macros
         fn.body = self._term(body, venv, cx)
-        fn.assigns.extend(cx.hoisted)
-        code = render_function(fn)
-        return EmittedFunction(fn.name, code, state.deps.get(name, []))
+        return render_function(fn)
 
     def _clause_bindings(self, cl: Clause, pos_name, fn: SacFunction, cx,
                          prop_pos=frozenset()):
@@ -272,7 +274,7 @@ class SacBackend:
         tel_len = len(cl.telescope)
 
         def tel_name(idx: int) -> str:
-            return cl.telescope[tel_len - 1 - idx][0]
+            return unkeyword(cl.telescope[tel_len - 1 - idx][0], SAC_KEYWORDS)
 
         def bind(pat, param: str):
             match pat:
@@ -445,23 +447,18 @@ class SacBackend:
 
     def _loop_body(self, f: Term, iv: str, venv, cx):
         """A partition's block and body from the function an imap maps:
-        leading lets of a lambda body become block assigns (index
-        components from a pattern lambda in particular); a matched
-        selection function is applied to the index."""
+        the lets of a lambda body become block assigns (index components
+        from a pattern lambda in particular); a matched selection function
+        is applied to the index."""
         if not isinstance(f, Lam):
             if isinstance(f, Var) and not f.args and venv[f.idx].startswith("#"):
                 return (), SMacroApp(venv[f.idx][1:], SVarE(iv))
             raise ExtractError(
                 "imap takes a lambda or a matched selection function")
-        block: list[tuple[str, SExp]] = []
-        body_t = f.scope.body
-        benv = [iv] + venv
-        while isinstance(body_t, Let):
-            nm = _uniq(body_t.scope.name, benv, cx.state)
-            block.append((nm, self._term(body_t.bound, benv, cx)))
-            benv = [nm] + benv
-            body_t = body_t.scope.body
-        return tuple(block), self._term(body_t, benv, cx)
+        outer, cx.hoisted = cx.hoisted, []
+        body = self._term(f.scope.body, [iv] + venv, cx)
+        block, cx.hoisted = tuple(cx.hoisted), outer
+        return block, body
 
     def _zero_default(self, x: Term, venv, cx) -> SExp:
         """The default element fixes the element shape, so flattened
@@ -516,14 +513,14 @@ class SacBackend:
             return SCall("sel", (idx_x, arr_x))
         return SSel(arr_x, idx_x)
 
-    def assemble(self, fns: list[EmittedFunction], state: ExtractState,
+    def assemble(self, fns: list[str], state: ExtractState,
                  opts: ExtractOptions) -> str:
         pre = []
         if self.need_sel:
             pre.append(_SEL_PRELUDE)
         if self.need_ravel:
             pre.append(_RAVEL_PRELUDE)
-        return "\n".join(pre + [f.code for f in fns])
+        return "\n".join(pre + fns)
 
 
 @dataclass
@@ -554,6 +551,7 @@ def _term_spine(t: Term) -> tuple[list[Term], bool]:
 
 
 def _uniq(name: str, venv, state) -> str:
+    name = unkeyword(name, SAC_KEYWORDS)
     if name and name != "_" and name not in venv:
         return name
     return state.fresh("t_")
@@ -676,6 +674,8 @@ def render_function(fn: SacFunction) -> str:
         lines.append(f"  assert ({render_expr(a)});")
     for macro, target in fn.macros:
         lines.append(f"  #define {macro}(__x) ({target})[__x]")
+    for nm, e in fn.lets:
+        lines.append(f"  {nm} = {render_expr(e)};")
     lines.append(f"  {RET} = {render_expr(fn.body, 0, 2)};")
     for a in fn.ret_asserts:
         lines.append(f"  assert ({render_expr(a)});")
@@ -709,212 +709,202 @@ class SacParseError(ExtractError):
 
 
 @dataclass
-class SacProgram:
-    functions: dict[str, "ParsedFn"]
-
-
-@dataclass
 class ParsedFn:
     name: str
     params: list[str]
     stmts: list  # ("assign", name, expr) | ("assert", expr) | ("return", expr)
 
 
-def _sac_tokens(text: str) -> list[str]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("/*", i):
-            i = text.index("*/", i) + 2
-            continue
-        if text.startswith("//", i):
-            i = text.index("\n", i) if "\n" in text[i:] else n
-            continue
-        if c == "$":
-            toks.append(text[i:i + 2])
-            i += 2
-            continue
-        for two in ("<=", "=="):
-            if text.startswith(two, i):
-                toks.append(two)
-                i += 2
-                break
-        else:
-            if c == "-" and i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] == "f":
-                    j += 1
-                toks.append(text[i:j])
-            elif c in "{}()[],;:=<>*+-/%.#":
-                toks.append(c)
-            elif c.isdigit():
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    # a bare '.' partition bound never follows a digit
-                    j += 1
-                if j < n and text[j] == "f":
-                    j += 1
-                toks.append(text[i:j])
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(text[i:j])
-            else:
-                raise SacParseError(f"stray character {c!r}")
-            i += len(toks[-1])
-    return toks
+# the printer's operators by spelling, scalar ones with a `$` prefix
+_BINARY = {**_PREC, **{"$" + op: p for op, p in _PREC.items()}}
+_TOKEN = re.compile(r"""\s* (?: //[^\n]* | /\*.*?\*/     # a comment
+  | (?P<tok> -?\d+ (?:\.\d+)? (?:e[-+]?\d+)? f?         # a numeral
+           | [A-Za-z_]\w* | \#define | <= | """ + "|".join(
+    re.escape(op) for op in sorted(_BINARY, key=len, reverse=True)) + r"""
+           | [][{}(),;:=.] )
+  | (?P<bad> /\* | \S ))""", re.VERBOSE | re.DOTALL)
 
 
-def parse_sac(text: str) -> SacProgram:
-    macros: dict[str, tuple[str, SExp]] = {}
-    kept_lines = []
-    for line in text.splitlines():
-        ls = line.strip()
-        if ls.startswith("#define"):
-            head, body = ls[len("#define"):].strip().split(")", 1)
-            mname, marg = head.split("(")
-            e = _SacExprParser(_sac_tokens(body), macros).expr(0)
-            macros[mname.strip()] = (marg.strip(), e)
-        else:
-            kept_lines.append(line)
-    toks = _sac_tokens("\n".join(kept_lines))
-    p = _SacParser(toks, macros)
-    fns: dict[str, ParsedFn] = {}
-    while not p.at_end():
-        fn = p.function()
-        fns[fn.name] = fn
-    return SacProgram(fns)
+def parse_sac(text: str) -> dict[str, ParsedFn]:
+    """The functions of an emitted program, by name."""
+    try:
+        return _SacReader(text).program()
+    except RecursionError as err:
+        raise SacParseError(f"program too deeply nested to read: {err}") from err
 
 
-class _SacExprParser:
-    def __init__(self, toks: list[str], macros):
-        self.toks = toks
+class _SacReader:
+    """Recursive descent over the tokens of a program; a `#define`
+    substitutes its body for each later use of the macro."""
+
+    def __init__(self, text: str):
+        self.toks: list[str] = []
+        for m in _TOKEN.finditer(text):
+            if m.lastgroup == "bad":
+                raise SacParseError(f"stray {m.group()!r}")
+            if m.lastgroup:
+                self.toks.append(m.group("tok"))
         self.pos = 0
-        self.macros = macros
+        self.macros: dict[str, tuple[str, SExp]] = {}
 
     def peek(self, k: int = 0):
         return self.toks[self.pos + k] if self.pos + k < len(self.toks) else None
 
-    def take(self):
+    def take(self) -> str:
         t = self.peek()
         if t is None:
             raise SacParseError("unexpected end of input")
         self.pos += 1
         return t
 
-    def expect(self, t):
+    def accept(self, t: str) -> bool:
+        if self.peek() == t:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, t: str) -> None:
         got = self.take()
         if got != t:
             raise SacParseError(f"expected {t!r}, found {got!r}")
-        return got
 
-    _BIN = {"==": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4, "%": 4,
-            "$+": 3, "$-": 3, "$*": 4, "$/": 4, "$%": 4}
+    def name(self) -> str:
+        t = self.take()
+        if t in SAC_KEYWORDS or not (t[0].isalpha() or t[0] == "_"):
+            raise SacParseError(f"expected a name, found {t!r}")
+        return t
 
-    def expr(self, min_p: int) -> SExp:
-        lhs = self.postfix()
-        while True:
-            t = self.peek()
-            if t not in self._BIN or self._BIN[t] < min_p:
-                return lhs
-            op = self.take()
-            rhs = self.expr(self._BIN[op] + 1)
-            lhs = SBin(op.lstrip("$"), lhs, rhs, scalar=op.startswith("$"))
+    def items(self, close: str, item) -> list:
+        """`item, ..., item` up to the closing bracket."""
+        out = []
+        if not self.accept(close):
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+            self.expect(close)
+        return out
 
-    def postfix(self) -> SExp:
-        e = self.atom()
-        while self.peek() == "[":
-            self.take()
-            idx = self.expr(0)
+    def type_ann(self) -> None:
+        self.take()
+        if self.accept("["):
+            while self.take() != "]":
+                pass
+
+    def param(self) -> str:
+        self.type_ann()
+        return self.name()
+
+    def program(self) -> dict[str, ParsedFn]:
+        fns: dict[str, ParsedFn] = {}
+        while self.peek() is not None:
+            self.type_ann()
+            name = self.name()
+            self.expect("(")
+            params = self.items(")", self.param)
+            self.expect("{")
+            stmts = []
+            while not self.accept("}"):
+                if stmt := self.statement():
+                    stmts.append(stmt)
+            fns[name] = ParsedFn(name, params, stmts)
+        return fns
+
+    def statement(self) -> tuple | None:
+        """A statement; None for a declaration or a `#define`."""
+        if self.accept("#define"):  # its body ends where the expression does
+            name = self.name()
+            self.expect("(")
+            arg = self.name()
+            self.expect(")")
+            self.macros[name] = (arg, self.expr())
+            return None
+        if self.accept("return"):
+            stmt: tuple = ("return", self.expr())
+        elif self.accept("assert"):
+            self.expect("(")
+            stmt = ("assert", self.expr())
+            self.expect(")")
+        else:
+            if self.peek(1) != "=":
+                self.type_ann()  # a declaration, perhaps with a value
+            name = self.name()
+            stmt = ("assign", name, self.expr()) if self.accept("=") else None
+        self.expect(";")
+        return stmt
+
+    def expr(self, min_prec: int = 0) -> SExp:
+        lhs = self.atom()
+        while self.accept("["):
+            lhs = SSel(lhs, self.expr())
             self.expect("]")
-            e = SSel(e, idx)
-        return e
+        while (p := _BINARY.get(self.peek(), -1)) >= min_prec:
+            op = self.take()
+            lhs = SBin(op.lstrip("$"), lhs, self.expr(p + 1),
+                       scalar=op[0] == "$")
+        return lhs
 
     def atom(self) -> SExp:
-        t = self.take()
-        if t == "(":
-            e = self.expr(0)
+        if self.accept("("):
+            e = self.expr()
             self.expect(")")
             return e
-        if t == "[":
-            items = []
-            if self.peek() != "]":
-                items.append(self.expr(0))
-                while self.peek() == ",":
-                    self.take()
-                    items.append(self.expr(0))
-            self.expect("]")
-            return SVecLit(tuple(items))
-        if t == "with":
+        if self.accept("["):
+            return SVecLit(tuple(self.items("]", self.expr)))
+        if self.accept("with"):
             return self.with_loop()
-        if t and (t[0].isdigit() or (t[0] == "-" and len(t) > 1)):
-            if t.endswith("f"):
-                return SFlt(float(t[:-1]))
-            if "." in t:
-                return SFlt(float(t))
+        t = self.peek()
+        if t is not None and (t[0].isdigit() or t[0] == "-" and len(t) > 1):
+            self.pos += 1
+            if t[-1] == "f" or "." in t or "e" in t:
+                return SFlt(float(t.rstrip("f")))
             return SNum(int(t))
-        if self.peek() == "(":
-            self.take()
-            args = []
-            if self.peek() != ")":
-                args.append(self.expr(0))
-                while self.peek() == ",":
-                    self.take()
-                    args.append(self.expr(0))
-            self.expect(")")
-            if t in self.macros:
-                argname, body = self.macros[t]
-                return _subst_var(body, argname, args[0])
-            return SCall(t, tuple(args))
-        return SVarE(t)
+        name = self.name()
+        if not self.accept("("):
+            return SVarE(name)
+        args = self.items(")", self.expr)
+        if name not in self.macros:
+            return SCall(name, tuple(args))
+        if len(args) != 1:
+            raise SacParseError(f"macro {name} takes one argument")
+        param, body = self.macros[name]
+        return _subst_var(body, param, args[0])
 
     def with_loop(self) -> SExp:
         self.expect("{")
         partitions = []
-        while self.peek() != "}":
+        while not self.accept("}"):
             self.expect("(")
-            if self.peek() == ".":
-                self.take()
+            if self.accept("."):
                 self.expect("<=")
-                iv = self.take()
+                iv = self.name()
                 self.expect("<=")
                 self.expect(".")
                 lower = upper = None
             else:
-                lower = self.expr(0)
+                lower = self.expr()
                 self.expect("<=")
-                iv = self.take()
+                iv = self.name()
                 self.expect("<")
-                upper = self.expr(0)
+                upper = self.expr()
             self.expect(")")
             block = []
-            if self.peek() == "{":
-                self.take()
-                while self.peek() != "}":
-                    nm = self.take()
+            if self.accept("{"):
+                while not self.accept("}"):
+                    nm = self.name()
                     self.expect("=")
-                    block.append((nm, self.expr(0)))
+                    block.append((nm, self.expr()))
                     self.expect(";")
-                self.take()
             self.expect(":")
-            body = self.expr(0)
+            body = self.expr()
             self.expect(";")
             partitions.append((lower, upper, iv, tuple(block), body))
-        self.take()  # }
         self.expect(":")
         kind = self.take()
         self.expect("(")
         if kind == "genarray":
-            shape = self.expr(0)
+            shape = self.expr()
             self.expect(",")
-            default = self.expr(0)
+            default = self.expr()
             self.expect(")")
             return SWith("genarray", tuple(partitions), shape=shape,
                          default=default)
@@ -922,7 +912,7 @@ class _SacExprParser:
             raise SacParseError(f"unknown with-loop kind {kind}")
         op = self.take()
         self.expect(",")
-        neutral = self.expr(0)
+        neutral = self.expr()
         self.expect(")")
         return SWith("fold", tuple(partitions), op=op, neutral=neutral)
 
@@ -943,64 +933,6 @@ def _subst_var(e: SExp, name: str, repl: SExp) -> SExp:
             return e
 
 
-class _SacParser(_SacExprParser):
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def type_ann(self) -> str:
-        base = self.take()
-        out = base
-        if self.peek() == "[":
-            self.take()
-            out += "["
-            while self.peek() != "]":
-                out += self.take()
-            self.take()
-            out += "]"
-        return out
-
-    def function(self) -> ParsedFn:
-        self.type_ann()
-        name = self.take()
-        self.expect("(")
-        params = []
-        while self.peek() != ")":
-            self.type_ann()
-            params.append(self.take())
-            if self.peek() == ",":
-                self.take()
-        self.take()
-        self.expect("{")
-        stmts = []
-        while self.peek() != "}":
-            t = self.peek()
-            if t == "return":
-                self.take()
-                stmts.append(("return", self.expr(0)))
-                self.expect(";")
-            elif t == "assert":
-                self.take()
-                self.expect("(")
-                stmts.append(("assert", self.expr(0)))
-                self.expect(")")
-                self.expect(";")
-            else:
-                # either a declaration `type name ;` or an assignment
-                if self.peek(1) == "=":
-                    nm = self.take()
-                    self.take()
-                    stmts.append(("assign", nm, self.expr(0)))
-                    self.expect(";")
-                else:
-                    self.type_ann()
-                    nm = self.take()
-                    if self.peek() == "=":
-                        self.take()
-                        stmts.append(("assign", nm, self.expr(0)))
-                    self.expect(";")
-        self.take()
-        return ParsedFn(name, params, stmts)
-
 
 # --------------------------------------------------------------------------
 # interpreter
@@ -1010,9 +942,10 @@ SacAborted = Aborted  # the shared abort value under its SaC-side name
 
 
 def interp_sac(program, entry: str, args):
-    """Evaluate the emitted subset over numpy values.  Arrays come in as
-    (shape, flat data) pairs, numpy arrays, or scalars; Aborted is a value,
-    also when the program runs out of Python stack."""
+    """Evaluate the emitted subset, given as text or as the functions that
+    parse_sac returns, over numpy values.  Arrays come in as (shape, flat
+    data) pairs, numpy arrays, or scalars; Aborted is a value, also when
+    the program runs out of Python stack."""
     prog = parse_sac(program) if isinstance(program, str) else program
     vals = [_to_value(a) for a in args]
     try:
@@ -1037,11 +970,11 @@ def _to_value(a):
 
 
 class _SacEval:
-    def __init__(self, prog: SacProgram):
-        self.prog = prog
+    def __init__(self, fns: dict[str, ParsedFn]):
+        self.fns = fns
 
     def call(self, name: str, args: list):
-        fn = self.prog.functions.get(name)
+        fn = self.fns.get(name)
         if fn is None:
             raise SacParseError(f"unknown function {name}")
         if len(fn.params) != len(args):

@@ -42,6 +42,11 @@ def test_string_type_rejected():
                      with_prelude=False)
 
 
+def test_float_pattern_rejected_by_the_elaborator():
+    with pytest.raises(UnsupportedType, match="float patterns"):
+        load_sources([("t", "f : Float -> Float\nf 1.5 = 2.0\n")])
+
+
 def test_higher_order_definitions_load_but_are_flagged():
     e = load_sources([("t", "twice : (Nat -> Nat) -> Nat -> Nat\n"
                             "twice f x = f (f x)\n")], with_prelude=False)

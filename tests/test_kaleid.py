@@ -9,12 +9,12 @@ from eslc import corpus
 from eslc.builtins import mk_pi, seed_env
 from eslc.evaluate import call
 from eslc.extract import ExtractError, ExtractState, kompile
-from eslc.harness import run_corpus_diff
+from eslc.harness import run_corpus_diff, run_signature_diff
 from eslc.ir import Con, Def, Lit, PCon, PVar, Var, hid, vis
 from eslc.kaleid import (Aborted, Assrt, KaleidBackend, KBin, KCall, KFun,
                          KIf, KLet, KNat, KParseError, KVar, PatSt,
-                         UnsupportedPattern, interp_kaleid, kompile_clpats,
-                         kompile_term, kompile_ty, parse_kaleid, print_kaleid)
+                         interp_kaleid, kompile_clpats, kompile_term,
+                         kompile_ty, parse_kaleid, print_kaleid)
 from eslc.loader import load_sources
 
 ENV = seed_env()
@@ -98,18 +98,6 @@ def test_fin_suc_pattern_gets_fresh_upper_bound():
     assert pst.conds == [KBin("Gt", KVar("e"), KNat(0))]
     assert ("ub", KVar("ub_1")) in pst.assigns
     assert ("i", KBin("Minus", KVar("e"), KNat(1))) in pst.assigns
-
-
-def test_literal_pattern_direct():
-    pst = kompile_clpats((), (vis(__import__("eslc.ir", fromlist=["PLit"]).PLit(7)),),
-                         [KVar("e")], PatSt([], []), _st())
-    assert pst.conds == [KBin("Eq", KVar("e"), KNat(7))]
-
-
-def test_float_pattern_rejected():
-    from eslc.ir import PLit
-    with pytest.raises(UnsupportedPattern):
-        kompile_clpats((), (vis(PLit(1.5)),), [KVar("e")], PatSt([], []), _st())
 
 
 # -- kompile_term ----------------------------------------------------------------
@@ -197,6 +185,34 @@ def test_parse_roundtrip_of_emitted_programs():
                        def_meta=e.def_meta)
         fns = parse_kaleid(text)
         assert print_kaleid(fns) == text
+
+
+def test_truncated_text_is_a_parse_error():
+    for text in ("def f (x_1):\n", "def f"):
+        with pytest.raises(KParseError):
+            parse_kaleid(text)
+
+
+def test_text_too_deep_to_read_is_a_parse_error():
+    with pytest.raises(KParseError):
+        parse_kaleid(f"def f ():\n  {'(' * 3000}1{')' * 3000}\n")
+
+
+# (source, entry) of names that are or start with a keyword
+KEYWORD_CASES = {
+    "function assert": ("assert : Nat -> Nat\nassert 0 = 5\n"
+                        "assert (suc n) = assert n\n", "assert"),
+    "variable if": ("h : Nat -> Nat\nh if = if * 2\n", "h"),
+    "variable iffy": ("g : Nat -> Nat -> Nat\ng iffy 0 = iffy\n"
+                      "g iffy (suc k) = iffy + k\n", "g"),
+}
+
+
+@pytest.mark.parametrize("case", list(KEYWORD_CASES))
+def test_keyword_names_diff_clean(case):
+    src, entry = KEYWORD_CASES[case]
+    row = run_signature_diff(load_sources([("w", src)]), entry, 20, 1)
+    assert (row.mismatches, row.inconclusive) == (0, [])
 
 
 # -- interpreter ----------------------------------------------------------------------

@@ -6,14 +6,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eslc import corpus
+from eslc.evaluate import call, varr
 from eslc.extract import kompile
-from eslc.harness import run_corpus_diff
+from eslc.harness import compare, run_corpus_diff
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
-from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, attr_le,
-                      flatten_type, interp_sac, parse_sac)
+from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, SacParseError,
+                      SFlt, attr_le, flatten_type, interp_sac, parse_sac,
+                      render_expr)
 
 
 def _vec(*xs):
@@ -377,3 +381,60 @@ def test_expf_overflows_to_infinity():
     prog = "float f(float x) { return expf (x); }"
     assert interp_sac(prog, "f", [1000.0]) == float("inf")
     assert interp_sac(prog, "f", [0.0]) == 1.0
+
+
+@settings(deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(1e-05)
+@example(1e+17)
+def test_every_printed_float_reads_back(v):
+    prog = f"float f() {{ return {render_expr(SFlt(v))}; }}"
+    assert interp_sac(prog, "f", []) == v
+
+
+def test_unterminated_comment_is_a_parse_error():
+    with pytest.raises(SacParseError):
+        parse_sac("/* x")
+
+
+def test_text_too_deep_to_read_is_a_parse_error():
+    with pytest.raises(SacParseError):
+        interp_sac(f"int f() {{ return {'(' * 3000}1{')' * 3000}; }}", "f", [])
+
+
+DBL = """
+dbl : {n : Nat} -> Ar Float 1 (n ∷ []) -> Ar Float 1 (n ∷ [])
+dbl a = imap (\\(i ∷ []) -> 1.0 +f (let x = sel a (i ∷ []) in x +f x))
+"""
+
+# (source, entry, source evaluator arguments, SaC arguments)
+AGREEMENT = {
+    "small float": ("w : Float -> Float\nw x = x *f 0.00001\n", "w",
+                    [2.5], [2.5]),
+    "large float": ("w : Float -> Float\nw x = x +f 100000000000000000.0\n",
+                    "w", [3.0], [3.0]),
+    "keyword variable": ("k : Float -> Float\nk return = return +f 1.0\n",
+                         "k", [2.0], [2.0]),
+    "let in a loop body": (DBL, "dbl", [3, varr((3,), [1.0, 2.5, -4.0])],
+                           [3, np.array([1.0, 2.5, -4.0])]),
+}
+
+
+@pytest.mark.parametrize("case", list(AGREEMENT))
+def test_target_agrees_with_the_source(case):
+    src, entry, eval_args, target_args = AGREEMENT[case]
+    e = load_sources([("w", src)])
+    text = kompile(entry, [], [], SacBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    want = call(e.env, entry, eval_args)
+    assert compare(want, interp_sac(text, entry, target_args), "exact") == 0.0
+
+
+def test_lets_follow_the_macros_they_use():
+    src = ("w : Ar Float 1 (3 ∷ []) -> Float\n"
+           "w (imap p) = let y = p (1 ∷ []) in 1.0 +f (y +f y)\n")
+    e = load_sources([("w", src)])
+    text = kompile("w", [], [], SacBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    assert text.index("#define p") < text.index("y = ")
+    assert interp_sac(text, "w", [np.array([1.0, 2.0, 3.0])]) == 5.0
