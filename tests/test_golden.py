@@ -20,7 +20,7 @@ import pytest
 
 from eslc import corpus, extract, loader, shapes
 from eslc.elaborate import Elaborator
-from eslc.kaleid import KaleidBackend, parse_kaleid, print_kaleid
+from eslc.kaleid import KaleidBackend, parse_kaleid
 from eslc.sac import SacBackend, parse_sac
 
 GOLDEN = {
@@ -73,13 +73,6 @@ def _kompile(name: str) -> str:
 def test_emitted_text_is_unchanged(name):
     text = _kompile(name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", [n for n, e in corpus.CORPUS.items()
-                                  if e.backend == "kaleid"])
-def test_kaleidoscope_text_prints_back(name):
-    text = _kompile(name)
-    assert print_kaleid(parse_kaleid(text)) == text
 
 
 @pytest.mark.parametrize("name", list(corpus.CORPUS))

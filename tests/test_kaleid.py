@@ -179,12 +179,12 @@ def test_print_assert_zero():
 
 
 def test_parse_roundtrip_of_emitted_programs():
-    e = load_sources([("log2", corpus.LOG2), ("ack", corpus.ACK)])
-    for entry, base in [("log2", ["n<1+n", "_<_"]), ("ack", [])]:
-        text = kompile(entry, base, [], KaleidBackend(), e.env, e.rules,
-                       def_meta=e.def_meta)
-        fns = parse_kaleid(text)
-        assert print_kaleid(fns) == text
+    for c in corpus.CORPUS.values():
+        if c.backend == "kaleid":
+            e = load_sources(c.sources)
+            text = kompile(c.entry, c.base, [], KaleidBackend(), e.env,
+                           e.rules, def_meta=e.def_meta)
+            assert print_kaleid(parse_kaleid(text)) == text, c.name
 
 
 def test_truncated_text_is_a_parse_error():
