@@ -5,7 +5,8 @@ hands each function to the backend, and drains the queue of callees that
 the backend registered while translating bodies.  Every function is
 emitted exactly once; output is ordered dependencies-first with the entry
 last.  Name normalization turns unicode definition names into target
-identifiers deterministically.
+identifiers deterministically, and `ExtractState.binder` is the one rule
+by which both backends name what they bind.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ class ExtractOptions:
 class ExtractState:
     """The shared bookkeeping all backends thread through extraction."""
 
-    def __init__(self, base: frozenset[str], skip: frozenset[str]):
+    def __init__(self, base: frozenset[str], skip: frozenset[str],
+                 keywords: frozenset[str] = frozenset()):
         self.pending: deque[str] = deque()
         self.compiled: set[str] = set()
         self.base = base
         self.skip = skip
-        self.fresh_counter = 0
+        self.keywords = keywords  # the target's, which name no binder
         self.names: dict[str, str] = {}
         self.used_names: set[str] = set()
         self.deps: dict[str, list[str]] = {}
@@ -53,26 +55,24 @@ class ExtractState:
         if callee not in self.deps[caller]:
             self.deps[caller].append(callee)
 
-    def fresh(self, prefix: str) -> str:
-        self.fresh_counter += 1
-        return f"{prefix}{self.fresh_counter}"
-
-    def reset_fresh(self) -> None:
-        self.fresh_counter = 0
+    def binder(self, name: str, scope: set[str], fresh: bool = False) -> str:
+        """The target name of a binder whose source name is `name`, added
+        to `scope`: `name` itself unless it is a target keyword or already
+        in scope, else `name_k` for the first k that is neither.  A binder
+        the backend makes up (`fresh`) always takes a number."""
+        k = int(fresh)
+        out = f"{name}_{k}" if k else name
+        while out in scope or out in self.keywords:
+            k += 1
+            out = f"{name}_{k}"
+        scope.add(out)
+        return out
 
     def target_name(self, name: str, final_pass) -> str:
-        if name in self.names:
-            return self.names[name]
-        base = final_pass(normalise_name(name))
-        if not base:
-            base = "f"
-        candidate, k = base, 0
-        while candidate in self.used_names:
-            k += 1
-            candidate = f"{base}_{k}"
-        self.names[name] = candidate
-        self.used_names.add(candidate)
-        return candidate
+        if name not in self.names:
+            self.names[name] = self.binder(
+                final_pass(normalise_name(name)) or "f", self.used_names)
+        return self.names[name]
 
 
 _SYMBOL_TABLE = {
@@ -116,20 +116,15 @@ KALEID_KEYWORDS = frozenset({"def", "let", "in", "if", "else", "assert"})
 SAC_KEYWORDS = frozenset({"return", "assert", "with"})
 
 
-def unkeyword(name: str, keywords: frozenset[str]) -> str:
-    """A target keyword gets a `_` suffix, so it can name a variable."""
-    return name + "_" if name in keywords else name
-
-
 def kaleid_final_pass(s: str) -> str:
     """Kaleidoscope identifiers admit primes, OCaml style."""
     keep = "".join(c for c in s if c.isalnum() or c in "_'")
-    return unkeyword(keep.lstrip("_'0123456789") or keep, KALEID_KEYWORDS)
+    return keep.lstrip("_'0123456789") or keep
 
 
 def sac_final_pass(s: str) -> str:
     keep = "".join(c for c in s if c.isalnum() or c == "_")
-    return unkeyword(keep.lstrip("0123456789") or keep, SAC_KEYWORDS)
+    return keep.lstrip("0123456789") or keep
 
 
 def suc_spine(t: Term) -> tuple[int, Term | None]:
@@ -151,7 +146,7 @@ def kompile(entry: str, base, skip, backend, env: Env,
             def_meta: dict | None = None) -> str:
     """Extract `entry` and its call-graph closure; returns the program text."""
     opts = opts or ExtractOptions()
-    state = ExtractState(frozenset(base), frozenset(skip))
+    state = ExtractState(frozenset(base), frozenset(skip), backend.keywords)
     d = env.lookup(entry)
     if not isinstance(d.payload, Function):
         raise ExtractError(f"{entry} is not a function")
@@ -176,10 +171,16 @@ def kompile(entry: str, base, skip, backend, env: Env,
         nsig = Normalizer(env, policy, rules).norm(dn.signature)
         nclauses = [normalise_clause(c, env, policy, rules)
                     for c in dn.payload.clauses]
-        state.reset_fresh()
         emitted[name] = backend.kompile_fun(
             name, Definition(name, nsig, Function(nclauses)), state, env, opts)
     return backend.assemble(_ordered(emitted, entry, state), state, opts)
+
+
+def entry_name(entry: str, backend) -> str:
+    """The target name that `kompile` gives its entry, which claims its
+    name first."""
+    state = ExtractState(frozenset(), frozenset(), backend.keywords)
+    return state.target_name(entry, backend.final_pass)
 
 
 def _ordered(emitted: dict[str, str], entry: str,

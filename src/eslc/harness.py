@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evaluate, ir
 from .corpus import CorpusEntry
-from .extract import ExtractOptions, kompile, normalise_name
+from .extract import ExtractOptions, entry_name, kompile
 from .ir import EXHAUSTED, Aborted, pi_spine
 from .kaleid import KaleidBackend, interp_kaleid
 from .loader import load_sources
@@ -102,7 +102,7 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
         program, interp = parse_sac(text), interp_sac
     rng = random.Random(seed)
     row = DiffRow(entry.name, samples, 0, 0.0)
-    target = backend.final_pass(normalise_name(entry.entry))
+    target = entry_name(entry.entry, backend)
     for _ in range(samples):
         eval_args, target_args = entry.sampler(rng)
         _sample(row, elab.env, entry.entry, eval_args, entry.compare,
@@ -148,7 +148,7 @@ def run_signature_diff(elab, entry: str, samples: int, seed: int,
     backend = KaleidBackend()
     program = kompile(entry, list(base), [], backend, elab.env, elab.rules,
                       opts, elab.def_meta)
-    target = backend.final_pass(normalise_name(entry))
+    target = entry_name(entry, backend)
     rng = random.Random(seed)
     row = DiffRow(entry, samples, 0, 0.0)
     for _ in range(samples):

@@ -12,13 +12,13 @@ import ast
 import functools
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ir
 from . import pycode as py
 from .builtins import is_prop_type
 from .extract import (KALEID_KEYWORDS, ExtractError, ExtractOptions,
-                      ExtractState, kaleid_final_pass, suc_spine, unkeyword)
+                      ExtractState, kaleid_final_pass, suc_spine)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown,
                  Var, pi_spine)
@@ -60,7 +60,9 @@ class KCall(KExpr):
     args: tuple[KExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+# equal only to itself, so the staging cache keys on it without hashing
+# its body
+@dataclass(frozen=True, slots=True, eq=False)
 class KFun(KExpr):
     name: str
     params: tuple[str, ...]
@@ -96,6 +98,7 @@ class Assrt:
 class PatSt:
     conds: list[KExpr]
     assigns: list[tuple[str, KExpr]]
+    scope: set[str] = field(default_factory=set)  # the clause's names
 
 
 RET = "__ret"
@@ -114,21 +117,18 @@ class HigherOrderValue(ExtractError):
 
 
 def kompile_ty(sig: Term, state: ExtractState, env: Env) -> list[Assrt]:
-    """Argument and return-value assertions from a normalized signature."""
+    """Argument and return-value assertions from a normalized signature;
+    each reads the parameters before it, and every parameter and the
+    result are in scope."""
     tel, ret = pi_spine(sig)
+    params = [f"x_{j + 1}" for j in range(len(tel))]
+    subjects = params + [RET]
     out: list[Assrt] = []
-    names: list[str] = []
-    for j, (_, arg) in enumerate(tel):
-        venv = list(reversed(names))
-        pname = f"x_{j + 1}"
-        a = _ty_assert(arg.value, pname, venv, state, env)
+    for j, ty in enumerate([arg.value for _, arg in tel] + [ret]):
+        venv = [*reversed(params[:j]), *subjects[j:]]
+        a = _ty_assert(ty, subjects[j], venv, state, env)
         if a is not None:
             out.append(a)
-        names.append(pname)
-    venv = list(reversed(names))
-    r = _ty_assert(ret, RET, venv, state, env)
-    if r is not None:
-        out.append(r)
     return out
 
 
@@ -183,8 +183,8 @@ def kompile_clpats(tel, pats, exprs: list[KExpr], pst: PatSt,
                 pst.conds.append(KBin("Gt", e, KNat(0)))
                 sub = args[-1].value
                 items = [(sub, KBin("Minus", e, KNat(1)))]
-                if len(args) > 1:  # the hidden upper bound gets a fresh name
-                    ub = state.fresh("ub_")
+                if len(args) > 1:  # the hidden upper bound has no value
+                    ub = state.binder("ub", pst.scope, fresh=True)
                     items.insert(0, (args[0].value, KVar(ub)))
                 work[0:0] = items
             case PCon(name, _):
@@ -204,12 +204,18 @@ def kompile_cls(clauses: list[Clause], var_names: list[str], ret: str,
         raise ExtractError("empty clause list")
     branches: list[tuple[list[KExpr], KExpr]] = []
     for cl in clauses:
-        pst = kompile_clpats(cl.telescope, list(cl.patterns),
-                             [KVar(v) for v in var_names], PatSt([], []), state)
+        # a clause names its binders in its own scope: the parameters, the
+        # result and what the clause binds before them
+        scope = {*var_names, ret}
+        tel = tuple((n if n.startswith("_") else state.binder(n, scope), ty)
+                    for n, ty in cl.telescope)
+        pst = kompile_clpats(tel, list(cl.patterns),
+                             [KVar(v) for v in var_names],
+                             PatSt([], [], scope), state)
         if cl.body is None:
             body: KExpr = KAssert(KNat(0))
         else:
-            venv = [name for name, _ in reversed(cl.telescope)]
+            venv = [name for name, _ in reversed(tel)] + list(scope)
             body = kompile_term(cl.body, venv, state, env, caller)
         for name, e in reversed(pst.assigns):
             body = KLet(name, e, body)
@@ -235,6 +241,9 @@ def kompile_cls(clauses: list[Clause], var_names: list[str], ret: str,
 
 def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env,
                  caller: str = "") -> KExpr:
+    """venv names the de Bruijn variables, innermost first, and may go on
+    with the other names in scope: a let never takes a name in venv, so
+    it shadows nothing."""
     match t:
         case Lit(int(v)):
             return KNat(v)
@@ -261,7 +270,7 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env,
         case Unknown():
             return KNat(0)  # erased position; reachable only behind asserts
         case Let(bound, scope):
-            name = _fresh_binder(scope.name, venv, state)
+            name = state.binder(scope.name, set(venv))
             return KLet(name, kompile_term(bound, venv, state, env, caller),
                         kompile_term(scope.body, [name] + venv, state, env, caller))
         case Lam():
@@ -289,7 +298,8 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
         for x in va:
             e = kompile_term(x, venv, state, env, caller)
             if not isinstance(e, (KVar, KNat)):
-                v = state.fresh("mod_")
+                v = state.binder("mod", set(venv), fresh=True)
+                venv = venv + [v]  # the divisor is read in its scope
                 lets.append((v, e))
                 e = KVar(v)
             ops.append(e)
@@ -319,19 +329,13 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
     return KCall(state.target_name(name, kaleid_final_pass), tuple(kargs))
 
 
-def _fresh_binder(name: str, venv: list[str], state: ExtractState) -> str:
-    name = unkeyword(name, KALEID_KEYWORDS)
-    if name not in venv and name != RET and not name.startswith("x_"):
-        return name
-    return state.fresh(f"{name}_")
-
-
 # --------------------------------------------------------------------------
 # the backend object used by the extraction driver
 
 
 class KaleidBackend:
     final_pass = staticmethod(kaleid_final_pass)
+    keywords = KALEID_KEYWORDS
 
     def kompile_fun(self, name: str, d: Definition, state: ExtractState,
                     env: Env, opts: ExtractOptions) -> str:
@@ -341,8 +345,8 @@ class KaleidBackend:
         asserts = kompile_ty(d.signature, state, env)
         if opts.no_assert:  # built anyway: they reject types the target lacks
             asserts = []
-        clauses = [_rename_clashes(c, set(params)) for c in d.payload.clauses]
-        chain = kompile_cls(clauses, list(params), RET, state, env, name)
+        chain = kompile_cls(d.payload.clauses, list(params), RET, state, env,
+                            name)
         hoisted: list[tuple[str, KExpr]] = []
         while isinstance(chain, KLet):  # single-branch assigns read better flat
             hoisted.append((chain.name, chain.bound))
@@ -361,23 +365,6 @@ class KaleidBackend:
     def assemble(self, fns: list[str], state: ExtractState,
                  opts: ExtractOptions) -> str:
         return "\n".join(fns)
-
-
-def _rename_clashes(cl: Clause, taken: set[str]) -> Clause:
-    """Telescope names that collide with parameter names or keywords get a
-    suffix so the emitted lets never shadow the arguments."""
-    seen: set[str] = set(taken)
-    tele = []
-    for n, ty in cl.telescope:
-        n = unkeyword(n, KALEID_KEYWORDS)
-        base, k = n, 0
-        while n in seen:
-            k += 1
-            n = f"{base}_{k}"
-        if not n.startswith("_"):
-            seen.add(n)
-        tele.append((n, ty))
-    return Clause(tuple(tele), cl.patterns, cl.body)
 
 
 # --------------------------------------------------------------------------
@@ -770,7 +757,8 @@ def _stage(fns: tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
 
 @functools.lru_cache(maxsize=64)
 def _staged(program: str | tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
-    """The staged program, cached on its text or its parsed functions."""
+    """The staged program, cached on its text or on the identity of its
+    parsed functions."""
     return _stage(tuple(parse_kaleid(program)) if isinstance(program, str)
                   else program)
 
@@ -780,7 +768,7 @@ def interp_kaleid(program, entry: str, args: list[int]):
 
     The program (text or parsed functions) is staged once per process into
     one Python function per Kaleidoscope function, and the staged program
-    is cached, keyed on the text or on the value of the functions.  Each
+    is cached, keyed on the text or on the identity of the functions.  Each
     call takes one Python frame, so recursion deeper than Python's
     recursion limit returns Aborted("recursion depth"), and reading a let
     name that the branch taken did not bind returns Aborted("unbound

@@ -19,7 +19,7 @@ import numpy as np
 from . import ir
 from .builtins import is_prop_type
 from .extract import (SAC_KEYWORDS, ExtractError, ExtractOptions,
-                      ExtractState, sac_final_pass, suc_spine, unkeyword)
+                      ExtractState, sac_final_pass, suc_spine)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PCon, PVar, Term, Var, nat_view,
                  pi_spine)
@@ -98,7 +98,7 @@ def flatten_type(ty: Term) -> FlattenedType:
 
 def _flatten(ty: Term, outermost: bool) -> tuple[str, list, bool]:
     match ty:
-        case Def("Nat", ()) | Def("Fin", _):
+        case Def("Nat", ()) | Def("Fin", _) | Def("Dec", _):
             return "int", [], True
         case Def("Float", ()):
             return "float", [], True
@@ -221,7 +221,8 @@ _FOLD_OPS = {"_+_": ("+", SNum(0)), "_*_": ("*", SNum(1)),
              "_+f_": ("+", SFlt(0.0)), "_*f_": ("*", SFlt(1.0))}
 
 _SCALAR_BIN = {"_+_": "+", "_-_": "-", "_*_": "*", "_/_": "/", "_%_": "%",
-               "_+f_": "+", "_-f_": "-", "_*f_": "*", "_/f_": "/"}
+               "_+f_": "+", "_-f_": "-", "_*f_": "*", "_/f_": "/",
+               "_≟_": "==", "_<?_": "<"}  # a decision is a C boolean
 
 # primitives that become a SaC call on their two visible arguments, in order
 _VIS2_CALLS = {"vtake": "take", "vdrop": "drop", "vappend": "append",
@@ -230,6 +231,7 @@ _VIS2_CALLS = {"vtake": "take", "vdrop": "drop", "vappend": "append",
 
 class SacBackend:
     final_pass = staticmethod(sac_final_pass)
+    keywords = SAC_KEYWORDS
 
     def __init__(self):
         self.need_sel = False
@@ -252,11 +254,12 @@ class SacBackend:
         fn = SacFunction(state.target_name(name, sac_final_pass),
                          flatten_type(ret).result.render(), params,
                          [], [], [], None, [])
-        cx = _Cx(state, env, name, self)
+        # the function names its binders apart from all it has bound so far
+        cx = _Cx(state, env, name, self, {*pos_name.values(), RET})
         prop_pos = {j for j, (_, a) in enumerate(tel) if is_prop_type(a.value)}
         venv = self._clause_bindings(cl, pos_name, fn, cx, prop_pos)
         asserts = shape_assertions(d.signature, pos_name, cx)
-        if not opts.no_assert:  # built anyway: building draws fresh names
+        if not opts.no_assert:  # built anyway: what they bind is in scope
             fn.arg_asserts, fn.ret_asserts = asserts
         fn.assigns += cx.hoisted  # lets of the asserted types precede them
         body = cl.body
@@ -271,47 +274,43 @@ class SacBackend:
         """Pattern variables become assigns; an imap pattern becomes the
         selection macro the body applies."""
         names_by_db: dict[int, str] = {}
-        tel_len = len(cl.telescope)
 
-        def tel_name(idx: int) -> str:
-            return unkeyword(cl.telescope[tel_len - 1 - idx][0], SAC_KEYWORDS)
+        def source_name(idx: int) -> str:
+            return cl.telescope[len(cl.telescope) - 1 - idx][0]
 
-        def bind(pat, param: str):
-            match pat:
-                case PVar(idx):
-                    nm = tel_name(idx)
-                    if not nm.startswith("_"):
-                        fn.assigns.append((nm, SVarE(param)))
-                        names_by_db[idx] = nm
-                case PCon("imap", args):
-                    sub = args[-1].value
-                    assert isinstance(sub, PVar)
-                    nm = tel_name(sub.idx)
-                    macro = nm if not nm.startswith("_") else cx.state.fresh("p_")
-                    fn.macros.append((macro, param))
-                    names_by_db[sub.idx] = f"#{macro}"
-                case PCon(("vcons" | "lcons"), _):
-                    for k, item in enumerate(_pat_spine(pat)):
-                        if isinstance(item, PVar):
-                            nm = tel_name(item.idx)
-                            if not nm.startswith("_"):
-                                fn.assigns.append(
-                                    (nm, SSel(SVarE(param), SNum(k))))
-                                names_by_db[item.idx] = nm
-                        else:
-                            raise ExtractError(
-                                "nested component patterns are not supported here")
-                case PCon("vnil", _):
-                    pass
-                case _:
-                    raise ExtractError(
-                        f"this target cannot compile pattern {pat!r}")
+        def bind(idx: int, value: SExp) -> None:
+            if not source_name(idx).startswith("_"):
+                names_by_db[idx] = cx.state.binder(source_name(idx), cx.scope)
+                fn.assigns.append((names_by_db[idx], value))
 
         for j, p in enumerate(cl.patterns):
             if j in prop_pos:
                 continue  # proofs have no runtime parameter to bind
-            bind(p.value, pos_name[j])
-        return [names_by_db.get(i, "_") for i in range(tel_len)]
+            param = pos_name[j]
+            match p.value:
+                case PVar(idx):
+                    bind(idx, SVarE(param))
+                case PCon("imap", args):
+                    sub = args[-1].value
+                    assert isinstance(sub, PVar)
+                    nm = source_name(sub.idx)
+                    wild = nm.startswith("_")
+                    macro = cx.state.binder("p" if wild else nm, cx.scope,
+                                            fresh=wild)
+                    fn.macros.append((macro, param))
+                    names_by_db[sub.idx] = f"#{macro}"
+                case PCon(("vcons" | "lcons"), _) as pat:
+                    for k, item in enumerate(_pat_spine(pat)):
+                        if not isinstance(item, PVar):
+                            raise ExtractError(
+                                "nested component patterns are not supported here")
+                        bind(item.idx, SSel(SVarE(param), SNum(k)))
+                case PCon("vnil", _):
+                    pass
+                case pat:
+                    raise ExtractError(
+                        f"this target cannot compile pattern {pat!r}")
+        return [names_by_db.get(i, "_") for i in range(len(cl.telescope))]
 
     # -- terms ----------------------------------------------------------------
 
@@ -333,8 +332,10 @@ class SacBackend:
                 if nm.startswith("#") and len(va) == 1:
                     return SMacroApp(nm[1:], self._term(va[0], venv, cx))
                 raise ExtractError("higher-order variable application")
-            case Con("prf", _):
+            case Con(("prf" | "yes"), _):
                 return SNum(1)
+            case Con("no", _):
+                return SNum(0)
             case Con(("suc" | "fsuc"), _):
                 k, inner = suc_spine(t)
                 if inner is None:
@@ -353,7 +354,7 @@ class SacBackend:
             case Con("imap", _):
                 return self.kompile_imap(t, venv, cx)
             case Let(bound, scope):
-                nm = _uniq(scope.name, venv, cx.state)
+                nm = cx.state.binder(scope.name, cx.scope)
                 cx.hoisted.append((nm, self._term(bound, venv, cx)))
                 return self._term(scope.body, [nm] + venv, cx)
             case Def("reduce", args):
@@ -440,7 +441,7 @@ class SacBackend:
         f = t.args[-1].value
         shape = self._term(s, venv, cx)
         default = self._zero_default(x, venv, cx)
-        iv = cx.state.fresh("iv_")
+        iv = cx.state.binder("iv", cx.scope, fresh=True)
         block, body = self._loop_body(f, iv, venv, cx)
         return SWith("genarray", ((None, None, iv, block, body),),
                      shape=shape, default=default)
@@ -486,7 +487,7 @@ class SacBackend:
         neutral_x = self._term(neutral, venv, cx)
         if isinstance(arr, Def) and arr.name == "ravel":
             arr = arr.args[-1].value  # fold order is row-major anyway
-        iv = cx.state.fresh("iv_")
+        iv = cx.state.binder("iv", cx.scope, fresh=True)
         if isinstance(arr, Con) and arr.name == "imap":
             s = arr.args[2].value
             shape = self._term(s, venv, cx)
@@ -529,6 +530,7 @@ class _Cx:
     env: Env
     caller: str
     backend: "SacBackend"
+    scope: set[str]  # every name the function has bound so far
     hoisted: list = field(default_factory=list)
 
 
@@ -548,13 +550,6 @@ def _term_spine(t: Term) -> tuple[list[Term], bool]:
         t = t.args[-1].value
     closed = isinstance(t, Con) and t.name in ("vnil", "inil", "lnil")
     return items, closed
-
-
-def _uniq(name: str, venv, state) -> str:
-    name = unkeyword(name, SAC_KEYWORDS)
-    if name and name != "_" and name not in venv:
-        return name
-    return state.fresh("t_")
 
 
 def _is_array_type(ty: Term) -> bool:
@@ -604,6 +599,9 @@ def _type_asserts(ty: Term, subj: SExp, venv, cx) -> list[SExp]:
                          be._term(s, venv, cx), scalar=False)]
         case Def("List", _):
             return []
+        case Def("Dec", (Arg(p, _),)):  # the decision agrees with p
+            return [SBin("==", subj, a, scalar=False)
+                    for a in _type_asserts(p, subj, venv, cx)]
     return []
 
 
@@ -1042,11 +1040,10 @@ class _SacEval:
         if op == "==":
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
                 return np.array_equal(np.asarray(a), np.asarray(b))
-            return a == b
-        if op == "<":
-            return a < b
-        if op == ">":
-            return a > b
+            return int(a == b)  # a C boolean
+        if op in ("<", ">"):
+            out = a < b if op == "<" else a > b
+            return int(out) if np.ndim(out) == 0 else out
         raise SacParseError(f"unknown operator {op}")
 
     def _sel(self, arr, idx):

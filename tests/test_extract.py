@@ -1,15 +1,24 @@
-"""Extraction driver: termination, determinism, base-list semantics and
-name normalization."""
+"""Extraction driver: termination, determinism, base-list semantics, name
+normalization and the naming of binders."""
 
 import time
 
+import numpy as np
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
 from eslc.builtins import mk_pi, seed_env
-from eslc.extract import (ExtractState, kaleid_final_pass, kompile,
-                          normalise_name, sac_final_pass)
+from eslc.evaluate import call, varr
+from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, ExtractState,
+                          kaleid_final_pass, kompile, normalise_name,
+                          sac_final_pass)
+from eslc.harness import compare
 from eslc.ir import (Clause, Def, Definition, Function, Lit, PCon, PVar,
                      Var, vis)
-from eslc.kaleid import KaleidBackend
+from eslc.kaleid import KaleidBackend, interp_kaleid
 from eslc.loader import load_sources
+from eslc.parser import RESERVED
+from eslc.sac import SacBackend, interp_sac
 
 
 def _nat():
@@ -104,12 +113,65 @@ def test_name_collisions_get_numeric_suffixes():
 
 
 def test_fresh_names():
-    st = ExtractState(frozenset(), frozenset())
-    assert st.fresh("ub_") == "ub_1"
-    assert st.fresh("ub_") == "ub_2"
-    assert st.fresh("") == "3"
-    st.reset_fresh()
-    assert st.fresh("iv_") == "iv_1"
+    state = ExtractState(frozenset(), frozenset(), frozenset({"if"}))
+    scope = {"x_1", "a", "a_1"}
+    assert state.binder("b", scope) == "b"  # free: the source name stays
+    assert state.binder("if", scope) == "if_1"  # a keyword
+    assert state.binder("x_1", scope) == "x_1_1"  # in scope
+    assert state.binder("a", scope) == "a_2"  # in scope, and a_1 is taken
+    assert state.binder("b", scope) == "b_1"  # each name joins the scope
+    assert state.binder("iv", scope, fresh=True) == "iv_1"  # made up
+    assert state.binder("iv", scope, fresh=True) == "iv_2"
+    assert state.binder("iv", {"x_1"}, fresh=True) == "iv_1"  # no counter
+    assert scope == {"x_1", "a", "a_1", "b", "if_1", "x_1_1", "a_2", "b_1",
+                     "iv_1", "iv_2"}
+    # function names follow the same rule over the names already given
+    assert state.target_name("if", kaleid_final_pass) == "if_1"
+    assert state.target_name("if′", sac_final_pass) == "if_2"
+
+
+# names like the ones the backends bind, and the targets' keywords that
+# ESL admits as names
+CLASHING = sorted({"x_1", "x_2", "iv_1", "t_1", "p_1", "a_1", "mod_1", "ub_1",
+                   "ret"} | (KALEID_KEYWORDS | SAC_KEYWORDS) - RESERVED)
+# parameters, pattern variables, lets and the lets of `%` operands, on
+# both targets; a selection macro, a with-loop index and its component on
+# SaC
+NAT_W = ("w : (a b : Nat) -> 0 < b -> Nat\n"
+         "w {0} {1} {2} = {0} % {1} + (let {3} = {0} + {1} in "
+         "let {4} = {3} * {0} in ({4} + 1) % ({3} + 1) + {4})\n")
+ARR_V = ("v : Float -> Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\n"
+         "v {0} (imap {1}) = imap (\\({2} ∷ []) -> "
+         "let {3} = {1} ({2} ∷ []) +f {0} in {3} *f {3})\n")
+
+
+def _disagreements(src: str, entry: str, backend, inputs) -> list:
+    """The (source, target) arguments on which the backend's text and the
+    source evaluator disagree."""
+    e = load_sources([("w", src)])
+    text = kompile(entry, [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+    run = interp_kaleid if isinstance(backend, KaleidBackend) else interp_sac
+    return [(args, targs) for args, targs in inputs
+            if compare(call(e.env, entry, args), run(text, entry, targs),
+                       "exact") != 0.0]
+
+
+@seed(11)
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.lists(st.sampled_from(CLASHING), min_size=3, max_size=3,
+                unique=True),
+       st.lists(st.sampled_from(CLASHING), min_size=2, max_size=2))
+def test_binder_names_keep_their_meaning(names, lets):
+    nat = NAT_W.format(*names, *lets)
+    grid = [(0, 1), (3, 4), (7, 2)]
+    assert _disagreements(nat, "w", KaleidBackend(),
+                          [([a, b, 1], [a, b, 1]) for a, b in grid]) == []
+    assert _disagreements(nat, "w", SacBackend(),
+                          [([a, b, 1], [a, b]) for a, b in grid]) == []
+    arr = ARR_V.format(*names, lets[0])
+    xs = [1.0, 2.5, -4.0]
+    assert _disagreements(arr, "v", SacBackend(),
+                          [([0.5, varr((3,), xs)], [0.5, np.array(xs)])]) == []
 
 
 def test_unicode_names_transliterate_end_to_end():

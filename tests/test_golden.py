@@ -72,7 +72,8 @@ def _kompile(name: str) -> str:
 @pytest.mark.parametrize("name", list(corpus.CORPUS))
 def test_emitted_text_is_unchanged(name):
     text = _kompile(name)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name], \
+        f"the emitted text of {name} changed; it is now:\n{text}"
 
 
 @pytest.mark.parametrize("name", list(corpus.CORPUS))

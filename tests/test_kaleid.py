@@ -215,6 +215,31 @@ def test_keyword_names_diff_clean(case):
     assert (row.mismatches, row.inconclusive) == (0, [])
 
 
+# (source, entry, an input) whose binders are named like the ones the
+# backend binds
+CLASH_CASES = {
+    "let shadows a pattern variable": (
+        "w : Nat -> Nat -> Nat\nw a_1 a = let a = a + 1 in a * a + a_1\n", "w",
+        [10, 3]),
+    "let renamed onto a parameter": (
+        "w : Nat -> Nat -> Nat\n"
+        "w t_1 b = let t = b + 1 in let t = t * t in t * t + t_1\n", "w",
+        [10, 3]),
+    "% operand let": ("w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
+                      "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w",
+                      [20, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", list(CLASH_CASES))
+def test_clashing_names_diff_clean(case):
+    src, entry, args = CLASH_CASES[case]
+    e, text = _extract([("w", src)], entry)
+    assert interp_kaleid(text, entry, args) == call(e.env, entry, args)
+    row = run_signature_diff(e, entry, 20, 1)
+    assert (row.mismatches, row.inconclusive) == (0, [])
+
+
 # -- interpreter ----------------------------------------------------------------------
 
 

@@ -25,16 +25,15 @@ DECIDES = "w : (a b : Nat) -> Dec (a {} b)\nw a b = a {} b\n"
 FLOAT2 = "w : Float -> Float -> Float\nw a b = a {} b\n"
 
 # primitive: (its one-line wrapper w, the targets that run it).  Both
-# targets compile the Nat wrappers except the Dec ones, which SaC cannot
-# type; the Kaleidoscope target has no floats.
+# targets compile the Nat wrappers; the Kaleidoscope target has no floats.
 NAT_CASES = {
     "_+_": (NAT2.format("+"), ("kaleid", "sac")),
     "_-_": (NAT2.format("-"), ("kaleid", "sac")),
     "_*_": (NAT2.format("*"), ("kaleid", "sac")),
     "_/_": (DIVIDES.format("/"), ("kaleid", "sac")),
     "_%_": (DIVIDES.format("%"), ("kaleid", "sac")),
-    "_≟_": (DECIDES.format("≡", "≟"), ("kaleid",)),
-    "_<?_": (DECIDES.format("<", "<?"), ("kaleid",)),
+    "_≟_": (DECIDES.format("≡", "≟"), ("kaleid", "sac")),
+    "_<?_": (DECIDES.format("<", "<?"), ("kaleid", "sac")),
 }
 FLOAT_CASES = {
     "_+f_": FLOAT2.format("+f"),

@@ -417,6 +417,23 @@ AGREEMENT = {
                          "k", [2.0], [2.0]),
     "let in a loop body": (DBL, "dbl", [3, varr((3,), [1.0, 2.5, -4.0])],
                            [3, np.array([1.0, 2.5, -4.0])]),
+    # binders named like the ones the backend binds
+    "pattern variables named as parameters": (
+        "w : Float -> Float -> Float\nw x_2 x_1 = x_2 -f x_1\n", "w",
+        [5.0, 1.0], [5.0, 1.0]),
+    "argument named as a loop index": (
+        "w : Float -> Ar Float 1 (3 ∷ [])\n"
+        "w iv_1 = imap (\\(i ∷ []) -> iv_1 +f 1.0)\n", "w", [2.0], [2.0]),
+    "let shadows a pattern variable": (
+        "w : Nat -> Nat -> Nat\nw a_1 a = let a = a + 1 in a * a + a_1\n",
+        "w", [10, 3], [10, 3]),
+    "let renamed onto a parameter": (
+        "w : Nat -> Nat -> Nat\n"
+        "w t_1 b = let t = b + 1 in let t = t * t in t * t + t_1\n", "w",
+        [10, 3], [10, 3]),
+    "% operand named as a let": (
+        "w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
+        "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1], [20, 1]),
 }
 
 
