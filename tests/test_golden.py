@@ -18,7 +18,7 @@ import hashlib
 
 import pytest
 
-from eslc import corpus, extract, loader, shapes
+from eslc import corpus, extract, ir, loader, shapes
 from eslc.elaborate import Elaborator
 from eslc.kaleid import KaleidBackend, parse_kaleid
 from eslc.sac import SacBackend, parse_sac
@@ -90,3 +90,66 @@ def test_decider_questions_are_unchanged(name, monkeypatch):
     digest = hashlib.sha256(repr(log).encode("utf-8")).hexdigest()
     yes = sum(verdict == "yes" for _, _, verdict in log)
     assert (len(log), yes, digest) == DECIDER.get(name, PRELUDE_QUESTIONS)
+
+
+# sha256 of the core IR each prelude module and each corpus entry's own
+# sources elaborate to: every definition's signature, and each clause's
+# telescope, patterns and body, printed by ir.print_term
+CORE_IR = {
+    "prelude/base.esl": "1798ba98fd232c17910212c104aa4f20870fb378d179378b9d06224baca06259",
+    "prelude/apl.esl": "c3059e356d8865d6c95a69717559e759d7f55562861f3f2e24d8420202987c91",
+    "prelude/cnn.esl": "15ad488318c7733936e257e472453ece5899cdf1ba26d25c7684417e4ad072b2",
+    "log2": "c8f982578e6a6efd47599be8223ad5a7d14f7e28b00e0ae84575c7d1745b5692",
+    "ack": "dfcb85afff15cbb5e7cdbe5f8b5e7e75d5db72e3e6e06927bc0ae788703dcfbb",
+    "ex7": "de2c09b34669061c46da6c679d282306868efaf0b684d83033211b2359fdaf7c",
+    "fib": "f50ebc83fc9630868212f10a81bbea28cb97bff5bdb302cbe5bbd0110d2cbd30",
+    "logistic": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "meansqerr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "backavgpool": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "avgpool": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fuse2": "14fe094e439bf8f81e15915a783ca99ce27b7c1f46f905caefcc1238cc6334c8",
+    "matmul": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "rotate": "2973f81a70ca7f8441f31c14b225b9a4b5bbb33104136cc4eb281fb024830f1f",
+}
+
+
+def _core_ir_digest(elab: Elaborator, names) -> str:
+    out = []
+    for name in names:
+        d = elab.env.lookup(name)
+        out.append(f"def {name} : {ir.print_term(d.signature)}")
+        for cl in getattr(d.payload, "clauses", ()):
+            out.append("  tel " + " ".join(
+                f"[{n} {'h' if a.hidden else 'v'} {ir.print_term(a.value)}]"
+                for n, a in cl.telescope))
+            out.append(f"  pats {cl.patterns!r}")
+            out.append("  body " + ("absurd" if cl.body is None
+                                    else ir.print_term(cl.body)))
+        meta = elab.def_meta.get(name)
+        if meta is not None:
+            out.append(f"  meta {meta.unsupported!r} {meta.trusted_obligations!r}")
+    return hashlib.sha256("\n".join(out).encode("utf-8")).hexdigest()
+
+
+def _core_ir_digests() -> dict[str, str]:
+    out = {}
+    elab = Elaborator()
+    for module in loader.PRELUDE_MODULES:
+        before = set(elab.env.names())
+        elab.load_source(loader.prelude_text(module), f"prelude/{module}")
+        out[f"prelude/{module}"] = _core_ir_digest(
+            elab, [n for n in elab.env.names() if n not in before])
+    for name, entry in corpus.CORPUS.items():
+        elab = Elaborator()
+        for module in loader.PRELUDE_MODULES:
+            elab.load_source(loader.prelude_text(module), f"prelude/{module}")
+        before = set(elab.env.names())
+        for path, text in entry.sources:
+            elab.load_source(text, path)
+        out[name] = _core_ir_digest(
+            elab, [n for n in elab.env.names() if n not in before])
+    return out
+
+
+def test_elaborated_core_ir_is_unchanged():
+    assert _core_ir_digests() == CORE_IR
