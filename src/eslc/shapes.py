@@ -325,6 +325,8 @@ def _poly_to_expr(p: Poly) -> ShapeExpr:
 
 def decide(goal: Constraint, hyps: list[Constraint]) -> str:
     """Return "yes", "no" or "unknown"."""
+    if _implied(goal, hyps):
+        return "yes"
     if goal.kind == "veq":
         return _decide_veq(goal, hyps)
     if goal.kind == "eq":
@@ -343,6 +345,18 @@ def decide(goal: Constraint, hyps: list[Constraint]) -> str:
     if find_counterexample(goal, hyps) is not None:
         return "no"
     return "unknown"
+
+
+def _implied(goal: Constraint, hyps: list[Constraint]) -> bool:
+    """The goals that hold as they stand, answered before any elimination:
+    a vector equation of equal sides, nonzero of a positive literal, or a
+    scalar goal that is one of the hypotheses.  A vector goal is not looked
+    up among the hypotheses, so it is still split into its components."""
+    if goal.kind == "veq":
+        return goal.lhs == goal.rhs
+    if goal.kind == "nonzero" and isinstance(goal.lhs, SLit):
+        return goal.lhs.value > 0
+    return goal in hyps
 
 
 def _decide_veq(goal: Constraint, hyps: list[Constraint]) -> str:

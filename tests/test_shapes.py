@@ -165,3 +165,69 @@ def test_exact_div_and_mod_atoms_with_large_operands():
     m = 10**16 + 1
     assert decide(lt(SMod(v("x"), SLit(m)), SLit(m)), []) == "yes"
     assert decide(lt(SMod(v("x"), SLit(m)), SLit(m - 1)), []) != "yes"
+
+
+# --------------------------------------------------------------------------
+# the implied-goal fast path
+
+
+def _corpus_questions():
+    """Every (goal, hypotheses) the corpus asks while it is elaborated."""
+    from eslc import corpus, loader
+    from eslc.elaborate import Elaborator
+
+    asked, decide_ = [], sh.decide
+
+    def logged(goal, hyps):
+        asked.append((goal, list(hyps)))
+        return decide_(goal, hyps)
+
+    sh.decide = logged
+    try:
+        for entry in corpus.CORPUS.values():
+            elab = Elaborator()
+            for module in loader.PRELUDE_MODULES:
+                elab.load_source(loader.prelude_text(module), f"prelude/{module}")
+            for path, text in entry.sources:
+                elab.load_source(text, path)
+    finally:
+        sh.decide = decide_
+    return asked
+
+
+def _decide_by_elimination(goal, hyps):
+    """The verdict with no shortcut: Fourier-Motzkin, then a
+    counterexample search."""
+    if goal.kind == "veq":
+        return sh._decide_veq(goal, hyps)
+    if goal.kind == "eq":
+        le = [sh._decide_ineq(sh.Constraint("le", a, b), hyps)
+              for a, b in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs))]
+        proved = le == ["yes", "yes"]
+    else:
+        proved = sh._decide_ineq(goal, hyps) == "yes"
+    if proved:
+        return "yes"
+    return "no" if sh.find_counterexample(goal, hyps) is not None else "unknown"
+
+
+def test_fast_path_agrees_with_elimination_on_every_corpus_question():
+    asked = _corpus_questions()
+    assert len(asked) > 300
+    shortcut = 0
+    for goal, hyps in asked:
+        shortcut += sh._implied(goal, hyps)
+        assert decide(goal, hyps) == _decide_by_elimination(goal, hyps), (goal, hyps)
+    assert shortcut > 100  # the path is taken, not only agreed with
+
+
+def test_goal_among_hypotheses_skips_elimination(monkeypatch):
+    calls = []
+    fm = sh._fm_infeasible
+    monkeypatch.setattr(sh, "_fm_infeasible", lambda rows: calls.append(1) or fm(rows))
+    goal = lt(SMod(SAdd(v("i"), v("k")), v("n")), v("n"))
+    hyps = [lt(v("i"), v("n")), goal]
+    assert decide(goal, hyps) == "yes"
+    assert calls == []
+    assert decide(lt(v("i"), SAdd(v("n"), SLit(1))), hyps) == "yes"
+    assert calls  # the same hypotheses without the goal among them do eliminate
