@@ -6,17 +6,38 @@ to resolve the broadcasting of lifted array operators, and to discharge
 every proposition-typed obligation with the arithmetic decider (or record
 it as trusted).  Full proof checking is deliberately absent: inhabitants
 of `<` and `≡` are runtime-irrelevant and only their provability matters.
+
+Types are checked as values, by normalization by evaluation.  A value is
+a term whose variables have been read from an environment:
+- a variable of the context is a `VVar` by de Bruijn level, so a value
+  means the same at every depth and is never shifted;
+- a binder (`VBind`: a Pi, lambda or let) is a closure, instantiated by
+  calling it with the bound variable's value;
+- `Con`, `Def`, `Lit`, `Sort` and `Unknown` are the term nodes
+  themselves, with values in their spines.  A `Def` is neutral: it is
+  unfolded only where a check needs its weak head normal form;
+- a hidden argument still to be inferred is a `Meta` cell.  Unification
+  solves it once with a value, and every read of a `VMeta` forces it.
+Elaborated terms stay syntax, with a `Hole` for each meta, filled from
+its cell when the term is finished.
+
+A value is quoted back to a term only where a term is needed: for the
+shape decider (`shapes.term_to_scalar`/`term_to_vec`), for the
+normalizer's weak head step, for the telescopes and terms stored in
+`Env`, and in error messages.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import broadcast, ir, shapes
 from .builtins import PRIMS, is_prop_type, seed_env
-from .ir import (Abs, Arg, Clause, Con, Def, Definition, Env,
-                 EslError, Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar,
-                 Sort, Term, Unknown, Var, hid, nat_view, pi_spine, vis)
+from .ir import (Abs, Arg, Clause, Con, Constructor, Datatype, Def,
+                 Definition, Env, EslError, Function, Lam, Let, Lit, PAbsurd,
+                 PCon, Pi, PVar, Sort, Term, Unknown, Var, hid, map_args,
+                 pi_spine, vis)
 from .normalize import (Normalizer, ReductionPolicy, RewriteRule, RuleSet)
 from .parser import (SApp, SClause, SExpr, SFixity, SFloat, SLam, SLamPat,
                      SLet, SName, SNum, SPat, SPi, SPragma, SSignature,
@@ -51,52 +72,309 @@ _BUILTIN_TAGS = {
 _CON_NAMES = {"zero", "suc", "fzero", "fsuc", "vnil", "vcons", "inil",
               "icons", "lnil", "lcons", "imap", "yes", "no", "prf"}
 
+# the fuel of one weak head step of a type
+WHNF_FUEL = 100000
 
-@dataclass
-class CtxEntry:
+
+# --------------------------------------------------------------------------
+# values
+
+
+class Meta:
+    """A hidden argument to infer, made under `depth` binders and named for
+    error messages."""
+
+    __slots__ = ("name", "depth", "solution")
+
+    def __init__(self, number: int, depth: int) -> None:
+        self.name, self.depth = f"?m{number}@{depth}", depth
+        self.solution = None  # a value over the first `depth` variables
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Hole(Def):
+    """A meta in an elaborated term; it prints as a definition of its name."""
+    meta: Meta | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class VVar:
+    level: int
+    spine: tuple[Arg, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class VMeta:
+    meta: Meta
+    spine: tuple[Arg, ...] = ()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class VBind:
+    """A Pi (`dom` its domain), lambda (`dom` None) or let (`dom` the bound
+    value); `body(v)` is the value under the binder for the variable `v`."""
+    kind: str  # "pi" | "lam" | "let"
     name: str
-    type: Term  # scoped over the *earlier* entries
-    # shape constraints that hold while the entry is in scope, its own
-    # type's (if a decidable proposition) last
-    hyps: list
+    hidden: bool
+    dom: object
+    body: Callable
+
+
+class VLazy:
+    """The value of `term` in `env`, evaluated when first forced."""
+
+    __slots__ = ("term", "env", "value")
+
+    def __init__(self, term: Term, env: tuple) -> None:
+        self.term, self.env, self.value = term, env, None
+
+
+# the functions below dispatch on type(...) rather than `match`, which
+# tries each class pattern in turn: they run for every node read
+
+
+def _eval(t: Term, env: tuple):
+    """The value of `t`, whose variable i is env[i]."""
+    cls = type(t)
+    if cls is Var:
+        v = env[t.idx]
+        return _apply(v, map_args(t.args, _eval, env)) if t.args else v
+    if cls is Def or cls is Con:
+        args = t.args
+        nargs = map_args(args, _eval, env) if args else args
+        return t if nargs is args else cls(t.name, nargs)
+    if cls is Pi or cls is Lam or cls is Let:
+        body = t.scope.body
+        def under(v):
+            return _eval(body, (v,) + env)
+        if cls is Pi:
+            return VBind("pi", t.scope.name, t.domain.hidden,
+                         _eval(t.domain.value, env), under)
+        if cls is Lam:
+            return VBind("lam", t.scope.name, t.hidden, None, under)
+        return VBind("let", t.scope.name, False, _eval(t.bound, env), under)
+    if cls is Hole:
+        return _apply(VMeta(t.meta), map_args(t.args, _eval, env))
+    return t
+
+
+def _apply(v, args: tuple[Arg, ...]):
+    if not args:
+        return v
+    v = _force(v)
+    cls = type(v)
+    if cls is VVar:
+        return VVar(v.level, v.spine + args)
+    if cls is VMeta:
+        return VMeta(v.meta, v.spine + args)
+    if cls is Con or cls is Def:
+        return cls(v.name, v.args + args)
+    if cls is VBind and v.kind == "lam":
+        return _apply(v.body(args[0].value), args[1:])
+    if cls is VBind and v.kind == "let":
+        body = v.body
+        return VBind("let", v.name, False, v.dom, lambda x: _apply(body(x), args))
+    if cls is Unknown:
+        return v
+    raise EslError(f"cannot apply arguments to {v!r}")
+
+
+def _force(v):
+    """`v` with its head evaluated and its solved metas there read."""
+    while True:
+        cls = type(v)
+        if cls is VLazy:
+            if v.value is None:
+                v.value = _eval(v.term, v.env)
+            v = v.value
+        elif cls is VMeta and v.meta.solution is not None:
+            v = _apply(v.meta.solution, v.spine)
+        else:
+            return v
+
+
+def _quote(v, depth: int, strict: bool = False) -> Term:
+    """The term of `v` under `depth` binders.  An unsolved meta becomes a
+    `Hole`, or, if `strict`, raises `_Unsolved`; a variable bound deeper
+    than `depth` raises `ir.NegativeIndex`."""
+    v = _force(v)
+    cls = type(v)
+    if cls is Con or cls is Def:
+        args = v.args
+        nargs = map_args(args, _quote, depth, strict) if args else args
+        return v if nargs is args else cls(v.name, nargs)
+    if cls is VVar:
+        if v.level >= depth:
+            raise ir.NegativeIndex(f"level {v.level} escapes depth {depth}")
+        return Var(depth - 1 - v.level, map_args(v.spine, _quote, depth, strict))
+    if cls is VBind:
+        inner = Abs(v.name, _quote(v.body(VVar(depth)), depth + 1, strict))
+        if v.kind == "lam":
+            return Lam(inner, v.hidden)
+        dom = _quote(v.dom, depth, strict)
+        return Pi(Arg(dom, v.hidden), inner) if v.kind == "pi" else Let(dom, inner)
+    if cls is VMeta:
+        if strict:
+            raise _Unsolved
+        return Hole(v.meta.name, map_args(v.spine, _quote, depth, strict), v.meta)
+    return v
+
+
+class _Unsolved(Exception):
+    pass
+
+
+def _fill(t: Term, depth: int, strict: bool) -> Term:
+    """`t`, under `depth` binders, with each hole of a solved meta
+    replaced by the solution; subterms without one are shared."""
+    cls = type(t)
+    if cls is Hole:
+        args = map_args(t.args, _fill, depth, strict)
+        if t.meta.solution is not None:
+            return ir.apply_term(_quote(t.meta.solution, depth, strict), args)
+        if strict:
+            raise _Unsolved
+        return t if args is t.args else Hole(t.name, args, t.meta)
+    if cls is Con or cls is Def:
+        args = map_args(t.args, _fill, depth, strict) if t.args else t.args
+        return t if args is t.args else cls(t.name, args)
+    if cls is Var:
+        args = map_args(t.args, _fill, depth, strict) if t.args else t.args
+        return t if args is t.args else Var(t.idx, args)
+    if cls is Lam or cls is Let or cls is Pi:
+        body = _fill(t.scope.body, depth + 1, strict)
+        scope = t.scope if body is t.scope.body else Abs(t.scope.name, body)
+        if cls is Lam:
+            return t if scope is t.scope else Lam(scope, t.hidden)
+        dom = t.bound if cls is Let else t.domain.value
+        ndom = _fill(dom, depth, strict)
+        if ndom is dom and scope is t.scope:
+            return t
+        return Let(ndom, scope) if cls is Let else Pi(Arg(ndom, t.domain.hidden), scope)
+    return t
+
+
+def _same(a, b, depth: int) -> bool:
+    """Whether `a` and `b` quote to equal terms."""
+    a, b = _force(a), _force(b)
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Con or cls is Def:
+        return a.name == b.name and _same_args(a.args, b.args, depth)
+    if cls is VVar:
+        return a.level == b.level and _same_args(a.spine, b.spine, depth)
+    if cls is VMeta:
+        return a.meta is b.meta and _same_args(a.spine, b.spine, depth)
+    if cls is VBind:
+        return (a.kind, a.name, a.hidden) == (b.kind, b.name, b.hidden) and \
+            (a.dom is None or _same(a.dom, b.dom, depth)) and \
+            _same(a.body(VVar(depth)), b.body(VVar(depth)), depth + 1)
+    return a == b
+
+
+def _same_args(xs, ys, depth: int) -> bool:
+    if len(xs) != len(ys):
+        return False
+    for x, y in zip(xs, ys):
+        if x.hidden != y.hidden or not _same(x.value, y.value, depth):
+            return False
+    return True
+
+
+def _mentions(v, hit) -> bool:
+    """Whether `hit` holds of a variable or an unsolved meta in `v`."""
+    v = _force(v)
+    cls = type(v)
+    if cls is VVar or cls is VMeta:
+        return hit(v) or any(_mentions(a.value, hit) for a in v.spine)
+    if cls is Con or cls is Def:
+        return any(_mentions(a.value, hit) for a in v.args)
+    if cls is VBind:
+        # the bound variable stands at level -1, below every context
+        return v.dom is not None and _mentions(v.dom, hit) or \
+            _mentions(v.body(VVar(-1)), hit)
+    return False
+
+
+def _is_suc(v) -> bool:
+    return type(v) is Con and v.name == "suc" and len(v.args) == 1
+
+
+def _unsolved(v) -> bool:
+    return _mentions(v, lambda x: type(x) is VMeta)
+
+
+def _nat_of(v) -> int | None:
+    """`ir.nat_view` of a value, forcing it on the way."""
+    n = 0
+    while True:
+        v = _force(v)
+        if type(v) is Lit:
+            return n + v.value if type(v.value) is int else None
+        if type(v) is Con and v.name == "zero" and not v.args:
+            return n
+        if not (type(v) is Con and v.name == "suc" and len(v.args) == 1):
+            return None
+        n, v = n + 1, v.args[0].value
+
+
+NAT = Def("Nat")
+_SUC_TYPE = VBind("pi", "n", False, NAT, lambda _: NAT)
+
+
+# --------------------------------------------------------------------------
+# the context
 
 
 class Ctx:
-    def __init__(self) -> None:
-        self.entries: list[CtxEntry] = []
+    """The variables in scope, newest last, each with its type (a value).
+    Kept up to date for the checks to read: the identity environment
+    `env` (a VVar per entry, newest first), the shape key of each entry
+    (`names`, newest first) and the hypotheses in scope (`hyps`, the
+    newest entry's first)."""
 
-    def push(self, name: str, ty: Term, hyps=()) -> None:
+    def __init__(self) -> None:
+        # (name, type, names and hyps before the entry)
+        self.entries: list[tuple] = []
+        self.env: tuple = ()
+        self.names: list[str] = []
+        self.hyps: list[shapes.Constraint] = []
+
+    def push(self, name: str, ty, hyps=()) -> None:
+        n = len(self.entries)
         hyps = list(hyps)
-        if is_prop_type(ty):
+        if is_prop_type(ty := _force(ty)):
             # the constraint keys variables by absolute position, so it
             # is the same at every later depth: derive it once, here
-            c = _prop_to_constraint(ty, self.names_for_shapes())
+            c = _prop_to_constraint(_quote(ty, n), self.names)
             if c is not None:
                 hyps.append(c)
-        self.entries.append(CtxEntry(name, ty, hyps))
+        self.entries.append((name, ty, self.names, self.hyps))
+        self.env = (VVar(n),) + self.env
+        self.names = [f"{name}#{n}"] + self.names
+        self.hyps = hyps + self.hyps if hyps else self.hyps
 
     def pop(self, k: int = 1) -> None:
-        del self.entries[len(self.entries) - k:]
+        _, _, self.names, self.hyps = self.entries[-k]
+        del self.entries[-k:]
+        self.env = self.env[k:]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def lookup(self, name: str) -> int | None:
         for i, e in enumerate(reversed(self.entries)):
-            if e.name == name:
+            if e[0] == name:
                 return i
         return None
 
-    def type_of(self, idx: int) -> Term:
-        e = self.entries[len(self.entries) - 1 - idx]
-        return ir.shift(e.type, idx + 1)
+    def type_of(self, idx: int):
+        return self.entries[len(self.entries) - 1 - idx][1]
 
-    def names_for_shapes(self) -> list[str]:
-        n = len(self.entries)
-        return [f"{self.entries[n - 1 - i].name}#{n - 1 - i}" for i in range(n)]
-
-    def hypotheses(self) -> list[shapes.Constraint]:
-        return [h for e in reversed(self.entries) for h in e.hyps]
+    def telescope(self) -> tuple[tuple[str, Arg], ...]:
+        return tuple((name, vis(_quote(ty, i)))
+                     for i, (name, ty, _, _) in enumerate(self.entries))
 
 
 def _prop_to_constraint(ty: Term, names) -> shapes.Constraint | None:
@@ -109,87 +387,6 @@ def _prop_to_constraint(ty: Term, names) -> shapes.Constraint | None:
             return shapes.eq(shapes.term_to_scalar(va[0], names),
                              shapes.term_to_scalar(va[1], names))
     return None
-
-
-# --------------------------------------------------------------------------
-# metavariables
-
-
-class _Metas:
-    def __init__(self) -> None:
-        self.count = 0
-        self.sol: dict[str, tuple[Term, int]] = {}
-
-    def fresh(self, depth: int) -> Term:
-        self.count += 1
-        return Def(f"?m{self.count}@{depth}")
-
-    @staticmethod
-    def is_meta(t: Term) -> bool:
-        return isinstance(t, Def) and t.name.startswith("?m") and not t.args
-
-    @staticmethod
-    def depth_of(name: str) -> int:
-        return int(name.split("@")[1])
-
-    def zonk(self, t: Term, depth: int) -> Term:
-        """`t` with every solved meta replaced by its solution; subterms
-        without one come back as the same objects."""
-        return self._zonk(t, depth) if self.sol else t
-
-    def _zonk(self, t: Term, depth: int) -> Term:
-        match t:
-            case Def(name, args) if name.startswith("?m"):
-                if name in self.sol:
-                    sol, d = self.sol[name]
-                    out = ir.shift(self._zonk(sol, d), depth - d)
-                    return ir.apply_term(out, ir.map_args(args, self._zonk, depth))
-                return t
-            case Var(i, args):
-                nargs = ir.map_args(args, self._zonk, depth) if args else args
-                return t if nargs is args else Var(i, nargs)
-            case Con(name, args) if args:
-                nargs = ir.map_args(args, self._zonk, depth)
-                return t if nargs is args else Con(name, nargs)
-            case Def(name, args) if args:
-                nargs = ir.map_args(args, self._zonk, depth)
-                return t if nargs is args else Def(name, nargs)
-            case Lam(scope, h):
-                body = self._zonk(scope.body, depth + 1)
-                return t if body is scope.body else Lam(Abs(scope.name, body), h)
-            case Let(bound, scope):
-                nbound = self._zonk(bound, depth)
-                body = self._zonk(scope.body, depth + 1)
-                if nbound is bound and body is scope.body:
-                    return t
-                return Let(nbound, Abs(scope.name, body))
-            case Pi(dom, scope):
-                ndom = self._zonk(dom.value, depth)
-                body = self._zonk(scope.body, depth + 1)
-                if ndom is dom.value and body is scope.body:
-                    return t
-                return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
-            case _:
-                return t
-
-    def has_unsolved(self, t: Term) -> bool:
-        return bool(self.count) and self._has_unsolved(t)
-
-    def _has_unsolved(self, t: Term) -> bool:
-        match t:
-            case Def(name, args) if name.startswith("?m"):
-                return name not in self.sol or any(self._has_unsolved(a.value)
-                                                   for a in args)
-            case Var(_, args) | Con(_, args) | Def(_, args):
-                return any(self._has_unsolved(a.value) for a in args)
-            case Lam(scope, _):
-                return self._has_unsolved(scope.body)
-            case Let(bound, scope):
-                return self._has_unsolved(bound) or self._has_unsolved(scope.body)
-            case Pi(dom, scope):
-                return self._has_unsolved(dom.value) or self._has_unsolved(scope.body)
-            case _:
-                return False
 
 
 # --------------------------------------------------------------------------
@@ -210,26 +407,43 @@ class Elaborator:
         self.def_meta: dict[str, DefMeta] = {}
         self.aliases: dict[str, str] = {}
         self._current: str | None = None
+        self._metas: list[Meta] = []  # those of the term being elaborated
+        self._nz = Normalizer(self.env, ReductionPolicy(fuel=WHNF_FUEL))
 
-    def _whnf(self, t: Term) -> Term:
-        """Weak head normal form with a fresh budget of reduction steps."""
-        return Normalizer(self.env, ReductionPolicy(fuel=100000)).whnf(t)
+    def _whnf(self, v, ctx: Ctx):
+        """The weak head normal form of a value, by the normalizer with a
+        fresh budget of reduction steps.  Heads that cannot reduce (a
+        variable, a binder, a data type or one of its constructors) are
+        not quoted for it."""
+        v = _force(v)
+        cls = type(v)
+        if cls is Def:
+            if v.name not in self.env or isinstance(
+                    self.env.lookup(v.name).payload, (Datatype, Constructor)):
+                return v
+        elif cls is Con:
+            if v.name not in ("zero", "suc", "fzero", "fsuc"):
+                return v
+        elif not (cls is VBind and v.kind == "let"):
+            return v
+        t = _quote(v, len(ctx))
+        self._nz.fuel = WHNF_FUEL
+        w = self._nz.whnf(t)
+        return v if w is t else _force(_eval(w, ctx.env))
+
+    def _fresh(self, ctx: Ctx) -> VMeta:
+        m = Meta(len(self._metas) + 1, len(ctx))
+        self._metas.append(m)
+        return VMeta(m)
+
+    def _show_v(self, v, ctx: Ctx) -> str:
+        return ir.print_term(_quote(v, len(ctx)))
 
     # -- module driver -------------------------------------------------------
 
     def load_module(self, smod: SourceModule) -> None:
         sigs: dict[str, Term] = {}
-        clauses: dict[str, list[Clause]] = {}
         order: list[str] = []
-
-        def finalize(name: str) -> None:
-            d = self.env.lookup(name)
-            assert isinstance(d.payload, Function)
-            if not d.payload.clauses:
-                raise EslError(f"{name}: signature without clauses")
-            widths = {len(c.patterns) for c in d.payload.clauses}
-            if len(widths) > 1:
-                raise EslError(f"{name}: clauses differ in pattern count")
 
         for decl in smod.decls:
             if isinstance(decl, SFixity):
@@ -257,12 +471,15 @@ class Elaborator:
             self._current = decl.name
             cl = self.elab_clause(decl, sigs[decl.name])
             self._current = None
-            clauses.setdefault(decl.name, []).append(cl)
             d = self.env.lookup(decl.name)
             assert isinstance(d.payload, Function)
             d.payload.clauses.append(cl)
         for name in order:
-            finalize(name)
+            clauses = self.env.lookup(name).payload.clauses
+            if not clauses:
+                raise EslError(f"{name}: signature without clauses")
+            if len({len(c.patterns) for c in clauses}) > 1:
+                raise EslError(f"{name}: clauses differ in pattern count")
 
     def load_source(self, text: str, path: str = "<string>") -> None:
         self.load_module(parse(text, path))
@@ -300,7 +517,7 @@ class Elaborator:
         match s:
             case SPi(binder, hidden, dom, cod):
                 dty = self.elab_type(dom, ctx)
-                ctx.push(binder, dty)
+                ctx.push(binder, _eval(dty, ctx.env))
                 try:
                     cty = self.elab_type(cod, ctx)
                 finally:
@@ -309,52 +526,46 @@ class Elaborator:
             case SName("Set"):
                 return Sort()
             case _:
-                term, _ = self.infer(s, ctx)
-                return term
+                self._metas = []
+                return self._finish(s, self._infer(s, ctx)[0], ctx)
 
     # -- expressions ------------------------------------------------------------
 
-    def infer(self, s: SExpr, ctx: Ctx) -> tuple[Term, Term | None]:
-        metas = _Metas()
-        t, ty = self._infer(s, ctx, metas)
-        t = metas.zonk(t, len(ctx))
-        if metas.has_unsolved(t):
+    def check(self, s: SExpr, ty, ctx: Ctx) -> Term:
+        self._metas = []
+        return self._finish(s, self._check(s, ty, ctx), ctx)
+
+    def _finish(self, s: SExpr, t: Term, ctx: Ctx) -> Term:
+        if not self._metas:
+            return t
+        try:
+            return _fill(t, len(ctx), True)
+        except _Unsolved:
             raise UnprovenConstraint(
-                f"unresolved hidden arguments in {_show(s)}")
-        return t, metas.zonk(ty, len(ctx)) if ty is not None else None
+                f"unresolved hidden arguments in {_show(s)}") from None
 
-    def check(self, s: SExpr, ty: Term, ctx: Ctx) -> Term:
-        metas = _Metas()
-        t = self._check(s, ty, ctx, metas)
-        t = metas.zonk(t, len(ctx))
-        if metas.has_unsolved(t):
-            raise UnprovenConstraint(f"unresolved hidden arguments in {_show(s)}")
-        return t
-
-    def _infer(self, s: SExpr, ctx: Ctx, metas) -> tuple[Term, Term | None]:
+    def _infer(self, s: SExpr, ctx: Ctx) -> tuple[Term, object]:
         match s:
             case SNum(v):
-                return Lit(v), Def("Nat")
+                return Lit(v), NAT
             case SFloat(v):
                 return Lit(v), Def("Float")
             case SName(name, line):
                 return self._infer_name(name, line, ctx)
             case SApp(fn, args):
-                return self._elab_app(fn, args, ctx, metas, expected=None)
+                return self._elab_app(fn, args, ctx, expected=None)
             case SLet(name, bound, body):
-                bt, bty = self._infer(bound, ctx, metas)
+                bt, bty = self._infer(bound, ctx)
+                n = len(ctx)
                 ctx.push(name, bty if bty is not None else Unknown())
                 try:
-                    inner, ity = self._infer(body, ctx, metas)
+                    inner, ity = self._infer(body, ctx)
                 finally:
                     ctx.pop()
-                oty = None
-                if ity is not None:
-                    try:
-                        oty = ir.shift(ity, -1)
-                    except ir.NegativeIndex:
-                        oty = None
-                return Let(bt, Abs(name, inner)), oty
+                if ity is not None and _mentions(
+                        ity, lambda x: isinstance(x, VVar) and x.level >= n):
+                    ity = None
+                return Let(bt, Abs(name, inner)), ity
             case SLam() | SLamPat():
                 raise UnprovenConstraint(
                     "cannot infer a type for a bare lambda; add an annotation")
@@ -372,381 +583,345 @@ class Elaborator:
                 f"{name} needs an expected container type; annotate the use")
         if name in _CON_NAMES:
             if name == "zero":
-                return Lit(0), Def("Nat")
+                return Lit(0), NAT
             if name == "suc":
-                return Con("suc"), ir.Pi(vis(Def("Nat")), Abs("n", Def("Nat")))
+                return Con("suc"), _SUC_TYPE
             return Con(name), None
         if name in self.env:
-            return Def(name), self.env.lookup(name).signature
+            return Def(name), _eval(self.env.lookup(name).signature, ())
         raise ScopeError(f"line {line}: unknown name {name}")
 
-    def _check(self, s: SExpr, ty: Term, ctx: Ctx, metas) -> Term:
-        ty = metas.zonk(ty, len(ctx))
-        whty = self._whnf(ty) \
-            if isinstance(ty, Def) and not _Metas.is_meta(ty) else ty
+    def _check(self, s: SExpr, ty, ctx: Ctx) -> Term:
+        ty = _force(ty)
+        whty = self._whnf(ty, ctx) if isinstance(ty, Def) else ty
         match s:
             case SLam(binder, body):
-                if not isinstance(whty, Pi):
+                if not (isinstance(whty, VBind) and whty.kind == "pi"):
                     raise UnsupportedType(f"lambda checked against non-function type")
-                ctx.push(binder, whty.domain.value)
+                ctx.push(binder, whty.dom)
                 try:
-                    inner = self._check(body, whty.scope.body, ctx, metas)
+                    inner = self._check(body, whty.body(ctx.env[0]), ctx)
                 finally:
                     ctx.pop()
-                return Lam(Abs(binder, inner), whty.domain.hidden)
+                return Lam(Abs(binder, inner), whty.hidden)
             case SLamPat(comps, body):
-                return self._check_lampat(comps, body, whty, ctx, metas)
+                return self._check_lampat(comps, body, whty, ctx)
             case SName("prf"):
                 self._discharge(whty, ctx)
                 return Con("prf")
             case SName("[]") | SName("_∷_"):
-                return self._check_spine(s, whty, ctx, metas)
+                return self._check_spine(s, whty, ctx)
             case SApp(SName("_∷_"), _):
-                return self._check_spine(s, whty, ctx, metas)
+                return self._check_spine(s, whty, ctx)
             case SApp(SName("imap"), args) if len(args) == 1 and not args[0][1]:
                 if not (isinstance(whty, Def) and whty.name == "Ar"):
                     raise UnsupportedType("imap checked against a non-array type")
                 x, d, sh = (a.value for a in whty.args)
-                fn_ty = Pi(vis(Def("Ix", (vis(d), vis(sh)))),
-                           Abs("iv", ir.shift(x, 1)))
-                f = self._check(args[0][0], fn_ty, ctx, metas)
-                return Con("imap", (hid(x), hid(d), hid(sh), vis(f)))
+                fn_ty = VBind("pi", "iv", False, Def("Ix", (vis(d), vis(sh))),
+                              lambda _: x)
+                f = self._check(args[0][0], fn_ty, ctx)
+                n = len(ctx)
+                return Con("imap", (hid(_quote(x, n)), hid(_quote(d, n)),
+                                    hid(_quote(sh, n)), vis(f)))
             case SLet(name, bound, body):
-                bt, bty = self._infer(bound, ctx, metas)
+                bt, bty = self._infer(bound, ctx)
                 ctx.push(name, bty if bty is not None else Unknown())
                 try:
-                    inner = self._check(body, ir.shift(ty, 1), ctx, metas)
+                    inner = self._check(body, ty, ctx)
                 finally:
                     ctx.pop()
                 return Let(bt, Abs(name, inner))
             case SApp(fn, args):
-                t, ity = self._elab_app(fn, args, ctx, metas, expected=whty)
+                t, ity = self._elab_app(fn, args, ctx, expected=whty)
                 if ity is not None:
-                    self._unify(ity, whty, ctx, metas)
+                    self._unify(ity, whty, ctx)
                 return t
             case _:
-                t, ity = self._infer(s, ctx, metas)
+                t, ity = self._infer(s, ctx)
                 if ity is not None:
-                    self._unify(ity, whty, ctx, metas)
+                    self._unify(ity, whty, ctx)
                 elif is_prop_type(whty):
                     self._discharge(whty, ctx)
                 return t
 
-    def _check_lampat(self, comps, body, ty, ctx: Ctx, metas) -> Term:
-        if not (isinstance(ty, Pi) and isinstance(ty.domain.value, Def)
-                and ty.domain.value.name == "Ix"):
+    def _check_lampat(self, comps, body, ty, ctx: Ctx) -> Term:
+        dom = _force(ty.dom) if isinstance(ty, VBind) and ty.kind == "pi" else None
+        if not (isinstance(dom, Def) and dom.name == "Ix"):
             raise UnsupportedType("pattern lambda requires an index-typed domain")
-        dterm, sterm = (a.value for a in ty.domain.value.args)
-        d = nat_view(self._whnf(metas.zonk(dterm, len(ctx))))
+        dv, sv = (a.value for a in dom.args)
+        n = len(ctx)
+        d = _nat_of(self._whnf(dv, ctx))
         if d is None or d != len(comps):
             raise UnsupportedType(
-                f"index pattern has {len(comps)} components but rank is {_show_t(dterm)}")
-        ctx.push("iv", ty.domain.value)
-        svec = shapes.term_to_vec(ir.shift(sterm, 1), ctx.names_for_shapes())
-        inner_ty = ty.scope.body
+                f"index pattern has {len(comps)} components but rank is "
+                f"{self._show_v(dv, ctx)}")
+        ctx.push("iv", dom)
+        svec = shapes.term_to_vec(_quote(sv, n + 1), ctx.names)
+        inner_ty = ty.body(ctx.env[0])
         kept = [k for k in range(len(comps)) if comps[k] != "_"]
         for k in kept:
             extent = shapes.vec_component(svec, k)
             key = f"{comps[k]}#{len(ctx)}"
-            ctx.push(comps[k], Def("Nat"),
-                     hyps=[shapes.lt(shapes.SVar(key), extent)])
+            ctx.push(comps[k], NAT, hyps=[shapes.lt(shapes.SVar(key), extent)])
         try:
-            inner = self._check(body, ir.shift(inner_ty, len(kept)), ctx, metas)
+            inner = self._check(body, inner_ty, ctx)
         finally:
             ctx.pop(len(kept) + 1)
-        # wrap the components in lets, innermost last; at the j-th binding
-        # the index variable iv sits j binders out
+        # wrap the components in lets, innermost last; the p-th binding
+        # sits under iv and p lets, so iv is Var(p) there
         out = inner
-        for j, k in enumerate(reversed(kept)):
-            iv_at = len(kept) - 1 - j
-            bound = Def("ixc", (hid(ir.shift(dterm, iv_at + 1)),
-                                hid(ir.shift(sterm, iv_at + 1)),
-                                vis(Lit(k)), vis(Var(iv_at))))
-            out = Let(bound, Abs(comps[k], out))
+        for p in reversed(range(len(kept))):
+            at = n + 1 + p
+            bound = Def("ixc", (hid(_quote(dv, at)), hid(_quote(sv, at)),
+                                vis(Lit(kept[p])), vis(Var(p))))
+            out = Let(bound, Abs(comps[kept[p]], out))
         return Lam(Abs("iv", out), False)
 
-    def _check_spine(self, s: SExpr, ty: Term, ctx: Ctx, metas) -> Term:
+    def _check_spine(self, s: SExpr, ty, ctx: Ctx) -> Term:
         """[] and _∷_ against Vec / Ix / List."""
-        ty = self._whnf(ty)
+        ty = self._whnf(ty, ctx)
         if not isinstance(ty, Def) or ty.name not in ("Vec", "Ix", "List"):
-            raise UnsupportedType(f"container literal against {_show_t(ty)}")
+            raise UnsupportedType(f"container literal against {self._show_v(ty, ctx)}")
         if isinstance(s, SName):  # []
             if ty.name == "Vec":
-                self._want_zero(ty.args[1].value, ctx, metas)
+                self._want_zero(ty.args[1].value, ctx)
                 return Con("vnil")
             if ty.name == "Ix":
-                self._want_zero(ty.args[0].value, ctx, metas)
+                self._want_zero(ty.args[0].value, ctx)
                 return Con("inil")
             return Con("lnil")
         assert isinstance(s, SApp)
         (h, _), (t, _) = s.args
         if ty.name == "Vec":
             x, n = (a.value for a in ty.args)
-            m = self._peel_suc(n, ctx, metas)
-            hv = self._check(h, x, ctx, metas)
-            tv = self._check(t, Def("Vec", (vis(x), vis(m))), ctx, metas)
+            m = self._peel_suc(n, ctx)
+            hv = self._check(h, x, ctx)
+            tv = self._check(t, Def("Vec", (vis(x), vis(m))), ctx)
             return Con("vcons", (vis(hv), vis(tv)))
         if ty.name == "Ix":
             d, sh = (a.value for a in ty.args)
             # components are naturals with an in-bounds obligation each
-            return self._check_ix_spine(s, d, sh, 0, ctx, metas)
+            return self._check_ix_spine(s, d, sh, 0, ctx)
         x = ty.args[0].value
-        hv = self._check(h, x, ctx, metas)
-        tv = self._check(t, ty, ctx, metas)
+        hv = self._check(h, x, ctx)
+        tv = self._check(t, ty, ctx)
         return Con("lcons", (vis(hv), vis(tv)))
 
-    def _check_ix_spine(self, s: SExpr, d: Term, sh: Term, k: int,
-                        ctx: Ctx, metas) -> Term:
+    def _check_ix_spine(self, s: SExpr, d, sh, k: int, ctx: Ctx) -> Term:
         if isinstance(s, SName) and s.name == "[]":
-            self._want_zero(d, ctx, metas)
+            self._want_zero(d, ctx)
             return Con("inil")
         if not (isinstance(s, SApp) and isinstance(s.fn, SName)
                 and s.fn.name == "_∷_"):
             raise UnsupportedType("index expressions must be literal spines")
         (h, _), (t, _) = s.args
-        comp = self._check(h, Def("Nat"), ctx, metas)
-        names = ctx.names_for_shapes()
+        comp = self._check(h, NAT, ctx)
         extent = shapes.vec_component(
-            shapes.term_to_vec(metas.zonk(sh, len(ctx)), names), k)
-        goal = shapes.lt(shapes.term_to_scalar(metas.zonk(comp, len(ctx)), names),
+            shapes.term_to_vec(_quote(sh, len(ctx)), ctx.names), k)
+        goal = shapes.lt(shapes.term_to_scalar(_fill(comp, len(ctx), False), ctx.names),
                          extent)
-        self._discharge_constraint(goal, ctx,
-                                   what=f"index bound {_show(h)}")
-        m = self._peel_suc(d, ctx, metas)
-        rest = self._check_ix_spine(t, m, sh, k + 1, ctx, metas)
+        self._discharge_constraint(goal, ctx, what=f"index bound {_show(h)}")
+        m = self._peel_suc(d, ctx)
+        rest = self._check_ix_spine(t, m, sh, k + 1, ctx)
         return Con("icons", (vis(comp), vis(rest)))
 
-    def _want_zero(self, n: Term, ctx: Ctx, metas) -> None:
-        n = metas.zonk(n, len(ctx))
-        if _Metas.is_meta(n):
-            self._unify(n, Lit(0), ctx, metas)
-            return
-        nv = nat_view(self._whnf(n))
-        if nv != 0:
+    def _want_zero(self, n, ctx: Ctx) -> None:
+        n = _force(n)
+        if isinstance(n, VMeta) and not n.spine:
+            self._unify(n, Lit(0), ctx)
+        elif _nat_of(self._whnf(n, ctx)) != 0:
             raise UnsupportedType("container literal is shorter than its type")
 
-    def _peel_suc(self, n: Term, ctx: Ctx, metas) -> Term:
-        n = metas.zonk(n, len(ctx))
-        if _Metas.is_meta(n):
-            m = metas.fresh(len(ctx))
-            self._unify(n, Con("suc", (vis(m),)), ctx, metas)
+    def _peel_suc(self, n, ctx: Ctx):
+        n = _force(n)
+        if isinstance(n, VMeta) and not n.spine:
+            m = self._fresh(ctx)
+            self._unify(n, Con("suc", (vis(m),)), ctx)
             return m
-        n = self._whnf(n)
+        n = self._whnf(n, ctx)
         inner = ir.suc_view(n)
         if inner is None:
-            raise UnsupportedType(
-                f"container literal is longer than its type allows ({_show_t(n)})")
+            raise UnsupportedType("container literal is longer than its type "
+                                  f"allows ({self._show_v(n, ctx)})")
         return inner
 
     # -- applications ---------------------------------------------------------
 
-    def _elab_app(self, fn: SExpr, args: list, ctx: Ctx, metas, expected):
-        if isinstance(fn, SApp):
-            inner_args = fn.args + args
-            return self._elab_app(fn.fn, inner_args, ctx, metas, expected)
+    def _elab_app(self, fn: SExpr, args: list, ctx: Ctx, expected):
+        while isinstance(fn, SApp):
+            fn, args = fn.fn, fn.args + args
         if not isinstance(fn, SName):
             raise EslError(f"cannot apply {fn!r}")
         name = self.aliases.get(fn.name, fn.name)
         if name in LIFTED:
-            return self._lifted(name, args, ctx, metas)
+            return self._lifted(name, args, ctx)
         if name == "imap" and expected is None:
             raise UnprovenConstraint("imap needs an expected array type")
-        head, sig = self._infer_name(name, getattr(fn, "line", 0), ctx)
+        head, sig = self._infer_name(name, fn.line, ctx)
         if sig is None:
             raise UnprovenConstraint(f"cannot infer argument types for {name}")
-        term, ty = self._apply_spine(head, sig, args, ctx, metas, name)
-        self._builtin_obligations(name, term, ctx, metas)
+        term, ty, vals = self._apply_spine(head, sig, args, ctx, name)
+        p = PRIMS.get(name)
+        if p is not None and p.owes is not None and isinstance(term, Def) \
+                and len(term.args) == p.arity:
+            # the use-site obligation of a primitive that takes no proof
+            # argument, once the call is saturated
+            what, build = p.owes
+            c = build(ctx.names, *(_quote(v, len(ctx)) for v in vals))
+            self._discharge_constraint(c, ctx, what=what)
         return term, ty
 
-    def _builtin_obligations(self, name: str, term: Term, ctx: Ctx, metas) -> None:
-        """The use-site obligation of a primitive that takes no proof
-        argument, once the call is saturated."""
-        p = PRIMS.get(name)
-        if p is None or p.owes is None or not isinstance(term, Def) \
-                or len(term.args) != p.arity:
-            return
-        what, build = p.owes
-        c = build(ctx.names_for_shapes(),
-                  *(metas.zonk(a.value, len(ctx)) for a in term.args))
-        self._discharge_constraint(c, ctx, what=what)
-
-    def _apply_spine(self, head: Term, sig: Term, args: list, ctx: Ctx,
-                     metas, name: str):
+    def _apply_spine(self, head: Term, sig, args: list, ctx: Ctx, name: str):
+        """The application of `head`, of type `sig`, to the source
+        arguments, hidden ones inserted: the term, its type and the
+        values of its arguments."""
         spine: list[Arg] = []
-        # `rest` sits under one binder per value in `env` (newest first);
-        # a part of it is instantiated only when it is inspected
+        vals: list = []
         rest = sig
-        env: list[Term] = []
         queue = list(args)
-
-        def inst(t: Term) -> Term:
-            return metas.zonk(ir.subst(t, 0, *env), len(ctx))
-
         while True:
-            if not isinstance(rest, Pi):
-                rest, env = inst(rest), []
-                if isinstance(rest, Pi):
-                    continue
-                if queue and isinstance(rest, Def) and not _Metas.is_meta(rest):
-                    r2 = self._whnf(rest)
-                    if isinstance(r2, Pi):
+            rest = _force(rest)
+            if not (isinstance(rest, VBind) and rest.kind == "pi"):
+                if queue and isinstance(rest, Def):
+                    r2 = self._whnf(rest, ctx)
+                    if isinstance(r2, VBind) and r2.kind == "pi":
                         rest = r2
                         continue
                 break
-            dom, cod = rest.domain, rest.scope.body
-            if dom.hidden and not (queue and queue[0][1]):
-                dz = inst(dom.value)
-                if is_prop_type(dz) and not metas.has_unsolved(dz):
+            dz = _force(rest.dom)
+            if rest.hidden and not (queue and queue[0][1]):
+                if is_prop_type(dz) and not _unsolved(dz):
                     self._discharge(dz, ctx)
-                    val: Term = Con("prf")
+                    val, v = Con("prf"), Con("prf")
                 else:
-                    val = metas.fresh(len(ctx))
+                    v = self._fresh(ctx)
+                    val = Hole(v.meta.name, (), v.meta)
                 spine.append(Arg(val, True))
-                rest = cod
-                env.insert(0, val)
-                continue
-            if not queue:
-                break
-            sarg, hidden = queue.pop(0)
-            dz = inst(dom.value)
-            if is_prop_type(dz) and isinstance(sarg, SName) and sarg.name == "prf":
-                self._discharge(dz, ctx)
-                val = Con("prf")
-            elif isinstance(sarg, (SLam, SLamPat)) or _is_container_literal(sarg):
-                val = self._check(sarg, dz, ctx, metas)
-            elif metas.has_unsolved(dz):
-                val, aty = self._infer(sarg, ctx, metas)
-                if aty is not None:
-                    self._unify(dz, aty, ctx, metas)
             else:
-                val = self._check(sarg, dz, ctx, metas)
-            spine.append(Arg(val, dom.hidden))
-            rest = cod
-            env.insert(0, val)
+                if not queue:
+                    break
+                sarg, _ = queue.pop(0)
+                if is_prop_type(dz) and isinstance(sarg, SName) and sarg.name == "prf":
+                    self._discharge(dz, ctx)
+                    val = Con("prf")
+                elif isinstance(sarg, (SLam, SLamPat)) or _is_container_literal(sarg):
+                    val = self._check(sarg, dz, ctx)
+                elif _unsolved(dz):
+                    val, aty = self._infer(sarg, ctx)
+                    if aty is not None:
+                        self._unify(dz, aty, ctx)
+                else:
+                    val = self._check(sarg, dz, ctx)
+                spine.append(Arg(val, rest.hidden))
+                v = VLazy(val, ctx.env)
+            vals.append(v)
+            rest = rest.body(v)
         if queue:
             raise EslError(f"{name}: too many arguments")
-        return ir.apply_term(head, tuple(spine)), inst(rest)
+        return ir.apply_term(head, tuple(spine)), rest, vals
 
     # -- lifted array operators --------------------------------------------------
 
-    def _operand(self, s: SExpr, ctx: Ctx, metas):
-        t, ty = self._infer(s, ctx, metas)
-        ty = metas.zonk(ty, len(ctx)) if ty is not None else None
+    def _operand(self, s: SExpr, ctx: Ctx):
+        t, ty = self._infer(s, ctx)
         if ty is None:
             raise UnprovenConstraint(f"cannot classify operand {_show(s)}")
-        return broadcast.classify(t, ty, self.env)
+        return broadcast.classify(t, _quote(ty, len(ctx)), self.env)
 
-    def _lifted(self, name: str, args, ctx: Ctx, metas):
+    def _lifted(self, name: str, args, ctx: Ctx):
         count, nat_op, float_op = LIFTED[name]
         if len(args) != count:
             raise EslError(f"{name} expects {count} operand(s)")
-        operands = [self._operand(s, ctx, metas) for s, _ in args]
+        operands = [self._operand(s, ctx) for s, _ in args]
         if name == "nega":
             operands.insert(0, broadcast.classify(Lit(0.0), Def("Float"), self.env))
-        return broadcast.lift((nat_op, float_op), operands,
-                              ctx.names_for_shapes(), ctx.hypotheses())
+        t, ty = broadcast.lift((nat_op, float_op), operands, ctx.names, ctx.hyps)
+        return t, _eval(ty, ctx.env)
 
     # -- unification -------------------------------------------------------------
 
-    def _unify(self, a: Term, b: Term, ctx: Ctx, metas) -> None:
-        if not self._unify1(a, b, ctx, metas):
+    def _unify(self, a, b, ctx: Ctx) -> None:
+        if not self._unify1(a, b, ctx):
             raise UnsupportedType(
-                f"type mismatch: {_show_t(metas.zonk(a, len(ctx)))} vs "
-                f"{_show_t(metas.zonk(b, len(ctx)))}")
+                f"type mismatch: {self._show_v(a, ctx)} vs {self._show_v(b, ctx)}")
 
-    def _unify1(self, a: Term, b: Term, ctx: Ctx, metas) -> bool:
-        a = metas.zonk(a, len(ctx))
-        b = metas.zonk(b, len(ctx))
-        if _Metas.is_meta(a):
-            return self._solve(a, b, ctx, metas)
-        if _Metas.is_meta(b):
-            return self._solve(b, a, ctx, metas)
-        if a == b:
-            return True
-        a, b = self._whnf(a), self._whnf(b)
-        a = metas.zonk(a, len(ctx))
-        b = metas.zonk(b, len(ctx))
-        if _Metas.is_meta(a):
-            return self._solve(a, b, ctx, metas)
-        if _Metas.is_meta(b):
-            return self._solve(b, a, ctx, metas)
-        if a == b:
-            return True
-        na, nb = nat_view(a), nat_view(b)
+    def _unify1(self, a, b, ctx: Ctx) -> bool:
+        a, b = _force(a), _force(b)
+        for step in (0, 1):
+            if type(a) is VMeta and not a.spine:
+                return self._solve(a, b)
+            if type(b) is VMeta and not b.spine:
+                return self._solve(b, a)
+            if _same(a, b, len(ctx)):
+                return True
+            if step == 0:
+                a, b = self._whnf(a, ctx), self._whnf(b, ctx)
+        na, nb = _nat_of(a), _nat_of(b)
         if na is not None and nb is not None:
             return na == nb
-        match (a, b):
-            case (Con("suc", (Arg(x, _),)), _) if nb is not None and nb > 0:
-                return self._unify1(x, Lit(nb - 1), ctx, metas)
-            case (_, Con("suc", (Arg(y, _),))) if na is not None and na > 0:
-                return self._unify1(Lit(na - 1), y, ctx, metas)
-            case (Pi(d1, s1), Pi(d2, s2)):
-                if d1.hidden != d2.hidden:
-                    return False
-                if not self._unify1(d1.value, d2.value, ctx, metas):
-                    return False
-                ctx.push(s1.name, d1.value)
-                try:
-                    return self._unify1(s1.body, s2.body, ctx, metas)
-                finally:
-                    ctx.pop()
-            case (Sort(), Sort()):
+        cls = type(a)
+        if nb is not None and nb > 0 and _is_suc(a):
+            return self._unify1(a.args[0].value, Lit(nb - 1), ctx)
+        if na is not None and na > 0 and _is_suc(b):
+            return self._unify1(Lit(na - 1), b.args[0].value, ctx)
+        if cls is VBind and type(b) is VBind and a.kind == b.kind == "pi":
+            if a.hidden != b.hidden or not self._unify1(a.dom, b.dom, ctx):
+                return False
+            ctx.push(a.name, a.dom)
+            try:
+                return self._unify1(a.body(ctx.env[0]), b.body(ctx.env[0]), ctx)
+            finally:
+                ctx.pop()
+        if cls is Sort and type(b) is Sort:
+            return True
+        if cls is type(b) and (cls is Def and a.name == b.name or cls is Con and a.name == b.name
+                               or cls is VVar and a.level == b.level):
+            xs, ys = (a.spine, b.spine) if cls is VVar else (a.args, b.args)
+            if len(xs) == len(ys) and all(self._unify1(x.value, y.value, ctx)
+                                          for x, y in zip(xs, ys)):
                 return True
-            case (Def(n1, a1), Def(n2, a2)) if n1 == n2 and len(a1) == len(a2):
-                if all(self._unify1(x.value, y.value, ctx, metas)
-                       for x, y in zip(a1, a2)):
-                    return True
-            case (Con(n1, a1), Con(n2, a2)) if n1 == n2 and len(a1) == len(a2):
-                if all(self._unify1(x.value, y.value, ctx, metas)
-                       for x, y in zip(a1, a2)):
-                    return True
-            case (Var(i1, a1), Var(i2, a2)) if i1 == i2 and len(a1) == len(a2):
-                if all(self._unify1(x.value, y.value, ctx, metas)
-                       for x, y in zip(a1, a2)):
-                    return True
         # arithmetic fallback: compare as shape expressions
-        names = ctx.names_for_shapes()
-        hyps = ctx.hypotheses()
         if _shapeish(a) or _shapeish(b):
-            sa = shapes.term_to_scalar(a, names)
-            sb = shapes.term_to_scalar(b, names)
+            names, hyps, n = ctx.names, ctx.hyps, len(ctx)
+            ta, tb = _quote(a, n), _quote(b, n)
+            sa = shapes.term_to_scalar(ta, names)
+            sb = shapes.term_to_scalar(tb, names)
             if not isinstance(sa, shapes.SOpaque) or not isinstance(sb, shapes.SOpaque):
                 if shapes.decide(shapes.eq(sa, sb), hyps) == "yes":
                     return True
-            if shapes.decide(shapes.veq(shapes.term_to_vec(a, names),
-                                        shapes.term_to_vec(b, names)),
+            if shapes.decide(shapes.veq(shapes.term_to_vec(ta, names),
+                                        shapes.term_to_vec(tb, names)),
                              hyps) == "yes":
                 return True
         return False
 
-    def _solve(self, m: Term, t: Term, ctx: Ctx, metas) -> bool:
-        assert isinstance(m, Def)
-        if _Metas.is_meta(t) and t.name == m.name:
+    def _solve(self, m: VMeta, v) -> bool:
+        if type(v) is VMeta and v.meta is m.meta and not v.spine:
             return True
-        created = _Metas.depth_of(m.name)
-        try:
-            sol = ir.shift(t, created - len(ctx))
-        except ir.NegativeIndex:
+        # the solution may mention only variables older than the meta
+        depth = m.meta.depth
+        if _mentions(v, lambda x: type(x) is VVar and x.level >= depth):
             return False
-        metas.sol[m.name] = (sol, created)
+        m.meta.solution = v
         return True
 
     # -- obligations ---------------------------------------------------------------
 
-    def _discharge(self, prop: Term, ctx: Ctx) -> None:
-        names = ctx.names_for_shapes()
-        c = _prop_to_constraint(prop, names)
+    def _discharge(self, prop, ctx: Ctx) -> None:
+        t = _quote(prop, len(ctx))
+        c = _prop_to_constraint(t, ctx.names)
         if c is None:
-            raise UnprovenConstraint(f"not a decidable proposition: {_show_t(prop)}")
-        self._discharge_constraint(c, ctx, what=_show_t(prop))
+            raise UnprovenConstraint(
+                f"not a decidable proposition: {ir.print_term(t)}")
+        self._discharge_constraint(c, ctx, what=ir.print_term(t))
 
     def _discharge_constraint(self, c: shapes.Constraint, ctx: Ctx,
                               what: str) -> None:
-        verdict = shapes.decide(c, ctx.hypotheses())
+        verdict = shapes.decide(c, ctx.hyps)
         if verdict == "yes":
             return
         if verdict == "no":
-            cx = shapes.find_counterexample(c, ctx.hypotheses())
+            cx = shapes.find_counterexample(c, ctx.hyps)
             raise UnprovenConstraint(f"obligation {what} is false"
                                      + (f" (counterexample {cx})" if cx else ""))
         if self._current is not None and self._current in self.trusted:
@@ -761,53 +936,39 @@ class Elaborator:
     def elab_clause(self, decl: SClause, sig: Term) -> Clause:
         ctx = Ctx()
         patterns: list[Arg] = []  # PVar carries *absolute* positions here
-        sig_rest = sig
+        rest = _eval(sig, ())
         queue = list(decl.pats)
-
-        def push_auto(dom: Arg, binder: str):
-            nonlocal sig_rest
-            ctx.push(binder, dom.value)
-            patterns.append(Arg(PVar(len(ctx) - 1), True))
-            sig_rest = sig_rest.scope.body
-
-        while True:
-            if not isinstance(sig_rest, Pi):
-                break
-            dom = sig_rest.domain
-            if dom.hidden and not (queue and queue[0][1]):
-                push_auto(dom, sig_rest.scope.name or "_h")
+        while isinstance(rest, VBind) and rest.kind == "pi":
+            if rest.hidden and not (queue and queue[0][1]):
+                ctx.push(rest.name or "_h", rest.dom)
+                patterns.append(Arg(PVar(len(ctx) - 1), True))
+                rest = rest.body(ctx.env[0])
                 continue
             if not queue:
                 break
             spat, hidden = queue.pop(0)
-            if hidden != dom.hidden:
+            if hidden != rest.hidden:
                 raise EslError(
                     f"line {decl.line}: pattern visibility does not match signature")
-            pat, k, value = self._elab_pattern(spat, dom.value, ctx, decl.line)
-            patterns.append(Arg(pat, dom.hidden))
-            cod = sig_rest.scope.body
-            sig_rest = ir.subst(ir.shift(cod, k, 1), 0, value)
+            pat, value = self._elab_pattern(spat, rest.dom, ctx, decl.line)
+            patterns.append(Arg(pat, rest.hidden))
+            rest = rest.body(value)
         if queue:
             raise EslError(f"line {decl.line}: too many patterns for {decl.name}")
+        body = None if decl.body is None else self.check(decl.body, rest, ctx)
+        return Clause(ctx.telescope(), _remap_patterns(patterns, len(ctx)), body)
 
-        if decl.body is None:
-            tele = tuple((e.name, vis(e.type)) for e in ctx.entries)
-            return Clause(tele, _remap_patterns(patterns, len(ctx)), None)
-        body = self.check(decl.body, sig_rest, ctx)
-        tele = tuple((e.name, vis(e.type)) for e in ctx.entries)
-        return Clause(tele, _remap_patterns(patterns, len(ctx)), body)
-
-    def _elab_pattern(self, p: SPat, ty: Term, ctx: Ctx, line: int):
-        """Returns (pattern with absolute PVar positions, #entries pushed,
-        value term in the extended context)."""
-        ty_w = self._whnf(ty)
+    def _elab_pattern(self, p: SPat, ty, ctx: Ctx, line: int):
+        """Returns (pattern with absolute PVar positions, its value in the
+        extended context)."""
+        ty_w = self._whnf(ty, ctx)
         match p.kind:
             case "var" | "wild":
                 name = p.name if p.kind == "var" else "_"
                 if p.kind == "var" and p.name in _CON_NAMES | {"[]"}:
                     return self._elab_con_pattern(p, ty_w, ctx, line)
                 ctx.push(name, ty)
-                return PVar(len(ctx) - 1), 1, Var(0)
+                return PVar(len(ctx) - 1), ctx.env[0]
             case "lit":
                 if not isinstance(p.value, int):
                     raise UnsupportedType(f"line {line}: float patterns are not supported")
@@ -815,81 +976,78 @@ class Elaborator:
                     pat: ir.Pattern = PCon("zero")
                     for _ in range(p.value):
                         pat = PCon("suc", (vis(pat),))
-                    return pat, 0, Lit(p.value)
-                raise UnsupportedType(f"line {line}: literal pattern at {_show_t(ty_w)}")
+                    return pat, Lit(p.value)
+                raise UnsupportedType(
+                    f"line {line}: literal pattern at {self._show_v(ty_w, ctx)}")
             case "absurd":
-                return PAbsurd(), 0, Unknown()
+                return PAbsurd(), Unknown()
             case "con":
                 return self._elab_con_pattern(p, ty_w, ctx, line)
         raise AssertionError(p.kind)
 
-    def _elab_con_pattern(self, p: SPat, ty: Term, ctx: Ctx, line: int):
+    def _elab_con_pattern(self, p: SPat, ty, ctx: Ctx, line: int):
         name = p.name
         args = p.args
         if name == "_∷_" or name == "[]":
             if not (isinstance(ty, Def) and ty.name in ("Vec", "List")):
                 raise UnsupportedType(
-                    f"line {line}: container pattern at {_show_t(ty)}")
+                    f"line {line}: container pattern at {self._show_v(ty, ctx)}")
             if ty.name == "Vec":
                 return self._vec_pattern(p, ty, ctx, line)
             return self._list_pattern(p, ty, ctx, line)
         if name == "suc":
             if len(args) != 1:
                 raise EslError(f"line {line}: suc takes one pattern")
-            sub, k, v = self._elab_pattern(args[0][0], Def("Nat"), ctx, line)
-            return PCon("suc", (vis(sub),)), k, Con("suc", (vis(v),))
+            sub, v = self._elab_pattern(args[0][0], NAT, ctx, line)
+            return PCon("suc", (vis(sub),)), Con("suc", (vis(v),))
         if name == "zero":
-            return PCon("zero"), 0, Lit(0)
+            return PCon("zero"), Lit(0)
         if name == "fzero":
-            return PCon("fzero"), 0, Lit(0)
+            return PCon("fzero"), Lit(0)
         if name == "fsuc":
             if len(args) != 1:
                 raise EslError(f"line {line}: fsuc takes one pattern")
-            ctx.push("_ub", Def("Nat"))
+            ctx.push("_ub", NAT)
             ub = PVar(len(ctx) - 1)
-            sub, k, v = self._elab_pattern(args[0][0], Def("Fin", (vis(Var(0)),)),
-                                           ctx, line)
-            return (PCon("fsuc", (hid(ub), vis(sub))), k + 1,
-                    Con("fsuc", (vis(v),)))
+            sub, v = self._elab_pattern(args[0][0], Def("Fin", (vis(ctx.env[0]),)),
+                                        ctx, line)
+            return PCon("fsuc", (hid(ub), vis(sub))), Con("fsuc", (vis(v),))
         if name == "imap":
             if not (isinstance(ty, Def) and ty.name == "Ar") or len(args) != 1:
-                raise UnsupportedType(f"line {line}: imap pattern at {_show_t(ty)}")
+                raise UnsupportedType(
+                    f"line {line}: imap pattern at {self._show_v(ty, ctx)}")
             x, d, sh = (a.value for a in ty.args)
             sub = args[0][0]
             if sub.kind not in ("var", "wild"):
                 raise UnsupportedType(f"line {line}: imap takes a variable pattern")
-            fn_ty = Pi(vis(Def("Ix", (vis(d), vis(sh)))), Abs("iv", ir.shift(x, 1)))
+            fn_ty = VBind("pi", "iv", False, Def("Ix", (vis(d), vis(sh))), lambda _: x)
             ctx.push(sub.name or "_", fn_ty)
-            return (PCon("imap", (vis(PVar(len(ctx) - 1)),)), 1,
-                    Con("imap", (hid(ir.shift(x, 1)), hid(ir.shift(d, 1)),
-                                 hid(ir.shift(sh, 1)), vis(Var(0)))))
+            return (PCon("imap", (vis(PVar(len(ctx) - 1)),)),
+                    Con("imap", (hid(x), hid(d), hid(sh), vis(ctx.env[0]))))
         raise UnsupportedType(f"line {line}: unsupported pattern head {name}")
 
-    def _vec_pattern(self, p: SPat, ty: Term, ctx: Ctx, line: int):
+    def _vec_pattern(self, p: SPat, ty: Def, ctx: Ctx, line: int):
         x, n = (a.value for a in ty.args)
         if p.name == "[]":
-            nv = nat_view(self._whnf(n))
-            if nv != 0:
-                raise UnsupportedType(f"line {line}: [] pattern at length {_show_t(n)}")
-            return PCon("vnil"), 0, Con("vnil")
-        inner = ir.suc_view(self._whnf(n))
+            if _nat_of(self._whnf(n, ctx)) != 0:
+                raise UnsupportedType(
+                    f"line {line}: [] pattern at length {self._show_v(n, ctx)}")
+            return PCon("vnil"), Con("vnil")
+        inner = ir.suc_view(self._whnf(n, ctx))
         if inner is None:
             raise UnsupportedType(
                 f"line {line}: cons pattern needs a known vector length")
-        hp, k1, hv = self._elab_pattern(p.args[0][0], x, ctx, line)
-        tail_ty = Def("Vec", (vis(ir.shift(x, k1)), vis(ir.shift(inner, k1))))
-        tp, k2, tv = self._elab_pattern(p.args[1][0], tail_ty, ctx, line)
-        return (PCon("vcons", (vis(hp), vis(tp))), k1 + k2,
-                Con("vcons", (vis(ir.shift(hv, k2)), vis(tv))))
+        hp, hv = self._elab_pattern(p.args[0][0], x, ctx, line)
+        tp, tv = self._elab_pattern(p.args[1][0], Def("Vec", (vis(x), vis(inner))),
+                                    ctx, line)
+        return PCon("vcons", (vis(hp), vis(tp))), Con("vcons", (vis(hv), vis(tv)))
 
-    def _list_pattern(self, p: SPat, ty: Term, ctx: Ctx, line: int):
-        x = ty.args[0].value
+    def _list_pattern(self, p: SPat, ty: Def, ctx: Ctx, line: int):
         if p.name == "[]":
-            return PCon("lnil"), 0, Con("lnil")
-        hp, k1, hv = self._elab_pattern(p.args[0][0], x, ctx, line)
-        tp, k2, tv = self._elab_pattern(p.args[1][0], ir.shift(ty, k1), ctx, line)
-        return (PCon("lcons", (vis(hp), vis(tp))), k1 + k2,
-                Con("lcons", (vis(ir.shift(hv, k2)), vis(tv))))
+            return PCon("lnil"), Con("lnil")
+        hp, hv = self._elab_pattern(p.args[0][0], ty.args[0].value, ctx, line)
+        tp, tv = self._elab_pattern(p.args[1][0], ty, ctx, line)
+        return PCon("lcons", (vis(hp), vis(tp))), Con("lcons", (vis(hv), vis(tv)))
 
 
 def _remap_patterns(patterns: list[Arg], length: int) -> tuple[Arg, ...]:
@@ -910,9 +1068,9 @@ def _is_container_literal(s: SExpr) -> bool:
         s.fn.name in ("_∷_", "imap")
 
 
-def _shapeish(t: Term) -> bool:
-    return isinstance(t, (Lit, Var)) or \
-        isinstance(t, (Con, Def)) and t.name in shapes.SHAPE_HEADS
+def _shapeish(v) -> bool:
+    return isinstance(v, (Lit, VVar)) or \
+        isinstance(v, (Con, Def)) and v.name in shapes.SHAPE_HEADS
 
 
 def _policy_reason(sig: Term) -> str | None:
@@ -964,7 +1122,3 @@ def _show(s: SExpr) -> str:
             return "(" + " ".join([_show(fn)] + [_show(a) for a, _ in args]) + ")"
         case _:
             return type(s).__name__
-
-
-def _show_t(t: Term) -> str:
-    return ir.print_term(t)

@@ -11,7 +11,6 @@ from functools import cache
 
 from .elaborate import Elaborator
 from .ir import Env
-from .normalize import RuleSet
 
 PRELUDE_MODULES = ["base.esl", "apl.esl", "cnn.esl"]
 
@@ -29,16 +28,14 @@ def _prelude_snapshot() -> Elaborator:
 
 
 def _clone(src: Elaborator) -> Elaborator:
-    out = Elaborator.__new__(Elaborator)
-    out.env = Env()
-    out.env._defs = dict(src.env._defs)
-    out.rules = RuleSet()
+    env = Env()
+    env._defs = dict(src.env._defs)
+    out = Elaborator(env)
     out.rules.rules = list(src.rules.rules)
     out.rules.warnings = list(src.rules.warnings)
     out.trusted = set(src.trusted)
     out.def_meta = dict(src.def_meta)
     out.aliases = dict(src.aliases)
-    out._current = None
     return out
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from eslc import ir
 from eslc.builtins import seed_env
-from eslc.elaborate import _Metas
+from eslc.elaborate import Hole, Meta, VVar, _eval, _quote, _Unsolved
 from eslc.ir import (Abs, Arg, Con, Def, Lam, Let, Lit, Pi, Sort, Unknown,
                      UnknownName, Var, hid, print_term, shift, subst, vis)
 
@@ -52,15 +52,19 @@ def test_subst_shares_a_term_without_the_variable():
     assert subst(u, 1, Lit(3)) is u
 
 
-def test_zonk_without_solved_metas_returns_its_input():
-    metas = _Metas()
-    t = Def("_+_", (vis(metas.fresh(0)), vis(Lam(Abs("x", Var(0))))))
-    assert metas.zonk(t, 0) is t
-    # once a meta is solved, subterms without one are still shared
-    metas.sol[t.args[0].value.name] = (Lit(2), 0)
-    z = metas.zonk(t, 0)
-    assert z.args[0].value == Lit(2) and z.args[1] is t.args[1]
-    assert not metas.has_unsolved(z)
+def test_a_hole_reads_its_meta_once_solved():
+    m = Meta(1, 0)
+    t = Def("_+_", (vis(Hole(m.name, (), m)), vis(Lam(Abs("x", Var(0))))))
+    # unsolved, the hole quotes back as itself, and strictly not at all
+    assert _quote(_eval(t, ()), 0) == t
+    with pytest.raises(_Unsolved):
+        _quote(_eval(t, ()), 0, strict=True)
+    m.solution = VVar(0)
+    # a solution is scoped by level, so it reads right under any binders
+    assert _quote(_eval(t, ()), 1, strict=True) == \
+        Def("_+_", (vis(Var(0)), vis(Lam(Abs("x", Var(0))))))
+    assert _quote(_eval(Lam(Abs("y", t)), ()), 1) == \
+        Lam(Abs("y", Def("_+_", (vis(Var(1)), vis(Lam(Abs("x", Var(0))))))))
 
 
 # random term generator (free variables allowed)
@@ -142,3 +146,22 @@ def test_env_lookup():
 def test_negative_shift_raises():
     with pytest.raises(ir.NegativeIndex):
         shift(Var(0), -1, 0)
+
+
+def _identity_env(depth):
+    return tuple(VVar(depth - 1 - i) for i in range(depth))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_term_st)
+def test_quote_of_eval_is_the_identity(t):
+    # the generated terms have no free variable above 3
+    assert _quote(_eval(t, _identity_env(4)), 4) == t
+
+
+@settings(max_examples=250, deadline=None)
+@given(_term_st, _value_st)
+def test_eval_then_quote_is_substitution(t, val):
+    # Var 0 := val; val and the result are scoped over 4 variables
+    env = (_eval(val, _identity_env(4)),) + _identity_env(4)
+    assert _quote(_eval(t, env), 4) == subst(t, 0, val)
