@@ -17,7 +17,7 @@ a term whose variables have been read from an environment:
   themselves, with values in their spines.  A `Def` is neutral: it is
   unfolded only where a check needs its weak head normal form;
 - a hidden argument still to be inferred is a `Meta` cell.  Unification
-  solves it once with a value, and every read of a `VMeta` forces it.
+  solves it once with a value, and every read of a `Hole` forces it.
 Elaborated terms stay syntax, with a `Hole` for each meta, filled from
 its cell when the term is finished.
 
@@ -93,19 +93,14 @@ class Meta:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Hole(Def):
-    """A meta in an elaborated term; it prints as a definition of its name."""
+    """A meta applied to `args`, in terms and values alike; it prints as a
+    definition of the meta's name."""
     meta: Meta | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class VVar:
     level: int
-    spine: tuple[Arg, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class VMeta:
-    meta: Meta
     spine: tuple[Arg, ...] = ()
 
 
@@ -154,7 +149,8 @@ def _eval(t: Term, env: tuple):
             return VBind("lam", t.scope.name, t.hidden, None, under)
         return VBind("let", t.scope.name, False, _eval(t.bound, env), under)
     if cls is Hole:
-        return _apply(VMeta(t.meta), map_args(t.args, _eval, env))
+        args = map_args(t.args, _eval, env)
+        return t if args is t.args else Hole(t.name, args, t.meta)
     return t
 
 
@@ -165,8 +161,8 @@ def _apply(v, args: tuple[Arg, ...]):
     cls = type(v)
     if cls is VVar:
         return VVar(v.level, v.spine + args)
-    if cls is VMeta:
-        return VMeta(v.meta, v.spine + args)
+    if cls is Hole:
+        return Hole(v.name, v.args + args, v.meta)
     if cls is Con or cls is Def:
         return cls(v.name, v.args + args)
     if cls is VBind and v.kind == "lam":
@@ -187,8 +183,8 @@ def _force(v):
             if v.value is None:
                 v.value = _eval(v.term, v.env)
             v = v.value
-        elif cls is VMeta and v.meta.solution is not None:
-            v = _apply(v.meta.solution, v.spine)
+        elif cls is Hole and v.meta.solution is not None:
+            v = _apply(v.meta.solution, v.args)
         else:
             return v
 
@@ -213,10 +209,11 @@ def _quote(v, depth: int, strict: bool = False) -> Term:
             return Lam(inner, v.hidden)
         dom = _quote(v.dom, depth, strict)
         return Pi(Arg(dom, v.hidden), inner) if v.kind == "pi" else Let(dom, inner)
-    if cls is VMeta:
+    if cls is Hole:  # unsolved, once forced
         if strict:
             raise _Unsolved
-        return Hole(v.meta.name, map_args(v.spine, _quote, depth, strict), v.meta)
+        args = map_args(v.args, _quote, depth, strict)
+        return v if args is v.args else Hole(v.name, args, v.meta)
     return v
 
 
@@ -227,31 +224,14 @@ class _Unsolved(Exception):
 def _fill(t: Term, depth: int, strict: bool) -> Term:
     """`t`, under `depth` binders, with each hole of a solved meta
     replaced by the solution; subterms without one are shared."""
-    cls = type(t)
-    if cls is Hole:
-        args = map_args(t.args, _fill, depth, strict)
-        if t.meta.solution is not None:
-            return ir.apply_term(_quote(t.meta.solution, depth, strict), args)
-        if strict:
-            raise _Unsolved
-        return t if args is t.args else Hole(t.name, args, t.meta)
-    if cls is Con or cls is Def:
-        args = map_args(t.args, _fill, depth, strict) if t.args else t.args
-        return t if args is t.args else cls(t.name, args)
-    if cls is Var:
-        args = map_args(t.args, _fill, depth, strict) if t.args else t.args
-        return t if args is t.args else Var(t.idx, args)
-    if cls is Lam or cls is Let or cls is Pi:
-        body = _fill(t.scope.body, depth + 1, strict)
-        scope = t.scope if body is t.scope.body else Abs(t.scope.name, body)
-        if cls is Lam:
-            return t if scope is t.scope else Lam(scope, t.hidden)
-        dom = t.bound if cls is Let else t.domain.value
-        ndom = _fill(dom, depth, strict)
-        if ndom is dom and scope is t.scope:
-            return t
-        return Let(ndom, scope) if cls is Let else Pi(Arg(ndom, t.domain.hidden), scope)
-    return t
+    if type(t) is not Hole:
+        return ir.map_subterms(t, _fill, depth, strict)
+    args = map_args(t.args, _fill, depth, strict)
+    if t.meta.solution is not None:
+        return ir.apply_term(_quote(t.meta.solution, depth, strict), args)
+    if strict:
+        raise _Unsolved
+    return t if args is t.args else Hole(t.name, args, t.meta)
 
 
 def _same(a, b, depth: int) -> bool:
@@ -264,8 +244,8 @@ def _same(a, b, depth: int) -> bool:
         return a.name == b.name and _same_args(a.args, b.args, depth)
     if cls is VVar:
         return a.level == b.level and _same_args(a.spine, b.spine, depth)
-    if cls is VMeta:
-        return a.meta is b.meta and _same_args(a.spine, b.spine, depth)
+    if cls is Hole:
+        return a.meta is b.meta and _same_args(a.args, b.args, depth)
     if cls is VBind:
         return (a.kind, a.name, a.hidden) == (b.kind, b.name, b.hidden) and \
             (a.dom is None or _same(a.dom, b.dom, depth)) and \
@@ -286,10 +266,10 @@ def _mentions(v, hit) -> bool:
     """Whether `hit` holds of a variable or an unsolved meta in `v`."""
     v = _force(v)
     cls = type(v)
-    if cls is VVar or cls is VMeta:
+    if cls is VVar:
         return hit(v) or any(_mentions(a.value, hit) for a in v.spine)
-    if cls is Con or cls is Def:
-        return any(_mentions(a.value, hit) for a in v.args)
+    if cls is Con or cls is Def or cls is Hole:
+        return cls is Hole and hit(v) or any(_mentions(a.value, hit) for a in v.args)
     if cls is VBind:
         # the bound variable stands at level -1, below every context
         return v.dom is not None and _mentions(v.dom, hit) or \
@@ -302,7 +282,7 @@ def _is_suc(v) -> bool:
 
 
 def _unsolved(v) -> bool:
-    return _mentions(v, lambda x: type(x) is VMeta)
+    return _mentions(v, lambda x: type(x) is Hole)
 
 
 def _nat_of(v) -> int | None:
@@ -431,10 +411,10 @@ class Elaborator:
         w = self._nz.whnf(t)
         return v if w is t else _force(_eval(w, ctx.env))
 
-    def _fresh(self, ctx: Ctx) -> VMeta:
+    def _fresh(self, ctx: Ctx) -> Hole:
         m = Meta(len(self._metas) + 1, len(ctx))
         self._metas.append(m)
-        return VMeta(m)
+        return Hole(m.name, (), m)
 
     def _show_v(self, v, ctx: Ctx) -> str:
         return ir.print_term(_quote(v, len(ctx)))
@@ -727,14 +707,14 @@ class Elaborator:
 
     def _want_zero(self, n, ctx: Ctx) -> None:
         n = _force(n)
-        if isinstance(n, VMeta) and not n.spine:
+        if type(n) is Hole and not n.args:
             self._unify(n, Lit(0), ctx)
         elif _nat_of(self._whnf(n, ctx)) != 0:
             raise UnsupportedType("container literal is shorter than its type")
 
     def _peel_suc(self, n, ctx: Ctx):
         n = _force(n)
-        if isinstance(n, VMeta) and not n.spine:
+        if type(n) is Hole and not n.args:
             m = self._fresh(ctx)
             self._unify(n, Con("suc", (vis(m),)), ctx)
             return m
@@ -792,11 +772,10 @@ class Elaborator:
             if rest.hidden and not (queue and queue[0][1]):
                 if is_prop_type(dz) and not _unsolved(dz):
                     self._discharge(dz, ctx)
-                    val, v = Con("prf"), Con("prf")
+                    v = Con("prf")
                 else:
                     v = self._fresh(ctx)
-                    val = Hole(v.meta.name, (), v.meta)
-                spine.append(Arg(val, True))
+                spine.append(Arg(v, True))
             else:
                 if not queue:
                     break
@@ -848,9 +827,9 @@ class Elaborator:
     def _unify1(self, a, b, ctx: Ctx) -> bool:
         a, b = _force(a), _force(b)
         for step in (0, 1):
-            if type(a) is VMeta and not a.spine:
+            if type(a) is Hole and not a.args:
                 return self._solve(a, b)
-            if type(b) is VMeta and not b.spine:
+            if type(b) is Hole and not b.args:
                 return self._solve(b, a)
             if _same(a, b, len(ctx)):
                 return True
@@ -895,8 +874,8 @@ class Elaborator:
                 return True
         return False
 
-    def _solve(self, m: VMeta, v) -> bool:
-        if type(v) is VMeta and v.meta is m.meta and not v.spine:
+    def _solve(self, m: Hole, v) -> bool:
+        if type(v) is Hole and v.meta is m.meta and not v.args:
             return True
         # the solution may mention only variables older than the meta
         depth = m.meta.depth

@@ -282,42 +282,42 @@ def map_args(args: tuple[Arg, ...], f, *rest) -> tuple[Arg, ...]:
     return args
 
 
+def map_subterms(t: Term, f, depth: int, *rest) -> Term:
+    """`t` with `f(u, d, *rest)` in place of each immediate subterm `u`,
+    where d is `depth` plus the binders between `t` and `u`; `t` itself
+    when no subterm changed.  Dispatches on the exact type, so a subclass
+    of a node is a leaf here."""
+    cls = type(t)
+    if cls is Var or cls is Con or cls is Def:
+        args = map_args(t.args, f, depth, *rest) if t.args else t.args
+        if args is t.args:
+            return t
+        return Var(t.idx, args) if cls is Var else cls(t.name, args)
+    if cls is Lam or cls is Let or cls is Pi:
+        body = f(t.scope.body, depth + 1, *rest)
+        scope = t.scope if body is t.scope.body else Abs(t.scope.name, body)
+        if cls is Lam:
+            return t if scope is t.scope else Lam(scope, t.hidden)
+        dom = t.bound if cls is Let else t.domain.value
+        ndom = f(dom, depth, *rest)
+        if ndom is dom and scope is t.scope:
+            return t
+        return Let(ndom, scope) if cls is Let else Pi(Arg(ndom, t.domain.hidden), scope)
+    return t
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Standard de Bruijn shift of free variables >= cutoff.  Subterms
     without free variables >= cutoff come back as the same objects."""
-    if by == 0:
-        return t
-    match t:
-        case Var(idx, args):
-            nargs = map_args(args, shift, by, cutoff) if args else args
-            if idx >= cutoff:
-                if idx + by < 0:
-                    raise NegativeIndex(f"shift drives index {idx} below zero")
-                return Var(idx + by, nargs)
-            return t if nargs is args else Var(idx, nargs)
-        case Con(name, args) if args:
-            nargs = map_args(args, shift, by, cutoff)
-            return t if nargs is args else Con(name, nargs)
-        case Def(name, args) if args:
-            nargs = map_args(args, shift, by, cutoff)
-            return t if nargs is args else Def(name, nargs)
-        case Lam(scope, hidden):
-            body = shift(scope.body, by, cutoff + 1)
-            return t if body is scope.body else Lam(Abs(scope.name, body), hidden)
-        case Let(bound, scope):
-            nbound = shift(bound, by, cutoff)
-            body = shift(scope.body, by, cutoff + 1)
-            if nbound is bound and body is scope.body:
-                return t
-            return Let(nbound, Abs(scope.name, body))
-        case Pi(dom, scope):
-            ndom = shift(dom.value, by, cutoff)
-            body = shift(scope.body, by, cutoff + 1)
-            if ndom is dom.value and body is scope.body:
-                return t
-            return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
-        case _:
-            return t
+    return _shift(t, cutoff, by) if by else t
+
+
+def _shift(t: Term, cutoff: int, by: int) -> Term:
+    if type(t) is Var and t.idx >= cutoff:
+        if t.idx + by < 0:
+            raise NegativeIndex(f"shift drives index {t.idx} below zero")
+        return Var(t.idx + by, map_args(t.args, _shift, cutoff, by))
+    return map_subterms(t, _shift, cutoff, by)
 
 
 def apply_term(t: Term, args: tuple[Arg, ...]) -> Term:
@@ -348,42 +348,20 @@ def subst(t: Term, idx: int, *vals: Term) -> Term:
     are scoped like the result; under binders a value is shifted only
     where its variable occurs.  Subterms without free variables >= idx
     come back as the same objects."""
-    return _subst(t, vals, idx, 0) if vals else t
+    return _subst(t, 0, vals, idx) if vals else t
 
 
-def _subst(t: Term, vals: tuple[Term, ...], idx: int, depth: int) -> Term:
-    # idx is the first replaced index as seen under `depth` binders
-    match t:
-        case Var(i, args):
-            nargs = map_args(args, _subst, vals, idx, depth) if args else args
-            if i < idx:
-                return t if nargs is args else Var(i, nargs)
-            if i - idx < len(vals):
-                return apply_term(shift(vals[i - idx], depth), nargs)
-            return Var(i - len(vals), nargs)
-        case Con(name, args) if args:
-            nargs = map_args(args, _subst, vals, idx, depth)
-            return t if nargs is args else Con(name, nargs)
-        case Def(name, args) if args:
-            nargs = map_args(args, _subst, vals, idx, depth)
-            return t if nargs is args else Def(name, nargs)
-        case Lam(scope, hidden):
-            body = _subst(scope.body, vals, idx + 1, depth + 1)
-            return t if body is scope.body else Lam(Abs(scope.name, body), hidden)
-        case Let(bound, scope):
-            nbound = _subst(bound, vals, idx, depth)
-            body = _subst(scope.body, vals, idx + 1, depth + 1)
-            if nbound is bound and body is scope.body:
-                return t
-            return Let(nbound, Abs(scope.name, body))
-        case Pi(dom, scope):
-            ndom = _subst(dom.value, vals, idx, depth)
-            body = _subst(scope.body, vals, idx + 1, depth + 1)
-            if ndom is dom.value and body is scope.body:
-                return t
-            return Pi(Arg(ndom, dom.hidden), Abs(scope.name, body))
-        case _:
-            return t
+def _subst(t: Term, depth: int, vals: tuple[Term, ...], idx: int) -> Term:
+    # under `depth` binders, the first replaced index is idx + depth
+    if type(t) is not Var:
+        return map_subterms(t, _subst, depth, vals, idx)
+    args = map_args(t.args, _subst, depth, vals, idx) if t.args else t.args
+    k = t.idx - idx - depth
+    if k < 0:
+        return t if args is t.args else Var(t.idx, args)
+    if k < len(vals):
+        return apply_term(shift(vals[k], depth), args)
+    return Var(t.idx - len(vals), args)
 
 
 def free_var_count(t: Term, idx: int) -> int:

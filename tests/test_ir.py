@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from eslc import ir
 from eslc.builtins import seed_env
-from eslc.elaborate import Hole, Meta, VVar, _eval, _quote, _Unsolved
+from eslc.elaborate import Hole, Meta, VVar, _eval, _fill, _quote, _Unsolved
 from eslc.ir import (Abs, Arg, Con, Def, Lam, Let, Lit, Pi, Sort, Unknown,
                      UnknownName, Var, hid, print_term, shift, subst, vis)
 
@@ -65,6 +65,10 @@ def test_a_hole_reads_its_meta_once_solved():
         Def("_+_", (vis(Var(0)), vis(Lam(Abs("x", Var(0))))))
     assert _quote(_eval(Lam(Abs("y", t)), ()), 1) == \
         Lam(Abs("y", Def("_+_", (vis(Var(1)), vis(Lam(Abs("x", Var(0))))))))
+    # filling the term itself gives the same, and shares what has no hole
+    filled = _fill(Lam(Abs("y", t)), 1, True)
+    assert filled == _quote(_eval(Lam(Abs("y", t)), ()), 1)
+    assert filled.scope.body.args[1] is t.args[1]
 
 
 # random term generator (free variables allowed)
