@@ -7,26 +7,21 @@ every proposition-typed obligation with the arithmetic decider (or record
 it as trusted).  Full proof checking is deliberately absent: inhabitants
 of `<` and `≡` are runtime-irrelevant and only their provability matters.
 
-Types are checked as values, by normalization by evaluation.  A value is
-a term whose variables have been read from an environment:
-- a variable of the context is a `VVar` by de Bruijn level, so a value
-  means the same at every depth and is never shifted;
-- a binder (`VBind`: a Pi, lambda or let) is a closure, instantiated by
-  calling it with the bound variable's value;
-- `Con`, `Def`, `Lit`, `Sort` and `Unknown` are the term nodes
-  themselves, with values in their spines.  A `Def` is neutral: it is
-  unfolded only where a check needs its weak head normal form;
-- a hidden argument still to be inferred is a `Meta` cell.  Unification
-  solves it once with a value, and every read of a `Hole` forces it.
-Elaborated terms stay syntax, with a `Hole` for each meta, filled from
-its cell when the term is finished.
+Types are checked as values (normalization by evaluation).  In a value,
+a context variable is a `VVar` by de Bruijn level, so a value is never
+shifted; a binder is a `VBind` closure, instantiated by calling it; an
+argument is a `VLazy`, evaluated if a type reads it; `Con`, `Def`,
+`Lit`, `Sort` and `Unknown` are the term nodes, with values in their
+spines, and a `Def` is unfolded only where a check needs its weak head
+normal form.  A hidden argument to infer is a `Meta` cell, which one
+unification solves with a value; a `Hole` stands for it in terms and
+values and reads the solution when forced.  Elaborated terms stay syntax.
 
-A value is quoted back to a term only where a term is needed: for the
-shape decider (`shapes.term_to_scalar`/`term_to_vec`), for the
-normalizer's weak head step, for the telescopes and terms stored in
-`Env`, and in error messages.
+A value is quoted back to a term only for the shape decider
+(`shapes.term_to_scalar`/`term_to_vec`), for the normalizer's weak head
+step, for what is stored in `Env` (telescopes, and holes filled in
+finished terms) and for error messages.
 """
-
 from __future__ import annotations
 
 from collections.abc import Callable
@@ -37,7 +32,7 @@ from .builtins import PRIMS, is_prop_type, seed_env
 from .ir import (Abs, Arg, Clause, Con, Constructor, Datatype, Def,
                  Definition, Env, EslError, Function, Lam, Let, Lit, PAbsurd,
                  PCon, Pi, PVar, Sort, Term, Unknown, Var, hid, map_args,
-                 pi_spine, vis)
+                 nat_view, pi_spine, vis)
 from .normalize import (Normalizer, ReductionPolicy, RewriteRule, RuleSet)
 from .parser import (SApp, SClause, SExpr, SFixity, SFloat, SLam, SLamPat,
                      SLet, SName, SNum, SPat, SPi, SPragma, SSignature,
@@ -80,15 +75,14 @@ WHNF_FUEL = 100000
 # values
 
 
+@dataclass(slots=True, eq=False)
 class Meta:
     """A hidden argument to infer, made under `depth` binders and named for
-    error messages."""
-
-    __slots__ = ("name", "depth", "solution")
-
-    def __init__(self, number: int, depth: int) -> None:
-        self.name, self.depth = f"?m{number}@{depth}", depth
-        self.solution = None  # a value over the first `depth` variables
+    error messages; one unification solves it with a value over the first
+    `depth` variables."""
+    name: str
+    depth: int
+    solution: object = None
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -101,7 +95,7 @@ class Hole(Def):
 @dataclass(frozen=True, slots=True)
 class VVar:
     level: int
-    spine: tuple[Arg, ...] = ()
+    args: tuple[Arg, ...] = ()
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -115,13 +109,12 @@ class VBind:
     body: Callable
 
 
+@dataclass(slots=True, eq=False)
 class VLazy:
     """The value of `term` in `env`, evaluated when first forced."""
-
-    __slots__ = ("term", "env", "value")
-
-    def __init__(self, term: Term, env: tuple) -> None:
-        self.term, self.env, self.value = term, env, None
+    term: Term
+    env: tuple
+    value: object = None
 
 
 # the functions below dispatch on type(...) rather than `match`, which
@@ -160,7 +153,7 @@ def _apply(v, args: tuple[Arg, ...]):
     v = _force(v)
     cls = type(v)
     if cls is VVar:
-        return VVar(v.level, v.spine + args)
+        return VVar(v.level, v.args + args)
     if cls is Hole:
         return Hole(v.name, v.args + args, v.meta)
     if cls is Con or cls is Def:
@@ -202,7 +195,7 @@ def _quote(v, depth: int, strict: bool = False) -> Term:
     if cls is VVar:
         if v.level >= depth:
             raise ir.NegativeIndex(f"level {v.level} escapes depth {depth}")
-        return Var(depth - 1 - v.level, map_args(v.spine, _quote, depth, strict))
+        return Var(depth - 1 - v.level, map_args(v.args, _quote, depth, strict))
     if cls is VBind:
         inner = Abs(v.name, _quote(v.body(VVar(depth)), depth + 1, strict))
         if v.kind == "lam":
@@ -242,10 +235,8 @@ def _same(a, b, depth: int) -> bool:
         return False
     if cls is Con or cls is Def:
         return a.name == b.name and _same_args(a.args, b.args, depth)
-    if cls is VVar:
-        return a.level == b.level and _same_args(a.spine, b.spine, depth)
-    if cls is Hole:
-        return a.meta is b.meta and _same_args(a.args, b.args, depth)
+    if cls is VVar or cls is Hole:
+        return _head(a) == _head(b) and _same_args(a.args, b.args, depth)
     if cls is VBind:
         return (a.kind, a.name, a.hidden) == (b.kind, b.name, b.hidden) and \
             (a.dom is None or _same(a.dom, b.dom, depth)) and \
@@ -266,15 +257,25 @@ def _mentions(v, hit) -> bool:
     """Whether `hit` holds of a variable or an unsolved meta in `v`."""
     v = _force(v)
     cls = type(v)
-    if cls is VVar:
-        return hit(v) or any(_mentions(a.value, hit) for a in v.spine)
-    if cls is Con or cls is Def or cls is Hole:
-        return cls is Hole and hit(v) or any(_mentions(a.value, hit) for a in v.args)
+    if cls in _HEADED:
+        return hit(v) or any(_mentions(a.value, hit) for a in v.args)
     if cls is VBind:
         # the bound variable stands at level -1, below every context
         return v.dom is not None and _mentions(v.dom, hit) or \
             _mentions(v.body(VVar(-1)), hit)
     return False
+
+
+# the values that are a head applied to `args`
+_HEADED = frozenset({VVar, Con, Def, Hole})
+
+
+def _head(v):
+    return v.level if type(v) is VVar else v.meta if type(v) is Hole else v.name
+
+
+def _is_pi(v) -> bool:
+    return type(v) is VBind and v.kind == "pi"
 
 
 def _is_suc(v) -> bool:
@@ -283,20 +284,6 @@ def _is_suc(v) -> bool:
 
 def _unsolved(v) -> bool:
     return _mentions(v, lambda x: type(x) is Hole)
-
-
-def _nat_of(v) -> int | None:
-    """`ir.nat_view` of a value, forcing it on the way."""
-    n = 0
-    while True:
-        v = _force(v)
-        if type(v) is Lit:
-            return n + v.value if type(v.value) is int else None
-        if type(v) is Con and v.name == "zero" and not v.args:
-            return n
-        if not (type(v) is Con and v.name == "suc" and len(v.args) == 1):
-            return None
-        n, v = n + 1, v.args[0].value
 
 
 NAT = Def("Nat")
@@ -308,15 +295,14 @@ _SUC_TYPE = VBind("pi", "n", False, NAT, lambda _: NAT)
 
 
 class Ctx:
-    """The variables in scope, newest last, each with its type (a value).
-    Kept up to date for the checks to read: the identity environment
-    `env` (a VVar per entry, newest first), the shape key of each entry
-    (`names`, newest first) and the hypotheses in scope (`hyps`, the
-    newest entry's first)."""
+    """The variables in scope, each with its type (a value), and what the
+    checks read off them: the identity environment `env`, a VVar per
+    variable, the variables' shape keys `names` (both newest first) and
+    the hypotheses in scope `hyps` (the newest variable's first).  An
+    error abandons the whole context, so no scope is popped on its way."""
 
     def __init__(self) -> None:
-        # (name, type, names and hyps before the entry)
-        self.entries: list[tuple] = []
+        self.entries: list[tuple] = []  # (name, type, names, hyps before it)
         self.env: tuple = ()
         self.names: list[str] = []
         self.hyps: list[shapes.Constraint] = []
@@ -344,10 +330,8 @@ class Ctx:
         return len(self.entries)
 
     def lookup(self, name: str) -> int | None:
-        for i, e in enumerate(reversed(self.entries)):
-            if e[0] == name:
-                return i
-        return None
+        return next((i for i, e in enumerate(reversed(self.entries)) if e[0] == name),
+                    None)
 
     def type_of(self, idx: int):
         return self.entries[len(self.entries) - 1 - idx][1]
@@ -358,15 +342,12 @@ class Ctx:
 
 
 def _prop_to_constraint(ty: Term, names) -> shapes.Constraint | None:
-    if isinstance(ty, Def) and ty.name == "_<_" and len(ty.args) == 2:
-        return shapes.lt(shapes.term_to_scalar(ty.args[0].value, names),
-                         shapes.term_to_scalar(ty.args[1].value, names))
-    if isinstance(ty, Def) and ty.name == "_≡_":
-        va = [a.value for a in ty.args if not a.hidden]
-        if len(va) == 2:
-            return shapes.eq(shapes.term_to_scalar(va[0], names),
-                             shapes.term_to_scalar(va[1], names))
-    return None
+    if not is_prop_type(ty):
+        return None
+    va = [shapes.term_to_scalar(a.value, names) for a in ty.args if not a.hidden]
+    if len(va) != 2:
+        return None
+    return (shapes.lt if ty.name == "_<_" else shapes.eq)(*va)
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +393,7 @@ class Elaborator:
         return v if w is t else _force(_eval(w, ctx.env))
 
     def _fresh(self, ctx: Ctx) -> Hole:
-        m = Meta(len(self._metas) + 1, len(ctx))
+        m = Meta(f"?m{len(self._metas) + 1}@{len(ctx)}", len(ctx))
         self._metas.append(m)
         return Hole(m.name, (), m)
 
@@ -423,8 +404,6 @@ class Elaborator:
 
     def load_module(self, smod: SourceModule) -> None:
         sigs: dict[str, Term] = {}
-        order: list[str] = []
-
         for decl in smod.decls:
             if isinstance(decl, SFixity):
                 continue
@@ -434,13 +413,10 @@ class Elaborator:
             if isinstance(decl, SSignature):
                 if decl.name in sigs or decl.name in self.env:
                     raise EslError(f"duplicate signature for {decl.name}")
-                ty = self.elab_type(decl.type, Ctx())
-                sigs[decl.name] = ty
-                order.append(decl.name)
+                ty = sigs[decl.name] = self.elab_type(decl.type, Ctx())
                 meta = DefMeta(_policy_reason(ty))
                 if meta.unsupported == "no strings in the target language":
-                    raise UnsupportedType(
-                        f"{decl.name}: {meta.unsupported}")
+                    raise UnsupportedType(f"{decl.name}: {meta.unsupported}")
                 self.def_meta[decl.name] = meta
                 self.env.add(Definition(decl.name, ty, Function([])))
                 continue
@@ -451,10 +427,8 @@ class Elaborator:
             self._current = decl.name
             cl = self.elab_clause(decl, sigs[decl.name])
             self._current = None
-            d = self.env.lookup(decl.name)
-            assert isinstance(d.payload, Function)
-            d.payload.clauses.append(cl)
-        for name in order:
+            self.env.lookup(decl.name).payload.clauses.append(cl)
+        for name in sigs:
             clauses = self.env.lookup(name).payload.clauses
             if not clauses:
                 raise EslError(f"{name}: signature without clauses")
@@ -467,17 +441,15 @@ class Elaborator:
     def _pragma(self, p: SPragma) -> None:
         if p.kind == "TRUST":
             self.trusted.update(p.names)
-            return
-        if p.kind == "BUILTIN":
+        elif p.kind == "BUILTIN":
             tag, name = p.names
-            target = _BUILTIN_TAGS.get(tag)
-            if target is None:
+            if tag not in _BUILTIN_TAGS:
                 raise EslError(f"unknown BUILTIN tag {tag}")
-            self.aliases[name] = target
-            return
-        assert p.kind == "REWRITE"
-        for name in p.names:
-            self._register_rewrite(name)
+            self.aliases[name] = _BUILTIN_TAGS[tag]
+        else:
+            assert p.kind == "REWRITE"
+            for name in p.names:
+                self._register_rewrite(name)
 
     def _register_rewrite(self, name: str) -> None:
         """The rule is the equality exactly as its signature states it; a
@@ -487,9 +459,8 @@ class Elaborator:
         if not (isinstance(ret, Def) and ret.name == "_≡_"):
             raise EslError(f"REWRITE {name}: signature must end in an equality")
         va = [a.value for a in ret.args if not a.hidden]
-        rule = RewriteRule(name, va[0], va[1], len(tel),
-                           tuple(t.value for _, t in tel))
-        self.rules.register(rule)
+        self.rules.register(RewriteRule(name, va[0], va[1], len(tel),
+                                        tuple(t.value for _, t in tel)))
 
     # -- types ----------------------------------------------------------------
 
@@ -498,10 +469,8 @@ class Elaborator:
             case SPi(binder, hidden, dom, cod):
                 dty = self.elab_type(dom, ctx)
                 ctx.push(binder, _eval(dty, ctx.env))
-                try:
-                    cty = self.elab_type(cod, ctx)
-                finally:
-                    ctx.pop()
+                cty = self.elab_type(cod, ctx)
+                ctx.pop()
                 return Pi(Arg(dty, hidden), Abs(binder, cty))
             case SName("Set"):
                 return Sort()
@@ -538,10 +507,8 @@ class Elaborator:
                 bt, bty = self._infer(bound, ctx)
                 n = len(ctx)
                 ctx.push(name, bty if bty is not None else Unknown())
-                try:
-                    inner, ity = self._infer(body, ctx)
-                finally:
-                    ctx.pop()
+                inner, ity = self._infer(body, ctx)
+                ctx.pop()
                 if ity is not None and _mentions(
                         ity, lambda x: isinstance(x, VVar) and x.level >= n):
                     ity = None
@@ -576,22 +543,18 @@ class Elaborator:
         whty = self._whnf(ty, ctx) if isinstance(ty, Def) else ty
         match s:
             case SLam(binder, body):
-                if not (isinstance(whty, VBind) and whty.kind == "pi"):
+                if not _is_pi(whty):
                     raise UnsupportedType(f"lambda checked against non-function type")
                 ctx.push(binder, whty.dom)
-                try:
-                    inner = self._check(body, whty.body(ctx.env[0]), ctx)
-                finally:
-                    ctx.pop()
+                inner = self._check(body, whty.body(ctx.env[0]), ctx)
+                ctx.pop()
                 return Lam(Abs(binder, inner), whty.hidden)
             case SLamPat(comps, body):
                 return self._check_lampat(comps, body, whty, ctx)
             case SName("prf"):
                 self._discharge(whty, ctx)
                 return Con("prf")
-            case SName("[]") | SName("_∷_"):
-                return self._check_spine(s, whty, ctx)
-            case SApp(SName("_∷_"), _):
+            case SName("[]") | SName("_∷_") | SApp(SName("_∷_"), _):
                 return self._check_spine(s, whty, ctx)
             case SApp(SName("imap"), args) if len(args) == 1 and not args[0][1]:
                 if not (isinstance(whty, Def) and whty.name == "Ar"):
@@ -606,18 +569,12 @@ class Elaborator:
             case SLet(name, bound, body):
                 bt, bty = self._infer(bound, ctx)
                 ctx.push(name, bty if bty is not None else Unknown())
-                try:
-                    inner = self._check(body, ty, ctx)
-                finally:
-                    ctx.pop()
+                inner = self._check(body, ty, ctx)
+                ctx.pop()
                 return Let(bt, Abs(name, inner))
-            case SApp(fn, args):
-                t, ity = self._elab_app(fn, args, ctx, expected=whty)
-                if ity is not None:
-                    self._unify(ity, whty, ctx)
-                return t
             case _:
-                t, ity = self._infer(s, ctx)
+                t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty) \
+                    if isinstance(s, SApp) else self._infer(s, ctx)
                 if ity is not None:
                     self._unify(ity, whty, ctx)
                 elif is_prop_type(whty):
@@ -625,12 +582,12 @@ class Elaborator:
                 return t
 
     def _check_lampat(self, comps, body, ty, ctx: Ctx) -> Term:
-        dom = _force(ty.dom) if isinstance(ty, VBind) and ty.kind == "pi" else None
+        dom = _force(ty.dom) if _is_pi(ty) else None
         if not (isinstance(dom, Def) and dom.name == "Ix"):
             raise UnsupportedType("pattern lambda requires an index-typed domain")
         dv, sv = (a.value for a in dom.args)
         n = len(ctx)
-        d = _nat_of(self._whnf(dv, ctx))
+        d = nat_view(self._whnf(dv, ctx), _force)
         if d is None or d != len(comps):
             raise UnsupportedType(
                 f"index pattern has {len(comps)} components but rank is "
@@ -640,19 +597,16 @@ class Elaborator:
         inner_ty = ty.body(ctx.env[0])
         kept = [k for k in range(len(comps)) if comps[k] != "_"]
         for k in kept:
-            extent = shapes.vec_component(svec, k)
-            key = f"{comps[k]}#{len(ctx)}"
-            ctx.push(comps[k], NAT, hyps=[shapes.lt(shapes.SVar(key), extent)])
-        try:
-            inner = self._check(body, inner_ty, ctx)
-        finally:
-            ctx.pop(len(kept) + 1)
+            bound = shapes.lt(shapes.SVar(f"{comps[k]}#{len(ctx)}"),
+                              shapes.vec_component(svec, k))
+            ctx.push(comps[k], NAT, hyps=[bound])
+        inner = self._check(body, inner_ty, ctx)
+        ctx.pop(len(kept) + 1)
         # wrap the components in lets, innermost last; the p-th binding
         # sits under iv and p lets, so iv is Var(p) there
         out = inner
         for p in reversed(range(len(kept))):
-            at = n + 1 + p
-            bound = Def("ixc", (hid(_quote(dv, at)), hid(_quote(sv, at)),
+            bound = Def("ixc", (hid(_quote(dv, n + 1 + p)), hid(_quote(sv, n + 1 + p)),
                                 vis(Lit(kept[p])), vis(Var(p))))
             out = Let(bound, Abs(comps[kept[p]], out))
         return Lam(Abs("iv", out), False)
@@ -662,30 +616,20 @@ class Elaborator:
         ty = self._whnf(ty, ctx)
         if not isinstance(ty, Def) or ty.name not in ("Vec", "Ix", "List"):
             raise UnsupportedType(f"container literal against {self._show_v(ty, ctx)}")
+        if ty.name == "Ix":
+            # components are naturals with an in-bounds obligation each
+            return self._check_ix_spine(s, ty.args[0].value, ty.args[1].value, 0, ctx)
         if isinstance(s, SName):  # []
             if ty.name == "Vec":
                 self._want_zero(ty.args[1].value, ctx)
-                return Con("vnil")
-            if ty.name == "Ix":
-                self._want_zero(ty.args[0].value, ctx)
-                return Con("inil")
-            return Con("lnil")
-        assert isinstance(s, SApp)
+            return Con("vnil" if ty.name == "Vec" else "lnil")
         (h, _), (t, _) = s.args
+        x, tail_ty = ty.args[0].value, ty
         if ty.name == "Vec":
-            x, n = (a.value for a in ty.args)
-            m = self._peel_suc(n, ctx)
-            hv = self._check(h, x, ctx)
-            tv = self._check(t, Def("Vec", (vis(x), vis(m))), ctx)
-            return Con("vcons", (vis(hv), vis(tv)))
-        if ty.name == "Ix":
-            d, sh = (a.value for a in ty.args)
-            # components are naturals with an in-bounds obligation each
-            return self._check_ix_spine(s, d, sh, 0, ctx)
-        x = ty.args[0].value
+            tail_ty = Def("Vec", (vis(x), vis(self._peel_suc(ty.args[1].value, ctx))))
         hv = self._check(h, x, ctx)
-        tv = self._check(t, ty, ctx)
-        return Con("lcons", (vis(hv), vis(tv)))
+        tv = self._check(t, tail_ty, ctx)
+        return Con("vcons" if ty.name == "Vec" else "lcons", (vis(hv), vis(tv)))
 
     def _check_ix_spine(self, s: SExpr, d, sh, k: int, ctx: Ctx) -> Term:
         if isinstance(s, SName) and s.name == "[]":
@@ -700,7 +644,7 @@ class Elaborator:
             shapes.term_to_vec(_quote(sh, len(ctx)), ctx.names), k)
         goal = shapes.lt(shapes.term_to_scalar(_fill(comp, len(ctx), False), ctx.names),
                          extent)
-        self._discharge_constraint(goal, ctx, what=f"index bound {_show(h)}")
+        self._discharge_constraint(goal, ctx, f"index bound {_show(h)}")
         m = self._peel_suc(d, ctx)
         rest = self._check_ix_spine(t, m, sh, k + 1, ctx)
         return Con("icons", (vis(comp), vis(rest)))
@@ -709,7 +653,7 @@ class Elaborator:
         n = _force(n)
         if type(n) is Hole and not n.args:
             self._unify(n, Lit(0), ctx)
-        elif _nat_of(self._whnf(n, ctx)) != 0:
+        elif nat_view(self._whnf(n, ctx), _force) != 0:
             raise UnsupportedType("container literal is shorter than its type")
 
     def _peel_suc(self, n, ctx: Ctx):
@@ -742,13 +686,12 @@ class Elaborator:
             raise UnprovenConstraint(f"cannot infer argument types for {name}")
         term, ty, vals = self._apply_spine(head, sig, args, ctx, name)
         p = PRIMS.get(name)
-        if p is not None and p.owes is not None and isinstance(term, Def) \
+        if p is not None and p.owes is not None and type(term) is Def \
                 and len(term.args) == p.arity:
-            # the use-site obligation of a primitive that takes no proof
-            # argument, once the call is saturated
+            # a saturated call of a primitive owes its use-site obligation
             what, build = p.owes
             c = build(ctx.names, *(_quote(v, len(ctx)) for v in vals))
-            self._discharge_constraint(c, ctx, what=what)
+            self._discharge_constraint(c, ctx, what)
         return term, ty
 
     def _apply_spine(self, head: Term, sig, args: list, ctx: Ctx, name: str):
@@ -761,13 +704,11 @@ class Elaborator:
         queue = list(args)
         while True:
             rest = _force(rest)
-            if not (isinstance(rest, VBind) and rest.kind == "pi"):
-                if queue and isinstance(rest, Def):
-                    r2 = self._whnf(rest, ctx)
-                    if isinstance(r2, VBind) and r2.kind == "pi":
-                        rest = r2
-                        continue
-                break
+            if not _is_pi(rest):
+                unfolded = self._whnf(rest, ctx) if queue and type(rest) is Def else rest
+                if not _is_pi(unfolded):
+                    break
+                rest = unfolded
             dz = _force(rest.dom)
             if rest.hidden and not (queue and queue[0][1]):
                 if is_prop_type(dz) and not _unsolved(dz):
@@ -780,10 +721,7 @@ class Elaborator:
                 if not queue:
                     break
                 sarg, _ = queue.pop(0)
-                if is_prop_type(dz) and isinstance(sarg, SName) and sarg.name == "prf":
-                    self._discharge(dz, ctx)
-                    val = Con("prf")
-                elif isinstance(sarg, (SLam, SLamPat)) or _is_container_literal(sarg):
+                if isinstance(sarg, (SLam, SLamPat)) or _is_container_literal(sarg):
                     val = self._check(sarg, dz, ctx)
                 elif _unsolved(dz):
                     val, aty = self._infer(sarg, ctx)
@@ -835,7 +773,7 @@ class Elaborator:
                 return True
             if step == 0:
                 a, b = self._whnf(a, ctx), self._whnf(b, ctx)
-        na, nb = _nat_of(a), _nat_of(b)
+        na, nb = nat_view(a, _force), nat_view(b, _force)
         if na is not None and nb is not None:
             return na == nb
         cls = type(a)
@@ -843,36 +781,30 @@ class Elaborator:
             return self._unify1(a.args[0].value, Lit(nb - 1), ctx)
         if na is not None and na > 0 and _is_suc(b):
             return self._unify1(Lit(na - 1), b.args[0].value, ctx)
-        if cls is VBind and type(b) is VBind and a.kind == b.kind == "pi":
+        if _is_pi(a) and _is_pi(b):
             if a.hidden != b.hidden or not self._unify1(a.dom, b.dom, ctx):
                 return False
             ctx.push(a.name, a.dom)
-            try:
-                return self._unify1(a.body(ctx.env[0]), b.body(ctx.env[0]), ctx)
-            finally:
-                ctx.pop()
+            same = self._unify1(a.body(ctx.env[0]), b.body(ctx.env[0]), ctx)
+            ctx.pop()
+            return same
         if cls is Sort and type(b) is Sort:
             return True
-        if cls is type(b) and (cls is Def and a.name == b.name or cls is Con and a.name == b.name
-                               or cls is VVar and a.level == b.level):
-            xs, ys = (a.spine, b.spine) if cls is VVar else (a.args, b.args)
-            if len(xs) == len(ys) and all(self._unify1(x.value, y.value, ctx)
-                                          for x, y in zip(xs, ys)):
-                return True
+        if cls is type(b) and cls in _HEADED and _head(a) == _head(b) \
+                and len(a.args) == len(b.args) \
+                and all(self._unify1(x.value, y.value, ctx) for x, y in zip(a.args, b.args)):
+            return True
         # arithmetic fallback: compare as shape expressions
-        if _shapeish(a) or _shapeish(b):
-            names, hyps, n = ctx.names, ctx.hyps, len(ctx)
-            ta, tb = _quote(a, n), _quote(b, n)
-            sa = shapes.term_to_scalar(ta, names)
-            sb = shapes.term_to_scalar(tb, names)
-            if not isinstance(sa, shapes.SOpaque) or not isinstance(sb, shapes.SOpaque):
-                if shapes.decide(shapes.eq(sa, sb), hyps) == "yes":
-                    return True
-            if shapes.decide(shapes.veq(shapes.term_to_vec(ta, names),
-                                        shapes.term_to_vec(tb, names)),
-                             hyps) == "yes":
-                return True
-        return False
+        if not (_shapeish(a) or _shapeish(b)):
+            return False
+        names, n = ctx.names, len(ctx)
+        ta, tb = _quote(a, n), _quote(b, n)
+        sa, sb = shapes.term_to_scalar(ta, names), shapes.term_to_scalar(tb, names)
+        if not (isinstance(sa, shapes.SOpaque) and isinstance(sb, shapes.SOpaque)) \
+                and shapes.decide(shapes.eq(sa, sb), ctx.hyps) == "yes":
+            return True
+        va, vb = shapes.term_to_vec(ta, names), shapes.term_to_vec(tb, names)
+        return shapes.decide(shapes.veq(va, vb), ctx.hyps) == "yes"
 
     def _solve(self, m: Hole, v) -> bool:
         if type(v) is Hole and v.meta is m.meta and not v.args:
@@ -888,14 +820,12 @@ class Elaborator:
 
     def _discharge(self, prop, ctx: Ctx) -> None:
         t = _quote(prop, len(ctx))
-        c = _prop_to_constraint(t, ctx.names)
+        c, what = _prop_to_constraint(t, ctx.names), ir.print_term(t)
         if c is None:
-            raise UnprovenConstraint(
-                f"not a decidable proposition: {ir.print_term(t)}")
-        self._discharge_constraint(c, ctx, what=ir.print_term(t))
+            raise UnprovenConstraint(f"not a decidable proposition: {what}")
+        self._discharge_constraint(c, ctx, what)
 
-    def _discharge_constraint(self, c: shapes.Constraint, ctx: Ctx,
-                              what: str) -> None:
+    def _discharge_constraint(self, c: shapes.Constraint, ctx: Ctx, what: str) -> None:
         verdict = shapes.decide(c, ctx.hyps)
         if verdict == "yes":
             return
@@ -917,7 +847,7 @@ class Elaborator:
         patterns: list[Arg] = []  # PVar carries *absolute* positions here
         rest = _eval(sig, ())
         queue = list(decl.pats)
-        while isinstance(rest, VBind) and rest.kind == "pi":
+        while _is_pi(rest):
             if rest.hidden and not (queue and queue[0][1]):
                 ctx.push(rest.name or "_h", rest.dom)
                 patterns.append(Arg(PVar(len(ctx) - 1), True))
@@ -971,18 +901,14 @@ class Elaborator:
             if not (isinstance(ty, Def) and ty.name in ("Vec", "List")):
                 raise UnsupportedType(
                     f"line {line}: container pattern at {self._show_v(ty, ctx)}")
-            if ty.name == "Vec":
-                return self._vec_pattern(p, ty, ctx, line)
-            return self._list_pattern(p, ty, ctx, line)
+            return self._container_pattern(p, ty, ctx, line)
         if name == "suc":
             if len(args) != 1:
                 raise EslError(f"line {line}: suc takes one pattern")
             sub, v = self._elab_pattern(args[0][0], NAT, ctx, line)
             return PCon("suc", (vis(sub),)), Con("suc", (vis(v),))
-        if name == "zero":
-            return PCon("zero"), Lit(0)
-        if name == "fzero":
-            return PCon("fzero"), Lit(0)
+        if name in ("zero", "fzero"):
+            return PCon(name), Lit(0)
         if name == "fsuc":
             if len(args) != 1:
                 raise EslError(f"line {line}: fsuc takes one pattern")
@@ -1005,28 +931,25 @@ class Elaborator:
                     Con("imap", (hid(x), hid(d), hid(sh), vis(ctx.env[0]))))
         raise UnsupportedType(f"line {line}: unsupported pattern head {name}")
 
-    def _vec_pattern(self, p: SPat, ty: Def, ctx: Ctx, line: int):
-        x, n = (a.value for a in ty.args)
+    def _container_pattern(self, p: SPat, ty: Def, ctx: Ctx, line: int):
+        """[] and _∷_ against Vec / List."""
+        vec = ty.name == "Vec"
+        x, tail_ty = ty.args[0].value, ty
         if p.name == "[]":
-            if _nat_of(self._whnf(n, ctx)) != 0:
+            if vec and nat_view(self._whnf(ty.args[1].value, ctx), _force) != 0:
+                raise UnsupportedType(f"line {line}: [] pattern at length "
+                                      f"{self._show_v(ty.args[1].value, ctx)}")
+            return PCon("vnil" if vec else "lnil"), Con("vnil" if vec else "lnil")
+        if vec:
+            inner = ir.suc_view(self._whnf(ty.args[1].value, ctx))
+            if inner is None:
                 raise UnsupportedType(
-                    f"line {line}: [] pattern at length {self._show_v(n, ctx)}")
-            return PCon("vnil"), Con("vnil")
-        inner = ir.suc_view(self._whnf(n, ctx))
-        if inner is None:
-            raise UnsupportedType(
-                f"line {line}: cons pattern needs a known vector length")
+                    f"line {line}: cons pattern needs a known vector length")
+            tail_ty = Def("Vec", (vis(x), vis(inner)))
         hp, hv = self._elab_pattern(p.args[0][0], x, ctx, line)
-        tp, tv = self._elab_pattern(p.args[1][0], Def("Vec", (vis(x), vis(inner))),
-                                    ctx, line)
-        return PCon("vcons", (vis(hp), vis(tp))), Con("vcons", (vis(hv), vis(tv)))
-
-    def _list_pattern(self, p: SPat, ty: Def, ctx: Ctx, line: int):
-        if p.name == "[]":
-            return PCon("lnil"), Con("lnil")
-        hp, hv = self._elab_pattern(p.args[0][0], ty.args[0].value, ctx, line)
-        tp, tv = self._elab_pattern(p.args[1][0], ty, ctx, line)
-        return PCon("lcons", (vis(hp), vis(tp))), Con("lcons", (vis(hv), vis(tv)))
+        tp, tv = self._elab_pattern(p.args[1][0], tail_ty, ctx, line)
+        cons = "vcons" if vec else "lcons"
+        return PCon(cons, (vis(hp), vis(tp))), Con(cons, (vis(hv), vis(tv)))
 
 
 def _remap_patterns(patterns: list[Arg], length: int) -> tuple[Arg, ...]:
@@ -1056,11 +979,7 @@ def _policy_reason(sig: Term) -> str | None:
     """Check the supported-type grammar; a reason marks the definition as
     not extractable (it stays available to the normalizer)."""
     tel, ret = pi_spine(sig)
-    for name, a in tel:
-        r = _type_reason(a.value)
-        if r:
-            return r
-    return _type_reason(ret)
+    return next(filter(None, map(_type_reason, [a.value for _, a in tel] + [ret])), None)
 
 
 def _type_reason(t: Term) -> str | None:
@@ -1071,31 +990,18 @@ def _type_reason(t: Term) -> str | None:
             return "higher-order argument"
         case Def("String", _):
             return "no strings in the target language"
-        case Def(("Nat" | "Float" | "_<_" | "_≡_"), _):
-            return None
-        case Def("Fin", _):
-            return None
-        case Def("Dec", (Arg(p, _),)):
-            return _type_reason(p)
-        case Def(("Vec" | "List"), (Arg(x, _), *_)):
-            return _type_reason(x)
-        case Def("Ar", (Arg(x, _), *_)):
-            return _type_reason(x)
-        case Def("Ix", _):
-            return None
+        case Def("Dec" | "Vec" | "List" | "Ar", (Arg(x, _), *_)):
+            return _type_reason(x)  # the element type
         case Var(_, _):
             return "type variable"
-        case _:
-            return None
+    return None
 
 
 def _show(s: SExpr) -> str:
     match s:
         case SName(n, _):
             return n
-        case SNum(v):
-            return str(v)
-        case SFloat(v):
+        case SNum(v) | SFloat(v):
             return str(v)
         case SApp(fn, args):
             return "(" + " ".join([_show(fn)] + [_show(a) for a, _ in args]) + ")"

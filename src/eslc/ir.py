@@ -186,13 +186,8 @@ class Clause:
 
 
 def _has_absurd(pats) -> bool:
-    for a in pats:
-        p = a.value
-        if isinstance(p, PAbsurd):
-            return True
-        if isinstance(p, PCon) and _has_absurd(p.args):
-            return True
-    return False
+    return any(isinstance(a.value, PAbsurd)
+               or isinstance(a.value, PCon) and _has_absurd(a.value.args) for a in pats)
 
 
 # --------------------------------------------------------------------------
@@ -230,10 +225,7 @@ class Definition:
     payload: Payload
 
     def arity(self) -> int:
-        n, sig = 0, self.signature
-        while isinstance(sig, Pi):
-            n, sig = n + 1, sig.scope.body
-        return n
+        return len(pi_spine(self.signature)[0])
 
 
 class Env:
@@ -322,24 +314,19 @@ def _shift(t: Term, cutoff: int, by: int) -> Term:
 
 def apply_term(t: Term, args: tuple[Arg, ...]) -> Term:
     """Apply a term to extra spine arguments, beta-reducing lambdas."""
-    if not args:
+    cls = type(t)
+    if not args or cls is Unknown:
         return t
-    match t:
-        case Var(idx, a0):
-            return Var(idx, a0 + args)
-        case Con(name, a0):
-            return Con(name, a0 + args)
-        case Def(name, a0):
-            return Def(name, a0 + args)
-        case Lam(scope, _):
-            return apply_term(subst(scope.body, 0, args[0].value), args[1:])
-        case Let(bound, scope):
-            shifted = tuple(Arg(shift(a.value, 1), a.hidden) for a in args)
-            return Let(bound, Abs(scope.name, apply_term(scope.body, shifted)))
-        case Unknown():
-            return t
-        case _:
-            raise EslError(f"cannot apply arguments to {t!r}")
+    if cls is Var:
+        return Var(t.idx, t.args + args)
+    if cls is Con or cls is Def:
+        return cls(t.name, t.args + args)
+    if cls is Lam:
+        return apply_term(subst(t.scope.body, 0, args[0].value), args[1:])
+    if cls is Let:
+        shifted = tuple(Arg(shift(a.value, 1), a.hidden) for a in args)
+        return Let(t.bound, Abs(t.scope.name, apply_term(t.scope.body, shifted)))
+    raise EslError(f"cannot apply arguments to {t!r}")
 
 
 def subst(t: Term, idx: int, *vals: Term) -> Term:
@@ -366,39 +353,36 @@ def _subst(t: Term, depth: int, vals: tuple[Term, ...], idx: int) -> Term:
 
 def free_var_count(t: Term, idx: int) -> int:
     """Number of occurrences of Var(idx) in t (head positions included)."""
-    match t:
-        case Var(i, args):
-            n = 1 if i == idx else 0
-            return n + sum(free_var_count(a.value, idx) for a in args)
-        case Con(_, args) | Def(_, args):
-            return sum(free_var_count(a.value, idx) for a in args)
-        case Lam(scope, _):
-            return free_var_count(scope.body, idx + 1)
-        case Let(bound, scope):
-            return free_var_count(bound, idx) + free_var_count(scope.body, idx + 1)
-        case Pi(dom, scope):
-            return free_var_count(dom.value, idx) + free_var_count(scope.body, idx + 1)
-        case _:
-            return 0
+    count = 0
+
+    def visit(u: Term, i: int) -> Term:
+        nonlocal count
+        count += type(u) is Var and u.idx == i
+        return map_subterms(u, visit, i)
+
+    visit(t, idx)
+    return count
 
 
 # --------------------------------------------------------------------------
 # natural literals vs zero/suc spines
 
 
-def nat_view(t: Term) -> int | None:
-    """Read a term as a natural if it is a literal or a closed suc-spine."""
+def nat_view(t: Term, force=None) -> int | None:
+    """Read a term as a natural if it is a literal or a closed suc-spine;
+    `force`, if given, first reads each node (of an elaborator value)."""
     n = 0
     while True:
-        match t:
-            case Lit(int(v)):
-                return n + v
-            case Con("zero", ()):
-                return n
-            case Con("suc", (Arg(inner, _),)):
-                n, t = n + 1, inner
-            case _:
-                return None
+        if force is not None:
+            t = force(t)
+        if type(t) is Lit:
+            return n + t.value if type(t.value) is int else None
+        if type(t) is not Con or t.name not in ("zero", "suc") \
+                or len(t.args) != (t.name == "suc"):
+            return None
+        if t.name == "zero":
+            return n
+        n, t = n + 1, t.args[0].value
 
 
 def suc_view(t: Term) -> Term | None:
@@ -420,10 +404,9 @@ def print_term(t: Term) -> str:
     match t:
         case Var(i, args):
             return _sx("var", str(i), *map(_sx_arg, args))
-        case Con(name, args):
-            return _sx("con", _sx_str(name), *map(_sx_arg, args))
-        case Def(name, args):
-            return _sx("def", _sx_str(name), *map(_sx_arg, args))
+        case Con(name, args) | Def(name, args):
+            head = "con" if isinstance(t, Con) else "def"
+            return _sx(head, _sx_str(name), *map(_sx_arg, args))
         case Lam(scope, hidden):
             return _sx("lam", "h" if hidden else "v", _sx_str(scope.name), print_term(scope.body))
         case Lit(v):

@@ -53,7 +53,7 @@ def test_subst_shares_a_term_without_the_variable():
 
 
 def test_a_hole_reads_its_meta_once_solved():
-    m = Meta(1, 0)
+    m = Meta("?m1@0", 0)
     t = Def("_+_", (vis(Hole(m.name, (), m)), vis(Lam(Abs("x", Var(0))))))
     # unsolved, the hole quotes back as itself, and strictly not at all
     assert _quote(_eval(t, ()), 0) == t
