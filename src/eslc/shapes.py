@@ -560,16 +560,18 @@ def _fm_infeasible(rows: list[dict]) -> bool:
     """Fourier-Motzkin: True if the system {row >= 0} has no rational
     solution (hence no integer one).  Every monomial variable is a product
     of naturals, so an implicit >= 0 row is added for each.  Variables are
-    eliminated in the order of their reprs."""
-    rows = [dict(r) for r in rows]
-    order = {k: repr(k) for r in rows for k in r if k != ()}
-    for k in order:
-        rows.append({k: 1})
+    eliminated in the order of their reprs: they are renamed 1, 2, ... in
+    that order (0 is the constant), so the elimination hashes ints."""
+    keys = sorted({k for r in rows for k in r if k != ()}, key=repr)
+    index = {k: i for i, k in enumerate(keys, 1)}
+    index[()] = 0
+    rows = [{index[k]: c for k, c in r.items()} for r in rows]
+    rows.extend({i: 1} for i in range(1, len(keys) + 1))
     while True:
-        variables = {k for r in rows for k in r if k != ()}
+        variables = {k for r in rows for k in r if k}
         if not variables:
             break
-        v = min(variables, key=order.__getitem__)
+        v = min(variables)
         lowers, uppers, rest = [], [], []
         for r in rows:
             c = r.get(v, 0)
@@ -589,13 +591,13 @@ def _fm_infeasible(rows: list[dict]) -> bool:
                     if k == v:
                         continue
                     val = lo.get(k, 0) * cu + up.get(k, 0) * cl
-                    if val != 0 or k == ():
+                    if val != 0 or k == 0:
                         comb[k] = val
                 new.append(comb)
         rows = new
         if len(rows) > 4000:  # safety valve; give up refuting
             return False
-    return any(r.get((), 0) < 0 for r in rows)
+    return any(r.get(0, 0) < 0 for r in rows)
 
 
 # --------------------------------------------------------------------------
