@@ -33,14 +33,17 @@ class ExtractState:
     """The shared bookkeeping all backends thread through extraction."""
 
     def __init__(self, base: frozenset[str], skip: frozenset[str],
-                 keywords: frozenset[str] = frozenset()):
+                 keywords: frozenset[str] = frozenset(),
+                 builtins: frozenset[str] = frozenset()):
         self.pending: deque[str] = deque()
         self.compiled: set[str] = set()
         self.base = base
         self.skip = skip
         self.keywords = keywords  # the target's, which name no binder
         self.names: dict[str, str] = {}
-        self.used_names: set[str] = set()
+        # every name the text calls: the target's builtin functions, the
+        # program's functions and the backend's macros
+        self.used_names: set[str] = set(builtins)
         self.deps: dict[str, list[str]] = {}
 
     def push(self, name: str) -> None:
@@ -146,7 +149,8 @@ def kompile(entry: str, base, skip, backend, env: Env,
             def_meta: dict | None = None) -> str:
     """Extract `entry` and its call-graph closure; returns the program text."""
     opts = opts or ExtractOptions()
-    state = ExtractState(frozenset(base), frozenset(skip), backend.keywords)
+    state = ExtractState(frozenset(base), frozenset(skip), backend.keywords,
+                         backend.builtins)
     d = env.lookup(entry)
     if not isinstance(d.payload, Function):
         raise ExtractError(f"{entry} is not a function")
@@ -179,7 +183,8 @@ def kompile(entry: str, base, skip, backend, env: Env,
 def entry_name(entry: str, backend) -> str:
     """The target name that `kompile` gives its entry, which claims its
     name first."""
-    state = ExtractState(frozenset(), frozenset(), backend.keywords)
+    state = ExtractState(frozenset(), frozenset(), backend.keywords,
+                         backend.builtins)
     return state.target_name(entry, backend.final_pass)
 
 

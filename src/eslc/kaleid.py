@@ -336,6 +336,7 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
 class KaleidBackend:
     final_pass = staticmethod(kaleid_final_pass)
     keywords = KALEID_KEYWORDS
+    builtins = frozenset()  # the text calls only its own functions
 
     def kompile_fun(self, name: str, d: Definition, state: ExtractState,
                     env: Env, opts: ExtractOptions) -> str:

@@ -228,10 +228,17 @@ _SCALAR_BIN = {"_+_": "+", "_-_": "-", "_*_": "*", "_/_": "/", "_%_": "%",
 _VIS2_CALLS = {"vtake": "take", "vdrop": "drop", "vappend": "append",
                "reshape": "reshape"}
 
+# the functions the emitted text calls without defining them in the
+# program: SaC's own, and the helpers `assemble` prepends
+SAC_BUILTINS = frozenset({"shape", "take", "drop", "cons", "append", "reverse",
+                          "prod", "reshape", "zero_float", "zero_int", "max",
+                          "expf", "sel", "ravel"})
+
 
 class SacBackend:
     final_pass = staticmethod(sac_final_pass)
     keywords = SAC_KEYWORDS
+    builtins = SAC_BUILTINS
 
     def __init__(self):
         self.need_sel = False
@@ -295,8 +302,13 @@ class SacBackend:
                     assert isinstance(sub, PVar)
                     nm = source_name(sub.idx)
                     wild = nm.startswith("_")
-                    macro = cx.state.binder("p" if wild else nm, cx.scope,
+                    # a #define holds for the rest of the text, so its name
+                    # stays apart from every function, builtin and macro
+                    called = cx.state.used_names
+                    macro = cx.state.binder("p" if wild else nm, cx.scope | called,
                                             fresh=wild)
+                    cx.scope.add(macro)
+                    called.add(macro)
                     fn.macros.append((macro, param))
                     names_by_db[sub.idx] = f"#{macro}"
                 case PCon(("vcons" | "lcons"), _) as pat:

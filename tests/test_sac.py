@@ -265,6 +265,33 @@ copy (imap p) = imap p
     assert np.array_equal(interp_sac(out, "copy", [np.array([2, 2]), a]), a)
 
 
+# (source, entry): a selection macro whose pattern variable is named like
+# a SaC builtin the text calls, or like a function of the program; a
+# #define holds for the rest of the text, so either would capture calls
+MACRO_CLASHES = {
+    "builtin": ("w : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\n"
+                "w (imap cons) = imap (\\(i ∷ []) -> cons (i ∷ []) +f 1.0)\n"),
+    "function": ("k : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\n"
+                 "k (imap q) = imap (\\(i ∷ []) -> q (i ∷ []) *f 2.0)\n"
+                 "h : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\n"
+                 "h (imap k) = imap (\\(i ∷ []) -> k (i ∷ []) +f 1.0)\n"
+                 "w : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\n"
+                 "w a = h (k a)\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(MACRO_CLASHES))
+def test_macro_names_stay_apart_from_called_names(case):
+    e = load_sources([("w", MACRO_CLASHES[case])])
+    out = kompile("w", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    macros = [line.split()[1].split("(")[0] for line in out.splitlines()
+              if line.strip().startswith("#define")]
+    assert macros and not {"cons", "k"} & set(macros)
+    x = np.array([1.0, 2.0, 3.0])
+    want = call(e.env, "w", [varr((3,), list(x))])
+    assert compare(interp_sac(out, "w", [x]), want, "float") == 0.0
+
+
 def test_nested_element_type_gets_shaped_default():
     src = """
 rows : {m n : Nat} -> Ar Float 2 (m ∷ n ∷ []) -> Ar (Ar Float 1 (n ∷ [])) 1 (m ∷ [])
