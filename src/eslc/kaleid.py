@@ -621,18 +621,21 @@ class _Stager:
     """Writes each KFun as the ast of one Python def (eslc.pycode).
     Kaleidoscope names become indexed locals (`v0`, `v1`, ...), numbered
     across the whole program so `names` maps each back; primes and `__ret`
-    are safe.  Block-level lets and ifs become statements.  A subexpression
+    are safe.  Block-level lets and ifs become statements, and a block's
+    let binds its name for the rest of the def.  An expression-level let
+    binds a local of its own, read only in its body: names are resolved
+    as the def is staged, so scoping costs nothing per call.  A subexpression
     nested more than _SPILL deep becomes a nested function without
-    parameters, called where the subexpression stood, unless it binds a
-    let name, which must stay a local of the def."""
+    parameters, called where the subexpression stood."""
 
     def __init__(self, funs: dict[str, tuple[str, int]]):
         self.funs = funs  # Kaleidoscope name -> (Python name, arity)
         self.names: dict[str, str] = {}  # Python local -> Kaleidoscope name
 
     def fun(self, f: KFun, pyname: str) -> ast.FunctionDef:
-        self.vars: dict[str, str] = {}
-        self.ntemps = self.nlets = 0
+        self.vars: dict[str, str] = {}  # a name's local in the def
+        self.lexical: dict[str, str] = {}  # in the body of a let expression
+        self.ntemps = 0
         self.helpers: list[ast.stmt] = []
         # a repeated parameter name binds the last of its arguments
         params = [f"_{j}" if p in f.params[j + 1:] else self._var(p)
@@ -642,9 +645,13 @@ class _Stager:
 
     def _var(self, name: str) -> str:
         if name not in self.vars:
-            local = self.vars[name] = f"v{len(self.names)}"
-            self.names[local] = name
+            self.vars[name] = self._local(name)
         return self.vars[name]
+
+    def _local(self, name: str) -> str:
+        local = f"v{len(self.names)}"
+        self.names[local] = name
+        return local
 
     def _temp(self) -> str:
         self.ntemps += 1
@@ -666,10 +673,7 @@ class _Stager:
         return stmts
 
     def _spill(self, e: KExpr) -> ast.expr:
-        lets = self.nlets
-        value = self._expr(e)
-        if self.nlets != lets:
-            return value
+        value = self._expr(e)  # which may spill helpers of its own first
         helper = f"h{len(self.helpers)}"
         self.helpers.append(py.fundef(helper, [], [py.ret(value)]))
         return py.call(helper, [])
@@ -693,7 +697,7 @@ class _Stager:
             case KNat(v):
                 return py.const(v)
             case KVar(n):
-                return py.load(self._var(n))
+                return py.load(self.lexical.get(n) or self._var(n))
             case KBin("Plus", l, r):
                 return py.binop(self._expr(l, depth), ast.Add(),
                                 self._expr(r, depth))
@@ -727,9 +731,14 @@ class _Stager:
                 return py.if_else(self._test(c, depth), self._expr(t, depth),
                                   self._expr(o, depth))
             case KLet(n, b, body):
-                self.nlets += 1
-                return py.let(self._var(n), self._expr(b, depth),
-                              self._expr(body, depth))
+                bound, local = self._expr(b, depth), self._local(n)
+                outer, self.lexical[n] = self.lexical.get(n), local
+                inner = self._expr(body, depth)
+                if outer is None:
+                    del self.lexical[n]
+                else:
+                    self.lexical[n] = outer
+                return py.let(local, bound, inner)
             case KCall(f, args):
                 if f not in self.funs:
                     return _fail_with(f"unknown function {f}")

@@ -333,9 +333,17 @@ def test_let_in_a_branch_writes_the_call_environment():
             "let __ret = r + y\n"
             "__ret")
     assert _run(body, 3) == 12
-    # an expression-level let (built as AST; the text form has none)
+    # an expression-level let binds only its body (built as AST here)
     e = KBin("Plus", KLet("y", KNat(2), KVar("y")), KVar("y"))
-    assert interp_kaleid([KFun("f", (), e)], "f", []) == 4
+    assert interp_kaleid([KFun("f", (), e)], "f", []) == Aborted("unbound variable y")
+
+
+def test_an_expression_let_is_lexical():
+    assert _run("let a = 1\nlet __ret = (let a = 2 in a) + a\n__ret", 0) == 3
+    nested = ("let a = x_1\n"
+              "let __ret = (let a = (let a = a + 1 in a * 10) + a in a + 1) + a\n"
+              "__ret")
+    assert _run(nested, 1) == 23
 
 
 def test_let_bound_on_the_untaken_branch_aborts():
@@ -375,12 +383,12 @@ def test_deep_nesting_stages_and_runs():
     chain = KNat(7)
     for i in range(300):
         chain = KIf(KBin("Eq", KVar("x_1"), KNat(i)), KNat(2 * i), chain)
-    # a let deep inside an expression binds a local of the whole function,
-    # as a shallow one does
-    sums = KLet("z", KNat(5), KVar("z"))
+    # a let deep inside an expression binds only its body, as a shallow
+    # one does, also where the subexpression is staged as a nested function
+    sums = KLet("z", KNat(5), KBin("Plus", KVar("z"), KVar("z")))
     for _ in range(300):
         sums = KBin("Plus", KNat(1), sums)
-    let = KLet("r", sums, KBin("Plus", KVar("r"), KVar("z")))
+    let = KLet("z", KNat(1), KLet("r", sums, KBin("Plus", KVar("r"), KVar("z"))))
     fns = [KFun("f", ("x_1",), minus), KFun("g", ("x_1",), chain),
            KFun("h", (), let)]
     for program in (fns, print_kaleid(fns)):
@@ -388,7 +396,7 @@ def test_deep_nesting_stages_and_runs():
         assert interp_kaleid(program, "f", [5]) == 0
         assert [interp_kaleid(program, "g", [x]) for x in (5, 299, 300)] == \
             [10, 598, 7]
-        assert interp_kaleid(program, "h", []) == 310
+        assert interp_kaleid(program, "h", []) == 311
 
 
 def test_too_deep_nesting_is_a_parse_error():
