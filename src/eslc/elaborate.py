@@ -77,9 +77,8 @@ WHNF_FUEL = 100000
 
 @dataclass(slots=True, eq=False)
 class Meta:
-    """A hidden argument to infer, made under `depth` binders and named for
-    error messages; one unification solves it with a value over the first
-    `depth` variables."""
+    """A hidden argument to infer, made under `depth` binders; one
+    unification solves it with a value over the first `depth` variables."""
     name: str
     depth: int
     solution: object = None
@@ -117,8 +116,7 @@ class VLazy:
     value: object = None
 
 
-# the functions below dispatch on type(...) rather than `match`, which
-# tries each class pattern in turn: they run for every node read
+# these dispatch on type(...), not `match`: they run for every node read
 
 
 def _eval(t: Term, env: tuple):
@@ -372,10 +370,9 @@ class Elaborator:
         self._nz = Normalizer(self.env, ReductionPolicy(fuel=WHNF_FUEL))
 
     def _whnf(self, v, ctx: Ctx):
-        """The weak head normal form of a value, by the normalizer with a
-        fresh budget of reduction steps.  Heads that cannot reduce (a
-        variable, a binder, a data type or one of its constructors) are
-        not quoted for it."""
+        """The weak head normal form of a value, by the normalizer with a fresh
+        budget of steps; a head that cannot reduce (a variable, a binder, a
+        data type or its constructor) is not quoted for it."""
         v = _force(v)
         cls = type(v)
         if cls is Def:
@@ -873,10 +870,9 @@ class Elaborator:
         ty_w = self._whnf(ty, ctx)
         match p.kind:
             case "var" | "wild":
-                name = p.name if p.kind == "var" else "_"
                 if p.kind == "var" and p.name in _CON_NAMES | {"[]"}:
                     return self._elab_con_pattern(p, ty_w, ctx, line)
-                ctx.push(name, ty)
+                ctx.push(p.name if p.kind == "var" else "_", ty)
                 return PVar(len(ctx) - 1), ctx.env[0]
             case "lit":
                 if not isinstance(p.value, int):
@@ -895,8 +891,7 @@ class Elaborator:
         raise AssertionError(p.kind)
 
     def _elab_con_pattern(self, p: SPat, ty, ctx: Ctx, line: int):
-        name = p.name
-        args = p.args
+        name, args = p.name, p.args
         if name == "_∷_" or name == "[]":
             if not (isinstance(ty, Def) and ty.name in ("Vec", "List")):
                 raise UnsupportedType(
