@@ -22,6 +22,7 @@ A value is quoted back to a term only for the shape decider
 step, for what is stored in `Env` (telescopes, and holes filled in
 finished terms) and for error messages.
 """
+
 from __future__ import annotations
 
 from collections.abc import Callable
