@@ -23,14 +23,10 @@ def _common_io(sub):
     sub.add_argument("--entry", required=True, help="function to extract")
     sub.add_argument("--backend", required=True, choices=["kaleid", "sac"])
     sub.add_argument("--base", default="", help="comma separated never-reduce names")
-    sub.add_argument("--skip", default="", help="comma separated never-traverse names")
     sub.add_argument("--fuel", type=int, default=10**6)
-    sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--faithful-lets", action="store_true",
                      help="substitute every let eagerly, duplicating work")
     sub.add_argument("--no-prelude", action="store_true")
-    sub.add_argument("--dump-ir", action="store_true",
-                     help="write the elaborated IR of the entry to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,6 +34,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = p.add_subparsers(dest="cmd", required=True)
     k = subs.add_parser("kompile", help="extract a function to a target language")
     _common_io(k)
+    k.add_argument("--skip", default="", help="comma separated never-traverse names")
+    k.add_argument("--trials", type=int, default=100)
+    k.add_argument("--dump-ir", action="store_true",
+                   help="write the elaborated IR of the entry to stderr")
     k.add_argument("--out", default="-", help="output path, - for stdout")
     k.add_argument("--no-assert", action="store_true",
                    help="strip synthesized assertions from the output")
@@ -110,6 +110,10 @@ def cmd_diff(args) -> int:
         if entry.backend != args.backend:
             print(f"eslc: {args.entry} extracts to {entry.backend}",
                   file=sys.stderr)
+            return 1
+        if args.base:
+            print(f"eslc: {args.entry} is a corpus entry, which carries its "
+                  f"own base list; --base is for other entries", file=sys.stderr)
             return 1
         row = run_corpus_diff(entry, args.samples, args.seed, opts)
     else:

@@ -614,14 +614,15 @@ class Elaborator:
         ty = self._whnf(ty, ctx)
         if not isinstance(ty, Def) or ty.name not in ("Vec", "Ix", "List"):
             raise UnsupportedType(f"container literal against {self._show_v(ty, ctx)}")
+        cell = _spine_cell(s)
         if ty.name == "Ix":
             # components are naturals with an in-bounds obligation each
-            return self._check_ix_spine(s, ty.args[0].value, ty.args[1].value, 0, ctx)
-        if isinstance(s, SName):  # []
+            return self._check_ix_spine(cell, ty.args[0].value, ty.args[1].value, 0, ctx)
+        if cell is None:  # []
             if ty.name == "Vec":
                 self._want_zero(ty.args[1].value, ctx)
             return Con("vnil" if ty.name == "Vec" else "lnil")
-        (h, _), (t, _) = s.args
+        h, t = cell
         x, tail_ty = ty.args[0].value, ty
         if ty.name == "Vec":
             tail_ty = Def("Vec", (vis(x), vis(self._peel_suc(ty.args[1].value, ctx))))
@@ -629,14 +630,11 @@ class Elaborator:
         tv = self._check(t, tail_ty, ctx)
         return Con("vcons" if ty.name == "Vec" else "lcons", (vis(hv), vis(tv)))
 
-    def _check_ix_spine(self, s: SExpr, d, sh, k: int, ctx: Ctx) -> Term:
-        if isinstance(s, SName) and s.name == "[]":
+    def _check_ix_spine(self, cell, d, sh, k: int, ctx: Ctx) -> Term:
+        if cell is None:
             self._want_zero(d, ctx)
             return Con("inil")
-        if not (isinstance(s, SApp) and isinstance(s.fn, SName)
-                and s.fn.name == "_∷_"):
-            raise UnsupportedType("index expressions must be literal spines")
-        (h, _), (t, _) = s.args
+        h, t = cell
         comp = self._check(h, NAT, ctx)
         extent = shapes.vec_component(
             shapes.term_to_vec(_quote(sh, len(ctx)), ctx.names), k)
@@ -644,7 +642,7 @@ class Elaborator:
                          extent)
         self._discharge_constraint(goal, ctx, f"index bound {_show(h)}")
         m = self._peel_suc(d, ctx)
-        rest = self._check_ix_spine(t, m, sh, k + 1, ctx)
+        rest = self._check_ix_spine(_spine_cell(t), m, sh, k + 1, ctx)
         return Con("icons", (vis(comp), vis(rest)))
 
     def _want_zero(self, n, ctx: Ctx) -> None:
@@ -1003,3 +1001,16 @@ def _show(s: SExpr) -> str:
             return "(" + " ".join([_show(fn)] + [_show(a) for a, _ in args]) + ")"
         case _:
             return type(s).__name__
+
+
+def _spine_cell(s: SExpr):
+    """The head and tail of a container literal `_∷_ h t`; None for []."""
+    match s:
+        case SName("[]", _):
+            return None
+        case SApp(SName("_∷_", _), [(h, False), (t, False)]):
+            return h, t
+        case SName("_∷_", _) | SApp(SName("_∷_", _), _):
+            raise UnsupportedType("_∷_ takes two visible arguments, a head and "
+                                  f"a tail: {_show(s)}")
+    raise UnsupportedType("index expressions must be literal spines")

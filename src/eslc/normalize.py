@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from . import ir
 from .builtins import FLOAT, NAT, PRIMS
-from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, EvalError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Term,
-                 Unknown, Var, apply_term, free_var_count, nat_view, pi_spine,
-                 subst, vis)
+from .ir import (Arg, Clause, Con, Def, Env, EslError, EvalError, Function,
+                 Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown, Var,
+                 apply_term, free_var_count, map_args, map_subterms, nat_view,
+                 pi_spine, subst, vis)
 
 
 class FuelExhausted(EslError):
@@ -104,30 +104,21 @@ class RuleSet:
 
 
 def _extra_rhs_vars(rule: RewriteRule) -> set[int]:
-    lhs_vars, rhs_vars = set(), set()
-    _collect_vars(rule.lhs, 0, rule.arity, lhs_vars)
-    _collect_vars(rule.rhs, 0, rule.arity, rhs_vars)
-    return rhs_vars - lhs_vars
+    return _rule_vars(rule.rhs, rule.arity) - _rule_vars(rule.lhs, rule.arity)
 
 
-def _collect_vars(t: Term, depth: int, arity: int, acc: set) -> None:
-    match t:
-        case Var(i, args):
-            if depth <= i < depth + arity:
-                acc.add(i - depth)
-            for a in args:
-                _collect_vars(a.value, depth, arity, acc)
-        case Con(_, args) | Def(_, args):
-            for a in args:
-                _collect_vars(a.value, depth, arity, acc)
-        case Lam(scope, _):
-            _collect_vars(scope.body, depth + 1, arity, acc)
-        case Let(bound, scope):
-            _collect_vars(bound, depth, arity, acc)
-            _collect_vars(scope.body, depth + 1, arity, acc)
-        case Pi(dom, scope):
-            _collect_vars(dom.value, depth, arity, acc)
-            _collect_vars(scope.body, depth + 1, arity, acc)
+def _rule_vars(t: Term, arity: int) -> set[int]:
+    """The pattern variables (bare Var(0..arity-1) at the top) that occur
+    in t, under binders too."""
+    found = set()
+
+    def visit(u: Term, depth: int) -> Term:
+        if type(u) is Var and depth <= u.idx < depth + arity:
+            found.add(u.idx - depth)
+        return map_subterms(u, visit, depth)
+
+    visit(t, 0)
+    return found
 
 
 def _roots_unify(r1: RewriteRule, r2: RewriteRule) -> bool:
@@ -135,25 +126,11 @@ def _roots_unify(r1: RewriteRule, r2: RewriteRule) -> bool:
     pattern variables of both rules as unknowns."""
     subst_map: dict[str, Term] = {}
 
-    def tag(t: Term, which: str, depth: int = 0) -> Term:
+    def tag(t: Term, depth: int, which: str) -> Term:
         # pattern vars become named holes ?w:i so both rules coexist
-        match t:
-            case Var(i, args):
-                nargs = tuple(Arg(tag(a.value, which, depth), a.hidden) for a in args)
-                if depth <= i:
-                    return Def(f"?{which}{i - depth}", nargs)
-                return Var(i, nargs)
-            case Con(name, args):
-                return Con(name, tuple(Arg(tag(a.value, which, depth), a.hidden) for a in args))
-            case Def(name, args):
-                return Def(name, tuple(Arg(tag(a.value, which, depth), a.hidden) for a in args))
-            case Lam(scope, h):
-                return Lam(Abs(scope.name, tag(scope.body, which, depth + 1)), h)
-            case Let(bound, scope):
-                return Let(tag(bound, which, depth),
-                           Abs(scope.name, tag(scope.body, which, depth + 1)))
-            case _:
-                return t
+        if type(t) is Var and t.idx >= depth:
+            return Def(f"?{which}{t.idx - depth}", map_args(t.args, tag, depth, which))
+        return map_subterms(t, tag, depth, which)
 
     def walk(t: Term) -> Term:
         while isinstance(t, Def) and t.name.startswith("?") and not t.args \
@@ -184,7 +161,7 @@ def _roots_unify(r1: RewriteRule, r2: RewriteRule) -> bool:
                     all(unify(x.value, y.value) for x, y in zip(a1, a2))
         return False
 
-    return unify(tag(r1.lhs, "a"), tag(r2.lhs, "b"))
+    return unify(tag(r1.lhs, 0, "a"), tag(r2.lhs, 0, "b"))
 
 
 # --------------------------------------------------------------------------
@@ -329,26 +306,8 @@ class Normalizer:
     # -- full normalization ---------------------------------------------------
 
     def norm(self, t: Term) -> Term:
-        t = self.whnf(t)
-        match t:
-            case Var(i, args):
-                return self._post(Var(i, self._norm_args(args)))
-            case Con(name, args):
-                return self._post(Con(name, self._norm_args(args)))
-            case Def(name, args):
-                return self._post(Def(name, self._norm_args(args)))
-            case Lam(scope, h):
-                return Lam(Abs(scope.name, self.norm(scope.body)), h)
-            case Let(bound, scope):
-                return Let(self.norm(bound), Abs(scope.name, self.norm(scope.body)))
-            case Pi(dom, scope):
-                return Pi(Arg(self.norm(dom.value), dom.hidden),
-                          Abs(scope.name, self.norm(scope.body)))
-            case _:
-                return t
-
-    def _norm_args(self, args: tuple[Arg, ...]) -> tuple[Arg, ...]:
-        return tuple(Arg(self.norm(a.value), a.hidden) for a in args)
+        t = map_subterms(self.whnf(t), lambda u, _: self.norm(u), 0)
+        return self._post(t) if type(t) in (Var, Con, Def) else t
 
     def _post(self, t: Term) -> Term:
         """Head work that may become possible once arguments are normal:
@@ -356,10 +315,6 @@ class Normalizer:
         t2 = self.whnf(t)
         if t2 is not t and t2 != t:
             return self.norm(t2)
-        if isinstance(t2, Con):
-            t3 = self._canon(t2)
-            if t3 != t2:
-                return self.norm(t3)
         if isinstance(t2, (Def, Con)):
             r = self._try_rules(t2)
             if r is not None:
@@ -564,13 +519,9 @@ def check_rewrite(rule: RewriteRule, trials: int, env: Env, seed: int = 0):
         raise NotGroundable(f"rule {rule.name} lacks variable type information")
     for _ in range(trials):
         inst = [_ground(ty, rng) for ty in rule.var_types]
-        lhs, rhs = rule.lhs, rule.rhs
-        for i in range(rule.arity):
-            # pattern var i is bound outermost-first
-            lhs = subst(lhs, rule.arity - 1 - i, inst[i])
-            rhs = subst(rhs, rule.arity - 1 - i, inst[i])
-        lv = evaluate.eval_closed(lhs, env)
-        rv = evaluate.eval_closed(rhs, env)
+        # pattern variable i is bound outermost-first: it is Var(arity - 1 - i)
+        lv, rv = (evaluate.eval_closed(subst(side, 0, *reversed(inst)), env)
+                  for side in (rule.lhs, rule.rhs))
         if lv != rv:
             return {"assignment": inst, "lhs": lv, "rhs": rv}
     return "pass"

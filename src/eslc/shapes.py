@@ -718,7 +718,7 @@ def term_to_scalar(t: Term, names: list[str]) -> ShapeExpr:
             va = [a.value for a in args if not a.hidden]
             if len(va) == 1:
                 return SProd(term_to_vec(va[0], names))
-    return SOpaque(ir.print_term(_rename(t, names)))
+    return SOpaque(ir.print_term(_rename(t, 0, names)))
 
 
 def term_to_vec(t: Term, names: list[str]) -> VecExpr:
@@ -743,28 +743,18 @@ def term_to_vec(t: Term, names: list[str]) -> VecExpr:
             va = [a.value for a in args if not a.hidden]
             if len(va) == 2:
                 return VAppend(term_to_vec(va[0], names), term_to_vec(va[1], names))
-    return VVar(ir.print_term(_rename(t, names)))
+    return VVar(ir.print_term(_rename(t, 0, names)))
 
 
-def _rename(t: Term, names: list[str]) -> Term:
+def _rename(t: Term, depth: int, names: list[str]) -> Term:
     """Replace free variables by stable name markers so opaque atom keys
-    coincide across different telescopes."""
-    match t:
-        case ir.Var(i, args):
-            nargs = tuple(ir.Arg(_rename(a.value, names), a.hidden) for a in args)
-            key = names[i] if i < len(names) else f"?v{i}"
-            return ir.Def(f"%{key}", nargs)
-        case ir.Con(name, args):
-            return ir.Con(name, tuple(ir.Arg(_rename(a.value, names), a.hidden) for a in args))
-        case ir.Def(name, args):
-            return ir.Def(name, tuple(ir.Arg(_rename(a.value, names), a.hidden) for a in args))
-        case ir.Lam(scope, h):
-            return ir.Lam(ir.Abs(scope.name, _rename(scope.body, ["?b"] + names)), h)
-        case ir.Let(bound, scope):
-            return ir.Let(_rename(bound, names),
-                          ir.Abs(scope.name, _rename(scope.body, ["?b"] + names)))
-        case ir.Pi(dom, scope):
-            return ir.Pi(ir.Arg(_rename(dom.value, names), dom.hidden),
-                         ir.Abs(scope.name, _rename(scope.body, ["?b"] + names)))
-        case _:
-            return t
+    coincide across different telescopes; a variable bound inside `t` is
+    `?b`, and one past `names` keeps its raw index."""
+    if type(t) is ir.Var:
+        i = t.idx - depth
+        key = "?b" if i < 0 else names[i] if i < len(names) else f"?v{t.idx}"
+        return ir.Def(f"%{key}", ir.map_args(t.args, _rename, depth, names))
+    if isinstance(t, ir.Def) and type(t) is not ir.Def:
+        # a hole, which map_subterms keeps whole: rename in its arguments
+        return ir.Def(t.name, ir.map_args(t.args, _rename, depth, names))
+    return ir.map_subterms(t, _rename, depth, names)

@@ -5,6 +5,8 @@ import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
 from eslc import corpus, harness
 from eslc.cli import main
 from eslc.harness import run_corpus_diff, run_signature_diff
@@ -106,6 +108,18 @@ def test_diff_of_a_decision(tmp_path, capsys):
                  "--samples", "50"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split("\t")
     assert row[:4] == ["w", "50", "0", "0"]
+
+
+def test_diff_takes_no_kompile_flags(capsys):
+    argv = ["diff", "--entry", "log2", "--backend", "kaleid", "--samples", "5"]
+    for flag in (["--skip", "log2"], ["--trials", "0"], ["--dump-ir"]):
+        with pytest.raises(SystemExit) as ex:
+            main(argv + flag)
+        assert ex.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # a corpus entry carries its own base list
+    assert main(argv + ["--base", "_<_"]) == 1
+    assert "own base list" in capsys.readouterr().err
 
 
 def test_trials_flag_rejects_broken_rules(tmp_path, capsys):

@@ -102,6 +102,14 @@ def test_vtake_owes_a_prefix_within_the_length():
     assert call(e.env, "w", [vvec((4, 5, 6))]) == vvec((4, 5))
 
 
+def test_a_container_literal_cons_takes_a_head_and_a_tail():
+    for src in ["f : Vec Nat 1\nf = _∷_ 1\n",
+                "f : Ix 1 (3 ∷ [])\nf = _∷_ 1\n",
+                "f : Vec Nat 0\nf = _∷_\n"]:
+        with pytest.raises(UnsupportedType, match="a head and a tail"):
+            load_sources([("t", src)])
+
+
 def test_unknown_obligation_needs_trust():
     # true for every natural, but out of reach for the linear decider
     src = "f : (a : Nat) -> a < a * a + 1\nf a = prf\n"

@@ -140,6 +140,24 @@ def test_print_term_covers_all_forms():
     assert print_term(Unknown()) == "(unknown)"
 
 
+def test_map_subterms_visits_each_immediate_subterm_at_its_depth():
+    a, b = Lit(1), Lit(2)
+    cases = [(Var(3, (vis(a), hid(b))), [(a, 5), (b, 5)]),
+             (Con("c", (vis(a),)), [(a, 5)]),
+             (Def("d", (hid(a), vis(b))), [(a, 5), (b, 5)]),
+             (Lam(Abs("x", a), True), [(a, 6)]),
+             (Let(a, Abs("x", b)), [(b, 6), (a, 5)]),  # body before bound
+             (Pi(hid(a), Abs("x", b)), [(b, 6), (a, 5)]),
+             (Lit(3), []), (Sort(), []), (Unknown(), [])]
+    for t, want in cases:
+        seen = []
+        assert ir.map_subterms(t, lambda u, d, r: seen.append((u, d, r)) or u,
+                               5, "r") is t
+        assert seen == [(u, d, "r") for u, d in want], t
+    pi = ir.map_subterms(Pi(hid(a), Abs("x", b)), lambda u, d: Lit(d), 0)
+    assert pi == Pi(hid(Lit(0)), Abs("x", Lit(1)))
+
+
 def test_env_lookup():
     env = seed_env()
     assert env.lookup("suc").payload.of == "Nat"

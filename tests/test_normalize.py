@@ -5,10 +5,11 @@ import pytest
 import warnings
 
 from eslc.builtins import seed_env
-from eslc.ir import Abs, Con, Def, Lam, Let, Lit, Var, hid, vis
+from eslc.ir import Abs, Con, Def, Lam, Let, Lit, Pi, Var, hid, vis
 from eslc.normalize import (REDUCE_ALL, ConfluenceWarning, FuelExhausted,
-                            IllFormedRule, ReductionPolicy, RewriteRule,
-                            RuleSet, check_rewrite, dont_reduce, normalise)
+                            IllFormedRule, Normalizer, ReductionPolicy,
+                            RewriteRule, RuleSet, check_rewrite, dont_reduce,
+                            normalise)
 
 
 def plus(a, b):
@@ -166,6 +167,16 @@ def test_ill_formed_rule():
         RuleSet().register(RewriteRule("bad2", Var(0), Var(0), 1, (nat(),)))
 
 
+def test_rule_variables_are_found_under_binders():
+    # under the lambda, Var(2) is pattern variable 1
+    rhs = Lam(Abs("y", plus(Var(0), Var(2))))
+    with pytest.raises(IllFormedRule, match=r"\[1\]"):
+        RuleSet().register(RewriteRule("bad", Def("g", (vis(Var(0)),)), rhs, 2,
+                                       (nat(), nat())))
+    RuleSet().register(RewriteRule("ok", Def("g", (vis(Var(0)), vis(Var(1)))),
+                                   rhs, 2, (nat(), nat())))
+
+
 def test_check_rewrite_pass_and_counterexample():
     assert check_rewrite(plus0_rule(), 100, ENV) == "pass"
     broken = RewriteRule("wrong", plus(Var(0), Lit(0)), plus(Var(0), Lit(1)),
@@ -174,12 +185,29 @@ def test_check_rewrite_pass_and_counterexample():
     assert out != "pass" and out["lhs"] != out["rhs"]
 
 
+def test_check_rewrite_binds_variables_outermost_first():
+    # Var(1) is the outermost variable, the first of the assignment
+    rule = RewriteRule("swap", plus(Var(1), Lit(0)), plus(Var(0), Lit(0)), 2,
+                       (nat(), nat()))
+    out = check_rewrite(rule, 100, ENV)
+    x, y = out["assignment"]
+    assert (out["lhs"], out["rhs"]) == (x.value, y.value) and x != y
+
+
 def test_sum_square_rule_checks():
     x, y = Var(1), Var(0)
     lhs = plus(plus(times(x, x), times(times(Lit(2), x), y)), times(y, y))
     rhs = times(plus(x, y), plus(x, y))
     rule = RewriteRule("sum-square", lhs, rhs, 2, (nat(), nat()))
     assert check_rewrite(rule, 100, ENV) == "pass"
+
+
+def test_norm_returns_a_normal_form_itself():
+    t = Lam(Abs("x", Let(times(Var(0), Var(1)),
+                         Abs("a", plus(Var(0), Con("suc", (vis(Var(0)),)))))))
+    ty = Pi(hid(nat()), Abs("n", Def("Vec", (vis(nat()), vis(Var(0))))))
+    for u in (t, ty, Var(1, (vis(plus(Var(0), Lit(1))),))):
+        assert Normalizer(ENV).norm(u) is u
 
 
 def test_idempotence_on_samples():

@@ -3,6 +3,8 @@
 import itertools
 
 from eslc import shapes as sh
+from eslc.elaborate import Hole, Meta
+from eslc.ir import Abs, Def, Lam, Var, print_term, vis
 from eslc.shapes import (SAdd, SDiv, SLit, SMod, SMonus, SMul, SVar, VCons,
                          VNil, VScale, VVar, decide, eq, lt, nonzero, veq)
 
@@ -231,3 +233,17 @@ def test_goal_among_hypotheses_skips_elimination(monkeypatch):
     assert calls == []
     assert decide(lt(v("i"), SAdd(v("n"), SLit(1))), hyps) == "yes"
     assert calls  # the same hypotheses without the goal among them do eliminate
+
+
+def test_opaque_keys_rename_variables_under_binders():
+    # under the lambda: the bound variable, a free one, one past the names
+    # (keyed by its raw index), and a hole's argument
+    m = Meta("?m1@0", 0)
+    body = Def("f", (vis(Var(0)), vis(Var(2)), vis(Var(7)),
+                     vis(Hole(m.name, (vis(Var(1)),), m))))
+    t = Def("g", (vis(Lam(Abs("y", body))), vis(Var(0)), vis(Var(5))))
+    key = Def("g", (vis(Lam(Abs("y", Def("f", (
+        vis(Def("%?b")), vis(Def("%m")), vis(Def("%?v7")),
+        vis(Def(m.name, (vis(Def("%n")),)))))))),
+        vis(Def("%n")), vis(Def("%?v5"))))
+    assert sh.term_to_scalar(t, ["n", "m"]) == sh.SOpaque(print_term(key))
