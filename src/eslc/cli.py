@@ -1,7 +1,7 @@
 """Batch entry point: `eslc kompile` and `eslc diff`.
 
-Exit codes: 0 success, 1 user error (syntax, typing, extraction, unknown
-names), 2 internal invariant breach.
+Exit codes: 0 success, 1 user error (a bad command line, syntax, typing,
+extraction, unknown names), 2 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -29,8 +29,16 @@ def _common_io(sub):
     sub.add_argument("--no-prelude", action="store_true")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad command line is a user error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="eslc")
+    p = _ArgumentParser(prog="eslc")
     subs = p.add_subparsers(dest="cmd", required=True)
     k = subs.add_parser("kompile", help="extract a function to a target language")
     _common_io(k)
@@ -104,7 +112,6 @@ def cmd_kompile(args) -> int:
 
 def cmd_diff(args) -> int:
     opts = ExtractOptions(fuel=args.fuel, faithful_lets=args.faithful_lets)
-    print(DiffRow.HEADER)
     if not args.inputs and args.entry in corpus_mod.CORPUS:
         entry = corpus_mod.CORPUS[args.entry]
         if entry.backend != args.backend:
@@ -130,6 +137,7 @@ def cmd_diff(args) -> int:
     for sample in row.inconclusive:
         print(f"eslc: {row.function} {' '.join(map(repr, sample))}: "
               f"inconclusive, {EXHAUSTED}", file=sys.stderr)
+    print(DiffRow.HEADER)
     print(row.tsv())
     if len(row.inconclusive) == row.samples:
         print(f"eslc: {row.function}: no sample compared", file=sys.stderr)

@@ -617,7 +617,7 @@ class Elaborator:
         cell = _spine_cell(s)
         if ty.name == "Ix":
             # components are naturals with an in-bounds obligation each
-            return self._check_ix_spine(cell, ty.args[0].value, ty.args[1].value, 0, ctx)
+            return self._check_ix_spine(cell, ty.args[0].value, ty.args[1].value, ctx)
         if cell is None:  # []
             if ty.name == "Vec":
                 self._want_zero(ty.args[1].value, ctx)
@@ -630,20 +630,27 @@ class Elaborator:
         tv = self._check(t, tail_ty, ctx)
         return Con("vcons" if ty.name == "Vec" else "lcons", (vis(hv), vis(tv)))
 
-    def _check_ix_spine(self, cell, d, sh, k: int, ctx: Ctx) -> Term:
-        if cell is None:
-            self._want_zero(d, ctx)
-            return Con("inil")
-        h, t = cell
-        comp = self._check(h, NAT, ctx)
-        extent = shapes.vec_component(
-            shapes.term_to_vec(_quote(sh, len(ctx)), ctx.names), k)
-        goal = shapes.lt(shapes.term_to_scalar(_fill(comp, len(ctx), False), ctx.names),
-                         extent)
-        self._discharge_constraint(goal, ctx, f"index bound {_show(h)}")
-        m = self._peel_suc(d, ctx)
-        rest = self._check_ix_spine(_spine_cell(t), m, sh, k + 1, ctx)
-        return Con("icons", (vis(comp), vis(rest)))
+    def _check_ix_spine(self, cell, d, sh, ctx: Ctx) -> Term:
+        """Each component is a natural below its extent in the shape `sh`,
+        which is quoted and translated once, at the first component."""
+        comps: list[Term] = []
+        svec = None
+        while cell is not None:
+            h, t = cell
+            comp = self._check(h, NAT, ctx)
+            if svec is None:
+                svec = shapes.term_to_vec(_quote(sh, len(ctx)), ctx.names)
+            goal = shapes.lt(shapes.term_to_scalar(_fill(comp, len(ctx), False), ctx.names),
+                             shapes.vec_component(svec, len(comps)))
+            self._discharge_constraint(goal, ctx, f"index bound {_show(h)}")
+            comps.append(comp)
+            d = self._peel_suc(d, ctx)
+            cell = _spine_cell(t)
+        self._want_zero(d, ctx)
+        out = Con("inil")
+        for comp in reversed(comps):
+            out = Con("icons", (vis(comp), vis(out)))
+        return out
 
     def _want_zero(self, n, ctx: Ctx) -> None:
         n = _force(n)

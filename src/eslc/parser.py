@@ -10,7 +10,9 @@ header may extend.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .ir import EslError
 
@@ -124,28 +126,14 @@ class SourceModule:
 # --------------------------------------------------------------------------
 # tokens
 
-# a self-delimiting character, or a run of anything else but space
-_TOKEN = re.compile(r"[(){};\\]|[^\s(){};\\]+")
-_ALIASES = {"::": "∷", "->": "->", "→": "->", "λ": "\\"}
+# blanks and comments, then a self-delimiting character, a run of anything
+# else but space, or the end of the text
+_TOKEN = re.compile(r"\s*(?:--.*\s*)*([(){};\\]|[^\s(){};\\]+|\Z)")
+_ALIASES = {"::": "∷", "→": "->", "λ": "\\"}
 RESERVED = {"let", "in", ":", "=", "->", "\\", "(", ")", "{", "}", ";",
             "infixl", "infixr", "infix", "_"}
-
-
-@dataclass
-class Tok:
-    text: str
-    line: int
-    col: int
-
-
-def tokenize_line(text: str, line_no: int) -> list[Tok]:
-    toks: list[Tok] = []
-    for m in _TOKEN.finditer(text):
-        chunk = m.group()
-        if chunk.startswith("--"):
-            break
-        toks.append(Tok(_ALIASES.get(chunk, chunk), line_no, m.start()))
-    return toks
+# the tokens that end an application's arguments, None ending a declaration
+_APP_ENDS = frozenset({None, ")", "}", "=", "->", "in", ";", ":"})
 
 
 # --------------------------------------------------------------------------
@@ -164,66 +152,8 @@ DEFAULT_FIXITY: dict[str, tuple[str, int]] = {
 }
 
 
-class OpTable:
-    def __init__(self):
-        self.by_symbol: dict[str, tuple[str, str, int]] = {}
-        for name, (assoc, level) in DEFAULT_FIXITY.items():
-            self.by_symbol[name.strip("_")] = (name, assoc, level)
-
-    def add(self, fix: SFixity) -> None:
-        self.by_symbol[fix.name.strip("_")] = (fix.name, fix.assoc, fix.level)
-
-    def lookup(self, symbol: str):
-        return self.by_symbol.get(symbol)
-
-
-# --------------------------------------------------------------------------
-# declaration grouping
-
-
-def _logical_decls(src: str):
-    """Group physical lines into (first_line_no, text) declarations."""
-    out = []
-    cur: list[str] = []
-    cur_line = 0
-    for no, raw in enumerate(src.splitlines(), start=1):
-        stripped = raw.rstrip()
-        body = stripped.strip()
-        if not body or body.startswith("--"):
-            continue
-        if raw[0].isspace():
-            if not cur:
-                raise SyntaxErrorAt("continuation line with no declaration", no)
-            cur.append(stripped)
-        else:
-            if cur:
-                out.append((cur_line, "\n".join(cur)))
-            cur, cur_line = [stripped], no
-    if cur:
-        out.append((cur_line, "\n".join(cur)))
-    return out
-
-
 def parse(src: str, path: str = "<string>") -> SourceModule:
-    decls: list = []
-    ops = OpTable()
-    for line_no, text in _logical_decls(src):
-        flat = " ".join(text.split())
-        if flat.startswith("{-#"):
-            decls.append(_parse_pragma(flat, line_no))
-            continue
-        toks = []
-        for i, ln in enumerate(text.splitlines()):
-            toks.extend(tokenize_line(ln, line_no + i))
-        if not toks:
-            continue
-        if toks[0].text in ("infixl", "infixr", "infix"):
-            fix = _parse_fixity(toks, line_no)
-            ops.add(fix)
-            decls.append(fix)
-            continue
-        decls.append(_parse_decl(toks, ops, line_no))
-    return SourceModule(path, decls)
+    return SourceModule(path, _Parser(src).module())
 
 
 def _parse_pragma(flat: str, line: int) -> SPragma:
@@ -237,41 +167,14 @@ def _parse_pragma(flat: str, line: int) -> SPragma:
     return SPragma(inner[0], inner[1:], line)
 
 
-def _parse_fixity(toks: list[Tok], line: int) -> SFixity:
-    if len(toks) != 3 or not toks[1].text.isdigit():
+def _parse_fixity(toks: list[str], line: int) -> SFixity:
+    if len(toks) != 3 or not toks[1].isdigit():
         raise SyntaxErrorAt("malformed fixity declaration", line)
-    name = toks[2].text
+    name = toks[2]
     if not (name.startswith("_") and name.endswith("_")):
         raise SyntaxErrorAt("fixity declares names of the form _op_", line)
-    assoc = {"infixl": "left", "infixr": "right", "infix": "none"}[toks[0].text]
-    return SFixity(assoc, int(toks[1].text), name)
-
-
-def _parse_decl(toks: list[Tok], ops: OpTable, line: int):
-    head = toks[0]
-    if head.text in RESERVED:
-        raise SyntaxErrorAt(f"declaration cannot start with {head.text!r}", line)
-    texts = [t.text for t in toks]
-    if ":" in texts and texts.index(":") < (texts.index("=") if "=" in texts else len(texts)):
-        p = _Parser(toks, ops)
-        p.take()  # name
-        p.expect(":")
-        ty = p.type_expr()
-        p.expect_end()
-        return SSignature(head.text, ty, line)
-    p = _Parser(toks, ops)
-    p.take()
-    pats: list = []
-    while not p.at_end() and p.peek() != "=":
-        pats.append(p.pattern_atom())
-    if p.at_end():
-        if any(isinstance(sp, SPat) and _has_absurd_s(sp) for sp, _ in pats):
-            return SClause(head.text, pats, None, line)
-        raise SyntaxErrorAt("clause lacks '=' and a body", line)
-    p.expect("=")
-    body = p.expr(0)
-    p.expect_end()
-    return SClause(head.text, pats, body, line)
+    assoc = {"infixl": "left", "infixr": "right", "infix": "none"}[toks[0]]
+    return SFixity(assoc, int(toks[1]), name)
 
 
 def _has_absurd_s(p: SPat) -> bool:
@@ -285,46 +188,99 @@ def _has_absurd_s(p: SPat) -> bool:
 
 
 class _Parser:
-    def __init__(self, toks: list[Tok], ops: OpTable):
-        self.toks = toks
-        self.pos = 0
-        self.ops = ops
+    """Recursive descent over a module's tokens, one declaration at a time.
+    A declaration starts with a token in column zero; `toks` holds its
+    tokens followed by None, and `base` is the index of its first token
+    in the module's.  Positions become line and column only for an error
+    and for the line a tree carries."""
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+    def __init__(self, src: str):
+        self.src = src
+        found = list(_TOKEN.finditer(src))
+        self.texts = [_ALIASES.get(m[1], m[1]) for m in found]
+        self.starts = [m.start(1) for m in found]
+        # the offset just past each line, counting lines as splitlines does
+        self.line_ends = list(accumulate(map(len, src.splitlines(True))))
+        self.ops = {name.strip("_"): (name, assoc, level)
+                    for name, (assoc, level) in DEFAULT_FIXITY.items()}
+        self.toks: list = [None]
+        self.base = self.pos = 0
 
-    def take(self) -> Tok:
-        if self.pos >= len(self.toks):
-            last = self.toks[-1]
-            raise SyntaxErrorAt("unexpected end of declaration", last.line, last.col)
+    def module(self) -> list:
+        n = self.texts.index("")  # the tokens before the end of the text
+        index = dict(zip(self.starts[:n], range(n)))
+        heads = [index[p] for p in (0, *self.line_ends) if p in index] + [n]
+        if heads[0]:  # a token before the first in column zero
+            raise SyntaxErrorAt("continuation line with no declaration", self.line(0))
+        decls: list = []
+        for i, j in zip(heads, heads[1:]):
+            self.toks, self.base, self.pos = self.texts[i:j] + [None], i, 0
+            decls.append(self.declaration())
+        return decls
+
+    def line(self, k: int) -> int:
+        """The line of the current declaration's k-th token."""
+        return bisect_right(self.line_ends, self.starts[self.base + k]) + 1
+
+    def fail(self, msg: str, k: int):
+        line = self.line(k)
+        start = self.line_ends[line - 2] if line > 1 else 0
+        raise SyntaxErrorAt(msg, line, self.starts[self.base + k] - start)
+
+    def declaration(self):
+        toks, line, start = self.toks, self.line(0), self.starts[self.base]
+        head = toks[0]
+        if self.src.startswith("{-#", start):
+            # a pragma runs to the end of the line of its last token
+            end = self.line_ends[self.line(len(toks) - 2) - 1]
+            return _parse_pragma(" ".join(self.src[start:end].split()), line)
+        if head in ("infixl", "infixr", "infix"):
+            fix = _parse_fixity(toks[:-1], line)
+            self.ops[fix.name.strip("_")] = (fix.name, fix.assoc, fix.level)
+            return fix
+        if head in RESERVED:
+            raise SyntaxErrorAt(f"declaration cannot start with {head!r}", line)
+        self.pos = 1
+        if ":" in toks and toks.index(":") < (toks.index("=") if "=" in toks else len(toks)):
+            self.expect(":")
+            ty = self.type_expr()
+            self.expect_end()
+            return SSignature(head, ty, line)
+        pats: list = []
+        while self.toks[self.pos] not in (None, "="):
+            pats.append(self.pattern_atom())
+        if self.toks[self.pos] is None:
+            if any(isinstance(sp, SPat) and _has_absurd_s(sp) for sp, _ in pats):
+                return SClause(head, pats, None, line)
+            raise SyntaxErrorAt("clause lacks '=' and a body", line)
+        self.pos += 1
+        body = self.expr(0)
+        self.expect_end()
+        return SClause(head, pats, body, line)
+
+    def take(self) -> str:
         t = self.toks[self.pos]
+        if t is None:
+            self.fail("unexpected end of declaration", self.pos - 1)
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> Tok:
+    def expect(self, text: str) -> None:
         t = self.take()
-        if t.text != text:
-            raise SyntaxErrorAt(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
+        if t != text:
+            self.fail(f"expected {text!r}, found {t!r}", self.pos - 1)
 
     def expect_end(self) -> None:
-        if not self.at_end():
-            t = self.toks[self.pos]
-            raise SyntaxErrorAt(f"unexpected trailing {t.text!r}", t.line, t.col)
-
-    def err(self, msg: str):
-        t = self.toks[min(self.pos, len(self.toks) - 1)]
-        raise SyntaxErrorAt(msg, t.line, t.col)
+        t = self.toks[self.pos]
+        if t is not None:
+            self.fail(f"unexpected trailing {t!r}", self.pos)
 
     # -- types ---------------------------------------------------------------
 
     def type_expr(self) -> SExpr:
         dom_binders, dom = self._type_factor()
-        if self.peek() == "->":
-            self.take()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             cod = self.type_expr()
             if dom_binders is not None:
                 for name, hidden, ty in reversed(dom_binders):
@@ -332,21 +288,22 @@ class _Parser:
                 return cod
             return SPi("_", False, dom, cod)
         if dom_binders is not None:
-            self.err("binder group must be followed by ->")
+            self.fail("binder group must be followed by ->",
+                      min(self.pos, len(self.toks) - 2))
         return dom
 
     def _type_factor(self):
         """Either a binder group `(x y : T)` / `{x : T}` or a plain type."""
-        if self.peek() in ("(", "{"):
-            close = ")" if self.peek() == "(" else "}"
+        if self.toks[self.pos] in ("(", "{"):
+            close = ")" if self.toks[self.pos] == "(" else "}"
             hidden = close == "}"
             save = self.pos
-            self.take()
+            self.pos += 1
             names = []
-            while self.peek() not in (":", None) and _is_name(self.peek()):
-                names.append(self.take().text)
-            if self.peek() == ":" and names:
-                self.take()
+            while _is_name(self.toks[self.pos]):
+                names.append(self.take())
+            if self.toks[self.pos] == ":" and names:
+                self.pos += 1
                 ty = self.type_expr()
                 self.expect(close)
                 return [(n, hidden, ty) for n in names], None
@@ -358,31 +315,24 @@ class _Parser:
     def expr(self, min_level: int) -> SExpr:
         lhs = self.app_expr()
         while True:
-            sym = self.peek()
-            if sym is None:
-                return lhs
-            op = self.ops.lookup(sym)
-            if op is None:
+            op = self.ops.get(self.toks[self.pos])
+            if op is None or op[2] < min_level:
                 return lhs
             name, assoc, level = op
-            if level < min_level:
-                return lhs
-            self.take()
-            nxt = level + 1 if assoc in ("left", "none") else level
-            rhs = self.expr(nxt)
+            self.pos += 1
+            rhs = self.expr(level if assoc == "right" else level + 1)
             lhs = SApp(SName(name), [(lhs, False), (rhs, False)])
 
     def app_expr(self) -> SExpr:
         fn = self.atom()
         args = []
+        toks, ops = self.toks, self.ops
         while True:
-            nxt = self.peek()
-            if nxt is None or nxt in (")", "}", "=", "->", "in", ";", ":"):
-                break
-            if self.ops.lookup(nxt):
+            nxt = toks[self.pos]
+            if nxt in _APP_ENDS or nxt in ops:
                 break
             if nxt == "{":
-                self.take()
+                self.pos += 1
                 e = self.expr(0)
                 self.expect("}")
                 args.append((e, True))
@@ -391,93 +341,90 @@ class _Parser:
         return SApp(fn, args) if args else fn
 
     def atom(self) -> SExpr:
-        t = self.take()
-        text = t.text
-        if text == "(":
-            e = self.expr(0)
-            while self.peek() == "->":  # parenthesized function type
-                self.take()
-                e = SPi("_", False, e, self.type_expr())
-            self.expect(")")
-            return e
-        if text == "\\":
-            return self._lambda()
-        if text == "let":
-            name = self.take().text
-            self.expect("=")
-            bound = self.expr(0)
-            self.expect("in")
-            body = self.expr(0)
-            return SLet(name, bound, body)
-        if _is_nat(text):
-            return SNum(int(text))
-        if _is_float(text):
-            return SFloat(float(text))
+        text = self.take()
         if text in RESERVED:
-            raise SyntaxErrorAt(f"unexpected {text!r}", t.line, t.col)
-        return SName(text, t.line)
+            if text == "(":
+                e = self.expr(0)
+                while self.toks[self.pos] == "->":  # parenthesized function type
+                    self.pos += 1
+                    e = SPi("_", False, e, self.type_expr())
+                self.expect(")")
+                return e
+            if text == "\\":
+                return self._lambda()
+            if text == "let":
+                name = self.take()
+                self.expect("=")
+                bound = self.expr(0)
+                self.expect("in")
+                body = self.expr(0)
+                return SLet(name, bound, body)
+            self.fail(f"unexpected {text!r}", self.pos - 1)
+        if text.isdigit():
+            return SNum(int(text))
+        if "." in text and _is_float(text):
+            return SFloat(float(text))
+        return SName(text, bisect_right(self.line_ends, self.starts[self.base + self.pos - 1]) + 1)
 
     def _lambda(self) -> SExpr:
-        if self.peek() == "(":
-            self.take()
+        if self.toks[self.pos] == "(":
+            self.pos += 1
             comps = []
-            while self.peek() != "[]":
-                name = self.take().text
-                comps.append(name)
+            while self.toks[self.pos] != "[]":
+                comps.append(self.take())
                 self.expect("∷")
             self.take()  # []
             self.expect(")")
             self.expect("->")
             return SLamPat(comps, self.expr(0))
-        binder = self.take().text
+        binder = self.take()
         self.expect("->")
         return SLam(binder, self.expr(0))
 
     # -- patterns ----------------------------------------------------------------
 
     def pattern_atom(self):
-        t = self.take()
-        text = t.text
+        text = self.take()
         if text == "(":
-            if self.peek() == ")":
-                self.take()
+            if self.toks[self.pos] == ")":
+                self.pos += 1
                 return (SPat("absurd"), False)
             p = self.pattern()
             self.expect(")")
             return (p, False)
         if text == "{":
-            if self.peek() == "}":
-                self.err("empty hidden pattern")
+            if self.toks[self.pos] == "}":
+                self.fail("empty hidden pattern", self.pos)
             p = self.pattern()
             self.expect("}")
             return (p, True)
-        return (self._simple_pat(t), False)
+        return (self._simple_pat(text), False)
 
     def pattern(self) -> SPat:
         left = self._pattern_app()
-        if self.peek() == "∷":
-            self.take()
+        if self.toks[self.pos] == "∷":
+            self.pos += 1
             right = self.pattern()
             return SPat("con", name="_∷_", args=[(left, False), (right, False)])
         return left
 
     def _pattern_app(self) -> SPat:
-        t = self.take()
-        if t.text == "(":
+        text = self.take()
+        if text == "(":
             p = self.pattern()
             self.expect(")")
             return p
-        head = self._simple_pat(t)
+        head = self._simple_pat(text)
         if head.kind != "var":
             return head
         args = []
-        while self.peek() is not None and self.peek() not in (")", "}", "∷", "="):
+        while self.toks[self.pos] not in (None, ")", "}", "∷", "="):
             sub = self.take()
-            if sub.text == "(":
+            if sub == "(":
                 p = self.pattern()
                 self.expect(")")
                 args.append((p, False))
-            elif sub.text == "{":
+            elif sub == "{":
                 p = self.pattern()
                 self.expect("}")
                 args.append((p, True))
@@ -487,26 +434,23 @@ class _Parser:
             return SPat("con", name=head.name, args=args)
         return head
 
-    def _simple_pat(self, t: Tok) -> SPat:
-        if t.text == "_":
+    def _simple_pat(self, text: str) -> SPat:
+        """The pattern of the token just taken."""
+        if text == "_":
             return SPat("wild")
-        if _is_nat(t.text):
-            return SPat("lit", value=int(t.text))
-        if _is_float(t.text):
-            return SPat("lit", value=float(t.text))
-        if t.text in RESERVED:
-            raise SyntaxErrorAt(f"unexpected {t.text!r} in pattern", t.line, t.col)
-        if t.text == "[]":
+        if text.isdigit():
+            return SPat("lit", value=int(text))
+        if _is_float(text):
+            return SPat("lit", value=float(text))
+        if text in RESERVED:
+            self.fail(f"unexpected {text!r} in pattern", self.pos - 1)
+        if text == "[]":
             return SPat("con", name="[]")
-        return SPat("var", name=t.text)
-
-
-def _is_nat(s: str) -> bool:
-    return s.isdigit()
+        return SPat("var", name=text)
 
 
 def _is_float(s: str) -> bool:
-    if not s or s.count(".") != 1:
+    if s.count(".") != 1:
         return False
     a, b = s.split(".")
     return a.isdigit() and b.isdigit()

@@ -16,8 +16,7 @@ multipliers, so the arithmetic is exact on plain ints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from . import ir
 from .ir import Term
@@ -26,98 +25,133 @@ from .ir import Term
 # expression forms
 
 
-class ShapeExpr:
-    __slots__ = ()
+@dataclass(slots=True, eq=False, repr=False)
+class _Node:
+    """A node is never changed once built, so its hash and its order key
+    are each computed on first use and kept on it.  The order key is the
+    node's repr, which sorts monomials and Fourier-Motzkin variables.
+    Nodes are not frozen dataclasses: those set every field, the kept
+    ones too, through `object.__setattr__`, which made building a node
+    about three times slower."""
+    _hash: int | None = field(default=None, init=False, compare=False)
+    _key: str | None = field(default=None, init=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((type(self).__name__,
+                               *(getattr(self, f) for f in self.__match_args__)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        if self._key is None:
+            fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+            self._key = f"{type(self).__name__}({fields})"
+        return self._key
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A node class, equal by its fields and hashed by `_Node`."""
+    cls = dataclass(slots=True, repr=False)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class ShapeExpr(_Node):
+    # the expression's polynomial, kept by `_poly`
+    _poly: dict | None = field(default=None, init=False, compare=False)
+
+
+@_node
 class SVar(ShapeExpr):
     key: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SLit(ShapeExpr):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SAdd(ShapeExpr):
     lhs: ShapeExpr
     rhs: ShapeExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SMul(ShapeExpr):
     lhs: ShapeExpr
     rhs: ShapeExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SMonus(ShapeExpr):
     lhs: ShapeExpr
     rhs: ShapeExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SDiv(ShapeExpr):
     num: ShapeExpr
     den: int  # literal > 0
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SMod(ShapeExpr):
     num: ShapeExpr
     den: "ShapeExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SIdx(ShapeExpr):
     pos: int
     vec: "VecExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SProd(ShapeExpr):
     vec: "VecExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SOpaque(ShapeExpr):
     key: str  # canonical print of an unsupported subterm
 
 
-class VecExpr:
-    __slots__ = ()
+@dataclass(slots=True, eq=False, repr=False)
+class VecExpr(_Node):
+    # the vector's normal form, kept by `norm_vec`
+    _norm: "VecExpr | None" = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VNil(VecExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VCons(VecExpr):
     head: ShapeExpr
     tail: VecExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VVar(VecExpr):
     key: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VScale(VecExpr):
     vec: VecExpr
     factor: ShapeExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VReverse(VecExpr):
     vec: VecExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VAppend(VecExpr):
     lhs: VecExpr
     rhs: VecExpr
@@ -151,6 +185,12 @@ def nonzero(a) -> Constraint:
 
 
 def norm_vec(v: VecExpr) -> VecExpr:
+    if v._norm is None:
+        v._norm = _norm_vec(v)
+    return v._norm
+
+
+def _norm_vec(v: VecExpr) -> VecExpr:
     match v:
         case VCons(h, t):
             return VCons(norm_scalar(h), norm_vec(t))
@@ -231,6 +271,13 @@ Poly = dict[tuple, int]
 
 
 def _poly(s: ShapeExpr) -> Poly:
+    """s's polynomial, kept on s: callers must not change it."""
+    if s._poly is None:
+        s._poly = _make_poly(s)
+    return s._poly
+
+
+def _make_poly(s: ShapeExpr) -> Poly:
     match s:
         case SLit(v):
             return {(): v} if v else {}
@@ -283,7 +330,6 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
     return out
 
 
-@lru_cache(maxsize=4096)
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     """The product of two monomials: their atoms, sorted by repr."""
     if not m1:
@@ -387,12 +433,9 @@ def _decide_ineq(goal: Constraint, hyps: list[Constraint]) -> str:
             hyp_rows.append(h)
     for split in _monus_splits([goal] + hyp_rows):
         rows, atoms = [], {}
-        try:
-            for h in hyp_rows:
-                rows.extend(_constraint_rows(h, split, atoms, negate=False))
-            neg = _constraint_rows(goal, split, atoms, negate=True)
-        except _NonLinear:
-            return "unknown"
+        for h in hyp_rows:
+            rows.extend(_constraint_rows(h, split, atoms, negate=False))
+        neg = _constraint_rows(goal, split, atoms, negate=True)
         rows.extend(_split_condition_rows(split, atoms))
         feasible = False
         for alt in neg:  # negated eq yields two alternatives
@@ -476,6 +519,8 @@ def _neg_row(row: dict) -> dict:
 def _poly_split(s: ShapeExpr, split: dict) -> Poly:
     """Polynomial translation applying the monus case split."""
     p = _poly(s)
+    if not split:
+        return p
     out: Poly = {}
     for m, c in p.items():
         acc: Poly = {(): c}
@@ -561,43 +606,44 @@ def _fm_infeasible(rows: list[dict]) -> bool:
     solution (hence no integer one).  Every monomial variable is a product
     of naturals, so an implicit >= 0 row is added for each.  Variables are
     eliminated in the order of their reprs: they are renamed 1, 2, ... in
-    that order (0 is the constant), so the elimination hashes ints."""
-    keys = sorted({k for r in rows for k in r if k != ()}, key=repr)
-    index = {k: i for i, k in enumerate(keys, 1)}
+    that order (0 is the constant), and a row becomes the list of its
+    coefficients."""
+    keys = set().union(*rows)
+    keys.discard(())
+    keys = sorted(keys, key=repr)
+    n = len(keys)
+    index = dict(zip(keys, range(1, n + 1)))
     index[()] = 0
-    rows = [{index[k]: c for k, c in r.items()} for r in rows]
-    rows.extend({i: 1} for i in range(1, len(keys) + 1))
-    while True:
-        variables = {k for r in rows for k in r if k}
-        if not variables:
-            break
-        v = min(variables)
+    dense = []
+    for r in rows:
+        row = [0] * (n + 1)
+        for k, c in r.items():
+            row[index[k]] = c
+        dense.append(row)
+    for v in range(1, n + 1):
+        row = [0] * (n + 1)
+        row[v] = 1
+        dense.append(row)
+    rows = dense
+    for v in range(1, n + 1):
         lowers, uppers, rest = [], [], []
         for r in rows:
-            c = r.get(v, 0)
+            c = r[v]
             if c > 0:
                 lowers.append(r)
             elif c < 0:
                 uppers.append(r)
             else:
-                r.pop(v, None)
                 rest.append(r)
-        new = rest
         for lo in lowers:
+            cl = lo[v]
             for up in uppers:
-                cl, cu = lo[v], -up[v]
-                comb: dict = {}
-                for k in set(lo) | set(up):
-                    if k == v:
-                        continue
-                    val = lo.get(k, 0) * cu + up.get(k, 0) * cl
-                    if val != 0 or k == 0:
-                        comb[k] = val
-                new.append(comb)
-        rows = new
+                cu = -up[v]
+                rest.append([a * cu + b * cl for a, b in zip(lo, up)])
+        rows = rest
         if len(rows) > 4000:  # safety valve; give up refuting
             return False
-    return any(r.get(0, 0) < 0 for r in rows)
+    return any(r[0] < 0 for r in rows)
 
 
 # --------------------------------------------------------------------------

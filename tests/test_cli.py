@@ -115,11 +115,42 @@ def test_diff_takes_no_kompile_flags(capsys):
     for flag in (["--skip", "log2"], ["--trials", "0"], ["--dump-ir"]):
         with pytest.raises(SystemExit) as ex:
             main(argv + flag)
-        assert ex.value.code == 2
+        assert ex.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
     # a corpus entry carries its own base list
     assert main(argv + ["--base", "_<_"]) == 1
     assert "own base list" in capsys.readouterr().err
+
+
+def test_a_bad_command_line_is_a_user_error(capsys):
+    # exit code 2 is kept for internal errors
+    for argv in (["diff", "--entry", "log2", "--backend", "kaleid", "--dump-ir"],
+                 ["kompile", "--entry", "log2"],
+                 ["kompile", "--entry", "log2", "--backend", "c"],
+                 ["nosuch"]):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err and "usage: eslc" in err, argv
+    with pytest.raises(SystemExit) as ex:
+        main(["diff", "--help"])
+    assert ex.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eslc diff")
+
+
+def test_a_refused_diff_writes_nothing_to_stdout(tmp_path, capsys):
+    src = _write(tmp_path, "ack.esl", corpus.ACK)
+    for argv, why in [
+            (["--entry", "log2", "--backend", "sac"], "log2 extracts to kaleid"),
+            (["--entry", "log2", "--backend", "kaleid", "--base", "_<_"],
+             "own base list"),
+            ([src, "--entry", "ack", "--backend", "sac"], "scalar inputs only"),
+            ([src, "--entry", "nosuch", "--backend", "kaleid"],
+             "unknown entry nosuch")]:
+        assert main(["diff", *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and why in err, argv
 
 
 def test_trials_flag_rejects_broken_rules(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Parser and elaborator behaviour, including the broadcast table and
 evaluation of the loaded corpus against direct oracles."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
-from eslc import corpus
+from eslc import corpus, loader
 from eslc import evaluate
 from eslc.broadcast import ShapeMismatch, resolve_dyargs
 from eslc.elaborate import (ScopeError, UnprovenConstraint, UnsupportedType)
@@ -13,6 +15,8 @@ from eslc.evaluate import call, varr, vvec
 from eslc.ir import Con, Lit, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.parser import SyntaxErrorAt, parse
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_simple_function():
@@ -27,8 +31,42 @@ def test_parse_log2_shape():
 
 
 def test_syntax_error_position():
-    with pytest.raises(SyntaxErrorAt):
-        parse("f : Nat -> Nat\nf x =\n")
+    for src, msg in [
+            ("f : Nat -> Nat\nf x =\n", "2:4: unexpected end of declaration"),
+            ("f : Nat -> Nat\nf x = x )\n", "2:8: unexpected trailing ')'"),
+            ("f : Nat\n  -> Nat\nf in = 1\n", "3:2: unexpected 'in' in pattern"),
+            ("= x\n", "1:0: declaration cannot start with '='"),
+            ("f : (x : Nat) Nat\n", "1:14: binder group must be followed by ->"),
+            ("g : Nat\ng = \\(i ∷ j) -> i\n", "2:11: expected '∷', found ')'"),
+            ("h : Nat -> Nat\nh {} = 1\n", "2:3: empty hidden pattern"),
+            ("f : Nat -> Nat\nf x = x -- c\n  + let\n",
+             "3:4: unexpected end of declaration")]:
+        with pytest.raises(SyntaxErrorAt) as ex:
+            parse(src)
+        assert str(ex.value) == msg, src
+
+
+def test_lines_inside_a_declaration_are_counted_as_in_the_text():
+    # a blank or comment-only line inside a declaration still counts
+    src = "f : Nat -> Nat\nf x =\n\n  -- c\n  x\n"
+    body = parse(src).decls[1].body
+    assert (body.name, body.line) == ("x", 5)
+    with pytest.raises(SyntaxErrorAt) as ex:
+        parse("f : Nat -> Nat\nf x = x\n\n  y = 1\n")
+    assert str(ex.value) == "4:4: unexpected trailing '='"
+
+
+def test_parse_trees_are_unchanged():
+    # sha256 of the repr of every shipped source's parse tree, the line
+    # numbers its names and declarations carry included
+    texts = [(f"prelude/{m}", loader.prelude_text(m)) for m in loader.PRELUDE_MODULES]
+    for entry in corpus.CORPUS.values():
+        texts += entry.sources
+    texts += [(p.name, p.read_text("utf-8"))
+              for p in sorted((ROOT / "examples/esl").glob("*.esl"))]
+    trees = repr([parse(text, path) for path, text in texts])
+    assert hashlib.sha256(trees.encode("utf-8")).hexdigest() == \
+        "2ddeb5dd9e9dae785e22d57e77cf422dcd8602bb468f1fcdbda12492eb62e4ad"
 
 
 def test_unknown_name_is_scope_error():

@@ -92,6 +92,46 @@ def test_decider_questions_are_unchanged(name, monkeypatch):
     assert (len(log), yes, digest) == DECIDER.get(name, PRELUDE_QUESTIONS)
 
 
+def _fresh(x):
+    """A shape expression built anew from its fields, so nothing is kept
+    on it yet."""
+    if isinstance(x, (shapes.ShapeExpr, shapes.VecExpr)):
+        return type(x)(*(_fresh(getattr(x, f)) for f in x.__match_args__))
+    if isinstance(x, shapes.Constraint):
+        return shapes.Constraint(x.kind, _fresh(x.lhs), _fresh(x.rhs))
+    return x
+
+
+def test_what_shape_expressions_keep_is_never_stale(monkeypatch):
+    # a polynomial, normal form, hash or order key kept on a node must
+    # still be what the node's structure gives after every corpus question,
+    # whatever the decider did with it (a caller that changed a kept
+    # polynomial shows here)
+    decide, log = shapes.decide, []
+
+    def logged(goal, hyps):
+        verdict = decide(goal, hyps)
+        log.append((goal, list(hyps), verdict))
+        return verdict
+
+    monkeypatch.setattr(shapes, "decide", logged)
+    for name in corpus.CORPUS:
+        _kompile(name)
+    monkeypatch.undo()
+    assert len(log) == 379
+    for goal, hyps, verdict in log:
+        for c in [goal, *hyps]:
+            for side in (c.lhs, c.rhs):
+                copy = _fresh(side)
+                assert (hash(side), repr(side)) == (hash(copy), repr(copy))
+                if isinstance(side, shapes.ShapeExpr):
+                    assert shapes._poly(side) == shapes._poly(copy)
+                    assert shapes.norm_scalar(side) == shapes.norm_scalar(copy)
+                elif isinstance(side, shapes.VecExpr):
+                    assert shapes.norm_vec(side) == shapes.norm_vec(copy)
+        assert shapes.decide(_fresh(goal), [_fresh(h) for h in hyps]) == verdict
+
+
 # sha256 of the core IR each prelude module and each corpus entry's own
 # sources elaborate to: every definition's signature, and each clause's
 # telescope, patterns and body, printed by ir.print_term
