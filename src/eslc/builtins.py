@@ -45,6 +45,9 @@ class Prim:
     # a use-site obligation: how it is described, and its constraint as a
     # function of the shape keys and of all the call's arguments
     owes: tuple[str, Callable] | None = None
+    # False if fn never reads its hidden parameters: the evaluator then
+    # need not compute a hidden argument whose computation cannot fail
+    reads_hidden: bool = True
 
     @property
     def arity(self) -> int:
@@ -193,9 +196,9 @@ def _prims() -> list[Prim]:
     out: list[Prim] = []
 
     def prim(name: str, sig: Term, fn: Callable, clauses=None,
-             folds: bool = False, owes=None):
+             folds: bool = False, owes=None, reads_hidden: bool = True):
         out.append(Prim(name, sig, fn, None if clauses is None
-                        else tuple(clauses), folds, owes))
+                        else tuple(clauses), folds, owes, reads_hidden))
 
     def nonzero_divisor(name):
         return (f"nonzero divisor in {name}", lambda names, a, b:
@@ -372,7 +375,7 @@ def _prims() -> list[Prim]:
          mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False),
                         ("i", ix(Var(2), Var(1)), False)],
                Var(4)),
-         lambda X, d, s, a, i: arr_index(a, i))
+         lambda X, d, s, a, i: arr_index(a, i), reads_hidden=False)
     prim("ravel",
          mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False)],
                ar(Var(3), Lit(1),
@@ -392,7 +395,7 @@ def _prims() -> list[Prim]:
          mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
                 ("k", _nat(), False), ("i", ix(Var(2), Var(1)), False)],
                _nat()),
-         _ixc, folds=True)
+         _ixc, folds=True, reads_hidden=False)
     prim("ixReverse",
          mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
                 ("i", ix(Var(1), Var(0)), False)],

@@ -386,7 +386,7 @@ class Elaborator:
         elif not (cls is VBind and v.kind == "let"):
             return v
         t = _quote(v, len(ctx))
-        self._nz.fuel = WHNF_FUEL
+        self._nz.refuel()
         w = self._nz.whnf(t)
         return v if w is t else _force(_eval(w, ctx.env))
 

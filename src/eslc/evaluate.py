@@ -4,10 +4,12 @@ differential test.
 Values: naturals and Fin encodings are Python ints, floats are floats,
 vectors/indices/lists are tagged tuples, arrays are ("arr", shape, flat)
 in row major order, and function values are Python callables of one
-argument.  Functions evaluate eagerly, arguments left to right; imap
-enumerates its whole index space.  A primitive is computed by the Python
-function of its builtins.PRIMS entry, a constructor by its _CON entry
-(`suc` is `+ 1` inline).
+argument.  Functions evaluate eagerly, arguments left to right, except
+that a hidden argument of a primitive that never reads it is passed as
+None when computing it cannot fail; imap enumerates its whole index
+space.  A primitive is computed by the Python function of its
+builtins.PRIMS entry, a constructor by its _CON entry (`suc` is `+ 1`
+inline).
 
 Each Function definition is staged, on its first call, into one Python
 function of its arity (eslc.pycode): its clauses become an `if` chain of
@@ -37,7 +39,7 @@ from . import pycode as py
 from .builtins import PRIMS, arr_index
 from .ir import (EXHAUSTED, Con, Constructor, Datatype, Def, Env, EvalError,
                  Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Sort,
-                 Term, Unknown, UnknownName, Var)
+                 Term, Unknown, UnknownName, Var, pi_spine)
 
 PRF = ("prf",)
 TYPE = ("type",)
@@ -45,6 +47,10 @@ TYPE = ("type",)
 # primitive name -> (its global in staged code, its arity); its Python
 # function is read from PRIMS when a call of it is staged
 _PRIM = {name: (f"p{i}", p.arity) for i, (name, p) in enumerate(PRIMS.items())}
+# primitive name -> the positions of the hidden parameters its function
+# never reads
+_UNREAD = {name: {j for j, (_, a) in enumerate(pi_spine(p.sig)[0]) if a.hidden}
+           for name, p in PRIMS.items() if not p.reads_hidden}
 
 
 def eval_closed(t: Term, env: Env):
@@ -310,7 +316,11 @@ class _Stager:
             case Con(name, args):
                 return self.con(name, [self.expr(a.value, scope) for a in args])
             case Def(name, args):
-                return self.call(name, [self.expr(a.value, scope) for a in args])
+                unread = _UNREAD.get(name, ())
+                return self.call(name, [
+                    py.const(None) if j in unread and _cannot_fail(a.value)
+                    else self.expr(a.value, scope)
+                    for j, a in enumerate(args)])
             case Lam(s, _):
                 x = self.fresh()
                 return py.lam([x], self.expr(s.body, [*scope, x]))
@@ -353,6 +363,20 @@ class _Stager:
             return py.call(fn, vals)
         return py.call("_saturate", [py.load(fn), py.const(need),
                                      py.lst(vals)])
+
+
+def _cannot_fail(t: Term) -> bool:
+    """Whether computing t's value cannot fail: t is built from variables,
+    literals, constructors other than imap (which builds an array when
+    saturated), `_+_` and `_*_`."""
+    match t:
+        case Var(_, ()) | Lit():
+            return True
+        case Con(name, args) if name in _CON and name != "imap":
+            return all(_cannot_fail(a.value) for a in args)
+        case Def("_+_" | "_*_", args):
+            return all(_cannot_fail(a.value) for a in args)
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -76,6 +76,9 @@ def to_plain(v):
 
 def compare(a, b, kind: str) -> float | None:
     """Error measure, or None for a hard mismatch."""
+    if kind == "exact" and type(a) is int and type(b) is int:
+        # a natural may be too large for a float
+        return 0.0 if a == b else None
     a, b = to_plain(a), to_plain(b)
     if isinstance(a, Aborted) or isinstance(b, Aborted):
         return 0.0 if isinstance(a, Aborted) and isinstance(b, Aborted) else None

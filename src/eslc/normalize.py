@@ -2,10 +2,18 @@
 
 Strategy: normal order to weak head normal form, then recurse into
 subterms, trying registered rewrite rules innermost-leftmost after each
-head step.  Clause matching (iota) reduces calls to pattern-matching
-functions; primitives marked `folds` in builtins.PRIMS are computed by
-their Python function once their visible arguments are closed (literals,
-or vcons/icons spines), and only the three builtins that build symbolic
+head step.  Reduction is call by need: a clause substitutes its arguments
+unreduced, and a Normalizer remembers the weak head normal form of each
+term object it has reduced, so an argument read at several places (its
+occurrences, clause matches, primitive folds) is reduced once and its
+steps are counted once.  The memo lives as long as one budget of fuel:
+one `normalise` call, or one step of the elaborator, whose environment
+gains clauses between steps.
+
+Clause matching (iota) reduces calls to pattern-matching functions;
+primitives marked `folds` in builtins.PRIMS are computed by their Python
+function once their visible arguments are closed (literals, or
+vcons/icons spines), and only the three builtins that build symbolic
 terms (`_*v_`, `prodv`, `sel`) carry delta rules of their own.  Let
 bindings whose binder occurs more than once are preserved to keep
 sharing; a faithful-lets mode restores eager substitution.
@@ -176,7 +184,16 @@ class Normalizer:
         self.env = env
         self.policy = policy
         self.rules = rules.rules if rules is not None else []
-        self.fuel = policy.fuel
+        self.refuel()
+
+    def refuel(self) -> None:
+        """A fresh budget of steps, and with it an empty memo: a term is
+        reduced anew under each budget, so one reduced before a definition
+        gained clauses is not answered from what it reduced to then."""
+        self.fuel = self.policy.fuel
+        # id(term) -> (term, its weak head normal form); holding the term
+        # keeps its id from being reused while the entry lives
+        self._memo: dict[int, tuple[Term, Term]] = {}
 
     def spend(self) -> None:
         self.fuel -= 1
@@ -186,6 +203,17 @@ class Normalizer:
     # -- weak head normal form ---------------------------------------------
 
     def whnf(self, t: Term) -> Term:
+        """The weak head normal form of t, reduced once per term object and
+        budget: a term met again, say an argument that a clause body reads
+        twice, is answered from the memo and spends no fuel."""
+        hit = self._memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        w = self._reduce(t)
+        self._memo[id(t)] = (t, w)
+        return w
+
+    def _reduce(self, t: Term) -> Term:
         while True:
             match t:
                 case Let(bound, scope):

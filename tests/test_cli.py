@@ -110,6 +110,31 @@ def test_diff_of_a_decision(tmp_path, capsys):
     assert row[:4] == ["w", "50", "0", "0"]
 
 
+BIG = """sq : Nat -> Nat -> Nat
+sq 0 x = x
+sq (suc k) x = sq k (x * x)
+
+big : Nat -> Nat
+big n = sq 10 (n + 2)
+"""
+
+
+def test_exact_compare_of_naturals_too_large_for_a_float():
+    n = 2 ** 1024
+    assert harness.compare(n, n, "exact") == 0.0
+    assert harness.compare(n, n + 1, "exact") is None
+    assert harness.compare(True, 1, "exact") == 0.0
+
+
+def test_diff_of_naturals_too_large_for_a_float(tmp_path, capsys):
+    # big 0 is 2 ** 1024, past the largest float
+    src = _write(tmp_path, "big.esl", BIG)
+    assert main(["diff", src, "--entry", "big", "--backend", "kaleid",
+                 "--samples", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[:4] == \
+        ["big", "3", "0", "0"]
+
+
 def test_diff_takes_no_kompile_flags(capsys):
     argv = ["diff", "--entry", "log2", "--backend", "kaleid", "--samples", "5"]
     for flag in (["--skip", "log2"], ["--trials", "0"], ["--dump-ir"]):

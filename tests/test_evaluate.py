@@ -5,6 +5,8 @@ patterns, lets, error messages, definitions added after a call, deep
 recursion and nesting, and primitives read from PRIMS."""
 
 import gc
+import hashlib
+import random
 import weakref
 from dataclasses import replace
 
@@ -15,7 +17,7 @@ from eslc.builtins import PRIMS, seed_env
 from eslc.evaluate import (PRF, Eval, EvalError, call, eval_closed, varr,
                            vvec)
 from eslc.extract import ExtractOptions, kompile
-from eslc.ir import (Abs, Clause, Def, Definition, Function, Let, Lit,
+from eslc.ir import (Abs, Clause, Con, Def, Definition, Function, Let, Lit,
                      PAbsurd, PCon, Pi, PVar, Var, hid, vis)
 from eslc.kaleid import KaleidBackend, interp_kaleid
 from eslc.loader import load_prelude, load_sources
@@ -373,3 +375,62 @@ def test_staged_code_reads_primitives_from_prims(monkeypatch):
     monkeypatch.setitem(PRIMS, "_+_", replace(plus, fn=lambda a, b: a * b))
     assert call(e.env, "ex8", [3]) == (9 * 3 * 3 * 5) ** 2
     assert call(e.env, "_+_", [4, 5]) == 20
+
+
+# sha256 of the source evaluator's values on the first ten sampler draws
+# (seed 0) of each corpus entry, one repr a line
+VALUES = {
+    "log2": "447a4b7f345bdffbbc99e0a742311814578482463983be29beeee6f0c1a9b3bc",
+    "ack": "d0503f847fffbeeaeb6e1b04b0a403151afc6cc85d51a5079858f906b1fbce1f",
+    "ex7": "1e09f427d88a7cd64b7fc515d5f44c0d2b708defb4897300df3eb135ffd1423b",
+    "fib": "6469672ecfcd86aeff64f871b31a98f98bb260534d4c030f194da06a8dfd1bd5",
+    "logistic": "4352e422bc0bc377705e53a5711383ee9cdde5792ba968bfcc09584e9cd261cd",
+    "meansqerr": "c5e251209ad623a3db7c9b0d0bdf97236b1d8c4913fa63b1c85ab07f4c3c5753",
+    "backavgpool": "dd62890e883e00fa837386e9898d33c07d43a5b91686e995ae04cfe139a6e5ea",
+    "avgpool": "8fef012797ac5709b436bb46749ead548795fe143f8dc1eb2a12f2143f0fafa1",
+    "fuse2": "e75186672adf5bb0bfa7dbf7c7581167387d2661d18c4f2d0b95e17f8dbdba55",
+    "matmul": "f2e7eab9c679a2a8ade899941db8ff3049168a56aa20341481eee6ef72005b18",
+    "rotate": "029d53bcf160c6e3facd33448e6819534780fbee6b08f4b8d9a94b23102f87db",
+}
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_values_on_the_corpus_samplers_are_unchanged(name):
+    entry = corpus.CORPUS[name]
+    env = load_sources(entry.sources).env
+    rng = random.Random(0)
+    values = [repr(call(env, entry.entry, entry.sampler(rng)[0]))
+              for _ in range(10)]
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == VALUES[name], values
+
+
+def _ixc_of_shape(n):
+    ix = Con("icons", (vis(Lit(2)), vis(Con("inil"))))
+    return Def("ixc", (hid(Lit(1)), hid(Con("vcons", (vis(n), vis(Con("vnil"))))),
+                       vis(Lit(0)), vis(ix)))
+
+
+def test_unread_hidden_arguments_that_cannot_fail_are_not_computed(monkeypatch):
+    seen, fn = [], PRIMS["ixc"].fn
+
+    def ixc(d, s, k, i):
+        seen.append((d, s))
+        return fn(d, s, k, i)
+    env = seed_env()
+    monkeypatch.setitem(PRIMS, "ixc", replace(PRIMS["ixc"], fn=ixc))
+    n = Def("_+_", (vis(Lit(1)), vis(Def("_*_", (vis(Var(0)), vis(Lit(2)))))))
+    assert Eval(env).eval(_ixc_of_shape(n), [1]) == 2
+    assert seen == [(None, None)]
+
+
+def test_hidden_arguments_that_could_fail_are_computed():
+    # a division and a Function call may fail, so they are computed even
+    # where the primitive never reads them
+    env = seed_env()
+    env.add(Definition("stop", Pi(vis(Def("Nat")), Abs("n", Def("Nat"))),
+                       Function([Clause((), (vis(PCon("zero")),), Lit(0))])))
+    for n, why in [(Def("_/_", (vis(Lit(3)), vis(Lit(0)))), "division by zero"),
+                   (Def("stop", (vis(Lit(1)),)), "stop: no clause matches")]:
+        with pytest.raises(EvalError, match=why):
+            eval_closed(_ixc_of_shape(n), env)

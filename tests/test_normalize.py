@@ -112,6 +112,38 @@ def test_sel_imap_fuses():
     assert nf(t) == Lit(3)
 
 
+def test_extraction_reduces_a_shared_argument_once(monkeypatch):
+    # each clause of log2' matches the argument (1 + x) / 2 of its
+    # recursive call; reduced once, extracting log2 takes 8 steps, not 44
+    from eslc import corpus, extract, loader
+    from eslc.kaleid import KaleidBackend
+    entry = corpus.CORPUS["log2"]
+    elab = loader.load_sources(entry.sources)
+    steps = []
+    spend = Normalizer.spend
+    monkeypatch.setattr(Normalizer, "spend",
+                        lambda nz: steps.append(1) or spend(nz))
+    extract.kompile(entry.entry, entry.base, [], KaleidBackend(), elab.env,
+                    elab.rules, None, elab.def_meta)
+    assert 0 < len(steps) <= 8
+
+
+def test_the_memo_lasts_one_fuel_budget():
+    from eslc.ir import Clause, Definition, Function, PCon, PVar
+    from eslc.builtins import mk_pi
+    env = seed_env()
+    f = Function([Clause((), (vis(PCon("zero")),), Lit(0))])
+    env.add(Definition("f", mk_pi([("x", nat(), False)], nat()), f))
+    nz = Normalizer(env)
+    t = Def("f", (vis(Lit(1)),))
+    assert nz.whnf(t) is t
+    f.clauses.append(Clause((("n", vis(nat())),),
+                            (vis(PCon("suc", (vis(PVar(0)),))),), Var(0)))
+    assert nz.whnf(t) is t  # answered from the memo of this budget
+    nz.refuel()
+    assert nz.whnf(t) == Lit(0)
+
+
 def test_fuel_exhaustion():
     loop_env = seed_env()
     from eslc.ir import Clause, Definition, Function, PVar
