@@ -18,12 +18,21 @@ from .loader import load_sources
 from .sac import SacBackend
 
 
+def _integer(least: int):
+    """An argparse type: an integer no less than `least`."""
+    def integer(text: str) -> int:
+        if (n := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"{n} is less than {least}")
+        return n
+    return integer
+
+
 def _common_io(sub):
     sub.add_argument("inputs", nargs="*", help="ESL source files")
     sub.add_argument("--entry", required=True, help="function to extract")
     sub.add_argument("--backend", required=True, choices=["kaleid", "sac"])
     sub.add_argument("--base", default="", help="comma separated never-reduce names")
-    sub.add_argument("--fuel", type=int, default=10**6)
+    sub.add_argument("--fuel", type=_integer(1), default=10**6)
     sub.add_argument("--faithful-lets", action="store_true",
                      help="substitute every let eagerly, duplicating work")
     sub.add_argument("--no-prelude", action="store_true")
@@ -43,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = subs.add_parser("kompile", help="extract a function to a target language")
     _common_io(k)
     k.add_argument("--skip", default="", help="comma separated never-traverse names")
-    k.add_argument("--trials", type=int, default=100)
+    k.add_argument("--trials", type=_integer(0), default=100)
     k.add_argument("--dump-ir", action="store_true",
                    help="write the elaborated IR of the entry to stderr")
     k.add_argument("--out", default="-", help="output path, - for stdout")
@@ -51,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strip synthesized assertions from the output")
     d = subs.add_parser("diff", help="differential test: evaluation vs target")
     _common_io(d)
-    d.add_argument("--samples", type=int, default=200)
+    d.add_argument("--samples", type=_integer(0), default=200)
     d.add_argument("--seed", type=int, default=0)
     return p
 

@@ -7,34 +7,28 @@ every proposition-typed obligation with the arithmetic decider (or record
 it as trusted).  Full proof checking is deliberately absent: inhabitants
 of `<` and `≡` are runtime-irrelevant and only their provability matters.
 
-Types are checked as values (normalization by evaluation).  In a value,
-a context variable is a `VVar` by de Bruijn level, so a value is never
-shifted; a binder is a `VBind` closure, instantiated by calling it; an
-argument is a `VLazy`, evaluated if a type reads it; `Con`, `Def`,
-`Lit`, `Sort` and `Unknown` are the term nodes, with values in their
-spines, and a `Def` is unfolded only where a check needs its weak head
-normal form.  A hidden argument to infer is a `Meta` cell, which one
-unification solves with a value; a `Hole` stands for it in terms and
-values and reads the solution when forced.  Elaborated terms stay syntax.
+Types are checked as values (`eslc.normalize`), and a `Def` is unfolded,
+by the normalizer, only where a check needs its weak head normal form.
+A hidden argument to infer is a `Meta` cell, which one unification
+solves with a value; a `Hole` stands for it in terms and values and
+reads the solution when forced.  Elaborated terms stay syntax.
 
 A value is quoted back to a term only for the shape decider
-(`shapes.term_to_scalar`/`term_to_vec`), for the normalizer's weak head
-step, for what is stored in `Env` (telescopes, and holes filled in
-finished terms) and for error messages.
+(`shapes.term_to_scalar`/`term_to_vec`), for what is stored in `Env`
+(telescopes, and holes filled in finished terms) and for error messages.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import broadcast, ir, shapes
 from .builtins import PRIMS, is_prop_type, seed_env
-from .ir import (Abs, Arg, Clause, Con, Constructor, Datatype, Def,
-                 Definition, Env, EslError, Function, Lam, Let, Lit, PAbsurd,
-                 PCon, Pi, PVar, Sort, Term, Unknown, Var, hid, map_args,
-                 nat_view, pi_spine, vis)
-from .normalize import (Normalizer, ReductionPolicy, RewriteRule, RuleSet)
+from .ir import (Abs, Arg, Clause, Con, Def, Definition, Env, EslError,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Sort, Term,
+                 Unknown, Var, hid, map_args, nat_view, pi_spine, vis)
+from .normalize import (Hole, Meta, Normalizer, RewriteRule, RuleSet, VBind,
+                        VLazy, VVar, _eval, _force)
 from .parser import (SApp, SClause, SExpr, SFixity, SFloat, SLam, SLamPat,
                      SLet, SName, SNum, SPat, SPi, SPragma, SSignature,
                      SourceModule, parse)
@@ -67,6 +61,8 @@ _BUILTIN_TAGS = {
 
 _CON_NAMES = {"zero", "suc", "fzero", "fsuc", "vnil", "vcons", "inil",
               "icons", "lnil", "lcons", "imap", "yes", "no", "prf"}
+# the constructors `_infer_name` gives no type: all but `zero` and `suc`
+_UNTYPED_CONS = _CON_NAMES - {"zero", "suc"}
 
 # the fuel of one weak head step of a type
 WHNF_FUEL = 100000
@@ -74,111 +70,6 @@ WHNF_FUEL = 100000
 
 # --------------------------------------------------------------------------
 # values
-
-
-@dataclass(slots=True, eq=False)
-class Meta:
-    """A hidden argument to infer, made under `depth` binders; one
-    unification solves it with a value over the first `depth` variables."""
-    name: str
-    depth: int
-    solution: object = None
-
-
-@dataclass(frozen=True, slots=True, repr=False)
-class Hole(Def):
-    """A meta applied to `args`, in terms and values alike; it prints as a
-    definition of the meta's name."""
-    meta: Meta | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class VVar:
-    level: int
-    args: tuple[Arg, ...] = ()
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class VBind:
-    """A Pi (`dom` its domain), lambda (`dom` None) or let (`dom` the bound
-    value); `body(v)` is the value under the binder for the variable `v`."""
-    kind: str  # "pi" | "lam" | "let"
-    name: str
-    hidden: bool
-    dom: object
-    body: Callable
-
-
-@dataclass(slots=True, eq=False)
-class VLazy:
-    """The value of `term` in `env`, evaluated when first forced."""
-    term: Term
-    env: tuple
-    value: object = None
-
-
-# these dispatch on type(...), not `match`: they run for every node read
-
-
-def _eval(t: Term, env: tuple):
-    """The value of `t`, whose variable i is env[i]."""
-    cls = type(t)
-    if cls is Var:
-        v = env[t.idx]
-        return _apply(v, map_args(t.args, _eval, env)) if t.args else v
-    if cls is Def or cls is Con:
-        args = t.args
-        nargs = map_args(args, _eval, env) if args else args
-        return t if nargs is args else cls(t.name, nargs)
-    if cls is Pi or cls is Lam or cls is Let:
-        body = t.scope.body
-        def under(v):
-            return _eval(body, (v,) + env)
-        if cls is Pi:
-            return VBind("pi", t.scope.name, t.domain.hidden,
-                         _eval(t.domain.value, env), under)
-        if cls is Lam:
-            return VBind("lam", t.scope.name, t.hidden, None, under)
-        return VBind("let", t.scope.name, False, _eval(t.bound, env), under)
-    if cls is Hole:
-        args = map_args(t.args, _eval, env)
-        return t if args is t.args else Hole(t.name, args, t.meta)
-    return t
-
-
-def _apply(v, args: tuple[Arg, ...]):
-    if not args:
-        return v
-    v = _force(v)
-    cls = type(v)
-    if cls is VVar:
-        return VVar(v.level, v.args + args)
-    if cls is Hole:
-        return Hole(v.name, v.args + args, v.meta)
-    if cls is Con or cls is Def:
-        return cls(v.name, v.args + args)
-    if cls is VBind and v.kind == "lam":
-        return _apply(v.body(args[0].value), args[1:])
-    if cls is VBind and v.kind == "let":
-        body = v.body
-        return VBind("let", v.name, False, v.dom, lambda x: _apply(body(x), args))
-    if cls is Unknown:
-        return v
-    raise EslError(f"cannot apply arguments to {v!r}")
-
-
-def _force(v):
-    """`v` with its head evaluated and its solved metas there read."""
-    while True:
-        cls = type(v)
-        if cls is VLazy:
-            if v.value is None:
-                v.value = _eval(v.term, v.env)
-            v = v.value
-        elif cls is Hole and v.meta.solution is not None:
-            v = _apply(v.meta.solution, v.args)
-        else:
-            return v
 
 
 def _quote(v, depth: int, strict: bool = False) -> Term:
@@ -277,10 +168,6 @@ def _is_pi(v) -> bool:
     return type(v) is VBind and v.kind == "pi"
 
 
-def _is_suc(v) -> bool:
-    return type(v) is Con and v.name == "suc" and len(v.args) == 1
-
-
 def _unsolved(v) -> bool:
     return _mentions(v, lambda x: type(x) is Hole)
 
@@ -368,27 +255,13 @@ class Elaborator:
         self.aliases: dict[str, str] = {}
         self._current: str | None = None
         self._metas: list[Meta] = []  # those of the term being elaborated
-        self._nz = Normalizer(self.env, ReductionPolicy(fuel=WHNF_FUEL))
+        self._nz = Normalizer(self.env)
 
-    def _whnf(self, v, ctx: Ctx):
-        """The weak head normal form of a value, by the normalizer with a fresh
-        budget of steps; a head that cannot reduce (a variable, a binder, a
-        data type or its constructor) is not quoted for it."""
-        v = _force(v)
-        cls = type(v)
-        if cls is Def:
-            if v.name not in self.env or isinstance(
-                    self.env.lookup(v.name).payload, (Datatype, Constructor)):
-                return v
-        elif cls is Con:
-            if v.name not in ("zero", "suc", "fzero", "fsuc"):
-                return v
-        elif not (cls is VBind and v.kind == "let"):
-            return v
-        t = _quote(v, len(ctx))
-        self._nz.refuel()
-        w = self._nz.whnf(t)
-        return v if w is t else _force(_eval(w, ctx.env))
+    def _whnf(self, v):
+        """The weak head normal form of a value, with a fresh budget of
+        steps."""
+        self._nz.fuel = WHNF_FUEL
+        return self._nz.whnf(v)
 
     def _fresh(self, ctx: Ctx) -> Hole:
         m = Meta(f"?m{len(self._metas) + 1}@{len(ctx)}", len(ctx))
@@ -538,7 +411,7 @@ class Elaborator:
 
     def _check(self, s: SExpr, ty, ctx: Ctx) -> Term:
         ty = _force(ty)
-        whty = self._whnf(ty, ctx) if isinstance(ty, Def) else ty
+        whty = self._whnf(ty) if isinstance(ty, Def) else ty
         match s:
             case SLam(binder, body):
                 if not _is_pi(whty):
@@ -570,6 +443,19 @@ class Elaborator:
                 inner = self._check(body, ty, ctx)
                 ctx.pop()
                 return Let(bt, Abs(name, inner))
+            case SName(name, line) if self.aliases.get(name, name) in _UNTYPED_CONS \
+                    and ctx.lookup(name) is None:
+                # a bare constructor: against a function type it is `\x -> c
+                # x`, whose hidden arguments are inferred as at any other use
+                if _is_pi(whty):
+                    return self._check(SLam("x", SApp(s, [(SName("x", line), False)])),
+                                       whty, ctx)
+                name = self.aliases.get(name, name)
+                if not (isinstance(whty, Def) and
+                        whty.name == self.env.lookup(name).payload.of):
+                    raise UnsupportedType(f"line {line}: constructor {name} checked "
+                                          f"against {self._show_v(whty, ctx)}")
+                return Con(name)
             case _:
                 t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty) \
                     if isinstance(s, SApp) else self._infer(s, ctx)
@@ -585,7 +471,7 @@ class Elaborator:
             raise UnsupportedType("pattern lambda requires an index-typed domain")
         dv, sv = (a.value for a in dom.args)
         n = len(ctx)
-        d = nat_view(self._whnf(dv, ctx), _force)
+        d = nat_view(self._whnf(dv))
         if d is None or d != len(comps):
             raise UnsupportedType(
                 f"index pattern has {len(comps)} components but rank is "
@@ -611,7 +497,7 @@ class Elaborator:
 
     def _check_spine(self, s: SExpr, ty, ctx: Ctx) -> Term:
         """[] and _∷_ against Vec / Ix / List."""
-        ty = self._whnf(ty, ctx)
+        ty = self._whnf(ty)
         if not isinstance(ty, Def) or ty.name not in ("Vec", "Ix", "List"):
             raise UnsupportedType(f"container literal against {self._show_v(ty, ctx)}")
         cell = _spine_cell(s)
@@ -656,7 +542,7 @@ class Elaborator:
         n = _force(n)
         if type(n) is Hole and not n.args:
             self._unify(n, Lit(0), ctx)
-        elif nat_view(self._whnf(n, ctx), _force) != 0:
+        elif nat_view(self._whnf(n)) != 0:
             raise UnsupportedType("container literal is shorter than its type")
 
     def _peel_suc(self, n, ctx: Ctx):
@@ -665,7 +551,7 @@ class Elaborator:
             m = self._fresh(ctx)
             self._unify(n, Con("suc", (vis(m),)), ctx)
             return m
-        n = self._whnf(n, ctx)
+        n = self._whnf(n)
         inner = ir.suc_view(n)
         if inner is None:
             raise UnsupportedType("container literal is longer than its type "
@@ -708,7 +594,7 @@ class Elaborator:
         while True:
             rest = _force(rest)
             if not _is_pi(rest):
-                unfolded = self._whnf(rest, ctx) if queue and type(rest) is Def else rest
+                unfolded = self._whnf(rest) if queue and type(rest) is Def else rest
                 if not _is_pi(unfolded):
                     break
                 rest = unfolded
@@ -775,15 +661,15 @@ class Elaborator:
             if _same(a, b, len(ctx)):
                 return True
             if step == 0:
-                a, b = self._whnf(a, ctx), self._whnf(b, ctx)
-        na, nb = nat_view(a, _force), nat_view(b, _force)
+                a, b = self._whnf(a), self._whnf(b)
+        na, nb = nat_view(a), nat_view(b)
         if na is not None and nb is not None:
             return na == nb
         cls = type(a)
-        if nb is not None and nb > 0 and _is_suc(a):
-            return self._unify1(a.args[0].value, Lit(nb - 1), ctx)
-        if na is not None and na > 0 and _is_suc(b):
-            return self._unify1(Lit(na - 1), b.args[0].value, ctx)
+        if nb and ir.suc_view(a) is not None:
+            return self._unify1(ir.suc_view(a), Lit(nb - 1), ctx)
+        if na and ir.suc_view(b) is not None:
+            return self._unify1(Lit(na - 1), ir.suc_view(b), ctx)
         if _is_pi(a) and _is_pi(b):
             if a.hidden != b.hidden or not self._unify1(a.dom, b.dom, ctx):
                 return False
@@ -873,7 +759,7 @@ class Elaborator:
     def _elab_pattern(self, p: SPat, ty, ctx: Ctx, line: int):
         """Returns (pattern with absolute PVar positions, its value in the
         extended context)."""
-        ty_w = self._whnf(ty, ctx)
+        ty_w = self._whnf(ty)
         match p.kind:
             case "var" | "wild":
                 if p.kind == "var" and p.name in _CON_NAMES | {"[]"}:
@@ -937,12 +823,12 @@ class Elaborator:
         vec = ty.name == "Vec"
         x, tail_ty = ty.args[0].value, ty
         if p.name == "[]":
-            if vec and nat_view(self._whnf(ty.args[1].value, ctx), _force) != 0:
+            if vec and nat_view(self._whnf(ty.args[1].value)) != 0:
                 raise UnsupportedType(f"line {line}: [] pattern at length "
                                       f"{self._show_v(ty.args[1].value, ctx)}")
             return PCon("vnil" if vec else "lnil"), Con("vnil" if vec else "lnil")
         if vec:
-            inner = ir.suc_view(self._whnf(ty.args[1].value, ctx))
+            inner = ir.suc_view(self._whnf(ty.args[1].value))
             if inner is None:
                 raise UnsupportedType(
                     f"line {line}: cons pattern needs a known vector length")

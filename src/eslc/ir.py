@@ -351,30 +351,28 @@ def _subst(t: Term, depth: int, vals: tuple[Term, ...], idx: int) -> Term:
     return Var(t.idx - len(vals), args)
 
 
-def free_var_count(t: Term, idx: int) -> int:
-    """Number of occurrences of Var(idx) in t (head positions included)."""
-    count = 0
+def free_vars(t: Term) -> list[int]:
+    """The free indices of `t`, one per occurrence (head positions
+    included)."""
+    found: list[int] = []
 
-    def visit(u: Term, i: int) -> Term:
-        nonlocal count
-        count += type(u) is Var and u.idx == i
-        return map_subterms(u, visit, i)
+    def visit(u: Term, depth: int) -> Term:
+        if type(u) is Var and u.idx >= depth:
+            found.append(u.idx - depth)
+        return map_subterms(u, visit, depth)
 
-    visit(t, idx)
-    return count
+    visit(t, 0)
+    return found
 
 
 # --------------------------------------------------------------------------
 # natural literals vs zero/suc spines
 
 
-def nat_view(t: Term, force=None) -> int | None:
-    """Read a term as a natural if it is a literal or a closed suc-spine;
-    `force`, if given, first reads each node (of an elaborator value)."""
+def nat_view(t: Term) -> int | None:
+    """Read a term as a natural if it is a literal or a closed suc-spine."""
     n = 0
     while True:
-        if force is not None:
-            t = force(t)
         if type(t) is Lit:
             return n + t.value if type(t.value) is int else None
         if type(t) is not Con or t.name not in ("zero", "suc") \

@@ -1,35 +1,41 @@
-"""Normalization of terms and clause bodies.
+"""Normalization by evaluation of core terms.
 
-Strategy: normal order to weak head normal form, then recurse into
-subterms, trying registered rewrite rules innermost-leftmost after each
-head step.  Reduction is call by need: a clause substitutes its arguments
-unreduced, and a Normalizer remembers the weak head normal form of each
-term object it has reduced, so an argument read at several places (its
-occurrences, clause matches, primitive folds) is reduced once and its
-steps are counted once.  The memo lives as long as one budget of fuel:
-one `normalise` call, or one step of the elaborator, whose environment
-gains clauses between steps.
+A term is evaluated (`_eval`) to a value, and a value read back to a
+term.  In a value, a variable is a `VVar` by de Bruijn level, a binder a
+`VBind` closure, an argument may be a `VLazy` cell, evaluated when first
+forced, and a `Hole` stands for an elaborator's `Meta`; `Con`, `Def`,
+`Lit`, `Sort` and `Unknown` are the term nodes, with values in their
+spines, so a closed term without binders is its own value.
 
-Clause matching (iota) reduces calls to pattern-matching functions;
-primitives marked `folds` in builtins.PRIMS are computed by their Python
-function once their visible arguments are closed (literals, or
-vcons/icons spines), and only the three builtins that build symbolic
-terms (`_*v_`, `prodv`, `sel`) carry delta rules of their own.  Let
-bindings whose binder occurs more than once are preserved to keep
-sharing; a faithful-lets mode restores eager substitution.
+`Normalizer.whnf` reduces a value to weak head normal form, in normal
+order.  Iota matches a function's clauses against forced values and
+evaluates the body in the environment of the matched values.  Primitives
+marked `folds` in builtins.PRIMS are computed by their Python function
+once their visible arguments are closed (literals, or vcons/icons
+spines); only `_*v_`, `prodv` and `sel` carry delta rules of their own.
+Reduction is call by need: the arguments of a call are cells, and a cell
+keeps the weak head normal form it reduced to, so an argument read at
+several places is reduced, and its steps counted, once.  A let whose
+variable is read more than once stays a let, to keep the sharing; a
+faithful-lets mode substitutes every let.
+
+`Normalizer.norm` reads a value back under binders, reducing as it goes:
+on each spine, once its arguments are normal, it tries the head step
+again if a rewrite rule changed an argument, then the rewrite rules.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import ir
 from .builtins import FLOAT, NAT, PRIMS
-from .ir import (Arg, Clause, Con, Def, Env, EslError, EvalError, Function,
-                 Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown, Var,
-                 apply_term, free_var_count, map_args, map_subterms, nat_view,
+from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, EvalError,
+                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Term,
+                 Unknown, Var, free_vars, map_args, map_subterms, nat_view,
                  pi_spine, subst, vis)
 
 
@@ -53,9 +59,6 @@ class ReductionPolicy:
 
     def __post_init__(self):
         assert self.fuel > 0
-
-    def allows(self, name: str) -> bool:
-        return name not in self.names
 
 
 def dont_reduce(names, **kw) -> ReductionPolicy:
@@ -94,7 +97,7 @@ class RuleSet:
         self.warnings: list[ConfluenceWarning] = []
 
     def register(self, rule: RewriteRule) -> list[ConfluenceWarning]:
-        missing = _extra_rhs_vars(rule)
+        missing = set(free_vars(rule.rhs)) - set(free_vars(rule.lhs))
         if missing:
             raise IllFormedRule(
                 f"rule {rule.name}: rhs variables {sorted(missing)} not bound by lhs")
@@ -109,24 +112,6 @@ class RuleSet:
         self.rules.append(rule)
         self.warnings.extend(new)
         return new
-
-
-def _extra_rhs_vars(rule: RewriteRule) -> set[int]:
-    return _rule_vars(rule.rhs, rule.arity) - _rule_vars(rule.lhs, rule.arity)
-
-
-def _rule_vars(t: Term, arity: int) -> set[int]:
-    """The pattern variables (bare Var(0..arity-1) at the top) that occur
-    in t, under binders too."""
-    found = set()
-
-    def visit(u: Term, depth: int) -> Term:
-        if type(u) is Var and depth <= u.idx < depth + arity:
-            found.add(u.idx - depth)
-        return map_subterms(u, visit, depth)
-
-    visit(t, 0)
-    return found
 
 
 def _roots_unify(r1: RewriteRule, r2: RewriteRule) -> bool:
@@ -173,7 +158,132 @@ def _roots_unify(r1: RewriteRule, r2: RewriteRule) -> bool:
 
 
 # --------------------------------------------------------------------------
-# clause matching
+# values
+
+
+@dataclass(slots=True, eq=False)
+class Meta:
+    """A hidden argument to infer, made under `depth` binders; one
+    unification solves it with a value over the first `depth` variables."""
+    name: str
+    depth: int
+    solution: object = None
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Hole(Def):
+    """A meta applied to `args`, in terms and values alike; it prints as a
+    definition of the meta's name."""
+    meta: Meta | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class VVar:
+    level: int
+    args: tuple[Arg, ...] = ()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class VBind:
+    """A Pi (`dom` its domain), lambda (`dom` None) or let (`dom` the bound
+    value, `shared` if its variable is read more than once); `body(v)` is
+    the value under the binder for the variable `v`."""
+    kind: str  # "pi" | "lam" | "let"
+    name: str
+    hidden: bool
+    dom: object
+    body: Callable
+    shared: bool = False
+
+
+@dataclass(slots=True, eq=False)
+class VLazy:
+    """The value of `term` in `env`, evaluated when first forced, and the
+    weak head normal form it reduces to, kept once reduced."""
+    term: Term | None
+    env: tuple
+    value: object = None
+    whnf: object = None
+
+
+def _cell(v):
+    """`v` in a cell, unless it is one or cannot reduce."""
+    return v if type(v) in (VLazy, VVar, Lit) else VLazy(None, (), v)
+
+
+# these dispatch on type(...), not `match`: they run for every node read
+
+
+def _eval(t: Term, env: tuple):
+    """The value of `t`, whose variable i is env[i]."""
+    cls = type(t)
+    if cls is Var:
+        v = env[t.idx]
+        return _apply(v, map_args(t.args, _eval, env)) if t.args else v
+    if cls is Def or cls is Con:
+        args = t.args
+        nargs = map_args(args, _eval, env) if args else args
+        return t if nargs is args else cls(t.name, nargs)
+    if cls is Pi or cls is Lam or cls is Let:
+        body = t.scope.body
+        def under(v):
+            return _eval(body, (v,) + env)
+        if cls is Pi:
+            return VBind("pi", t.scope.name, t.domain.hidden,
+                         _eval(t.domain.value, env), under)
+        if cls is Lam:
+            return VBind("lam", t.scope.name, t.hidden, None, under)
+        return VBind("let", t.scope.name, False, _eval(t.bound, env), under,
+                     free_vars(body).count(0) > 1)
+    if cls is Hole:
+        args = map_args(t.args, _eval, env)
+        return t if args is t.args else Hole(t.name, args, t.meta)
+    return t
+
+
+def _apply(v, args: tuple[Arg, ...]):
+    if not args:
+        return v
+    v = _force(v)
+    cls = type(v)
+    if cls is VVar:
+        return VVar(v.level, v.args + args)
+    if cls is Hole:
+        return Hole(v.name, v.args + args, v.meta)
+    if cls is Con or cls is Def:
+        return cls(v.name, v.args + args)
+    if cls is VBind and v.kind == "lam":
+        return _apply(v.body(args[0].value), args[1:])
+    if cls is VBind and v.kind == "let":
+        body = v.body
+        return VBind("let", v.name, False, v.dom,
+                     lambda x: _apply(body(x), args), v.shared)
+    if cls is Unknown:
+        return v
+    raise EslError(f"cannot apply arguments to {v!r}")
+
+
+def _force(v):
+    """`v` with its head evaluated and its solved metas there read."""
+    while True:
+        cls = type(v)
+        if cls is VLazy:
+            if v.value is None:
+                v.value = _eval(v.term, v.env)
+            v = v.value
+        elif cls is Hole and v.meta.solution is not None:
+            v = _apply(v.meta.solution, v.args)
+        else:
+            return v
+
+
+def _neutrals(depth: int) -> tuple:
+    """The environment of `depth` variables, each its own VVar."""
+    return tuple(VVar(depth - 1 - i) for i in range(depth))
+
+
+# --------------------------------------------------------------------------
+# reduction
 
 _YES, _NO, _STUCK = 0, 1, 2
 
@@ -184,16 +294,8 @@ class Normalizer:
         self.env = env
         self.policy = policy
         self.rules = rules.rules if rules is not None else []
-        self.refuel()
-
-    def refuel(self) -> None:
-        """A fresh budget of steps, and with it an empty memo: a term is
-        reduced anew under each budget, so one reduced before a definition
-        gained clauses is not answered from what it reduced to then."""
-        self.fuel = self.policy.fuel
-        # id(term) -> (term, its weak head normal form); holding the term
-        # keeps its id from being reused while the entry lives
-        self._memo: dict[int, tuple[Term, Term]] = {}
+        self.fuel = policy.fuel
+        self.unsolved = 0  # how many times an unsolved meta was read
 
     def spend(self) -> None:
         self.fuel -= 1
@@ -202,74 +304,82 @@ class Normalizer:
 
     # -- weak head normal form ---------------------------------------------
 
-    def whnf(self, t: Term) -> Term:
-        """The weak head normal form of t, reduced once per term object and
-        budget: a term met again, say an argument that a clause body reads
-        twice, is answered from the memo and spends no fuel."""
-        hit = self._memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        w = self._reduce(t)
-        self._memo[id(t)] = (t, w)
-        return w
-
-    def _reduce(self, t: Term) -> Term:
+    def whnf(self, v):
+        """The weak head normal form of the value `v`.  A cell is reduced
+        once: read again, it answers with the form it keeps and spends no
+        fuel, unless reducing it read an unsolved meta."""
         while True:
-            match t:
-                case Let(bound, scope):
-                    if self.policy.faithful_lets or \
-                            free_var_count(scope.body, 0) <= 1:
-                        self.spend()
-                        t = subst(scope.body, 0, bound)
-                        continue
-                    return t
-                case Con():
-                    return self._canon(t)
-                case Def(name, args):
-                    if not self.policy.allows(name):
-                        return t
-                    step = self._delta(name, args)
-                    if step is None:
-                        step = self._iota(name, args)
-                    if step is None:
-                        return t
-                    self.spend()
-                    t = step
-                case _:
-                    return t
+            cls = type(v)
+            if cls is VLazy:
+                if v.whnf is None:
+                    unsolved = self.unsolved
+                    w = self.whnf(_force(v))
+                    if self.unsolved != unsolved:
+                        return w  # a unification may yet solve what it read
+                    v.whnf = w
+                return v.whnf
+            if cls is Con:
+                return self._canon(v)
+            if cls is Def:
+                if v.name in self.policy.names:
+                    return v
+                v, step = self._unfold(v)
+                if step is None:
+                    return v
+            elif cls is VBind and v.kind == "let" and \
+                    (self.policy.faithful_lets or not v.shared):
+                step = v.body(v.dom)
+            elif cls is Hole:
+                if v.meta.solution is None:
+                    self.unsolved += 1
+                    return v
+                v = _force(v)
+                continue
+            else:
+                return v
+            self.spend()
+            v = step
 
-    def _canon(self, t: Con) -> Term:
+    def _canon(self, v: Con):
         """Collapse closed suc/fsuc spines into literals."""
-        if t.name in ("suc", "fsuc"):
-            inner = self.whnf(t.args[-1].value)
+        if v.name in ("suc", "fsuc"):
+            inner = self.whnf(v.args[-1].value)
             n = nat_view(inner)
             if n is not None:
                 return Lit(n + 1)
-            if inner is not t.args[-1].value:
-                return Con(t.name, t.args[:-1] + (Arg(inner, t.args[-1].hidden),))
-        elif t.name in ("zero", "fzero"):
+            if inner is not v.args[-1].value:
+                return Con(v.name, v.args[:-1] + (Arg(inner, v.args[-1].hidden),))
+        elif v.name in ("zero", "fzero"):
             return Lit(0)
-        return t
+        return v
 
-    def _iota(self, name: str, args: tuple[Arg, ...]) -> Term | None:
-        d = self.env.lookup(name) if name in self.env else None
-        if d is None or not isinstance(d.payload, Function):
-            return None
-        for cl in d.payload.clauses:
+    def _unfold(self, v: Def):
+        """The call `v`, its arguments in cells, and its value after one
+        delta or iota step, or None if it is stuck."""
+        payload = self.env.lookup(v.name).payload if v.name in self.env else None
+        clauses = payload.clauses if isinstance(payload, Function) else ()
+        delta = _DELTA.get(v.name)
+        if delta is None and not clauses:
+            return v, None
+        # the delta rule, every clause and whoever reads the stuck call
+        # read the same cells
+        args = map_args(v.args, _cell)
+        v = v if args is v.args else Def(v.name, args)
+        step = delta(self, args) if delta is not None else None
+        if step is not None:
+            return v, step
+        for cl in clauses:  # iota
             k = len(cl.patterns)
             if len(args) < k:
-                return None
-            binds: dict[int, Term] = {}
+                break
+            binds: dict[int, object] = {}
             res = self._match_args(cl.patterns, args[:k], binds)
             if res == _STUCK:
-                return None
-            if res == _NO:
-                continue
-            body = cl.body
-            assert body is not None
-            vals = [binds.get(i, Unknown()) for i in range(len(cl.telescope))]
-            return apply_term(subst(body, 0, *vals), args[k:])
-        return None
+                break
+            if res == _YES:
+                env = tuple(binds.get(i, Unknown()) for i in range(len(cl.telescope)))
+                return v, _apply(_eval(cl.body, env), args[k:])
+        return v, None
 
     def _match_args(self, pats, args, binds) -> int:
         for p, a in zip(pats, args):
@@ -278,85 +388,85 @@ class Normalizer:
                 return res
         return _YES
 
-    def _match(self, p, t: Term, binds) -> int:
+    def _match(self, p, v, binds) -> int:
         if isinstance(p, PVar):
-            binds[p.idx] = t
+            binds[p.idx] = v
             return _YES
         if isinstance(p, PAbsurd):
             return _NO
-        t = self.whnf(t)
+        v = self.whnf(v)
         assert isinstance(p, PCon)
+        # a closed natural or Fin is a literal in weak head normal form
         if p.name == "zero" or p.name == "fzero":
-            n = nat_view(t)
+            n = nat_view(v)
             if n is not None:
                 return _YES if n == 0 else _NO
-            if isinstance(t, Con) and t.name in ("suc", "fsuc"):
-                return _NO
-            return _STUCK
+            return _NO if isinstance(v, Con) and v.name in ("suc", "fsuc") \
+                else _STUCK
         if p.name in ("suc", "fsuc"):
-            inner = ir.suc_view(t)
+            inner = ir.suc_view(v)
             if inner is not None:
                 for a in p.args[:-1]:  # hidden bound args are unrecoverable
                     if isinstance(a.value, PVar):
                         binds[a.value.idx] = Unknown()
                 return self._match(p.args[-1].value, inner, binds)
-            n = nat_view(t)
-            if n == 0:
-                return _NO
-            if isinstance(t, Con) and t.name in ("zero", "fzero"):
-                return _NO
-            return _STUCK
-        if isinstance(t, Con):
-            if t.name != p.name:
+            return _NO if nat_view(v) == 0 else _STUCK
+        if isinstance(v, Con):
+            if v.name != p.name:
                 return _NO
             pvis = [a for a in p.args if not a.hidden]
             phid = [a for a in p.args if a.hidden]
-            tvis = [a for a in t.args if not a.hidden]
-            thid = [a for a in t.args if a.hidden]
+            tvis = [a for a in v.args if not a.hidden]
+            thid = [a for a in v.args if a.hidden]
             if len(pvis) != len(tvis) or len(phid) > len(thid):
                 return _STUCK
             res = self._match_args(phid, thid[:len(phid)], binds)
             if res != _YES:
                 return res
             return self._match_args(pvis, tvis, binds)
-        if isinstance(t, Lit):
+        if isinstance(v, Lit):
             return _NO
         return _STUCK
-
-    # -- delta rules ---------------------------------------------------------
-
-    def _delta(self, name: str, args: tuple[Arg, ...]) -> Term | None:
-        h = _DELTA.get(name)
-        if h is None:
-            return None
-        return h(self, args)
 
     # -- full normalization ---------------------------------------------------
 
     def norm(self, t: Term) -> Term:
-        t = map_subterms(self.whnf(t), lambda u, _: self.norm(u), 0)
-        return self._post(t) if type(t) in (Var, Con, Def) else t
+        """The normal form of the term `t`; `t` itself if it is normal."""
+        depth = max(free_vars(t), default=-1) + 1
+        out = self._nf(_eval(t, _neutrals(depth)), depth)
+        return t if out == t else out
 
-    def _post(self, t: Term) -> Term:
-        """Head work that may become possible once arguments are normal:
-        another whnf pass, then rewrite rules at this node."""
-        t2 = self.whnf(t)
-        if t2 is not t and t2 != t:
-            return self.norm(t2)
-        if isinstance(t2, (Def, Con)):
-            r = self._try_rules(t2)
-            if r is not None:
-                self.spend()
-                return self.norm(r)
-        return t2
-
-    def _try_rules(self, t: Term) -> Term | None:
+    def _nf(self, v, depth: int) -> Term:
+        """The normal form of the value `v`, read back under `depth`
+        binders."""
+        v = self.whnf(v)
+        cls = type(v)
+        if cls is VVar:
+            return Var(depth - 1 - v.level, map_args(v.args, self._nf, depth))
+        if cls is VBind:
+            body = Abs(v.name, self._nf(v.body(VVar(depth)), depth + 1))
+            if v.kind == "lam":
+                return Lam(body, v.hidden)
+            dom = self._nf(v.dom, depth)
+            return Pi(Arg(dom, v.hidden), body) if v.kind == "pi" else Let(dom, body)
+        if cls is not Con and cls is not Def:
+            return v
+        args = map_args(v.args, self._nf, depth)
+        t = v if args is v.args else cls(v.name, args)
+        if self.rules:  # an argument a rule rewrote may let the head step
+            fuel = self.fuel
+            w = self.whnf(_eval(t, _neutrals(depth)))
+            if self.fuel != fuel:  # a step: the arguments are normal
+                return self._nf(w, depth)
         for rule in self.rules:
             binds: dict[int, Term] = {}
             if _match_rule(rule.lhs, t, rule.arity, binds) and \
                     len(binds) == rule.arity:
-                return subst(rule.rhs, 0, *(binds[i] for i in range(rule.arity)))
-        return None
+                self.spend()
+                env = _neutrals(depth)
+                vals = tuple(_eval(binds[i], env) for i in range(rule.arity))
+                return self._nf(_eval(rule.rhs, vals), depth)
+        return t
 
 
 def _match_rule(pat: Term, t: Term, arity: int, binds, depth: int = 0) -> bool:
@@ -413,7 +523,7 @@ _SPINES = {"vec": ("vcons", "vnil"), "ix": ("icons", "inil")}
 
 def _spine(kind: str):
     """Read a closed spine as the evaluator's value of its kind, with the
-    items left as terms."""
+    items left as they are."""
     cons, nil = _SPINES[kind]
 
     def read(nz, t):
@@ -440,13 +550,9 @@ _READ = {NAT: _literal(nat_view), FLOAT: _literal(_float_lit),
 _vec_items = _READ["Vec"]
 
 
-def _hidden(nz, t):
-    return t
-
-
 def _d_fold(fn, reads):
     """A primitive computed by its Python function.  Its arguments are read
-    left to right, a hidden one as the term itself; the first that is not
+    left to right, a hidden one as the value itself; the first that is not
     closed leaves the call to the primitive's clauses, if it has any (1 + x
     must expose its constructor), and so does an EvalError or a result that
     no literal denotes (a float overflowing to infinity)."""
@@ -467,7 +573,7 @@ def _d_fold(fn, reads):
             if out[0] == "dec":
                 return Con("yes") if out[1] else Con("no")
             return _spine_of(*out)
-        if isinstance(out, Term):  # an item of a spine argument
+        if not isinstance(out, (int, float)):  # an item of a spine argument
             return out
         if isinstance(out, float) and not math.isfinite(out):
             return None
@@ -480,8 +586,7 @@ def _d_vscale(nz, args):
     v = _vec_items(nz, va[0])
     if v is None:
         return None
-    k = va[1]
-    return _spine_of("vec", [Def("_*_", (vis(x), vis(k))) for x in v[1]])
+    return _spine_of("vec", [Def("_*_", (vis(x), vis(va[1]))) for x in v[1]])
 
 
 def _d_prodv(nz, args):
@@ -489,12 +594,9 @@ def _d_prodv(nz, args):
     if vec is None:
         return None
     items = vec[1]
-    total = 1
     lits = [nat_view(nz.whnf(x)) for x in items]
-    if all(v is not None for v in lits):
-        for v in lits:
-            total *= v
-        return Lit(total)
+    if None not in lits:
+        return Lit(math.prod(lits))
     out = items[0]
     for x in items[1:]:
         out = Def("_*_", (vis(out), vis(x)))
@@ -507,11 +609,12 @@ def _d_sel(nz, args):
         return None
     arr = nz.whnf(va[0])
     if isinstance(arr, Con) and arr.name == "imap":
-        return apply_term(arr.args[-1].value, (vis(va[1]),))
+        return _apply(arr.args[-1].value, (vis(_cell(va[1])),))
     return None
 
 
-_DELTA = {p.name: _d_fold(p.fn, [_hidden if a.hidden else _READ[a.value.name]
+_DELTA = {p.name: _d_fold(p.fn, [(lambda nz, v: v) if a.hidden
+                                 else _READ[a.value.name]
                                  for _, a in pi_spine(p.sig)[0]])
           for p in PRIMS.values() if p.folds}
 _DELTA.update({"_*v_": _d_vscale, "prodv": _d_prodv, "sel": _d_sel})
@@ -530,9 +633,8 @@ def normalise_clause(cl: Clause, env: Env, policy: ReductionPolicy = REDUCE_ALL,
                      rules: RuleSet | None = None) -> Clause:
     tel = tuple((n, Arg(normalise(a.value, env, policy, rules), a.hidden))
                 for n, a in cl.telescope)
-    if cl.body is None:
-        return Clause(tel, cl.patterns, None)
-    return Clause(tel, cl.patterns, normalise(cl.body, env, policy, rules))
+    body = None if cl.body is None else normalise(cl.body, env, policy, rules)
+    return Clause(tel, cl.patterns, body)
 
 
 def check_rewrite(rule: RewriteRule, trials: int, env: Env, seed: int = 0):

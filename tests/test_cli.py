@@ -164,6 +164,22 @@ def test_a_bad_command_line_is_a_user_error(capsys):
     assert capsys.readouterr().out.startswith("usage: eslc diff")
 
 
+def test_a_count_out_of_range_is_a_user_error(capsys):
+    kompile = ["kompile", "--entry", "log2", "--backend", "kaleid"]
+    diff = ["diff", "--entry", "log2", "--backend", "kaleid"]
+    for argv, why in [(kompile + ["--fuel", "0"], "--fuel: 0 is less than 1"),
+                      (kompile + ["--fuel", "-3"], "--fuel: -3 is less than 1"),
+                      (diff + ["--fuel", "0"], "--fuel: 0 is less than 1"),
+                      (kompile + ["--trials", "-1"], "--trials: -1 is less than 0"),
+                      (diff + ["--samples", "-2"], "--samples: -2 is less than 0"),
+                      (diff + ["--samples", "two"], "invalid integer value")]:
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and why in err, argv
+
+
 def test_a_refused_diff_writes_nothing_to_stdout(tmp_path, capsys):
     src = _write(tmp_path, "ack.esl", corpus.ACK)
     for argv, why in [

@@ -85,6 +85,36 @@ def test_float_pattern_rejected_by_the_elaborator():
         load_sources([("t", "f : Float -> Float\nf 1.5 = 2.0\n")])
 
 
+def test_a_bare_constructor_is_checked_against_its_type():
+    for src, con, ty in [("bad : Nat\nbad = imap\n", "imap", "Nat"),
+                         ("f : Float -> Float\nf x = fzero\n", "fzero", "Float"),
+                         ("d : Nat -> Nat\nd n = yes\n", "yes", "Nat")]:
+        with pytest.raises(UnsupportedType,
+                           match=f"constructor {con} checked against .*{ty}"):
+            load_sources([("t", src)])
+
+
+def test_a_bare_constructor_of_a_function_type_is_eta_expanded():
+    # mk's body is \x -> imap x, so imap's hidden arguments are inferred
+    import numpy as np
+    from eslc.extract import kompile
+    from eslc.harness import compare
+    from eslc.sac import SacBackend, interp_sac
+    src = ("mk : (Ix 1 (3 ∷ []) -> Float) -> Ar Float 1 (3 ∷ [])\n"
+           "mk = imap\n"
+           "w : Float -> Ar Float 1 (3 ∷ [])\n"
+           "w x = mk (\\iv -> x)\n")
+    e = load_sources([("t", src)])
+    (cl,) = e.env.lookup("mk").payload.clauses
+    assert [a.hidden for a in cl.body.scope.body.args] == [True] * 3 + [False]
+    text = kompile("w", [], [], SacBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    for x in (0.5, -2.0):
+        want = np.full(3, x)
+        assert compare(call(e.env, "w", [x]), want, "exact") == 0.0
+        assert compare(interp_sac(text, "w", [x]), want, "exact") == 0.0
+
+
 def test_higher_order_definitions_load_but_are_flagged():
     e = load_sources([("t", "twice : (Nat -> Nat) -> Nat -> Nat\n"
                             "twice f x = f (f x)\n")], with_prelude=False)

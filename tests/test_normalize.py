@@ -128,7 +128,7 @@ def test_extraction_reduces_a_shared_argument_once(monkeypatch):
     assert 0 < len(steps) <= 8
 
 
-def test_the_memo_lasts_one_fuel_budget():
+def test_a_stuck_call_reduces_once_its_definition_gains_a_clause():
     from eslc.ir import Clause, Definition, Function, PCon, PVar
     from eslc.builtins import mk_pi
     env = seed_env()
@@ -139,9 +139,18 @@ def test_the_memo_lasts_one_fuel_budget():
     assert nz.whnf(t) is t
     f.clauses.append(Clause((("n", vis(nat())),),
                             (vis(PCon("suc", (vis(PVar(0)),))),), Var(0)))
-    assert nz.whnf(t) is t  # answered from the memo of this budget
-    nz.refuel()
     assert nz.whnf(t) == Lit(0)
+
+
+def test_a_cell_stuck_on_a_meta_reduces_once_the_meta_is_solved():
+    from eslc.normalize import Hole, Meta, VLazy
+    m = Meta("?m1@0", 0)
+    cell = VLazy(plus(Hole(m.name, (), m), Lit(1)), ())
+    nz = Normalizer(ENV)
+    assert nz.whnf(cell).name == "_+_"
+    m.solution = Lit(2)
+    assert nz.whnf(cell) == Lit(3)
+    assert nz.whnf(cell) == Lit(3)
 
 
 def test_fuel_exhaustion():
@@ -271,3 +280,94 @@ def test_normalizer_and_evaluator_agree_on_closed_arithmetic():
     for _ in range(300):
         t = rand_closed()
         assert nf(t) == Lit(eval_closed(t, ENV))
+
+
+# -- paths of the normalizer the corpus does not take -----------------------
+
+VSUM = """
+vsum : {n : Nat} -> Vec Nat n -> Nat
+vsum {0} [] = 0
+vsum {suc n} (x ∷ xs) = x + vsum {n} xs
+
+w : Nat -> Nat
+w a = vsum (a ∷ 2 ∷ [])
+"""
+
+
+def test_a_constructor_pattern_matches_a_reduced_argument():
+    # vsum's clauses match the vcons of w's literal under a hidden suc
+    from eslc import extract, loader
+    from eslc.evaluate import call
+    from eslc.kaleid import KaleidBackend, interp_kaleid
+    from eslc.normalize import normalise_clause
+    from eslc.sac import SacBackend, interp_sac
+    e = loader.load_sources([("vsum.esl", VSUM)])
+    (cl,) = e.env.lookup("w").payload.clauses
+    assert normalise_clause(cl, e.env).body == plus(Var(0), Lit(2))
+    texts = [(extract.kompile("w", [], [], backend(), e.env, e.rules,
+                              def_meta=e.def_meta), run)
+             for backend, run in ((KaleidBackend, interp_kaleid),
+                                  (SacBackend, interp_sac))]
+    for a in (0, 3, 41):
+        assert [run(text, "w", [a]) for text, run in texts] == \
+            [call(e.env, "w", [a])] * 2 == [a + 2] * 2
+
+
+def test_a_product_of_extents_reduces_symbolic_and_literal():
+    # ravel's result extent `prodv s` must equal n * m in f and 6 in g
+    from eslc import loader
+    src = ("f : {n m : Nat} -> Ar Float 2 (n ∷ m ∷ []) -> "
+           "Ar Float 1 ((n * m) ∷ [])\n"
+           "f a = ravel a\n"
+           "g : Ar Float 2 (2 ∷ 3 ∷ []) -> Ar Float 1 (6 ∷ [])\n"
+           "g a = ravel a\n")
+    e = loader.load_sources([("ravel.esl", src)])
+    assert {"f", "g"} <= set(e.env.names())
+
+    def prodv(*items):
+        out = Con("vnil")
+        for x in reversed(items):
+            out = Con("vcons", (vis(x), vis(out)))
+        return Def("prodv", (hid(nat()), hid(Lit(len(items))), vis(out)))
+    assert nf(prodv(Var(1), Var(0))) == times(Var(1), Var(0))
+    assert nf(prodv(Lit(2), Lit(3))) == Lit(6)
+
+
+# the fuel spent, counted at Normalizer.spend, elaborating the prelude and
+# each corpus entry's own sources (none but fuse2's spend any), and
+# extracting each entry: a change to the normalizer may lower these, not
+# raise them
+ELABORATION_FUEL = {"prelude": 3, "fuse2": 1}
+EXTRACTION_FUEL = {"log2": 8, "ack": 2, "ex7": 5, "fib": 2, "logistic": 6,
+                   "meansqerr": 4, "backavgpool": 12, "avgpool": 0,
+                   "fuse2": 7, "matmul": 2, "rotate": 6}
+
+
+def test_no_step_spends_more_fuel_than_its_ledger(monkeypatch):
+    from eslc import corpus, extract, loader
+    from eslc.elaborate import Elaborator
+    from eslc.kaleid import KaleidBackend
+    from eslc.sac import SacBackend
+    steps = []
+    spend = Normalizer.spend
+    monkeypatch.setattr(Normalizer, "spend",
+                        lambda nz: steps.append(1) or spend(nz))
+    loader.load_prelude()
+    steps.clear()
+    elab = Elaborator()
+    for name in loader.PRELUDE_MODULES:
+        elab.load_source(loader.prelude_text(name), name)
+    elaborated, extracted = {"prelude": len(steps)}, {}
+    for name, entry in corpus.CORPUS.items():
+        steps.clear()
+        elab = loader.load_sources(entry.sources)
+        elaborated[name] = len(steps)
+        backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
+        steps.clear()
+        extract.kompile(entry.entry, entry.base, [], backend, elab.env,
+                        elab.rules, None, elab.def_meta)
+        extracted[name] = len(steps)
+    assert extracted.keys() == EXTRACTION_FUEL.keys()
+    assert {n: k for n, k in extracted.items() if k > EXTRACTION_FUEL[n]} == {}
+    assert {n: k for n, k in elaborated.items()
+            if k > ELABORATION_FUEL.get(n, 0)} == {}
