@@ -61,8 +61,9 @@ _BUILTIN_TAGS = {
 
 _CON_NAMES = {"zero", "suc", "fzero", "fsuc", "vnil", "vcons", "inil",
               "icons", "lnil", "lcons", "imap", "yes", "no", "prf"}
-# the constructors `_infer_name` gives no type: all but `zero` and `suc`
-_UNTYPED_CONS = _CON_NAMES - {"zero", "suc"}
+# the constructors `_check` checks when they stand alone: all but `zero`,
+# which is the literal 0
+_BARE_CONS = _CON_NAMES - {"zero"}
 
 # the fuel of one weak head step of a type
 WHNF_FUEL = 100000
@@ -443,7 +444,7 @@ class Elaborator:
                 inner = self._check(body, ty, ctx)
                 ctx.pop()
                 return Let(bt, Abs(name, inner))
-            case SName(name, line) if self.aliases.get(name, name) in _UNTYPED_CONS \
+            case SName(name, line) if self.aliases.get(name, name) in _BARE_CONS \
                     and ctx.lookup(name) is None:
                 # a bare constructor: against a function type it is `\x -> c
                 # x`, whose hidden arguments are inferred as at any other use
@@ -451,10 +452,15 @@ class Elaborator:
                     return self._check(SLam("x", SApp(s, [(SName("x", line), False)])),
                                        whty, ctx)
                 name = self.aliases.get(name, name)
-                if not (isinstance(whty, Def) and
-                        whty.name == self.env.lookup(name).payload.of):
+                con = self.env.lookup(name).payload
+                if not (isinstance(whty, Def) and whty.name == con.of) \
+                        or False in con.arity:
                     raise UnsupportedType(f"line {line}: constructor {name} checked "
                                           f"against {self._show_v(whty, ctx)}")
+                if name in ("vnil", "inil", "lnil"):  # the indices of `[]`
+                    return self._check_spine(SName("[]", line), whty, ctx)
+                if name == "fzero":  # fzero : Fin (suc n)
+                    self._discharge(Def("_<_", (vis(Lit(0)), whty.args[0])), ctx)
                 return Con(name)
             case _:
                 t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty) \
@@ -754,6 +760,17 @@ class Elaborator:
         if queue:
             raise EslError(f"line {decl.line}: too many patterns for {decl.name}")
         body = None if decl.body is None else self.check(decl.body, rest, ctx)
+        # the binders left without a pattern become variables that the
+        # body is applied to: `f = suc` is `f x = suc x`
+        k = 0
+        while _is_pi(rest):
+            ctx.push("x" if rest.name.startswith("_") else rest.name, rest.dom)
+            patterns.append(Arg(PVar(len(ctx) - 1), rest.hidden))
+            rest = rest.body(ctx.env[0])
+            k += 1
+        if k and body is not None:
+            body = ir.apply_term(ir.shift(body, k), tuple(
+                Arg(Var(k - 1 - j), a.hidden) for j, a in enumerate(patterns[-k:])))
         return Clause(ctx.telescope(), _remap_patterns(patterns, len(ctx)), body)
 
     def _elab_pattern(self, p: SPat, ty, ctx: Ctx, line: int):

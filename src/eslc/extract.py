@@ -172,7 +172,7 @@ def kompile(entry: str, base, skip, backend, env: Env,
                 and def_meta[name].unsupported:
             raise ExtractError(
                 f"{name}: unsupported type: {def_meta[name].unsupported}")
-        nsig = Normalizer(env, policy, rules).norm(dn.signature)
+        nsig = Normalizer(env, policy, rules).norm(dn.signature, 0)  # closed
         nclauses = [normalise_clause(c, env, policy, rules)
                     for c in dn.payload.clauses]
         emitted[name] = backend.kompile_fun(

@@ -4,6 +4,16 @@ Variables are de Bruijn indices into the enclosing clause telescope (or
 lambda/let/pi binders).  Heads (Var/Con/Def) carry their argument spine
 directly; there is no application node.  Telescope entries keep surface
 names purely so emitted code stays readable.
+
+Nodes, here and in the normalizer's values and the decider's constraints,
+are plain slotted dataclasses, equal and hashed by their fields (a
+closure, `normalize.VBind`, only by identity), and never changed once
+built: every pass builds a new node where it changes one, and shares the
+old one where it does not.  They are not frozen dataclasses, because
+those set every field through `object.__setattr__`, which made building a
+node, a few thousand of them per elaborated module, about 2.5 times
+slower; `tests/test_nodes.py` checks instead that no pass sets a field
+twice.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ class NegativeIndex(EslError):
 # terms
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Arg:
     value: "Term | Pattern"
     hidden: bool = False
@@ -75,7 +85,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class Var(Term):
     idx: int
     args: tuple[Arg, ...] = ()
@@ -84,7 +94,7 @@ class Var(Term):
         return f"Var({self.idx}{''.join(', ' + repr(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class Con(Term):
     name: str
     args: tuple[Arg, ...] = ()
@@ -93,7 +103,7 @@ class Con(Term):
         return f"Con({self.name!r}{''.join(', ' + repr(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class Def(Term):
     name: str
     args: tuple[Arg, ...] = ()
@@ -102,7 +112,7 @@ class Def(Term):
         return f"Def({self.name!r}{''.join(', ' + repr(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Abs:
     """A binder scope: one bound variable (index 0 inside `body`)."""
 
@@ -110,13 +120,13 @@ class Abs:
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam(Term):
     scope: Abs
     hidden: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit(Term):
     value: int | float
 
@@ -124,24 +134,24 @@ class Lit(Term):
         assert isinstance(self.value, (int, float)) and not isinstance(self.value, bool)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Let(Term):
     bound: Term
     scope: Abs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pi(Term):
     domain: Arg
     scope: Abs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sort(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unknown(Term):
     """An erased position.  The normalizer puts it for a telescope
     variable that no pattern binds and for a hidden constructor argument
@@ -157,23 +167,23 @@ class Pattern:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PVar(Pattern):
     idx: int  # telescope position
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PCon(Pattern):
     name: str
     args: tuple[Arg, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PAbsurd(Pattern):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Clause:
     # telescope entries: (surface name, type as Arg so hidden-ness is kept)
     telescope: tuple[tuple[str, Arg], ...]
@@ -199,7 +209,7 @@ class Function:
     clauses: list[Clause]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Constructor:
     of: str
     arity: tuple[bool, ...] = ()  # hidden-ness per argument
@@ -210,7 +220,7 @@ class Datatype:
     constructors: list[str]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Builtin:
     """A primitive with no clauses; its meaning is its builtins.PRIMS entry."""
 

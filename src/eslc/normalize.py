@@ -170,20 +170,20 @@ class Meta:
     solution: object = None
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class Hole(Def):
     """A meta applied to `args`, in terms and values alike; it prints as a
     definition of the meta's name."""
     meta: Meta | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VVar:
     level: int
     args: tuple[Arg, ...] = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VBind:
     """A Pi (`dom` its domain), lambda (`dom` None) or let (`dom` the bound
     value, `shared` if its variable is read more than once); `body(v)` is
@@ -430,9 +430,11 @@ class Normalizer:
 
     # -- full normalization ---------------------------------------------------
 
-    def norm(self, t: Term) -> Term:
-        """The normal form of the term `t`; `t` itself if it is normal."""
-        depth = max(free_vars(t), default=-1) + 1
+    def norm(self, t: Term, depth: int | None = None) -> Term:
+        """The normal form of the term `t` under `depth` binders, by default
+        as many as its free variables need; `t` itself if it is normal."""
+        if depth is None:
+            depth = max(free_vars(t), default=-1) + 1
         out = self._nf(_eval(t, _neutrals(depth)), depth)
         return t if out == t else out
 
@@ -625,15 +627,17 @@ _DELTA.update({"_*v_": _d_vscale, "prodv": _d_prodv, "sel": _d_sel})
 
 
 def normalise(t: Term, env: Env, policy: ReductionPolicy = REDUCE_ALL,
-              rules: RuleSet | None = None) -> Term:
-    return Normalizer(env, policy, rules).norm(t)
+              rules: RuleSet | None = None, depth: int | None = None) -> Term:
+    return Normalizer(env, policy, rules).norm(t, depth)
 
 
 def normalise_clause(cl: Clause, env: Env, policy: ReductionPolicy = REDUCE_ALL,
                      rules: RuleSet | None = None) -> Clause:
-    tel = tuple((n, Arg(normalise(a.value, env, policy, rules), a.hidden))
-                for n, a in cl.telescope)
-    body = None if cl.body is None else normalise(cl.body, env, policy, rules)
+    # telescope entry i sits under the i entries before it, the body under all
+    tel = tuple((n, Arg(normalise(a.value, env, policy, rules, i), a.hidden))
+                for i, (n, a) in enumerate(cl.telescope))
+    body = None if cl.body is None else \
+        normalise(cl.body, env, policy, rules, len(cl.telescope))
     return Clause(tel, cl.patterns, body)
 
 

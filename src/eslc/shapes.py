@@ -30,9 +30,8 @@ class _Node:
     """A node is never changed once built, so its hash and its order key
     are each computed on first use and kept on it.  The order key is the
     node's repr, which sorts monomials and Fourier-Motzkin variables.
-    Nodes are not frozen dataclasses: those set every field, the kept
-    ones too, through `object.__setattr__`, which made building a node
-    about three times slower."""
+    Nodes follow the convention of `eslc.ir` (plain slotted dataclasses,
+    not frozen ones), and set only the fields kept here after building."""
     _hash: int | None = field(default=None, init=False, compare=False)
     _key: str | None = field(default=None, init=False, compare=False)
 
@@ -157,7 +156,7 @@ class VAppend(VecExpr):
     rhs: VecExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Constraint:
     kind: str  # "lt" | "eq" | "nonzero" | "veq"
     lhs: ShapeExpr | VecExpr

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, determinism, output files, and the
 README's examples."""
 
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -108,6 +109,60 @@ def test_diff_of_a_decision(tmp_path, capsys):
                  "--samples", "50"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split("\t")
     assert row[:4] == ["w", "50", "0", "0"]
+
+
+POINT_FREE = """f : Nat -> Nat
+f = suc
+
+pl : Nat -> Nat -> Nat
+pl = _+_
+
+m : Nat -> Nat -> Nat
+m x = _*_ x
+"""
+
+
+def test_point_free_definitions_agree_three_ways(tmp_path, capsys):
+    # a bare suc is \x -> suc x, and a clause takes the binders it has no
+    # pattern for as variables, so f is f x = suc x, pl is pl x y = x + y
+    # and m is m x y = x * y
+    from eslc.evaluate import call
+    from eslc.extract import kompile
+    from eslc.sac import SacBackend, interp_sac
+    src = _write(tmp_path, "pf.esl", POINT_FREE)
+    for entry in ("f", "pl", "m"):
+        for backend in ("kaleid", "sac"):
+            assert main(["kompile", src, "--entry", entry,
+                         "--backend", backend]) == 0
+        capsys.readouterr()
+        assert main(["diff", src, "--entry", entry, "--backend", "kaleid",
+                     "--samples", "20"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[:4] == \
+            [entry, "20", "0", "0"]
+    e = load_sources([("pf.esl", POINT_FREE)])
+    f = kompile("f", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    pl = kompile("pl", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    for n in (0, 1, 41):
+        assert call(e.env, "f", [n]) == interp_sac(f, "f", [n]) == n + 1
+        assert call(e.env, "pl", [n, 2]) == interp_sac(pl, "pl", [n, 2]) == n + 2
+
+
+def test_a_bare_nil_or_fzero_owes_its_indices(tmp_path, capsys):
+    bad = [("v", "v : Vec Nat 2\nv = vnil\n", "shorter than its type"),
+           ("g", "g : (n : Nat) -> Fin n\ng n = fzero\n",
+            "is false \\(counterexample {'n#0': 0}\\)")]
+    for entry, text, why in bad:
+        src = _write(tmp_path, f"{entry}.esl", text)
+        for backend in ("kaleid", "sac"):
+            assert main(["kompile", src, "--entry", entry,
+                         "--backend", backend]) == 1
+            assert re.search(why, capsys.readouterr().err), entry
+    src = _write(tmp_path, "ok.esl", "v0 : Vec Nat 0\nv0 = vnil\n"
+                 "h : (n : Nat) -> Fin (suc n)\nh n = fzero\n")
+    assert main(["kompile", src, "--entry", "v0", "--backend", "sac"]) == 0
+    assert main(["kompile", src, "--entry", "h", "--backend", "kaleid"]) == 0
+    assert main(["diff", src, "--entry", "h", "--backend", "kaleid",
+                 "--samples", "10"]) == 0
 
 
 BIG = """sq : Nat -> Nat -> Nat

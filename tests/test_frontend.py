@@ -12,7 +12,7 @@ from eslc import evaluate
 from eslc.broadcast import ShapeMismatch, resolve_dyargs
 from eslc.elaborate import (ScopeError, UnprovenConstraint, UnsupportedType)
 from eslc.evaluate import call, varr, vvec
-from eslc.ir import Con, Lit, vis
+from eslc.ir import Arg, Con, Lit, PVar, Var, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.parser import SyntaxErrorAt, parse
 
@@ -94,8 +94,33 @@ def test_a_bare_constructor_is_checked_against_its_type():
             load_sources([("t", src)])
 
 
+def test_a_bare_constructor_with_visible_arguments_needs_a_function_type():
+    for src, con, ty in [("a : Ar Float 1 (3 ∷ [])\na = imap\n", "imap", "Ar"),
+                         ("n : Nat\nn = suc\n", "suc", "Nat"),
+                         ("i : Fin 3\ni = fsuc\n", "fsuc", "Fin"),
+                         ("v : Vec Nat 1\nv = vcons\n", "vcons", "Vec")]:
+        with pytest.raises(UnsupportedType,
+                           match=f"constructor {con} checked against .*{ty}"):
+            load_sources([("t", src)])
+
+
+def test_a_bare_constructor_of_its_own_type_checks_the_indices():
+    e = load_sources([("t", "v0 : Vec Nat 0\nv0 = vnil\n"
+                            "i0 : Ix 0 []\ni0 = inil\n"
+                            "h : (n : Nat) -> Fin (suc n)\nh n = fzero\n")])
+    assert [e.env.lookup(n).payload.clauses[0].body for n in ("v0", "i0", "h")] \
+        == [Con("vnil"), Con("inil"), Con("fzero")]
+    with pytest.raises(UnsupportedType, match="shorter than its type"):
+        load_sources([("t", "v : Vec Nat 2\nv = vnil\n")])
+    with pytest.raises(UnsupportedType, match="shorter than its type"):
+        load_sources([("t", "i : Ix 1 (3 ∷ [])\ni = inil\n")])
+    with pytest.raises(UnprovenConstraint, match="counterexample {'n#0': 0}"):
+        load_sources([("t", "g : (n : Nat) -> Fin n\ng n = fzero\n")])
+
+
 def test_a_bare_constructor_of_a_function_type_is_eta_expanded():
-    # mk's body is \x -> imap x, so imap's hidden arguments are inferred
+    # mk is \x -> imap x, so imap's hidden arguments are inferred, and the
+    # clause takes x as a pattern: mk x = imap x
     import numpy as np
     from eslc.extract import kompile
     from eslc.harness import compare
@@ -106,7 +131,9 @@ def test_a_bare_constructor_of_a_function_type_is_eta_expanded():
            "w x = mk (\\iv -> x)\n")
     e = load_sources([("t", src)])
     (cl,) = e.env.lookup("mk").payload.clauses
-    assert [a.hidden for a in cl.body.scope.body.args] == [True] * 3 + [False]
+    assert cl.patterns == (Arg(PVar(0)),)
+    assert [a.hidden for a in cl.body.args] == [True] * 3 + [False]
+    assert cl.body.args[-1].value == Var(0)
     text = kompile("w", [], [], SacBackend(), e.env, e.rules,
                    def_meta=e.def_meta)
     for x in (0.5, -2.0):
