@@ -174,7 +174,6 @@ def _unsolved(v) -> bool:
 
 
 NAT = Def("Nat")
-_SUC_TYPE = VBind("pi", "n", False, NAT, lambda _: NAT)
 
 
 # --------------------------------------------------------------------------
@@ -403,8 +402,8 @@ class Elaborator:
         if name in _CON_NAMES:
             if name == "zero":
                 return Lit(0), NAT
-            if name == "suc":
-                return Con("suc"), _SUC_TYPE
+            if name in ("suc", "fsuc"):
+                return Con(name), _eval(self.env.lookup(name).signature, ())
             return Con(name), None
         if name in self.env:
             return Def(name), _eval(self.env.lookup(name).signature, ())

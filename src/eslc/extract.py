@@ -1,12 +1,14 @@
 """Backend-agnostic extraction driver.
 
 `kompile` normalizes the entry function under the don't-reduce base list,
-hands each function to the backend, and drains the queue of callees that
-the backend registered while translating bodies.  Every function is
-emitted exactly once; output is ordered dependencies-first with the entry
-last.  Name normalization turns unicode definition names into target
-identifiers deterministically, and `ExtractState.binder` is the one rule
-by which both backends name what they bind.
+erases its logical content (`erase`), hands each function to the backend,
+and drains the queue of callees that the backend registered while
+translating bodies.  Every function is emitted exactly once; output is
+ordered dependencies-first with the entry last, over the call graph that
+`ExtractState.push` records.  Name normalization turns unicode definition
+names into target identifiers deterministically, `ExtractState.binder` is
+the one rule by which both backends name what they bind, and
+`TokenReader` is the recursive-descent base of both target readers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .ir import Con, Definition, Env, EslError, Function, Term, nat_view
+from .builtins import is_prop_type
+from .ir import (Arg, Clause, Con, Def, Definition, Env, EslError, Function,
+                 Lit, Term, map_subterms, pi_spine)
 from .normalize import Normalizer, RuleSet, dont_reduce, normalise_clause
 
 
@@ -44,19 +48,20 @@ class ExtractState:
         # every name the text calls: the target's builtin functions, the
         # program's functions and the backend's macros
         self.used_names: set[str] = set(builtins)
-        self.deps: dict[str, list[str]] = {}
+        self.current = ""  # the function being compiled
+        self.deps: dict[str, list[str]] = {}  # its callees, by first call
 
     def push(self, name: str) -> None:
+        """Note that the current function calls `name`, and queue `name`
+        unless it is compiled, queued, skipped or in the base list."""
+        callees = self.deps.setdefault(self.current, [])
+        if name not in callees:
+            callees.append(name)
         if name in self.compiled or name in self.pending:
             return
         if name in self.skip or name in self.base:
             return
         self.pending.append(name)
-
-    def note_dep(self, caller: str, callee: str) -> None:
-        self.deps.setdefault(caller, [])
-        if callee not in self.deps[caller]:
-            self.deps[caller].append(callee)
 
     def binder(self, name: str, scope: set[str], fresh: bool = False) -> str:
         """The target name of a binder whose source name is `name`, added
@@ -130,17 +135,33 @@ def sac_final_pass(s: str) -> str:
     return keep.lstrip("0123456789") or keep
 
 
-def suc_spine(t: Term) -> tuple[int, Term | None]:
-    """t as k sucs around a rest: (k + n, None) when the rest is the
-    natural n, else (k, rest)."""
-    k = 0
-    while isinstance(t, Con) and t.name in ("suc", "fsuc"):
-        k += 1
-        t = t.args[-1].value
-    n = nat_view(t)
-    if n is not None:
-        return k + n, None
-    return k, t
+def erase(t: Term, depth: int, env: Env) -> Term:
+    """`t` as the run time sees it, for a normalized `t` (`depth` is the
+    binder depth `map_subterms` passes; erasure does not read it).  A
+    proof or decision is its C boolean: `prf` and `yes` are 1, `no` is 0,
+    and so is a call whose result type is a proposition.  A `Fin` is its
+    natural: `fromN<` is its hidden left endpoint and `toN` its argument.
+    A `suc`/`fsuc` spine around an open rest is `k + rest`; normalization
+    has already made closed spines, `zero` and `fzero` literals."""
+    if type(t) is Con:
+        if t.name in ("prf", "yes"):
+            return Lit(1)
+        if t.name == "no":
+            return Lit(0)
+        if t.name in ("suc", "fsuc"):
+            k = 0
+            while type(t) is Con and t.name in ("suc", "fsuc"):
+                k += 1
+                t = t.args[-1].value
+            return Def("_+_", (Arg(Lit(k), False), Arg(erase(t, depth, env), False)))
+    elif type(t) is Def:
+        if t.name == "fromN<":
+            return erase(t.args[0].value, depth, env)
+        if t.name == "toN":
+            return erase(t.args[-1].value, depth, env)
+        if t.name in env and is_prop_type(pi_spine(env.lookup(t.name).signature)[1]):
+            return Lit(1)
+    return map_subterms(t, erase, depth, env)
 
 
 def kompile(entry: str, base, skip, backend, env: Env,
@@ -172,12 +193,65 @@ def kompile(entry: str, base, skip, backend, env: Env,
                 and def_meta[name].unsupported:
             raise ExtractError(
                 f"{name}: unsupported type: {def_meta[name].unsupported}")
-        nsig = Normalizer(env, policy, rules).norm(dn.signature, 0)  # closed
-        nclauses = [normalise_clause(c, env, policy, rules)
-                    for c in dn.payload.clauses]
+        nsig = erase(Normalizer(env, policy, rules).norm(dn.signature, 0), 0, env)
+        nclauses = []
+        for c in dn.payload.clauses:
+            c = normalise_clause(c, env, policy, rules)
+            body = None if c.body is None else erase(c.body, len(c.telescope), env)
+            nclauses.append(Clause(c.telescope, c.patterns, body))
+        state.current = name
         emitted[name] = backend.kompile_fun(
             name, Definition(name, nsig, Function(nclauses)), state, env, opts)
     return backend.assemble(_ordered(emitted, entry, state), state, opts)
+
+
+class TokenReader:
+    """Recursive descent over a list of tokens.  A target's reader gives
+    the tokenizer (`tokens`), the name rule (`name`), the error it raises
+    (`error`) and the grammar from `program` down; `read` runs it."""
+
+    error = ExtractError
+
+    def __init__(self, text: str):
+        self.toks: list = self.tokens(text)
+        self.pos = 0
+
+    def read(self):
+        try:
+            return self.program()
+        except RecursionError as err:
+            raise self.error(f"program too deeply nested to read: {err}") from err
+
+    def peek(self, k: int = 0):
+        return self.toks[self.pos + k] if self.pos + k < len(self.toks) else None
+
+    def take(self) -> str:
+        t = self.peek()
+        if not isinstance(t, str):  # the end, or a token that is not text
+            raise self.error(f"unexpected end of {'input' if t is None else 'line'}")
+        self.pos += 1
+        return t
+
+    def accept(self, t: str) -> bool:
+        if self.peek() == t:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, t: str) -> None:
+        got = self.take()
+        if got != t:
+            raise self.error(f"expected {t!r}, found {got!r}")
+
+    def items(self, close: str, item) -> list:
+        """`item, ..., item` up to the closing bracket."""
+        out = []
+        if not self.accept(close):
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+            self.expect(close)
+        return out
 
 
 def entry_name(entry: str, backend) -> str:
@@ -203,9 +277,5 @@ def _ordered(emitted: dict[str, str], entry: str,
             visit(dep)
         order.append(name)
 
-    visit(entry)
-    for name in emitted:  # anything disconnected still goes out, before entry
-        if name not in seen:
-            order.insert(len(order) - 1, name) if order else order.append(name)
-            seen.add(name)
+    visit(entry)  # every function was pushed by one compiled before it
     return [emitted[n] for n in order]

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from . import ir
 from . import pycode as py
-from .builtins import is_prop_type
 from .extract import (KALEID_KEYWORDS, ExtractError, ExtractOptions,
-                      ExtractState, kaleid_final_pass, suc_spine)
+                      ExtractState, TokenReader, kaleid_final_pass)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown,
                  Var, pi_spine)
@@ -199,7 +198,7 @@ def kompile_clpats(tel, pats, exprs: list[KExpr], pst: PatSt,
 
 
 def kompile_cls(clauses: list[Clause], var_names: list[str], ret: str,
-                state: ExtractState, env: Env, caller: str) -> KExpr:
+                state: ExtractState, env: Env) -> KExpr:
     if not clauses:
         raise ExtractError("empty clause list")
     branches: list[tuple[list[KExpr], KExpr]] = []
@@ -216,7 +215,7 @@ def kompile_cls(clauses: list[Clause], var_names: list[str], ret: str,
             body: KExpr = KAssert(KNat(0))
         else:
             venv = [name for name, _ in reversed(tel)] + list(scope)
-            body = kompile_term(cl.body, venv, state, env, caller)
+            body = kompile_term(cl.body, venv, state, env)
         for name, e in reversed(pst.assigns):
             body = KLet(name, e, body)
         branches.append((pst.conds, body))
@@ -239,8 +238,7 @@ def kompile_cls(clauses: list[Clause], var_names: list[str], ret: str,
 # terms
 
 
-def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env,
-                 caller: str = "") -> KExpr:
+def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env) -> KExpr:
     """venv names the de Bruijn variables, innermost first, and may go on
     with the other names in scope: a let never takes a name in venv, so
     it shadows nothing."""
@@ -253,30 +251,16 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env,
             return KVar(venv[i])
         case Var(_, _):
             raise HigherOrderValue("applied variable is higher-order")
-        case Con("prf", _):
-            return KNat(1)
-        case Con("yes", _):
-            return KNat(1)
-        case Con("no", _):
-            return KNat(0)
-        case Con(("suc" | "fsuc"), _):
-            k, inner = suc_spine(t)
-            if inner is None:
-                return KNat(k)
-            return KBin("Plus", KNat(k),
-                        kompile_term(inner, venv, state, env, caller))
-        case Con(("zero" | "fzero"), _):
-            return KNat(0)
         case Unknown():
             return KNat(0)  # erased position; reachable only behind asserts
         case Let(bound, scope):
             name = state.binder(scope.name, set(venv))
-            return KLet(name, kompile_term(bound, venv, state, env, caller),
-                        kompile_term(scope.body, [name] + venv, state, env, caller))
+            return KLet(name, kompile_term(bound, venv, state, env),
+                        kompile_term(scope.body, [name] + venv, state, env))
         case Lam():
             raise HigherOrderValue("lambda cannot be translated")
         case Def(name, args):
-            return _kompile_def(name, args, venv, state, env, caller)
+            return _kompile_def(name, args, venv, state, env)
         case Con(name, _):
             raise ExtractError(f"constructor {name} has no scalar translation")
     raise ExtractError(f"cannot translate {t!r}")
@@ -286,17 +270,17 @@ _BINOPS = {"_+_": "Plus", "_-_": "Minus", "_*_": "Times", "_/_": "Divide",
            "_≟_": "Eq", "_<?_": "Lt"}
 
 
-def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
+def _kompile_def(name: str, args, venv, state, env) -> KExpr:
     va = [a.value for a in args]
     if name in _BINOPS and len(va) == 2:
         return KBin(_BINOPS[name],
-                    kompile_term(va[0], venv, state, env, caller),
-                    kompile_term(va[1], venv, state, env, caller))
+                    kompile_term(va[0], venv, state, env),
+                    kompile_term(va[1], venv, state, env))
     if name == "_%_" and len(va) == 2:
         # a - (a / b) * b, each operand evaluated once; `/` aborts on zero
         lets, ops = [], []
         for x in va:
-            e = kompile_term(x, venv, state, env, caller)
+            e = kompile_term(x, venv, state, env)
             if not isinstance(e, (KVar, KNat)):
                 v = state.binder("mod", set(venv), fresh=True)
                 venv = venv + [v]  # the divisor is read in its scope
@@ -309,23 +293,14 @@ def _kompile_def(name: str, args, venv, state, env, caller) -> KExpr:
             out = KLet(v, e, out)
         return out
     if name == "div-helper" and len(va) == 4:
-        k, m, n, j = (kompile_term(x, venv, state, env, caller) for x in va)
+        k, m, n, j = (kompile_term(x, venv, state, env) for x in va)
         return KBin("Plus", k,
                     KBin("Divide", KBin("Minus", KBin("Plus", n, m), j),
                          KBin("Plus", KNat(1), m)))
-    if name == "fromN<":
-        # the Fin is encoded by the bound's left endpoint, the hidden head
-        return kompile_term(va[0], venv, state, env, caller)
-    if name == "toN":
-        return kompile_term(va[-1], venv, state, env, caller)
     if name not in env:
         raise ExtractError(f"unknown definition {name}")
-    if is_prop_type(pi_spine(env.lookup(name).signature)[1]):
-        return KNat(1)  # proofs erase to the unit witness
-    kargs = [kompile_term(x, venv, state, env, caller) for x in va]
+    kargs = [kompile_term(x, venv, state, env) for x in va]
     state.push(name)
-    if caller:
-        state.note_dep(caller, name)
     return KCall(state.target_name(name, kaleid_final_pass), tuple(kargs))
 
 
@@ -346,8 +321,7 @@ class KaleidBackend:
         asserts = kompile_ty(d.signature, state, env)
         if opts.no_assert:  # built anyway: they reject types the target lacks
             asserts = []
-        chain = kompile_cls(d.payload.clauses, list(params), RET, state, env,
-                            name)
+        chain = kompile_cls(d.payload.clauses, list(params), RET, state, env)
         hoisted: list[tuple[str, KExpr]] = []
         while isinstance(chain, KLet):  # single-branch assigns read better flat
             hoisted.append((chain.name, chain.bound))
@@ -457,44 +431,21 @@ _TOKEN = re.compile("|".join([r"[\w']+", *(re.escape(s) for s in _BINARY
 
 
 def parse_kaleid(text: str) -> list[KExpr]:
-    try:
-        return _KReader(text).program()
-    except RecursionError as err:
-        raise KParseError(f"program too deeply nested to read: {err}") from err
+    return _KReader(text).read()
 
 
-class _KReader:
-    """Recursive descent over the tokens of the text's non-blank lines,
-    each line's tokens led by its indentation as an int."""
+class _KReader(TokenReader):
+    """The tokens of the text's non-blank lines, each line's tokens led by
+    its indentation as an int."""
 
-    def __init__(self, text: str):
-        self.toks: list = []
+    error = KParseError
+
+    def tokens(self, text: str) -> list:
+        toks: list = []
         for line in text.splitlines():
             if line.strip():
-                self.toks += [len(line) - len(line.lstrip()),
-                              *_TOKEN.findall(line)]
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> str:
-        t = self.peek()
-        if not isinstance(t, str):
-            raise KParseError("unexpected end of line")
-        self.pos += 1
-        return t
-
-    def accept(self, t: str) -> bool:
-        if self.peek() == t:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, t: str) -> None:
-        got = self.take()
-        if got != t:
-            raise KParseError(f"expected {t!r}, found {got!r}")
+                toks += [len(line) - len(line.lstrip()), *_TOKEN.findall(line)]
+        return toks
 
     def name(self) -> str:
         t = self.take()
@@ -513,16 +464,6 @@ class _KReader:
         self.pos += 1
         return ind
 
-    def items(self, item) -> list:
-        """`item, ..., item)` after an opening parenthesis."""
-        out = []
-        if not self.accept(")"):
-            out.append(item())
-            while self.accept(","):
-                out.append(item())
-            self.expect(")")
-        return out
-
     def program(self) -> list[KExpr]:
         fns: list[KExpr] = []
         while self.pos < len(self.toks):
@@ -530,7 +471,7 @@ class _KReader:
             self.expect("def")
             name = self.name()
             self.expect("(")
-            params = tuple(self.items(self.name))
+            params = tuple(self.items(")", self.name))
             self.expect(":")
             fns.append(KFun(name, params, self.block(ind + 1)))
         return fns
@@ -557,7 +498,7 @@ class _KReader:
             cond = self.expr()
             self.expect(":")
             arms.append((cond, self.block(base + 1)))
-            if self.peek() != base or self.toks[self.pos + 1] != "else":
+            if self.peek() != base or self.peek(1) != "else":
                 raise KParseError("conditional lacks an else branch")
             self.pos += 2
             if not self.accept("if"):
@@ -596,7 +537,7 @@ class _KReader:
             return KNat(int(t))
         name = self.name()
         if self.accept("("):
-            return KCall(name, tuple(self.items(self.expr)))
+            return KCall(name, tuple(self.items(")", self.expr)))
         return KVar(name)
 
 

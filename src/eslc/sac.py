@@ -19,7 +19,7 @@ import numpy as np
 from . import ir
 from .builtins import is_prop_type
 from .extract import (SAC_KEYWORDS, ExtractError, ExtractOptions,
-                      ExtractState, sac_final_pass, suc_spine)
+                      ExtractState, TokenReader, sac_final_pass)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PCon, PVar, Term, Var, nat_view,
                  pi_spine)
@@ -38,7 +38,7 @@ class Inhomogeneous(ExtractError):
 @dataclass(frozen=True)
 class SacType:
     base: str  # "int" | "float"
-    attr: tuple  # ("static", dims) | ("rank", n) | ("plus",) | ("any",)
+    attr: tuple  # ("static", dims) | ("rank", n) | ("any",)
 
     def render(self) -> str:
         kind = self.attr[0]
@@ -50,32 +50,7 @@ class SacType:
         if kind == "rank":
             return f"{self.base}[{','.join('.' * 1 for _ in range(self.attr[1]))}]" \
                 if self.attr[1] else self.base
-        if kind == "plus":
-            return f"{self.base}[+]"
         return f"{self.base}[*]"
-
-
-def attr_le(a: tuple, b: tuple) -> bool:
-    """Decidable ordering on the precision ladder: static <= same-rank
-    dots <= [+] (rank >= 1) <= [*]."""
-    if a == b:
-        return True
-    ka, kb = a[0], b[0]
-    if kb == "any":
-        return True
-    if ka == "any":
-        return False
-    rank_a = len(a[1]) if ka == "static" else a[1] if ka == "rank" else None
-    if kb == "plus":
-        return rank_a is None or rank_a >= 1
-    if ka == "plus":
-        return False
-    rank_b = len(b[1]) if kb == "static" else b[1]
-    if rank_a != rank_b:
-        return False
-    if kb == "rank":
-        return True
-    return False  # static is the bottom of each rank
 
 
 @dataclass(frozen=True)
@@ -262,7 +237,7 @@ class SacBackend:
                          flatten_type(ret).result.render(), params,
                          [], [], [], None, [])
         # the function names its binders apart from all it has bound so far
-        cx = _Cx(state, env, name, self, {*pos_name.values(), RET})
+        cx = _Cx(state, env, self, {*pos_name.values(), RET})
         prop_pos = {j for j, (_, a) in enumerate(tel) if is_prop_type(a.value)}
         venv = self._clause_bindings(cl, pos_name, fn, cx, prop_pos)
         asserts = shape_assertions(d.signature, pos_name, cx)
@@ -344,17 +319,6 @@ class SacBackend:
                 if nm.startswith("#") and len(va) == 1:
                     return SMacroApp(nm[1:], self._term(va[0], venv, cx))
                 raise ExtractError("higher-order variable application")
-            case Con(("prf" | "yes"), _):
-                return SNum(1)
-            case Con("no", _):
-                return SNum(0)
-            case Con(("suc" | "fsuc"), _):
-                k, inner = suc_spine(t)
-                if inner is None:
-                    return SNum(k)
-                return SBin("+", SNum(k), self._term(inner, venv, cx))
-            case Con(("zero" | "fzero"), _):
-                return SNum(0)
             case Con(("vcons" | "icons" | "vnil" | "inil"), _):
                 items, closed = _term_spine(t)
                 if not closed:
@@ -388,10 +352,6 @@ class SacBackend:
             k, m, n, j = (self._term(x, venv, cx) for x in va)
             return SBin("+", k, SBin("/", SBin("-", SBin("+", n, m), j),
                                      SBin("+", SNum(1), m)))
-        if name == "fromN<":
-            return self._term(va[0], venv, cx)
-        if name == "toN":
-            return self._term(va[-1], venv, cx)
         if name == "sel":
             return self.kompile_sel(args, venv, cx)
         if name in ("vidx", "ixc"):
@@ -417,13 +377,10 @@ class SacBackend:
             return SCall("ravel", (self._term(va[-1], venv, cx),))
         if name not in cx.env:
             raise ExtractError(f"unknown definition {name}")
-        tel, ret = pi_spine(cx.env.lookup(name).signature)
-        if is_prop_type(ret):
-            return SNum(1)
+        tel, _ = pi_spine(cx.env.lookup(name).signature)
         kargs = [self._term(a.value, venv, cx) for (a, (_, dom)) in zip(args, tel)
                  if not is_prop_type(dom.value)]
         cx.state.push(name)
-        cx.state.note_dep(cx.caller, name)
         return SCall(cx.state.target_name(name, sac_final_pass), tuple(kargs))
 
     def _scale(self, args, venv, cx) -> SExp:
@@ -540,7 +497,6 @@ class SacBackend:
 class _Cx:
     state: ExtractState
     env: Env
-    caller: str
     backend: "SacBackend"
     scope: set[str]  # every name the function has bound so far
     hoisted: list = field(default_factory=list)
@@ -737,62 +693,29 @@ _TOKEN = re.compile(r"""\s* (?: //[^\n]* | /\*.*?\*/     # a comment
 
 def parse_sac(text: str) -> dict[str, ParsedFn]:
     """The functions of an emitted program, by name."""
-    try:
-        return _SacReader(text).program()
-    except RecursionError as err:
-        raise SacParseError(f"program too deeply nested to read: {err}") from err
+    return _SacReader(text).read()
 
 
-class _SacReader:
-    """Recursive descent over the tokens of a program; a `#define`
-    substitutes its body for each later use of the macro."""
+class _SacReader(TokenReader):
+    """The tokens of a program; a `#define` substitutes its body for each
+    later use of the macro."""
 
-    def __init__(self, text: str):
-        self.toks: list[str] = []
+    error = SacParseError
+
+    def tokens(self, text: str) -> list[str]:
+        toks = []
         for m in _TOKEN.finditer(text):
             if m.lastgroup == "bad":
                 raise SacParseError(f"stray {m.group()!r}")
             if m.lastgroup:
-                self.toks.append(m.group("tok"))
-        self.pos = 0
-        self.macros: dict[str, tuple[str, SExp]] = {}
-
-    def peek(self, k: int = 0):
-        return self.toks[self.pos + k] if self.pos + k < len(self.toks) else None
-
-    def take(self) -> str:
-        t = self.peek()
-        if t is None:
-            raise SacParseError("unexpected end of input")
-        self.pos += 1
-        return t
-
-    def accept(self, t: str) -> bool:
-        if self.peek() == t:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, t: str) -> None:
-        got = self.take()
-        if got != t:
-            raise SacParseError(f"expected {t!r}, found {got!r}")
+                toks.append(m.group("tok"))
+        return toks
 
     def name(self) -> str:
         t = self.take()
         if t in SAC_KEYWORDS or not (t[0].isalpha() or t[0] == "_"):
             raise SacParseError(f"expected a name, found {t!r}")
         return t
-
-    def items(self, close: str, item) -> list:
-        """`item, ..., item` up to the closing bracket."""
-        out = []
-        if not self.accept(close):
-            out.append(item())
-            while self.accept(","):
-                out.append(item())
-            self.expect(close)
-        return out
 
     def type_ann(self) -> None:
         self.take()
@@ -806,6 +729,7 @@ class _SacReader:
 
     def program(self) -> dict[str, ParsedFn]:
         fns: dict[str, ParsedFn] = {}
+        self.macros: dict[str, tuple[str, SExp]] = {}  # for the rest of the text
         while self.peek() is not None:
             self.type_ann()
             name = self.name()
@@ -1096,7 +1020,10 @@ class _SacEval:
             return int(np.prod(vals[0]))
         if f == "reshape":
             shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
-            return np.asarray(vals[1]).reshape(shp)
+            a = np.asarray(vals[1])
+            if a.size != math.prod(shp):
+                raise Abort("reshape changes the number of elements")
+            return a.reshape(shp)
         if f == "zero_float":
             shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
             return 0.0 if not shp else np.zeros(shp)

@@ -1,24 +1,26 @@
-"""Extraction driver: termination, determinism, base-list semantics, name
-normalization and the naming of binders."""
+"""Extraction driver: termination, determinism, call order, base-list
+semantics, erasure, name normalization and the naming of binders."""
 
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from eslc import corpus
 from eslc.builtins import mk_pi, seed_env
 from eslc.evaluate import call, varr
 from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, ExtractState,
                           kaleid_final_pass, kompile, normalise_name,
                           sac_final_pass)
 from eslc.harness import compare
-from eslc.ir import (Clause, Def, Definition, Function, Lit, PCon, PVar,
-                     Var, vis)
-from eslc.kaleid import KaleidBackend, interp_kaleid
+from eslc.ir import (Clause, Con, Def, Definition, Function, Lit, PCon, PVar,
+                     Var, hid, vis)
+from eslc.kaleid import KaleidBackend, KCall, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.parser import RESERVED
-from eslc.sac import SacBackend, interp_sac
+from eslc.sac import SacBackend, SCall, interp_sac, parse_sac
 
 
 def _nat():
@@ -63,6 +65,102 @@ def test_entry_comes_last_and_callees_first():
     e = load_sources([("t", src)], with_prelude=False)
     out = kompile("f", [], [], KaleidBackend(), e.env, e.rules, def_meta=e.def_meta)
     assert out.index("def g") < out.index("def f")
+
+
+def test_callees_of_signature_assertions_come_first():
+    # g's assertion `x_2 < h (x_1)` calls h, which nothing else calls
+    src = ("h : Nat -> Nat\nh 0 = 1\nh (suc n) = h n + 1\n"
+           "g : (n m : Nat) -> m < h n -> Nat\ng 0 m p = m\ng (suc n) m p = n\n"
+           "{-# TRUST main #-}\nmain : Nat -> Nat\nmain x = g x 0 prf\n")
+    e = load_sources([("t", src)], with_prelude=False)
+    out = kompile("main", [], [], KaleidBackend(), e.env, e.rules,
+                  def_meta=e.def_meta)
+    assert "assert (x_2 < h (x_1))" in out
+    assert out.index("def h") < out.index("def g") < out.index("def main")
+    for x in range(4):
+        assert interp_kaleid(out, "main", [x]) == call(e.env, "main", [x])
+
+
+def _calls(e, names: set) -> set:
+    """The names in `names` that a parsed target expression calls."""
+    found = set()
+
+    def walk(x):
+        if isinstance(x, (KCall, SCall)) and x.fn in names:
+            found.add(x.fn)
+        if isinstance(x, (tuple, list)):
+            for y in x:
+                walk(y)
+        elif hasattr(x, "__dataclass_fields__"):
+            for f in x.__dataclass_fields__:
+                walk(getattr(x, f))
+
+    walk(e)
+    return found
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_corpus_functions_follow_their_callees(name):
+    c = corpus.CORPUS[name]
+    e = load_sources(c.sources)
+    backend = KaleidBackend() if c.backend == "kaleid" else SacBackend()
+    text = kompile(c.entry, c.base, [], backend, e.env, e.rules,
+                   def_meta=e.def_meta)
+    if c.backend == "kaleid":
+        fns = [(f.name, f.body) for f in parse_kaleid(text)]
+    else:
+        fns = [(f.name, f.stmts) for f in parse_sac(text).values()]
+    names = [n for n, _ in fns]
+    for k, (fn, body) in enumerate(fns):
+        assert _calls(body, set(names) - {fn}) <= set(names[:k]), (name, fn)
+
+
+ERASED = ("g : (n : Nat) -> n < 2 + n -> Nat\ng n p = n * 2\n"
+          "lem : (n : Nat) -> n < 2 + n\nlem n = prf\n"
+          "k : Dec (1 < 2) -> Dec (3 < 2) -> Nat -> Nat\nk a b x = x + 1\n"
+          "w : (x : Nat) -> Fin (suc x) -> Nat\n"
+          "w x i = g (suc (suc x)) prf + g x (lem x) + toN (fromN< (lem x))"
+          " + k (1 <? 2) (3 <? 2) x + toN i\n")
+
+
+def test_erasure_reaches_both_backends():
+    # with g, lem and k kept as calls, w's body holds a proof, a
+    # proof-valued call, two decisions, fromN< and toN and an open suc
+    # spine, and its signature one more spine
+    e = load_sources([("t", ERASED)])
+    base = ["g", "lem", "k"]
+    kal, sac = (kompile("w", base, [], b, e.env, e.rules, def_meta=e.def_meta)
+                for b in (KaleidBackend(), SacBackend()))
+    assert "assert (x_2 < 1 + x_1)" in kal
+    assert "__ret = g (2 + x, 1) + g (x, 1) + x + k (1, 0, x) + i" in kal
+    assert "assert (x_2 < 1 $+ x_1);" in sac
+    assert "__ret = g (2 $+ x) $+ g (x) $+ x $+ k (1, 0, x) $+ i;" in sac
+    # the same program with g and k emitted runs as the source does
+    helpers = [kompile(f, [], [], b, e.env, e.rules, def_meta=e.def_meta)
+               for b in (KaleidBackend(), SacBackend()) for f in ("g", "k")]
+    for x, i in [(0, 0), (4, 2), (9, 9)]:
+        want = call(e.env, "w", [x, i])
+        assert interp_kaleid("\n".join(helpers[:2] + [kal]), "w", [x, i]) == want
+        assert interp_sac("\n".join(helpers[2:] + [sac]), "w", [x, i]) == want
+
+
+FSUC = ("g2 : Fin 3 -> Fin 4\ng2 i = fsuc i\n"
+        "g : Fin 3 -> Fin 4\ng = fsuc\n"
+        "w : (n : Nat) -> Fin n -> Fin (suc n)\nw n i = fsuc i\n")
+
+
+def test_applied_fsuc_extracts_and_agrees():
+    e = load_sources([("t", FSUC)])
+    body = e.env.lookup("g2").payload.clauses[0].body
+    assert body == Con("fsuc", (hid(Lit(3)), vis(Var(0))))
+    for f, inputs in [("g2", [[0], [2]]), ("g", [[0], [2]]),
+                      ("w", [[1, 0], [5, 2], [3, 2]])]:
+        for backend, run in [(KaleidBackend(), interp_kaleid),
+                             (SacBackend(), interp_sac)]:
+            text = kompile(f, [], [], backend, e.env, e.rules,
+                           def_meta=e.def_meta)
+            for args in inputs:
+                assert run(text, f, args) == call(e.env, f, args) == args[-1] + 1
 
 
 def test_base_names_are_neither_unfolded_nor_emitted():

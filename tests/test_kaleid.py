@@ -8,7 +8,7 @@ import pytest
 from eslc import corpus
 from eslc.builtins import mk_pi, seed_env
 from eslc.evaluate import call
-from eslc.extract import ExtractError, ExtractState, kompile
+from eslc.extract import ExtractError, ExtractState, erase, kompile
 from eslc.harness import run_corpus_diff, run_signature_diff
 from eslc.ir import Con, Def, Lit, PCon, PVar, Var, hid, vis
 from eslc.kaleid import (Aborted, Assrt, KaleidBackend, KBin, KCall, KFun,
@@ -110,10 +110,13 @@ def test_plus_translates_to_binop():
 
 
 def test_from_bound_takes_hidden_witness():
+    # the erasure step, not the backend, reads a Fin as its natural
     t = Def("fromN<", (hid(Def("_*_", (vis(Var(0)), vis(Var(0))))),
                        hid(Lit(5)), vis(Con("prf"))))
-    out = kompile_term(t, ["n"], _st(), ENV)
-    assert out == KBin("Times", KVar("n"), KVar("n"))
+    erased = erase(t, 1, ENV)
+    assert erased == Def("_*_", (vis(Var(0)), vis(Var(0))))
+    assert kompile_term(erased, ["n"], _st(), ENV) == \
+        KBin("Times", KVar("n"), KVar("n"))
 
 
 def test_div_helper_inline_formula():
@@ -150,7 +153,7 @@ def test_general_call_pushes_pending():
     env.add(Definition("helper", mk_pi([("x", _nat(), False)], _nat()),
                        Function([Clause((("x", vis(_nat())),), (vis(PVar(0)),),
                                         Var(0))])))
-    out = kompile_term(Def("helper", (vis(Lit(3)),)), [], st, env, caller="main")
+    out = kompile_term(Def("helper", (vis(Lit(3)),)), [], st, env)
     assert out == KCall("helper", (KNat(3),))
     assert list(st.pending) == ["helper"]
 
@@ -551,4 +554,4 @@ def test_empty_clause_list_is_an_error():
     from eslc.kaleid import kompile_cls
     with pytest.raises(ExtractError):
         kompile_cls([], [], "__ret", ExtractState(frozenset(), frozenset()),
-                    ENV, "t")
+                    ENV)

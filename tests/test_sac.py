@@ -16,7 +16,7 @@ from eslc.harness import compare, run_corpus_diff
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, SacParseError,
-                      SFlt, attr_le, flatten_type, interp_sac, parse_sac,
+                      SFlt, flatten_type, interp_sac, parse_sac,
                       render_expr)
 
 
@@ -55,18 +55,6 @@ def test_flatten_list_of_vectors_ok_and_nested_list_rejected():
     ll = Def("List", (vis(Def("List", (vis(Def("Nat")),))),))
     with pytest.raises(Inhomogeneous):
         flatten_type(ll)
-
-
-def test_attribute_ladder():
-    static = ("static", (2, 2))
-    rank = ("rank", 2)
-    assert attr_le(static, rank)
-    assert attr_le(rank, ("plus",))
-    assert attr_le(("plus",), ("any",))
-    assert attr_le(static, ("any",))
-    assert not attr_le(rank, static)
-    assert not attr_le(("rank", 1), ("rank", 2))
-    assert not attr_le(("any",), ("plus",))
 
 
 def test_static_vec_argument_keeps_strongest_attribute():
@@ -408,6 +396,19 @@ def test_expf_overflows_to_infinity():
     prog = "float f(float x) { return expf (x); }"
     assert interp_sac(prog, "f", [1000.0]) == float("inf")
     assert interp_sac(prog, "f", [0.0]) == 1.0
+
+
+def test_reshape_to_another_element_count_aborts():
+    src = ("{-# TRUST rs #-}\n"
+           "rs : (n : Nat) -> Ar Float 1 (n ∷ []) -> Ar Float 2 (2 ∷ 3 ∷ [])\n"
+           "rs n a = reshape (2 ∷ 3 ∷ []) a\n")
+    e = load_sources([("rs", src)])
+    text = kompile("rs", [], [], SacBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    assert interp_sac(text, "rs", [5, np.arange(5.0)]) == \
+        SacAborted("reshape changes the number of elements")
+    assert np.array_equal(interp_sac(text, "rs", [6, np.arange(6.0)]),
+                          np.arange(6.0).reshape(2, 3))
 
 
 @settings(deadline=None)
