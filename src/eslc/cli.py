@@ -1,7 +1,8 @@
 """Batch entry point: `eslc kompile` and `eslc diff`.
 
-Exit codes: 0 success, 1 user error (a bad command line, syntax, typing,
-extraction, unknown names), 2 internal invariant breach.
+Exit codes: 0 success, 1 user error (a bad command line, a file that cannot
+be read or written, syntax, typing, extraction, unknown names), 2 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -65,11 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _file_error(verb: str, path: str, ex: OSError | UnicodeDecodeError) -> EslError:
+    reason = ex.strerror if isinstance(ex, OSError) and ex.strerror else ex
+    return EslError(f"cannot {verb} {path}: {reason}")
+
+
 def _load(args):
     texts = []
     for path in args.inputs:
-        with open(path, encoding="utf-8") as f:
-            texts.append((path, f.read()))
+        try:
+            with open(path, encoding="utf-8") as f:
+                texts.append((path, f.read()))
+        except (OSError, UnicodeDecodeError) as ex:
+            raise _file_error("read", path, ex) from None
     return load_sources(texts, with_prelude=not args.no_prelude)
 
 
@@ -114,8 +123,11 @@ def cmd_kompile(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as ex:
+            raise _file_error("write", args.out, ex) from None
     return 0
 
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 from . import broadcast, ir, shapes
 from .builtins import PRIMS, is_prop_type, seed_env
-from .ir import (Abs, Arg, Clause, Con, Def, Definition, Env, EslError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Sort, Term,
-                 Unknown, Var, hid, map_args, nat_view, pi_spine, vis)
+from .ir import (Abs, Arg, Clause, Con, Datatype, Def, Definition, Env,
+                 EslError, Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar,
+                 Sort, Term, Unknown, Var, hid, map_args, nat_view, pi_spine,
+                 vis)
 from .normalize import (Hole, Meta, Normalizer, RewriteRule, RuleSet, VBind,
                         VLazy, VVar, _eval, _force)
 from .parser import (SApp, SClause, SExpr, SFixity, SFloat, SLam, SLamPat,
@@ -216,8 +217,12 @@ class Ctx:
         return len(self.entries)
 
     def lookup(self, name: str) -> int | None:
-        return next((i for i, e in enumerate(reversed(self.entries)) if e[0] == name),
-                    None)
+        entries = self.entries
+        top = len(entries) - 1
+        for i in range(top, -1, -1):
+            if entries[i][0] == name:
+                return top - i
+        return None
 
     def type_of(self, idx: int):
         return self.entries[len(self.entries) - 1 - idx][1]
@@ -255,18 +260,42 @@ class Elaborator:
         self.aliases: dict[str, str] = {}
         self._current: str | None = None
         self._metas: list[Meta] = []  # those of the term being elaborated
+        # how many of `_metas` are unsolved: a value mentions an unsolved
+        # meta only while this is above zero
+        self._open = 0
         self._nz = Normalizer(self.env)
+        # the type formers: a call of one is its own weak head normal form
+        self._formers = frozenset(n for n in self.env.names()
+                                  if isinstance(self.env.lookup(n).payload, Datatype))
+        # name -> the value of its closed signature; `Env` never rebinds a name
+        self._sigs: dict = {}
 
     def _whnf(self, v):
         """The weak head normal form of a value, with a fresh budget of
-        steps."""
+        steps.  A rigid head (a literal, a variable, or a call of a type
+        former) is its own weak head normal form, so it is answered
+        without entering the normalizer.  A cell goes to the normalizer
+        itself, so that it keeps the form it reduces to."""
+        w = _force(v)
+        cls = type(w)
+        if cls is Lit or cls is VVar or cls is Def and w.name in self._formers:
+            return w
         self._nz.fuel = WHNF_FUEL
         return self._nz.whnf(v)
 
     def _fresh(self, ctx: Ctx) -> Hole:
         m = Meta(f"?m{len(self._metas) + 1}@{len(ctx)}", len(ctx))
         self._metas.append(m)
+        self._open += 1
         return Hole(m.name, (), m)
+
+    def _signature(self, name: str):
+        """The value of the closed signature of the global `name`,
+        evaluated once."""
+        got = self._sigs.get(name)
+        if got is None:
+            got = self._sigs[name] = _eval(self.env.lookup(name).signature, ())
+        return got
 
     def _show_v(self, v, ctx: Ctx) -> str:
         return ir.print_term(_quote(v, len(ctx)))
@@ -346,13 +375,13 @@ class Elaborator:
             case SName("Set"):
                 return Sort()
             case _:
-                self._metas = []
+                self._metas, self._open = [], 0
                 return self._finish(s, self._infer(s, ctx)[0], ctx)
 
     # -- expressions ------------------------------------------------------------
 
     def check(self, s: SExpr, ty, ctx: Ctx) -> Term:
-        self._metas = []
+        self._metas, self._open = [], 0
         return self._finish(s, self._check(s, ty, ctx), ctx)
 
     def _finish(self, s: SExpr, t: Term, ctx: Ctx) -> Term:
@@ -403,10 +432,10 @@ class Elaborator:
             if name == "zero":
                 return Lit(0), NAT
             if name in ("suc", "fsuc"):
-                return Con(name), _eval(self.env.lookup(name).signature, ())
+                return Con(name), self._signature(name)
             return Con(name), None
         if name in self.env:
-            return Def(name), _eval(self.env.lookup(name).signature, ())
+            return Def(name), self._signature(name)
         raise ScopeError(f"line {line}: unknown name {name}")
 
     def _check(self, s: SExpr, ty, ctx: Ctx) -> Term:
@@ -465,6 +494,13 @@ class Elaborator:
                 t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty) \
                     if isinstance(s, SApp) else self._infer(s, ctx)
                 if ity is not None:
+                    ity = _force(ity)
+                    if _is_pi(ity) and ity.hidden and (
+                            type(whty) in (Def, VVar) or _is_pi(whty) and not whty.hidden):
+                        # a type that starts with hidden binders against a
+                        # rigid one that does not: the hidden arguments are
+                        # inferred, as at an application (`lg = logistic`)
+                        t, ity, _ = self._apply_spine(t, ity, [], ctx, _show(s))
                     self._unify(ity, whty, ctx)
                 elif is_prop_type(whty):
                     self._discharge(whty, ctx)
@@ -605,7 +641,7 @@ class Elaborator:
                 rest = unfolded
             dz = _force(rest.dom)
             if rest.hidden and not (queue and queue[0][1]):
-                if is_prop_type(dz) and not _unsolved(dz):
+                if is_prop_type(dz) and not (self._open and _unsolved(dz)):
                     self._discharge(dz, ctx)
                     v = Con("prf")
                 else:
@@ -617,7 +653,7 @@ class Elaborator:
                 sarg, _ = queue.pop(0)
                 if isinstance(sarg, (SLam, SLamPat)) or _is_container_literal(sarg):
                     val = self._check(sarg, dz, ctx)
-                elif _unsolved(dz):
+                elif self._open and _unsolved(dz):
                     val, aty = self._infer(sarg, ctx)
                     if aty is not None:
                         self._unify(dz, aty, ctx)
@@ -666,7 +702,10 @@ class Elaborator:
             if _same(a, b, len(ctx)):
                 return True
             if step == 0:
-                a, b = self._whnf(a), self._whnf(b)
+                wa, wb = self._whnf(a), self._whnf(b)
+                if wa is a and wb is b:
+                    break
+                a, b = wa, wb
         na, nb = nat_view(a), nat_view(b)
         if na is not None and nb is not None:
             return na == nb
@@ -708,6 +747,7 @@ class Elaborator:
         if _mentions(v, lambda x: type(x) is VVar and x.level >= depth):
             return False
         m.meta.solution = v
+        self._open -= 1
         return True
 
     # -- obligations ---------------------------------------------------------------

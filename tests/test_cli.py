@@ -147,6 +147,54 @@ def test_point_free_definitions_agree_three_ways(tmp_path, capsys):
         assert call(e.env, "pl", [n, 2]) == interp_sac(pl, "pl", [n, 2]) == n + 2
 
 
+BARE_NAMES = """lg : {d : Nat} -> {s : Vec Nat d} -> Ar Float d s -> Ar Float d s
+lg = logistic
+
+rd : {X : Set} -> {n : Nat} -> (X -> X -> X) -> X -> Ar X 1 (n ∷ []) -> X
+rd = reduce
+
+sum1 : {n : Nat} -> Ar Float 1 (n ∷ []) -> Float
+sum1 a = rd _+f_ 0.0 a
+
+sum2 : {n : Nat} -> Ar Float 1 (n ∷ []) -> Float
+sum2 a = reduce _+f_ 0.0 a
+"""
+
+
+def test_a_bare_name_takes_its_hidden_arguments():
+    # `lg = logistic` is `lg {d} {s} x = logistic {d} {s} x`: the hidden
+    # arguments of a bare name are inferred against a type without them
+    import random
+    from eslc.corpus import _s_logistic, oracle_logistic
+    from eslc.evaluate import call
+    from eslc.extract import kompile
+    from eslc.ir import Def, Var, hid, vis
+    from eslc.sac import SacBackend, interp_sac
+    e = load_sources([("bare.esl", BARE_NAMES)])
+    (cl,) = e.env.lookup("lg").payload.clauses
+    assert cl.body == Def("logistic", (hid(Var(2)), hid(Var(1)), vis(Var(0))))
+    (cl,) = e.env.lookup("rd").payload.clauses
+    assert cl.body == Def("reduce", tuple(
+        (hid if k < 2 else vis)(Var(4 - k)) for k in range(5)))
+    lg = kompile("lg", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    sums = [kompile(f, [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+            for f in ("sum1", "sum2")]
+    rng = random.Random(5)
+    for _ in range(5):
+        (d, s, ev), (_, ts, tv) = _s_logistic(rng)
+        want = oracle_logistic(tv)
+        for got in (call(e.env, "lg", [d, s, ev]), interp_sac(lg, "lg", [d, ts, tv]),
+                    call(e.env, "logistic", [d, s, ev])):
+            assert harness.compare(got, want, "rel") <= 1e-9
+        # the evaluator folds from the right and SaC from the left
+        n = tv.size
+        ev1, tv1 = ("arr", (n,), list(tv.flat)), tv.reshape(n)
+        s1, s2 = (call(e.env, f, [n, ev1]) for f in ("sum1", "sum2"))
+        t1, t2 = (interp_sac(text, f, [n, tv1]) for text, f in zip(sums, ("sum1", "sum2")))
+        assert s1 == s2 and t1 == t2 and harness.compare(s1, t1, "rel") <= 1e-9
+    assert sums[0] == sums[1].replace("sum2", "sum1")
+
+
 def test_a_bare_nil_or_fzero_owes_its_indices(tmp_path, capsys):
     bad = [("v", "v : Vec Nat 2\nv = vnil\n", "shorter than its type"),
            ("g", "g : (n : Nat) -> Fin n\ng n = fzero\n",
@@ -247,6 +295,26 @@ def test_a_refused_diff_writes_nothing_to_stdout(tmp_path, capsys):
         assert main(["diff", *argv]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and why in err, argv
+
+
+def test_a_file_that_cannot_be_read_or_written_is_a_user_error(tmp_path, capsys):
+    # exit code 2 is kept for internal errors
+    bad = tmp_path / "bad.esl"
+    bad.write_bytes(b"\xff\xfe")
+    missing = tmp_path / "missing.esl"
+    src = _write(tmp_path, "ack.esl", corpus.ACK)
+    out = tmp_path / "nonexistent" / "x.k"
+    entry = ["--entry", "ack", "--backend", "kaleid"]
+    cases = [([str(missing)], f"cannot read {missing}: No such file or directory"),
+             ([str(tmp_path)], f"cannot read {tmp_path}: Is a directory"),
+             ([str(bad)], f"cannot read {bad}: 'utf-8' codec can't decode")]
+    cases = [(cmd, argv, why) for argv, why in cases for cmd in ("kompile", "diff")]
+    cases.append(("kompile", [src, "--out", str(out)],
+                  f"cannot write {out}: No such file or directory"))
+    for cmd, argv, why in cases:
+        assert main([cmd, *argv, *entry]) == 1, argv
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"eslc: {why}"), err
 
 
 def test_trials_flag_rejects_broken_rules(tmp_path, capsys):

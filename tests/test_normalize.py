@@ -371,3 +371,39 @@ def test_no_step_spends_more_fuel_than_its_ledger(monkeypatch):
     assert {n: k for n, k in extracted.items() if k > EXTRACTION_FUEL[n]} == {}
     assert {n: k for n, k in elaborated.items()
             if k > ELABORATION_FUEL.get(n, 0)} == {}
+
+
+# the work elaboration does for each prelude module and each corpus entry
+# with sources of its own: (calls of Normalizer.whnf, walks of a value for
+# an unsolved meta).  A weak head step asked of a rigid head, or a walk made
+# while no meta is open, raises these.
+ELABORATION_WORK = {"base.esl": (0, 0), "apl.esl": (29, 15), "cnn.esl": (20, 8),
+                    "log2": (0, 0), "ack": (0, 0), "ex7": (0, 5), "fib": (0, 0),
+                    "fuse2": (6, 1), "rotate": (4, 4)}
+
+
+def test_elaboration_does_the_work_in_its_ledger(monkeypatch):
+    from eslc import corpus, elaborate, loader
+    work = [0, 0]
+    whnf, unsolved = Normalizer.whnf, elaborate._unsolved
+
+    def counted(k, fn):
+        def call(*args):
+            work[k] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(Normalizer, "whnf", counted(0, whnf))
+    monkeypatch.setattr(elaborate, "_unsolved", counted(1, unsolved))
+    loader.load_prelude()
+    done = {}
+    elab = elaborate.Elaborator()
+    for name in loader.PRELUDE_MODULES:
+        work[:] = 0, 0
+        elab.load_source(loader.prelude_text(name), name)
+        done[name] = tuple(work)
+    for name, entry in corpus.CORPUS.items():
+        if entry.sources:
+            work[:] = 0, 0
+            loader.load_sources(entry.sources)
+            done[name] = tuple(work)
+    assert done == ELABORATION_WORK
