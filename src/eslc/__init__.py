@@ -3,16 +3,3 @@ language, with extraction to a scalar Kaleidoscope target and a SaC-style
 array target, plus reference interpreters for both."""
 
 __version__ = "0.1.0"
-
-from .elaborate import Elaborator
-from .extract import ExtractOptions, kompile
-from .kaleid import KaleidBackend, interp_kaleid
-from .loader import load_prelude, load_sources
-from .normalize import ReductionPolicy, RewriteRule, RuleSet, normalise
-from .sac import SacBackend, interp_sac
-
-__all__ = [
-    "Elaborator", "ExtractOptions", "KaleidBackend", "ReductionPolicy",
-    "RewriteRule", "RuleSet", "SacBackend", "interp_kaleid", "interp_sac",
-    "kompile", "load_prelude", "load_sources", "normalise",
-]

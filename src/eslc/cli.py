@@ -10,13 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus as corpus_mod
 from .extract import ExtractOptions, kompile
-from .harness import DiffRow, run_corpus_diff, run_signature_diff
 from .ir import EXHAUSTED, EslError, Function, print_term
-from .kaleid import KaleidBackend
 from .loader import load_sources
-from .sac import SacBackend
 
 
 def _integer(least: int):
@@ -111,7 +107,11 @@ def cmd_kompile(args) -> int:
         return 1
     opts = ExtractOptions(fuel=args.fuel, faithful_lets=args.faithful_lets,
                           no_assert=args.no_assert)
-    backend = KaleidBackend() if args.backend == "kaleid" else SacBackend()
+    if args.backend == "kaleid":
+        from .kaleid import KaleidBackend as Backend
+    else:
+        from .sac import SacBackend as Backend
+    backend = Backend()
     if args.dump_ir:
         d = elab.env.lookup(args.entry)
         if isinstance(d.payload, Function):
@@ -132,6 +132,8 @@ def cmd_kompile(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from . import corpus as corpus_mod
+    from .harness import DiffRow, run_corpus_diff, run_signature_diff
     opts = ExtractOptions(fuel=args.fuel, faithful_lets=args.faithful_lets)
     if not args.inputs and args.entry in corpus_mod.CORPUS:
         entry = corpus_mod.CORPUS[args.entry]

@@ -313,7 +313,11 @@ class Elaborator:
             if isinstance(decl, SSignature):
                 if decl.name in sigs or decl.name in self.env:
                     raise EslError(f"duplicate signature for {decl.name}")
-                ty = sigs[decl.name] = self.elab_type(decl.type, Ctx())
+                try:
+                    ty = sigs[decl.name] = self.elab_type(decl.type, Ctx())
+                except UnsupportedType as ex:
+                    raise UnsupportedType(
+                        f"line {decl.line}: signature of {decl.name}: {ex}") from None
                 meta = DefMeta(_policy_reason(ty))
                 if meta.unsupported == "no strings in the target language":
                     raise UnsupportedType(f"{decl.name}: {meta.unsupported}")
@@ -376,7 +380,11 @@ class Elaborator:
                 return Sort()
             case _:
                 self._metas, self._open = [], 0
-                return self._finish(s, self._infer(s, ctx)[0], ctx)
+                t, ty = self._infer(s, ctx)
+                # `Sort` is no rigid head to `_whnf`, which would ask the normalizer
+                if type(_force(ty)) is not Sort and type(self._whnf(ty)) is not Sort:
+                    raise UnsupportedType(f"{_show(s)} is not a type")
+                return self._finish(s, t, ctx)
 
     # -- expressions ------------------------------------------------------------
 

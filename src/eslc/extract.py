@@ -175,6 +175,8 @@ def kompile(entry: str, base, skip, backend, env: Env,
     d = env.lookup(entry)
     if not isinstance(d.payload, Function):
         raise ExtractError(f"{entry} is not a function")
+    if entry in state.base or entry in state.skip:
+        raise ExtractError(f"the entry {entry} is in the base or skip list")
     # the entry claims its target name first so helpers yield on collision
     state.target_name(entry, backend.final_pass)
     policy = dont_reduce(state.base, fuel=opts.fuel,

@@ -3,6 +3,7 @@ README's examples."""
 
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,6 +66,32 @@ def test_sac_kompile_from_prelude(tmp_path, capsys):
     assert main(["kompile", "--entry", "avgpool", "--backend", "sac"]) == 0
     out = capsys.readouterr().out
     assert "#define p(__x)" in out
+
+
+def _loaded(code: str) -> set[str]:
+    """The numpy and eslc modules that a fresh interpreter holds after it
+    runs `code`."""
+    src = str(Path(main.__code__.co_filename).parents[1])
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n{code}\n"
+              "print(*(m for m in sys.modules if m == 'numpy' or m.startswith('eslc')))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    assert not _loaded("import eslc.cli") & {
+        "eslc.sac", "eslc.kaleid", "eslc.pycode", "eslc.evaluate",
+        "eslc.harness", "eslc.corpus", "numpy"}
+    log2 = str(ROOT / "examples/esl/log2.esl")
+    for argv, unused in [
+            ([log2, "--entry", "log2", "--backend", "kaleid", "--base", "n<1+n,_<_"],
+             {"numpy", "eslc.sac", "eslc.harness", "eslc.corpus", "eslc.evaluate"}),
+            (["--entry", "avgpool", "--backend", "sac"],
+             {"eslc.kaleid", "eslc.harness", "eslc.corpus", "eslc.evaluate"})]:
+        argv = ["kompile", *argv, "--out", str(tmp_path / "out")]
+        loaded = _loaded(f"from eslc.cli import main\nassert main({argv!r}) == 0")
+        assert "eslc.extract" in loaded and not loaded & unused, argv
 
 
 def test_diff_reports_tsv_and_is_seed_deterministic(tmp_path, capsys):
@@ -295,6 +322,35 @@ def test_a_refused_diff_writes_nothing_to_stdout(tmp_path, capsys):
         assert main(["diff", *argv]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and why in err, argv
+
+
+def test_a_signature_must_be_a_type(tmp_path, capsys):
+    # each was accepted as a signature; the first crashed on both backends
+    for entry, text, why in [
+            ("f", "f : Ar Float 1\nf = imap (\\iv -> 1.0)\n",
+             "line 1: signature of f: (Ar Float 1) is not a type"),
+            ("g", "g : Vec Nat -> Nat\ng x = 0\n",
+             "line 1: signature of g: (Vec Nat) is not a type"),
+            ("h", "\nh : Nat -> 3\nh x = 0\n",
+             "line 2: signature of h: 3 is not a type")]:
+        src = _write(tmp_path, "sig.esl", text)
+        for backend in ("kaleid", "sac"):
+            assert main(["kompile", src, "--entry", entry,
+                         "--backend", backend]) == 1
+            assert capsys.readouterr().err == f"eslc: {why}\n"
+
+
+def test_an_entry_in_its_own_base_or_skip_list_is_a_user_error(capsys):
+    why = "eslc: the entry {} is in the base or skip list\n"
+    for flag in ("--base", "--skip"):
+        assert main(["kompile", "--entry", "avgpool", "--backend", "sac",
+                     flag, "avgpool"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == why.format("avgpool")
+    assert main(["diff", str(ROOT / "examples/esl/log2.esl"), "--entry", "log2",
+                 "--backend", "kaleid", "--base", "log2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == why.format("log2")
 
 
 def test_a_file_that_cannot_be_read_or_written_is_a_user_error(tmp_path, capsys):
