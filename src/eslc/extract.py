@@ -5,10 +5,12 @@ erases its logical content (`erase`), hands each function to the backend,
 and drains the queue of callees that the backend registered while
 translating bodies.  Every function is emitted exactly once; output is
 ordered dependencies-first with the entry last, over the call graph that
-`ExtractState.push` records.  Name normalization turns unicode definition
-names into target identifiers deterministically, `ExtractState.binder` is
-the one rule by which both backends name what they bind, and
-`TokenReader` is the recursive-descent base of both target readers.
+`ExtractState.push` records.  `checks` is the runtime-check plan of a
+signature, which each backend renders in its own terms.  Name
+normalization turns unicode definition names into target identifiers
+deterministically, `ExtractState.binder` is the one rule by which both
+backends name what they bind, and `TokenReader` is the recursive-descent
+base of both target readers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .builtins import is_prop_type
 from .ir import (Arg, Clause, Con, Def, Definition, Env, EslError, Function,
-                 Lit, Term, map_subterms, pi_spine)
+                 Lit, Term, map_subterms, pi_spine, print_term)
 from .normalize import Normalizer, RuleSet, dont_reduce, normalise_clause
 
 
@@ -164,6 +166,67 @@ def erase(t: Term, depth: int, env: Env) -> Term:
     return map_subterms(t, erase, depth, env)
 
 
+RET = "__ret"  # the target name of a function's result
+
+
+def subjects(sig: Term) -> list[tuple[str, Term]]:
+    """The target name and type of each parameter of a signature, then of
+    its result: `x_1`, `x_2`, ... and `__ret` in every backend."""
+    tel, ret = pi_spine(sig)
+    return [(f"x_{j + 1}", a.value) for j, (_, a) in enumerate(tel)] + [(RET, ret)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One runtime check that a signature implies.  The subject is
+    parameter `subject`, or the result when `subject` is the number of
+    parameters; both sides are core terms over the parameters before it.
+    `origin` is the signature fact the check comes from.  The relation is
+    `lhs < rhs` or `lhs == rhs`, where a missing `lhs` is the subject;
+    `extent`: the length of the subject's axis 0 is `rhs`; `take`:
+    `take (lhs, shape subject) == rhs`.  A `decision` subject is a C
+    boolean that agrees with the relation."""
+    index: int
+    subject: int
+    origin: Term
+    relation: str  # "<" | "==" | "extent" | "take"
+    lhs: Term | None
+    rhs: Term
+    decision: bool = False
+
+
+def checks(sig: Term) -> list[Check]:
+    """The runtime-check plan of a normalized, erased signature: one check
+    per parameter or result whose type states a fact, in order.  `Nat`,
+    `Float` and `List` state none; a type whose fact has no check is
+    refused, so that no fact is dropped silently."""
+    out: list[Check] = []
+    for j, (name, ty) in enumerate(subjects(sig)):
+        if not (type(ty) is Def and ty.name in ("Nat", "Float", "List")):
+            out.append(Check(len(out), j, ty, *_relation(ty, name)))
+    return out
+
+
+def _relation(ty: Term, name: str) -> tuple:
+    match ty:
+        case Def("Fin", (Arg(e, _),)):
+            return "<", None, e
+        case Def("_<_", (Arg(a, _), Arg(b, _))):
+            return "<", a, b
+        case Def("_≡_", args):
+            a, b = (x.value for x in args if not x.hidden)
+            return "==", a, b
+        case Def("Vec", (_, Arg(n, _))):
+            return "extent", None, n
+        case Def("Ar", (_, Arg(d, _), Arg(s, _))):
+            return "take", d, s
+        case Def("Dec", (Arg(p, _),)) if is_prop_type(p):
+            return *_relation(p, name), True  # the decision agrees with p
+        case Def("Dec", _):
+            raise ExtractError(f"undecidable Dec payload at {name}")
+    raise ExtractError(f"unsupported type at {name}: {print_term(ty)}")
+
+
 def kompile(entry: str, base, skip, backend, env: Env,
             rules: RuleSet | None = None,
             opts: ExtractOptions | None = None,
@@ -196,6 +259,7 @@ def kompile(entry: str, base, skip, backend, env: Env,
             raise ExtractError(
                 f"{name}: unsupported type: {def_meta[name].unsupported}")
         nsig = erase(Normalizer(env, policy, rules).norm(dn.signature, 0), 0, env)
+        plan = checks(nsig)  # refuses what it cannot check, even unrendered
         nclauses = []
         for c in dn.payload.clauses:
             c = normalise_clause(c, env, policy, rules)
@@ -203,8 +267,9 @@ def kompile(entry: str, base, skip, backend, env: Env,
             nclauses.append(Clause(c.telescope, c.patterns, body))
         state.current = name
         emitted[name] = backend.kompile_fun(
-            name, Definition(name, nsig, Function(nclauses)), state, env, opts)
-    return backend.assemble(_ordered(emitted, entry, state), state, opts)
+            name, Definition(name, nsig, Function(nclauses)),
+            [] if opts.no_assert else plan, state, env)
+    return backend.assemble(_ordered(emitted, entry, state))
 
 
 class TokenReader:

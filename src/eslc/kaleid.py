@@ -1,9 +1,10 @@
 """Kaleidoscope backend: a scalar first-order target over naturals.
 
-Dependent types in signatures become runtime assertions; pattern-matching
-definitions become nested conditional chains; the reference interpreter
-stages the emitted text (or its AST) into Python functions and runs them
-with C-style booleans, truncating subtraction and an abort-on-zero assert.
+The checks a signature implies (`extract.checks`) become runtime
+assertions; pattern-matching definitions become nested conditional chains;
+the reference interpreter stages the emitted text (or its AST) into Python
+functions and runs them with C-style booleans, truncating subtraction and
+an abort-on-zero assert.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 
 from . import ir
 from . import pycode as py
-from .extract import (KALEID_KEYWORDS, ExtractError, ExtractOptions,
-                      ExtractState, TokenReader, kaleid_final_pass)
+from .extract import (KALEID_KEYWORDS, RET, Check, ExtractError, ExtractState,
+                      TokenReader, kaleid_final_pass, subjects)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown,
-                 Var, pi_spine)
+                 Var)
 
 OPS = ("Plus", "Minus", "Times", "Divide", "Eq", "Neq", "And", "Gt", "Lt")
 _OP_TEXT = {"Plus": "+", "Minus": "-", "Times": "*", "Divide": "/",
@@ -87,20 +88,11 @@ class KIf(KExpr):
     other: KExpr
 
 
-@dataclass(frozen=True)
-class Assrt:
-    v: str
-    a: KExpr
-
-
 @dataclass
 class PatSt:
     conds: list[KExpr]
     assigns: list[tuple[str, KExpr]]
     scope: set[str] = field(default_factory=set)  # the clause's names
-
-
-RET = "__ret"
 
 
 class UnsupportedPattern(ExtractError):
@@ -112,47 +104,30 @@ class HigherOrderValue(ExtractError):
 
 
 # --------------------------------------------------------------------------
-# type -> assertions
+# the check plan -> assertions
 
 
-def kompile_ty(sig: Term, state: ExtractState, env: Env) -> list[Assrt]:
-    """Argument and return-value assertions from a normalized signature;
-    each reads the parameters before it, and every parameter and the
-    result are in scope."""
-    tel, ret = pi_spine(sig)
-    params = [f"x_{j + 1}" for j in range(len(tel))]
-    subjects = params + [RET]
-    out: list[Assrt] = []
-    for j, ty in enumerate([arg.value for _, arg in tel] + [ret]):
-        venv = [*reversed(params[:j]), *subjects[j:]]
-        a = _ty_assert(ty, subjects[j], venv, state, env)
-        if a is not None:
-            out.append(a)
-    return out
+def refuse_types(subj: list[tuple[str, Term]]) -> None:
+    """This target has naturals only: no floats, vectors, arrays or lists."""
+    for name, ty in subj:
+        match ty:
+            case Def("Float", ()):
+                raise ExtractError("this target has no floats, only naturals")
+            case Def(("Vec" | "Ar" | "List"), _):
+                raise ExtractError(f"unsupported type at {name}: {ir.print_term(ty)}")
 
 
-def _ty_assert(ty: Term, vname: str, venv: list[str], state, env) -> Assrt | None:
-    match ty:
-        case Def("Nat", ()):
-            return None
-        case Def("Fin", (Arg(e, _),)):
-            return Assrt(vname, KBin("Lt", KVar(vname),
-                                     kompile_term(e, venv, state, env)))
-        case Def("_<_", (Arg(a, _), Arg(b, _))):
-            return Assrt(vname, KBin("Lt", kompile_term(a, venv, state, env),
-                                     kompile_term(b, venv, state, env)))
-        case Def("_≡_", args):
-            va = [x.value for x in args if not x.hidden]
-            return Assrt(vname, KBin("Eq", kompile_term(va[0], venv, state, env),
-                                     kompile_term(va[1], venv, state, env)))
-        case Def("Dec", (Arg(p, _),)):
-            inner = _ty_assert(p, vname, venv, state, env)
-            if inner is None:
-                raise ExtractError(f"undecidable Dec payload at {vname}")
-            return Assrt(vname, KBin("Eq", KVar(vname), inner.a))
-        case Def("Float", ()):
-            raise ExtractError("this target has no floats, only naturals")
-    raise ExtractError(f"unsupported type at {vname}: {ir.print_term(ty)}")
+def kompile_check(c: Check, names: list[str], state: ExtractState,
+                  env: Env) -> KExpr:
+    """A `<` or `==` check as a Kaleidoscope condition.  Its sides read the
+    parameters before its subject, and a let in them is named apart from
+    every parameter and the result."""
+    venv = [*reversed(names[:c.subject]), *names[c.subject:]]
+    subj = KVar(names[c.subject])
+    lhs = subj if c.lhs is None else kompile_term(c.lhs, venv, state, env)
+    rel = KBin("Lt" if c.relation == "<" else "Eq", lhs,
+               kompile_term(c.rhs, venv, state, env))
+    return KBin("Eq", subj, rel) if c.decision else rel
 
 
 # --------------------------------------------------------------------------
@@ -313,32 +288,28 @@ class KaleidBackend:
     keywords = KALEID_KEYWORDS
     builtins = frozenset()  # the text calls only its own functions
 
-    def kompile_fun(self, name: str, d: Definition, state: ExtractState,
-                    env: Env, opts: ExtractOptions) -> str:
+    def kompile_fun(self, name: str, d: Definition, plan: list[Check],
+                    state: ExtractState, env: Env) -> str:
         assert isinstance(d.payload, Function)
-        tel, _ = pi_spine(d.signature)
-        params = tuple(f"x_{j + 1}" for j in range(len(tel)))
-        asserts = kompile_ty(d.signature, state, env)
-        if opts.no_assert:  # built anyway: they reject types the target lacks
-            asserts = []
+        subj = subjects(d.signature)
+        refuse_types(subj)
+        names = [n for n, _ in subj]
+        params = tuple(names[:-1])
+        asserts = [(f"{names[c.subject]}_assrt",
+                    KAssert(kompile_check(c, names, state, env))) for c in plan]
+        k = sum(c.subject < len(params) for c in plan)  # the result's come last
         chain = kompile_cls(d.payload.clauses, list(params), RET, state, env)
-        hoisted: list[tuple[str, KExpr]] = []
+        lets = asserts[:k]
         while isinstance(chain, KLet):  # single-branch assigns read better flat
-            hoisted.append((chain.name, chain.bound))
+            lets.append((chain.name, chain.bound))
             chain = chain.body
         body: KExpr = KVar(RET)
-        for a in reversed([a for a in asserts if a.v == RET]):
-            body = KLet(f"{RET}_assrt", KAssert(a.a), body)
-        body = KLet(RET, chain, body)
-        for n2, b2 in reversed(hoisted):
+        for n2, b2 in reversed(lets + [(RET, chain)] + asserts[k:]):
             body = KLet(n2, b2, body)
-        for a in reversed([a for a in asserts if a.v != RET]):
-            body = KLet(f"{a.v}_assrt", KAssert(a.a), body)
         return print_kaleid([KFun(state.target_name(name, kaleid_final_pass),
                                   params, body)])
 
-    def assemble(self, fns: list[str], state: ExtractState,
-                 opts: ExtractOptions) -> str:
+    def assemble(self, fns: list[str]) -> str:
         return "\n".join(fns)
 
 

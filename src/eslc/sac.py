@@ -3,8 +3,8 @@ interpreter for the emitted subset.
 
 imap-headed bodies become genarray with-loops, applications of the
 reduction combinator become fold with-loops, nested array types flatten
-into multi-dimensional ones, and every shape relation in a signature
-turns into an assert over shape/take/cons expressions.
+into multi-dimensional ones, and every check a signature implies
+(`extract.checks`) becomes an assert over shape/take/cons expressions.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import numpy as np
 
 from . import ir
 from .builtins import is_prop_type
-from .extract import (SAC_KEYWORDS, ExtractError, ExtractOptions,
-                      ExtractState, TokenReader, sac_final_pass)
+from .extract import (RET, SAC_KEYWORDS, Check, ExtractError, ExtractState,
+                      TokenReader, sac_final_pass, subjects)
 from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
                  Function, Lam, Let, Lit, PCon, PVar, Term, Var, nat_view,
                  pi_spine)
-
-RET = "__ret"
 
 
 class Inhomogeneous(ExtractError):
@@ -219,30 +217,28 @@ class SacBackend:
         self.need_sel = False
         self.need_ravel = False
 
-    def kompile_fun(self, name: str, d: Definition, state: ExtractState,
-                    env: Env, opts: ExtractOptions) -> str:
+    def kompile_fun(self, name: str, d: Definition, plan: list[Check],
+                    state: ExtractState, env: Env) -> str:
         assert isinstance(d.payload, Function)
         if len(d.payload.clauses) != 1:
             raise ExtractError(
                 f"{name}: this target compiles single-clause functions only")
         cl = d.payload.clauses[0]
-        tel, ret = pi_spine(d.signature)
-        params, pos_name = [], {}
-        for j, (_, a) in enumerate(tel):
-            pos_name[j] = f"x_{j + 1}"
-            if is_prop_type(a.value):
-                continue  # proofs carry no runtime data; asserts keep the fact
-            params.append((flatten_type(a.value).result.render(), f"x_{j + 1}"))
+        subj = subjects(d.signature)
+        names = [n for n, _ in subj]
+        # proofs carry no runtime data; the checks keep their facts
+        prop_pos = {j for j, (_, ty) in enumerate(subj[:-1]) if is_prop_type(ty)}
+        params = [(flatten_type(ty).result.render(), n)
+                  for j, (n, ty) in enumerate(subj[:-1]) if j not in prop_pos]
         fn = SacFunction(state.target_name(name, sac_final_pass),
-                         flatten_type(ret).result.render(), params,
+                         flatten_type(subj[-1][1]).result.render(), params,
                          [], [], [], None, [])
         # the function names its binders apart from all it has bound so far
-        cx = _Cx(state, env, self, {*pos_name.values(), RET})
-        prop_pos = {j for j, (_, a) in enumerate(tel) if is_prop_type(a.value)}
-        venv = self._clause_bindings(cl, pos_name, fn, cx, prop_pos)
-        asserts = shape_assertions(d.signature, pos_name, cx)
-        if not opts.no_assert:  # built anyway: what they bind is in scope
-            fn.arg_asserts, fn.ret_asserts = asserts
+        cx = _Cx(state, env, set(names))
+        venv = self._clause_bindings(cl, names, fn, cx, prop_pos)
+        for c in plan:  # List is left unchecked: the plan has no check for it
+            (fn.ret_asserts if names[c.subject] == RET else fn.arg_asserts
+             ).append(self._check(c, names, cx))
         fn.assigns += cx.hoisted  # lets of the asserted types precede them
         body = cl.body
         if body is None:
@@ -251,7 +247,22 @@ class SacBackend:
         fn.body = self._term(body, venv, cx)
         return render_function(fn)
 
-    def _clause_bindings(self, cl: Clause, pos_name, fn: SacFunction, cx,
+    def _check(self, c: Check, names: list[str], cx) -> SExp:
+        """A check as a SaC condition over the parameters before its
+        subject."""
+        venv = names[:c.subject][::-1]
+        subj = SVarE(names[c.subject])
+        lhs = subj if c.lhs is None else self._term(c.lhs, venv, cx)
+        rhs = self._term(c.rhs, venv, cx)
+        match c.relation:
+            case "extent":
+                lhs = SSel(SCall("shape", (subj,)), SNum(0))
+            case "take":
+                lhs = SCall("take", (lhs, SCall("shape", (subj,))))
+        rel = SBin("<" if c.relation == "<" else "==", lhs, rhs, scalar=False)
+        return SBin("==", subj, rel, scalar=False) if c.decision else rel
+
+    def _clause_bindings(self, cl: Clause, names, fn: SacFunction, cx,
                          prop_pos=frozenset()):
         """Pattern variables become assigns; an imap pattern becomes the
         selection macro the body applies."""
@@ -268,7 +279,7 @@ class SacBackend:
         for j, p in enumerate(cl.patterns):
             if j in prop_pos:
                 continue  # proofs have no runtime parameter to bind
-            param = pos_name[j]
+            param = names[j]
             match p.value:
                 case PVar(idx):
                     bind(idx, SVarE(param))
@@ -483,8 +494,7 @@ class SacBackend:
             return SCall("sel", (idx_x, arr_x))
         return SSel(arr_x, idx_x)
 
-    def assemble(self, fns: list[str], state: ExtractState,
-                 opts: ExtractOptions) -> str:
+    def assemble(self, fns: list[str]) -> str:
         pre = []
         if self.need_sel:
             pre.append(_SEL_PRELUDE)
@@ -497,7 +507,6 @@ class SacBackend:
 class _Cx:
     state: ExtractState
     env: Env
-    backend: "SacBackend"
     scope: set[str]  # every name the function has bound so far
     hoisted: list = field(default_factory=list)
 
@@ -523,54 +532,6 @@ def _term_spine(t: Term) -> tuple[list[Term], bool]:
 def _is_array_type(ty: Term) -> bool:
     return isinstance(ty, Def) and ty.name in ("Ar", "Vec", "Nat", "Float",
                                                "Fin", "List")
-
-
-# --------------------------------------------------------------------------
-# signature assertions
-
-
-def shape_assertions(sig: Term, pos_name: dict[int, str], cx) -> tuple[list, list]:
-    """Arg asserts and return asserts from the signature's shape relations."""
-    tel, ret = pi_spine(sig)
-    args_out: list[SExp] = []
-
-    def venv_for(j: int) -> list[str]:
-        return [pos_name[i] for i in range(j - 1, -1, -1)]
-
-    for j, (_, a) in enumerate(tel):
-        nm = pos_name[j]
-        args_out.extend(_type_asserts(a.value, SVarE(nm), venv_for(j), cx))
-    ret_out = _type_asserts(ret, SVarE(RET), venv_for(len(tel)), cx)
-    return args_out, ret_out
-
-
-def _type_asserts(ty: Term, subj: SExp, venv, cx) -> list[SExp]:
-    be = cx.backend
-    match ty:
-        case Def("Nat", ()) | Def("Float", ()):
-            return []
-        case Def("Fin", (Arg(e, _),)):
-            return [SBin("<", subj, be._term(e, venv, cx), scalar=False)]
-        case Def("_<_", (Arg(a, _), Arg(b, _))):
-            return [SBin("<", be._term(a, venv, cx), be._term(b, venv, cx),
-                         scalar=False)]
-        case Def("_≡_", args):
-            va = [x.value for x in args if not x.hidden]
-            return [SBin("==", be._term(va[0], venv, cx),
-                         be._term(va[1], venv, cx), scalar=False)]
-        case Def("Vec", (Arg(_, _), Arg(n, _))):
-            return [SBin("==", SSel(SCall("shape", (subj,)), SNum(0)),
-                         be._term(n, venv, cx), scalar=False)]
-        case Def("Ar", (Arg(_, _), Arg(d, _), Arg(s, _))):
-            return [SBin("==", SCall("take", (be._term(d, venv, cx),
-                                              SCall("shape", (subj,)))),
-                         be._term(s, venv, cx), scalar=False)]
-        case Def("List", _):
-            return []
-        case Def("Dec", (Arg(p, _),)):  # the decision agrees with p
-            return [SBin("==", subj, a, scalar=False)
-                    for a in _type_asserts(p, subj, venv, cx)]
-    return []
 
 
 # --------------------------------------------------------------------------

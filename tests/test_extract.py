@@ -1,6 +1,8 @@
 """Extraction driver: termination, determinism, call order, base-list
-semantics, erasure, name normalization and the naming of binders."""
+semantics, erasure, the runtime-check plan and its rendering, name
+normalization and the naming of binders."""
 
+import re
 import time
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 
 from eslc import corpus
 from eslc.builtins import mk_pi, seed_env
-from eslc.evaluate import call, varr
-from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, ExtractState,
+from eslc.evaluate import call, varr, vvec
+from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, Check, ExtractError,
+                          ExtractOptions, ExtractState, checks,
                           kaleid_final_pass, kompile, normalise_name,
                           sac_final_pass)
 from eslc.harness import compare
@@ -79,6 +82,144 @@ def test_callees_of_signature_assertions_come_first():
     assert out.index("def h") < out.index("def g") < out.index("def main")
     for x in range(4):
         assert interp_kaleid(out, "main", [x]) == call(e.env, "main", [x])
+
+
+def test_no_assert_emits_no_callee_that_only_the_checks_call():
+    # the same program as above: only g's dropped check calls h
+    src = ("h : Nat -> Nat\nh 0 = 1\nh (suc n) = h n + 1\n"
+           "g : (n m : Nat) -> m < h n -> Nat\ng 0 m p = m\ng (suc n) m p = n\n"
+           "{-# TRUST main #-}\nmain : Nat -> Nat\nmain x = g x 0 prf\n")
+    e = load_sources([("t", src)], with_prelude=False)
+    out = kompile("main", [], [], KaleidBackend(), e.env, e.rules,
+                  ExtractOptions(no_assert=True), e.def_meta)
+    assert "assert (x_2" not in out and "def h" not in out
+    for x in range(4):
+        assert interp_kaleid(out, "main", [x]) == call(e.env, "main", [x])
+    # on SaC: h is called by f's check alone
+    src = ("h : Vec Nat 2 -> Nat\nh (a ∷ b ∷ []) = a + b\n"
+           "f : (v : Vec Nat 2) -> h v < 10 -> Nat\nf v p = vhd v\n")
+    e = load_sources([("t", src)])
+    full, bare = (kompile("f", [], [], SacBackend(), e.env, e.rules,
+                          ExtractOptions(no_assert=na), e.def_meta)
+                  for na in (False, True))
+    assert "assert (h (x_1) < 10);" in full and "int h(" in full
+    assert "assert" not in bare and "int h(" not in bare
+    for v in [(1, 2), (7, 9)]:
+        assert interp_sac(bare, "f", [np.array(v)]) == \
+            call(e.env, "f", [vvec(v), 1]) == v[0]
+
+
+def test_no_assert_still_refuses_what_the_target_lacks():
+    e = load_sources([("t", "f : Float -> Float\nf x = x\n")])
+    with pytest.raises(ExtractError, match="no floats"):
+        kompile("f", [], [], KaleidBackend(), e.env, e.rules,
+                ExtractOptions(no_assert=True), e.def_meta)
+
+
+def _nat_pi(*tys):
+    return mk_pi([(f"v{k}", ty, hidden) for k, (ty, hidden) in enumerate(tys)],
+                 _nat())
+
+
+def test_the_plan_names_subject_relation_and_sides():
+    fin = Def("Fin", (vis(Var(0)),))
+    lt = Def("_<_", (vis(Var(0)), vis(Var(1))))
+    dec = Def("Dec", (vis(Def("_<_", (vis(Var(1)), vis(Var(0))))),))
+    # a check's sides read the parameters before its subject
+    assert checks(_nat_pi((_nat(), False), (fin, False))) == [
+        Check(0, 1, fin, "<", None, Var(0))]
+    # a hidden parameter is a parameter
+    assert checks(_nat_pi((_nat(), True), (_nat(), False), (lt, False))) == [
+        Check(0, 2, lt, "<", Var(0), Var(1))]
+    assert checks(_nat_pi((_nat(), False), (_nat(), False), (dec, False))) == [
+        Check(0, 2, dec, "<", Var(1), Var(0), decision=True)]
+    # the result's subject is the number of parameters
+    bound = Def("_+_", (vis(Lit(1)), vis(Def("_*_", (vis(Var(0)), vis(Var(0)))))))
+    ret_fin = Def("Fin", (vis(bound),))
+    assert checks(mk_pi([("n", _nat(), False)], ret_fin)) == [
+        Check(0, 1, ret_fin, "<", None, bound)]
+
+
+def test_the_plan_of_a_corpus_entry_on_each_target():
+    e = load_sources(corpus.CORPUS["log2"].sources)
+    sig = e.env.lookup("log2'").signature
+    assert [(c.index, c.subject, c.relation, c.lhs, c.rhs) for c in checks(sig)] \
+        == [(0, 2, "<", Var(0), Var(1))]
+    e = load_sources([])
+    sig = e.env.lookup("avgpool").signature
+    assert [(c.index, c.subject, c.relation) for c in checks(sig)] == [
+        (0, 0, "extent"), (1, 1, "take"), (2, 2, "take")]
+
+
+# each signature form: the conditions of the asserts that Kaleidoscope and
+# SaC emit for it, or the message with which the target refuses it
+FORMS = [
+    ("Nat", "f : Nat -> Nat\nf n = n\n", [], []),
+    ("Float", "f : Float -> Float\nf x = x\n",
+     "this target has no floats", []),
+    ("Fin e", "f : (n : Nat) -> Fin n -> Nat\nf n i = toN i\n",
+     ["x_2 < x_1"], ["x_2 < x_1"]),
+    ("result Fin e", "f : (n : Nat) -> Fin (1 + n * n)\n"
+     "f n = fromN< (n<1+n (n * n))\n",
+     ["__ret < 1 + x_1 * x_1"], ["__ret < 1 $+ x_1 $* x_1"]),
+    ("a < b", "f : {m : Nat} -> (n : Nat) -> n < m -> Nat\nf {m} n p = m - n\n",
+     ["x_2 < x_1"], ["x_2 < x_1"]),
+    ("a ≡ b", "f : (a b : Nat) -> a ≡ b -> Nat\nf a b p = a\n",
+     ["x_1 == x_2"], ["x_1 == x_2"]),
+    ("Dec (a < b)", "f : (a b : Nat) -> Dec (a < b) -> Nat\nf a b d = a\n",
+     ["x_3 == (x_1 < x_2)"], ["x_3 == x_1 < x_2"]),
+    # a decision of no proposition states a fact no check can keep
+    ("Dec Nat", "f : (n : Nat) -> Dec Nat -> Nat\nf n d = n\n",
+     "undecidable Dec payload at x_2", "undecidable Dec payload at x_2"),
+    ("Vec X n", "f : (n : Nat) -> Vec Float n -> Vec Float n\nf n v = v\n",
+     'unsupported type at x_2: (def "Vec"',
+     ["shape (x_2)[0] == x_1", "shape (__ret)[0] == x_1"]),
+    ("Ar X d s", "f : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\nf a = a\n",
+     'unsupported type at x_1: (def "Ar"',
+     ["take (1, shape (x_1)) == cons (3, [])",
+      "take (1, shape (__ret)) == cons (3, [])"]),
+    ("List X", "f : List Float -> Nat\nf xs = 0\n",
+     'unsupported type at x_1: (def "List"', []),
+]
+
+
+@pytest.mark.parametrize("target", ["kaleid", "sac"])
+@pytest.mark.parametrize("src, kaleid, sac", [f[1:] for f in FORMS],
+                         ids=[f[0] for f in FORMS])
+def test_each_signature_form_is_checked_or_refused(src, kaleid, sac, target):
+    e = load_sources([("t", src)])
+    backend, want = ((KaleidBackend(), kaleid) if target == "kaleid"
+                     else (SacBackend(), sac))
+    if isinstance(want, str):
+        with pytest.raises(ExtractError, match=re.escape(want)):
+            kompile("f", [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+        return
+    text = kompile("f", [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+    assert re.findall(r"assert \((.*)\)", text) == want
+
+
+ASSERTS = {"kaleid": 2, "sac": 20}  # all of the corpus's checks, by target
+
+
+def test_every_planned_check_is_emitted_once():
+    found = dict.fromkeys(ASSERTS, 0)
+    for c in corpus.CORPUS.values():
+        e = load_sources(c.sources)
+        backend = KaleidBackend() if c.backend == "kaleid" else SacBackend()
+        planned = []
+        kompile_fun = backend.kompile_fun
+
+        def spy(name, d, plan, *rest):
+            planned.append(len(plan))
+            return kompile_fun(name, d, plan, *rest)
+
+        backend.kompile_fun = spy
+        text = kompile(c.entry, c.base, [], backend, e.env, e.rules,
+                       def_meta=e.def_meta)
+        emitted = len(re.findall(r"assert \((?!0\))", text))
+        assert sum(planned) == emitted, c.name
+        found[c.backend] += emitted
+    assert found == ASSERTS
 
 
 def _calls(e, names: set) -> set:
@@ -161,6 +302,34 @@ def test_applied_fsuc_extracts_and_agrees():
                            def_meta=e.def_meta)
             for args in inputs:
                 assert run(text, f, args) == call(e.env, f, args) == args[-1] + 1
+
+
+def test_a_let_in_an_inferred_position_extracts_and_agrees():
+    # the elaborator infers the type of a let: under vhd's argument, and
+    # on the left of an equation in a signature
+    e = load_sources([("t", "f : (n : Nat) -> Vec Nat (suc n) -> Nat\n"
+                            "f n v = vhd (let w = v in w)\n")])
+    text = kompile("f", [], [], SacBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    for v in [(4,), (2, 7, 1)]:
+        assert interp_sac(text, "f", [len(v) - 1, np.array(v)]) == \
+            call(e.env, "f", [len(v) - 1, vvec(v)]) == v[0]
+    e = load_sources([("t", "f : (n : Nat) -> (let m = n in m) ≡ n -> Nat\n"
+                            "f n p = n + 1\n")])
+    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    assert "assert (x_1 == x_1)" in text
+    for n in range(4):
+        assert interp_kaleid(text, "f", [n, 1]) == call(e.env, "f", [n, 1]) == n + 1
+
+
+def test_an_fsuc_pattern_extracts_and_agrees():
+    e = load_sources([("t", "f : (n : Nat) -> Fin n -> Nat\n"
+                            "f n fzero = 0\nf n (fsuc i) = toN i + 1\n")])
+    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
+                   def_meta=e.def_meta)
+    for n, i in [(1, 0), (3, 1), (5, 4)]:
+        assert interp_kaleid(text, "f", [n, i]) == call(e.env, "f", [n, i]) == i
 
 
 def test_base_names_are_neither_unfolded_nor_emitted():
