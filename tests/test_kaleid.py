@@ -1,5 +1,6 @@
-"""Kaleidoscope backend: pattern and clause compilation, term translation,
-printing, parsing, and the interpreter."""
+"""Kaleidoscope backend: the rendering of signature checks, pattern and
+clause compilation, term translation, printing, parsing, and the
+interpreter."""
 
 import random
 
@@ -8,13 +9,14 @@ import pytest
 from eslc import corpus
 from eslc.builtins import mk_pi, seed_env
 from eslc.evaluate import call
-from eslc.extract import ExtractError, ExtractState, erase, kompile
+from eslc.extract import (ExtractError, ExtractState, checks, erase,
+                          kompile, subjects)
 from eslc.harness import run_corpus_diff, run_signature_diff
 from eslc.ir import Con, Def, Lit, PCon, PVar, Var, hid, vis
 from eslc.kaleid import (Aborted, KaleidBackend, KBin, KCall, KFun, KIf, KLet,
                          KNat, KParseError, KVar, PatSt, interp_kaleid,
-                         kompile_clpats, kompile_term, parse_kaleid,
-                         print_kaleid)
+                         kompile_check, kompile_clpats, kompile_term,
+                         parse_kaleid, print_kaleid)
 from eslc.loader import load_sources
 
 ENV = seed_env()
@@ -26,6 +28,44 @@ def _st():
 
 def _nat():
     return Def("Nat")
+
+
+# -- kompile_check -------------------------------------------------------------
+
+
+def _asserts(sig):
+    """Each check of a signature's plan: its subject and its condition."""
+    names = [n for n, _ in subjects(sig)]
+    return [(names[c.subject], kompile_check(c, names, _st(), ENV))
+            for c in checks(sig)]
+
+
+def test_fin_argument_assertion():
+    sig = mk_pi([("n", _nat(), False), ("i", Def("Fin", (vis(Var(0)),)), False)],
+                _nat())
+    assert _asserts(sig) == [("x_2", KBin("Lt", KVar("x_2"), KVar("x_1")))]
+
+
+def test_lt_argument_assertion():
+    sig = mk_pi([("m", _nat(), True), ("n", _nat(), False),
+                 ("p", Def("_<_", (vis(Var(0)), vis(Var(1)))), False)], _nat())
+    assert _asserts(sig) == [("x_3", KBin("Lt", KVar("x_2"), KVar("x_1")))]
+
+
+def test_return_fin_assertion():
+    n_sq = Def("_*_", (vis(Var(0)), vis(Var(0))))
+    sig = mk_pi([("n", _nat(), False)],
+                Def("Fin", (vis(Def("_+_", (vis(Lit(1)), vis(n_sq)))),)))
+    out = _asserts(sig)
+    assert [v for v, _ in out] == ["__ret"]
+
+
+def test_dec_argument_assertion():
+    sig = mk_pi([("a", _nat(), False), ("b", _nat(), False),
+                 ("d", Def("Dec", (vis(Def("_<_", (vis(Var(1)), vis(Var(0))))),)),
+                  False)], _nat())
+    assert _asserts(sig) == [("x_3", KBin("Eq", KVar("x_3"),
+                                          KBin("Lt", KVar("x_1"), KVar("x_2"))))]
 
 
 # -- kompile_clpats ------------------------------------------------------------
