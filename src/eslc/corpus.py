@@ -163,7 +163,6 @@ class CorpusEntry:
     # sampler(rng) -> (eval_args, target_args); eval args feed the source
     # evaluator, target args feed the emitted program's interpreter
     sampler: object = None
-    compare: str = "exact"  # "exact" | "rel"
 
 
 def _s_log2(rng):
@@ -253,17 +252,15 @@ CORPUS: dict[str, CorpusEntry] = {
     "fib": CorpusEntry("fib", "fib", "kaleid", [("fib.esl", SHARING)],
                        sampler=_s_fib),
     "logistic": CorpusEntry("logistic", "logistic", "sac",
-                            sampler=_s_logistic, compare="rel"),
+                            sampler=_s_logistic),
     "meansqerr": CorpusEntry("meansqerr", "meansqerr", "sac",
-                             sampler=_s_meansqerr, compare="rel"),
+                             sampler=_s_meansqerr),
     "backavgpool": CorpusEntry("backavgpool", "backavgpool", "sac",
-                               sampler=_s_backavgpool, compare="rel"),
-    "avgpool": CorpusEntry("avgpool", "avgpool", "sac",
-                           sampler=_s_avgpool, compare="rel"),
+                               sampler=_s_backavgpool),
+    "avgpool": CorpusEntry("avgpool", "avgpool", "sac", sampler=_s_avgpool),
     "fuse2": CorpusEntry("fuse2", "fuse2", "sac", [("fuse2.esl", FUSION)],
                          sampler=_s_fuse2),
     "matmul": CorpusEntry("matmul", "matmul", "sac", sampler=_s_matmul),
     "rotate": CorpusEntry("rotate", "rot-there-and-back", "sac",
-                          [("rotate.esl", ROTATE)], sampler=_s_rotate,
-                          compare="rel"),
+                          [("rotate.esl", ROTATE)], sampler=_s_rotate),
 }

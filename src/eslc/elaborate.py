@@ -384,7 +384,15 @@ class Elaborator:
                 # `Sort` is no rigid head to `_whnf`, which would ask the normalizer
                 if type(_force(ty)) is not Sort and type(self._whnf(ty)) is not Sort:
                     raise UnsupportedType(f"{_show(s)} is not a type")
-                return self._finish(s, t, ctx)
+                t = self._finish(s, t, ctx)
+                # a decision states a fact only if its payload is a proposition;
+                # a call of any other type former is no decision
+                if type(t) is not Def or t.name == "Dec" or t.name not in self._formers:
+                    w = self._whnf(_eval(t, ctx.env))
+                    if type(w) is Def and w.name == "Dec" and \
+                            not is_prop_type(self._whnf(w.args[0].value)):
+                        raise UnsupportedType(f"{_show(s)} decides no proposition (_<_ or _≡_)")
+                return t
 
     # -- expressions ------------------------------------------------------------
 

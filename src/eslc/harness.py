@@ -1,5 +1,7 @@
 """Differential testing: source-level evaluation against the target
-interpreter on seeded random, precondition-respecting inputs.
+interpreter on seeded random, precondition-respecting inputs.  A sample
+agrees when both sides give equal values, floats included, bit for bit,
+or both abort.
 
 A sample on which either side runs out of Python stack (the source
 evaluator's EvalError("recursion depth"), the target's
@@ -27,18 +29,17 @@ class DiffRow:
     function: str
     samples: int
     mismatches: int
-    max_err: float
     # the source-evaluator arguments of each inconclusive sample
     inconclusive: list = field(default_factory=list)
 
-    HEADER = "function\tsamples\tmismatches\tinconclusive\tmax_err"
+    HEADER = "function\tsamples\tmismatches\tinconclusive"
 
     def tsv(self) -> str:
         return (f"{self.function}\t{self.samples}\t{self.mismatches}\t"
-                f"{len(self.inconclusive)}\t{self.max_err:.3g}")
+                f"{len(self.inconclusive)}")
 
 
-def _sample(row: DiffRow, env, name: str, args, kind: str, run_target):
+def _sample(row: DiffRow, env, name: str, args, run_target):
     """Adds one sample to row: the source evaluator's value of name on
     args against run_target(), which is called only if the source
     evaluator did not run out of stack."""
@@ -53,11 +54,8 @@ def _sample(row: DiffRow, env, name: str, args, kind: str, run_target):
     if isinstance(tv, Aborted) and tv.reason == EXHAUSTED:
         row.inconclusive.append(args)
         return
-    err = compare(ev, tv, kind)
-    if err is None or err > 1e-9:
+    if not compare(ev, tv):
         row.mismatches += 1
-    else:
-        row.max_err = max(row.max_err, err)
 
 
 def to_plain(v):
@@ -74,22 +72,14 @@ def to_plain(v):
     return v
 
 
-def compare(a, b, kind: str) -> float | None:
-    """Error measure, or None for a hard mismatch."""
-    if kind == "exact" and type(a) is int and type(b) is int:
-        # a natural may be too large for a float
-        return 0.0 if a == b else None
+def compare(a, b) -> bool:
+    """Whether a and b are equal values, or both aborts."""
+    if type(a) is int and type(b) is int:
+        return a == b  # a natural may be too large for a float
     a, b = to_plain(a), to_plain(b)
     if isinstance(a, Aborted) or isinstance(b, Aborted):
-        return 0.0 if isinstance(a, Aborted) and isinstance(b, Aborted) else None
-    av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        return None
-    if kind == "exact":
-        return 0.0 if np.array_equal(np.asarray(a), np.asarray(b)) else None
-    denom = np.maximum(np.abs(bv), 1.0)
-    err = float(np.max(np.abs(av - bv) / denom)) if av.size else 0.0
-    return err
+        return isinstance(a, Aborted) and isinstance(b, Aborted)
+    return np.array_equal(a, b)
 
 
 def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
@@ -104,11 +94,11 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
     else:
         program, interp = parse_sac(text), interp_sac
     rng = random.Random(seed)
-    row = DiffRow(entry.name, samples, 0, 0.0)
+    row = DiffRow(entry.name, samples, 0)
     target = entry_name(entry.entry, backend)
     for _ in range(samples):
         eval_args, target_args = entry.sampler(rng)
-        _sample(row, elab.env, entry.entry, eval_args, entry.compare,
+        _sample(row, elab.env, entry.entry, eval_args,
                 lambda: interp(program, target, list(target_args)))
     return row
 
@@ -153,9 +143,9 @@ def run_signature_diff(elab, entry: str, samples: int, seed: int,
                       opts, elab.def_meta)
     target = entry_name(entry, backend)
     rng = random.Random(seed)
-    row = DiffRow(entry, samples, 0, 0.0)
+    row = DiffRow(entry, samples, 0)
     for _ in range(samples):
         vals = signature_sampler(elab.env, entry, rng)
-        _sample(row, elab.env, entry, vals, "exact",
+        _sample(row, elab.env, entry, vals,
                 lambda: interp_kaleid(program, target, list(vals)))
     return row

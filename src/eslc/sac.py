@@ -1004,8 +1004,10 @@ class _SacEval:
         return self.call(f, vals)
 
     def _with(self, w: SWith, env):
-        """Each partition's body at each index of its range, in row-major
-        order: stored into a genarray's result, or folded left to right."""
+        """Each partition's body at each index of its range: stored into a
+        genarray's result in row-major order, or folded from the right as
+        the source's `reduce` folds, `acc = op (body, acc)` from the last
+        index back to the first."""
         fold = w.kind == "fold"
         if fold:
             if w.op not in _FOLD:
@@ -1019,16 +1021,18 @@ class _SacEval:
             acc = np.empty(shape + dshape,
                            dtype=np.float64 if _is_floaty(default) else np.int64)
             acc[...] = default
-        for lower, upper, iv, block, body in w.partitions:
-            for ix in self._indices(lower, upper, shape, env):
-                benv = dict(env)
-                benv[iv] = np.array(ix, dtype=np.int64)
-                for nm, be in block:
-                    benv[nm] = self.eval(be, benv)
-                if fold:
-                    acc = _FOLD[w.op](acc, self.eval(body, benv))
-                else:
-                    acc[ix] = self.eval(body, benv)
+        steps = [(ix, iv, block, body)
+                 for lower, upper, iv, block, body in w.partitions
+                 for ix in self._indices(lower, upper, shape, env)]
+        for ix, iv, block, body in reversed(steps) if fold else steps:
+            benv = dict(env)
+            benv[iv] = np.array(ix, dtype=np.int64)
+            for nm, be in block:
+                benv[nm] = self.eval(be, benv)
+            if fold:
+                acc = _FOLD[w.op](self.eval(body, benv), acc)
+            else:
+                acc[ix] = self.eval(body, benv)
         return acc
 
     def _indices(self, lower, upper, shape, env):
