@@ -422,7 +422,6 @@ def seed_env() -> Env:
     con("suc", NAT, mk_pi([("n", _nat(), False)], _nat()), (False,))
 
     data(FLOAT, _setty(), [])
-    data("String", _setty(), [])  # recognised, never supported
 
     data("Fin", mk_pi([("n", _nat(), False)], _setty()), ["fzero", "fsuc"])
     con("fzero", "Fin",

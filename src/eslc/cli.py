@@ -119,7 +119,7 @@ def cmd_kompile(args) -> int:
                 if cl.body is not None:
                     print(print_term(cl.body), file=sys.stderr)
     text = kompile(args.entry, _names(args.base), _names(args.skip), backend,
-                   elab.env, elab.rules, opts, elab.def_meta)
+                   elab.env, elab.rules, opts)
     if args.out == "-":
         sys.stdout.write(text)
     else:

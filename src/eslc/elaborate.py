@@ -53,13 +53,6 @@ LIFTED = {"_+a_": (2, "_+_", "_+f_"), "_-a_": (2, "_-_", "_-f_"),
           "_*a_": (2, "_*_", "_*f_"), "_/a_": (2, "_/_", "_/f_"),
           "expa": (1, None, "expf"), "nega": (1, None, "_-f_")}
 
-_BUILTIN_TAGS = {
-    "NAT": "Nat", "FLOAT": "Float", "FIN": "Fin", "VEC": "Vec", "LIST": "List",
-    "ARRAY": "Ar", "INDEX": "Ix", "NATPLUS": "_+_", "NATMINUS": "_-_",
-    "NATTIMES": "_*_", "NATDIV": "_/_", "NATMOD": "_%_", "NATLT": "_<_",
-    "EQUALITY": "_≡_", "DECIDE": "Dec",
-}
-
 _CON_NAMES = {"zero", "suc", "fzero", "fsuc", "vnil", "vcons", "inil",
               "icons", "lnil", "lcons", "imap", "yes", "no", "prf"}
 # the constructors `_check` checks when they stand alone: all but `zero`,
@@ -247,7 +240,6 @@ def _prop_to_constraint(ty: Term, names) -> shapes.Constraint | None:
 
 @dataclass
 class DefMeta:
-    unsupported: str | None = None
     trusted_obligations: list[str] = field(default_factory=list)
 
 
@@ -257,7 +249,6 @@ class Elaborator:
         self.rules = RuleSet()
         self.trusted: set[str] = set()
         self.def_meta: dict[str, DefMeta] = {}
-        self.aliases: dict[str, str] = {}
         self._current: str | None = None
         self._metas: list[Meta] = []  # those of the term being elaborated
         # how many of `_metas` are unsolved: a value mentions an unsolved
@@ -318,10 +309,7 @@ class Elaborator:
                 except UnsupportedType as ex:
                     raise UnsupportedType(
                         f"line {decl.line}: signature of {decl.name}: {ex}") from None
-                meta = DefMeta(_policy_reason(ty))
-                if meta.unsupported == "no strings in the target language":
-                    raise UnsupportedType(f"{decl.name}: {meta.unsupported}")
-                self.def_meta[decl.name] = meta
+                self.def_meta[decl.name] = DefMeta()
                 self.env.add(Definition(decl.name, ty, Function([])))
                 continue
             assert isinstance(decl, SClause)
@@ -345,11 +333,6 @@ class Elaborator:
     def _pragma(self, p: SPragma) -> None:
         if p.kind == "TRUST":
             self.trusted.update(p.names)
-        elif p.kind == "BUILTIN":
-            tag, name = p.names
-            if tag not in _BUILTIN_TAGS:
-                raise EslError(f"unknown BUILTIN tag {tag}")
-            self.aliases[name] = _BUILTIN_TAGS[tag]
         else:
             assert p.kind == "REWRITE"
             for name in p.names:
@@ -358,7 +341,7 @@ class Elaborator:
     def _register_rewrite(self, name: str) -> None:
         """The rule is the equality exactly as its signature states it; a
         left-hand side that itself reduces may simply never fire."""
-        d = self.env.lookup(self.aliases.get(name, name))
+        d = self.env.lookup(name)
         tel, ret = pi_spine(d.signature)
         if not (isinstance(ret, Def) and ret.name == "_≡_"):
             raise EslError(f"REWRITE {name}: signature must end in an equality")
@@ -432,13 +415,12 @@ class Elaborator:
             case SLam() | SLamPat():
                 raise UnprovenConstraint(
                     "cannot infer a type for a bare lambda; add an annotation")
-        raise EslError(f"cannot elaborate {s!r}")
+        raise UnsupportedType(f"cannot elaborate {_show(s)}")
 
     def _infer_name(self, name: str, line: int, ctx: Ctx):
         idx = ctx.lookup(name)
         if idx is not None:
             return Var(idx), ctx.type_of(idx)
-        name = self.aliases.get(name, name)
         if name == "prf":
             raise UnprovenConstraint("prf needs an expected proposition type")
         if name in ("[]", "∷", "_∷_"):
@@ -488,14 +470,13 @@ class Elaborator:
                 inner = self._check(body, ty, ctx)
                 ctx.pop()
                 return Let(bt, Abs(name, inner))
-            case SName(name, line) if self.aliases.get(name, name) in _BARE_CONS \
+            case SName(name, line) if name in _BARE_CONS \
                     and ctx.lookup(name) is None:
                 # a bare constructor: against a function type it is `\x -> c
                 # x`, whose hidden arguments are inferred as at any other use
                 if _is_pi(whty):
                     return self._check(SLam("x", SApp(s, [(SName("x", line), False)])),
                                        whty, ctx)
-                name = self.aliases.get(name, name)
                 con = self.env.lookup(name).payload
                 if not (isinstance(whty, Def) and whty.name == con.of) \
                         or False in con.arity:
@@ -621,8 +602,8 @@ class Elaborator:
         while isinstance(fn, SApp):
             fn, args = fn.fn, fn.args + args
         if not isinstance(fn, SName):
-            raise EslError(f"cannot apply {fn!r}")
-        name = self.aliases.get(fn.name, fn.name)
+            raise UnsupportedType(f"cannot apply {_show(fn)}")
+        name = fn.name
         if name in LIFTED:
             return self._lifted(name, args, ctx)
         if name == "imap" and expected is None:
@@ -934,38 +915,31 @@ def _shapeish(v) -> bool:
         isinstance(v, (Con, Def)) and v.name in shapes.SHAPE_HEADS
 
 
-def _policy_reason(sig: Term) -> str | None:
-    """Check the supported-type grammar; a reason marks the definition as
-    not extractable (it stays available to the normalizer)."""
-    tel, ret = pi_spine(sig)
-    return next(filter(None, map(_type_reason, [a.value for _, a in tel] + [ret])), None)
-
-
-def _type_reason(t: Term) -> str | None:
-    match t:
-        case Sort():
-            return "type-valued argument"
-        case Pi():
-            return "higher-order argument"
-        case Def("String", _):
-            return "no strings in the target language"
-        case Def("Dec" | "Vec" | "List" | "Ar", (Arg(x, _), *_)):
-            return _type_reason(x)  # the element type
-        case Var(_, _):
-            return "type variable"
-    return None
-
-
 def _show(s: SExpr) -> str:
+    """`s` as source text, each compound form in parentheses: an operator
+    `_op_` applied to two visible arguments is infix, a hidden argument
+    is in braces."""
     match s:
         case SName(n, _):
             return n
         case SNum(v) | SFloat(v):
             return str(v)
+        case SApp(SName(op, _), [(a, False), (b, False)]) \
+                if len(op) > 2 and op[0] == op[-1] == "_":
+            return f"({_show(a)} {op[1:-1]} {_show(b)})"
         case SApp(fn, args):
-            return "(" + " ".join([_show(fn)] + [_show(a) for a, _ in args]) + ")"
-        case _:
-            return type(s).__name__
+            return "(" + " ".join([_show(fn)] + [
+                f"{{{_show(a)}}}" if hidden else _show(a) for a, hidden in args]) + ")"
+        case SLam(x, body):
+            return f"(\\{x} -> {_show(body)})"
+        case SLamPat(comps, body):
+            return f"(\\({' ∷ '.join([*comps, '[]'])}) -> {_show(body)})"
+        case SLet(x, bound, body):
+            return f"(let {x} = {_show(bound)} in {_show(body)})"
+        case SPi(x, hidden, dom, cod):
+            dom = f"{{{x} : {_show(dom)}}}" if hidden else \
+                _show(dom) if x == "_" else f"({x} : {_show(dom)})"
+            return f"({dom} -> {_show(cod)})"
 
 
 def _spine_cell(s: SExpr):

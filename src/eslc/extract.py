@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .builtins import is_prop_type
 from .ir import (Arg, Clause, Con, Def, Definition, Env, EslError, Function,
-                 Lit, Term, map_subterms, pi_spine, print_term)
+                 Lit, Pi, Sort, Term, map_subterms, pi_spine, print_term)
 from .normalize import Normalizer, RuleSet, dont_reduce, normalise_clause
 
 
@@ -224,20 +224,22 @@ def _relation(ty: Term, name: str) -> tuple:
             return *_relation(p, name), True  # the decision agrees with p
         case Def("Dec", _):
             raise ExtractError(f"undecidable Dec payload at {name}")
-    raise ExtractError(f"unsupported type at {name}: {print_term(ty)}")
+    what = {Pi: "higher-order", Sort: "type-valued"}.get(type(ty))
+    raise ExtractError(f"unsupported type at {name}: " + (
+        f"{what} {'result' if name == RET else 'argument'}" if what
+        else print_term(ty)))
 
 
 def kompile(entry: str, base, skip, backend, env: Env,
             rules: RuleSet | None = None,
             opts: ExtractOptions | None = None,
             def_meta: dict | None = None) -> str:
-    """Extract `entry` and its call-graph closure; returns the program text."""
+    """Extract `entry` and its call-graph closure; returns the program text.
+    `def_meta` is not read: `checks` and the backend decide what extracts,
+    and the parameter stays for callers that pass it by position."""
     opts = opts or ExtractOptions()
     state = ExtractState(frozenset(base), frozenset(skip), backend.keywords,
                          backend.builtins)
-    d = env.lookup(entry)
-    if not isinstance(d.payload, Function):
-        raise ExtractError(f"{entry} is not a function")
     if entry in state.base or entry in state.skip:
         raise ExtractError(f"the entry {entry} is in the base or skip list")
     # the entry claims its target name first so helpers yield on collision
@@ -248,18 +250,15 @@ def kompile(entry: str, base, skip, backend, env: Env,
     state.pending.append(entry)
     while state.pending:
         name = state.pending.popleft()
-        if name in state.compiled or name in state.skip or name in state.base:
-            continue
         state.compiled.add(name)
         dn = env.lookup(name)
         if not isinstance(dn.payload, Function):
             raise ExtractError(f"{name} is not a function")
-        if def_meta and def_meta.get(name) is not None \
-                and def_meta[name].unsupported:
-            raise ExtractError(
-                f"{name}: unsupported type: {def_meta[name].unsupported}")
         nsig = erase(Normalizer(env, policy, rules).norm(dn.signature, 0), 0, env)
-        plan = checks(nsig)  # refuses what it cannot check, even unrendered
+        try:  # refuses what it cannot check, even unrendered
+            plan = checks(nsig)
+        except ExtractError as ex:
+            raise ExtractError(f"{name}: {ex}") from None
         nclauses = []
         for c in dn.payload.clauses:
             c = normalise_clause(c, env, policy, rules)

@@ -86,8 +86,7 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
                     opts: ExtractOptions | None = None) -> DiffRow:
     elab = load_sources(entry.sources)
     backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
-    text = kompile(entry.entry, entry.base, [], backend, elab.env,
-                   elab.rules, opts, elab.def_meta)
+    text = kompile(entry.entry, entry.base, [], backend, elab.env, elab.rules, opts)
     # Kaleidoscope text is staged once per process, keyed on the text
     if entry.backend == "kaleid":
         program, interp = text, interp_kaleid
@@ -139,8 +138,7 @@ def signature_sampler(env, name: str, rng, hi: int = 24):
 def run_signature_diff(elab, entry: str, samples: int, seed: int,
                        base=(), opts: ExtractOptions | None = None) -> DiffRow:
     backend = KaleidBackend()
-    program = kompile(entry, list(base), [], backend, elab.env, elab.rules,
-                      opts, elab.def_meta)
+    program = kompile(entry, list(base), [], backend, elab.env, elab.rules, opts)
     target = entry_name(entry, backend)
     rng = random.Random(seed)
     row = DiffRow(entry, samples, 0)

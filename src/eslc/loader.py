@@ -35,7 +35,6 @@ def _clone(src: Elaborator) -> Elaborator:
     out.rules.warnings = list(src.rules.warnings)
     out.trusted = set(src.trusted)
     out.def_meta = dict(src.def_meta)
-    out.aliases = dict(src.aliases)
     return out
 
 

@@ -105,7 +105,7 @@ class SClause:
 
 @dataclass
 class SPragma:
-    kind: str  # REWRITE | TRUST | BUILTIN
+    kind: str  # REWRITE | TRUST
     names: list[str]
     line: int
 
@@ -160,10 +160,8 @@ def _parse_pragma(flat: str, line: int) -> SPragma:
     if not flat.endswith("#-}"):
         raise SyntaxErrorAt("unterminated pragma", line)
     inner = flat[3:-3].split()
-    if not inner or inner[0] not in ("REWRITE", "TRUST", "BUILTIN"):
+    if not inner or inner[0] not in ("REWRITE", "TRUST"):
         raise SyntaxErrorAt(f"unknown pragma {inner[:1]}", line)
-    if inner[0] == "BUILTIN" and len(inner) != 3:
-        raise SyntaxErrorAt("BUILTIN pragma takes a tag and a name", line)
     return SPragma(inner[0], inner[1:], line)
 
 

@@ -30,8 +30,7 @@ def _report(n: int, label: str):
 def test_criterion_1_log2_golden():
     t0 = time.perf_counter()
     e = load_sources([("log2.esl", corpus.LOG2)])
-    text = kompile("log2", ["n<1+n", "_<_"], [], KaleidBackend(), e.env,
-                   e.rules, def_meta=e.def_meta)
+    text = kompile("log2", ["n<1+n", "_<_"], [], KaleidBackend(), e.env, e.rules)
     # (a) argument assertion from n < m
     assert "assert (x_2 < x_1)" in text
     # (b) three conditional branches; the second tests x_2 - 1 == 0 under
@@ -53,8 +52,7 @@ def test_criterion_1_log2_golden():
 def test_criterion_2_ack_differential():
     t0 = time.perf_counter()
     e = load_sources([("ack.esl", corpus.ACK)])
-    text = kompile("ack", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("ack", [], [], KaleidBackend(), e.env, e.rules)
     # the three-branch conditional chain shape
     assert text.count("else if (") == 2 and text.count("if (") == 3
     assert "(x_1 > 0) && (x_2 == 0)" in text
@@ -71,10 +69,8 @@ def test_criterion_2_ack_differential():
 def test_criterion_3_assertion_semantics():
     e = load_sources([("ex.esl", corpus.EX7)])
     rng = random.Random(42)
-    lt = parse_kaleid(kompile("exlt", [], [], KaleidBackend(), e.env, e.rules,
-                              def_meta=e.def_meta))
-    fin = parse_kaleid(kompile("exfin", [], [], KaleidBackend(), e.env, e.rules,
-                               def_meta=e.def_meta))
+    lt = parse_kaleid(kompile("exlt", [], [], KaleidBackend(), e.env, e.rules))
+    fin = parse_kaleid(kompile("exfin", [], [], KaleidBackend(), e.env, e.rules))
     aborts = ok = 0
     for _ in range(50):
         a = rng.randrange(0, 40)
@@ -151,8 +147,7 @@ def test_criterion_5_single_imap_fusion():
     d = e.env.lookup("fuse2")
     body = Normalizer(e.env, REDUCE_ALL).norm(d.payload.clauses[0].body)
     assert _count_heads_con(body, "imap") == 1
-    text = kompile("fuse2", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("fuse2", [], [], SacBackend(), e.env, e.rules)
     assert text.count("with {") == 1 and text.count("genarray") == 1
     _report(5, "transpose + elementwise ops fuse to one imap / one genarray")
 
@@ -175,8 +170,7 @@ def _count_heads_con(t, name: str) -> int:
 def test_criterion_6_avgpool_golden_and_differential():
     t0 = time.perf_counter()
     e = load_prelude()
-    text = kompile("avgpool", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("avgpool", [], [], SacBackend(), e.env, e.rules)
     assert "assert (shape (x_1)[0] == 2)" in text
     assert "assert (take (2, shape (x_2)) == cons (x_1[0] $* 2, " \
            "cons (x_1[1] $* 2, [])))" in text
@@ -252,8 +246,7 @@ def test_criterion_8_property_suites():
     # Fin encoding by brute force for n <= 64
     efin = load_sources([("idf.esl", "idFin : (n : Nat) -> Fin n -> Fin n\n"
                                      "idFin n i = i\n")])
-    fins = parse_kaleid(kompile("idFin", [], [], KaleidBackend(), efin.env,
-                                efin.rules, def_meta=efin.def_meta))
+    fins = parse_kaleid(kompile("idFin", [], [], KaleidBackend(), efin.env, efin.rules))
     for n in range(65):
         for v in range(n + 9):
             out = interp_kaleid(fins, "idFin", [n, v])

@@ -167,8 +167,8 @@ def test_point_free_definitions_agree_three_ways(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[1].split("\t")[:4] == \
             [entry, "20", "0", "0"]
     e = load_sources([("pf.esl", POINT_FREE)])
-    f = kompile("f", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
-    pl = kompile("pl", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    f = kompile("f", [], [], SacBackend(), e.env, e.rules)
+    pl = kompile("pl", [], [], SacBackend(), e.env, e.rules)
     for n in (0, 1, 41):
         assert call(e.env, "f", [n]) == interp_sac(f, "f", [n]) == n + 1
         assert call(e.env, "pl", [n, 2]) == interp_sac(pl, "pl", [n, 2]) == n + 2
@@ -204,8 +204,8 @@ def test_a_bare_name_takes_its_hidden_arguments():
     (cl,) = e.env.lookup("rd").payload.clauses
     assert cl.body == Def("reduce", tuple(
         (hid if k < 2 else vis)(Var(4 - k)) for k in range(5)))
-    lg = kompile("lg", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
-    sums = [kompile(f, [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    lg = kompile("lg", [], [], SacBackend(), e.env, e.rules)
+    sums = [kompile(f, [], [], SacBackend(), e.env, e.rules)
             for f in ("sum1", "sum2")]
     rng = random.Random(5)
     for _ in range(5):
@@ -340,6 +340,26 @@ def test_a_signature_must_be_a_type(tmp_path, capsys):
             assert main(["kompile", src, "--entry", entry,
                          "--backend", backend]) == 1
             assert capsys.readouterr().err == f"eslc: {why}\n"
+
+
+def test_a_user_error_shows_source_text(tmp_path, capsys):
+    # each printed the parser's Python repr, or an operator by its name
+    for entry, text, why in [
+            ("f", "f : Nat -> Nat\nf x = (\\y -> y) x\n", "cannot apply (\\y -> y)"),
+            ("f", "f : Nat -> Nat\nf x = (let g = x in g) x\n",
+             "cannot apply (let g = x in g)"),
+            ("g", "g : Vec (Nat -> Nat) 2 -> Nat\ng v = 0\n",
+             "line 1: signature of g: cannot elaborate (Nat -> Nat)"),
+            ("f", "f : (a b : Nat) -> Dec (Dec (a < b)) -> Nat\nf a b d = a\n",
+             "line 1: signature of f: (Dec (Dec (a < b))) decides no "
+             "proposition (_<_ or _≡_)"),
+            ("f", "{-# BUILTIN NAT ℕ #-}\nf : Nat -> Nat\nf x = x\n",
+             "1:0: unknown pragma ['BUILTIN']")]:
+        src = _write(tmp_path, "bad.esl", text)
+        assert main(["kompile", src, "--entry", entry, "--backend", "kaleid"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"eslc: {why}\n"
+        assert "(binder=" not in err and "SName(" not in err
 
 
 def test_an_entry_in_its_own_base_or_skip_list_is_a_user_error(capsys):

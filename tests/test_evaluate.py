@@ -51,11 +51,10 @@ def test_env_lookup_function_after_elaboration():
 
 def test_faithful_lets_duplicates_in_extraction():
     e = load_sources([("sh", corpus.SHARING)])
-    shared = kompile("ex8", [], [], KaleidBackend(), e.env, e.rules,
-                     def_meta=e.def_meta)
+    shared = kompile("ex8", [], [], KaleidBackend(), e.env, e.rules)
     assert shared.count("x * x") == 1
     eager = kompile("ex8", [], [], KaleidBackend(), e.env, e.rules,
-                    ExtractOptions(faithful_lets=True), e.def_meta)
+                    ExtractOptions(faithful_lets=True))
     assert eager.count("x * x") == 2  # the bound sum is spelled out twice
     for text, name in [(shared, "shared"), (eager, "eager")]:
         assert interp_kaleid(text, "ex8", [3]) == 2 * (9 + 9 + 5), name
@@ -67,8 +66,7 @@ useplus : Nat -> Nat
 useplus x = (x + 0) * 2
 """
     e = load_sources([("t", src)])
-    out = kompile("useplus", [], [], KaleidBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("useplus", [], [], KaleidBackend(), e.env, e.rules)
     assert "+ 0" not in out
     assert interp_kaleid(out, "useplus", [5]) == 10
 
@@ -97,8 +95,7 @@ flat23 a = reshape (6 ∷ []) a
 def test_dec_returning_function_extracts_to_comparison():
     src = "isEq : (a b : Nat) -> Dec (a ≡ b)\nisEq a b = a ≟ b\n"
     e = load_sources([("d", src)])
-    out = kompile("isEq", ["_≟_"], [], KaleidBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("isEq", ["_≟_"], [], KaleidBackend(), e.env, e.rules)
     assert "a == b" in out
     assert interp_kaleid(out, "isEq", [4, 4]) == 1
     assert interp_kaleid(out, "isEq", [4, 5]) == 0
@@ -132,8 +129,7 @@ def test_fixture_format_shape_data_pairs():
     from eslc.loader import load_prelude
     from eslc.sac import SacBackend, interp_sac
     e = load_prelude()
-    text = kompile("logistic", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("logistic", [], [], SacBackend(), e.env, e.rules)
     # arrays as (shape, row-major data) pairs
     out = interp_sac(text, "logistic", [1, ((1,), [2]), ((2,), [0.0, 0.0])])
     assert list(out) == [0.5, 0.5]
@@ -345,8 +341,7 @@ def test_expf_overflows_to_infinity():
 def test_ack_3_6_runs_at_the_default_recursion_limit():
     # about 510 calls deep: one Python frame per ESL call
     e = load_sources([("ack", corpus.ACK)])
-    text = kompile("ack", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("ack", [], [], KaleidBackend(), e.env, e.rules)
     assert call(e.env, "ack", [3, 6]) == interp_kaleid(text, "ack", [3, 6]) \
         == corpus.oracle_ack(3, 6)
 

@@ -67,7 +67,7 @@ def test_entry_comes_last_and_callees_first():
     src = ("g : Nat -> Nat\ng 0 = 1\ng (suc x) = x * x\n"
            "f : Nat -> Nat\nf x = g x\n")
     e = load_sources([("t", src)], with_prelude=False)
-    out = kompile("f", [], [], KaleidBackend(), e.env, e.rules, def_meta=e.def_meta)
+    out = kompile("f", [], [], KaleidBackend(), e.env, e.rules)
     assert out.index("def g") < out.index("def f")
 
 
@@ -77,8 +77,7 @@ def test_callees_of_signature_assertions_come_first():
            "g : (n m : Nat) -> m < h n -> Nat\ng 0 m p = m\ng (suc n) m p = n\n"
            "{-# TRUST main #-}\nmain : Nat -> Nat\nmain x = g x 0 prf\n")
     e = load_sources([("t", src)], with_prelude=False)
-    out = kompile("main", [], [], KaleidBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("main", [], [], KaleidBackend(), e.env, e.rules)
     assert "assert (x_2 < h (x_1))" in out
     assert out.index("def h") < out.index("def g") < out.index("def main")
     for x in range(4):
@@ -92,7 +91,7 @@ def test_no_assert_emits_no_callee_that_only_the_checks_call():
            "{-# TRUST main #-}\nmain : Nat -> Nat\nmain x = g x 0 prf\n")
     e = load_sources([("t", src)], with_prelude=False)
     out = kompile("main", [], [], KaleidBackend(), e.env, e.rules,
-                  ExtractOptions(no_assert=True), e.def_meta)
+                  ExtractOptions(no_assert=True))
     assert "assert (x_2" not in out and "def h" not in out
     for x in range(4):
         assert interp_kaleid(out, "main", [x]) == call(e.env, "main", [x])
@@ -101,7 +100,7 @@ def test_no_assert_emits_no_callee_that_only_the_checks_call():
            "f : (v : Vec Nat 2) -> h v < 10 -> Nat\nf v p = vhd v\n")
     e = load_sources([("t", src)])
     full, bare = (kompile("f", [], [], SacBackend(), e.env, e.rules,
-                          ExtractOptions(no_assert=na), e.def_meta)
+                          ExtractOptions(no_assert=na))
                   for na in (False, True))
     assert "assert (h (x_1) < 10);" in full and "int h(" in full
     assert "assert" not in bare and "int h(" not in bare
@@ -114,7 +113,7 @@ def test_no_assert_still_refuses_what_the_target_lacks():
     e = load_sources([("t", "f : Float -> Float\nf x = x\n")])
     with pytest.raises(ExtractError, match="no floats"):
         kompile("f", [], [], KaleidBackend(), e.env, e.rules,
-                ExtractOptions(no_assert=True), e.def_meta)
+                ExtractOptions(no_assert=True))
 
 
 def _nat_pi(*tys):
@@ -192,6 +191,17 @@ FORMS = [
       "take (1, shape (__ret)) == cons (3, [])"]),
     ("List X", "f : List Float -> Nat\nf xs = 0\n",
      'unsupported type at x_1: (def "List"', []),
+    # a type or a function has no value in either target
+    *[(form, src, *[f"f: unsupported type at {at}"] * 2) for form, src, at in [
+        ("(X : Set) -> X -> X", "f : (X : Set) -> X -> X\nf X x = x\n",
+         "x_1: type-valued argument"),
+        ("{X : Set} -> X -> X", "f : {X : Set} -> X -> X\nf x = x\n",
+         "x_1: type-valued argument"),
+        ("(Nat -> Nat) -> Nat -> Nat", "f : (Nat -> Nat) -> Nat -> Nat\nf g x = g x\n",
+         "x_1: higher-order argument"),
+        ("Nat -> Set", "f : Nat -> Set\nf n = Nat\n", "__ret: type-valued result"),
+        ("{X : Set} -> List X -> Nat", "f : {X : Set} -> List X -> Nat\nf xs = 0\n",
+         "x_1: type-valued argument")]],
 ]
 
 
@@ -208,9 +218,9 @@ def test_each_signature_form_is_checked_or_refused(src, kaleid, sac, target):
     e = load_sources([("t", src)])
     if isinstance(want, str):
         with pytest.raises(ExtractError, match=re.escape(want)):
-            kompile("f", [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+            kompile("f", [], [], backend, e.env, e.rules)
         return
-    text = kompile("f", [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+    text = kompile("f", [], [], backend, e.env, e.rules)
     assert re.findall(r"assert \((.*)\)", text) == want
 
 
@@ -230,8 +240,7 @@ def test_every_planned_check_is_emitted_once():
             return kompile_fun(name, d, plan, *rest)
 
         backend.kompile_fun = spy
-        text = kompile(c.entry, c.base, [], backend, e.env, e.rules,
-                       def_meta=e.def_meta)
+        text = kompile(c.entry, c.base, [], backend, e.env, e.rules)
         emitted = len(re.findall(r"assert \((?!0\))", text))
         assert sum(planned) == emitted, c.name
         found[c.backend] += emitted
@@ -261,8 +270,7 @@ def test_corpus_functions_follow_their_callees(name):
     c = corpus.CORPUS[name]
     e = load_sources(c.sources)
     backend = KaleidBackend() if c.backend == "kaleid" else SacBackend()
-    text = kompile(c.entry, c.base, [], backend, e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile(c.entry, c.base, [], backend, e.env, e.rules)
     if c.backend == "kaleid":
         fns = [(f.name, f.body) for f in parse_kaleid(text)]
     else:
@@ -286,14 +294,14 @@ def test_erasure_reaches_both_backends():
     # spine, and its signature one more spine
     e = load_sources([("t", ERASED)])
     base = ["g", "lem", "k"]
-    kal, sac = (kompile("w", base, [], b, e.env, e.rules, def_meta=e.def_meta)
+    kal, sac = (kompile("w", base, [], b, e.env, e.rules)
                 for b in (KaleidBackend(), SacBackend()))
     assert "assert (x_2 < 1 + x_1)" in kal
     assert "__ret = g (2 + x, 1) + g (x, 1) + x + k (1, 0, x) + i" in kal
     assert "assert (x_2 < 1 $+ x_1);" in sac
     assert "__ret = g (2 $+ x) $+ g (x) $+ x $+ k (1, 0, x) $+ i;" in sac
     # the same program with g and k emitted runs as the source does
-    helpers = [kompile(f, [], [], b, e.env, e.rules, def_meta=e.def_meta)
+    helpers = [kompile(f, [], [], b, e.env, e.rules)
                for b in (KaleidBackend(), SacBackend()) for f in ("g", "k")]
     for x, i in [(0, 0), (4, 2), (9, 9)]:
         want = call(e.env, "w", [x, i])
@@ -314,8 +322,7 @@ def test_applied_fsuc_extracts_and_agrees():
                       ("w", [[1, 0], [5, 2], [3, 2]])]:
         for backend, run in [(KaleidBackend(), interp_kaleid),
                              (SacBackend(), interp_sac)]:
-            text = kompile(f, [], [], backend, e.env, e.rules,
-                           def_meta=e.def_meta)
+            text = kompile(f, [], [], backend, e.env, e.rules)
             for args in inputs:
                 assert run(text, f, args) == call(e.env, f, args) == args[-1] + 1
 
@@ -325,15 +332,13 @@ def test_a_let_in_an_inferred_position_extracts_and_agrees():
     # on the left of an equation in a signature
     e = load_sources([("t", "f : (n : Nat) -> Vec Nat (suc n) -> Nat\n"
                             "f n v = vhd (let w = v in w)\n")])
-    text = kompile("f", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("f", [], [], SacBackend(), e.env, e.rules)
     for v in [(4,), (2, 7, 1)]:
         assert interp_sac(text, "f", [len(v) - 1, np.array(v)]) == \
             call(e.env, "f", [len(v) - 1, vvec(v)]) == v[0]
     e = load_sources([("t", "f : (n : Nat) -> (let m = n in m) ≡ n -> Nat\n"
                             "f n p = n + 1\n")])
-    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules)
     assert "assert (x_1 == x_1)" in text
     for n in range(4):
         assert interp_kaleid(text, "f", [n, 1]) == call(e.env, "f", [n, 1]) == n + 1
@@ -342,8 +347,7 @@ def test_a_let_in_an_inferred_position_extracts_and_agrees():
 def test_an_fsuc_pattern_extracts_and_agrees():
     e = load_sources([("t", "f : (n : Nat) -> Fin n -> Nat\n"
                             "f n fzero = 0\nf n (fsuc i) = toN i + 1\n")])
-    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("f", [], [], KaleidBackend(), e.env, e.rules)
     for n, i in [(1, 0), (3, 1), (5, 4)]:
         assert interp_kaleid(text, "f", [n, i]) == call(e.env, "f", [n, i]) == i
 
@@ -352,11 +356,9 @@ def test_base_names_are_neither_unfolded_nor_emitted():
     src = ("g : Nat -> Nat\ng x = x * x\n"
            "f : Nat -> Nat\nf x = g 3 + x\n")
     e = load_sources([("t", src)], with_prelude=False)
-    plain = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
-                    def_meta=e.def_meta)
+    plain = kompile("f", [], [], KaleidBackend(), e.env, e.rules)
     assert "9 + x" in plain  # g 3 reduced away entirely
-    based = kompile("f", ["g"], [], KaleidBackend(), e.env, e.rules,
-                    def_meta=e.def_meta)
+    based = kompile("f", ["g"], [], KaleidBackend(), e.env, e.rules)
     assert "g (3)" in based
     assert "def g" not in based
 
@@ -365,8 +367,7 @@ def test_skip_names_stay_calls():
     src = ("g : Nat -> Nat\ng 0 = 1\ng (suc x) = x\n"
            "f : Nat -> Nat\nf x = g x\n")
     e = load_sources([("t", src)], with_prelude=False)
-    out = kompile("f", [], ["g"], KaleidBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("f", [], ["g"], KaleidBackend(), e.env, e.rules)
     assert "g (x)" in out and "def g" not in out
 
 
@@ -432,7 +433,7 @@ def _disagreements(src: str, entry: str, backend, inputs) -> list:
     """The (source, target) arguments on which the backend's text and the
     source evaluator disagree."""
     e = load_sources([("w", src)])
-    text = kompile(entry, [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+    text = kompile(entry, [], [], backend, e.env, e.rules)
     run = interp_kaleid if isinstance(backend, KaleidBackend) else interp_sac
     return [(args, targs) for args, targs in inputs
             if not compare(call(e.env, entry, args), run(text, entry, targs))]
@@ -460,13 +461,11 @@ def test_unicode_names_transliterate_end_to_end():
     src = ("go′ : Nat -> Nat\ngo′ 0 = 1\ngo′ (suc x) = x\n"
            "use : Nat -> Nat\nuse x = go′ x\n")
     e = load_sources([("u", src)], with_prelude=False)
-    out = kompile("use", [], [], KaleidBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("use", [], [], KaleidBackend(), e.env, e.rules)
     assert "def go' (" in out and "go' (x)" in out
     from eslc.sac import SacBackend
     srcv = ("vec′ : {s : Vec Nat 2} -> Ar Float 2 s -> Ar Float 2 s\n"
             "vec′ (imap p) = imap p\n")
     ev = load_sources([("v", srcv)])
-    outv = kompile("vec′", [], [], SacBackend(), ev.env, ev.rules,
-                   def_meta=ev.def_meta)
+    outv = kompile("vec′", [], [], SacBackend(), ev.env, ev.rules)
     assert "float[.,.] vec(" in outv  # the prime is not a target identifier

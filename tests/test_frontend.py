@@ -75,7 +75,7 @@ def test_unknown_name_is_scope_error():
 
 
 def test_string_type_rejected():
-    with pytest.raises(UnsupportedType):
+    with pytest.raises(ScopeError, match="unknown name String"):
         load_sources([("t", "s : Nat -> String\ns x = x\n")],
                      with_prelude=False)
 
@@ -134,18 +134,24 @@ def test_a_bare_constructor_of_a_function_type_is_eta_expanded():
     assert cl.patterns == (Arg(PVar(0)),)
     assert [a.hidden for a in cl.body.args] == [True] * 3 + [False]
     assert cl.body.args[-1].value == Var(0)
-    text = kompile("w", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("w", [], [], SacBackend(), e.env, e.rules)
     for x in (0.5, -2.0):
         want = np.full(3, x)
         assert compare(call(e.env, "w", [x]), want)
         assert compare(interp_sac(text, "w", [x]), want)
 
 
-def test_higher_order_definitions_load_but_are_flagged():
+def test_higher_order_definitions_load_but_do_not_extract():
+    from eslc.extract import ExtractError, kompile
+    from eslc.kaleid import KaleidBackend
+    from eslc.sac import SacBackend
     e = load_sources([("t", "twice : (Nat -> Nat) -> Nat -> Nat\n"
                             "twice f x = f (f x)\n")], with_prelude=False)
-    assert e.def_meta["twice"].unsupported == "higher-order argument"
+    assert len(e.env.lookup("twice").payload.clauses) == 1
+    for backend in (KaleidBackend(), SacBackend()):
+        with pytest.raises(ExtractError, match="^twice: unsupported type at "
+                           "x_1: higher-order argument$"):
+            kompile("twice", [], [], backend, e.env, e.rules)
 
 
 def test_clause_without_signature():
@@ -164,8 +170,7 @@ def test_elaboration_is_deterministic():
 
 
 def test_fin_signature_accepted_and_obligation_discharged():
-    e = load_sources([("ex", corpus.EX7)])
-    assert e.def_meta["ex7"].unsupported is None
+    load_sources([("ex", corpus.EX7)])
     # explicit hidden instantiation with a prf placeholder also works
     load_sources([("t", "e2 : (n : Nat) -> Fin (1 + n * n)\n"
                         "e2 n = fromN< {n * n} {1 + n * n} prf\n")])

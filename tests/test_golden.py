@@ -63,8 +63,7 @@ def _kompile(name: str) -> str:
         backend, parse = KaleidBackend(), parse_kaleid
     else:
         backend, parse = SacBackend(), parse_sac
-    text = extract.kompile(entry.entry, entry.base, [], backend, elab.env,
-                           elab.rules, None, elab.def_meta)
+    text = extract.kompile(entry.entry, entry.base, [], backend, elab.env, elab.rules)
     parse(text)
     return text
 
@@ -136,20 +135,20 @@ def test_what_shape_expressions_keep_is_never_stale(monkeypatch):
 # sources elaborate to: every definition's signature, and each clause's
 # telescope, patterns and body, printed by ir.print_term
 CORE_IR = {
-    "prelude/base.esl": "1798ba98fd232c17910212c104aa4f20870fb378d179378b9d06224baca06259",
-    "prelude/apl.esl": "c3059e356d8865d6c95a69717559e759d7f55562861f3f2e24d8420202987c91",
-    "prelude/cnn.esl": "15ad488318c7733936e257e472453ece5899cdf1ba26d25c7684417e4ad072b2",
-    "log2": "c8f982578e6a6efd47599be8223ad5a7d14f7e28b00e0ae84575c7d1745b5692",
-    "ack": "dfcb85afff15cbb5e7cdbe5f8b5e7e75d5db72e3e6e06927bc0ae788703dcfbb",
-    "ex7": "de2c09b34669061c46da6c679d282306868efaf0b684d83033211b2359fdaf7c",
-    "fib": "f50ebc83fc9630868212f10a81bbea28cb97bff5bdb302cbe5bbd0110d2cbd30",
+    "prelude/base.esl": "6e21d9097596ec24d697458a0fbb8d2ed14ebf5d762145965077fc0ac25e8e98",
+    "prelude/apl.esl": "3ca4e14010bfb7d4e0797a17e7a55401d464d97528899582bc4174636864b433",
+    "prelude/cnn.esl": "20374248514344e04ab6c40493daaae4764ff6645a28427b275429368c0553e1",
+    "log2": "315107844437a96a3ec05467c826d4c37ffddb14d264d756df1c6de349a13abb",
+    "ack": "3d78283193b3080819f2bc930be047809843d71ff3708c2c470588edd4288e7d",
+    "ex7": "d56b82809e7bf68c5529be809b19c796de6d4029684d88083fccc0589f4b2113",
+    "fib": "294d321f52a991b22a43e043fcd1e083be5151ce76a3e9bdb23ea6e62beaf0eb",
     "logistic": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "meansqerr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "backavgpool": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "avgpool": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "fuse2": "14fe094e439bf8f81e15915a783ca99ce27b7c1f46f905caefcc1238cc6334c8",
+    "fuse2": "0550fa6eb7f411258a8ae6258c813cb5e98b78bf39c53a778d5b4112235deae9",
     "matmul": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "rotate": "2973f81a70ca7f8441f31c14b225b9a4b5bbb33104136cc4eb281fb024830f1f",
+    "rotate": "5857d04f8b75fca40c98712c823b0d3502e79aaeeeff1404dec110e5087eacc4",
 }
 
 
@@ -167,7 +166,7 @@ def _core_ir_digest(elab: Elaborator, names) -> str:
                                     else ir.print_term(cl.body)))
         meta = elab.def_meta.get(name)
         if meta is not None:
-            out.append(f"  meta {meta.unsupported!r} {meta.trusted_obligations!r}")
+            out.append(f"  meta {meta.trusted_obligations!r}")
     return hashlib.sha256("\n".join(out).encode("utf-8")).hexdigest()
 
 

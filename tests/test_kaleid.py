@@ -167,8 +167,7 @@ def test_general_call_pushes_pending():
 def test_proof_returning_calls_erase_to_one():
     e = load_sources([("t", "lem : (n : Nat) -> n < 1 + n\nlem n = prf\n"
                             "use : Nat -> Nat\nuse x = toN (fromN< (lem x))\n")])
-    out = kompile("use", [], [], KaleidBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("use", [], [], KaleidBackend(), e.env, e.rules)
     assert "lem" not in out  # erased, never traversed
     assert interp_kaleid(out, "use", [9]) == 9
 
@@ -191,8 +190,7 @@ def test_parse_roundtrip_of_emitted_programs():
     for c in corpus.CORPUS.values():
         if c.backend == "kaleid":
             e = load_sources(c.sources)
-            text = kompile(c.entry, c.base, [], KaleidBackend(), e.env,
-                           e.rules, def_meta=e.def_meta)
+            text = kompile(c.entry, c.base, [], KaleidBackend(), e.env, e.rules)
             assert print_kaleid(parse_kaleid(text)) == text, c.name
 
 
@@ -254,8 +252,7 @@ def test_clashing_names_diff_clean(case):
 
 def _extract(sources, entry, base=()):
     e = load_sources(sources)
-    return e, kompile(entry, list(base), [], KaleidBackend(), e.env, e.rules,
-                      def_meta=e.def_meta)
+    return e, kompile(entry, list(base), [], KaleidBackend(), e.env, e.rules)
 
 
 def test_interp_ack():
@@ -419,8 +416,7 @@ def test_too_deep_nesting_is_a_parse_error():
 def test_fin_encoding_sound_and_complete():
     e = load_sources([("t", "idFin : (n : Nat) -> Fin n -> Fin n\n"
                             "idFin n i = i\n")])
-    fns = parse_kaleid(kompile("idFin", [], [], KaleidBackend(), e.env, e.rules,
-                               def_meta=e.def_meta))
+    fns = parse_kaleid(kompile("idFin", [], [], KaleidBackend(), e.env, e.rules))
     for n in range(65):
         for v in range(n + 9):
             out = interp_kaleid(fns, "idFin", [n, v])
@@ -476,7 +472,7 @@ def test_no_assert_strips_assertions():
     e = load_sources([("ex", corpus.EX7)])
     from eslc.extract import ExtractOptions
     text = kompile("exlt", [], [], KaleidBackend(), e.env, e.rules,
-                   ExtractOptions(no_assert=True), e.def_meta)
+                   ExtractOptions(no_assert=True))
     assert "assert" not in text
 
 
@@ -484,7 +480,7 @@ def test_no_assert_keeps_the_clause_fallback():
     e = load_sources([("f", "f : Nat -> Nat\nf 0 = 1\n")])
     from eslc.extract import ExtractOptions
     text = kompile("f", [], [], KaleidBackend(), e.env, e.rules,
-                   ExtractOptions(no_assert=True), e.def_meta)
+                   ExtractOptions(no_assert=True))
     assert interp_kaleid(text, "f", [0]) == 1
     assert interp_kaleid(text, "f", [3]) == Aborted("assert (0)")
 
@@ -500,8 +496,7 @@ def test_differential_against_evaluator():
 
 def test_violating_inputs_abort_before_use():
     e = load_sources([("ex", corpus.EX7)])
-    text = kompile("exlt", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("exlt", [], [], KaleidBackend(), e.env, e.rules)
     rng = random.Random(9)
     for _ in range(100):
         a = rng.randrange(0, 30)
@@ -519,8 +514,7 @@ guarded x p = x
     # a deliberately unreachable first clause keeps its guard and aborts
     src = src.replace("() \n", "()\n")
     e = load_sources([("g", src)])
-    text = kompile("guarded", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("guarded", [], [], KaleidBackend(), e.env, e.rules)
     assert "assert (0)" in text
     fns = parse_kaleid(text)
     assert isinstance(interp_kaleid(fns, "guarded", [1, 1]), Aborted)
@@ -539,8 +533,7 @@ odd 0 = 0
 odd (suc n) = even n
 """
     e = load_sources([("m", src)])
-    text = kompile("even", [], [], KaleidBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("even", [], [], KaleidBackend(), e.env, e.rules)
     assert text.count("def even") == 1 and text.count("def odd") == 1
     fns = parse_kaleid(text)
     assert [interp_kaleid(fns, "even", [k]) for k in range(5)] == [1, 0, 1, 0, 1]
@@ -551,8 +544,7 @@ def test_higher_order_entry_is_rejected():
                             "twice f x = f (f x)\n")])
     from eslc.extract import ExtractError
     with pytest.raises(ExtractError):
-        kompile("twice", [], [], KaleidBackend(), e.env, e.rules,
-                def_meta=e.def_meta)
+        kompile("twice", [], [], KaleidBackend(), e.env, e.rules)
 
 
 def test_empty_clause_list_is_an_error():

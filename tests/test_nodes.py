@@ -61,8 +61,7 @@ def test_the_pipeline_never_changes_a_node(set_once):
             e.load_source(text, path)
         for target, backend in (("kaleid", KaleidBackend()), ("sac", SacBackend())):
             try:
-                extract.kompile(entry.entry, entry.base, [], backend, e.env,
-                                e.rules, None, e.def_meta)
+                extract.kompile(entry.entry, entry.base, [], backend, e.env, e.rules)
             except extract.ExtractError:  # a type or form the target lacks
                 assert target != entry.backend, entry.name
     for name in ("log2", "fib", "matmul", "rotate"):

@@ -123,8 +123,7 @@ def test_extraction_reduces_a_shared_argument_once(monkeypatch):
     spend = Normalizer.spend
     monkeypatch.setattr(Normalizer, "spend",
                         lambda nz: steps.append(1) or spend(nz))
-    extract.kompile(entry.entry, entry.base, [], KaleidBackend(), elab.env,
-                    elab.rules, None, elab.def_meta)
+    extract.kompile(entry.entry, entry.base, [], KaleidBackend(), elab.env, elab.rules)
     assert 0 < len(steps) <= 8
 
 
@@ -304,8 +303,7 @@ def test_a_constructor_pattern_matches_a_reduced_argument():
     e = loader.load_sources([("vsum.esl", VSUM)])
     (cl,) = e.env.lookup("w").payload.clauses
     assert normalise_clause(cl, e.env).body == plus(Var(0), Lit(2))
-    texts = [(extract.kompile("w", [], [], backend(), e.env, e.rules,
-                              def_meta=e.def_meta), run)
+    texts = [(extract.kompile("w", [], [], backend(), e.env, e.rules), run)
              for backend, run in ((KaleidBackend, interp_kaleid),
                                   (SacBackend, interp_sac))]
     for a in (0, 3, 41):
@@ -364,8 +362,7 @@ def test_no_step_spends_more_fuel_than_its_ledger(monkeypatch):
         elaborated[name] = len(steps)
         backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
         steps.clear()
-        extract.kompile(entry.entry, entry.base, [], backend, elab.env,
-                        elab.rules, None, elab.def_meta)
+        extract.kompile(entry.entry, entry.base, [], backend, elab.env, elab.rules)
         extracted[name] = len(steps)
     assert extracted.keys() == EXTRACTION_FUEL.keys()
     assert {n: k for n, k in extracted.items() if k > EXTRACTION_FUEL[n]} == {}

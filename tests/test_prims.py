@@ -61,7 +61,7 @@ def _elaborated(src: str):
 def _program(src: str, target: str):
     e = _elaborated(src)
     backend = KaleidBackend() if target == "kaleid" else SacBackend()
-    text = kompile("w", [], [], backend, e.env, e.rules, def_meta=e.def_meta)
+    text = kompile("w", [], [], backend, e.env, e.rules)
     return parse_kaleid(text) if target == "kaleid" else parse_sac(text)
 
 

@@ -59,15 +59,13 @@ def test_flatten_list_of_vectors_ok_and_nested_list_rejected():
 
 def test_static_vec_argument_keeps_strongest_attribute():
     e = load_prelude()
-    out = kompile("avgpool", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("avgpool", [], [], SacBackend(), e.env, e.rules)
     assert "int[2] x_1" in out  # not weakened to int[.]
 
 
 def test_avgpool_golden_structure():
     e = load_prelude()
-    out = kompile("avgpool", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("avgpool", [], [], SacBackend(), e.env, e.rules)
     assert "assert (shape (x_1)[0] == 2)" in out
     assert "assert (take (2, shape (x_2)) == cons (x_1[0] $* 2, " \
            "cons (x_1[1] $* 2, [])))" in out
@@ -81,8 +79,7 @@ def test_avgpool_golden_structure():
 
 def test_avgpool_against_block_mean_oracle():
     e = load_prelude()
-    prog = parse_sac(kompile("avgpool", [], [], SacBackend(), e.env, e.rules,
-                             def_meta=e.def_meta))
+    prog = parse_sac(kompile("avgpool", [], [], SacBackend(), e.env, e.rules))
     rng = random.Random(3)
     shapes = [(2, 2), (4, 6), (32, 32)] + \
         [(2 * rng.randrange(1, 17), 2 * rng.randrange(1, 17)) for _ in range(9)]
@@ -95,16 +92,14 @@ def test_avgpool_against_block_mean_oracle():
 
 def test_backavgpool_shape_assert_doubles_input():
     e = load_prelude()
-    out = kompile("backavgpool", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("backavgpool", [], [], SacBackend(), e.env, e.rules)
     assert "assert (take (2, shape (__ret)) == cons (x_1[0] $* 2, " \
            "cons (x_1[1] $* 2, [])))" in out
 
 
 def test_meansqerr_emits_fold_over_ravel_space():
     e = load_prelude()
-    out = kompile("meansqerr", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("meansqerr", [], [], SacBackend(), e.env, e.rules)
     assert "fold (+, 0.0f)" in out
     assert "genarray" not in out
     prog = parse_sac(out)
@@ -115,8 +110,7 @@ def test_meansqerr_emits_fold_over_ravel_space():
 
 def test_matmul_genarray_contains_fold():
     e = load_prelude()
-    out = kompile("matmul", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("matmul", [], [], SacBackend(), e.env, e.rules)
     body = out[out.index("genarray"):]
     assert out.count("genarray") == 1 and out.count("fold") == 1
     a = np.array([[1, 2], [3, 4]])
@@ -127,8 +121,7 @@ def test_matmul_genarray_contains_fold():
 
 def test_fusion_single_genarray():
     e = load_sources([("f", corpus.FUSION)])
-    out = kompile("fuse2", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("fuse2", [], [], SacBackend(), e.env, e.rules)
     assert out.count("with {") == 1 and out.count("genarray") == 1
 
 
@@ -138,8 +131,7 @@ prow : {m n : Nat} -> (k : Nat) -> k < m -> Ar (Ar Float 1 (n ∷ [])) 1 (m ∷ 
 prow k p a = sel a (k ∷ [])
 """
     e = load_sources([("p", src)])
-    out = kompile("prow", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("prow", [], [], SacBackend(), e.env, e.rules)
     assert "sel (" in out and "float[*] sel (int[.] idx, float[*] a)" in out
     arr = np.arange(30.0).reshape(5, 6)
     row = interp_sac(out, "prow", [5, 6, 2, arr])
@@ -153,8 +145,7 @@ pick : {m n : Nat} -> (i j : Nat) -> i < m -> j < n -> Ar Float 2 (m ∷ n ∷ [
 pick i j p q a = sel a (i ∷ j ∷ [])
 """
     e = load_sources([("p", src)])
-    out = kompile("pick", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("pick", [], [], SacBackend(), e.env, e.rules)
     assert "a[cons (i, cons (j, []))]" in out
     arr = np.arange(6.0).reshape(2, 3)
     assert interp_sac(out, "pick", [2, 3, 1, 2, arr]) == 5.0
@@ -195,7 +186,7 @@ float f(int[.] s, float[*] a) {
 def test_rotation_inverse_through_target():
     e = load_sources([("r", corpus.ROTATE)])
     prog = parse_sac(kompile("rot-there-and-back", [], [], SacBackend(),
-                             e.env, e.rules, def_meta=e.def_meta))
+                             e.env, e.rules))
     rng = random.Random(17)
     for _ in range(100):
         n = rng.randrange(1, 9)
@@ -224,8 +215,7 @@ def test_a_fold_runs_in_the_source_order():
     # reduce is f (sel a 0) (reduce f e (behead a)): 1.0 + (1e16 + (-1e16
     # + 0.0)) is 1.0, where a left fold's (1.0 + 1e16) - 1e16 is 0.0
     e = load_sources([("s", FOLD_ORDER)])
-    text = kompile("sum", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("sum", [], [], SacBackend(), e.env, e.rules)
     xs = [1.0, 1e16, -1e16]
     assert call(e.env, "sum", [3, varr((3,), xs)]) == 1.0
     assert interp_sac(text, "sum", [3, np.array(xs)]) == 1.0
@@ -233,8 +223,7 @@ def test_a_fold_runs_in_the_source_order():
 
 def test_flattening_law_on_corpus_signatures():
     e = load_prelude()
-    prog = parse_sac(kompile("backavgpool", [], [], SacBackend(), e.env,
-                             e.rules, def_meta=e.def_meta))
+    prog = parse_sac(kompile("backavgpool", [], [], SacBackend(), e.env, e.rules))
     rng = random.Random(23)
     for _ in range(10):
         h, w = rng.randrange(1, 6), rng.randrange(1, 6)
@@ -249,8 +238,7 @@ zeros : {d : Nat} -> {s : Vec Nat d} -> Ar Nat d s
 zeros = imap (\\iv -> 0)
 """
     e = load_sources([("z", src)])
-    out = kompile("zeros", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("zeros", [], [], SacBackend(), e.env, e.rules)
     assert "(. <= iv_1 <= .) : 0;" in out
     assert "genarray (s, zero_int ([]))" in out
     r = interp_sac(out, "zeros", [2, np.array([2, 3])])
@@ -263,8 +251,7 @@ copy : {s : Vec Nat 2} -> Ar Float 2 s -> Ar Float 2 s
 copy (imap p) = imap p
 """
     e = load_sources([("c", src)])
-    out = kompile("copy", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("copy", [], [], SacBackend(), e.env, e.rules)
     assert "#define p(__x) (x_2)[__x]" in out
     assert "p(iv_1)" in out
     a = np.arange(4.0).reshape(2, 2)
@@ -289,7 +276,7 @@ MACRO_CLASHES = {
 @pytest.mark.parametrize("case", list(MACRO_CLASHES))
 def test_macro_names_stay_apart_from_called_names(case):
     e = load_sources([("w", MACRO_CLASHES[case])])
-    out = kompile("w", [], [], SacBackend(), e.env, e.rules, def_meta=e.def_meta)
+    out = kompile("w", [], [], SacBackend(), e.env, e.rules)
     macros = [line.split()[1].split("(")[0] for line in out.splitlines()
               if line.strip().startswith("#define")]
     assert macros and not {"cons", "k"} & set(macros)
@@ -304,8 +291,7 @@ rows : {m n : Nat} -> Ar Float 2 (m ∷ n ∷ []) -> Ar (Ar Float 1 (n ∷ [])) 
 rows a = imap (\\(i ∷ []) -> imap (\\(j ∷ []) -> sel a (i ∷ j ∷ [])))
 """
     e = load_sources([("r", src)])
-    out = kompile("rows", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("rows", [], [], SacBackend(), e.env, e.rules)
     assert "zero_float (cons (n, []))" in out
     arr = np.arange(6.0).reshape(2, 3)
     got = interp_sac(out, "rows", [2, 3, arr])
@@ -320,8 +306,7 @@ badfold a = reduce _-f_ 0.0 a
     e = load_sources([("b", src)])
     from eslc.extract import ExtractError
     with pytest.raises(ExtractError):
-        kompile("badfold", [], [], SacBackend(), e.env, e.rules,
-                def_meta=e.def_meta)
+        kompile("badfold", [], [], SacBackend(), e.env, e.rules)
 
 
 def test_negative_float_literals_round_trip():
@@ -337,8 +322,7 @@ float f(float x) {
 
 def test_base_call_survives_with_filtered_arguments():
     e = load_prelude()
-    out = kompile("backavgpool", ["repc"], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("backavgpool", ["repc"], [], SacBackend(), e.env, e.rules)
     assert "repc (" in out          # fixed-translation style call remains
     assert "float[.,.] repc" not in out  # and its body is not emitted
 
@@ -349,8 +333,7 @@ whole : {s : Vec Nat 2} -> Ar (Ar Float 2 s) 0 [] -> Ar Float 2 s
 whole a = sel a []
 """
     e = load_sources([("w", src)])
-    out = kompile("whole", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("whole", [], [], SacBackend(), e.env, e.rules)
     assert "sel ([], a)" in out
     m = np.arange(4.0).reshape(2, 2)
     assert np.array_equal(interp_sac(out, "whole", [np.array([2, 2]), m]), m)
@@ -395,8 +378,7 @@ def test_unbounded_recursion_aborts():
 
 def test_nat_subtraction_truncates_at_zero():
     e = load_sources([("s", "sub : Nat -> Nat -> Nat\nsub a b = a - b\n")])
-    out = kompile("sub", [], [], SacBackend(), e.env, e.rules,
-                  def_meta=e.def_meta)
+    out = kompile("sub", [], [], SacBackend(), e.env, e.rules)
     assert "max (a $- b, 0)" in out
     assert interp_sac(out, "sub", [3, 5]) == 0
     assert interp_sac(out, "sub", [5, 3]) == 2
@@ -421,8 +403,7 @@ def test_reshape_to_another_element_count_aborts():
            "rs : (n : Nat) -> Ar Float 1 (n ∷ []) -> Ar Float 2 (2 ∷ 3 ∷ [])\n"
            "rs n a = reshape (2 ∷ 3 ∷ []) a\n")
     e = load_sources([("rs", src)])
-    text = kompile("rs", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("rs", [], [], SacBackend(), e.env, e.rules)
     assert interp_sac(text, "rs", [5, np.arange(5.0)]) == \
         SacAborted("reshape changes the number of elements")
     assert np.array_equal(interp_sac(text, "rs", [6, np.arange(6.0)]),
@@ -487,8 +468,7 @@ AGREEMENT = {
 def test_target_agrees_with_the_source(case):
     src, entry, eval_args, target_args = AGREEMENT[case]
     e = load_sources([("w", src)])
-    text = kompile(entry, [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile(entry, [], [], SacBackend(), e.env, e.rules)
     want = call(e.env, entry, eval_args)
     assert compare(want, interp_sac(text, entry, target_args))
 
@@ -497,7 +477,6 @@ def test_lets_follow_the_macros_they_use():
     src = ("w : Ar Float 1 (3 ∷ []) -> Float\n"
            "w (imap p) = let y = p (1 ∷ []) in 1.0 +f (y +f y)\n")
     e = load_sources([("w", src)])
-    text = kompile("w", [], [], SacBackend(), e.env, e.rules,
-                   def_meta=e.def_meta)
+    text = kompile("w", [], [], SacBackend(), e.env, e.rules)
     assert text.index("#define p") < text.index("y = ")
     assert interp_sac(text, "w", [np.array([1.0, 2.0, 3.0])]) == 5.0
