@@ -255,19 +255,19 @@ def kompile(entry: str, base, skip, backend, env: Env,
         if not isinstance(dn.payload, Function):
             raise ExtractError(f"{name} is not a function")
         nsig = erase(Normalizer(env, policy, rules).norm(dn.signature, 0), 0, env)
-        try:  # refuses what it cannot check, even unrendered
-            plan = checks(nsig)
+        try:  # a refusal names the function and keeps its class
+            plan = checks(nsig)  # refuses what it cannot check, even unrendered
+            nclauses = []
+            for c in dn.payload.clauses:
+                c = normalise_clause(c, env, policy, rules)
+                body = None if c.body is None else erase(c.body, len(c.telescope), env)
+                nclauses.append(Clause(c.telescope, c.patterns, body))
+            state.current = name
+            emitted[name] = backend.kompile_fun(
+                name, Definition(name, nsig, Function(nclauses)),
+                [] if opts.no_assert else plan, state, env)
         except ExtractError as ex:
-            raise ExtractError(f"{name}: {ex}") from None
-        nclauses = []
-        for c in dn.payload.clauses:
-            c = normalise_clause(c, env, policy, rules)
-            body = None if c.body is None else erase(c.body, len(c.telescope), env)
-            nclauses.append(Clause(c.telescope, c.patterns, body))
-        state.current = name
-        emitted[name] = backend.kompile_fun(
-            name, Definition(name, nsig, Function(nclauses)),
-            [] if opts.no_assert else plan, state, env)
+            raise type(ex)(f"{name}: {ex}") from None
     return backend.assemble(_ordered(emitted, entry, state))
 
 

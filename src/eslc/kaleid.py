@@ -112,7 +112,8 @@ def refuse_types(subj: list[tuple[str, Term]]) -> None:
     for name, ty in subj:
         match ty:
             case Def("Float", ()):
-                raise ExtractError("this target has no floats, only naturals")
+                raise ExtractError(f"unsupported type at {name}: this target "
+                                   "has no floats, only naturals")
             case Def(("Vec" | "Ar" | "List"), _):
                 raise ExtractError(f"unsupported type at {name}: {ir.print_term(ty)}")
 

@@ -221,8 +221,7 @@ class SacBackend:
                     state: ExtractState, env: Env) -> str:
         assert isinstance(d.payload, Function)
         if len(d.payload.clauses) != 1:
-            raise ExtractError(
-                f"{name}: this target compiles single-clause functions only")
+            raise ExtractError("this target compiles single-clause functions only")
         cl = d.payload.clauses[0]
         subj = subjects(d.signature)
         names = [n for n, _ in subj]
@@ -242,7 +241,7 @@ class SacBackend:
         fn.assigns += cx.hoisted  # lets of the asserted types precede them
         body = cl.body
         if body is None:
-            raise ExtractError(f"{name}: absurd clauses have no array translation")
+            raise ExtractError("absurd clauses have no array translation")
         cx.hoisted = fn.lets  # the body's lets may use the macros
         fn.body = self._term(body, venv, cx)
         return render_function(fn)
@@ -888,30 +887,30 @@ class _SacEval:
         raise SacParseError(f"{name} has no return statement")
 
     def eval(self, e: SExp, env):
-        match e:
-            case SNum(v):
-                return v
-            case SFlt(v):
-                return v
-            case SVarE(n):
-                if n not in env:
-                    raise SacParseError(f"unbound variable {n}")
-                return env[n]
-            case SVecLit(items):
-                vals = [self.eval(i, env) for i in items]
-                return np.array(vals, dtype=(np.int64 if not vals or
-                                             _all_int(vals) else np.float64))
-            case SBin(op, l, r, _):
-                return self._bin(op, self.eval(l, env), self.eval(r, env))
-            case SSel(arr, idx):
-                return self._sel(self.eval(arr, env), self.eval(idx, env))
-            case SMacroApp(_, _):
-                raise SacParseError("macros are substituted during parsing")
-            case SCall(f, fargs):
-                vals = [self.eval(a, env) for a in fargs]
-                return self._call(f, vals, env)
-            case SWith():
-                return self._with(e, env)
+        # runs once per node per element: branch on the node's type, the
+        # most frequent first
+        cls = type(e)
+        if cls is SBin:
+            return self._bin(e.op, self.eval(e.lhs, env), self.eval(e.rhs, env))
+        if cls is SVarE:
+            try:
+                return env[e.name]
+            except KeyError:
+                raise SacParseError(f"unbound variable {e.name}") from None
+        if cls is SSel:
+            return self._sel(self.eval(e.arr, env), self.eval(e.idx, env))
+        if cls is SNum or cls is SFlt:
+            return e.value
+        if cls is SCall:
+            return self._call(e.fn, [self.eval(a, env) for a in e.args], env)
+        if cls is SVecLit:
+            vals = [self.eval(i, env) for i in e.items]
+            return np.array(vals, dtype=(np.int64 if not vals or
+                                         _all_int(vals) else np.float64))
+        if cls is SWith:
+            return self._with(e, env)
+        if cls is SMacroApp:
+            raise SacParseError("macros are substituted during parsing")
         raise SacParseError(f"cannot evaluate {e!r}")
 
     def _bin(self, op, a, b):
@@ -944,16 +943,20 @@ class _SacEval:
         raise SacParseError(f"unknown operator {op}")
 
     def _sel(self, arr, idx):
+        if type(arr) is not np.ndarray:  # a scalar is an array of rank 0
+            arr = np.asarray(arr)
         if isinstance(idx, np.ndarray):
             comps = tuple(int(c) for c in idx.tolist())
             if len(comps) > arr.ndim:
-                raise Abort("selection index longer than array rank")
+                raise Abort(f"selection {comps} from an array of rank {arr.ndim}")
             for c, n in zip(comps, arr.shape):
                 if not 0 <= c < n:
                     raise Abort(f"index {comps} out of bounds")
             out = arr[comps]
             return out
         i = int(idx)
+        if not arr.ndim:
+            raise Abort(f"selection {i} from an array of rank 0")
         if not 0 <= i < arr.shape[0]:
             raise Abort(f"index {i} out of bounds")
         return arr[i]

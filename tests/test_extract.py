@@ -24,7 +24,7 @@ from eslc.ir import (Clause, Con, Def, Definition, Function, Lit, PCon, PVar,
 from eslc.kaleid import KaleidBackend, KCall, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.parser import RESERVED
-from eslc.sac import SacBackend, SCall, interp_sac, parse_sac
+from eslc.sac import Inhomogeneous, SacBackend, SCall, interp_sac, parse_sac
 
 
 def _nat():
@@ -116,6 +116,22 @@ def test_no_assert_still_refuses_what_the_target_lacks():
                 ExtractOptions(no_assert=True))
 
 
+def test_a_backend_refusal_names_its_function_and_keeps_its_class():
+    # the callee is refused, not the entry that calls it
+    e = load_sources([("t", "h : Nat -> Nat\nh zero = 0\nh (suc n) = h n\n\n"
+                            "f : Nat -> Nat\nf n = h n\n")])
+    with pytest.raises(ExtractError, match="^h: this target compiles "
+                                           "single-clause functions only$"):
+        kompile("f", [], [], SacBackend(), e.env, e.rules)
+    e = load_sources([("t", "f : List (List Nat) -> Nat\nf xs = 0\n")])
+    with pytest.raises(Inhomogeneous, match="^f: nested lists"):
+        kompile("f", [], [], SacBackend(), e.env, e.rules)
+    e = load_sources([("t", "g : Nat -> Float\ng n = 1.0\n")])
+    with pytest.raises(ExtractError, match="^g: unsupported type at __ret: "
+                                           "this target has no floats"):
+        kompile("g", [], [], KaleidBackend(), e.env, e.rules)
+
+
 def _nat_pi(*tys):
     return mk_pi([(f"v{k}", ty, hidden) for k, (ty, hidden) in enumerate(tys)],
                  _nat())
@@ -166,7 +182,7 @@ class Unelaborated(str):
 FORMS = [
     ("Nat", "f : Nat -> Nat\nf n = n\n", [], []),
     ("Float", "f : Float -> Float\nf x = x\n",
-     "this target has no floats", []),
+     "f: unsupported type at x_1: this target has no floats", []),
     ("Fin e", "f : (n : Nat) -> Fin n -> Nat\nf n i = toN i\n",
      ["x_2 < x_1"], ["x_2 < x_1"]),
     ("result Fin e", "f : (n : Nat) -> Fin (1 + n * n)\n"
@@ -183,14 +199,14 @@ FORMS = [
      *[Unelaborated("line 1: signature of f: (Dec Nat) decides no "
                     "proposition (_<_ or _≡_)")] * 2),
     ("Vec X n", "f : (n : Nat) -> Vec Float n -> Vec Float n\nf n v = v\n",
-     'unsupported type at x_2: (def "Vec"',
+     'f: unsupported type at x_2: (def "Vec"',
      ["shape (x_2)[0] == x_1", "shape (__ret)[0] == x_1"]),
     ("Ar X d s", "f : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\nf a = a\n",
-     'unsupported type at x_1: (def "Ar"',
+     'f: unsupported type at x_1: (def "Ar"',
      ["take (1, shape (x_1)) == cons (3, [])",
       "take (1, shape (__ret)) == cons (3, [])"]),
     ("List X", "f : List Float -> Nat\nf xs = 0\n",
-     'unsupported type at x_1: (def "List"', []),
+     'f: unsupported type at x_1: (def "List"', []),
     # a type or a function has no value in either target
     *[(form, src, *[f"f: unsupported type at {at}"] * 2) for form, src, at in [
         ("(X : Set) -> X -> X", "f : (X : Set) -> X -> X\nf X x = x\n",
@@ -217,7 +233,7 @@ def test_each_signature_form_is_checked_or_refused(src, kaleid, sac, target):
         return
     e = load_sources([("t", src)])
     if isinstance(want, str):
-        with pytest.raises(ExtractError, match=re.escape(want)):
+        with pytest.raises(ExtractError, match="^" + re.escape(want)):
             kompile("f", [], [], backend, e.env, e.rules)
         return
     text = kompile("f", [], [], backend, e.env, e.rules)

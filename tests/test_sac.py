@@ -10,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eslc import corpus
-from eslc.evaluate import call, varr
-from eslc.extract import kompile
+from eslc.evaluate import PRF, EvalError, call, varr
+from eslc.extract import ExtractOptions, kompile
 from eslc.harness import compare, run_corpus_diff
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
-from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, SacParseError,
-                      SFlt, flatten_type, interp_sac, parse_sac,
-                      render_expr)
+from eslc.sac import (Inhomogeneous, ParsedFn, SacAborted, SacBackend,
+                      SacParseError, SFlt, SMacroApp, SNum, flatten_type,
+                      interp_sac, parse_sac, render_expr)
 
 
 def _vec(*xs):
@@ -136,7 +136,71 @@ prow k p a = sel a (k ∷ [])
     arr = np.arange(30.0).reshape(5, 6)
     row = interp_sac(out, "prow", [5, 6, 2, arr])
     assert np.allclose(row, arr[2])
-    assert isinstance(interp_sac(out, "prow", [5, 6, 9, arr]), SacAborted)
+    assert interp_sac(out, "prow", [5, 6, 9, arr]) == SacAborted("assertion failed")
+    # without the checks the selection itself aborts, as the source's does
+    bare = kompile("prow", [], [], SacBackend(), e.env, e.rules,
+                   ExtractOptions(no_assert=True))
+    assert interp_sac(bare, "prow", [5, 6, 9, arr]) == \
+        SacAborted("index (9, 0) out of bounds")
+    rows = varr((5,), [varr((6,), list(r)) for r in arr])
+    with pytest.raises(EvalError, match=r"index \(9,\) out of bounds"):
+        call(e.env, "prow", [5, 6, 9, PRF, rows])
+
+
+@pytest.mark.parametrize("op, why", [("/", "division by zero"),
+                                     ("%", "mod by zero")])
+def test_a_zero_divisor_aborts_on_both_sides(op, why):
+    e = load_sources([("d", f"dv : (x y : Nat) -> 0 < y -> Nat\ndv x y p = x {op} y\n")])
+    out = kompile("dv", [], [], SacBackend(), e.env, e.rules,
+                  ExtractOptions(no_assert=True))
+    assert interp_sac(out, "dv", [7, 2]) == call(e.env, "dv", [7, 2, 1]) == \
+        (3 if op == "/" else 1)
+    assert interp_sac(out, "dv", [7, 0]) == Aborted(why)
+    with pytest.raises(EvalError, match=f"^{why}$"):
+        call(e.env, "dv", [7, 0, 1])
+
+
+def test_a_selection_from_a_scalar_aborts():
+    # an unchecked logistic given a scalar where its array goes
+    e = load_prelude()
+    out = kompile("logistic", [], [], SacBackend(), e.env, e.rules,
+                  ExtractOptions(no_assert=True))
+    assert interp_sac(out, "logistic", [1, np.array([2]), 2.5]) == \
+        Aborted("selection (0,) from an array of rank 0")
+    prog = """
+float f(float a) {
+  float __ret;
+  __ret = a[[]];
+  return __ret;
+}
+
+float g(float a) {
+  float __ret;
+  __ret = a[0];
+  return __ret;
+}
+"""
+    # the empty selection is the scalar itself
+    assert interp_sac(prog, "f", [2.5]) == interp_sac(prog, "f", [((), [2.5])]) == 2.5
+    assert interp_sac(prog, "g", [2.5]) == \
+        Aborted("selection 0 from an array of rank 0")
+
+
+def test_a_malformed_program_is_a_parse_error():
+    prog = """
+int f(int x) {
+  int __ret;
+  __ret = y $+ x;
+  return __ret;
+}
+"""
+    with pytest.raises(SacParseError, match="^unbound variable y$"):
+        interp_sac(prog, "f", [1])
+    for node, why in [(SMacroApp("m", SNum(1)), "macros are substituted"),
+                      ("x", "cannot evaluate 'x'")]:
+        fns = {"f": ParsedFn("f", [], [("return", node)])}
+        with pytest.raises(SacParseError, match=why):
+            interp_sac(fns, "f", [])
 
 
 def test_full_selection_is_direct():
