@@ -111,7 +111,9 @@ def _mod(a, b):
 
 
 def _div_helper(k, m, n, j):
-    return k + (n + m - j) // (1 + m)
+    # the clauses' value: n + m - j is below zero only when n runs out
+    # before j does, and then the value is k
+    return k + max(n + m - j, 0) // (1 + m)
 
 
 def _mod_helper(k, m, n, j):

@@ -324,8 +324,6 @@ class Elaborator:
             clauses = self.env.lookup(name).payload.clauses
             if not clauses:
                 raise EslError(f"{name}: signature without clauses")
-            if len({len(c.patterns) for c in clauses}) > 1:
-                raise EslError(f"{name}: clauses differ in pattern count")
 
     def load_source(self, text: str, path: str = "<string>") -> None:
         self.load_module(parse(text, path))
@@ -488,19 +486,18 @@ class Elaborator:
                     self._discharge(Def("_<_", (vis(Lit(0)), whty.args[0])), ctx)
                 return Con(name)
             case _:
+                # a name other than a bare constructor, a number or an
+                # application: each has a type
                 t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty) \
                     if isinstance(s, SApp) else self._infer(s, ctx)
-                if ity is not None:
-                    ity = _force(ity)
-                    if _is_pi(ity) and ity.hidden and (
-                            type(whty) in (Def, VVar) or _is_pi(whty) and not whty.hidden):
-                        # a type that starts with hidden binders against a
-                        # rigid one that does not: the hidden arguments are
-                        # inferred, as at an application (`lg = logistic`)
-                        t, ity, _ = self._apply_spine(t, ity, [], ctx, _show(s))
-                    self._unify(ity, whty, ctx)
-                elif is_prop_type(whty):
-                    self._discharge(whty, ctx)
+                ity = _force(ity)
+                if _is_pi(ity) and ity.hidden and (
+                        type(whty) in (Def, VVar) or _is_pi(whty) and not whty.hidden):
+                    # a type that starts with hidden binders against a
+                    # rigid one that does not: the hidden arguments are
+                    # inferred, as at an application (`lg = logistic`)
+                    t, ity, _ = self._apply_spine(t, ity, [], ctx, _show(s))
+                self._unify(ity, whty, ctx)
                 return t
 
     def _check_lampat(self, comps, body, ty, ctx: Ctx) -> Term:
@@ -718,8 +715,6 @@ class Elaborator:
             same = self._unify1(a.body(ctx.env[0]), b.body(ctx.env[0]), ctx)
             ctx.pop()
             return same
-        if cls is Sort and type(b) is Sort:
-            return True
         if cls is type(b) and cls in _HEADED and _head(a) == _head(b) \
                 and len(a.args) == len(b.args) \
                 and all(self._unify1(x.value, y.value, ctx) for x, y in zip(a.args, b.args)):
@@ -831,9 +826,8 @@ class Elaborator:
                     f"line {line}: literal pattern at {self._show_v(ty_w, ctx)}")
             case "absurd":
                 return PAbsurd(), Unknown()
-            case "con":
-                return self._elab_con_pattern(p, ty_w, ctx, line)
-        raise AssertionError(p.kind)
+        # "con", the last kind of pattern the parser makes
+        return self._elab_con_pattern(p, ty_w, ctx, line)
 
     def _elab_con_pattern(self, p: SPat, ty, ctx: Ctx, line: int):
         name, args = p.name, p.args

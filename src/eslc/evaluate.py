@@ -20,13 +20,12 @@ call takes one Python frame.  The functions of one Env share one
 namespace, in which `f<k>` is the k-th Function staged or called from
 staged code (`_Code.globals` maps the ESL names) and `p<k>` the
 primitive at position k of PRIMS.  The namespace is kept on the Env, so
-the code lives as long as the Env.  A definition is staged again when
-its clause list has grown: clauses are only appended, so code in which
-no clause matched checks for that before it fails, and a call by name
-checks for it first.  A term given to eval_closed is staged the same
+the code lives as long as the Env.  A Function is staged once: the
+elaborator adds a Function's clauses while it loads the module, before
+anything evaluates.  A term given to eval_closed is staged the same
 way, into a function of the context list from which its free variables
-are read (de Bruijn index i is ctx[i]).  Running out of Python stack is
-an EvalError("recursion depth").
+are read (de Bruijn index i is ctx[i]).  No clause matching, and running
+out of Python stack, are EvalErrors; the latter's is "recursion depth".
 """
 
 from __future__ import annotations
@@ -90,9 +89,8 @@ class _Code:
 
     def __init__(self, defs: dict):
         self.defs = defs
-        self.ns: dict[str, object] = {
-            **_HELPERS, "_apply_def": self.apply_def, "_nomatch": self.nomatch}
-        self.staged: dict[str, int] = {}  # Function -> clauses it was staged from
+        self.ns: dict[str, object] = dict(_HELPERS)
+        self.staged: set[str] = set()  # the Functions staged
         self.globals: dict[str, str] = {}  # Function -> its global
 
     def close(self) -> None:
@@ -119,27 +117,18 @@ class _Code:
             return _saturate(self.fun(name), arity, args)
         if isinstance(payload, Constructor):
             return _apply_con(name, args)
-        if isinstance(payload, Datatype):
-            return TYPE
-        raise EvalError(f"cannot evaluate definition {name}")
+        return TYPE  # a Datatype: every Builtin is a primitive
 
     def fun(self, name: str):
         """The code of Function `name`: a Python function of exactly its
-        arity, staged again if the clause list has grown since."""
-        clauses = self.defs[name].payload.clauses
+        arity, staged on the first call."""
         g = self.fun_global(name)
-        if self.staged.get(name) != len(clauses):
-            code = _Stager(self, None).function(name, g, clauses)
+        if name not in self.staged:
+            code = _Stager(self, None).function(
+                name, g, self.defs[name].payload.clauses)
             exec(py.compile_defs([code], "<esl>"), self.ns)
-            self.staged[name] = len(clauses)
+            self.staged.add(name)
         return self.ns[g]
-
-    def nomatch(self, name: str, staged: int, *args):
-        """No clause of code staged from `staged` clauses matched args: the
-        code staged anew decides if the clause list has grown since."""
-        if len(self.defs[name].payload.clauses) != staged:
-            return self.fun(name)(*args)
-        raise EvalError(f"{name}: no clause matches {list(args)!r}")
 
     def term(self, t: Term):
         """t as a Python function of the context list."""
@@ -169,8 +158,7 @@ class _Code:
         return g, arity
 
 
-_SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "icons": "ix", "inil": "ix",
-             "lcons": "list", "lnil": "list"}
+_SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "lcons": "list", "lnil": "list"}
 
 
 class _Stager:
@@ -200,7 +188,7 @@ class _Stager:
             stmts.append(py.if_(test, run))
         else:
             stmts.append(py.ret(py.call("_nomatch", [
-                py.const(name), py.const(len(clauses)), *map(py.load, params)])))
+                py.const(name), *map(py.load, params)])))
         return py.fundef(g, params, stmts)
 
     def clause(self, name: str, cl, params: list[str]):
@@ -255,12 +243,10 @@ class _Stager:
                      size, tests, binds)
         elif name in _SEQ_TAGS:
             tag = _SEQ_TAGS[name]
-            if not isinstance(v, ast.Tuple):
+            if not isinstance(v, ast.Tuple):  # a matched tail has the tag
                 tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const(tag)))
-            elif v.elts[0].value != tag:  # the tail of another sequence
-                tests.append(py.const(False))
             items = py.item(v, 1)
-            if name in ("vnil", "inil", "lnil"):
+            if name in ("vnil", "lnil"):
                 tests.append(py.node(ast.UnaryOp, ast.Not(), items))
                 return
             tests.append(items)
@@ -268,18 +254,14 @@ class _Stager:
             self.pat(head, py.item(items, 0), size, tests, binds)
             rest = py.item(items, py.node(ast.Slice, py.const(1), None, None))
             self.pat(tail, py.tup([py.const(tag), rest]), size, tests, binds)
-        elif name == "imap":
+        else:
+            # imap: the elaborator and PRIMS build no other pattern
+            assert name == "imap", name
             tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const("arr")))
             ix = self.fresh()
             sel = py.lam([ix], py.call("_arr_index", [v, py.load(ix)]))
             sub = [a.value for a in p.args if not a.hidden][0]
             self.pat(sub, sel, size, tests, binds)
-        elif name in ("yes", "no"):
-            tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const("dec")))
-            tests.append(py.compare(py.item(v, 1), ast.Eq(),
-                                    py.const(name == "yes")))
-        else:
-            tests.append(py.call("_unhandled", [py.const(name)]))
 
     def body(self, t: Term, scope: list[str]) -> list[ast.stmt]:
         """Statements returning the value of t: its outer lets become
@@ -332,13 +314,11 @@ class _Stager:
                 return py.load("_PRF")
             case Pi() | Sort():
                 return py.load("_TYPE")
-        return py.call("_fail", [py.const(f"cannot evaluate {t!r}")])
 
     def con(self, name: str, vals: list[ast.expr]) -> ast.expr:
-        entry = _CON.get(name)
-        if entry is None or len(vals) < entry[0]:
-            return py.call("_apply_con", [py.const(name),
-                                          py.lst(vals)])
+        entry = _CON[name]
+        if len(vals) < entry[0]:  # `let s = suc in ...`
+            return py.call("_apply_con", [py.const(name), py.lst(vals)])
         if not vals:
             return py.const(entry[1]([]))
         if name == "suc" and len(vals) == 1:
@@ -351,13 +331,11 @@ class _Stager:
         if name in _PRIM:
             fn, need = self.code.prim(name)
         else:
-            d = self.code.defs.get(name)
-            f = d.payload if d is not None else None
+            # the elaborator names a constructor by Con, so this is a
+            # Datatype or a Function, which has clauses once loaded
+            f = self.code.defs[name].payload
             if isinstance(f, Datatype):
                 return py.call("_type", vals) if vals else py.load("_TYPE")
-            if not (isinstance(f, Function) and f.clauses):
-                return py.call("_apply_def", [py.const(name),
-                                              py.lst(vals)])
             fn, need = self.code.callee(name), len(f.clauses[0].patterns)
         if len(vals) == need:
             return py.call(fn, vals)
@@ -411,16 +389,12 @@ def _apply(f, *args):
     return f
 
 
-def _fail(message: str):
-    raise EvalError(message)
+def _nomatch(name: str, *args):
+    raise EvalError(f"{name}: no clause matches {list(args)!r}")
 
 
 def _absurd(name: str):
     raise EvalError(f"{name}: reached an absurd clause")
-
-
-def _unhandled(name: str):
-    raise EvalError(f"unhandled pattern constructor {name}")
 
 
 # --------------------------------------------------------------------------
@@ -435,22 +409,15 @@ def _collect(need: int, fn, args: list):
 
 
 def _apply_con(name: str, args: list):
-    entry = _CON.get(name)
-    if entry is None:
-        raise EvalError(f"unknown constructor {name}")
-    return _collect(*entry, args)
+    return _collect(*_CON[name], args)
 
 
 def _c_imap(a):
-    # hidden arguments carry element type, rank, and shape
-    if len(a) < 4:
-        raise EvalError("imap value lacks its shape argument")
-    shape_v, f = a[-2], a[-1]
-    shape = tuple(shape_v[1])
-    ixs = product(*map(range, shape))
-    if callable(f):
-        return ("arr", shape, [f(("ix", ix)) for ix in ixs])
-    return ("arr", shape, [_apply1(f, ("ix", ix)) for ix in ixs])
+    # hidden arguments carry element type, rank, and shape; a function
+    # value is a Python callable
+    shape, f = tuple(a[-2][1]), a[-1]
+    return ("arr", shape,
+            [f(("ix", ix)) for ix in product(*map(range, shape))])
 
 
 def _cons(tag: str):
@@ -468,7 +435,7 @@ _CON = {
     "icons": (2, _cons("ix")),
     "lnil": (0, lambda a: ("list", ())),
     "lcons": (2, _cons("list")),
-    "imap": (1, _c_imap),
+    "imap": (4, _c_imap),
     "yes": (0, lambda a: ("dec", True)),
     "no": (0, lambda a: ("dec", False)),
     "prf": (0, lambda a: PRF),
@@ -479,8 +446,7 @@ _CON_GLOBAL = {name: f"c{i}" for i, name in enumerate(_CON)}
 _HELPERS = {
     "_PRF": PRF, "_TYPE": TYPE, "_type": _type, "_saturate": _saturate,
     "_apply1": _apply1, "_apply": _apply, "_apply_con": _apply_con,
-    "_arr_index": arr_index, "_fail": _fail, "_absurd": _absurd,
-    "_unhandled": _unhandled,
+    "_arr_index": arr_index, "_nomatch": _nomatch, "_absurd": _absurd,
     **{_CON_GLOBAL[name]: fn for name, (_, fn) in _CON.items()},
 }
 

@@ -150,7 +150,7 @@ def erase(t: Term, depth: int, env: Env) -> Term:
             return Lit(1)
         if t.name == "no":
             return Lit(0)
-        if t.name in ("suc", "fsuc"):
+        if t.name in ("suc", "fsuc") and t.args:  # not `let s = suc in ...`
             k = 0
             while type(t) is Con and t.name in ("suc", "fsuc"):
                 k += 1

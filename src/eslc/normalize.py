@@ -149,9 +149,8 @@ def _roots_unify(r1: RewriteRule, r2: RewriteRule) -> bool:
                 return all(unify(x.value, y.value) for x, y in zip(a1, a2))
             case (Lit(v1), Lit(v2)):
                 return v1 == v2
-            case (Var(i1, a1), Var(i2, a2)):
-                return i1 == i2 and len(a1) == len(a2) and \
-                    all(unify(x.value, y.value) for x, y in zip(a1, a2))
+        # a variable is a hole here, except under a binder, which this
+        # does not enter
         return False
 
     return unify(tag(r1.lhs, 0, "a"), tag(r2.lhs, 0, "b"))
@@ -342,7 +341,7 @@ class Normalizer:
 
     def _canon(self, v: Con):
         """Collapse closed suc/fsuc spines into literals."""
-        if v.name in ("suc", "fsuc"):
+        if v.name in ("suc", "fsuc") and v.args:  # `let s = suc in ...`
             inner = self.whnf(v.args[-1].value)
             n = nat_view(inner)
             if n is not None:

@@ -666,7 +666,7 @@ class _SacReader(TokenReader):
         toks = []
         for m in _TOKEN.finditer(text):
             if m.lastgroup == "bad":
-                raise SacParseError(f"stray {m.group()!r}")
+                raise SacParseError(f"stray {m.group('bad')!r}")
             if m.lastgroup:
                 toks.append(m.group("tok"))
         return toks
@@ -844,10 +844,8 @@ def interp_sac(program, entry: str, args):
     vals = [_to_value(a) for a in args]
     try:
         out = _SacEval(prog).call(entry, vals)
-    except Abort as ab:
+    except Abort as ab:  # a zero divisor too: _bin checks it first
         return Aborted(ab.reason)
-    except ZeroDivisionError:
-        return Aborted("division by zero")
     except RecursionError:
         return Aborted(ir.EXHAUSTED)
     return out

@@ -129,6 +129,132 @@ def test_diff_adhoc_scalar_entry(tmp_path, capsys):
     assert code == 0
 
 
+SPIN = "spin : Nat -> Nat\nspin 0 = 0\nspin (suc n) = spin (n + 1)\n"
+
+
+def test_diff_with_no_sample_compared_fails(tmp_path, capsys):
+    # README: a sample on which either side runs out of stack is named and
+    # counted as inconclusive; a run in which no sample compared fails
+    src = _write(tmp_path, "spin.esl", SPIN)
+    assert main(["diff", src, "--entry", "spin", "--backend", "kaleid",
+                 "--samples", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split("\t") == ["spin", "3", "0", "3"]
+    lines = err.splitlines()
+    assert len(lines) == 4 and lines[-1] == "eslc: spin: no sample compared"
+    assert all(re.fullmatch(r"eslc: spin \d+: inconclusive, recursion depth", x)
+               for x in lines[:3]), lines
+    assert main(["diff", src, "--entry", "spin", "--backend", "kaleid",
+                 "--samples", "0"]) == 1
+    assert capsys.readouterr().err == "eslc: spin: no sample compared\n"
+
+
+def test_dump_ir_prints_each_clause_body_and_leaves_stdout(tmp_path, capsys):
+    src = _write(tmp_path, "ex.esl", corpus.EX7 + SPIN)
+    for entry, bodies in [("spin", 2), ("ex11", 0)]:
+        argv = ["kompile", src, "--entry", entry, "--backend", "kaleid"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--dump-ir"]) == 0
+        out, err = capsys.readouterr()
+        assert out == plain.out and plain.err == ""
+        assert len(err.splitlines()) == bodies
+        assert all(x.startswith("(") for x in err.splitlines())
+
+
+def test_diff_samples_fin_and_refuses_what_it_cannot_sample(tmp_path, capsys):
+    src = _write(tmp_path, "fin.esl", corpus.EX7 + """
+g : (a b : Nat) -> a ≡ b -> Nat
+g a b p = a
+""")
+    argv = ["diff", src, "--backend", "kaleid", "--samples", "20", "--entry"]
+    # seed 1 draws n = 0 three times; Fin 0 is empty, so it draws again
+    assert main(argv + ["exfin", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t") == \
+        ["exfin", "20", "0", "0"]
+    # the messages end in core IR, which may change; their starts do not
+    assert main(argv + ["g"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "eslc: cannot sample an argument of type ")
+    assert main(argv + ["ex11"]) == 1
+    assert capsys.readouterr().err == \
+        "eslc: could not satisfy the preconditions of ex11\n"
+
+
+RULES = """
+hd : List Nat -> Nat
+hd [] = 0
+hd (x ∷ xs) = x
+
+vfst : Vec Nat 2 -> Nat
+vfst (x ∷ xs) = x
+
+{-# TRUST hd-cons #-}
+{-# TRUST fsub0 #-}
+{-# TRUST fsub00 #-}
+{-# TRUST vfst-0 #-}
+{-# TRUST sub-0 #-}
+{-# TRUST sub-self #-}
+
+hd-cons : (x : Nat) -> (xs : List Nat) -> hd (x ∷ xs) ≡ x
+hd-cons x xs = prf
+
+vfst-0 : (v : Vec Nat 2) -> vfst v + 0 ≡ vfst v
+vfst-0 v = prf
+
+fsub0 : (x : Float) -> x -f 0.0 ≡ x
+fsub0 x = prf
+
+fsub00 : 0.0 -f 0.0 ≡ 0.0
+fsub00 = prf
+
+sub-0 : (n : Nat) -> n - 0 ≡ n
+sub-0 n = prf
+
+sub-self : (n : Nat) -> n - n ≡ 0
+sub-self n = prf
+
+{-# REWRITE hd-cons #-}
+{-# REWRITE vfst-0 #-}
+{-# REWRITE fsub0 #-}
+{-# REWRITE fsub00 #-}
+{-# REWRITE sub-self #-}
+{-# REWRITE sub-0 #-}
+
+f : Nat -> Nat
+f x = x - 0
+"""
+
+
+def test_kompile_checks_rules_on_lists_vectors_and_floats(tmp_path, capsys):
+    # a rule over a function (map-comp) cannot be sampled and is skipped;
+    # overlapping left-hand sides warn
+    from eslc.normalize import ConfluenceWarning
+    src = _write(tmp_path, "rules.esl", corpus.REWRITES + RULES)
+    with pytest.warns(ConfluenceWarning) as caught:
+        assert main(["kompile", src, "--entry", "f", "--backend", "kaleid"]) == 0
+    assert sorted((w.message.rule, w.message.clashes_with) for w in caught) == \
+        [("fsub00", "fsub0"), ("sub-0", "sub-self"), ("vfst-0", "plus-0")]
+    assert "let __ret = x\n" in capsys.readouterr().out
+
+
+def test_fixity_declarations_extend_the_operators(tmp_path, capsys):
+    src = _write(tmp_path, "plus.esl", """infixl 6 _plus_
+
+_plus_ : Nat -> Nat -> Nat
+_plus_ x y = x + y
+
+f : Nat -> Nat
+f x = x plus 2 plus 3
+""")
+    assert main(["kompile", src, "--entry", "f", "--backend", "kaleid"]) == 0
+    assert "x + 2 + 3" in capsys.readouterr().out
+    assert main(["diff", src, "--entry", "f", "--backend", "kaleid",
+                 "--samples", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t") == \
+        ["f", "20", "0", "0"]
+
+
 def test_diff_of_a_decision(tmp_path, capsys):
     src = _write(tmp_path, "dec.esl",
                  "w : (a b : Nat) -> Dec (a ≡ b)\nw a b = a ≟ b\n")

@@ -1,8 +1,8 @@
 """Evaluator details not exercised elsewhere: clause normalization
 helpers, sharing flags, reshape, Dec-returning extraction, and the
 evaluator's semantics: partial and over-application, closures, imap
-patterns, lets, error messages, definitions added after a call, deep
-recursion and nesting, and primitives read from PRIMS."""
+patterns, lets, error messages, definitions added after a call, type
+arguments, deep recursion and nesting, and primitives read from PRIMS."""
 
 import gc
 import hashlib
@@ -18,7 +18,7 @@ from eslc.evaluate import (PRF, Eval, EvalError, call, eval_closed, varr,
                            vvec)
 from eslc.extract import ExtractOptions, kompile
 from eslc.ir import (Abs, Clause, Con, Def, Definition, Function, Let, Lit,
-                     PAbsurd, PCon, Pi, PVar, Var, hid, vis)
+                     PAbsurd, PCon, Pi, PVar, UnknownName, Var, hid, vis)
 from eslc.kaleid import KaleidBackend, interp_kaleid
 from eslc.loader import load_prelude, load_sources
 from eslc.normalize import (NotGroundable, ReductionPolicy, check_rewrite,
@@ -149,6 +149,12 @@ app f x = f x
 
 incall : List Nat -> List Nat
 incall xs = map (\\x -> x + 1) xs
+
+sucall : List Nat -> List Nat
+sucall xs = map suc xs
+
+letsuc : Nat -> Nat
+letsuc x = let s = suc in s (s x)
 """
 
 
@@ -169,6 +175,14 @@ def test_partial_application_of_a_constructor(higher):
     suc = Eval(higher).apply_def("suc", [])
     assert call(higher, "app", [suc, 4]) == 5
     assert call(higher, "map", [suc, ("list", (0, 7))]) == ("list", (1, 8))
+    assert call(higher, "sucall", [("list", (0, 7))]) == ("list", (1, 8))
+    assert call(higher, "letsuc", [3]) == 5
+
+
+def test_a_call_by_name_of_a_type_or_of_no_definition(higher):
+    assert call(higher, "Nat", []) == ("type",)
+    with pytest.raises(UnknownName, match="nosuch"):
+        call(higher, "nosuch", [1])
 
 
 def test_over_application(higher):
@@ -294,20 +308,31 @@ def test_definitions_loaded_after_a_call_are_seen():
     assert call(elab.env, "f", [5]) == 10
 
 
-def test_clauses_appended_after_a_call_are_seen():
-    elab = load_sources([("h", "h : Nat -> Nat\nh 0 = 1\nh (suc n) = n\n"
+def test_no_matching_clause_is_an_eval_error():
+    elab = load_sources([("h", "h : Nat -> Nat\nh 0 = 1\n"
+                               "h (suc (suc (suc (suc n)))) = n\n"
                                "g : Nat -> Nat\ng x = h x\n")])
-    clauses = elab.env.lookup("h").payload.clauses
-    second = clauses.pop()
-    assert call(elab.env, "h", [0]) == 1
+    assert call(elab.env, "h", [0]) == 1 and call(elab.env, "g", [5]) == 1
     assert _error(elab.env, "h", [3]) == "h: no clause matches [3]"
     assert _error(elab.env, "g", [3]) == "h: no clause matches [3]"
-    clauses.append(second)
-    # g's code calls the code of h made before the clause was appended
-    assert call(elab.env, "g", [3]) == 2
-    assert call(elab.env, "h", [3]) == 2
     # a suc pattern matches naturals only
     assert _error(elab.env, "h", [2.5]) == "h: no clause matches [2.5]"
+
+
+def test_type_arguments_evaluate_to_placeholders():
+    # a hidden argument solved to a function type, or to the unknown type
+    # of a let-bound constructor, is computed like any other argument
+    e = load_sources([("m", """
+id : {X : Set} -> X -> X
+id x = x
+g : (Nat -> Nat) -> Nat
+g h = id h 3
+f : Nat -> Nat
+f n = let v = yes in let w = id v in n
+""")])
+    assert isinstance(e.env.lookup("g").payload.clauses[0].body.args[0].value, Pi)
+    assert call(e.env, "g", [lambda x: x + 1]) == 4
+    assert call(e.env, "f", [4]) == 4
 
 
 def test_running_out_of_stack_is_an_eval_error():

@@ -132,6 +132,18 @@ def test_a_backend_refusal_names_its_function_and_keeps_its_class():
         kompile("g", [], [], KaleidBackend(), e.env, e.rules)
 
 
+def test_a_shared_let_of_a_constructor_is_refused_on_both_targets():
+    # `g` is used twice, so the let stays; neither target has function
+    # values, and neither the normalizer nor erasure reads a bare `suc`
+    e = load_sources([("t", "lm : Nat -> Nat\nlm x = let g = suc in g (g x)\n")])
+    assert call(e.env, "lm", [3]) == 5
+    for backend, message in [(KaleidBackend(), "constructor suc has no scalar "
+                                               "translation"),
+                             (SacBackend(), "no array translation for ")]:
+        with pytest.raises(ExtractError, match=f"^lm: {message}"):
+            kompile("lm", [], [], backend, e.env, e.rules)
+
+
 def _nat_pi(*tys):
     return mk_pi([(f"v{k}", ty, hidden) for k, (ty, hidden) in enumerate(tys)],
                  _nat())

@@ -10,9 +10,10 @@ import pytest
 from eslc import corpus, loader
 from eslc import evaluate
 from eslc.broadcast import ShapeMismatch, resolve_dyargs
-from eslc.elaborate import (ScopeError, UnprovenConstraint, UnsupportedType)
+from eslc.elaborate import (ScopeError, UnprovenConstraint, UnsupportedType,
+                            _show)
 from eslc.evaluate import call, varr, vvec
-from eslc.ir import Arg, Con, Lit, PVar, Var, vis
+from eslc.ir import Arg, Con, EslError, Lit, PVar, Var, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.parser import SyntaxErrorAt, parse
 
@@ -40,10 +41,42 @@ def test_syntax_error_position():
             ("g : Nat\ng = \\(i ∷ j) -> i\n", "2:11: expected '∷', found ')'"),
             ("h : Nat -> Nat\nh {} = 1\n", "2:3: empty hidden pattern"),
             ("f : Nat -> Nat\nf x = x -- c\n  + let\n",
-             "3:4: unexpected end of declaration")]:
+             "3:4: unexpected end of declaration"),
+            ("{-# REWRITE r\n", "1:0: unterminated pragma"),
+            ("  f : Nat\n", "1:0: continuation line with no declaration"),
+            ("f : Nat -> Nat\nf x\n", "2:0: clause lacks '=' and a body"),
+            ("f : Nat -> Nat\nf x = ->\n", "2:6: unexpected '->'"),
+            # an absurd or empty pattern nests in no other pattern
+            ("f : Nat -> Nat\nf (suc ()) = 1\n", "2:8: unexpected ')' in pattern"),
+            ("f : Nat -> Nat\nf (suc {}) = 1\n", "2:8: unexpected '}' in pattern"),
+            ("infixl _plus_\n", "1:0: malformed fixity declaration"),
+            ("infixl x _plus_\n", "1:0: malformed fixity declaration"),
+            ("infixr 6 plus\n", "1:0: fixity declares names of the form _op_")]:
         with pytest.raises(SyntaxErrorAt) as ex:
             parse(src)
         assert str(ex.value) == msg, src
+
+
+def test_patterns_nest_in_parentheses_and_braces():
+    clause = parse("f : Nat -> Nat\nf ((x)) (suc (suc n)) (g {m} i) = x\n").decls[1]
+    assert [(p.kind, p.name, [(a.name, h) for a, h in p.args])
+            for p, _ in clause.pats] == [
+        ("var", "x", []), ("con", "suc", [("suc", False)]),
+        ("con", "g", [("m", True), ("i", False)])]
+    assert clause.pats[1][0].args[0][0].args[0][0].name == "n"
+
+
+def test_fixity_declarations_set_associativity_and_level():
+    ops = "_plus_ : Nat -> Nat -> Nat\n_plus_ x y = x + y\nf : Nat -> Nat\n"
+    for fixity, body in [("infixl", "((x plus 2) plus 3)"),
+                         ("infixr", "(x plus (2 plus 3))")]:
+        m = parse(f"{fixity} 6 _plus_\n{ops}f x = x plus 2 plus 3\n")
+        assert (m.decls[0].assoc, m.decls[0].level) == \
+            ({"infixl": "left", "infixr": "right"}[fixity], 6)
+        assert _show(m.decls[-1].body) == body
+    # level 6 binds looser than *, at level 7
+    m = parse(f"infixl 6 _plus_\n{ops}f x = x plus 2 * x\n")
+    assert _show(m.decls[-1].body) == "(x plus (2 * x))"
 
 
 def test_lines_inside_a_declaration_are_counted_as_in_the_text():
@@ -152,6 +185,109 @@ def test_higher_order_definitions_load_but_do_not_extract():
         with pytest.raises(ExtractError, match="^twice: unsupported type at "
                            "x_1: higher-order argument$"):
             kompile("twice", [], [], backend, e.env, e.rules)
+
+
+N2N = "f : Nat -> Nat\n"
+
+
+@pytest.mark.parametrize("src, error, message", [
+    ("f : Nat\nf : Nat\n", EslError, "duplicate signature for f"),
+    (N2N, EslError, "f: signature without clauses"),
+    ("r : Nat -> Nat\nr x = x\n{-# REWRITE r #-}\n", EslError,
+     "REWRITE r: signature must end in an equality"),
+    (N2N + "f x = let g = \\y -> y in x\n", UnprovenConstraint,
+     "cannot infer a type for a bare lambda; add an annotation"),
+    (N2N + "f x = (\\(i ∷ []) -> i) x\n", UnsupportedType,
+     "cannot apply (\\(i ∷ []) -> i)"),
+    (N2N + "f x = let p = prf in x\n", UnprovenConstraint,
+     "prf needs an expected proposition type"),
+    (N2N + "f x = prf\n", UnprovenConstraint, "not a decidable proposition: "),
+    (N2N + "f x = let v = [] in x\n", UnprovenConstraint,
+     "[] needs an expected container type; annotate the use"),
+    (N2N + "f x = \\y -> y\n", UnsupportedType,
+     "lambda checked against non-function type"),
+    (N2N + "f x = imap (\\i -> x)\n", UnsupportedType,
+     "imap checked against a non-array type"),
+    (N2N + "f x = let a = imap (\\i -> x) in x\n", UnprovenConstraint,
+     "imap needs an expected array type"),
+    ("f : Nat -> Nat\nf = \\(i ∷ []) -> i\n", UnsupportedType,
+     "pattern lambda requires an index-typed domain"),
+    ("f : Ix 2 (3 ∷ 4 ∷ []) -> Nat\nf = \\(i ∷ []) -> i\n", UnsupportedType,
+     "index pattern has 1 components but rank is "),
+    (N2N + "f x = x ∷ []\n", UnsupportedType, "container literal against "),
+    ("f : Vec Nat 1\nf = 1 ∷ 2 ∷ []\n", UnsupportedType,
+     "container literal is longer than its type allows "),
+    (N2N + "f x = let v = yes x in x\n", UnprovenConstraint,
+     "cannot infer argument types for yes"),
+    ("g : Nat -> Nat\ng x = x\n" + N2N + "f x = g x x\n", EslError,
+     "g: too many arguments"),
+    (N2N + "f x = let w = yes +a yes in x\n", UnprovenConstraint,
+     "cannot classify operand yes"),
+    ("f : Float -> Float\nf x = expa x x\n", EslError, "expa expects 1 operand(s)"),
+    ("f : Nat -> Float\nf x = x\n", UnsupportedType, "type mismatch: "),
+    ("g : Vec Nat 3 -> Nat\ng v = 0\nf : Vec Nat 2 -> Nat\nf v = g v\n",
+     UnsupportedType, "type mismatch: "),
+    ("g : (n : Nat) -> Vec Nat (suc n) -> Nat\ng n v = 0\n"
+     "f : Vec Nat 2 -> Nat\nf v = g 5 v\n", UnsupportedType, "type mismatch: "),
+    ("g : Vec Nat 2 -> Nat\ng v = 0\nf : (n : Nat) -> Vec Nat (suc n) -> Nat\n"
+     "f n v = g v\n", UnsupportedType, "type mismatch: "),
+    ("f : Ix 2 (3 ∷ 4 ∷ []) -> Nat\nf i = 0\ng : Ix 1 (4 ∷ []) -> Nat\n"
+     "g j = f (0 ∷ j)\n", UnsupportedType, "index expressions must be literal spines"),
+    ("app : (Nat -> Nat) -> Nat\napp h = h 1\ng : Float -> Nat\ng x = 1\n"
+     + N2N + "f x = app g\n", UnsupportedType, "type mismatch: "),
+    ("app : (Nat -> Nat) -> Nat\napp h = h 1\ng : {n : Nat} -> Nat -> Nat\n"
+     "g x = 1\n" + N2N + "f x = app g\n", UnprovenConstraint,
+     "unresolved hidden arguments in (app g)"),
+    (N2N + "f {x} = x\n", EslError,
+     "line 2: pattern visibility does not match signature"),
+    (N2N + "f x y = x\n", EslError, "line 2: too many patterns for f"),
+    ("f : Float -> Nat\nf 0 = 1\n", UnsupportedType, "line 2: literal pattern at "),
+    (N2N + "f [] = 0\n", UnsupportedType, "line 2: container pattern at "),
+    (N2N + "f (suc x y) = x\n", EslError, "line 2: suc takes one pattern"),
+    ("f : (n : Nat) -> Fin n -> Nat\nf n (fsuc {m} i) = m\n", EslError,
+     "line 2: fsuc takes one pattern"),
+    (N2N + "f (imap g) = 0\n", UnsupportedType, "line 2: imap pattern at "),
+    ("f : Ar Nat 1 (3 ∷ []) -> Nat\nf (imap 0) = 0\n", UnsupportedType,
+     "line 2: imap takes a variable pattern"),
+    (N2N + "f (foo x) = 0\n", UnsupportedType, "line 2: unsupported pattern head foo"),
+    ("f : Vec Nat 2 -> Nat\nf [] = 0\n", UnsupportedType, "line 2: [] pattern at length "),
+    ("f : (n : Nat) -> Vec Nat n -> Nat\nf n (x ∷ xs) = x\n", UnsupportedType,
+     "line 2: cons pattern needs a known vector length"),
+])
+def test_elaboration_errors(src, error, message):
+    # a message that ends in core IR is matched on its start only
+    with pytest.raises(error) as ex:
+        load_sources([("t", src)])
+    assert type(ex.value) is error and str(ex.value).startswith(message)
+
+
+def test_elaboration_corners():
+    # a constructor named as a value (zero), an application of an
+    # application, arithmetic equality of lengths, a hidden proof
+    # argument, a type given for Set, a let whose type mentions the
+    # variable it binds, and a let of a function applied to a clause's
+    # missing pattern
+    e = load_sources([("t", corpus.EX7 + """
+g : Nat -> Nat -> Nat
+g x y = x
+f : Nat -> Nat
+f x = let z = zero in (g x) z
+len' : (a b : Nat) -> Vec Nat (b + a) -> Nat
+len' a b v = a
+h : (a b : Nat) -> Vec Nat (a + b) -> Nat
+h a b v = len' a b v
+lt : (a b : Nat) -> {p : a < b} -> Nat
+lt a b = b - a
+k : Set -> Nat
+k X = 3
+u : Nat -> Nat
+u x = lt x (x + 1) + k Nat
+w : Nat -> Nat
+w x = let p = (let m = x in n<1+n m) in x
+e : Nat -> Nat
+e = let y = 2 in \\x -> x + y
+""")])
+    assert [call(e.env, name, [4]) for name in ("f", "u", "w", "e")] == [4, 4, 4, 6]
 
 
 def test_clause_without_signature():
@@ -264,6 +400,38 @@ def test_cnn_corpus_evaluates():
     assert pooled[2] == [3.5, 5.5, 11.5, 13.5]
 
 
+# each oracle on the target arguments of a sample, as the benchmark's
+# oracle check applies it
+ORACLES = {
+    "log2": lambda a: corpus.oracle_log2(a[0]),
+    "ack": lambda a: corpus.oracle_ack(a[0], a[1]),
+    "logistic": lambda a: corpus.oracle_logistic(a[2]),
+    "meansqerr": lambda a: corpus.oracle_meansqerr(a[2], a[3]),
+    "backavgpool": lambda a: corpus.oracle_backavgpool(a[1]),
+    "avgpool": lambda a: corpus.oracle_avgpool(a[1]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_source_evaluator_agrees_with_the_corpus_oracles(name):
+    import random
+    import numpy as np
+    entry = corpus.CORPUS[name]
+    env = load_sources(entry.sources).env
+    rng = random.Random(3)
+    for _ in range(20):
+        ev_args, target_args = entry.sampler(rng)
+        got, want = call(env, entry.entry, ev_args), ORACLES[name](target_args)
+        if isinstance(want, int):
+            assert type(got) is int and got == want, ev_args
+            continue
+        if isinstance(got, tuple):
+            got = np.array(got[2], dtype=float).reshape(got[1])
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape and np.allclose(
+            got, want, rtol=1e-9, atol=1e-12), ev_args
+
+
 def test_avgpool_backavgpool_shapes_roundtrip():
     import random
     e = load_prelude()
@@ -283,6 +451,31 @@ def test_broadcast_table():
     assert call(e.env, "bsv", [])[2] == [2, 3, 4]
     with pytest.raises(ShapeMismatch):
         load_sources([("bad", corpus.BROADCAST_BAD)])
+
+
+def test_lifted_operands_vectors_scalars_and_rank_zero_arrays():
+    a3 = "Ar Float 1 (3 ∷ [])"
+    e = load_sources([("b", f"""
+vec : Vec Float 3 -> {a3} -> {a3}
+vec v a = v +a a
+scal : Float -> {a3} -> {a3}
+scal x a = x +a a
+rank0 : Ar Float 0 [] -> {a3} -> {a3}
+rank0 x a = x +a a
+""")])
+    a = varr((3,), [1.0, 2.0, 4.0])
+    assert call(e.env, "vec", [vvec((0.5, 0.25, 0.125)), a]) == \
+        varr((3,), [1.5, 2.25, 4.125])
+    assert call(e.env, "scal", [0.5, a]) == varr((3,), [1.5, 2.5, 4.5])
+    assert call(e.env, "rank0", [varr((), [0.5]), a]) == varr((3,), [1.5, 2.5, 4.5])
+    for src, message in [
+            ("f : Fin 3 -> Ar Nat 1 (3 ∷ []) -> Ar Nat 1 (3 ∷ [])\nf x a = x +a a\n",
+             "operand of type "),
+            ("f : Vec (List Nat) 3 -> Vec (List Nat) 3\nf v = v +a v\n",
+             "unsupported element type ")]:
+        with pytest.raises(ShapeMismatch) as ex:
+            load_sources([("bad", src)])
+        assert str(ex.value).startswith(message)
 
 
 def test_nega_is_zero_minus_and_lifted_unaries_take_floats():

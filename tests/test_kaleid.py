@@ -200,6 +200,18 @@ def test_truncated_text_is_a_parse_error():
             parse_kaleid(text)
 
 
+@pytest.mark.parametrize("program, why", [
+    ("def 1 (x):\n  x\n", "expected a name, found '1'"),
+    ("def f (x): x\n  x\n", "unexpected 'x' at the end of a line"),
+    ("def f (x):\n  let __ret = if (x == 0):\n    1\n  __ret\n",
+     "conditional lacks an else branch"),
+    ((KNat(1),), "only functions can be interpreted"),
+])
+def test_each_malformed_program_is_a_parse_error(program, why):
+    with pytest.raises(KParseError, match=f"^{why}$"):
+        interp_kaleid(program, "f", [1])
+
+
 def test_text_too_deep_to_read_is_a_parse_error():
     with pytest.raises(KParseError):
         parse_kaleid(f"def f ():\n  {'(' * 3000}1{')' * 3000}\n")

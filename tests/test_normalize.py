@@ -242,6 +242,88 @@ def test_sum_square_rule_checks():
     assert check_rewrite(rule, 100, ENV) == "pass"
 
 
+BINDERS = """
+app : (Nat -> Nat) -> Nat -> Nat
+app h x = h x
+
+sub-self : (n : Nat) -> n - n ≡ 0
+sub-self n = prf
+
+{-# TRUST app-add #-}
+{-# TRUST app-let #-}
+
+app-add : (k x : Nat) -> app (\\y -> y + k) x ≡ x + k
+app-add k x = prf
+
+app-let : (x : Nat) -> app (\\y -> let z = y in z) x ≡ x
+app-let x = prf
+
+{-# REWRITE sub-self #-}
+{-# REWRITE app-add #-}
+{-# REWRITE app-let #-}
+
+f : Nat -> Nat
+f x = (x * 2) - (x * 2)
+g : Nat -> Nat
+g x = app (\\y -> y + 3) x
+h : Nat -> Nat
+h x = app (\\y -> y + y) x
+k : Nat -> Nat
+k x = app (\\y -> let z = y in z) x
+"""
+
+
+def test_rules_from_source_match_repeats_and_under_binders():
+    from eslc import loader
+    from eslc.ir import print_term
+    from eslc.normalize import normalise_clause
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfluenceWarning)
+        e = loader.load_sources([("binders.esl", BINDERS)])
+
+    def body(name):
+        (cl,) = e.env.lookup(name).payload.clauses
+        return normalise_clause(cl, e.env, dont_reduce({"app"}), e.rules).body
+
+    # a variable the left-hand side repeats binds equal terms
+    assert body("f") == Lit(0)
+    # one under the lambda binds a term free of the lambda's variable ...
+    assert body("g") == plus(Var(0), Lit(3))
+    # ... and not one that mentions it
+    assert print_term(body("h")) == \
+        '(def "app" (v (lam v "y" (def "_+_" (v (var 0)) (v (var 0))))) (v (var 0)))'
+    # a left-hand side with a let matches nothing: lets are normalized away
+    assert print_term(body("k")) == '(def "app" (v (lam v "y" (var 0))) (v (var 0)))'
+
+
+HIGHER = """
+app : (Nat -> Nat) -> Nat -> Nat
+app h x = h x
+
+g1 : Nat -> Nat
+g1 x = app (let y = x * 2 in \\z -> z + y) x
+
+g2 : Nat -> Nat
+g2 x = app (_+_ 1) x
+
+g3 : Nat -> Nat
+g3 x = app suc x
+"""
+
+
+@pytest.mark.parametrize("entry, body", [
+    ("g1", "x + x * 2"), ("g2", "1 + x"), ("g3", "1 + x")])
+def test_applied_function_arguments_reduce(tmp_path, capsys, entry, body):
+    # the argument applied is a let, a partial primitive call, a constructor
+    from eslc.cli import main
+    src = tmp_path / "higher.esl"
+    src.write_text(HIGHER, encoding="utf-8")
+    assert main(["kompile", str(src), "--entry", entry, "--backend", "kaleid"]) == 0
+    assert f"let __ret = {body}\n" in capsys.readouterr().out
+    assert main(["diff", str(src), "--entry", entry, "--backend", "kaleid",
+                 "--samples", "10"]) == 0
+
+
 def test_norm_returns_a_normal_form_itself():
     t = Lam(Abs("x", Let(times(Var(0), Var(1)),
                          Abs("a", plus(Var(0), Con("suc", (vis(Var(0)),)))))))

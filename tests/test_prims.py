@@ -91,6 +91,31 @@ def test_nat_primitive_means_the_same_everywhere(name):
         assert got == {t: want for t in targets}, (name, a, b)
 
 
+HELPER = "w : Nat -> Nat -> Nat -> Nat -> Nat\nw k m n j = {} k m n j\n"
+
+
+def _by_clauses(name: str, k: int, m: int, n: int, j: int) -> int:
+    # the three clauses of each helper, on n, then j
+    while n:
+        if j == 0:
+            k, j = (k + 1 if name == "div-helper" else 0), m
+        else:
+            k, j = (k if name == "div-helper" else k + 1), j - 1
+        n -= 1
+    return k
+
+
+@pytest.mark.parametrize("name", ["div-helper", "mod-helper"])
+def test_division_helpers_mean_their_clauses_everywhere(name):
+    # j past m too, where the closed form of div-helper must not go below k
+    src = HELPER.format(name)
+    for k, m, n, j in [(k, m, n, j) for k in (0, 2) for m in range(3)
+                       for n in range(6) for j in range(6)]:
+        want = _by_clauses(name, k, m, n, j)
+        assert _source(src, [k, m, n, j]) == want, (k, m, n, j)
+        assert _target(src, "kaleid", [k, m, n, j]) == want, (k, m, n, j)
+
+
 @pytest.mark.parametrize("name", list(FLOAT_CASES))
 def test_float_primitive_means_the_same_everywhere(name):
     src = FLOAT_CASES[name]

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from eslc import corpus
 from eslc.evaluate import PRF, EvalError, call, varr
-from eslc.extract import ExtractOptions, kompile
+from eslc.extract import ExtractError, ExtractOptions, kompile
 from eslc.harness import compare, run_corpus_diff
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
-from eslc.sac import (Inhomogeneous, ParsedFn, SacAborted, SacBackend,
+from eslc.sac import (Inhomogeneous, ParsedFn, SacAborted, SacBackend, SBin,
                       SacParseError, SFlt, SMacroApp, SNum, flatten_type,
                       interp_sac, parse_sac, render_expr)
 
@@ -201,6 +201,39 @@ int f(int x) {
         fns = {"f": ParsedFn("f", [], [("return", node)])}
         with pytest.raises(SacParseError, match=why):
             interp_sac(fns, "f", [])
+
+
+@pytest.mark.parametrize("text, why", [
+    ("int f(int x) { return x @ 1; }", "stray '@'"),
+    ("int f(int x) {\n  #define p(__x) (__x)\n  return p(1, 2);\n}",
+     "macro p takes one argument"),
+    ("int f(int x) { return with { (. <= iv <= .) : 1; } : modarray (x); }",
+     "unknown with-loop kind modarray"),
+    ("int f(int x) { return g (x); }", "unknown function g"),
+    ("int f(int x) { return f (x, x); }", "f expects 1 arguments"),
+    ("int f(int x) { int y; }", "f has no return statement"),
+    ("int f(int x) { return with { ([0] <= iv < [3]) : 1; } : fold (-, 0); }",
+     "unknown fold operator -"),
+])
+def test_each_malformed_text_is_a_parse_error(text, why):
+    with pytest.raises(SacParseError, match=f"^{why}$"):
+        interp_sac(text, "f", [1])
+
+
+def test_a_macro_argument_is_substituted_throughout_its_body():
+    prog = """
+int f(int x) {
+  #define p(__x) prod (cons (__x, [__x])) $+ [__x, 2][1]
+  return p(x);
+}
+"""
+    assert interp_sac(prog, "f", [3]) == 11
+    bad = {"f": ParsedFn("f", [], [("return", SBin("^", SNum(1), SNum(2)))])}
+    with pytest.raises(SacParseError, match="^unknown operator \\^$"):
+        interp_sac(bad, "f", [])
+    sel = "int f(int[.] a) { return a[5]; }"
+    assert interp_sac(sel, "f", [np.array([1, 2, 3])]) == \
+        Aborted("index 5 out of bounds")
 
 
 def test_full_selection_is_direct():
@@ -522,6 +555,14 @@ AGREEMENT = {
         "w : Nat -> Nat -> Nat\n"
         "w t_1 b = let t = b + 1 in let t = t * t in t * t + t_1\n", "w",
         [10, 3], [10, 3]),
+    # a bare ravel, which the corpus fuses into a fold, is a library call
+    "ravel": ("rv : Ar Float 2 (2 ∷ 3 ∷ []) -> Ar Float 1 (6 ∷ [])\nrv a = ravel a\n",
+              "rv", [varr((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.5])],
+              [np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])]),
+    "ravel of a symbolic shape": (
+        "rv : (m n : Nat) -> Ar Float 2 (m ∷ n ∷ []) -> Ar Float 1 (m * n ∷ [])\n"
+        "rv m n a = ravel a\n", "rv", [3, 1, varr((3, 1), [1.0, -2.0, 0.5])],
+        [3, 1, np.array([[1.0], [-2.0], [0.5]])]),
     "% operand named as a let": (
         "w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
         "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1], [20, 1]),
@@ -535,6 +576,13 @@ def test_target_agrees_with_the_source(case):
     text = kompile(entry, [], [], SacBackend(), e.env, e.rules)
     want = call(e.env, entry, eval_args)
     assert compare(want, interp_sac(text, entry, target_args))
+
+
+def test_an_absurd_clause_is_refused():
+    e = load_sources([("w", "ab : (n : Nat) -> n < 0 -> Float\nab n ()\n")])
+    with pytest.raises(ExtractError,
+                       match="^ab: absurd clauses have no array translation$"):
+        kompile("ab", [], [], SacBackend(), e.env, e.rules)
 
 
 def test_lets_follow_the_macros_they_use():

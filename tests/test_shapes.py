@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from eslc import shapes as sh
 from eslc.elaborate import Hole, Meta
 from eslc.ir import Abs, Def, Lam, Var, print_term, vis
@@ -247,3 +249,43 @@ def test_opaque_keys_rename_variables_under_binders():
         vis(Def(m.name, (vis(Def("%n")),)))))))),
         vis(Def("%n")), vis(Def("%?v5"))))
     assert sh.term_to_scalar(t, ["n", "m"]) == sh.SOpaque(print_term(key))
+
+
+# signatures whose obligations read vector primitives in a shape or a
+# proposition: (source, a variant the decider must refuse, its message)
+VECTOR_PRIMS = {
+    "vidx": ("h : (v : Vec Nat 2) -> vidx 0 v < 5 -> Nat\nh v p = 1\n"
+             "k : (v : Vec Nat 2) -> vidx {} v < 5 -> Nat\nk v p = h v p\n",
+             ("0", "1"), "type mismatch"),
+    "prodv": ("m : (s : Vec Nat 2) -> prodv s < 7 -> Nat\nm s p = 1\n"
+              "k : (s : Vec Nat 2) -> prodv s < {} -> Nat\nk s p = m s p\n",
+              ("7", "8"), "type mismatch"),
+    # s's extent is unknown, so the bound 0 < s[0] is trusted, not false
+    "vappend": ("{}\n"
+                "f : (s : Vec Nat 1) -> Ar Float 2 (vappend s (4 ∷ [])) -> Float\n"
+                "f s a = sel a (0 ∷ 3 ∷ [])\n", ("{-# TRUST f #-}", ""),
+                "cannot discharge obligation"),
+    "vappend of a spine": (
+        "{{-# TRUST f #-}}\n"
+        "f : (t : Vec Nat 1) -> Ar Float 2 (vappend (3 ∷ []) t) -> Float\n"
+        "f t a = sel a ({} ∷ 0 ∷ [])\n", ("2", "3"), "is false"),
+    "vreverse of a scaled vector": (
+        "{{-# TRUST f #-}}\n"
+        "f : (s : Vec Nat 2) -> Ar Float 2 (vreverse (s *v {})) -> Float\n"
+        "f s a = sel a (0 ∷ 1 ∷ [])\n", ("2", "0"), "is false"),
+    "vappend in a type": (
+        "g : (s t : Vec Nat 1) -> Ar Float 2 (vappend s t) -> Ar Float 2 (vappend s t)\n"
+        "g s t a = a\n"
+        "h : (s t : Vec Nat 1) -> Ar Float 2 (vappend s t) -> Ar Float 2 (vappend {} t)\n"
+        "h s t a = g s t a\n", ("s", "t"), "type mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", list(VECTOR_PRIMS))
+def test_obligations_read_vector_primitives(name):
+    from eslc.ir import EslError
+    from eslc.loader import load_sources
+    src, (good, bad), why = VECTOR_PRIMS[name]
+    load_sources([("t", src.format(good))])
+    with pytest.raises(EslError, match=why):
+        load_sources([("t", src.format(bad))])
