@@ -1,7 +1,8 @@
 """Differential testing: source-level evaluation against the target
 interpreter on seeded random, precondition-respecting inputs.  A sample
 agrees when both sides give equal values, floats included, bit for bit,
-or both abort.
+or both abort.  Both target interpreters take the emitted text and stage
+it once per process, keyed on the text.
 
 A sample on which either side runs out of Python stack (the source
 evaluator's EvalError("recursion depth"), the target's
@@ -21,7 +22,8 @@ from .extract import ExtractOptions, entry_name, kompile
 from .ir import EXHAUSTED, Aborted, pi_spine
 from .kaleid import KaleidBackend, interp_kaleid
 from .loader import load_sources
-from .sac import SacBackend, interp_sac, parse_sac
+from .sac import SacBackend
+from .sacinterp import interp_sac
 
 
 @dataclass
@@ -87,18 +89,14 @@ def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
     elab = load_sources(entry.sources)
     backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
     text = kompile(entry.entry, entry.base, [], backend, elab.env, elab.rules, opts)
-    # Kaleidoscope text is staged once per process, keyed on the text
-    if entry.backend == "kaleid":
-        program, interp = text, interp_kaleid
-    else:
-        program, interp = parse_sac(text), interp_sac
+    interp = interp_kaleid if entry.backend == "kaleid" else interp_sac
     rng = random.Random(seed)
     row = DiffRow(entry.name, samples, 0)
     target = entry_name(entry.entry, backend)
     for _ in range(samples):
         eval_args, target_args = entry.sampler(rng)
         _sample(row, elab.env, entry.entry, eval_args,
-                lambda: interp(program, target, list(target_args)))
+                lambda: interp(text, target, list(target_args)))
     return row
 
 

@@ -91,24 +91,33 @@ class ConfluenceWarning(UserWarning):
                 f"overlap at the root; the system may not be confluent")
 
 
+@dataclass
+class InertRuleWarning(UserWarning):
+    rule: str
+
+    def __str__(self):
+        return (f"rewrite rule {self.rule} never fires: its left-hand side "
+                f"holds a let, or another form that matches no term")
+
+
 class RuleSet:
     def __init__(self) -> None:
         self.rules: list[RewriteRule] = []
-        self.warnings: list[ConfluenceWarning] = []
+        self.warnings: list[UserWarning] = []
 
-    def register(self, rule: RewriteRule) -> list[ConfluenceWarning]:
+    def register(self, rule: RewriteRule) -> list[UserWarning]:
         missing = set(free_vars(rule.rhs)) - set(free_vars(rule.lhs))
         if missing:
             raise IllFormedRule(
                 f"rule {rule.name}: rhs variables {sorted(missing)} not bound by lhs")
         if not isinstance(rule.lhs, (Def, Con)):
             raise IllFormedRule(f"rule {rule.name}: lhs head must be a Def or Con")
-        new = []
-        for old in self.rules:
-            if _roots_unify(old, rule):
-                w = ConfluenceWarning(rule.name, old.name)
-                warnings.warn(w)
-                new.append(w)
+        new: list[UserWarning] = [ConfluenceWarning(rule.name, old.name)
+                                  for old in self.rules if _roots_unify(old, rule)]
+        if not _match_rule(rule.lhs, rule.lhs, rule.arity, {}):
+            new.append(InertRuleWarning(rule.name))  # no term matches it
+        for w in new:
+            warnings.warn(w)
         self.rules.append(rule)
         self.warnings.extend(new)
         return new

@@ -1,13 +1,14 @@
-"""Python code generation shared by the two staged evaluators, the source
-evaluator (eslc.evaluate) and the Kaleidoscope interpreter (eslc.kaleid):
-builders of Python `ast` nodes and the compile of a module of them.
+"""Python code generation shared by the three staged evaluators, the
+source evaluator (eslc.evaluate), the Kaleidoscope interpreter
+(eslc.kaleid) and the SaC interpreter (eslc.sacinterp): builders of
+Python `ast` nodes and the compile of a module of them.
 
 Each evaluator writes a program as Python functions, compiles them once
 and runs them, the first Futamura projection (Futamura, "Partial
 Evaluation of Computation Process", 1971).  Generated names are numbered
-(`f3`, `x7`), since ESL and Kaleidoscope names such as `_+_` or `log2'`
-are not Python identifiers.  Building ast nodes instead of source text
-leaves no limit on nesting but the recursion limit; Python's parser
+(`f3`, `x7`), since ESL, Kaleidoscope and SaC names such as `_+_` or
+`log2'` are not Python identifiers.  Building ast nodes instead of source
+text leaves no limit on nesting but the recursion limit; Python's parser
 allows only about 100 levels of blocks or brackets.  Every node gets its
 source position as it is built, which saves a pass over the tree.  Only
 nodes that Python 3.10 knows are built.

@@ -1,28 +1,25 @@
-"""SaC-style backend: shape-attributed types, with-loops, and a reference
-interpreter for the emitted subset.
+"""SaC-style backend: shape-attributed types, with-loops, the printer of
+the emitted subset and its reader (`parse_sac`).
 
 imap-headed bodies become genarray with-loops, applications of the
 reduction combinator become fold with-loops, nested array types flatten
 into multi-dimensional ones, and every check a signature implies
 (`extract.checks`) becomes an assert over shape/take/cons expressions.
+The reference interpreter is eslc.sacinterp, so this module, and a SaC
+kompile, runs without numpy.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import ir
 from .builtins import is_prop_type
 from .extract import (RET, SAC_KEYWORDS, Check, ExtractError, ExtractState,
                       TokenReader, sac_final_pass, subjects)
-from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
-                 Function, Lam, Let, Lit, PCon, PVar, Term, Var, nat_view,
-                 pi_spine)
+from .ir import (Aborted, Arg, Clause, Con, Def, Definition, Env, Function,
+                 Lam, Let, Lit, PCon, PVar, Term, Var, nat_view, pi_spine)
 
 
 class Inhomogeneous(ExtractError):
@@ -827,234 +824,4 @@ def _subst_var(e: SExp, name: str, repl: SExp) -> SExp:
             return e
 
 
-
-# --------------------------------------------------------------------------
-# interpreter
-
-
 SacAborted = Aborted  # the shared abort value under its SaC-side name
-
-
-def interp_sac(program, entry: str, args):
-    """Evaluate the emitted subset, given as text or as the functions that
-    parse_sac returns, over numpy values.  Arrays come in as (shape, flat
-    data) pairs, numpy arrays, or scalars; Aborted is a value, also when
-    the program runs out of Python stack."""
-    prog = parse_sac(program) if isinstance(program, str) else program
-    vals = [_to_value(a) for a in args]
-    try:
-        out = _SacEval(prog).call(entry, vals)
-    except Abort as ab:  # a zero divisor too: _bin checks it first
-        return Aborted(ab.reason)
-    except RecursionError:
-        return Aborted(ir.EXHAUSTED)
-    return out
-
-
-def _to_value(a):
-    if isinstance(a, tuple) and len(a) == 2 and isinstance(a[0], (tuple, list)):
-        shape, flat = a
-        arr = np.array(flat)
-        return arr.reshape(tuple(shape))
-    if isinstance(a, (list,)):
-        return np.array(a)
-    return a
-
-
-class _SacEval:
-    def __init__(self, fns: dict[str, ParsedFn]):
-        self.fns = fns
-
-    def call(self, name: str, args: list):
-        fn = self.fns.get(name)
-        if fn is None:
-            raise SacParseError(f"unknown function {name}")
-        if len(fn.params) != len(args):
-            raise SacParseError(f"{name} expects {len(fn.params)} arguments")
-        env = dict(zip(fn.params, args))
-        for st in fn.stmts:
-            if st[0] == "assign":
-                env[st[1]] = self.eval(st[2], env)
-            elif st[0] == "assert":
-                v = self.eval(st[1], env)
-                ok = bool(np.all(v)) if isinstance(v, np.ndarray) else bool(v)
-                if not ok:
-                    raise Abort("assertion failed")
-            else:
-                return self.eval(st[1], env)
-        raise SacParseError(f"{name} has no return statement")
-
-    def eval(self, e: SExp, env):
-        # runs once per node per element: branch on the node's type, the
-        # most frequent first
-        cls = type(e)
-        if cls is SBin:
-            return self._bin(e.op, self.eval(e.lhs, env), self.eval(e.rhs, env))
-        if cls is SVarE:
-            try:
-                return env[e.name]
-            except KeyError:
-                raise SacParseError(f"unbound variable {e.name}") from None
-        if cls is SSel:
-            return self._sel(self.eval(e.arr, env), self.eval(e.idx, env))
-        if cls is SNum or cls is SFlt:
-            return e.value
-        if cls is SCall:
-            return self._call(e.fn, [self.eval(a, env) for a in e.args], env)
-        if cls is SVecLit:
-            vals = [self.eval(i, env) for i in e.items]
-            return np.array(vals, dtype=(np.int64 if not vals or
-                                         _all_int(vals) else np.float64))
-        if cls is SWith:
-            return self._with(e, env)
-        if cls is SMacroApp:
-            raise SacParseError("macros are substituted during parsing")
-        raise SacParseError(f"cannot evaluate {e!r}")
-
-    def _bin(self, op, a, b):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/" or op == "%":
-            # a 0-d array (how a `((), [x])` argument arrives) is a scalar
-            if type(a) is np.ndarray and not a.ndim:
-                a = a[()]
-            if type(b) is np.ndarray and not b.ndim:
-                b = b[()]
-            if np.isscalar(b) and b == 0:
-                raise Abort("division by zero" if op == "/" else "mod by zero")
-            if op == "%":
-                return a % b
-            if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-                return a // b
-            return a / b
-        if op == "==":
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.array_equal(np.asarray(a), np.asarray(b))
-            return int(a == b)  # a C boolean
-        if op in ("<", ">"):
-            out = a < b if op == "<" else a > b
-            return int(out) if np.ndim(out) == 0 else out
-        raise SacParseError(f"unknown operator {op}")
-
-    def _sel(self, arr, idx):
-        if type(arr) is not np.ndarray:  # a scalar is an array of rank 0
-            arr = np.asarray(arr)
-        if isinstance(idx, np.ndarray):
-            comps = tuple(int(c) for c in idx.tolist())
-            if len(comps) > arr.ndim:
-                raise Abort(f"selection {comps} from an array of rank {arr.ndim}")
-            for c, n in zip(comps, arr.shape):
-                if not 0 <= c < n:
-                    raise Abort(f"index {comps} out of bounds")
-            out = arr[comps]
-            return out
-        i = int(idx)
-        if not arr.ndim:
-            raise Abort(f"selection {i} from an array of rank 0")
-        if not 0 <= i < arr.shape[0]:
-            raise Abort(f"index {i} out of bounds")
-        return arr[i]
-
-    def _call(self, f, vals, env):
-        if f == "shape":
-            a = vals[0]
-            return np.array(a.shape if isinstance(a, np.ndarray) else (),
-                            dtype=np.int64)
-        if f == "take":
-            k = int(vals[0] if np.isscalar(vals[0]) else vals[0].flat[0])
-            return vals[1][:k]
-        if f == "drop":
-            k = int(vals[0] if np.isscalar(vals[0]) else vals[0].flat[0])
-            return vals[1][k:]
-        if f == "cons":
-            head, tail = vals
-            return np.concatenate([np.atleast_1d(head), np.atleast_1d(tail)]) \
-                if tail is not None else np.atleast_1d(head)
-        if f == "append":
-            return np.concatenate([np.atleast_1d(vals[0]), np.atleast_1d(vals[1])])
-        if f == "reverse":
-            return vals[0][::-1]
-        if f == "prod":
-            return int(np.prod(vals[0]))
-        if f == "reshape":
-            shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
-            a = np.asarray(vals[1])
-            if a.size != math.prod(shp):
-                raise Abort("reshape changes the number of elements")
-            return a.reshape(shp)
-        if f == "zero_float":
-            shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
-            return 0.0 if not shp else np.zeros(shp)
-        if f == "zero_int":
-            shp = tuple(int(x) for x in np.atleast_1d(vals[0]).tolist())
-            return 0 if not shp else np.zeros(shp, dtype=np.int64)
-        if f == "max":
-            a, b = vals
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.maximum(a, b)
-            return max(a, b)
-        if f == "expf":
-            try:
-                return math.exp(vals[0])
-            except OverflowError:  # as C's expf
-                return math.inf
-        return self.call(f, vals)
-
-    def _with(self, w: SWith, env):
-        """Each partition's body at each index of its range: stored into a
-        genarray's result in row-major order, or folded from the right as
-        the source's `reduce` folds, `acc = op (body, acc)` from the last
-        index back to the first."""
-        fold = w.kind == "fold"
-        if fold:
-            if w.op not in _FOLD:
-                raise SacParseError(f"unknown fold operator {w.op}")
-            shape, acc = None, self.eval(w.neutral, env)
-        else:
-            shape_v = np.atleast_1d(self.eval(w.shape, env))
-            shape = tuple(int(x) for x in shape_v.tolist())
-            default = self.eval(w.default, env)
-            dshape = default.shape if isinstance(default, np.ndarray) else ()
-            acc = np.empty(shape + dshape,
-                           dtype=np.float64 if _is_floaty(default) else np.int64)
-            acc[...] = default
-        steps = [(ix, iv, block, body)
-                 for lower, upper, iv, block, body in w.partitions
-                 for ix in self._indices(lower, upper, shape, env)]
-        for ix, iv, block, body in reversed(steps) if fold else steps:
-            benv = dict(env)
-            benv[iv] = np.array(ix, dtype=np.int64)
-            for nm, be in block:
-                benv[nm] = self.eval(be, benv)
-            if fold:
-                acc = _FOLD[w.op](self.eval(body, benv), acc)
-            else:
-                acc[ix] = self.eval(body, benv)
-        return acc
-
-    def _indices(self, lower, upper, shape, env):
-        if lower is None:
-            yield from np.ndindex(shape)
-            return
-        lo = np.atleast_1d(self.eval(lower, env))
-        hi = np.atleast_1d(self.eval(upper, env))
-        span = tuple(int(a) for a in (hi - lo).tolist())
-        base = tuple(int(a) for a in lo.tolist())
-        for ix in np.ndindex(span):
-            yield tuple(b + i for b, i in zip(base, ix))
-
-
-_FOLD = {"+": operator.add, "*": operator.mul}
-
-
-def _all_int(vals) -> bool:
-    return all(isinstance(v, (int, np.integer)) for v in vals)
-
-
-def _is_floaty(v) -> bool:
-    return isinstance(v, float) or (isinstance(v, np.ndarray) and
-                                    v.dtype.kind == "f")

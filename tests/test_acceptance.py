@@ -20,7 +20,8 @@ from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
 from eslc.loader import load_prelude, load_sources
 from eslc.normalize import (REDUCE_ALL, Normalizer, RewriteRule,
                             check_rewrite, normalise)
-from eslc.sac import SacBackend, interp_sac, parse_sac
+from eslc.sac import SacBackend, parse_sac
+from eslc.sacinterp import interp_sac
 
 
 def _report(n: int, label: str):

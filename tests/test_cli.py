@@ -81,17 +81,26 @@ def _loaded(code: str) -> set[str]:
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert not _loaded("import eslc.cli") & {
-        "eslc.sac", "eslc.kaleid", "eslc.pycode", "eslc.evaluate",
-        "eslc.harness", "eslc.corpus", "numpy"}
+        "eslc.sac", "eslc.sacinterp", "eslc.kaleid", "eslc.pycode",
+        "eslc.evaluate", "eslc.harness", "eslc.corpus", "numpy"}
     log2 = str(ROOT / "examples/esl/log2.esl")
     for argv, unused in [
             ([log2, "--entry", "log2", "--backend", "kaleid", "--base", "n<1+n,_<_"],
              {"numpy", "eslc.sac", "eslc.harness", "eslc.corpus", "eslc.evaluate"}),
             (["--entry", "avgpool", "--backend", "sac"],
-             {"eslc.kaleid", "eslc.harness", "eslc.corpus", "eslc.evaluate"})]:
+             {"eslc.kaleid", "eslc.sacinterp", "eslc.harness", "eslc.corpus",
+              "eslc.evaluate"})]:
         argv = ["kompile", *argv, "--out", str(tmp_path / "out")]
         loaded = _loaded(f"from eslc.cli import main\nassert main({argv!r}) == 0")
         assert "eslc.extract" in loaded and not loaded & unused, argv
+
+
+def test_a_sac_kompile_runs_without_numpy(tmp_path):
+    # numpy is the SaC interpreter's, which only `eslc diff` runs
+    argv = ["kompile", "--entry", "logistic", "--backend", "sac",
+            "--out", str(tmp_path / "out")]
+    loaded = _loaded(f"from eslc.cli import main\nassert main({argv!r}) == 0")
+    assert "eslc.sac" in loaded and "numpy" not in loaded
 
 
 def test_diff_reports_tsv_and_is_seed_deterministic(tmp_path, capsys):
@@ -281,7 +290,8 @@ def test_point_free_definitions_agree_three_ways(tmp_path, capsys):
     # and m is m x y = x * y
     from eslc.evaluate import call
     from eslc.extract import kompile
-    from eslc.sac import SacBackend, interp_sac
+    from eslc.sac import SacBackend
+    from eslc.sacinterp import interp_sac
     src = _write(tmp_path, "pf.esl", POINT_FREE)
     for entry in ("f", "pl", "m"):
         for backend in ("kaleid", "sac"):
@@ -323,7 +333,8 @@ def test_a_bare_name_takes_its_hidden_arguments():
     from eslc.evaluate import call
     from eslc.extract import kompile
     from eslc.ir import Def, Var, hid, vis
-    from eslc.sac import SacBackend, interp_sac
+    from eslc.sac import SacBackend
+    from eslc.sacinterp import interp_sac
     e = load_sources([("bare.esl", BARE_NAMES)])
     (cl,) = e.env.lookup("lg").payload.clauses
     assert cl.body == Def("logistic", (hid(Var(2)), hid(Var(1)), vis(Var(0))))

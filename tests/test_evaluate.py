@@ -127,7 +127,8 @@ def test_accepted_bodies_contain_no_unknown():
 
 def test_fixture_format_shape_data_pairs():
     from eslc.loader import load_prelude
-    from eslc.sac import SacBackend, interp_sac
+    from eslc.sac import SacBackend
+    from eslc.sacinterp import interp_sac
     e = load_prelude()
     text = kompile("logistic", [], [], SacBackend(), e.env, e.rules)
     # arrays as (shape, row-major data) pairs

@@ -24,7 +24,8 @@ from eslc.ir import (Clause, Con, Def, Definition, Function, Lit, PCon, PVar,
 from eslc.kaleid import KaleidBackend, KCall, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.parser import RESERVED
-from eslc.sac import Inhomogeneous, SacBackend, SCall, interp_sac, parse_sac
+from eslc.sac import Inhomogeneous, SacBackend, SCall, parse_sac
+from eslc.sacinterp import interp_sac
 
 
 def _nat():

@@ -157,7 +157,8 @@ def test_a_bare_constructor_of_a_function_type_is_eta_expanded():
     import numpy as np
     from eslc.extract import kompile
     from eslc.harness import compare
-    from eslc.sac import SacBackend, interp_sac
+    from eslc.sac import SacBackend
+    from eslc.sacinterp import interp_sac
     src = ("mk : (Ix 1 (3 ∷ []) -> Float) -> Ar Float 1 (3 ∷ [])\n"
            "mk = imap\n"
            "w : Float -> Ar Float 1 (3 ∷ [])\n"

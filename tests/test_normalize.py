@@ -7,9 +7,9 @@ import warnings
 from eslc.builtins import seed_env
 from eslc.ir import Abs, Con, Def, Lam, Let, Lit, Pi, Var, hid, vis
 from eslc.normalize import (REDUCE_ALL, ConfluenceWarning, FuelExhausted,
-                            IllFormedRule, Normalizer, ReductionPolicy,
-                            RewriteRule, RuleSet, check_rewrite, dont_reduce,
-                            normalise)
+                            IllFormedRule, InertRuleWarning, Normalizer,
+                            ReductionPolicy, RewriteRule, RuleSet,
+                            check_rewrite, dont_reduce, normalise)
 
 
 def plus(a, b):
@@ -279,7 +279,11 @@ def test_rules_from_source_match_repeats_and_under_binders():
     from eslc.normalize import normalise_clause
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfluenceWarning)
-        e = loader.load_sources([("binders.esl", BINDERS)])
+        with pytest.warns(InertRuleWarning, match="^rewrite rule app-let never "
+                          "fires: its left-hand side holds a let"):
+            e = loader.load_sources([("binders.esl", BINDERS)])
+    assert [w.rule for w in e.rules.warnings
+            if isinstance(w, InertRuleWarning)] == ["app-let"]
 
     def body(name):
         (cl,) = e.env.lookup(name).payload.clauses
@@ -381,7 +385,8 @@ def test_a_constructor_pattern_matches_a_reduced_argument():
     from eslc.evaluate import call
     from eslc.kaleid import KaleidBackend, interp_kaleid
     from eslc.normalize import normalise_clause
-    from eslc.sac import SacBackend, interp_sac
+    from eslc.sac import SacBackend
+    from eslc.sacinterp import interp_sac
     e = loader.load_sources([("vsum.esl", VSUM)])
     (cl,) = e.env.lookup("w").payload.clauses
     assert normalise_clause(cl, e.env).body == plus(Var(0), Lit(2))

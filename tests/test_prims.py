@@ -17,7 +17,8 @@ from eslc.ir import Builtin, Con, Def, Function, Lit, hid, pi_spine, vis
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.normalize import normalise
-from eslc.sac import SacBackend, interp_sac, parse_sac
+from eslc.sac import SacBackend, parse_sac
+from eslc.sacinterp import interp_sac
 
 NAT2 = "w : Nat -> Nat -> Nat\nw a b = a {} b\n"
 DIVIDES = "w : (a b : Nat) -> 0 < b -> Nat\nw a b p = a {} b\n"

@@ -17,7 +17,8 @@ from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.sac import (Inhomogeneous, ParsedFn, SacAborted, SacBackend, SBin,
                       SacParseError, SFlt, SMacroApp, SNum, flatten_type,
-                      interp_sac, parse_sac, render_expr)
+                      parse_sac, render_expr)
+from eslc.sacinterp import interp_sac
 
 
 def _vec(*xs):
@@ -186,6 +187,38 @@ float g(float a) {
         Aborted("selection 0 from an array of rank 0")
 
 
+WITH_LOOP_ABORTS = """
+tr : (m n : Nat) -> Ar Float 2 (n ∷ m ∷ []) -> Ar Float 2 (m ∷ n ∷ [])
+tr m n a = imap (\\(i ∷ j ∷ []) -> sel a (j ∷ i ∷ []))
+
+{-# TRUST q #-}
+q : (n : Nat) -> Ar Nat 1 (n ∷ []) -> Nat
+q n a = reduce {Nat} {n} _+_ 0 (imap (\\(i ∷ []) -> 12 / sel a (i ∷ [])))
+"""
+
+
+def test_an_element_that_aborts_aborts_its_with_loop():
+    e = load_sources([("w", WITH_LOOP_ABORTS)])
+    tr, q = (kompile(f, [], [], SacBackend(), e.env, e.rules,
+                     ExtractOptions(no_assert=True)) for f in ("tr", "q"))
+    # the 2 x 3 transpose of a 2 x 1 array reads out of bounds at (0, 2)
+    # and from (1, 0) on: a genarray meets (0, 2) first, in row-major order
+    assert interp_sac(tr, "tr", [2, 3, np.array([[1.0], [2.0]])]) == \
+        Aborted("index (2, 0) out of bounds")
+    with pytest.raises(EvalError, match=r"^index \(2, 0\) out of bounds"):
+        call(e.env, "tr", [2, 3, varr((2, 1), [1.0, 2.0])])
+    # a zero divisor at one element of a fold
+    assert interp_sac(q, "q", [3, np.array([4, 0, 6])]) == Aborted("division by zero")
+    with pytest.raises(EvalError, match="^division by zero$"):
+        call(e.env, "q", [3, varr((3,), [4, 0, 6])])
+    # a fold meets its last element first, which reads out of bounds here;
+    # the source evaluator builds the whole imap first, from index 0
+    assert interp_sac(q, "q", [4, np.array([0, 4, 6])]) == \
+        Aborted("index (3,) out of bounds")
+    with pytest.raises(EvalError, match="^division by zero$"):
+        call(e.env, "q", [4, varr((3,), [0, 4, 6])])
+
+
 def test_a_malformed_program_is_a_parse_error():
     prog = """
 int f(int x) {
@@ -211,6 +244,8 @@ int f(int x) {
      "unknown with-loop kind modarray"),
     ("int f(int x) { return g (x); }", "unknown function g"),
     ("int f(int x) { return f (x, x); }", "f expects 1 arguments"),
+    ("int g(int x) { return x; }", "unknown function f"),
+    ("int f() { return 1; }", "f expects 0 arguments"),
     ("int f(int x) { int y; }", "f has no return statement"),
     ("int f(int x) { return with { ([0] <= iv < [3]) : 1; } : fold (-, 0); }",
      "unknown fold operator -"),
@@ -305,6 +340,9 @@ def test_differential_corpus_entries():
 
 FOLD_ORDER = """sum : {n : Nat} -> Ar Float 1 (n ∷ []) -> Float
 sum a = reduce _+f_ 0.0 a
+
+sum2 : {m n : Nat} -> Ar Float 2 (m ∷ n ∷ []) -> Float
+sum2 a = reduce _+f_ 0.0 (ravel a)
 """
 
 
@@ -316,6 +354,12 @@ def test_a_fold_runs_in_the_source_order():
     xs = [1.0, 1e16, -1e16]
     assert call(e.env, "sum", [3, varr((3,), xs)]) == 1.0
     assert interp_sac(text, "sum", [3, np.array(xs)]) == 1.0
+    # over two axes the fold runs from the last row's last element back,
+    # (1, 1), (1, 0), (0, 1), (0, 0); either axis forwards gives 0.0
+    text = kompile("sum2", [], [], SacBackend(), e.env, e.rules)
+    xs = [1.0, 1e16, -1e16, 0.0]
+    assert call(e.env, "sum2", [2, 2, varr((2, 2), xs)]) == 1.0
+    assert interp_sac(text, "sum2", [2, 2, np.array(xs).reshape(2, 2)]) == 1.0
 
 
 def test_flattening_law_on_corpus_signatures():
@@ -521,9 +565,35 @@ def test_unterminated_comment_is_a_parse_error():
         parse_sac("/* x")
 
 
+def test_long_blocks_and_with_loops_in_bounds_and_bodies_run():
+    # a block's assignments are statements of the body's def, so a long
+    # block nests no deeper
+    block = " ".join(f"x{k} = x{k - 1} $+ 1;" for k in range(1, 2000))
+    text = ("int[.] f() { return with { (. <= iv <= .) { x0 = iv[0]; "
+            + block + " } : x1999; }: genarray ([2], 0); }")
+    assert list(interp_sac(text, "f", [])) == [1999, 2000]
+    # the sum over k < n of the sum over j < k of j
+    nested = """
+int f(int n) {
+  return with {
+    ([0] <= iv < [with { ([0] <= j < [n]) : 1; }: fold (+, 0)]) { k = iv[0]; }
+      : with { ([0] <= jv < [k]) : jv[0]; }: fold (+, 0);
+  }: fold (+, 0);
+}
+"""
+    assert [interp_sac(nested, "f", [n]) for n in range(6)] == [0, 0, 0, 1, 4, 10]
+
+
 def test_text_too_deep_to_read_is_a_parse_error():
     with pytest.raises(SacParseError):
         interp_sac(f"int f() {{ return {'(' * 3000}1{')' * 3000}; }}", "f", [])
+    # every text the reader takes can be staged; parsed functions can nest
+    # deeper
+    deep = SNum(1)
+    for _ in range(5000):
+        deep = SBin("+", SNum(1), deep)
+    with pytest.raises(SacParseError, match="^program too deeply nested to stage"):
+        interp_sac({"f": ParsedFn("f", [], [("return", deep)])}, "f", [])
 
 
 DBL = """
@@ -563,6 +633,10 @@ AGREEMENT = {
         "rv : (m n : Nat) -> Ar Float 2 (m ∷ n ∷ []) -> Ar Float 1 (m * n ∷ [])\n"
         "rv m n a = ravel a\n", "rv", [3, 1, varr((3, 1), [1.0, -2.0, 0.5])],
         [3, 1, np.array([[1.0], [-2.0], [0.5]])]),
+    # an int array's element is a numpy integer on the SaC side
+    "natural selected from an array": (
+        "w : Ar Nat 1 (3 ∷ []) -> Nat\nw a = sel a (1 ∷ [])\n", "w",
+        [varr((3,), [4, 5, 6])], [np.array([4, 5, 6])]),
     "% operand named as a let": (
         "w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
         "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1], [20, 1]),
