@@ -1,17 +1,22 @@
 """The seeded definition environment and the table of primitives.
 
-Each primitive is declared once, in PRIMS: its signature, its clauses if
-it has any, its meaning as a Python function of all its parameters,
-hidden ones included, and the obligation a call of it owes if it takes
-no proof argument.  The function is total: it returns a value or raises
-EvalError.  The evaluator calls it; the normalizer computes with it the
-entries marked `folds` once their arguments are closed; the elaborator
-discharges the obligation at each saturated call.
+Each primitive is declared once: its signature and its clauses, if it
+has any, as ESL text in `_PRIM_TEXT`, and its meaning in `_MEANING`: a
+Python function of all its parameters, hidden ones included, and the
+obligation a call of it owes if it takes no proof argument.  The
+function is total: it returns a value or raises EvalError.  The
+evaluator calls it; the normalizer computes with it the entries marked
+`folds` once their arguments are closed; the elaborator discharges the
+obligation at each saturated call.
 
 Arithmetic on naturals also has ordinary clauses (zero/suc matching), so
 the normalizer can reduce it on symbolic arguments like any user
 function; division and mod go through the usual accumulator helpers so
 symbolic divisions leave the residual the backends expect.
+
+That text and the seed datatypes' signatures, `_SEED_TEXT`, are read
+once, at import, by `_read`: not by the elaborator, which imports the
+normalizer and the evaluator, and they read PRIMS at import.
 """
 
 from __future__ import annotations
@@ -23,13 +28,12 @@ from dataclasses import dataclass
 
 from . import shapes
 from .ir import (Abs, Arg, Builtin, Clause, Con, Constructor, Datatype, Def,
-                 Definition, Env, EvalError, Function, Lit, PCon, Pi, PVar,
-                 Sort, Term, Var, hid, pi_spine, vis)
+                 Definition, Env, EslError, EvalError, Function, Lit, PCon,
+                 Pi, PVar, Sort, Term, Var, index_patterns, pi_spine, vis)
+from .parser import SApp, SClause, SName, SNum, SPat, SPi, SSignature, parse
 
 NAT = "Nat"
 FLOAT = "Float"
-
-PROP_HEADS = ("_<_", "_≡_")
 
 
 @dataclass(frozen=True)
@@ -54,27 +58,160 @@ class Prim:
         return len(pi_spine(self.sig)[0])
 
 
-def mk_pi(binders: list[tuple[str, Term, bool]], ret: Term) -> Term:
-    out = ret
-    for name, ty, hidden in reversed(binders):
-        out = Pi(Arg(ty, hidden), Abs(name, out))
+# --------------------------------------------------------------------------
+# the text
+
+_SEED_TEXT = """
+Nat : Set
+zero : Nat
+suc : (n : Nat) -> Nat
+Float : Set
+Fin : (n : Nat) -> Set
+fzero : {n : Nat} -> Fin (suc n)
+fsuc : {n : Nat} -> (i : Fin n) -> Fin (suc n)
+Vec : (X : Set) -> (n : Nat) -> Set
+List : (X : Set) -> Set
+Ix : (d : Nat) -> (s : Vec Nat d) -> Set
+Ar : (X : Set) -> (d : Nat) -> (s : Vec Nat d) -> Set
+_<_ : (a b : Nat) -> Set
+_≡_ : {X : Set} -> (a b : X) -> Set
+Dec : (P : Set) -> Set
+"""
+
+_PRIM_TEXT = """
+_+_ : (a b : Nat) -> Nat
+_+_ zero n = n
+_+_ (suc m) n = suc (m + n)
+
+_*_ : (a b : Nat) -> Nat
+_*_ zero n = zero
+_*_ (suc m) n = n + m * n
+
+-- monus
+_-_ : (a b : Nat) -> Nat
+_-_ n zero = n
+_-_ zero (suc m) = zero
+_-_ (suc n) (suc m) = n - m
+
+div-helper : (k m n j : Nat) -> Nat
+div-helper k m zero j = k
+div-helper k m (suc n) zero = div-helper (suc k) m n m
+div-helper k m (suc n) (suc j) = div-helper k m n j
+
+mod-helper : (k m n j : Nat) -> Nat
+mod-helper k m zero j = k
+mod-helper k m (suc n) zero = mod-helper 0 m n m
+mod-helper k m (suc n) (suc j) = mod-helper (suc k) m n j
+
+-- use sites owe a NonZero obligation
+_/_ : (a b : Nat) -> Nat
+_/_ a (suc m) = div-helper 0 m a m
+_%_ : (a b : Nat) -> Nat
+_%_ a (suc m) = mod-helper 0 m a m
+
+-- a Fin is encoded by the bound's left endpoint, its first argument
+fromN< : {m n : Nat} -> (p : m < n) -> Fin n
+toN : {n : Nat} -> (i : Fin n) -> Nat
+
+_≟_ : (a b : Nat) -> Dec (_≡_ {Nat} a b)
+_<?_ : (a b : Nat) -> Dec (a < b)
+
+_+f_ : (a b : Float) -> Float
+_-f_ : (a b : Float) -> Float
+_*f_ : (a b : Float) -> Float
+_/f_ : (a b : Float) -> Float
+expf : (a : Float) -> Float
+
+vidx : {X : Set} -> {n : Nat} -> (i : Nat) -> (v : Vec X n) -> X
+vreverse : {X : Set} -> {n : Nat} -> (v : Vec X n) -> Vec X n
+vhd : {X : Set} -> {n : Nat} -> (v : Vec X (suc n)) -> X
+vtl : {X : Set} -> {n : Nat} -> (v : Vec X (suc n)) -> Vec X n
+vtake : {X : Set} -> {n : Nat} -> (k : Nat) -> (v : Vec X n) -> Vec X k
+vdrop : {X : Set} -> {n : Nat} -> (k : Nat) -> (v : Vec X n) -> Vec X (n - k)
+vappend : {X : Set} -> {m n : Nat} -> (a : Vec X m) -> (b : Vec X n) -> Vec X (m + n)
+_*v_ : {d : Nat} -> (v : Vec Nat d) -> (k : Nat) -> Vec Nat d
+prodv : {d : Nat} -> (v : Vec Nat d) -> Nat
+
+sel : {X : Set} -> {d : Nat} -> {s : Vec Nat d} -> (a : Ar X d s) -> (i : Ix d s) -> X
+ravel : {X : Set} -> {d : Nat} -> {s : Vec Nat d} -> (a : Ar X d s)
+    -> Ar X 1 (prodv {d} s ∷ [])
+reshape : {X : Set} -> {d : Nat} -> {s : Vec Nat d} -> {e : Nat} -> (t : Vec Nat e)
+    -> (a : Ar X d s) -> Ar X e t
+ixc : {d : Nat} -> {s : Vec Nat d} -> (k : Nat) -> (i : Ix d s) -> Nat
+ixReverse : {d : Nat} -> {s : Vec Nat d} -> (i : Ix d s) -> Ix d (vreverse {Nat} {d} s)
+"""
+
+# the constructors the elaborator types itself, by datatype, with which of
+# their arguments are hidden; their signature is a placeholder Set
+_PLACEHOLDERS = {
+    "Vec": {"vnil": (), "vcons": (False, False)},
+    "List": {"lnil": (), "lcons": (False, False)},
+    "Ix": {"inil": (), "icons": (False, False)},
+    "Ar": {"imap": (True, True, True, False)},
+    "Dec": {"yes": (), "no": ()},
+}
+
+# the constructors the text names
+_TEXT_CONS = {"zero": "zero", "suc": "suc", "_∷_": "vcons", "[]": "vnil"}
+
+
+def _term(s, scope: list[str]) -> Term:
+    """The term of the text's expression `s` under the names `scope`
+    binds, innermost last: a bound name is a Var, `Set` the Sort, a
+    numeral a Lit, a name of _TEXT_CONS a Con and any other name a Def.
+    An argument is hidden only where written in braces.  Nothing else of
+    ESL is read: no lambda, let, float or applied variable."""
+    match s:
+        case SName(name):
+            if name in scope:
+                return Var(scope[::-1].index(name))
+            if name == "Set":
+                return Sort()
+            return Con(_TEXT_CONS[name]) if name in _TEXT_CONS else Def(name)
+        case SApp(fn, args):
+            head = _term(fn, scope)
+            if type(head) in (Con, Def):
+                return type(head)(head.name, head.args + tuple(
+                    Arg(_term(a, scope), hidden) for a, hidden in args))
+        case SPi(binder, hidden, dom, cod):
+            return Pi(Arg(_term(dom, scope), hidden),
+                      Abs(binder, _term(cod, [*scope, binder])))
+        case SNum(value):
+            return Lit(value)
+    raise EslError(f"builtins: cannot read {s}")
+
+
+def _pattern(p: SPat, tel: list[str]):
+    """The pattern of `p`, each variable appended to `tel` and its PVar its position there."""
+    if p.kind == "var" and p.name not in _TEXT_CONS:
+        tel.append(p.name)
+        return PVar(len(tel) - 1)
+    if p.kind not in ("var", "con") or p.name not in _TEXT_CONS:
+        raise EslError(f"builtins: cannot read {p}")
+    return PCon(_TEXT_CONS[p.name], tuple(Arg(_pattern(a, tel), hidden)
+                                          for a, hidden in p.args))
+
+
+def _clause(c: SClause) -> Clause:
+    """A clause of the text.  Its pattern variables, in order of
+    appearance, make its telescope, each a visible Nat."""
+    tel: list[str] = []
+    pats = [Arg(_pattern(p, tel), hidden) for p, hidden in c.pats]
+    return Clause(tuple((v, vis(Def(NAT))) for v in tel),
+                  index_patterns(pats, len(tel)), _term(c.body, tel))
+
+
+def _read(text: str) -> dict[str, tuple[Term, list[Clause]]]:
+    """Each signature of the text, in order, with its clauses."""
+    out: dict[str, tuple[Term, list[Clause]]] = {}
+    for d in parse(text, "eslc.builtins").decls:
+        if isinstance(d, SSignature) and d.name not in out:
+            out[d.name] = (_term(d.type, []), [])
+        elif isinstance(d, SClause) and d.name in out:
+            out[d.name][1].append(_clause(d))
+        else:
+            raise EslError(f"builtins: cannot read {d}")
     return out
-
-
-def _nat() -> Term:
-    return Def(NAT)
-
-
-def _float() -> Term:
-    return Def(FLOAT)
-
-
-def _vec(x: Term, n: Term) -> Term:
-    return Def("Vec", (vis(x), vis(n)))
-
-
-def _setty() -> Term:
-    return Sort()
 
 
 # --------------------------------------------------------------------------
@@ -82,14 +219,17 @@ def _setty() -> Term:
 
 
 def arr_index(arr, ix):
-    _, shape, flat = arr
     comps = ix[1]
+    try:  # an array; this costs no more than the bare unpack
+        _, shape, flat = arr
+    except TypeError:  # a scalar is an array of rank 0
+        shape, flat = (), (arr,)
     if len(comps) != len(shape):
-        raise EvalError("partial selection must go through sel")
+        raise EvalError(f"selection {comps} from an array of rank {len(shape)}")
     pos = 0
     for c, n in zip(comps, shape):
         if not 0 <= c < n:
-            raise EvalError(f"index {comps} out of bounds for shape {shape}")
+            raise EvalError(f"index {comps} out of bounds")
         pos = pos * n + c
     return flat[pos]
 
@@ -98,16 +238,12 @@ def _monus(a, b):
     return max(a - b, 0)
 
 
-def _div(a, b):
-    if b == 0:
-        raise EvalError("division by zero")
-    return a // b
-
-
-def _mod(a, b):
-    if b == 0:
-        raise EvalError("mod by zero")
-    return a % b
+def _by_nonzero(op, why):
+    def h(a, b):
+        if b == 0:
+            raise EvalError(why)
+        return op(a, b)
+    return h
 
 
 def _div_helper(k, m, n, j):
@@ -125,20 +261,6 @@ def _mod_helper(k, m, n, j):
             k, n, j = 0, n - 1, m
         else:
             k, n, j = k + 1, n - 1, j - 1
-
-
-def _float_op(op):
-    def h(x, y):
-        if not isinstance(x, float) or not isinstance(y, float):
-            raise EvalError("float operation on non-float")
-        return op(x, y)
-    return h
-
-
-def _fdiv(a, b):
-    if b == 0.0:
-        raise EvalError("float division by zero")
-    return a / b
 
 
 def _expf(a):
@@ -190,276 +312,87 @@ def _reshape(X, d, s, e, t, arr):
     return ("arr", shape, list(arr[2]))
 
 
+def _nonzero_divisor(name):
+    return (f"nonzero divisor in {name}", lambda names, a, b:
+            shapes.nonzero(shapes.term_to_scalar(b, names)))
+
+
+# each primitive's meaning, by name; PRIMS takes its order from the text
+_MEANING: dict[str, dict] = {
+    "_+_": dict(fn=operator.add, folds=True),
+    "_*_": dict(fn=operator.mul, folds=True),
+    "_-_": dict(fn=_monus, folds=True),
+    "div-helper": dict(fn=_div_helper),
+    "mod-helper": dict(fn=_mod_helper),
+    "_/_": dict(fn=_by_nonzero(operator.floordiv, "division by zero"),
+                owes=_nonzero_divisor("_/_")),
+    "_%_": dict(fn=_by_nonzero(operator.mod, "mod by zero"), owes=_nonzero_divisor("_%_")),
+    "fromN<": dict(fn=lambda m, n, p: m),
+    "toN": dict(fn=lambda n, i: i),
+    "_≟_": dict(fn=lambda a, b: ("dec", a == b), folds=True),
+    "_<?_": dict(fn=lambda a, b: ("dec", a < b), folds=True),
+    "_+f_": dict(fn=operator.add, folds=True),
+    "_-f_": dict(fn=operator.sub, folds=True),
+    "_*f_": dict(fn=operator.mul, folds=True),
+    "_/f_": dict(fn=_by_nonzero(operator.truediv, "division by zero"), folds=True),
+    "expf": dict(fn=_expf, folds=True),
+    "vidx": dict(fn=_vidx, folds=True, owes=(
+        "vector index in bounds", lambda names, X, n, i, v: shapes.lt(
+            shapes.term_to_scalar(i, names), shapes.term_to_scalar(n, names)))),
+    "vreverse": dict(fn=lambda X, n, v: ("vec", tuple(reversed(v[1]))), folds=True),
+    "vhd": dict(fn=_vhd, folds=True),
+    "vtl": dict(fn=_vtl, folds=True),
+    "vtake": dict(fn=_vtake, folds=True, owes=(
+        "vector prefix within the length", lambda names, X, n, k, v: shapes.lt(
+            shapes.term_to_scalar(k, names),
+            shapes.SAdd(shapes.term_to_scalar(n, names), shapes.SLit(1))))),
+    "vdrop": dict(fn=lambda X, n, k, v: ("vec", v[1][k:]), folds=True),
+    "vappend": dict(fn=lambda X, m, n, a, b: ("vec", a[1] + b[1]), folds=True),
+    "_*v_": dict(fn=lambda d, v, k: ("vec", tuple(x * k for x in v[1]))),
+    "prodv": dict(fn=lambda d, v: math.prod(v[1])),
+    "sel": dict(fn=lambda X, d, s, a, i: arr_index(a, i), reads_hidden=False),
+    "ravel": dict(fn=_ravel),
+    "reshape": dict(fn=_reshape, owes=(
+        "reshape preserves the element count", lambda names, X, d, s, e, t, a:
+        shapes.eq(shapes.SProd(shapes.term_to_vec(t, names)),
+                  shapes.SProd(shapes.term_to_vec(s, names))))),
+    "ixc": dict(fn=_ixc, folds=True, reads_hidden=False),
+    "ixReverse": dict(fn=lambda d, s, i: ("ix", tuple(reversed(i[1]))), folds=True),
+}
+
+
 # --------------------------------------------------------------------------
 # the table
 
 
-def _prims() -> list[Prim]:
-    out: list[Prim] = []
-
-    def prim(name: str, sig: Term, fn: Callable, clauses=None,
-             folds: bool = False, owes=None, reads_hidden: bool = True):
-        out.append(Prim(name, sig, fn, None if clauses is None
-                        else tuple(clauses), folds, owes, reads_hidden))
-
-    def nonzero_divisor(name):
-        return (f"nonzero divisor in {name}", lambda names, a, b:
-                shapes.nonzero(shapes.term_to_scalar(b, names)))
-
-    nat2 = mk_pi([("a", _nat(), False), ("b", _nat(), False)], _nat())
-
-    # _+_ : zero + n = n ; suc m + n = suc (m + n)
-    prim("_+_", nat2, operator.add, folds=True, clauses=[
-        Clause((("n", vis(_nat())),),
-               (vis(PCon("zero")), vis(PVar(0))),
-               Var(0)),
-        Clause((("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PCon("suc", (vis(PVar(1)),))), vis(PVar(0))),
-               Con("suc", (vis(Def("_+_", (vis(Var(1)), vis(Var(0))))),))),
-    ])
-
-    # _*_ : zero * n = zero ; suc m * n = n + m * n
-    prim("_*_", nat2, operator.mul, folds=True, clauses=[
-        Clause((("n", vis(_nat())),),
-               (vis(PCon("zero")), vis(PVar(0))),
-               Con("zero")),
-        Clause((("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PCon("suc", (vis(PVar(1)),))), vis(PVar(0))),
-               Def("_+_", (vis(Var(0)),
-                           vis(Def("_*_", (vis(Var(1)), vis(Var(0)))))))),
-    ])
-
-    # monus
-    prim("_-_", nat2, _monus, folds=True, clauses=[
-        Clause((("n", vis(_nat())),),
-               (vis(PVar(0)), vis(PCon("zero"))),
-               Var(0)),
-        Clause((("m", vis(_nat())),),
-               (vis(PCon("zero")), vis(PCon("suc", (vis(PVar(0)),)))),
-               Con("zero")),
-        Clause((("n", vis(_nat())), ("m", vis(_nat()))),
-               (vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
-               Def("_-_", (vis(Var(1)), vis(Var(0))))),
-    ])
-
-    nat4 = mk_pi([("k", _nat(), False), ("m", _nat(), False),
-                  ("n", _nat(), False), ("j", _nat(), False)], _nat())
-
-    def dh(k, m, n, j):
-        return Def("div-helper", (vis(k), vis(m), vis(n), vis(j)))
-
-    prim("div-helper", nat4, _div_helper, clauses=[
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)), vis(PCon("zero")), vis(PVar(0))),
-               Var(2)),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)),
-                vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero"))),
-               dh(Con("suc", (vis(Var(2)),)), Var(1), Var(0), Var(1))),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())),
-                ("n", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(3)), vis(PVar(2)),
-                vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
-               dh(Var(3), Var(2), Var(1), Var(0))),
-    ])
-
-    def mh(k, m, n, j):
-        return Def("mod-helper", (vis(k), vis(m), vis(n), vis(j)))
-
-    prim("mod-helper", nat4, _mod_helper, clauses=[
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)), vis(PCon("zero")), vis(PVar(0))),
-               Var(2)),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())), ("n", vis(_nat()))),
-               (vis(PVar(2)), vis(PVar(1)),
-                vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero"))),
-               mh(Lit(0), Var(1), Var(0), Var(1))),
-        Clause((("k", vis(_nat())), ("m", vis(_nat())),
-                ("n", vis(_nat())), ("j", vis(_nat()))),
-               (vis(PVar(3)), vis(PVar(2)),
-                vis(PCon("suc", (vis(PVar(1)),))), vis(PCon("suc", (vis(PVar(0)),)))),
-               mh(Con("suc", (vis(Var(3)),)), Var(2), Var(1), Var(0))),
-    ])
-
-    # a / (suc m) = div-helper 0 m a m ; use sites owe a NonZero obligation
-    prim("_/_", nat2, _div, owes=nonzero_divisor("_/_"), clauses=[
-        Clause((("a", vis(_nat())), ("m", vis(_nat()))),
-               (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
-               dh(Lit(0), Var(0), Var(1), Var(0))),
-    ])
-    prim("_%_", nat2, _mod, owes=nonzero_divisor("_%_"), clauses=[
-        Clause((("a", vis(_nat())), ("m", vis(_nat()))),
-               (vis(PVar(1)), vis(PCon("suc", (vis(PVar(0)),)))),
-               mh(Lit(0), Var(0), Var(1), Var(0))),
-    ])
-
-    # a Fin is encoded by the bound's left endpoint, its first argument
-    prim("fromN<",
-         mk_pi([("m", _nat(), True), ("n", _nat(), True),
-                ("p", Def("_<_", (vis(Var(1)), vis(Var(0)))), False)],
-               Def("Fin", (vis(Var(1)),))),
-         lambda m, n, p: m)
-    prim("toN",
-         mk_pi([("n", _nat(), True), ("i", Def("Fin", (vis(Var(0)),)), False)],
-               _nat()),
-         lambda n, i: i)
-
-    prim("_≟_",
-         mk_pi([("a", _nat(), False), ("b", _nat(), False)],
-               Def("Dec", (vis(Def("_≡_", (hid(_nat()), vis(Var(1)), vis(Var(0))))),))),
-         lambda a, b: ("dec", a == b), folds=True)
-    prim("_<?_",
-         mk_pi([("a", _nat(), False), ("b", _nat(), False)],
-               Def("Dec", (vis(Def("_<_", (vis(Var(1)), vis(Var(0))))),))),
-         lambda a, b: ("dec", a < b), folds=True)
-
-    fl2 = mk_pi([("a", _float(), False), ("b", _float(), False)], _float())
-    for name, fn in [("_+f_", _float_op(operator.add)),
-                     ("_-f_", _float_op(operator.sub)),
-                     ("_*f_", _float_op(operator.mul)), ("_/f_", _fdiv)]:
-        prim(name, fl2, fn, folds=True)
-    prim("expf", mk_pi([("a", _float(), False)], _float()), _expf, folds=True)
-
-    # array/vector primitives
-    vecXn = [("X", _setty(), True), ("n", _nat(), True)]
-    prim("vidx",
-         mk_pi(vecXn + [("i", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
-               Var(3)),
-         _vidx, folds=True,
-         owes=("vector index in bounds", lambda names, X, n, i, v: shapes.lt(
-             shapes.term_to_scalar(i, names), shapes.term_to_scalar(n, names))))
-    prim("vreverse",
-         mk_pi(vecXn + [("v", _vec(Var(1), Var(0)), False)], _vec(Var(2), Var(1))),
-         lambda X, n, v: ("vec", tuple(reversed(v[1]))), folds=True)
-    prim("vhd",
-         mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
-               Var(2)),
-         _vhd, folds=True)
-    prim("vtl",
-         mk_pi(vecXn + [("v", _vec(Var(1), Con("suc", (vis(Var(0)),))), False)],
-               _vec(Var(2), Var(1))),
-         _vtl, folds=True)
-    prim("vtake",
-         mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
-               _vec(Var(3), Var(1))),
-         _vtake, folds=True,
-         owes=("vector prefix within the length", lambda names, X, n, k, v:
-               shapes.lt(shapes.term_to_scalar(k, names), shapes.SAdd(
-                   shapes.term_to_scalar(n, names), shapes.SLit(1)))))
-    prim("vdrop",
-         mk_pi(vecXn + [("k", _nat(), False), ("v", _vec(Var(2), Var(1)), False)],
-               _vec(Var(3), Def("_-_", (vis(Var(2)), vis(Var(1)))))),
-         lambda X, n, k, v: ("vec", v[1][k:]), folds=True)
-    prim("vappend",
-         mk_pi([("X", _setty(), True), ("m", _nat(), True), ("n", _nat(), True),
-                ("a", _vec(Var(2), Var(1)), False), ("b", _vec(Var(3), Var(1)), False)],
-               _vec(Var(4), Def("_+_", (vis(Var(3)), vis(Var(2)))))),
-         lambda X, m, n, a, b: ("vec", a[1] + b[1]), folds=True)
-    prim("_*v_",
-         mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False),
-                ("k", _nat(), False)],
-               _vec(_nat(), Var(2))),
-         lambda d, v, k: ("vec", tuple(x * k for x in v[1])))
-    prim("prodv",
-         mk_pi([("d", _nat(), True), ("v", _vec(_nat(), Var(0)), False)], _nat()),
-         lambda d, v: math.prod(v[1]))
-
-    arXds = [("X", _setty(), True), ("d", _nat(), True),
-             ("s", _vec(_nat(), Var(0)), True)]
-
-    def ar(x, d, s):
-        return Def("Ar", (vis(x), vis(d), vis(s)))
-
-    def ix(d, s):
-        return Def("Ix", (vis(d), vis(s)))
-
-    prim("sel",
-         mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False),
-                        ("i", ix(Var(2), Var(1)), False)],
-               Var(4)),
-         lambda X, d, s, a, i: arr_index(a, i), reads_hidden=False)
-    prim("ravel",
-         mk_pi(arXds + [("a", ar(Var(2), Var(1), Var(0)), False)],
-               ar(Var(3), Lit(1),
-                  Con("vcons", (vis(Def("prodv", (hid(Var(2)), vis(Var(1))))),
-                                vis(Con("vnil")))))),
-         _ravel)
-    prim("reshape",
-         mk_pi(arXds + [("e", _nat(), True), ("t", _vec(_nat(), Var(0)), False),
-                        ("a", ar(Var(4), Var(3), Var(2)), False)],
-               ar(Var(5), Var(2), Var(1))),
-         _reshape,
-         owes=("reshape preserves the element count",
-               lambda names, X, d, s, e, t, a: shapes.eq(
-                   shapes.SProd(shapes.term_to_vec(t, names)),
-                   shapes.SProd(shapes.term_to_vec(s, names)))))
-    prim("ixc",
-         mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
-                ("k", _nat(), False), ("i", ix(Var(2), Var(1)), False)],
-               _nat()),
-         _ixc, folds=True, reads_hidden=False)
-    prim("ixReverse",
-         mk_pi([("d", _nat(), True), ("s", _vec(_nat(), Var(0)), True),
-                ("i", ix(Var(1), Var(0)), False)],
-               ix(Var(2), Def("vreverse", (hid(_nat()), hid(Var(2)), vis(Var(1)))))),
-         lambda d, s, i: ("ix", tuple(reversed(i[1]))), folds=True)
-
-    return out
+def _prims() -> dict[str, Prim]:
+    text = _read(_PRIM_TEXT)
+    if text.keys() != _MEANING.keys():
+        raise EslError(f"builtins: text and meaning differ on "
+                       f"{sorted(text.keys() ^ _MEANING.keys())}")
+    return {name: Prim(name, sig, clauses=tuple(clauses) or None, **_MEANING[name])
+            for name, (sig, clauses) in text.items()}
 
 
-PRIMS: dict[str, Prim] = {p.name: p for p in _prims()}
+PRIMS: dict[str, Prim] = _prims()
+_SEED: dict[str, Term] = {name: sig for name, (sig, _) in _read(_SEED_TEXT).items()}
 
 
 def seed_env() -> Env:
     env = Env()
-
-    def data(name: str, sig: Term, cons: list[str]):
-        env.add(Definition(name, sig, Datatype(cons)))
-
-    def con(name: str, of: str, sig: Term, hidden: tuple[bool, ...]):
-        env.add(Definition(name, sig, Constructor(of, hidden)))
-
-    data(NAT, _setty(), ["zero", "suc"])
-    con("zero", NAT, _nat(), ())
-    con("suc", NAT, mk_pi([("n", _nat(), False)], _nat()), (False,))
-
-    data(FLOAT, _setty(), [])
-
-    data("Fin", mk_pi([("n", _nat(), False)], _setty()), ["fzero", "fsuc"])
-    con("fzero", "Fin",
-        mk_pi([("n", _nat(), True)], Def("Fin", (vis(Con("suc", (vis(Var(0)),))),))),
-        (True,))
-    con("fsuc", "Fin",
-        mk_pi([("n", _nat(), True), ("i", Def("Fin", (vis(Var(0)),)), False)],
-              Def("Fin", (vis(Con("suc", (vis(Var(1)),))),))),
-        (True, False))
-
-    data("Vec", mk_pi([("X", _setty(), False), ("n", _nat(), False)], _setty()),
-         ["vnil", "vcons"])
-    con("vnil", "Vec", _setty(), ())
-    con("vcons", "Vec", _setty(), (False, False))
-
-    data("List", mk_pi([("X", _setty(), False)], _setty()), ["lnil", "lcons"])
-    con("lnil", "List", _setty(), ())
-    con("lcons", "List", _setty(), (False, False))
-
-    data("Ix", mk_pi([("d", _nat(), False), ("s", _vec(_nat(), Var(0)), False)],
-                     _setty()), ["inil", "icons"])
-    con("inil", "Ix", _setty(), ())
-    con("icons", "Ix", _setty(), (False, False))
-
-    data("Ar", mk_pi([("X", _setty(), False), ("d", _nat(), False),
-                      ("s", _vec(_nat(), Var(0)), False)], _setty()), ["imap"])
-    con("imap", "Ar", _setty(), (True, True, True, False))
-
-    data("_<_", mk_pi([("a", _nat(), False), ("b", _nat(), False)], _setty()), [])
-    data("_≡_", mk_pi([("X", _setty(), True), ("a", Var(0), False),
-                       ("b", Var(1), False)], _setty()), [])
-    data("Dec", mk_pi([("P", _setty(), False)], _setty()), ["yes", "no"])
-    con("yes", "Dec", _setty(), ())
-    con("no", "Dec", _setty(), ())
-    con("prf", "Prop", _setty(), ())  # the erased witness of any proposition
-
+    for name, sig in _SEED.items():
+        tel, ret = pi_spine(sig)
+        if type(ret) is not Sort:  # a constructor of the datatype it returns
+            env.lookup(ret.name).payload.constructors.append(name)
+            env.add(Definition(name, sig, Constructor(
+                ret.name, tuple(a.hidden for _, a in tel))))
+            continue
+        placeholders = _PLACEHOLDERS.get(name, {})
+        env.add(Definition(name, sig, Datatype(list(placeholders))))
+        for con, hidden in placeholders.items():
+            env.add(Definition(con, Sort(), Constructor(name, hidden)))
+    # the erased witness of any proposition
+    env.add(Definition("prf", Sort(), Constructor("Prop", ())))
     for p in PRIMS.values():
         payload = Builtin() if p.clauses is None else Function(list(p.clauses))
         env.add(Definition(p.name, p.sig, payload))
@@ -467,4 +400,4 @@ def seed_env() -> Env:
 
 
 def is_prop_type(t: Term) -> bool:
-    return isinstance(t, Def) and t.name in PROP_HEADS
+    return isinstance(t, Def) and t.name in ("_<_", "_≡_")

@@ -802,7 +802,7 @@ class Elaborator:
         if k and body is not None:
             body = ir.apply_term(ir.shift(body, k), tuple(
                 Arg(Var(k - 1 - j), a.hidden) for j, a in enumerate(patterns[-k:])))
-        return Clause(ctx.telescope(), _remap_patterns(patterns, len(ctx)), body)
+        return Clause(ctx.telescope(), ir.index_patterns(patterns, len(ctx)), body)
 
     def _elab_pattern(self, p: SPat, ty, ctx: Ctx, line: int):
         """Returns (pattern with absolute PVar positions, its value in the
@@ -884,17 +884,6 @@ class Elaborator:
         tp, tv = self._elab_pattern(p.args[1][0], tail_ty, ctx, line)
         cons = "vcons" if vec else "lcons"
         return PCon(cons, (vis(hp), vis(tp))), Con(cons, (vis(hv), vis(tv)))
-
-
-def _remap_patterns(patterns: list[Arg], length: int) -> tuple[Arg, ...]:
-    def remap(p):
-        if isinstance(p, PVar):
-            return PVar(length - 1 - p.idx)
-        if isinstance(p, PCon):
-            return PCon(p.name, tuple(Arg(remap(a.value), a.hidden) for a in p.args))
-        return p
-
-    return tuple(Arg(remap(a.value), a.hidden) for a in patterns)
 
 
 def _is_container_literal(s: SExpr) -> bool:

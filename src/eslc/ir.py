@@ -169,7 +169,7 @@ class Pattern:
 
 @dataclass(slots=True, unsafe_hash=True)
 class PVar(Pattern):
-    idx: int  # telescope position
+    idx: int  # telescope entry, counting back from the last
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -267,6 +267,19 @@ class Env:
 
 # --------------------------------------------------------------------------
 # de Bruijn plumbing
+
+
+def index_patterns(patterns: list[Arg], length: int) -> tuple[Arg, ...]:
+    """`patterns`, whose PVars count telescope entries from the first of
+    `length`, with each counting back from the last, as a PVar does."""
+    def remap(p):
+        if isinstance(p, PVar):
+            return PVar(length - 1 - p.idx)
+        if isinstance(p, PCon):
+            return PCon(p.name, tuple(Arg(remap(a.value), a.hidden) for a in p.args))
+        return p
+
+    return tuple(Arg(remap(a.value), a.hidden) for a in patterns)
 
 
 def map_args(args: tuple[Arg, ...], f, *rest) -> tuple[Arg, ...]:

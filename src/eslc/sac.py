@@ -357,8 +357,12 @@ class SacBackend:
             return SCall("expf", (self._term(va[-1], venv, cx),))
         if name == "div-helper" and len(va) == 4:
             k, m, n, j = (self._term(x, venv, cx) for x in va)
-            return SBin("+", k, SBin("/", SBin("-", SBin("+", n, m), j),
-                                     SBin("+", SNum(1), m)))
+            # n + m - j is below zero only when n runs out before j does,
+            # and then the value is k; where j is m, it is n
+            left = SBin("-", SBin("+", n, m), j)
+            if va[3] != va[1]:
+                left = SCall("max", (left, SNum(0)))
+            return SBin("+", k, SBin("/", left, SBin("+", SNum(1), m)))
         if name == "sel":
             return self.kompile_sel(args, venv, cx)
         if name in ("vidx", "ixc"):

@@ -13,7 +13,7 @@ import numpy as np
 from eslc import corpus, ir
 from eslc.evaluate import call, varr
 from eslc.broadcast import ShapeMismatch
-from eslc.builtins import mk_pi, seed_env
+from eslc.builtins import seed_env
 from eslc.extract import kompile
 from eslc.ir import Clause, Def, Definition, Function, Lit, PCon, PVar, Var, vis
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
@@ -22,6 +22,8 @@ from eslc.normalize import (REDUCE_ALL, Normalizer, RewriteRule,
                             check_rewrite, normalise)
 from eslc.sac import SacBackend, parse_sac
 from eslc.sacinterp import interp_sac
+
+from conftest import mk_pi
 
 
 def _report(n: int, label: str):

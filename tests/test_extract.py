@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from eslc import corpus
-from eslc.builtins import mk_pi, seed_env
+from eslc.builtins import seed_env
 from eslc.elaborate import UnsupportedType
 from eslc.evaluate import call, varr, vvec
 from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, Check, ExtractError,
@@ -26,6 +26,8 @@ from eslc.loader import load_sources
 from eslc.parser import RESERVED
 from eslc.sac import Inhomogeneous, SacBackend, SCall, parse_sac
 from eslc.sacinterp import interp_sac
+
+from conftest import mk_pi
 
 
 def _nat():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from eslc import corpus
-from eslc.builtins import mk_pi, seed_env
+from eslc.builtins import seed_env
 from eslc.evaluate import call
 from eslc.extract import (ExtractError, ExtractState, checks, erase,
                           kompile, subjects)
@@ -18,6 +18,8 @@ from eslc.kaleid import (Aborted, KaleidBackend, KBin, KCall, KFun, KIf, KLet,
                          kompile_check, kompile_clpats, kompile_term,
                          parse_kaleid, print_kaleid)
 from eslc.loader import load_sources
+
+from conftest import mk_pi
 
 ENV = seed_env()
 

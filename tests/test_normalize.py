@@ -129,7 +129,7 @@ def test_extraction_reduces_a_shared_argument_once(monkeypatch):
 
 def test_a_stuck_call_reduces_once_its_definition_gains_a_clause():
     from eslc.ir import Clause, Definition, Function, PCon, PVar
-    from eslc.builtins import mk_pi
+    from conftest import mk_pi
     env = seed_env()
     f = Function([Clause((), (vis(PCon("zero")),), Lit(0))])
     env.add(Definition("f", mk_pi([("x", nat(), False)], nat()), f))
@@ -155,7 +155,7 @@ def test_a_cell_stuck_on_a_meta_reduces_once_the_meta_is_solved():
 def test_fuel_exhaustion():
     loop_env = seed_env()
     from eslc.ir import Clause, Definition, Function, PVar
-    from eslc.builtins import mk_pi
+    from conftest import mk_pi
     loop_env.add(Definition(
         "spin", mk_pi([("x", nat(), False)], nat()),
         Function([Clause((("x", vis(nat())),), (vis(PVar(0)),),

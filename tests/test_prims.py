@@ -11,12 +11,15 @@ import pytest
 
 from eslc import builtins, kaleid, sac, shapes
 from eslc.builtins import PRIMS, seed_env
+from eslc.elaborate import Ctx, Elaborator
 from eslc.evaluate import EvalError, call, eval_closed
 from eslc.extract import kompile
-from eslc.ir import Builtin, Con, Def, Function, Lit, hid, pi_spine, vis
+from eslc.ir import (Builtin, Con, Def, EslError, Function, Lit, hid,
+                     pi_spine, vis)
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.normalize import normalise
+from eslc.parser import SSignature, parse
 from eslc.sac import SacBackend, parse_sac
 from eslc.sacinterp import interp_sac
 
@@ -109,12 +112,15 @@ def _by_clauses(name: str, k: int, m: int, n: int, j: int) -> int:
 @pytest.mark.parametrize("name", ["div-helper", "mod-helper"])
 def test_division_helpers_mean_their_clauses_everywhere(name):
     # j past m too, where the closed form of div-helper must not go below k
+    # on either target
     src = HELPER.format(name)
     for k, m, n, j in [(k, m, n, j) for k in (0, 2) for m in range(3)
                        for n in range(6) for j in range(6)]:
         want = _by_clauses(name, k, m, n, j)
         assert _source(src, [k, m, n, j]) == want, (k, m, n, j)
         assert _target(src, "kaleid", [k, m, n, j]) == want, (k, m, n, j)
+        if name == "div-helper":  # SaC refuses mod-helper's three clauses
+            assert _target(src, "sac", [k, m, n, j]) == want, (k, m, n, j)
 
 
 @pytest.mark.parametrize("name", list(FLOAT_CASES))
@@ -133,8 +139,9 @@ def test_every_backend_operator_names_a_primitive():
 
 
 def test_every_builtin_has_exactly_one_table_entry():
-    names = [p.name for p in builtins._prims()]
-    assert len(names) == len(set(names)) == len(PRIMS)
+    declared = [d.name for d in parse(builtins._PRIM_TEXT).decls
+                if isinstance(d, SSignature)]
+    assert declared == list(builtins._MEANING) == list(PRIMS)
     env = seed_env()
     for name in env.names():
         d = env.lookup(name)
@@ -149,6 +156,51 @@ def test_every_builtin_has_exactly_one_table_entry():
             assert isinstance(d.payload, Function)
             assert tuple(d.payload.clauses) == p.clauses
         assert len(inspect.signature(p.fn).parameters) == p.arity == d.arity()
+
+
+def test_the_table_and_the_seed_environment_keep_their_order():
+    # the evaluator names each primitive by its position in PRIMS
+    assert list(PRIMS) == [
+        "_+_", "_*_", "_-_", "div-helper", "mod-helper", "_/_", "_%_",
+        "fromN<", "toN", "_≟_", "_<?_", "_+f_", "_-f_", "_*f_", "_/f_",
+        "expf", "vidx", "vreverse", "vhd", "vtl", "vtake", "vdrop",
+        "vappend", "_*v_", "prodv", "sel", "ravel", "reshape", "ixc",
+        "ixReverse"]
+    assert seed_env().names() == [
+        "Nat", "zero", "suc", "Float", "Fin", "fzero", "fsuc", "Vec", "vnil",
+        "vcons", "List", "lnil", "lcons", "Ix", "inil", "icons", "Ar", "imap",
+        "_<_", "_≡_", "Dec", "yes", "no", "prf", *PRIMS]
+
+
+def test_the_elaborator_reads_each_signature_of_the_text_to_its_term():
+    # the text is read without the elaborator, which imports PRIMS; each
+    # signature means to the elaborator what the table holds
+    elab = Elaborator()
+    decls = [d for text in (builtins._SEED_TEXT, builtins._PRIM_TEXT)
+             for d in parse(text).decls if isinstance(d, SSignature)]
+    assert len(decls) == 44
+    for d in decls:
+        assert elab.elab_type(d.type, Ctx()) == elab.env.lookup(d.name).signature, \
+            d.name
+
+
+@pytest.mark.parametrize("text", [
+    "f : Nat\nf = 1.5\n",  # a float
+    "f : (x : Nat) -> Nat\nf x = x x\n",  # an applied variable
+    "f : (x : Nat) -> Nat\nf _ = 0\n",  # a wildcard
+    "f : (n : Nat) -> Nat\nf (fsuc i) = i\n",  # another constructor
+    "f x = x\n",  # a clause before its signature
+    "f : Nat\nf : Nat\n",  # a second signature
+])
+def test_the_text_reader_refuses_what_it_does_not_read(text):
+    with pytest.raises(EslError, match="^builtins: cannot read"):
+        builtins._read(text)
+
+
+def test_a_primitive_needs_both_its_text_and_its_meaning(monkeypatch):
+    monkeypatch.setitem(builtins._MEANING, "nothing", dict(fn=abs))
+    with pytest.raises(EslError, match=r"differ on \['nothing'\]"):
+        builtins._prims()
 
 
 def _spine(cons, nil, items):

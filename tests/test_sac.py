@@ -205,7 +205,7 @@ def test_an_element_that_aborts_aborts_its_with_loop():
     # and from (1, 0) on: a genarray meets (0, 2) first, in row-major order
     assert interp_sac(tr, "tr", [2, 3, np.array([[1.0], [2.0]])]) == \
         Aborted("index (2, 0) out of bounds")
-    with pytest.raises(EvalError, match=r"^index \(2, 0\) out of bounds"):
+    with pytest.raises(EvalError, match=r"^index \(2, 0\) out of bounds$"):
         call(e.env, "tr", [2, 3, varr((2, 1), [1.0, 2.0])])
     # a zero divisor at one element of a fold
     assert interp_sac(q, "q", [3, np.array([4, 0, 6])]) == Aborted("division by zero")
@@ -217,6 +217,39 @@ def test_an_element_that_aborts_aborts_its_with_loop():
         Aborted("index (3,) out of bounds")
     with pytest.raises(EvalError, match="^division by zero$"):
         call(e.env, "q", [4, varr((3,), [0, 4, 6])])
+
+
+ABORTS_ALIKE = """
+fd : Float -> Float -> Float
+fd a b = a /f b
+
+s0 : Ar Float 1 (1 ∷ []) -> Float
+s0 a = sel a (0 ∷ [])
+
+{-# TRUST rs #-}
+rs : (n : Nat) -> Ar Nat 1 (n ∷ []) -> Ar Nat 1 (3 ∷ [])
+rs n a = reshape (3 ∷ []) a
+"""
+
+
+@pytest.mark.parametrize("f, args, why", [
+    ("fd", [1.5, 0.0], "division by zero"),
+    ("s0", [varr((0,), [])], "index (0,) out of bounds"),
+    # a scalar where an array goes is an array of rank 0 to both
+    ("s0", [2.5], "selection (0,) from an array of rank 0"),
+    # the trusted count is wrong, and its assertion is stripped
+    ("rs", [4, varr((4,), [1, 2, 3, 4])], "reshape changes the number of elements"),
+])
+def test_the_source_evaluator_and_sac_abort_for_the_same_reason(f, args, why):
+    e = load_sources([("w", ABORTS_ALIKE)])
+    text = kompile(f, [], [], SacBackend(), e.env, e.rules,
+                   ExtractOptions(no_assert=True))
+    sac_args = [np.array(a[2]).reshape(a[1]) if isinstance(a, tuple) else a
+                for a in args]
+    assert interp_sac(text, f, sac_args) == Aborted(why)
+    with pytest.raises(EvalError) as err:
+        call(e.env, f, args)
+    assert str(err.value) == why
 
 
 def test_a_malformed_program_is_a_parse_error():
