@@ -151,12 +151,8 @@ def cmd_diff(args) -> int:
         if args.entry not in elab.env:
             print(f"eslc: unknown entry {args.entry}", file=sys.stderr)
             return 1
-        if args.backend != "kaleid":
-            print("eslc: ad-hoc diff generates scalar inputs only; array "
-                  "entries run through the built-in corpus", file=sys.stderr)
-            return 1
         row = run_signature_diff(elab, args.entry, args.samples, args.seed,
-                                 _names(args.base), opts)
+                                 _names(args.base), opts, args.backend)
     for sample in row.inconclusive:
         print(f"eslc: {row.function} {' '.join(map(repr, sample))}: "
               f"inconclusive, {EXHAUSTED}", file=sys.stderr)

@@ -9,18 +9,20 @@ ordered dependencies-first with the entry last, over the call graph that
 signature, which each backend renders in its own terms.  Name
 normalization turns unicode definition names into target identifiers
 deterministically, `ExtractState.binder` is the one rule by which both
-backends name what they bind, and `TokenReader` is the recursive-descent
-base of both target readers.
+backends name what they bind, `lower_clauses` is the one pattern compiler
+both backends render, and `TokenReader` is the recursive-descent base of
+both target readers.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from .builtins import is_prop_type
 from .ir import (Arg, Clause, Con, Def, Definition, Env, EslError, Function,
-                 Lit, Pi, Sort, Term, map_subterms, pi_spine, print_term)
+                 Lit, PAbsurd, PCon, Pi, PVar, Sort, Term, map_subterms,
+                 pi_spine, print_term)
 from .normalize import Normalizer, RuleSet, dont_reduce, normalise_clause
 
 
@@ -123,7 +125,7 @@ def normalise_name(name: str) -> str:
 
 
 KALEID_KEYWORDS = frozenset({"def", "let", "in", "if", "else", "assert"})
-SAC_KEYWORDS = frozenset({"return", "assert", "with"})
+SAC_KEYWORDS = frozenset({"return", "assert", "with", "if", "else"})
 
 
 def kaleid_final_pass(s: str) -> str:
@@ -228,6 +230,88 @@ def _relation(ty: Term, name: str) -> tuple:
     raise ExtractError(f"unsupported type at {name}: " + (
         f"{what} {'result' if name == RET else 'argument'}" if what
         else print_term(ty)))
+
+
+# the target expressions a clause chain is built of: a variable, the guards
+# `e == 0` and `e > 0`, `e - 1` (read only where `e > 0` holds), component
+# `k` of a vector `e` and its components from `k` on (None where the target
+# has no vectors)
+PatternOps = namedtuple("PatternOps", "var is_zero is_pos pred sel drop")
+
+
+@dataclass
+class Branch:
+    """A clause as a branch: its guards, its pattern variables' bindings in
+    order (a name that starts with `#` is an imap pattern's selection macro
+    of the array it is bound to), its body or none if absurd, the target
+    name of each de Bruijn variable, and every name the clause binds."""
+    guards: list
+    binds: list[tuple[str, object]]
+    body: Term | None
+    venv: list[str]
+    scope: set[str]
+
+
+def lower_clauses(clauses: list[Clause], params: list, scope: set[str],
+                  state: ExtractState, ops: PatternOps) -> list[Branch]:
+    """The clauses as a chain of branches, tried in order, in the style of
+    Maranget's pattern-match compilation (ML 2008) without pruning.  Each
+    clause matches each parameter's target expression in `params` (`None`
+    for one the target drops, whose pattern binds nothing) and names its
+    binders apart from `scope` in a scope of its own.  A chain whose last
+    clause is guarded ends in an absurd branch: coverage is not checked."""
+    if not clauses:
+        raise ExtractError("a function without clauses has no body")
+    chain = []
+    for cl in clauses:
+        source = [n for n, _ in reversed(cl.telescope)]  # by de Bruijn index
+        names: dict[int, str] = {}  # a pattern variable's target name
+        guards, binds, cscope = [], [], set(scope)
+        work = [(p.value, e) for p, e in zip(cl.patterns, params) if e is not None]
+        while work:  # a constructor's sub-patterns go to the front
+            p, e = work.pop(0)
+            if type(p) is PVar:
+                if not source[p.idx].startswith("_"):
+                    if p.idx not in names:
+                        names[p.idx] = state.binder(source[p.idx], cscope)
+                    binds.append((names[p.idx], e))
+            elif type(p) is PAbsurd:
+                pass
+            elif p.name in ("zero", "fzero"):
+                guards.append(ops.is_zero(e))
+            elif p.name in ("suc", "fsuc"):
+                guards.append(ops.is_pos(e))
+                items = [(p.args[-1].value, ops.pred(e))]
+                if len(p.args) > 1:  # fsuc's hidden upper bound has no value
+                    ub = state.binder("ub", cscope, fresh=True)
+                    items.insert(0, (p.args[0].value, ops.var(ub)))
+                work[0:0] = items
+            elif p.name == "imap" and type(sub := p.args[-1].value) is PVar:
+                wild = source[sub.idx].startswith("_")
+                # a #define holds for the rest of the text, so its name
+                # stays apart from every function, builtin and macro
+                macro = state.binder("p" if wild else source[sub.idx],
+                                     cscope | state.used_names, fresh=wild)
+                cscope.add(macro)
+                state.used_names.add(macro)
+                names[sub.idx] = f"#{macro}"
+                binds.append((names[sub.idx], e))
+            elif p.name in ("vcons", "lcons", "vnil", "lnil") and len(clauses) == 1:
+                # no guard tests the length, so a lone clause only
+                k = 0
+                while type(p) is PCon and p.name in ("vcons", "lcons"):
+                    head, p = (a.value for a in p.args if not a.hidden)
+                    work.insert(k, (head, ops.sel(e, k)))
+                    k += 1
+                if type(p) is PVar:  # the tail
+                    work.insert(k, (p, ops.drop(e, k)))
+            else:
+                raise ExtractError(f"cannot match {p.name} in this target")
+        venv = [names.get(i, n) for i, n in enumerate(source)]
+        chain.append(Branch(guards, binds, cl.body, venv, cscope))
+    if chain[-1].guards:
+        chain.append(Branch([], [], None, [], set(scope)))
+    return chain
 
 
 def kompile(entry: str, base, skip, backend, env: Env,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate, ir
+from .builtins import is_prop_type
 from .corpus import CorpusEntry
 from .extract import ExtractOptions, entry_name, kompile
 from .ir import EXHAUSTED, Aborted, pi_spine
@@ -133,15 +134,20 @@ def signature_sampler(env, name: str, rng, hi: int = 24):
     raise evaluate.EvalError(f"could not satisfy the preconditions of {name}")
 
 
-def run_signature_diff(elab, entry: str, samples: int, seed: int,
-                       base=(), opts: ExtractOptions | None = None) -> DiffRow:
-    backend = KaleidBackend()
+def run_signature_diff(elab, entry: str, samples: int, seed: int, base=(),
+                       opts: ExtractOptions | None = None,
+                       target: str = "kaleid") -> DiffRow:
+    """SaC takes no proofs, as its functions have no parameters for them."""
+    backend = KaleidBackend() if target == "kaleid" else SacBackend()
     program = kompile(entry, list(base), [], backend, elab.env, elab.rules, opts)
-    target = entry_name(entry, backend)
+    interp = interp_kaleid if target == "kaleid" else interp_sac
+    fn = entry_name(entry, backend)
+    tel, _ = pi_spine(elab.env.lookup(entry).signature)
+    kept = [target == "kaleid" or not is_prop_type(a.value) for _, a in tel]
     rng = random.Random(seed)
     row = DiffRow(entry, samples, 0)
     for _ in range(samples):
         vals = signature_sampler(elab.env, entry, rng)
-        _sample(row, elab.env, entry, vals,
-                lambda: interp_kaleid(program, target, list(vals)))
+        _sample(row, elab.env, entry, vals, lambda: interp(
+            program, fn, [v for v, k in zip(vals, kept) if k]))
     return row

@@ -1,10 +1,10 @@
 """Kaleidoscope backend: a scalar first-order target over naturals.
 
 The checks a signature implies (`extract.checks`) become runtime
-assertions; pattern-matching definitions become nested conditional chains;
-the reference interpreter stages the emitted text (or its AST) into Python
-functions and runs them with C-style booleans, truncating subtraction and
-an abort-on-zero assert.
+assertions; the clause chain of `extract.lower_clauses` becomes nested
+conditionals; the reference interpreter stages the emitted text (or its
+AST) into Python functions and runs them with C-style booleans,
+truncating subtraction and an abort-on-zero assert.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ import ast
 import functools
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ir
 from . import pycode as py
 from .extract import (KALEID_KEYWORDS, RET, Check, ExtractError, ExtractState,
-                      TokenReader, kaleid_final_pass, subjects)
-from .ir import (Abort, Aborted, Arg, Clause, Con, Def, Definition, Env,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, PVar, Term, Unknown,
-                 Var)
+                      PatternOps, TokenReader, kaleid_final_pass,
+                      lower_clauses, subjects)
+from .ir import (Abort, Aborted, Con, Def, Definition, Env, Function, Lam,
+                 Let, Lit, Term, Unknown, Var)
 
 OPS = ("Plus", "Minus", "Times", "Divide", "Eq", "Neq", "And", "Gt", "Lt")
 _OP_TEXT = {"Plus": "+", "Minus": "-", "Times": "*", "Divide": "/",
@@ -88,34 +88,19 @@ class KIf(KExpr):
     other: KExpr
 
 
-@dataclass
-class PatSt:
-    conds: list[KExpr]
-    assigns: list[tuple[str, KExpr]]
-    scope: set[str] = field(default_factory=set)  # the clause's names
-
-
-class UnsupportedPattern(ExtractError):
-    pass
-
-
-class HigherOrderValue(ExtractError):
-    pass
-
-
 # --------------------------------------------------------------------------
 # the check plan -> assertions
+
+
+_LACKS = {"Float": "floats", "Vec": "vectors", "Ar": "arrays", "List": "lists"}
 
 
 def refuse_types(subj: list[tuple[str, Term]]) -> None:
     """This target has naturals only: no floats, vectors, arrays or lists."""
     for name, ty in subj:
-        match ty:
-            case Def("Float", ()):
-                raise ExtractError(f"unsupported type at {name}: this target "
-                                   "has no floats, only naturals")
-            case Def(("Vec" | "Ar" | "List"), _):
-                raise ExtractError(f"unsupported type at {name}: {ir.print_term(ty)}")
+        if type(ty) is Def and ty.name in _LACKS:
+            raise ExtractError(f"unsupported type at {name}: this target has "
+                               f"no {_LACKS[ty.name]}, only naturals")
 
 
 def kompile_check(c: Check, names: list[str], state: ExtractState,
@@ -129,85 +114,6 @@ def kompile_check(c: Check, names: list[str], state: ExtractState,
     rel = KBin("Lt" if c.relation == "<" else "Eq", lhs,
                kompile_term(c.rhs, venv, state, env))
     return KBin("Eq", subj, rel) if c.decision else rel
-
-
-# --------------------------------------------------------------------------
-# patterns -> conditions
-
-
-def kompile_clpats(tel, pats, exprs: list[KExpr], pst: PatSt,
-                   state: ExtractState) -> PatSt:
-    """Worklist translation of one clause's patterns to conditions and
-    assignments; constructor sub-patterns are prepended to the worklist."""
-    work = list(zip([p.value for p in pats], exprs))
-    while work:
-        p, e = work.pop(0)
-        match p:
-            case PVar(idx):
-                name = tel[len(tel) - 1 - idx][0]
-                if not name.startswith("_"):
-                    pst.assigns.append((name, e))
-            case PAbsurd():
-                pass
-            case PCon(("zero" | "fzero"), _):
-                pst.conds.append(KBin("Eq", e, KNat(0)))
-            case PCon("suc", (Arg(sub, _),)):
-                pst.conds.append(KBin("Gt", e, KNat(0)))
-                work.insert(0, (sub, KBin("Minus", e, KNat(1))))
-            case PCon("fsuc", args):
-                pst.conds.append(KBin("Gt", e, KNat(0)))
-                sub = args[-1].value
-                items = [(sub, KBin("Minus", e, KNat(1)))]
-                if len(args) > 1:  # the hidden upper bound has no value
-                    ub = state.binder("ub", pst.scope, fresh=True)
-                    items.insert(0, (args[0].value, KVar(ub)))
-                work[0:0] = items
-            case PCon(name, _):
-                raise UnsupportedPattern(f"cannot match {name} in this target")
-            case _:
-                raise UnsupportedPattern(repr(p))
-    return pst
-
-
-# --------------------------------------------------------------------------
-# clauses -> conditional chain
-
-
-def kompile_cls(clauses: list[Clause], var_names: list[str], ret: str,
-                state: ExtractState, env: Env) -> KExpr:
-    if not clauses:
-        raise ExtractError("empty clause list")
-    branches: list[tuple[list[KExpr], KExpr]] = []
-    for cl in clauses:
-        # a clause names its binders in its own scope: the parameters, the
-        # result and what the clause binds before them
-        scope = {*var_names, ret}
-        tel = tuple((n if n.startswith("_") else state.binder(n, scope), ty)
-                    for n, ty in cl.telescope)
-        pst = kompile_clpats(tel, list(cl.patterns),
-                             [KVar(v) for v in var_names],
-                             PatSt([], [], scope), state)
-        if cl.body is None:
-            body: KExpr = KAssert(KNat(0))
-        else:
-            venv = [name for name, _ in reversed(tel)] + list(scope)
-            body = kompile_term(cl.body, venv, state, env)
-        for name, e in reversed(pst.assigns):
-            body = KLet(name, e, body)
-        branches.append((pst.conds, body))
-    chain: KExpr | None = None
-    if branches[-1][0]:  # last clause still guarded: synthesize a fallback
-        chain = KAssert(KNat(0))
-    for conds, body in reversed(branches):
-        if not conds and chain is None:
-            chain = body
-            continue
-        cond = conds[0] if conds else KNat(1)
-        for c in conds[1:]:
-            cond = KBin("And", cond, c)
-        chain = KIf(cond, body, chain if chain is not None else KAssert(KNat(0)))
-    assert chain is not None
-    return chain
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +132,7 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env) -> KEx
         case Var(i, ()):
             return KVar(venv[i])
         case Var(_, _):
-            raise HigherOrderValue("applied variable is higher-order")
+            raise ExtractError("applied variable is higher-order")
         case Unknown():
             return KNat(0)  # erased position; reachable only behind asserts
         case Let(bound, scope):
@@ -234,12 +140,12 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env) -> KEx
             return KLet(name, kompile_term(bound, venv, state, env),
                         kompile_term(scope.body, [name] + venv, state, env))
         case Lam():
-            raise HigherOrderValue("lambda cannot be translated")
+            raise ExtractError("lambda cannot be translated")
         case Def(name, args):
             return _kompile_def(name, args, venv, state, env)
         case Con(name, _):
             raise ExtractError(f"constructor {name} has no scalar translation")
-    raise ExtractError(f"cannot translate {t!r}")
+    raise ExtractError("a type has no scalar translation")
 
 
 _BINOPS = {"_+_": "Plus", "_-_": "Minus", "_*_": "Times", "_/_": "Divide",
@@ -284,6 +190,11 @@ def _kompile_def(name: str, args, venv, state, env) -> KExpr:
 # the backend object used by the extraction driver
 
 
+PATTERNS = PatternOps(KVar, lambda e: KBin("Eq", e, KNat(0)),
+                      lambda e: KBin("Gt", e, KNat(0)),
+                      lambda e: KBin("Minus", e, KNat(1)), None, None)
+
+
 class KaleidBackend:
     final_pass = staticmethod(kaleid_final_pass)
     keywords = KALEID_KEYWORDS
@@ -299,7 +210,20 @@ class KaleidBackend:
         asserts = [(f"{names[c.subject]}_assrt",
                     KAssert(kompile_check(c, names, state, env))) for c in plan]
         k = sum(c.subject < len(params) for c in plan)  # the result's come last
-        chain = kompile_cls(d.payload.clauses, list(params), RET, state, env)
+        # a clause names its binders apart from the parameters, the result
+        # and what it binds before them; an absurd one aborts
+        arms = []
+        for b in lower_clauses(d.payload.clauses, [KVar(p) for p in params],
+                               {*params, RET}, state, PATTERNS):
+            arm = KAssert(KNat(0)) if b.body is None else \
+                kompile_term(b.body, b.venv + list(b.scope), state, env)
+            for n2, e in reversed(b.binds):
+                arm = KLet(n2, e, arm)
+            arms.append((b.guards, arm))
+        chain = arms[-1][1]  # the last branch is unguarded
+        for guards, arm in reversed(arms[:-1]):
+            chain = KIf(functools.reduce(lambda a, c: KBin("And", a, c),
+                                         guards or [KNat(1)]), arm, chain)
         lets = asserts[:k]
         while isinstance(chain, KLet):  # single-branch assigns read better flat
             lets.append((chain.name, chain.bound))
@@ -318,16 +242,10 @@ class KaleidBackend:
 # printer
 
 
-def print_kaleid(fns: list[KExpr]) -> str:
+def print_kaleid(fns: list[KFun]) -> str:
     out = []
     for f in fns:
-        match f:
-            case KFun(name, params, body):
-                out.append(f"def {name} ({', '.join(params)}):")
-                out.extend(_print_block(body, 2))
-            case _:
-                raise ExtractError("only functions can appear at top level")
-        out.append("")
+        out += [f"def {f.name} ({', '.join(f.params)}):", *_print_block(f.body, 2), ""]
     return "\n".join(out).rstrip() + "\n"
 
 
@@ -375,15 +293,11 @@ def _pp(e: KExpr, prec: int) -> str:
             return f"({s})" if prec > 1 else s
         case KBin(op, l, r):
             p = _OP_PREC[op]
-            ls = _pp(l, p)
-            rs = _pp(r, p + 1)
-            s = f"{ls} {_OP_TEXT[op]} {rs}"
+            s = f"{_pp(l, p)} {_OP_TEXT[op]} {_pp(r, p + 1)}"
             return f"({s})" if prec > p else s
         case KLet(n, b, body):
             s = f"let {n} = {_pp(b, 0)} in {_pp(body, 0)}"
             return f"({s})" if prec > 0 else s
-        case KIf():
-            raise ExtractError("conditionals print at statement level")
     raise ExtractError(f"unprintable {e!r}")
 
 

@@ -112,7 +112,7 @@ def ret(value: ast.expr) -> ast.Return:
 
 def if_(test: ast.expr, body: list[ast.stmt],
         orelse: list[ast.stmt] | None = None) -> ast.If:
-    return ast.If(test, body, orelse or [], **_AT)
+    return ast.If(test, body or [node(ast.Pass)], orelse or [], **_AT)
 
 
 def compile_defs(defs: list[ast.stmt], filename: str) -> CodeType:

@@ -3,23 +3,26 @@ the emitted subset and its reader (`parse_sac`).
 
 imap-headed bodies become genarray with-loops, applications of the
 reduction combinator become fold with-loops, nested array types flatten
-into multi-dimensional ones, and every check a signature implies
-(`extract.checks`) becomes an assert over shape/take/cons expressions.
+into multi-dimensional ones, every check a signature implies
+(`extract.checks`) becomes an assert over shape/take/cons expressions,
+and the clause chain of `extract.lower_clauses` an `if`/`else` statement.
 The reference interpreter is eslc.sacinterp, so this module, and a SaC
 kompile, runs without numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
 from . import ir
 from .builtins import is_prop_type
 from .extract import (RET, SAC_KEYWORDS, Check, ExtractError, ExtractState,
-                      TokenReader, sac_final_pass, subjects)
-from .ir import (Aborted, Arg, Clause, Con, Def, Definition, Env, Function,
-                 Lam, Let, Lit, PCon, PVar, Term, Var, nat_view, pi_spine)
+                      PatternOps, TokenReader, lower_clauses, sac_final_pass,
+                      subjects)
+from .ir import (Aborted, Arg, Con, Def, Definition, Env, Function, Lam, Let,
+                 Lit, Term, Var, nat_view, pi_spine)
 
 
 class Inhomogeneous(ExtractError):
@@ -131,7 +134,7 @@ class SVarE(SExp):
 
 @dataclass(frozen=True)
 class SBin(SExp):
-    op: str  # + - * / % == < >
+    op: str  # + - * / % == < > &&
     lhs: SExp
     rhs: SExp
     scalar: bool = True  # scalar ops render with the $ prefix
@@ -170,19 +173,6 @@ class SWith(SExp):
     neutral: SExp | None = None
 
 
-@dataclass
-class SacFunction:
-    name: str
-    ret: str
-    params: list[tuple[str, str]]  # (type, name)
-    assigns: list[tuple[str, SExp]]
-    arg_asserts: list[SExp]
-    macros: list[tuple[str, str]]  # (macro name, argument array param)
-    body: SExp | None
-    ret_asserts: list[SExp]
-    lets: list[tuple[str, SExp]] = field(default_factory=list)  # after macros
-
-
 # --------------------------------------------------------------------------
 # the backend
 
@@ -205,6 +195,13 @@ SAC_BUILTINS = frozenset({"shape", "take", "drop", "cons", "append", "reverse",
                           "expf", "sel", "ravel"})
 
 
+PATTERNS = PatternOps(SVarE, lambda e: SBin("==", e, SNum(0), False),
+                      lambda e: SBin(">", e, SNum(0), False),
+                      lambda e: SBin("-", e, SNum(1)),
+                      lambda e, k: SSel(e, SNum(k)),
+                      lambda e, k: SCall("drop", (SNum(k), e)))
+
+
 class SacBackend:
     final_pass = staticmethod(sac_final_pass)
     keywords = SAC_KEYWORDS
@@ -217,31 +214,47 @@ class SacBackend:
     def kompile_fun(self, name: str, d: Definition, plan: list[Check],
                     state: ExtractState, env: Env) -> str:
         assert isinstance(d.payload, Function)
-        if len(d.payload.clauses) != 1:
-            raise ExtractError("this target compiles single-clause functions only")
-        cl = d.payload.clauses[0]
         subj = subjects(d.signature)
         names = [n for n, _ in subj]
         # proofs carry no runtime data; the checks keep their facts
-        prop_pos = {j for j, (_, ty) in enumerate(subj[:-1]) if is_prop_type(ty)}
-        params = [(flatten_type(ty).result.render(), n)
-                  for j, (n, ty) in enumerate(subj[:-1]) if j not in prop_pos]
-        fn = SacFunction(state.target_name(name, sac_final_pass),
-                         flatten_type(subj[-1][1]).result.render(), params,
-                         [], [], [], None, [])
-        # the function names its binders apart from all it has bound so far
+        kept = [None if is_prop_type(ty) else (flatten_type(ty).result.render(), n)
+                for n, ty in subj[:-1]]
+        # the function names its binders apart from all it has bound so far,
+        # and each clause its pattern variables apart from the others' too
         cx = _Cx(state, env, set(names))
-        venv = self._clause_bindings(cl, names, fn, cx, prop_pos)
-        for c in plan:  # List is left unchecked: the plan has no check for it
-            (fn.ret_asserts if names[c.subject] == RET else fn.arg_asserts
-             ).append(self._check(c, names, cx))
-        fn.assigns += cx.hoisted  # lets of the asserted types precede them
-        body = cl.body
-        if body is None:
-            raise ExtractError("absurd clauses have no array translation")
-        cx.hoisted = fn.lets  # the body's lets may use the macros
-        fn.body = self._term(body, venv, cx)
-        return render_function(fn)
+        chain = lower_clauses(d.payload.clauses,
+                              [p and SVarE(p[1]) for p in kept],
+                              cx.scope, state, PATTERNS)
+        for b in chain:
+            cx.scope |= b.scope
+        lone = len(chain) == 1  # reads flat: its values ahead of the asserts
+        pre = [("assign", n, e) for n, e in chain[0].binds if lone and n[0] != "#"]
+        asserts = [("assert", self._check(c, names, cx)) for c in plan]
+        k = sum(c.subject < len(kept) for c in plan)  # the result's come last
+        pre += [("assign", n, e) for n, e in cx.hoisted] + asserts[:k]
+        arms = []
+        for b in chain:
+            arm = [("define", n[1:], e) if n[0] == "#" else ("assign", n, e)
+                   for n, e in b.binds if n[0] == "#" or not lone]
+            if b.body is None:
+                arm.append(("assert", SNum(0)))
+            else:  # the body's lets follow the macros they may use
+                cx.hoisted = []
+                value = self._term(b.body, b.venv, cx)
+                arm += [("assign", n, e) for n, e in cx.hoisted]
+                arm.append(("assign", RET, value))
+            arms.append((b.guards, arm))
+        stmts = arms[-1][1]  # the last branch is unguarded
+        for guards, arm in reversed(arms[:-1]):
+            stmts = [("if", functools.reduce(lambda a, c: SBin("&&", a, c, False),
+                                             guards or [SNum(1)]), arm, stmts)]
+        ret = flatten_type(subj[-1][1]).result.render()
+        return "\n".join([
+            f"{ret} {state.target_name(name, sac_final_pass)}"
+            f"({', '.join(f'{t} {n}' for t, n in filter(None, kept))}) {{",
+            f"  {ret} {RET};",
+            *render_stmts(pre + stmts + asserts[k:] + [("return", SVarE(RET))], 2),
+            "}"]) + "\n"
 
     def _check(self, c: Check, names: list[str], cx) -> SExp:
         """A check as a SaC condition over the parameters before its
@@ -257,54 +270,6 @@ class SacBackend:
                 lhs = SCall("take", (lhs, SCall("shape", (subj,))))
         rel = SBin("<" if c.relation == "<" else "==", lhs, rhs, scalar=False)
         return SBin("==", subj, rel, scalar=False) if c.decision else rel
-
-    def _clause_bindings(self, cl: Clause, names, fn: SacFunction, cx,
-                         prop_pos=frozenset()):
-        """Pattern variables become assigns; an imap pattern becomes the
-        selection macro the body applies."""
-        names_by_db: dict[int, str] = {}
-
-        def source_name(idx: int) -> str:
-            return cl.telescope[len(cl.telescope) - 1 - idx][0]
-
-        def bind(idx: int, value: SExp) -> None:
-            if not source_name(idx).startswith("_"):
-                names_by_db[idx] = cx.state.binder(source_name(idx), cx.scope)
-                fn.assigns.append((names_by_db[idx], value))
-
-        for j, p in enumerate(cl.patterns):
-            if j in prop_pos:
-                continue  # proofs have no runtime parameter to bind
-            param = names[j]
-            match p.value:
-                case PVar(idx):
-                    bind(idx, SVarE(param))
-                case PCon("imap", args):
-                    sub = args[-1].value
-                    assert isinstance(sub, PVar)
-                    nm = source_name(sub.idx)
-                    wild = nm.startswith("_")
-                    # a #define holds for the rest of the text, so its name
-                    # stays apart from every function, builtin and macro
-                    called = cx.state.used_names
-                    macro = cx.state.binder("p" if wild else nm, cx.scope | called,
-                                            fresh=wild)
-                    cx.scope.add(macro)
-                    called.add(macro)
-                    fn.macros.append((macro, param))
-                    names_by_db[sub.idx] = f"#{macro}"
-                case PCon(("vcons" | "lcons"), _) as pat:
-                    for k, item in enumerate(_pat_spine(pat)):
-                        if not isinstance(item, PVar):
-                            raise ExtractError(
-                                "nested component patterns are not supported here")
-                        bind(item.idx, SSel(SVarE(param), SNum(k)))
-                case PCon("vnil", _):
-                    pass
-                case pat:
-                    raise ExtractError(
-                        f"this target cannot compile pattern {pat!r}")
-        return [names_by_db.get(i, "_") for i in range(len(cl.telescope))]
 
     # -- terms ----------------------------------------------------------------
 
@@ -344,7 +309,11 @@ class SacBackend:
                 return self.kompile_reduce(t, venv, cx)
             case Def(name, args):
                 return self._def(name, args, venv, cx)
-        raise ExtractError(f"no array translation for {t!r}")
+            case Con(name, _):
+                raise ExtractError(f"constructor {name} has no array translation")
+            case Lam():
+                raise ExtractError("a function value has no array translation")
+        raise ExtractError("a type or an erased value has no array translation")
 
     def _def(self, name: str, args, venv, cx) -> SExp:
         va = [a.value for a in args]
@@ -511,15 +480,6 @@ class _Cx:
     hoisted: list = field(default_factory=list)
 
 
-def _pat_spine(p) -> list:
-    items = []
-    while isinstance(p, PCon) and p.name in ("vcons", "lcons"):
-        pv = [a.value for a in p.args if not a.hidden]
-        items.append(pv[0])
-        p = pv[1]
-    return items
-
-
 def _term_spine(t: Term) -> tuple[list[Term], bool]:
     items = []
     while isinstance(t, Con) and t.name in ("vcons", "icons", "lcons"):
@@ -538,7 +498,7 @@ def _is_array_type(ty: Term) -> bool:
 # rendering
 
 
-_PREC = {"==": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4, "%": 4}
+_PREC = {"&&": 0, "==": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4, "%": 4}
 
 
 def render_expr(e: SExp, prec: int = 0, ind: int = 2) -> str:
@@ -592,23 +552,31 @@ def render_with(w: SWith, ind: int) -> str:
     return "\n".join(lines)
 
 
-def render_function(fn: SacFunction) -> str:
-    lines = [f"{fn.ret} {fn.name}({', '.join(f'{t} {n}' for t, n in fn.params)}) {{"]
-    lines.append(f"  {fn.ret} {RET};")
-    for nm, e in fn.assigns:
-        lines.append(f"  {nm} = {render_expr(e)};")
-    for a in fn.arg_asserts:
-        lines.append(f"  assert ({render_expr(a)});")
-    for macro, target in fn.macros:
-        lines.append(f"  #define {macro}(__x) ({target})[__x]")
-    for nm, e in fn.lets:
-        lines.append(f"  {nm} = {render_expr(e)};")
-    lines.append(f"  {RET} = {render_expr(fn.body, 0, 2)};")
-    for a in fn.ret_asserts:
-        lines.append(f"  assert ({render_expr(a)});")
-    lines.append(f"  return {RET};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def render_stmts(stmts: list[tuple], ind: int) -> list[str]:
+    """("assign", name, e) | ("define", macro, array) | ("assert", e)
+    | ("if", cond, [statement], [statement]) | ("return", e)"""
+    pad = " " * ind
+    lines = []
+    for st in stmts:
+        match st:
+            case ("assign", nm, e):
+                lines.append(f"{pad}{nm} = {render_expr(e, 0, ind)};")
+            case ("define", macro, e):
+                lines.append(f"{pad}#define {macro}(__x) ({render_expr(e)})[__x]")
+            case ("assert", e):
+                lines.append(f"{pad}assert ({render_expr(e)});")
+            case ("return", e):
+                lines.append(f"{pad}return {render_expr(e)};")
+            case ("if", cond, then, other):
+                lines.append(f"{pad}if ({render_expr(cond)}) {{")
+                while True:
+                    lines += render_stmts(then, ind + 2)
+                    if not (len(other) == 1 and other[0][0] == "if"):
+                        break
+                    _, cond, then, other = other[0]
+                    lines.append(f"{pad}}} else if ({render_expr(cond)}) {{")
+                lines += [f"{pad}}} else {{", *render_stmts(other, ind + 2), f"{pad}}}"]
+    return lines
 
 
 _SEL_PRELUDE = """\
@@ -639,7 +607,9 @@ class SacParseError(ExtractError):
 class ParsedFn:
     name: str
     params: list[str]
-    stmts: list  # ("assign", name, expr) | ("assert", expr) | ("return", expr)
+    # ("assign", name, expr) | ("declare", name) | ("assert", expr)
+    # | ("if", expr, [statement], [statement]) | ("return", expr)
+    stmts: list
 
 
 # the printer's operators by spelling, scalar ones with a `$` prefix
@@ -696,16 +666,19 @@ class _SacReader(TokenReader):
             name = self.name()
             self.expect("(")
             params = self.items(")", self.param)
-            self.expect("{")
-            stmts = []
-            while not self.accept("}"):
-                if stmt := self.statement():
-                    stmts.append(stmt)
-            fns[name] = ParsedFn(name, params, stmts)
+            fns[name] = ParsedFn(name, params, self.block())
         return fns
 
+    def block(self) -> list[tuple]:
+        self.expect("{")
+        stmts = []
+        while not self.accept("}"):
+            if stmt := self.statement():
+                stmts.append(stmt)
+        return stmts
+
     def statement(self) -> tuple | None:
-        """A statement; None for a declaration or a `#define`."""
+        """A statement; None for a `#define`."""
         if self.accept("#define"):  # its body ends where the expression does
             name = self.name()
             self.expect("(")
@@ -713,6 +686,14 @@ class _SacReader(TokenReader):
             self.expect(")")
             self.macros[name] = (arg, self.expr())
             return None
+        if self.accept("if"):
+            self.expect("(")
+            cond = self.expr()
+            self.expect(")")
+            then = self.block()
+            self.expect("else")
+            return ("if", cond, then, [self.statement()] if self.peek() == "if"
+                    else self.block())
         if self.accept("return"):
             stmt: tuple = ("return", self.expr())
         elif self.accept("assert"):
@@ -723,7 +704,8 @@ class _SacReader(TokenReader):
             if self.peek(1) != "=":
                 self.type_ann()  # a declaration, perhaps with a value
             name = self.name()
-            stmt = ("assign", name, self.expr()) if self.accept("=") else None
+            stmt = ("assign", name, self.expr()) if self.accept("=") else \
+                ("declare", name)
         self.expect(";")
         return stmt
 

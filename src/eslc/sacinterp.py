@@ -47,6 +47,8 @@ def interp_sac(program, entry: str, args):
         return Aborted(ab.reason)
     except RecursionError:
         return Aborted(ir.EXHAUSTED)
+    except NameError:  # no assignment reached the local of a declared name
+        raise SacParseError("a declared variable is read unassigned") from None
 
 
 def _to_value(a):
@@ -87,6 +89,7 @@ class _Stager:
         self.funs = funs  # SaC name -> (Python name, arity)
         self.count = 0
         self.defs: list[ast.stmt] = []  # the loop bodies of the def at hand
+        self.declared: set[str] = set()  # the locals of declared names
 
     def _bind(self, name: str, scope: dict[str, str]) -> str:
         """A fresh local for name, which scope then reads."""
@@ -103,21 +106,34 @@ class _Stager:
         outer, self.defs = self.defs, []
         # a repeated parameter name binds the last of its arguments
         params = [self._bind(p, scope) for p in params]
+        body = self.block(stmts, scope)
+        if not (body and isinstance(body[-1], ast.Return)):
+            body.append(py.ret(_malformed(f"{name} has no return statement")))
+        body, self.defs = self.defs + body, outer
+        return py.fundef(pyname, params, body)
+
+    def block(self, stmts: list, scope: dict[str, str]) -> list[ast.stmt]:
+        """The statements up to the first return.  An assignment binds a
+        fresh local, but to a declared name, whose one local it stores."""
         body = []
         for st in stmts:
             match st:
                 case ("assign", nm, e):
                     value = self.expr(e, scope)
-                    body.append(py.assign(self._bind(nm, scope), value))
+                    local = scope[nm] if scope.get(nm) in self.declared \
+                        else self._bind(nm, scope)
+                    body.append(py.assign(local, value))
+                case ("declare", nm):
+                    self.declared.add(self._bind(nm, scope))
                 case ("assert", e):
                     body.append(py.node(ast.Expr, py.call("_check", [self.expr(e, scope)])))
+                case ("if", cond, then, other):
+                    body.append(py.if_(self.expr(cond, scope), self.block(
+                        then, dict(scope)), self.block(other, dict(scope))))
                 case ("return", e):
                     body.append(py.ret(self.expr(e, scope)))
                     break
-        else:
-            body.append(py.ret(_malformed(f"{name} has no return statement")))
-        body, self.defs = self.defs + body, outer
-        return py.fundef(pyname, params, body)
+        return body
 
     def expr(self, e, scope: dict[str, str]) -> ast.expr:
         match e:
@@ -134,6 +150,8 @@ class _Stager:
                     return py.call("_c_bool", [py.compare(lhs, _COMPARE[op](), rhs)])
                 if op == "==":
                     return py.call("_eq", [lhs, rhs])
+                if op == "&&":  # the right operand only if the left holds
+                    return py.call("_c_bool", [py.all_of([lhs, rhs])])
                 if op in ("/", "%"):
                     return py.call("_quotient", [lhs, rhs, py.const(op)])
                 return _malformed(f"unknown operator {op}", lhs, rhs)

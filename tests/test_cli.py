@@ -451,11 +451,13 @@ def test_a_count_out_of_range_is_a_user_error(capsys):
 
 def test_a_refused_diff_writes_nothing_to_stdout(tmp_path, capsys):
     src = _write(tmp_path, "ack.esl", corpus.ACK)
+    vec = _write(tmp_path, "v.esl", "v : Vec Nat 2 -> Nat\nv (x ∷ xs) = x\n")
     for argv, why in [
             (["--entry", "log2", "--backend", "sac"], "log2 extracts to kaleid"),
             (["--entry", "log2", "--backend", "kaleid", "--base", "_<_"],
              "own base list"),
-            ([src, "--entry", "ack", "--backend", "sac"], "scalar inputs only"),
+            ([vec, "--entry", "v", "--backend", "sac"],
+             "cannot sample an argument of type "),
             ([src, "--entry", "nosuch", "--backend", "kaleid"],
              "unknown entry nosuch")]:
         assert main(["diff", *argv]) == 1, argv
@@ -566,7 +568,7 @@ def _readme_commands() -> list[list[str]]:
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     commands = _readme_commands()
-    assert len(commands) == 5
+    assert len(commands) == 6
     for argv in commands:
         if "--out" in argv:
             k = argv.index("--out") + 1

@@ -18,7 +18,7 @@ from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, Check, ExtractError,
                           ExtractOptions, ExtractState, checks,
                           kaleid_final_pass, kompile, normalise_name,
                           sac_final_pass)
-from eslc.harness import compare
+from eslc.harness import compare, run_signature_diff
 from eslc.ir import (Clause, Con, Def, Definition, Function, Lit, PCon, PVar,
                      Var, hid, vis)
 from eslc.kaleid import KaleidBackend, KCall, interp_kaleid, parse_kaleid
@@ -120,11 +120,12 @@ def test_no_assert_still_refuses_what_the_target_lacks():
 
 
 def test_a_backend_refusal_names_its_function_and_keeps_its_class():
-    # the callee is refused, not the entry that calls it
-    e = load_sources([("t", "h : Nat -> Nat\nh zero = 0\nh (suc n) = h n\n\n"
-                            "f : Nat -> Nat\nf n = h n\n")])
-    with pytest.raises(ExtractError, match="^h: this target compiles "
-                                           "single-clause functions only$"):
+    # the callee is refused, not the entry that calls it: no guard tests
+    # a vector's length
+    e = load_sources([("t", "h : Vec Nat 1 -> Nat\nh (zero ∷ []) = 0\n"
+                            "h (suc n ∷ []) = n\n\n"
+                            "f : Vec Nat 1 -> Nat\nf v = h v\n")])
+    with pytest.raises(ExtractError, match="^h: cannot match vcons in this target$"):
         kompile("f", [], [], SacBackend(), e.env, e.rules)
     e = load_sources([("t", "f : List (List Nat) -> Nat\nf xs = 0\n")])
     with pytest.raises(Inhomogeneous, match="^f: nested lists"):
@@ -142,9 +143,20 @@ def test_a_shared_let_of_a_constructor_is_refused_on_both_targets():
     assert call(e.env, "lm", [3]) == 5
     for backend, message in [(KaleidBackend(), "constructor suc has no scalar "
                                                "translation"),
-                             (SacBackend(), "no array translation for ")]:
+                             (SacBackend(), "constructor suc has no array "
+                                            "translation")]:
         with pytest.raises(ExtractError, match=f"^lm: {message}"):
             kompile("lm", [], [], backend, e.env, e.rules)
+
+
+def test_a_lambda_argument_is_refused_on_both_targets():
+    e = load_sources([("t", "tw : (Nat -> Nat) -> Nat -> Nat\ntw f x = f (f x)\n"
+                            "lm : Nat -> Nat\nlm x = tw (\\ y -> y + x) x\n")])
+    for backend, message in [(KaleidBackend(), "lambda cannot be translated"),
+                             (SacBackend(), "a function value has no array "
+                                            "translation")]:
+        with pytest.raises(ExtractError, match=f"^lm: {message}$"):
+            kompile("lm", ["tw"], [], backend, e.env, e.rules)
 
 
 def _nat_pi(*tys):
@@ -214,14 +226,14 @@ FORMS = [
      *[Unelaborated("line 1: signature of f: (Dec Nat) decides no "
                     "proposition (_<_ or _≡_)")] * 2),
     ("Vec X n", "f : (n : Nat) -> Vec Float n -> Vec Float n\nf n v = v\n",
-     'f: unsupported type at x_2: (def "Vec"',
+     "f: unsupported type at x_2: this target has no vectors, only naturals",
      ["shape (x_2)[0] == x_1", "shape (__ret)[0] == x_1"]),
     ("Ar X d s", "f : Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\nf a = a\n",
-     'f: unsupported type at x_1: (def "Ar"',
+     "f: unsupported type at x_1: this target has no arrays, only naturals",
      ["take (1, shape (x_1)) == cons (3, [])",
       "take (1, shape (__ret)) == cons (3, [])"]),
     ("List X", "f : List Float -> Nat\nf xs = 0\n",
-     'f: unsupported type at x_1: (def "List"', []),
+     "f: unsupported type at x_1: this target has no lists, only naturals", []),
     # a type or a function has no value in either target
     *[(form, src, *[f"f: unsupported type at {at}"] * 2) for form, src, at in [
         ("(X : Set) -> X -> X", "f : (X : Set) -> X -> X\nf X x = x\n",
@@ -253,6 +265,32 @@ def test_each_signature_form_is_checked_or_refused(src, kaleid, sac, target):
         return
     text = kompile("f", [], [], backend, e.env, e.rules)
     assert re.findall(r"assert \((.*)\)", text) == want
+
+
+# each clause form: a function that matches with it, which both targets
+# extract through the one clause chain of `lower_clauses`
+CLAUSE_FORMS = {
+    "zero": "f : Nat -> Nat\nf zero = 7\nf n = n\n",
+    "suc": "f : Nat -> Nat -> Nat\nf (suc m) zero = m\nf m n = m + n\n",
+    "nested suc": "f : Nat -> Nat\nf (suc (suc x)) = x\nf x = 9\n",
+    "literals 0 and 1": "f : Nat -> Nat\nf 0 = 5\nf 1 = 6\nf x = x * 2\n",
+    # fsuc's upper bound is a hidden pattern variable with no value
+    "fsuc": "f : (n : Nat) -> Fin n -> Nat\nf n fzero = n\n"
+            "f n (fsuc i) = toN i + n\n",
+    "wildcard": "f : Nat -> Nat -> Nat\nf 0 _ = 1\nf _ n = n\n",
+    "absurd clause": "f : (x : Nat) -> 0 < x -> Nat\nf 0 ()\nf x p = x\n",
+    # the chain ends in an abort that no natural reaches
+    "guarded last clause": "f : Nat -> Nat\nf 0 = 1\nf (suc n) = n + 2\n",
+}
+
+
+@pytest.mark.parametrize("target", ["kaleid", "sac"])
+@pytest.mark.parametrize("form", list(CLAUSE_FORMS))
+def test_each_clause_form_means_its_clauses_on_both_targets(form, target):
+    e = load_sources([("t", CLAUSE_FORMS[form])])
+    # 200 samples of seed 1 draw each of 0, 1 and 2 for the first natural
+    row = run_signature_diff(e, "f", 200, 1, target=target)
+    assert (row.mismatches, row.inconclusive) == (0, [])
 
 
 ASSERTS = {"kaleid": 2, "sac": 20}  # all of the corpus's checks, by target

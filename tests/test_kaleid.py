@@ -1,6 +1,5 @@
-"""Kaleidoscope backend: the rendering of signature checks, pattern and
-clause compilation, term translation, printing, parsing, and the
-interpreter."""
+"""Kaleidoscope backend: the rendering of signature checks, term
+translation, printing, parsing, and the interpreter."""
 
 import random
 
@@ -12,11 +11,10 @@ from eslc.evaluate import call
 from eslc.extract import (ExtractError, ExtractState, checks, erase,
                           kompile, subjects)
 from eslc.harness import run_corpus_diff, run_signature_diff
-from eslc.ir import Con, Def, Lit, PCon, PVar, Var, hid, vis
+from eslc.ir import Con, Def, Lit, PVar, Var, hid, vis
 from eslc.kaleid import (Aborted, KaleidBackend, KBin, KCall, KFun, KIf, KLet,
-                         KNat, KParseError, KVar, PatSt, interp_kaleid,
-                         kompile_check, kompile_clpats, kompile_term,
-                         parse_kaleid, print_kaleid)
+                         KNat, KParseError, KVar, interp_kaleid, kompile_check,
+                         kompile_term, parse_kaleid, print_kaleid)
 from eslc.loader import load_sources
 
 from conftest import mk_pi
@@ -68,44 +66,6 @@ def test_dec_argument_assertion():
                   False)], _nat())
     assert _asserts(sig) == [("x_3", KBin("Eq", KVar("x_3"),
                                           KBin("Lt", KVar("x_1"), KVar("x_2"))))]
-
-
-# -- kompile_clpats ------------------------------------------------------------
-
-
-def test_zero_pattern():
-    pst = kompile_clpats((), (vis(PCon("zero")),), [KVar("x1")],
-                         PatSt([], []), _st())
-    assert pst.conds == [KBin("Eq", KVar("x1"), KNat(0))]
-
-
-def test_suc_and_zero_patterns():
-    tel = (("m", vis(_nat())),)
-    pats = (vis(PCon("suc", (vis(PVar(0)),))), vis(PCon("zero")))
-    pst = kompile_clpats(tel, pats, [KVar("x1"), KVar("x2")], PatSt([], []), _st())
-    assert pst.conds == [KBin("Gt", KVar("x1"), KNat(0)),
-                         KBin("Eq", KVar("x2"), KNat(0))]
-    assert pst.assigns == [("m", KBin("Minus", KVar("x1"), KNat(1)))]
-
-
-def test_nested_suc_pattern():
-    tel = (("x", vis(_nat())),)
-    pats = (vis(PCon("suc", (vis(PCon("suc", (vis(PVar(0)),))),))),)
-    pst = kompile_clpats(tel, pats, [KVar("e")], PatSt([], []), _st())
-    e = KVar("e")
-    em1 = KBin("Minus", e, KNat(1))
-    assert pst.conds == [KBin("Gt", e, KNat(0)), KBin("Gt", em1, KNat(0))]
-    assert pst.assigns == [("x", KBin("Minus", em1, KNat(1)))]
-
-
-def test_fin_suc_pattern_gets_fresh_upper_bound():
-    st = _st()
-    tel = (("ub", vis(_nat())), ("i", vis(Def("Fin", (vis(Var(0)),)))))
-    pats = (vis(PCon("fsuc", (hid(PVar(1)), vis(PVar(0))))),)
-    pst = kompile_clpats(tel, pats, [KVar("e")], PatSt([], []), st)
-    assert pst.conds == [KBin("Gt", KVar("e"), KNat(0))]
-    assert ("ub", KVar("ub_1")) in pst.assigns
-    assert ("i", KBin("Minus", KVar("e"), KNat(1))) in pst.assigns
 
 
 # -- kompile_term ----------------------------------------------------------------
@@ -562,8 +522,8 @@ def test_higher_order_entry_is_rejected():
 
 
 def test_empty_clause_list_is_an_error():
-    from eslc.extract import ExtractError, ExtractState
-    from eslc.kaleid import kompile_cls
-    with pytest.raises(ExtractError):
-        kompile_cls([], [], "__ret", ExtractState(frozenset(), frozenset()),
-                    ENV)
+    from eslc.ir import Definition, Function
+    sig = mk_pi([("x", _nat(), False)], _nat())
+    with pytest.raises(ExtractError, match="without clauses"):
+        KaleidBackend().kompile_fun("f", Definition("f", sig, Function([])),
+                                    [], _st(), ENV)

@@ -119,8 +119,7 @@ def test_division_helpers_mean_their_clauses_everywhere(name):
         want = _by_clauses(name, k, m, n, j)
         assert _source(src, [k, m, n, j]) == want, (k, m, n, j)
         assert _target(src, "kaleid", [k, m, n, j]) == want, (k, m, n, j)
-        if name == "div-helper":  # SaC refuses mod-helper's three clauses
-            assert _target(src, "sac", [k, m, n, j]) == want, (k, m, n, j)
+        assert _target(src, "sac", [k, m, n, j]) == want, (k, m, n, j)
 
 
 @pytest.mark.parametrize("name", list(FLOAT_CASES))

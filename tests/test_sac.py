@@ -1,6 +1,7 @@
 """SaC backend: flattening, with-loop emission, shape assertions, the
 printer/parser pair, and the interpreter."""
 
+import dataclasses
 import random
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eslc import corpus
-from eslc.evaluate import PRF, EvalError, call, varr
+from eslc.evaluate import PRF, EvalError, call, varr, vvec
 from eslc.extract import ExtractError, ExtractOptions, kompile
 from eslc.harness import compare, run_corpus_diff
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
@@ -280,12 +281,37 @@ int f(int x) {
     ("int g(int x) { return x; }", "unknown function f"),
     ("int f() { return 1; }", "f expects 0 arguments"),
     ("int f(int x) { int y; }", "f has no return statement"),
+    ("int f(int x) { if (x > 0) { return x; } return 0; }", "expected 'else', found 'return'"),
+    ("int f(int x) { int y; if (x > 0) { } else { y = 1; } return y; }",
+     "a declared variable is read unassigned"),
     ("int f(int x) { return with { ([0] <= iv < [3]) : 1; } : fold (-, 0); }",
      "unknown fold operator -"),
 ])
 def test_each_malformed_text_is_a_parse_error(text, why):
     with pytest.raises(SacParseError, match=f"^{why}$"):
         interp_sac(text, "f", [1])
+
+
+def test_an_if_statement_assigns_a_declared_name_in_its_branches():
+    # y is assigned, not declared, so the branch's y is its own; && reads
+    # its right operand only if the left holds, so 1 divides by no zero
+    prog = """
+int f(int x) {
+  int r;
+  y = 5;
+  if (x == 0) {
+    r = 1;
+  } else if (x > 1 && 2 $/ (x $- 1) == 2) {
+    y = 7;
+    r = y;
+  } else {
+    if (x > 2) { r = 0 / 0; } else { r = x $+ 10; }
+  }
+  return r $* 100 $+ y;
+}
+"""
+    assert [interp_sac(prog, "f", [x]) for x in (0, 1, 2)] == [105, 1105, 705]
+    assert interp_sac(prog, "f", [3]) == Aborted("division by zero")
 
 
 def test_a_macro_argument_is_substituted_throughout_its_body():
@@ -670,6 +696,8 @@ AGREEMENT = {
     "natural selected from an array": (
         "w : Ar Nat 1 (3 ∷ []) -> Nat\nw a = sel a (1 ∷ [])\n", "w",
         [varr((3,), [4, 5, 6])], [np.array([4, 5, 6])]),
+    "a vector's tail": ("w : Vec Nat 3 -> Nat\nw (x ∷ xs) = x + vhd xs\n", "w",
+                        [vvec([1, 2, 3])], [np.array([1, 2, 3])]),
     "% operand named as a let": (
         "w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
         "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1], [20, 1]),
@@ -685,11 +713,24 @@ def test_target_agrees_with_the_source(case):
     assert compare(want, interp_sac(text, entry, target_args))
 
 
-def test_an_absurd_clause_is_refused():
-    e = load_sources([("w", "ab : (n : Nat) -> n < 0 -> Float\nab n ()\n")])
-    with pytest.raises(ExtractError,
-                       match="^ab: absurd clauses have no array translation$"):
-        kompile("ab", [], [], SacBackend(), e.env, e.rules)
+@pytest.mark.parametrize("name", ["log2", "ack", "fib", "ex7"])
+def test_the_scalar_corpus_agrees_on_sac_too(name):
+    # log2', ack and fibstep are clause chains
+    row = run_corpus_diff(dataclasses.replace(corpus.CORPUS[name], backend="sac"),
+                          100, 1)
+    assert (row.mismatches, row.inconclusive) == (0, [])
+
+
+def test_the_clause_fall_through_aborts():
+    # an absurd clause, and the end of a chain whose last clause is guarded
+    src = "ab : (n : Nat) -> n < 0 -> Float\nab n ()\n\ng : Nat -> Nat\ng (suc n) = n\n"
+    e = load_sources([("w", src)])
+    for entry, arg in [("ab", 3), ("g", 0)]:
+        text = kompile(entry, [], [], SacBackend(), e.env, e.rules,
+                       ExtractOptions(no_assert=True))
+        assert "assert (0);" in text
+        assert interp_sac(text, entry, [arg]) == Aborted("assertion failed")
+    assert interp_sac(text, "g", [4]) == 3
 
 
 def test_lets_follow_the_macros_they_use():
