@@ -234,9 +234,10 @@ def _relation(ty: Term, name: str) -> tuple:
 
 # the target expressions a clause chain is built of: a variable, the guards
 # `e == 0` and `e > 0`, `e - 1` (read only where `e > 0` holds), component
-# `k` of a vector `e` and its components from `k` on (None where the target
-# has no vectors)
-PatternOps = namedtuple("PatternOps", "var is_zero is_pos pred sel drop")
+# `k` of a vector `e`, its components from `k` on, and the guard that a
+# list `e` has `k` items, or more if `tail` (None where the target has no
+# vectors)
+PatternOps = namedtuple("PatternOps", "var is_zero is_pos pred sel drop length")
 
 
 @dataclass
@@ -296,15 +297,16 @@ def lower_clauses(clauses: list[Clause], params: list, scope: set[str],
                 state.used_names.add(macro)
                 names[sub.idx] = f"#{macro}"
                 binds.append((names[sub.idx], e))
-            elif p.name in ("vcons", "lcons", "vnil", "lnil") and len(clauses) == 1:
-                # no guard tests the length, so a lone clause only
-                k = 0
+            elif p.name in ("vcons", "lcons", "vnil", "lnil"):
+                listed, k = p.name[0] == "l", 0
                 while type(p) is PCon and p.name in ("vcons", "lcons"):
                     head, p = (a.value for a in p.args if not a.hidden)
                     work.insert(k, (head, ops.sel(e, k)))
                     k += 1
                 if type(p) is PVar:  # the tail
                     work.insert(k, (p, ops.drop(e, k)))
+                if listed:  # a vector's type fixes its length
+                    guards.append(ops.length(e, k, type(p) is PVar))
             else:
                 raise ExtractError(f"cannot match {p.name} in this target")
         venv = [names.get(i, n) for i, n in enumerate(source)]

@@ -2,7 +2,9 @@
 interpreter on seeded random, precondition-respecting inputs.  A sample
 agrees when both sides give equal values, floats included, bit for bit,
 or both abort.  Both target interpreters take the emitted text and stage
-it once per process, keyed on the text.
+it once per process, keyed on the text.  One sampling loop (`_diff`)
+runs a corpus entry on its own sampler (`run_corpus_diff`) and any other
+entry on arguments drawn from its signature (`run_signature_diff`).
 
 A sample on which either side runs out of Python stack (the source
 evaluator's EvalError("recursion depth"), the target's
@@ -42,25 +44,6 @@ class DiffRow:
                 f"{len(self.inconclusive)}")
 
 
-def _sample(row: DiffRow, env, name: str, args, run_target):
-    """Adds one sample to row: the source evaluator's value of name on
-    args against run_target(), which is called only if the source
-    evaluator did not run out of stack."""
-    try:
-        ev = evaluate.call(env, name, list(args))
-    except evaluate.EvalError as err:
-        if str(err) != EXHAUSTED:
-            raise
-        row.inconclusive.append(args)
-        return
-    tv = run_target()
-    if isinstance(tv, Aborted) and tv.reason == EXHAUSTED:
-        row.inconclusive.append(args)
-        return
-    if not compare(ev, tv):
-        row.mismatches += 1
-
-
 def to_plain(v):
     """Flatten both value domains into comparable python data; a decision
     is the C boolean both targets return for it."""
@@ -85,20 +68,40 @@ def compare(a, b) -> bool:
     return np.array_equal(a, b)
 
 
+def _diff(name: str, elab, entry: str, base, opts, target: str,
+          samples: int, seed: int, draw) -> DiffRow:
+    """The sampling loop of every differential run: entry extracted to the
+    target ("kaleid" or "sac") under base, then `samples` draws of
+    `draw(rng) -> (eval_args, target_args)` from one RNG seeded by seed.
+    The target runs only where the source evaluator did not run out of
+    stack."""
+    backend = KaleidBackend() if target == "kaleid" else SacBackend()
+    text = kompile(entry, list(base), [], backend, elab.env, elab.rules, opts)
+    interp = interp_kaleid if target == "kaleid" else interp_sac
+    fn = entry_name(entry, backend)
+    rng = random.Random(seed)
+    row = DiffRow(name, samples, 0)
+    for _ in range(samples):
+        eval_args, target_args = draw(rng)
+        try:
+            ev = evaluate.call(elab.env, entry, list(eval_args))
+        except evaluate.EvalError as err:
+            if str(err) != EXHAUSTED:
+                raise
+            row.inconclusive.append(eval_args)
+            continue
+        tv = interp(text, fn, list(target_args))
+        if isinstance(tv, Aborted) and tv.reason == EXHAUSTED:
+            row.inconclusive.append(eval_args)
+        elif not compare(ev, tv):
+            row.mismatches += 1
+    return row
+
+
 def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
                     opts: ExtractOptions | None = None) -> DiffRow:
-    elab = load_sources(entry.sources)
-    backend = KaleidBackend() if entry.backend == "kaleid" else SacBackend()
-    text = kompile(entry.entry, entry.base, [], backend, elab.env, elab.rules, opts)
-    interp = interp_kaleid if entry.backend == "kaleid" else interp_sac
-    rng = random.Random(seed)
-    row = DiffRow(entry.name, samples, 0)
-    target = entry_name(entry.entry, backend)
-    for _ in range(samples):
-        eval_args, target_args = entry.sampler(rng)
-        _sample(row, elab.env, entry.entry, eval_args,
-                lambda: interp(text, target, list(target_args)))
-    return row
+    return _diff(entry.name, load_sources(entry.sources), entry.entry,
+                 entry.base, opts, entry.backend, samples, seed, entry.sampler)
 
 
 def signature_sampler(env, name: str, rng, hi: int = 24):
@@ -138,16 +141,10 @@ def run_signature_diff(elab, entry: str, samples: int, seed: int, base=(),
                        opts: ExtractOptions | None = None,
                        target: str = "kaleid") -> DiffRow:
     """SaC takes no proofs, as its functions have no parameters for them."""
-    backend = KaleidBackend() if target == "kaleid" else SacBackend()
-    program = kompile(entry, list(base), [], backend, elab.env, elab.rules, opts)
-    interp = interp_kaleid if target == "kaleid" else interp_sac
-    fn = entry_name(entry, backend)
     tel, _ = pi_spine(elab.env.lookup(entry).signature)
     kept = [target == "kaleid" or not is_prop_type(a.value) for _, a in tel]
-    rng = random.Random(seed)
-    row = DiffRow(entry, samples, 0)
-    for _ in range(samples):
+
+    def draw(rng):
         vals = signature_sampler(elab.env, entry, rng)
-        _sample(row, elab.env, entry, vals, lambda: interp(
-            program, fn, [v for v, k in zip(vals, kept) if k]))
-    return row
+        return vals, [v for v, k in zip(vals, kept) if k]
+    return _diff(entry, elab, entry, base, opts, target, samples, seed, draw)

@@ -2,9 +2,9 @@
 
 The checks a signature implies (`extract.checks`) become runtime
 assertions; the clause chain of `extract.lower_clauses` becomes nested
-conditionals; the reference interpreter stages the emitted text (or its
-AST) into Python functions and runs them with C-style booleans,
-truncating subtraction and an abort-on-zero assert.
+conditionals; the reference interpreter stages the emitted text into
+Python functions and runs them with C-style booleans, truncating
+subtraction and an abort-on-zero assert.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ class KCall(KExpr):
     args: tuple[KExpr, ...]
 
 
-# equal only to itself, so the staging cache keys on it without hashing
-# its body
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class KFun(KExpr):
     name: str
     params: tuple[str, ...]
@@ -192,7 +190,7 @@ def _kompile_def(name: str, args, venv, state, env) -> KExpr:
 
 PATTERNS = PatternOps(KVar, lambda e: KBin("Eq", e, KNat(0)),
                       lambda e: KBin("Gt", e, KNat(0)),
-                      lambda e: KBin("Minus", e, KNat(1)), None, None)
+                      lambda e: KBin("Minus", e, KNat(1)), None, None, None)
 
 
 class KaleidBackend:
@@ -554,9 +552,6 @@ class _Stager:
                 why = "assert (0)" if isinstance(a, KNat) else "assertion failed"
                 return py.if_else(self._test(a, depth), py.const(1),
                                   _fail_with(why))
-            case KIf(c, t, o):
-                return py.if_else(self._test(c, depth), self._expr(t, depth),
-                                  self._expr(o, depth))
             case KLet(n, b, body):
                 bound, local = self._expr(b, depth), self._local(n)
                 outer, self.lexical[n] = self.lexical.get(n), local
@@ -573,17 +568,16 @@ class _Stager:
                 if arity != len(args):
                     return _fail_with(f"arity mismatch calling {f}")
                 return py.call(pyname, [self._expr(a, depth) for a in args])
-        raise KParseError(f"cannot compile {e!r}")
 
 
 def _fail_with(reason: str) -> ast.expr:
     return py.call("_fail", [py.const(reason)])
 
 
-def _stage(fns: tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
+@functools.lru_cache(maxsize=64)
+def _staged(text: str) -> dict[str, tuple[int, Callable]]:
     """The program's functions as Python functions, by name, with arity."""
-    if not all(isinstance(f, KFun) for f in fns):
-        raise KParseError("only functions can be interpreted")
+    fns = parse_kaleid(text)
     funs = {f.name: (f"f{i}", len(f.params)) for i, f in enumerate(fns)}
     stager = _Stager(funs)
     ns: dict[str, object] = {"_fail": _fail, "_names": stager.names}
@@ -592,27 +586,18 @@ def _stage(fns: tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
     return {name: (arity, ns[pyname]) for name, (pyname, arity) in funs.items()}
 
 
-@functools.lru_cache(maxsize=64)
-def _staged(program: str | tuple[KExpr, ...]) -> dict[str, tuple[int, Callable]]:
-    """The staged program, cached on its text or on the identity of its
-    parsed functions."""
-    return _stage(tuple(parse_kaleid(program)) if isinstance(program, str)
-                  else program)
-
-
-def interp_kaleid(program, entry: str, args: list[int]):
+def interp_kaleid(program: str, entry: str, args: list[int]):
     """Big-step evaluation over naturals; Aborted is a value, not a crash.
 
-    The program (text or parsed functions) is staged once per process into
-    one Python function per Kaleidoscope function, and the staged program
-    is cached, keyed on the text or on the identity of the functions.  Each
-    call takes one Python frame, so recursion deeper than Python's
-    recursion limit returns Aborted("recursion depth"), and reading a let
-    name that the branch taken did not bind returns Aborted("unbound
-    variable <name>").  A program nested deeper than the recursion limit
-    allows to parse or stage raises KParseError."""
+    The program text is staged once per process into one Python function
+    per Kaleidoscope function, and the staged program is cached, keyed on
+    the text.  Each call takes one Python frame, so recursion deeper than
+    Python's recursion limit returns Aborted("recursion depth"), and
+    reading a let name that the branch taken did not bind returns
+    Aborted("unbound variable <name>").  A program nested deeper than the
+    recursion limit allows to parse or stage raises KParseError."""
     try:
-        fns = _staged(program if isinstance(program, str) else tuple(program))
+        fns = _staged(program)
     except RecursionError as err:
         raise KParseError(f"program too deeply nested to stage: {err}") from err
     if entry not in fns:

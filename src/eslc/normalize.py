@@ -16,8 +16,9 @@ spines); only `_*v_`, `prodv` and `sel` carry delta rules of their own.
 Reduction is call by need: the arguments of a call are cells, and a cell
 keeps the weak head normal form it reduced to, so an argument read at
 several places is reduced, and its steps counted, once.  A let whose
-variable is read more than once stays a let, to keep the sharing; a
-faithful-lets mode substitutes every let.
+variable is read more than once stays a let, to keep the sharing, unless
+its value is a function, which shares no work and which no target holds;
+a faithful-lets mode substitutes every let.
 
 `Normalizer.norm` reads a value back under binders, reducing as it goes:
 on each spine, once its arguments are normal, it tries the head step
@@ -334,8 +335,9 @@ class Normalizer:
                 v, step = self._unfold(v)
                 if step is None:
                     return v
-            elif cls is VBind and v.kind == "let" and \
-                    (self.policy.faithful_lets or not v.shared):
+            elif cls is VBind and v.kind == "let" and (
+                    self.policy.faithful_lets or not v.shared
+                    or self._is_function(v.dom)):
                 step = v.body(v.dom)
             elif cls is Hole:
                 if v.meta.solution is None:
@@ -347,6 +349,18 @@ class Normalizer:
                 return v
             self.spend()
             v = step
+
+    def _is_function(self, v) -> bool:
+        """Whether the value `v` is a lambda, or a constructor or definition
+        applied to fewer arguments than it takes."""
+        v = _force(v)
+        if type(v) is VBind:
+            return v.kind == "lam"
+        if type(v) not in (Con, Def) or v.name not in self.env:
+            return False
+        d = self.env.lookup(v.name)
+        return len(v.args) < (len(d.payload.arity) if type(v) is Con
+                              else len(pi_spine(d.signature)[0]))
 
     def _canon(self, v: Con):
         """Collapse closed suc/fsuc spines into literals."""

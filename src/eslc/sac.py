@@ -199,7 +199,10 @@ PATTERNS = PatternOps(SVarE, lambda e: SBin("==", e, SNum(0), False),
                       lambda e: SBin(">", e, SNum(0), False),
                       lambda e: SBin("-", e, SNum(1)),
                       lambda e, k: SSel(e, SNum(k)),
-                      lambda e, k: SCall("drop", (SNum(k), e)))
+                      lambda e, k: SCall("drop", (SNum(k), e)),
+                      lambda e, k, tail: SBin(">" if tail else "==",
+                                              SSel(SCall("shape", (e,)), SNum(0)),
+                                              SNum(k - 1 if tail else k), False))
 
 
 class SacBackend:

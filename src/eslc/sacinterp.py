@@ -1,12 +1,13 @@
 """Reference interpreter of the SaC subset that eslc.sac emits, over numpy
-values, standing in for SaC's own toolchain.  Each function of a program
-is staged once into one Python def (eslc.pycode), cached on the text;
-each assignment binds a fresh local, and a with-loop becomes a call of
-_genarray or _fold, which run each partition's body, staged as a function
-of the index vector, one element at a time: a genarray in row-major
-order, a fold from the last index (and partition) back to the first,
-`acc = op (body, acc)`, as the prelude's `reduce` folds.  A malformed
-program raises SacParseError where the staged code reaches it.
+values, standing in for SaC's own toolchain: it reads the emitted text.
+Each function of a text is staged once into one Python def (eslc.pycode),
+cached on the text; each assignment binds a fresh local, and a with-loop
+becomes a call of _genarray or _fold, which run each partition's body,
+staged as a function of the index vector, one element at a time: a
+genarray in row-major order, a fold from the last index (and partition)
+back to the first, `acc = op (body, acc)`, as the prelude's `reduce`
+folds.  A malformed program raises SacParseError where the staged code
+reaches it.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ import numpy as np
 from . import ir
 from . import pycode as py
 from .ir import Abort, Aborted
-from .sac import (ParsedFn, SacParseError, SBin, SCall, SFlt, SMacroApp, SNum,
-                  SSel, SVarE, SVecLit, SWith, parse_sac)
+from .sac import (SacParseError, SBin, SCall, SFlt, SNum, SSel, SVarE,
+                  SVecLit, SWith, parse_sac)
 
 
-def interp_sac(program, entry: str, args):
-    """Evaluate the emitted subset, given as text or as the functions that
-    parse_sac returns, on arrays as (shape, flat data) pairs, numpy arrays
-    or scalars.  Aborted is a value, also when the program runs out of
-    Python stack; a program too deeply nested to stage is a SacParseError."""
+def interp_sac(program: str, entry: str, args):
+    """Evaluate the emitted text on arrays as (shape, flat data) pairs,
+    numpy arrays or scalars.  Aborted is a value, also when the program
+    runs out of Python stack; a program too deeply nested to stage is a
+    SacParseError."""
     try:
-        fns = _staged(program) if isinstance(program, str) else _stage(program)
+        fns = _staged(program)
     except RecursionError as err:
         raise SacParseError(f"program too deeply nested to stage: {err}") from err
     vals = [_to_value(a) for a in args]
@@ -62,11 +63,8 @@ def _to_value(a):
 
 @functools.lru_cache(maxsize=64)
 def _staged(text: str) -> dict:
-    return _stage(parse_sac(text))
-
-
-def _stage(fns: dict[str, ParsedFn]) -> dict:
     """The program's functions as Python functions, by name, with arity."""
+    fns = parse_sac(text)
     stager = _Stager({name: (f"f{i}", len(fn.params))
                       for i, (name, fn) in enumerate(fns.items())})
     defs = [stager.fun(stager.funs[name][0], name, fn.params, fn.stmts, {})
@@ -152,9 +150,8 @@ class _Stager:
                     return py.call("_eq", [lhs, rhs])
                 if op == "&&":  # the right operand only if the left holds
                     return py.call("_c_bool", [py.all_of([lhs, rhs])])
-                if op in ("/", "%"):
-                    return py.call("_quotient", [lhs, rhs, py.const(op)])
-                return _malformed(f"unknown operator {op}", lhs, rhs)
+                # `/` or `%`: the reader admits no other operator
+                return py.call("_quotient", [lhs, rhs, py.const(op)])
             case SSel(a, i):
                 return py.call("_sel", [self.expr(a, scope), self.expr(i, scope)])
             case SCall(f, args):
@@ -171,9 +168,6 @@ class _Stager:
                 return py.call("_vec", [py.lst(self.expr(i, scope) for i in items)])
             case SWith():
                 return self.with_loop(e, scope)
-            case SMacroApp():
-                return _malformed("macros are substituted during parsing")
-        return _malformed(f"cannot evaluate {e!r}")
 
     def with_loop(self, w: SWith, scope: dict[str, str]) -> ast.expr:
         """A call of _genarray or _fold on the with-loop's shape and default,

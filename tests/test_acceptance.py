@@ -16,11 +16,11 @@ from eslc.broadcast import ShapeMismatch
 from eslc.builtins import seed_env
 from eslc.extract import kompile
 from eslc.ir import Clause, Def, Definition, Function, Lit, PCon, PVar, Var, vis
-from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
+from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid
 from eslc.loader import load_prelude, load_sources
 from eslc.normalize import (REDUCE_ALL, Normalizer, RewriteRule,
                             check_rewrite, normalise)
-from eslc.sac import SacBackend, parse_sac
+from eslc.sac import SacBackend
 from eslc.sacinterp import interp_sac
 
 from conftest import mk_pi
@@ -44,9 +44,8 @@ def test_criterion_1_log2_golden():
     assert "log2' (m, 0 + (x + 1 - 0) / (1 + 1), 1)" in text
     # (d) trailing synthesized fallback
     assert text.rstrip().split("def log2 ")[0].count("assert (0)") == 1
-    fns = parse_kaleid(text)
     for n in range(1, 1025):
-        assert interp_kaleid(fns, "log2", [n]) == corpus.oracle_log2(n), n
+        assert interp_kaleid(text, "log2", [n]) == corpus.oracle_log2(n), n
     dt = time.perf_counter() - t0
     assert dt < 1.0, f"{dt:.2f}s"
     _report(1, f"log2 golden + 1..1024 oracle ({dt:.2f}s)")
@@ -59,11 +58,10 @@ def test_criterion_2_ack_differential():
     # the three-branch conditional chain shape
     assert text.count("else if (") == 2 and text.count("if (") == 3
     assert "(x_1 > 0) && (x_2 == 0)" in text
-    fns = parse_kaleid(text)
-    assert interp_kaleid(fns, "ack", [3, 3]) == 61
+    assert interp_kaleid(text, "ack", [3, 3]) == 61
     for m in range(4):
         for n in range(7):
-            assert interp_kaleid(fns, "ack", [m, n]) == corpus.oracle_ack(m, n)
+            assert interp_kaleid(text, "ack", [m, n]) == corpus.oracle_ack(m, n)
     dt = time.perf_counter() - t0
     assert dt < 1.0, f"{dt:.2f}s"
     _report(2, f"ack differential m<=3 n<=6 ({dt:.2f}s)")
@@ -72,8 +70,8 @@ def test_criterion_2_ack_differential():
 def test_criterion_3_assertion_semantics():
     e = load_sources([("ex.esl", corpus.EX7)])
     rng = random.Random(42)
-    lt = parse_kaleid(kompile("exlt", [], [], KaleidBackend(), e.env, e.rules))
-    fin = parse_kaleid(kompile("exfin", [], [], KaleidBackend(), e.env, e.rules))
+    lt = kompile("exlt", [], [], KaleidBackend(), e.env, e.rules)
+    fin = kompile("exfin", [], [], KaleidBackend(), e.env, e.rules)
     aborts = ok = 0
     for _ in range(50):
         a = rng.randrange(0, 40)
@@ -182,13 +180,12 @@ def test_criterion_6_avgpool_golden_and_differential():
     assert text.count("p(cons") == 4
     assert "$/ 4.0f" in text
     assert "assert (take (2, shape (__ret)) == x_1)" in text
-    prog = parse_sac(text)
     rng = random.Random(6)
     shapes = [(32, 32)] + [(2 * rng.randrange(1, 17), 2 * rng.randrange(1, 17))
                            for _ in range(11)]
     for h, w in shapes:
         data = np.array([rng.uniform(-9, 9) for _ in range(h * w)]).reshape(h, w)
-        out = interp_sac(prog, "avgpool", [np.array([h // 2, w // 2]), data])
+        out = interp_sac(text, "avgpool", [np.array([h // 2, w // 2]), data])
         expect = corpus.oracle_avgpool(data)
         rel = np.max(np.abs(out - expect) / np.maximum(np.abs(expect), 1.0))
         assert rel < 1e-9
@@ -249,7 +246,7 @@ def test_criterion_8_property_suites():
     # Fin encoding by brute force for n <= 64
     efin = load_sources([("idf.esl", "idFin : (n : Nat) -> Fin n -> Fin n\n"
                                      "idFin n i = i\n")])
-    fins = parse_kaleid(kompile("idFin", [], [], KaleidBackend(), efin.env, efin.rules))
+    fins = kompile("idFin", [], [], KaleidBackend(), efin.env, efin.rules)
     for n in range(65):
         for v in range(n + 9):
             out = interp_kaleid(fins, "idFin", [n, v])

@@ -120,12 +120,11 @@ def test_no_assert_still_refuses_what_the_target_lacks():
 
 
 def test_a_backend_refusal_names_its_function_and_keeps_its_class():
-    # the callee is refused, not the entry that calls it: no guard tests
-    # a vector's length
-    e = load_sources([("t", "h : Vec Nat 1 -> Nat\nh (zero ∷ []) = 0\n"
-                            "h (suc n ∷ []) = n\n\n"
-                            "f : Vec Nat 1 -> Nat\nf v = h v\n")])
-    with pytest.raises(ExtractError, match="^h: cannot match vcons in this target$"):
+    # the callee is refused, not the entry that calls it: SaC has no
+    # vector of an unknown tail
+    e = load_sources([("t", "h : Vec Nat 1 -> Vec Nat 2\nh (x ∷ xs) = x ∷ x ∷ xs\n\n"
+                            "f : Vec Nat 1 -> Vec Nat 2\nf v = h v\n")])
+    with pytest.raises(ExtractError, match="^h: open vector spine in emitted position$"):
         kompile("f", [], [], SacBackend(), e.env, e.rules)
     e = load_sources([("t", "f : List (List Nat) -> Nat\nf xs = 0\n")])
     with pytest.raises(Inhomogeneous, match="^f: nested lists"):
@@ -136,17 +135,20 @@ def test_a_backend_refusal_names_its_function_and_keeps_its_class():
         kompile("g", [], [], KaleidBackend(), e.env, e.rules)
 
 
-def test_a_shared_let_of_a_constructor_is_refused_on_both_targets():
-    # `g` is used twice, so the let stays; neither target has function
-    # values, and neither the normalizer nor erasure reads a bare `suc`
-    e = load_sources([("t", "lm : Nat -> Nat\nlm x = let g = suc in g (g x)\n")])
-    assert call(e.env, "lm", [3]) == 5
-    for backend, message in [(KaleidBackend(), "constructor suc has no scalar "
-                                               "translation"),
-                             (SacBackend(), "constructor suc has no array "
-                                            "translation")]:
-        with pytest.raises(ExtractError, match=f"^lm: {message}"):
-            kompile("lm", [], [], backend, e.env, e.rules)
+def test_a_shared_let_of_a_function_agrees_on_both_targets():
+    # `g`, `h` and `k` are read twice, but a function value shares no work
+    # and neither target has one, so each let is substituted
+    e = load_sources([("t", "lm : Nat -> Nat\nlm x = let g = suc in g (g x)\n"
+                            "add : Nat -> Nat -> Nat\nadd a b = a + b\n"
+                            "pl : Nat -> Nat\npl x = let h = add 1 in h (h x)\n"
+                            "tw : (Nat -> Nat) -> Nat -> Nat\n"
+                            "tw f x = let k = f in k (k x)\n"
+                            "la : Nat -> Nat\nla x = tw (\\ y -> y + x) x\n")])
+    assert call(e.env, "lm", [3]) == call(e.env, "pl", [3]) == 5
+    for entry in ("lm", "pl", "la"):
+        for target in ("kaleid", "sac"):
+            row = run_signature_diff(e, entry, 200, 1, target=target)
+            assert (row.mismatches, row.inconclusive) == (0, []), (entry, target)
 
 
 def test_a_lambda_argument_is_refused_on_both_targets():

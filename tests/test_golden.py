@@ -7,6 +7,8 @@ decider, normalization or the backends that alters a single byte of
 output fails here.  After a deliberate change to the emitted text,
 update the digests in the same commit and say why.
 
+The texts under `--no-assert` are pinned beside them (`NO_ASSERT`).
+
 The shape decider's questions are pinned the same way: per entry, the
 number of `shapes.decide` calls, how many were answered "yes" and a
 sha256 of the sequence of (goal, hypotheses, verdict), so a change to
@@ -37,6 +39,21 @@ GOLDEN = {
     "rotate": "ade32a5176110486d3a0581df4e31575bac79b5ee90d4130adde5876dc158ca6",
 }
 
+# the same texts under `--no-assert`, which drops every runtime check
+NO_ASSERT = {
+    "log2": "894674fc16a0af082ce966e4fbfc75b1d99e696665717938d819d90e12963cdd",
+    "ack": "92a67430f39b297016fa620ad040f62b8c73c3397fd6424b61b2739544a2432a",
+    "ex7": "5d7bd73c4f39eeba3ae096e28b183f5f376b390b4853ddd854265a9878f1e146",
+    "fib": "b21091c9466b8d70d53c900e508b2415b3efe3174f1c4e7bd57a9c1080696c73",
+    "logistic": "e62e16b7fa8627657c15f5911875f1c51e4c4585943df940fdf275d151148422",
+    "meansqerr": "0c6ea06165f8bfe0d4139d792f948135c484a5b2fc102367cae74987bdd76335",
+    "backavgpool": "776a193269cec2f2b4c97035b4313ea3d97f3e9c4ef03ba192da7655c623e142",
+    "avgpool": "e808de11bb8992e4e6c38d0ff0c18c64305369c1e62eeaeeb4ec1303ee222aa4",
+    "fuse2": "c92eddb5c43cf267f5218941fd33ec56d56622a1e7131abc3e99e7134265ba3f",
+    "matmul": "572b146d331767335df1027077bf89878416c51fb2dcedacaa2e0b5233dd4372",
+    "rotate": "48c15025b4ba64ce0e2bf47945fc6cd153669b59c84cc7cf3ed728a1f017c600",
+}
+
 
 # (decide calls, "yes" answers, sha256 of the (goal, hypotheses, verdict)
 # sequence); all but log2 and fuse2 ask only the prelude's questions
@@ -49,10 +66,10 @@ DECIDER = {
 
 
 def test_every_corpus_entry_is_pinned():
-    assert set(GOLDEN) == set(corpus.CORPUS)
+    assert set(GOLDEN) == set(NO_ASSERT) == set(corpus.CORPUS)
 
 
-def _kompile(name: str) -> str:
+def _kompile(name: str, opts: extract.ExtractOptions | None = None) -> str:
     entry = corpus.CORPUS[name]
     elab = Elaborator()
     for module in loader.PRELUDE_MODULES:
@@ -63,7 +80,8 @@ def _kompile(name: str) -> str:
         backend, parse = KaleidBackend(), parse_kaleid
     else:
         backend, parse = SacBackend(), parse_sac
-    text = extract.kompile(entry.entry, entry.base, [], backend, elab.env, elab.rules)
+    text = extract.kompile(entry.entry, entry.base, [], backend, elab.env,
+                           elab.rules, opts)
     parse(text)
     return text
 
@@ -73,6 +91,13 @@ def test_emitted_text_is_unchanged(name):
     text = _kompile(name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name], \
         f"the emitted text of {name} changed; it is now:\n{text}"
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_emitted_text_without_asserts_is_unchanged(name):
+    text = _kompile(name, extract.ExtractOptions(no_assert=True))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NO_ASSERT[name], \
+        f"the --no-assert text of {name} changed; it is now:\n{text}"
 
 
 @pytest.mark.parametrize("name", list(corpus.CORPUS))

@@ -167,7 +167,6 @@ def test_truncated_text_is_a_parse_error():
     ("def f (x): x\n  x\n", "unexpected 'x' at the end of a line"),
     ("def f (x):\n  let __ret = if (x == 0):\n    1\n  __ret\n",
      "conditional lacks an else branch"),
-    ((KNat(1),), "only functions can be interpreted"),
 ])
 def test_each_malformed_program_is_a_parse_error(program, why):
     with pytest.raises(KParseError, match=f"^{why}$"):
@@ -313,9 +312,9 @@ def test_let_in_a_branch_writes_the_call_environment():
             "let __ret = r + y\n"
             "__ret")
     assert _run(body, 3) == 12
-    # an expression-level let binds only its body (built as AST here)
-    e = KBin("Plus", KLet("y", KNat(2), KVar("y")), KVar("y"))
-    assert interp_kaleid([KFun("f", (), e)], "f", []) == Aborted("unbound variable y")
+    # an expression-level let binds only its body
+    assert interp_kaleid("def f ():\n  (let y = 2 in y) + y\n", "f", []) == \
+        Aborted("unbound variable y")
 
 
 def test_an_expression_let_is_lexical():
@@ -369,31 +368,29 @@ def test_deep_nesting_stages_and_runs():
     for _ in range(300):
         sums = KBin("Plus", KNat(1), sums)
     let = KLet("z", KNat(1), KLet("r", sums, KBin("Plus", KVar("r"), KVar("z"))))
-    fns = [KFun("f", ("x_1",), minus), KFun("g", ("x_1",), chain),
-           KFun("h", (), let)]
-    for program in (fns, print_kaleid(fns)):
-        assert interp_kaleid(program, "f", [1000]) == 700
-        assert interp_kaleid(program, "f", [5]) == 0
-        assert [interp_kaleid(program, "g", [x]) for x in (5, 299, 300)] == \
-            [10, 598, 7]
-        assert interp_kaleid(program, "h", []) == 311
+    program = print_kaleid([KFun("f", ("x_1",), minus),
+                            KFun("g", ("x_1",), chain), KFun("h", (), let)])
+    assert interp_kaleid(program, "f", [1000]) == 700
+    assert interp_kaleid(program, "f", [5]) == 0
+    assert [interp_kaleid(program, "g", [x]) for x in (5, 299, 300)] == \
+        [10, 598, 7]
+    assert interp_kaleid(program, "h", []) == 311
 
 
 def test_too_deep_nesting_is_a_parse_error():
-    e = KVar("x_1")
-    for _ in range(5000):
-        e = KBin("Minus", e, KNat(1))
-    with pytest.raises(KParseError, match="too deeply nested"):
-        interp_kaleid([KFun("f", ("x_1",), e)], "f", [1])
+    # the reader takes a left-deep chain in a loop; staging it recurses
+    text = "def f (x_1):\n  x_1" + " - 1" * 5000 + "\n"
+    with pytest.raises(KParseError, match="^program too deeply nested to stage"):
+        interp_kaleid(text, "f", [1])
 
 
 def test_fin_encoding_sound_and_complete():
     e = load_sources([("t", "idFin : (n : Nat) -> Fin n -> Fin n\n"
                             "idFin n i = i\n")])
-    fns = parse_kaleid(kompile("idFin", [], [], KaleidBackend(), e.env, e.rules))
+    text = kompile("idFin", [], [], KaleidBackend(), e.env, e.rules)
     for n in range(65):
         for v in range(n + 9):
-            out = interp_kaleid(fns, "idFin", [n, v])
+            out = interp_kaleid(text, "idFin", [n, v])
             if v < n:
                 assert out == v, (n, v)
             else:
@@ -490,9 +487,8 @@ guarded x p = x
     e = load_sources([("g", src)])
     text = kompile("guarded", [], [], KaleidBackend(), e.env, e.rules)
     assert "assert (0)" in text
-    fns = parse_kaleid(text)
-    assert isinstance(interp_kaleid(fns, "guarded", [1, 1]), Aborted)
-    assert interp_kaleid(fns, "guarded", [2, 1]) == 2
+    assert isinstance(interp_kaleid(text, "guarded", [1, 1]), Aborted)
+    assert interp_kaleid(text, "guarded", [2, 1]) == 2
 
 
 def test_mutual_recursion_emits_each_once():
@@ -509,8 +505,7 @@ odd (suc n) = even n
     e = load_sources([("m", src)])
     text = kompile("even", [], [], KaleidBackend(), e.env, e.rules)
     assert text.count("def even") == 1 and text.count("def odd") == 1
-    fns = parse_kaleid(text)
-    assert [interp_kaleid(fns, "even", [k]) for k in range(5)] == [1, 0, 1, 0, 1]
+    assert [interp_kaleid(text, "even", [k]) for k in range(5)] == [1, 0, 1, 0, 1]
 
 
 def test_higher_order_entry_is_rejected():

@@ -300,6 +300,32 @@ def test_rules_from_source_match_repeats_and_under_binders():
     assert print_term(body("k")) == '(def "app" (v (lam v "y" (var 0))) (v (var 0)))'
 
 
+TIMES_0 = """
+times-0 : (x : Nat) -> x * 0 ≡ 0
+times-0 x = prf
+{-# REWRITE times-0 #-}
+
+isz : Nat -> Nat
+isz zero = 1
+isz (suc n) = 0
+
+t : Nat -> Nat
+t x = isz (x * 0)
+"""
+
+
+def test_an_argument_a_rule_rewrote_lets_its_head_step():
+    # `x * 0` is stuck until the rule makes it 0; then `isz 0` steps
+    from eslc import loader
+    from eslc.extract import kompile
+    from eslc.kaleid import KaleidBackend
+    from eslc.sac import SacBackend
+    e = loader.load_sources([("t.esl", TIMES_0)])
+    assert "  let __ret = 1\n" in kompile("t", [], [], KaleidBackend(),
+                                          e.env, e.rules)
+    assert "  __ret = 1;\n" in kompile("t", [], [], SacBackend(), e.env, e.rules)
+
+
 HIGHER = """
 app : (Nat -> Nat) -> Nat -> Nat
 app h x = h x

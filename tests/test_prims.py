@@ -16,11 +16,11 @@ from eslc.evaluate import EvalError, call, eval_closed
 from eslc.extract import kompile
 from eslc.ir import (Builtin, Con, Def, EslError, Function, Lit, hid,
                      pi_spine, vis)
-from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid, parse_kaleid
+from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid
 from eslc.loader import load_sources
 from eslc.normalize import normalise
 from eslc.parser import SSignature, parse
-from eslc.sac import SacBackend, parse_sac
+from eslc.sac import SacBackend
 from eslc.sacinterp import interp_sac
 
 NAT2 = "w : Nat -> Nat -> Nat\nw a b = a {} b\n"
@@ -65,8 +65,7 @@ def _elaborated(src: str):
 def _program(src: str, target: str):
     e = _elaborated(src)
     backend = KaleidBackend() if target == "kaleid" else SacBackend()
-    text = kompile("w", [], [], backend, e.env, e.rules)
-    return parse_kaleid(text) if target == "kaleid" else parse_sac(text)
+    return kompile("w", [], [], backend, e.env, e.rules)
 
 
 def _source(src: str, args: list):
