@@ -4,10 +4,11 @@ Each primitive is declared once: its signature and its clauses, if it
 has any, as ESL text in `_PRIM_TEXT`, and its meaning in `_MEANING`: a
 Python function of all its parameters, hidden ones included, and the
 obligation a call of it owes if it takes no proof argument.  The
-function is total: it returns a value or raises EvalError.  The
-evaluator calls it; the normalizer computes with it the entries marked
-`folds` once their arguments are closed; the elaborator discharges the
-obligation at each saturated call.
+function is total: it returns a value or raises ir.Abort.  The source
+evaluator calls it, and returns such an abort as an Aborted value; the
+normalizer computes with it the entries marked `folds` once their
+arguments are closed, and leaves a call that aborts unfolded; the
+elaborator discharges the obligation at each saturated call.
 
 Arithmetic on naturals also has ordinary clauses (zero/suc matching), so
 the normalizer can reduce it on symbolic arguments like any user
@@ -27,9 +28,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import shapes
-from .ir import (Abs, Arg, Builtin, Clause, Con, Constructor, Datatype, Def,
-                 Definition, Env, EslError, EvalError, Function, Lit, PCon,
-                 Pi, PVar, Sort, Term, Var, index_patterns, pi_spine, vis)
+from .ir import (Abort, Abs, Arg, Builtin, Clause, Con, Constructor, Datatype,
+                 Def, Definition, Env, EslError, Function, Lit, PCon, Pi, PVar,
+                 Sort, Term, Var, index_patterns, pi_spine, vis)
 from .parser import SApp, SClause, SName, SNum, SPat, SPi, SSignature, parse
 
 NAT = "Nat"
@@ -225,11 +226,11 @@ def arr_index(arr, ix):
     except TypeError:  # a scalar is an array of rank 0
         shape, flat = (), (arr,)
     if len(comps) != len(shape):
-        raise EvalError(f"selection {comps} from an array of rank {len(shape)}")
+        raise Abort(f"selection {comps} from an array of rank {len(shape)}")
     pos = 0
     for c, n in zip(comps, shape):
         if not 0 <= c < n:
-            raise EvalError(f"index {comps} out of bounds")
+            raise Abort(f"index {comps} out of bounds")
         pos = pos * n + c
     return flat[pos]
 
@@ -241,7 +242,7 @@ def _monus(a, b):
 def _by_nonzero(op, why):
     def h(a, b):
         if b == 0:
-            raise EvalError(why)
+            raise Abort(why)
         return op(a, b)
     return h
 
@@ -272,25 +273,25 @@ def _expf(a):
 
 def _vidx(X, n, i, v):
     if not 0 <= i < len(v[1]):
-        raise EvalError(f"vector index {i} out of bounds")
+        raise Abort(f"vector index {i} out of bounds")
     return v[1][i]
 
 
 def _vhd(X, n, v):
     if not v[1]:
-        raise EvalError("vhd of an empty vector")
+        raise Abort("vhd of an empty vector")
     return v[1][0]
 
 
 def _vtl(X, n, v):
     if not v[1]:
-        raise EvalError("vtl of an empty vector")
+        raise Abort("vtl of an empty vector")
     return ("vec", v[1][1:])
 
 
 def _vtake(X, n, k, v):
     if k > len(v[1]):
-        raise EvalError(f"vtake {k} of a vector of length {len(v[1])}")
+        raise Abort(f"vtake {k} of a vector of length {len(v[1])}")
     return ("vec", v[1][:k])
 
 
@@ -298,7 +299,7 @@ def _ixc(d, s, k, i):
     try:  # in range, this costs no more than the bare subscript
         return i[1][k]
     except IndexError:
-        raise EvalError(f"index component {k} past rank {len(i[1])}") from None
+        raise Abort(f"index component {k} past rank {len(i[1])}") from None
 
 
 def _ravel(X, d, s, arr):
@@ -308,7 +309,7 @@ def _ravel(X, d, s, arr):
 def _reshape(X, d, s, e, t, arr):
     shape = tuple(t[1])
     if math.prod(shape) != len(arr[2]):
-        raise EvalError("reshape changes the number of elements")
+        raise Abort("reshape changes the number of elements")
     return ("arr", shape, list(arr[2]))
 
 

@@ -58,6 +58,12 @@ _CON_NAMES = {"zero", "suc", "fzero", "fsuc", "vnil", "vcons", "inil",
 # the constructors `_check` checks when they stand alone: all but `zero`,
 # which is the literal 0
 _BARE_CONS = _CON_NAMES - {"zero"}
+# what `suc` and `fsuc` elaborate to where their type is inferred: a
+# lambda over every argument, so an application that stops early is a
+# lambda over the rest and every constructor application is saturated
+_ETA = {"suc": Lam(Abs("n", Con("suc", (vis(Var(0)),))), False),
+        "fsuc": Lam(Abs("n", Lam(Abs("i", Con("fsuc", (hid(Var(1)), vis(Var(0))))),
+                                 False)), True)}
 
 # the fuel of one weak head step of a type
 WHNF_FUEL = 100000
@@ -427,8 +433,8 @@ class Elaborator:
         if name in _CON_NAMES:
             if name == "zero":
                 return Lit(0), NAT
-            if name in ("suc", "fsuc"):
-                return Con(name), self._signature(name)
+            if name in _ETA:
+                return _ETA[name], self._signature(name)
             return Con(name), None
         if name in self.env:
             return Def(name), self._signature(name)

@@ -9,7 +9,8 @@ that a hidden argument of a primitive that never reads it is passed as
 None when computing it cannot fail; imap enumerates its whole index
 space.  A primitive is computed by the Python function of its
 builtins.PRIMS entry, a constructor by its _CON entry (`suc` is `+ 1`
-inline).
+inline).  The elaborator saturates every constructor application, and
+the terms evaluated are closed.
 
 Each Function definition is staged, on its first call, into one Python
 function of its arity (eslc.pycode): its clauses become an `if` chain of
@@ -23,9 +24,13 @@ primitive at position k of PRIMS.  The namespace is kept on the Env, so
 the code lives as long as the Env.  A Function is staged once: the
 elaborator adds a Function's clauses while it loads the module, before
 anything evaluates.  A term given to eval_closed is staged the same
-way, into a function of the context list from which its free variables
-are read (de Bruijn index i is ctx[i]).  No clause matching, and running
-out of Python stack, are EvalErrors; the latter's is "recursion depth".
+way, into a function of no arguments.
+
+As in the two target interpreters, an abort is a value: inside, the
+primitives and the staged code raise ir.Abort (no clause matching, an
+absurd clause, applying a value that is not a function, a primitive out
+of its contract); `call` and `eval_closed` return it as Aborted(reason),
+and running out of Python stack as Aborted("recursion depth").
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from itertools import product
 
 from . import pycode as py
 from .builtins import PRIMS, arr_index
-from .ir import (EXHAUSTED, Con, Constructor, Datatype, Def, Env, EvalError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Sort,
-                 Term, Unknown, UnknownName, Var, pi_spine)
+from .ir import (Abort, Con, Datatype, Def, Env, Function, Lam, Let, Lit,
+                 PAbsurd, PCon, Pi, PVar, Sort, Term, Unknown, UnknownName, Var,
+                 outcome, pi_spine)
 
 PRF = ("prf",)
 TYPE = ("type",)
@@ -53,33 +58,21 @@ _UNREAD = {name: {j for j, (_, a) in enumerate(pi_spine(p.sig)[0]) if a.hidden}
 
 
 def eval_closed(t: Term, env: Env):
-    return Eval(env).eval(t, [])
+    """The value of the closed term t, or an Aborted."""
+    return outcome(_code(env).term, t)
 
 
 def call(env: Env, name: str, args: list):
-    return Eval(env).apply_def(name, list(args))
+    """Definition `name` applied to args, or an Aborted."""
+    return outcome(_code(env).apply_def, name, list(args))
 
 
-class Eval:
-    """Evaluation in one environment, through the code staged for it."""
-
-    def __init__(self, env: Env):
-        if env.compiled is None:
-            env.compiled = _Code(env._defs)
-            weakref.finalize(env, env.compiled.close)
-        self._code = env.compiled
-
-    def eval(self, t: Term, ctx: list):
-        try:
-            return self._code.term(t)(ctx)
-        except RecursionError:
-            raise EvalError(EXHAUSTED) from None
-
-    def apply_def(self, name: str, args: list):
-        try:
-            return self._code.apply_def(name, args)
-        except RecursionError:
-            raise EvalError(EXHAUSTED) from None
+def _code(env: Env) -> _Code:
+    """The code staged for env, made on first use."""
+    if env.compiled is None:
+        env.compiled = _Code(env._defs)
+        weakref.finalize(env, env.compiled.close)
+    return env.compiled
 
 
 class _Code:
@@ -108,33 +101,32 @@ class _Code:
         if name in _PRIM:
             return _saturate(PRIMS[name].fn, _PRIM[name][1], args)
         d = self.defs.get(name)
-        if d is None:
+        payload = None if d is None else d.payload
+        if isinstance(payload, Datatype):
+            return TYPE
+        if not isinstance(payload, Function):  # every Builtin is a primitive
             raise UnknownName(name)
-        payload = d.payload
-        if isinstance(payload, Function):
-            clauses = payload.clauses
-            arity = len(clauses[0].patterns) if clauses else 0
-            return _saturate(self.fun(name), arity, args)
-        if isinstance(payload, Constructor):
-            return _apply_con(name, args)
-        return TYPE  # a Datatype: every Builtin is a primitive
+        clauses = payload.clauses
+        arity = len(clauses[0].patterns) if clauses else 0
+        return _saturate(self.fun(name), arity, args)
 
     def fun(self, name: str):
         """The code of Function `name`: a Python function of exactly its
         arity, staged on the first call."""
         g = self.fun_global(name)
         if name not in self.staged:
-            code = _Stager(self, None).function(
+            code = _Stager(self).function(
                 name, g, self.defs[name].payload.clauses)
             exec(py.compile_defs([code], "<esl>"), self.ns)
             self.staged.add(name)
         return self.ns[g]
 
     def term(self, t: Term):
-        """t as a Python function of the context list."""
-        code = py.fundef("_term", ["ctx"], _Stager(self, "ctx").body(t, []))
+        """The value of the closed term t, staged as a function of no
+        arguments."""
+        code = py.fundef("_term", [], _Stager(self).body(t, []))
         exec(py.compile_defs([code], "<esl>"), self.ns)
-        return self.ns.pop("_term")
+        return self.ns.pop("_term")()
 
     def fun_global(self, name: str) -> str:
         """The global of Function `name`, numbered in the order the
@@ -162,13 +154,12 @@ _SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "lcons": "list", "lnil": "list"}
 
 
 class _Stager:
-    """Writes the Python ast of one staged function.  Outside its binders a
-    term's variables are read from the context list `outer`; in a Function
-    (`outer` None) the clause telescope binds every variable."""
+    """Writes the Python ast of one staged function.  A Function's clause
+    telescope binds every variable its body reads, and a staged term is
+    closed."""
 
-    def __init__(self, code: _Code, outer: str | None):
+    def __init__(self, code: _Code):
         self.code = code
-        self.outer = outer
         self.nlocals = 0
         self.used: set[str] = set()  # the locals a body reads
 
@@ -276,12 +267,9 @@ class _Stager:
         return stmts
 
     def var(self, i: int, scope: list[str]) -> ast.expr:
-        if i < len(scope):
-            local = scope[-1 - i]
-            self.used.add(local)
-            return py.load(local)
-        outer = py.lst([]) if self.outer is None else py.load(self.outer)
-        return py.item(outer, i - len(scope))
+        local = scope[-1 - i]
+        self.used.add(local)
+        return py.load(local)
 
     def expr(self, t: Term, scope: list[str]) -> ast.expr:
         """t as one Python expression."""
@@ -316,11 +304,8 @@ class _Stager:
                 return py.load("_TYPE")
 
     def con(self, name: str, vals: list[ast.expr]) -> ast.expr:
-        entry = _CON[name]
-        if len(vals) < entry[0]:  # `let s = suc in ...`
-            return py.call("_apply_con", [py.const(name), py.lst(vals)])
         if not vals:
-            return py.const(entry[1]([]))
+            return py.const(_CON[name]([]))
         if name == "suc" and len(vals) == 1:
             return py.binop(vals[0], ast.Add(), py.const(1))
         return py.call(_CON_GLOBAL[name], [py.lst(vals)])
@@ -345,8 +330,8 @@ class _Stager:
 
 def _cannot_fail(t: Term) -> bool:
     """Whether computing t's value cannot fail: t is built from variables,
-    literals, constructors other than imap (which builds an array when
-    saturated), `_+_` and `_*_`."""
+    literals, constructors other than imap (which applies a function at
+    every index), `_+_` and `_*_`."""
     match t:
         case Var(_, ()) | Lit():
             return True
@@ -380,7 +365,7 @@ def _saturate(fn, need: int, args: list):
 def _apply1(f, a):
     if callable(f):
         return f(a)
-    raise EvalError(f"cannot apply non-function value {f!r}")
+    raise Abort(f"cannot apply non-function value {f!r}")
 
 
 def _apply(f, *args):
@@ -390,26 +375,15 @@ def _apply(f, *args):
 
 
 def _nomatch(name: str, *args):
-    raise EvalError(f"{name}: no clause matches {list(args)!r}")
+    raise Abort(f"{name}: no clause matches {list(args)!r}")
 
 
 def _absurd(name: str):
-    raise EvalError(f"{name}: reached an absurd clause")
+    raise Abort(f"{name}: reached an absurd clause")
 
 
 # --------------------------------------------------------------------------
-# constructors: the value of a saturated one is computed from its whole
-# argument list, so arguments beyond the needed ones are not applied
-
-
-def _collect(need: int, fn, args: list):
-    if len(args) < need:
-        return lambda a: _collect(need, fn, args + [a])
-    return fn(args)
-
-
-def _apply_con(name: str, args: list):
-    return _collect(*_CON[name], args)
+# constructors: each computes its value from its whole argument list
 
 
 def _c_imap(a):
@@ -425,29 +399,29 @@ def _cons(tag: str):
 
 
 _CON = {
-    "zero": (0, lambda a: 0),
-    "fzero": (0, lambda a: 0),
-    "suc": (1, lambda a: a[-1] + 1),
-    "fsuc": (1, lambda a: a[-1] + 1),
-    "vnil": (0, lambda a: ("vec", ())),
-    "vcons": (2, _cons("vec")),
-    "inil": (0, lambda a: ("ix", ())),
-    "icons": (2, _cons("ix")),
-    "lnil": (0, lambda a: ("list", ())),
-    "lcons": (2, _cons("list")),
-    "imap": (4, _c_imap),
-    "yes": (0, lambda a: ("dec", True)),
-    "no": (0, lambda a: ("dec", False)),
-    "prf": (0, lambda a: PRF),
+    "zero": lambda a: 0,
+    "fzero": lambda a: 0,
+    "suc": lambda a: a[-1] + 1,
+    "fsuc": lambda a: a[-1] + 1,
+    "vnil": lambda a: ("vec", ()),
+    "vcons": _cons("vec"),
+    "inil": lambda a: ("ix", ()),
+    "icons": _cons("ix"),
+    "lnil": lambda a: ("list", ()),
+    "lcons": _cons("list"),
+    "imap": _c_imap,
+    "yes": lambda a: ("dec", True),
+    "no": lambda a: ("dec", False),
+    "prf": lambda a: PRF,
 }
 _CON_GLOBAL = {name: f"c{i}" for i, name in enumerate(_CON)}
 
 # the globals every staged function of an Env starts from
 _HELPERS = {
     "_PRF": PRF, "_TYPE": TYPE, "_type": _type, "_saturate": _saturate,
-    "_apply1": _apply1, "_apply": _apply, "_apply_con": _apply_con,
-    "_arr_index": arr_index, "_nomatch": _nomatch, "_absurd": _absurd,
-    **{_CON_GLOBAL[name]: fn for name, (_, fn) in _CON.items()},
+    "_apply1": _apply1, "_apply": _apply, "_arr_index": arr_index,
+    "_nomatch": _nomatch, "_absurd": _absurd,
+    **{_CON_GLOBAL[name]: fn for name, fn in _CON.items()},
 }
 
 

@@ -6,9 +6,9 @@ it once per process, keyed on the text.  One sampling loop (`_diff`)
 runs a corpus entry on its own sampler (`run_corpus_diff`) and any other
 entry on arguments drawn from its signature (`run_signature_diff`).
 
-A sample on which either side runs out of Python stack (the source
-evaluator's EvalError("recursion depth"), the target's
-Aborted("recursion depth")) shows neither agreement nor a mismatch: it
+Every evaluator returns an abort as a value, `Aborted(reason)`.  A
+sample on which either side runs out of Python stack,
+Aborted("recursion depth"), shows neither agreement nor a mismatch: it
 is counted as inconclusive, its input kept, and the run goes on."""
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import evaluate, ir
 from .builtins import is_prop_type
 from .corpus import CorpusEntry
 from .extract import ExtractOptions, entry_name, kompile
-from .ir import EXHAUSTED, Aborted, pi_spine
+from .ir import EXHAUSTED, Aborted, EslError, pi_spine
 from .kaleid import KaleidBackend, interp_kaleid
 from .loader import load_sources
 from .sac import SacBackend
@@ -83,19 +83,16 @@ def _diff(name: str, elab, entry: str, base, opts, target: str,
     row = DiffRow(name, samples, 0)
     for _ in range(samples):
         eval_args, target_args = draw(rng)
-        try:
-            ev = evaluate.call(elab.env, entry, list(eval_args))
-        except evaluate.EvalError as err:
-            if str(err) != EXHAUSTED:
-                raise
-            row.inconclusive.append(eval_args)
-            continue
-        tv = interp(text, fn, list(target_args))
-        if isinstance(tv, Aborted) and tv.reason == EXHAUSTED:
+        ev = evaluate.call(elab.env, entry, list(eval_args))
+        if _exhausted(ev) or _exhausted(tv := interp(text, fn, list(target_args))):
             row.inconclusive.append(eval_args)
         elif not compare(ev, tv):
             row.mismatches += 1
     return row
+
+
+def _exhausted(v) -> bool:
+    return isinstance(v, Aborted) and v.reason == EXHAUSTED
 
 
 def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
@@ -130,11 +127,11 @@ def signature_sampler(env, name: str, rng, hi: int = 24):
                         break
                     vals.append(1)
                 case _:
-                    raise evaluate.EvalError(
+                    raise EslError(
                         f"cannot sample an argument of type {ir.print_term(ty)}")
         if ok:
             return vals
-    raise evaluate.EvalError(f"could not satisfy the preconditions of {name}")
+    raise EslError(f"could not satisfy the preconditions of {name}")
 
 
 def run_signature_diff(elab, entry: str, samples: int, seed: int, base=(),

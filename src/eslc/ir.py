@@ -29,31 +29,36 @@ class UnknownName(EslError):
     pass
 
 
-class EvalError(EslError):
-    """A source-level computation went wrong: division by zero, an index
-    out of bounds, no matching clause, running out of stack."""
-
-
-# the reason every evaluator gives for running out of Python stack: the
-# source evaluator's EvalError, the target interpreters' Aborted
+# the reason every evaluator gives for running out of Python stack
 EXHAUSTED = "recursion depth"
 
 
 @dataclass(frozen=True)
 class Aborted:
-    """What a target interpreter returns for a run that aborts: a failed
-    assert, a zero divisor, a selection out of bounds, running out of
-    stack.  A value, not a crash."""
+    """What each of the three evaluators returns for a run that aborts: no
+    clause matching, a failed assert, a zero divisor, a selection out of
+    bounds, running out of stack.  A value, not a crash."""
 
     reason: str
 
 
 class Abort(Exception):
-    """Raised inside a target interpreter, which returns Aborted(reason)."""
+    """Raised inside an evaluator; `outcome` turns it into Aborted(reason)."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+def outcome(fn, *args):
+    """fn(*args), or the Aborted value of the run: Aborted(reason) for an
+    Abort, Aborted(EXHAUSTED) when Python's stack runs out."""
+    try:
+        return fn(*args)
+    except Abort as ab:
+        return Aborted(ab.reason)
+    except RecursionError:
+        return Aborted(EXHAUSTED)
 
 
 class NegativeIndex(EslError):
@@ -342,8 +347,8 @@ def apply_term(t: Term, args: tuple[Arg, ...]) -> Term:
         return t
     if cls is Var:
         return Var(t.idx, t.args + args)
-    if cls is Con or cls is Def:
-        return cls(t.name, t.args + args)
+    if cls is Def:  # a constructor application is saturated
+        return Def(t.name, t.args + args)
     if cls is Lam:
         return apply_term(subst(t.scope.body, 0, args[0].value), args[1:])
     if cls is Let:

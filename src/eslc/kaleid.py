@@ -606,11 +606,7 @@ def interp_kaleid(program: str, entry: str, args: list[int]):
     if arity != len(args):
         raise ExtractError(f"{entry} expects {arity} arguments")
     try:
-        return fn(*args)
-    except Abort as ab:
-        return Aborted(ab.reason)
-    except RecursionError:
-        return Aborted(ir.EXHAUSTED)
+        return ir.outcome(fn, *args)
     except NameError as err:
         # a let bound only on a branch that was not taken (read in the def,
         # or in a nested function staged from a deep subexpression)

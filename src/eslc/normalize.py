@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 from . import ir
 from .builtins import FLOAT, NAT, PRIMS
-from .ir import (Abs, Arg, Clause, Con, Def, Env, EslError, EvalError,
-                 Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Term,
-                 Unknown, Var, free_vars, map_args, map_subterms, nat_view,
-                 pi_spine, subst, vis)
+from .ir import (Abort, Abs, Arg, Clause, Con, Def, Env, EslError, Function,
+                 Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Term, Unknown, Var,
+                 free_vars, map_args, map_subterms, nat_view, pi_spine, subst,
+                 vis)
 
 
 class FuelExhausted(EslError):
@@ -259,8 +259,8 @@ def _apply(v, args: tuple[Arg, ...]):
         return VVar(v.level, v.args + args)
     if cls is Hole:
         return Hole(v.name, v.args + args, v.meta)
-    if cls is Con or cls is Def:
-        return cls(v.name, v.args + args)
+    if cls is Def:  # a constructor application is saturated
+        return Def(v.name, v.args + args)
     if cls is VBind and v.kind == "lam":
         return _apply(v.body(args[0].value), args[1:])
     if cls is VBind and v.kind == "let":
@@ -351,20 +351,19 @@ class Normalizer:
             v = step
 
     def _is_function(self, v) -> bool:
-        """Whether the value `v` is a lambda, or a constructor or definition
-        applied to fewer arguments than it takes."""
+        """Whether the value `v` is a lambda or a definition applied to
+        fewer arguments than it takes (the elaborator saturates every
+        constructor)."""
         v = _force(v)
         if type(v) is VBind:
             return v.kind == "lam"
-        if type(v) not in (Con, Def) or v.name not in self.env:
+        if type(v) is not Def or v.name not in self.env:
             return False
-        d = self.env.lookup(v.name)
-        return len(v.args) < (len(d.payload.arity) if type(v) is Con
-                              else len(pi_spine(d.signature)[0]))
+        return len(v.args) < len(pi_spine(self.env.lookup(v.name).signature)[0])
 
     def _canon(self, v: Con):
         """Collapse closed suc/fsuc spines into literals."""
-        if v.name in ("suc", "fsuc") and v.args:  # `let s = suc in ...`
+        if v.name in ("suc", "fsuc"):
             inner = self.whnf(v.args[-1].value)
             n = nat_view(inner)
             if n is not None:
@@ -578,8 +577,8 @@ def _d_fold(fn, reads):
     """A primitive computed by its Python function.  Its arguments are read
     left to right, a hidden one as the value itself; the first that is not
     closed leaves the call to the primitive's clauses, if it has any (1 + x
-    must expose its constructor), and so does an EvalError or a result that
-    no literal denotes (a float overflowing to infinity)."""
+    must expose its constructor), and so does an Abort or a result that no
+    literal denotes (a float overflowing to infinity)."""
     def h(nz, args):
         if len(args) != len(reads):
             return None
@@ -591,7 +590,7 @@ def _d_fold(fn, reads):
             vals.append(v)
         try:
             out = fn(*vals)
-        except EvalError:
+        except Abort:
             return None
         if isinstance(out, tuple):  # ("dec", bool) or a ("vec" | "ix", items)
             if out[0] == "dec":
@@ -665,7 +664,8 @@ def normalise_clause(cl: Clause, env: Env, policy: ReductionPolicy = REDUCE_ALL,
 
 def check_rewrite(rule: RewriteRule, trials: int, env: Env, seed: int = 0):
     """Evaluate both sides on random ground instances; return "pass" or the
-    first counterexample as a dict of variable assignments."""
+    first counterexample as a dict of variable assignments.  An abort is
+    a value, so two sides that abort for the same reason agree."""
     import random
 
     from . import evaluate

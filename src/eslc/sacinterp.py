@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ir
 from . import pycode as py
-from .ir import Abort, Aborted
+from .ir import Abort
 from .sac import (SacParseError, SBin, SCall, SFlt, SNum, SSel, SVarE,
                   SVecLit, SWith, parse_sac)
 
@@ -42,12 +42,8 @@ def interp_sac(program: str, entry: str, args):
     arity, fn = fns[entry]
     if arity != len(vals):
         raise SacParseError(f"{entry} expects {arity} arguments")
-    try:
-        return fn(*vals)
-    except Abort as ab:  # a zero divisor too: _quotient checks it first
-        return Aborted(ab.reason)
-    except RecursionError:
-        return Aborted(ir.EXHAUSTED)
+    try:  # a zero divisor aborts too: _quotient checks it first
+        return ir.outcome(fn, *vals)
     except NameError:  # no assignment reached the local of a declared name
         raise SacParseError("a declared variable is read unassigned") from None
 
@@ -124,7 +120,11 @@ class _Stager:
                 case ("declare", nm):
                     self.declared.add(self._bind(nm, scope))
                 case ("assert", e):
-                    body.append(py.node(ast.Expr, py.call("_check", [self.expr(e, scope)])))
+                    # a clause fall-through, `assert (0)`, aborts as it does
+                    # in Kaleidoscope
+                    why = "assert (0)" if isinstance(e, SNum) else "assertion failed"
+                    body.append(py.node(ast.Expr, py.call(
+                        "_check", [self.expr(e, scope), py.const(why)])))
                 case ("if", cond, then, other):
                     body.append(py.if_(self.expr(cond, scope), self.block(
                         then, dict(scope)), self.block(other, dict(scope))))
@@ -208,9 +208,9 @@ def _parse_error(why: str, *operands):
     raise SacParseError(why)
 
 
-def _check(v) -> None:
+def _check(v, why: str) -> None:
     if not (bool(np.all(v)) if isinstance(v, np.ndarray) else bool(v)):
-        raise Abort("assertion failed")
+        raise Abort(why)
 
 
 def _quotient(a, b, op: str):

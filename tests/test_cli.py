@@ -568,7 +568,7 @@ def _readme_commands() -> list[list[str]]:
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     commands = _readme_commands()
-    assert len(commands) == 6
+    assert len(commands) == 7
     for argv in commands:
         if "--out" in argv:
             k = argv.index("--out") + 1

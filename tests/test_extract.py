@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from eslc import corpus
+from eslc import corpus, ir
 from eslc.builtins import seed_env
 from eslc.elaborate import UnsupportedType
 from eslc.evaluate import call, varr, vvec
@@ -149,6 +149,58 @@ def test_a_shared_let_of_a_function_agrees_on_both_targets():
         for target in ("kaleid", "sac"):
             row = run_signature_diff(e, entry, 200, 1, target=target)
             assert (row.mismatches, row.inconclusive) == (0, []), (entry, target)
+
+
+BARE_CONSTRUCTORS = corpus.REWRITES + """
+lm : Nat -> Nat
+lm x = let g = suc in g (g x)
+
+g : Fin 3 -> Fin 4
+g = fsuc
+
+h : Fin 3 -> Fin 4
+h i = let g = fsuc {3} in g i
+
+ms : List Nat -> List Nat
+ms xs = map suc xs
+
+f : Nat -> Nat
+f = suc
+"""
+
+
+def _unsaturated(env) -> list:
+    """The constructor applications in env's signatures and clause bodies
+    that lack a visible argument their type takes."""
+    out = []
+
+    def visit(t, depth):
+        if type(t) is Con:
+            want = env.lookup(t.name).payload.arity.count(False)
+            if sum(not a.hidden for a in t.args) != want:
+                out.append(t)
+        return ir.map_subterms(t, visit, depth)
+    for name in env.names():
+        d = env.lookup(name)
+        visit(d.signature, 0)
+        for cl in d.payload.clauses if isinstance(d.payload, Function) else ():
+            if cl.body is not None:
+                visit(cl.body, len(cl.telescope))
+    return out
+
+
+def test_every_constructor_application_is_saturated():
+    sources = [entry.sources for entry in corpus.CORPUS.values()]
+    for texts in [[], *sources]:
+        assert _unsaturated(load_sources(texts).env) == [], texts
+    e = load_sources([("bare", BARE_CONSTRUCTORS)])
+    assert _unsaturated(e.env) == []
+    # fsuc {3} is `\i -> fsuc {3} i`: its hidden argument is not taken
+    # for the visible one
+    assert call(e.env, "h", [2]) == 3
+    for target in ("kaleid", "sac"):
+        row = run_signature_diff(e, "h", 50, 1, target=target)
+        assert (row.mismatches, row.inconclusive) == (0, []), target
 
 
 def test_a_lambda_argument_is_refused_on_both_targets():

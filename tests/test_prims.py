@@ -12,7 +12,7 @@ import pytest
 from eslc import builtins, kaleid, sac, shapes
 from eslc.builtins import PRIMS, seed_env
 from eslc.elaborate import Ctx, Elaborator
-from eslc.evaluate import EvalError, call, eval_closed
+from eslc.evaluate import call, eval_closed
 from eslc.extract import kompile
 from eslc.ir import (Builtin, Con, Def, EslError, Function, Lit, hid,
                      pi_spine, vis)
@@ -69,9 +69,8 @@ def _program(src: str, target: str):
 
 
 def _source(src: str, args: list):
-    try:
-        v = call(_elaborated(src).env, "w", args)
-    except EvalError:
+    v = call(_elaborated(src).env, "w", args)
+    if isinstance(v, Aborted):
         return ABORT
     return int(v[1]) if isinstance(v, tuple) else v  # a Dec is a C boolean
 
@@ -258,9 +257,8 @@ def test_normalizer_folds_exactly_where_the_evaluator_computes(name):
     for args in FOLD_CALLS[name]:
         call_t = Def(name, args)
         nf = normalise(call_t, env)
-        try:
-            want = eval_closed(call_t, env)
-        except EvalError:
+        want = eval_closed(call_t, env)
+        if isinstance(want, Aborted):
             assert nf == call_t, (name, args)
             continue
         assert not (isinstance(nf, Def) and nf.name == name), (name, args)
