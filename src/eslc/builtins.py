@@ -12,8 +12,10 @@ elaborator discharges the obligation at each saturated call.
 
 Arithmetic on naturals also has ordinary clauses (zero/suc matching), so
 the normalizer can reduce it on symbolic arguments like any user
-function; division and mod go through the usual accumulator helpers so
-symbolic divisions leave the residual the backends expect.
+function, and so do `prodv` and `sel`.  Division by a successor goes
+through the accumulator helper `div-helper`, which `extract.erase`
+lowers to its closed form; `_%_` has no clauses, so a mod the normalizer
+cannot compute reaches the backends as the target's own operator.
 
 That text and the seed datatypes' signatures, `_SEED_TEXT`, are read
 once, at import, by `_read`: not by the elaborator, which imports the
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import shapes
 from .ir import (Abort, Abs, Arg, Builtin, Clause, Con, Constructor, Datatype,
@@ -99,16 +101,10 @@ div-helper k m zero j = k
 div-helper k m (suc n) zero = div-helper (suc k) m n m
 div-helper k m (suc n) (suc j) = div-helper k m n j
 
-mod-helper : (k m n j : Nat) -> Nat
-mod-helper k m zero j = k
-mod-helper k m (suc n) zero = mod-helper 0 m n m
-mod-helper k m (suc n) (suc j) = mod-helper (suc k) m n j
-
 -- use sites owe a NonZero obligation
 _/_ : (a b : Nat) -> Nat
 _/_ a (suc m) = div-helper 0 m a m
 _%_ : (a b : Nat) -> Nat
-_%_ a (suc m) = mod-helper 0 m a m
 
 -- a Fin is encoded by the bound's left endpoint, its first argument
 fromN< : {m n : Nat} -> (p : m < n) -> Fin n
@@ -132,8 +128,12 @@ vdrop : {X : Set} -> {n : Nat} -> (k : Nat) -> (v : Vec X n) -> Vec X (n - k)
 vappend : {X : Set} -> {m n : Nat} -> (a : Vec X m) -> (b : Vec X n) -> Vec X (m + n)
 _*v_ : {d : Nat} -> (v : Vec Nat d) -> (k : Nat) -> Vec Nat d
 prodv : {d : Nat} -> (v : Vec Nat d) -> Nat
+prodv {d} [] = 1
+prodv {d} (x ∷ []) = x
+prodv {d} (x ∷ y ∷ v) = prodv {d - 1} ((x * y) ∷ v)
 
 sel : {X : Set} -> {d : Nat} -> {s : Vec Nat d} -> (a : Ar X d s) -> (i : Ix d s) -> X
+sel {X} {d} {s} (imap f) i = f i
 ravel : {X : Set} -> {d : Nat} -> {s : Vec Nat d} -> (a : Ar X d s)
     -> Ar X 1 (prodv {d} s ∷ [])
 reshape : {X : Set} -> {d : Nat} -> {s : Vec Nat d} -> {e : Nat} -> (t : Vec Nat e)
@@ -153,7 +153,8 @@ _PLACEHOLDERS = {
 }
 
 # the constructors the text names
-_TEXT_CONS = {"zero": "zero", "suc": "suc", "_∷_": "vcons", "[]": "vnil"}
+_TEXT_CONS = {"zero": "zero", "suc": "suc", "_∷_": "vcons", "[]": "vnil",
+              "imap": "imap"}
 
 
 def _term(s, scope: list[str]) -> Term:
@@ -161,7 +162,7 @@ def _term(s, scope: list[str]) -> Term:
     binds, innermost last: a bound name is a Var, `Set` the Sort, a
     numeral a Lit, a name of _TEXT_CONS a Con and any other name a Def.
     An argument is hidden only where written in braces.  Nothing else of
-    ESL is read: no lambda, let, float or applied variable."""
+    ESL is read: no lambda, let or float."""
     match s:
         case SName(name):
             if name in scope:
@@ -171,8 +172,8 @@ def _term(s, scope: list[str]) -> Term:
             return Con(_TEXT_CONS[name]) if name in _TEXT_CONS else Def(name)
         case SApp(fn, args):
             head = _term(fn, scope)
-            if type(head) in (Con, Def):
-                return type(head)(head.name, head.args + tuple(
+            if type(head) in (Con, Def, Var):
+                return replace(head, args=head.args + tuple(
                     Arg(_term(a, scope), hidden) for a, hidden in args))
         case SPi(binder, hidden, dom, cod):
             return Pi(Arg(_term(dom, scope), hidden),
@@ -253,17 +254,6 @@ def _div_helper(k, m, n, j):
     return k + max(n + m - j, 0) // (1 + m)
 
 
-def _mod_helper(k, m, n, j):
-    # accumulator semantics of the standard helper
-    while True:
-        if n == 0:
-            return k
-        if j == 0:
-            k, n, j = 0, n - 1, m
-        else:
-            k, n, j = k + 1, n - 1, j - 1
-
-
 def _expf(a):
     try:
         return math.exp(a)
@@ -324,10 +314,10 @@ _MEANING: dict[str, dict] = {
     "_*_": dict(fn=operator.mul, folds=True),
     "_-_": dict(fn=_monus, folds=True),
     "div-helper": dict(fn=_div_helper),
-    "mod-helper": dict(fn=_mod_helper),
     "_/_": dict(fn=_by_nonzero(operator.floordiv, "division by zero"),
                 owes=_nonzero_divisor("_/_")),
-    "_%_": dict(fn=_by_nonzero(operator.mod, "mod by zero"), owes=_nonzero_divisor("_%_")),
+    "_%_": dict(fn=_by_nonzero(operator.mod, "mod by zero"), folds=True,
+                owes=_nonzero_divisor("_%_")),
     "fromN<": dict(fn=lambda m, n, p: m),
     "toN": dict(fn=lambda n, i: i),
     "_≟_": dict(fn=lambda a, b: ("dec", a == b), folds=True),

@@ -146,7 +146,10 @@ def erase(t: Term, depth: int, env: Env) -> Term:
     and so is a call whose result type is a proposition.  A `Fin` is its
     natural: `fromN<` is its hidden left endpoint and `toN` its argument.
     A `suc`/`fsuc` spine around an open rest is `k + rest`; normalization
-    has already made closed spines, `zero` and `fzero` literals."""
+    has already made closed spines, `zero` and `fzero` literals.  The
+    residual `div-helper k m n j` of a division by a successor is its
+    closed form `k + (n + m - j) / (1 + m)`: the monus stops at zero only
+    where n runs out before j does, and the helper's value is then k."""
     if type(t) is Con:
         if t.name in ("prf", "yes"):
             return Lit(1)
@@ -157,8 +160,12 @@ def erase(t: Term, depth: int, env: Env) -> Term:
             while type(t) is Con and t.name in ("suc", "fsuc"):
                 k += 1
                 t = t.args[-1].value
-            return Def("_+_", (Arg(Lit(k), False), Arg(erase(t, depth, env), False)))
+            return _binop("_+_", Lit(k), erase(t, depth, env))
     elif type(t) is Def:
+        if t.name == "div-helper" and len(t.args) == 4:
+            k, m, n, j = (erase(a.value, depth, env) for a in t.args)
+            left = _binop("_-_", _binop("_+_", n, m), j)
+            return _binop("_+_", k, _binop("_/_", left, _binop("_+_", Lit(1), m)))
         if t.name == "fromN<":
             return erase(t.args[0].value, depth, env)
         if t.name == "toN":
@@ -166,6 +173,10 @@ def erase(t: Term, depth: int, env: Env) -> Term:
         if t.name in env and is_prop_type(pi_spine(env.lookup(t.name).signature)[1]):
             return Lit(1)
     return map_subterms(t, erase, depth, env)
+
+
+def _binop(name: str, a: Term, b: Term) -> Term:
+    return Def(name, (Arg(a, False), Arg(b, False)))
 
 
 RET = "__ret"  # the target name of a function's result

@@ -172,11 +172,6 @@ def _kompile_def(name: str, args, venv, state, env) -> KExpr:
         for v, e in reversed(lets):
             out = KLet(v, e, out)
         return out
-    if name == "div-helper" and len(va) == 4:
-        k, m, n, j = (kompile_term(x, venv, state, env) for x in va)
-        return KBin("Plus", k,
-                    KBin("Divide", KBin("Minus", KBin("Plus", n, m), j),
-                         KBin("Plus", KNat(1), m)))
     if name not in env:
         raise ExtractError(f"unknown definition {name}")
     kargs = [kompile_term(x, venv, state, env) for x in va]

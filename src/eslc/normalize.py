@@ -12,7 +12,8 @@ order.  Iota matches a function's clauses against forced values and
 evaluates the body in the environment of the matched values.  Primitives
 marked `folds` in builtins.PRIMS are computed by their Python function
 once their visible arguments are closed (literals, or vcons/icons
-spines); only `_*v_`, `prodv` and `sel` carry delta rules of their own.
+spines); only `_*v_` carries a delta rule of its own, written in Python
+because its clauses would spend one step per item.
 Reduction is call by need: the arguments of a call are cells, and a cell
 keeps the weak head normal form it reduced to, so an argument read at
 several places is reduced, and its steps counted, once.  A let whose
@@ -612,35 +613,11 @@ def _d_vscale(nz, args):
     return _spine_of("vec", [Def("_*_", (vis(x), vis(va[1]))) for x in v[1]])
 
 
-def _d_prodv(nz, args):
-    vec = _vec_items(nz, args[-1].value)
-    if vec is None:
-        return None
-    items = vec[1]
-    lits = [nat_view(nz.whnf(x)) for x in items]
-    if None not in lits:
-        return Lit(math.prod(lits))
-    out = items[0]
-    for x in items[1:]:
-        out = Def("_*_", (vis(out), vis(x)))
-    return out
-
-
-def _d_sel(nz, args):
-    va = [a.value for a in args if not a.hidden]
-    if len(va) != 2:
-        return None
-    arr = nz.whnf(va[0])
-    if isinstance(arr, Con) and arr.name == "imap":
-        return _apply(arr.args[-1].value, (vis(_cell(va[1])),))
-    return None
-
-
 _DELTA = {p.name: _d_fold(p.fn, [(lambda nz, v: v) if a.hidden
                                  else _READ[a.value.name]
                                  for _, a in pi_spine(p.sig)[0]])
           for p in PRIMS.values() if p.folds}
-_DELTA.update({"_*v_": _d_vscale, "prodv": _d_prodv, "sel": _d_sel})
+_DELTA["_*v_"] = _d_vscale  # as clauses it would spend one step per item
 
 
 # --------------------------------------------------------------------------

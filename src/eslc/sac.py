@@ -177,8 +177,8 @@ class SWith(SExp):
 # the backend
 
 
-_FOLD_OPS = {"_+_": ("+", SNum(0)), "_*_": ("*", SNum(1)),
-             "_+f_": ("+", SFlt(0.0)), "_*f_": ("*", SFlt(1.0))}
+# a fold's operator; its neutral element is the one the term gives
+_FOLD_OPS = {"_+_": "+", "_*_": "*", "_+f_": "+", "_*f_": "*"}
 
 _SCALAR_BIN = {"_+_": "+", "_-_": "-", "_*_": "*", "_/_": "/", "_%_": "%",
                "_+f_": "+", "_-f_": "-", "_*f_": "*", "_/f_": "/",
@@ -323,18 +323,14 @@ class SacBackend:
         if name in _SCALAR_BIN and len(va) == 2:
             out = SBin(_SCALAR_BIN[name], self._term(va[0], venv, cx),
                        self._term(va[1], venv, cx))
-            # subtraction on naturals truncates at zero
-            return SCall("max", (out, SNum(0))) if name == "_-_" else out
+            # subtraction on naturals truncates at zero, except in
+            # (a + b) - b, which never goes below it
+            if name == "_-_" and not (type(va[0]) is Def and va[0].name == "_+_"
+                                      and va[0].args[-1].value == va[1]):
+                return SCall("max", (out, SNum(0)))
+            return out
         if name == "expf":
             return SCall("expf", (self._term(va[-1], venv, cx),))
-        if name == "div-helper" and len(va) == 4:
-            k, m, n, j = (self._term(x, venv, cx) for x in va)
-            # n + m - j is below zero only when n runs out before j does,
-            # and then the value is k; where j is m, it is n
-            left = SBin("-", SBin("+", n, m), j)
-            if va[3] != va[1]:
-                left = SCall("max", (left, SNum(0)))
-            return SBin("+", k, SBin("/", left, SBin("+", SNum(1), m)))
         if name == "sel":
             return self.kompile_sel(args, venv, cx)
         if name in ("vidx", "ixc"):
@@ -433,9 +429,8 @@ class SacBackend:
         f, neutral, arr = args[-3], args[-2], args[-1]
         opname = f.name if isinstance(f, Def) else None
         if opname not in _FOLD_OPS:
-            raise ExtractError(
-                f"fold operator {opname or f!r} has no neutral in the table")
-        op, _ = _FOLD_OPS[opname]
+            raise ExtractError(f"no SaC fold operator for {opname or f!r}")
+        op = _FOLD_OPS[opname]
         neutral_x = self._term(neutral, venv, cx)
         if isinstance(arr, Def) and arr.name == "ravel":
             arr = arr.args[-1].value  # fold order is row-major anyway

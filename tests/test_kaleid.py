@@ -88,18 +88,23 @@ def test_from_bound_takes_hidden_witness():
 
 
 def test_div_helper_inline_formula():
+    # the erasure step, not the backend, lowers the helper to its closed form
     t = Def("div-helper", (vis(Lit(0)), vis(Lit(1)), vis(Var(0)), vis(Lit(0))))
-    out = kompile_term(t, ["x"], _st(), ENV)
+    out = kompile_term(erase(t, 1, ENV), ["x"], _st(), ENV)
     assert print_kaleid([KFun("t", ("x",), out)]).splitlines()[1].strip() \
         == "0 + (x + 1 - 0) / (1 + 1)"
 
 
 def test_mod_is_one_expression():
-    # a - (a / b) * b: no call per unit of the dividend
+    # a - (a / b) * b: no call per unit of the dividend, whether the
+    # divisor is a variable or a literal
     src = "w : (a b : Nat) -> 0 < b -> Nat\nw a b p = a % b\n"
     _, text = _extract([("w", src)], "w")
     assert "mod_helper" not in text
     assert interp_kaleid(text, "w", [100000, 3, 1]) == 1
+    _, text = _extract([("w", "w : Nat -> Nat\nw a = a % 3\n")], "w")
+    assert "let __ret = a - a / 3 * 3" in text
+    assert interp_kaleid(text, "w", [100000]) == 1
 
 
 def test_lets_inside_expressions_print_parse_and_run():

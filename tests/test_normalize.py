@@ -439,7 +439,7 @@ def test_a_product_of_extents_reduces_symbolic_and_literal():
         out = Con("vnil")
         for x in reversed(items):
             out = Con("vcons", (vis(x), vis(out)))
-        return Def("prodv", (hid(nat()), hid(Lit(len(items))), vis(out)))
+        return Def("prodv", (hid(Lit(len(items))), vis(out)))
     assert nf(prodv(Var(1), Var(0))) == times(Var(1), Var(0))
     assert nf(prodv(Lit(2), Lit(3))) == Lit(6)
 

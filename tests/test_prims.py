@@ -1,6 +1,6 @@
 """One meaning per primitive: the source evaluator and both target
 interpreters agree on each primitive a backend lowers to an operator, the
-normalizer folds a vector or index primitive exactly where the evaluator
+normalizer folds or reduces a primitive exactly where the evaluator
 computes it, and every layer's table names only primitives of
 builtins.PRIMS."""
 
@@ -9,13 +9,13 @@ from functools import cache
 
 import pytest
 
-from eslc import builtins, kaleid, sac, shapes
+from eslc import builtins, kaleid, normalize, sac, shapes
 from eslc.builtins import PRIMS, seed_env
 from eslc.elaborate import Ctx, Elaborator
 from eslc.evaluate import call, eval_closed
 from eslc.extract import kompile
-from eslc.ir import (Builtin, Con, Def, EslError, Function, Lit, hid,
-                     pi_spine, vis)
+from eslc.ir import (Abs, Builtin, Con, Def, EslError, Function, Lam, Lit,
+                     Var, hid, pi_spine, subst, vis)
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid
 from eslc.loader import load_sources
 from eslc.normalize import normalise
@@ -93,28 +93,43 @@ def test_nat_primitive_means_the_same_everywhere(name):
         assert got == {t: want for t in targets}, (name, a, b)
 
 
+# a literal divisor too is the target's own operator, not a helper that
+# makes one call per unit of the dividend
+MOD_BY_LITERAL = {"a % 3": lambda a: a % 3, "(a + 1) % 3": lambda a: (a + 1) % 3,
+                  "a % 1": lambda a: 0}
+
+
+@pytest.mark.parametrize("body", list(MOD_BY_LITERAL))
+def test_mod_by_a_literal_means_the_same_everywhere(body):
+    src = f"w : Nat -> Nat\nw a = {body}\n"
+    for a in (0, 1, 5, 100000):
+        want = MOD_BY_LITERAL[body](a)
+        assert _source(src, [a]) == want, (body, a)
+        assert _target(src, "kaleid", [a]) == _target(src, "sac", [a]) == want, (body, a)
+
+
 HELPER = "w : Nat -> Nat -> Nat -> Nat -> Nat\nw k m n j = {} k m n j\n"
 
 
-def _by_clauses(name: str, k: int, m: int, n: int, j: int) -> int:
-    # the three clauses of each helper, on n, then j
+def _by_clauses(k: int, m: int, n: int, j: int) -> int:
+    # the three clauses of div-helper, on n, then j
     while n:
         if j == 0:
-            k, j = (k + 1 if name == "div-helper" else 0), m
+            k, j = k + 1, m
         else:
-            k, j = (k if name == "div-helper" else k + 1), j - 1
+            j -= 1
         n -= 1
     return k
 
 
-@pytest.mark.parametrize("name", ["div-helper", "mod-helper"])
+@pytest.mark.parametrize("name", ["div-helper"])
 def test_division_helpers_mean_their_clauses_everywhere(name):
     # j past m too, where the closed form of div-helper must not go below k
     # on either target
     src = HELPER.format(name)
     for k, m, n, j in [(k, m, n, j) for k in (0, 2) for m in range(3)
                        for n in range(6) for j in range(6)]:
-        want = _by_clauses(name, k, m, n, j)
+        want = _by_clauses(k, m, n, j)
         assert _source(src, [k, m, n, j]) == want, (k, m, n, j)
         assert _target(src, "kaleid", [k, m, n, j]) == want, (k, m, n, j)
         assert _target(src, "sac", [k, m, n, j]) == want, (k, m, n, j)
@@ -158,7 +173,7 @@ def test_every_builtin_has_exactly_one_table_entry():
 def test_the_table_and_the_seed_environment_keep_their_order():
     # the evaluator names each primitive by its position in PRIMS
     assert list(PRIMS) == [
-        "_+_", "_*_", "_-_", "div-helper", "mod-helper", "_/_", "_%_",
+        "_+_", "_*_", "_-_", "div-helper", "_/_", "_%_",
         "fromN<", "toN", "_≟_", "_<?_", "_+f_", "_-f_", "_*f_", "_/f_",
         "expf", "vidx", "vreverse", "vhd", "vtl", "vtake", "vdrop",
         "vappend", "_*v_", "prodv", "sel", "ravel", "reshape", "ixc",
@@ -175,7 +190,7 @@ def test_the_elaborator_reads_each_signature_of_the_text_to_its_term():
     elab = Elaborator()
     decls = [d for text in (builtins._SEED_TEXT, builtins._PRIM_TEXT)
              for d in parse(text).decls if isinstance(d, SSignature)]
-    assert len(decls) == 44
+    assert len(decls) == 43
     for d in decls:
         assert elab.elab_type(d.type, Ctx()) == elab.env.lookup(d.name).signature, \
             d.name
@@ -183,7 +198,6 @@ def test_the_elaborator_reads_each_signature_of_the_text_to_its_term():
 
 @pytest.mark.parametrize("text", [
     "f : Nat\nf = 1.5\n",  # a float
-    "f : (x : Nat) -> Nat\nf x = x x\n",  # an applied variable
     "f : (x : Nat) -> Nat\nf _ = 0\n",  # a wildcard
     "f : (n : Nat) -> Nat\nf (fsuc i) = i\n",  # another constructor
     "f x = x\n",  # a clause before its signature
@@ -251,18 +265,62 @@ def test_fold_calls_cover_every_primitive_the_normalizer_folds_on_spines():
     assert spines == set(FOLD_CALLS)
 
 
-@pytest.mark.parametrize("name", list(FOLD_CALLS))
+def _shape3_imap(k):  # imap (\i -> ixc 0 i * k) over the shape [3]
+    s = _spine("vcons", "vnil", [Lit(3)])
+    body = Def("_*_", (vis(Def("ixc", (hid(Lit(1)), hid(s), vis(Lit(0)), vis(Var(0))))),
+                       vis(Lit(k))))
+    return (hid(Def("Nat")), hid(Lit(1)), hid(s), vis(Con("imap", (
+        hid(Def("Nat")), hid(Lit(1)), hid(s), vis(Lam(Abs("i", body)))))))
+
+
+def _ix1(j):
+    return vis(_spine("icons", "inil", [Lit(j)]))
+
+
+# the primitives that reduce by their clauses, and `_%_`, which folds on
+# literals: calls whose items may be the open Var(0) and Var(1), checked
+# at each of OPEN_VALUES
+REDUCE_CALLS = {
+    "prodv": [(hid(Lit(len(xs))), vis(_spine("vcons", "vnil", xs))) for xs in (
+        [], [Lit(4)], [Lit(2), Lit(3)], [Lit(2), Lit(3), Lit(5)],
+        [Var(0)], [Var(1), Lit(3)], [Lit(2), Var(1), Var(0)])],
+    "sel": [_shape3_imap(k) + (_ix1(j),) for k in (2, 7) for j in range(3)],
+    "_%_": [(vis(Lit(a)), vis(Lit(b))) for a in (0, 1, 7, 100000)
+            for b in (0, 1, 3)],
+}
+OPEN_VALUES = [(0, 0), (1, 4), (5, 2)]  # of Var(0) and Var(1)
+
+
+@pytest.mark.parametrize("name", [*FOLD_CALLS, *REDUCE_CALLS])
 def test_normalizer_folds_exactly_where_the_evaluator_computes(name):
     env = seed_env()
-    for args in FOLD_CALLS[name]:
+    for args in {**FOLD_CALLS, **REDUCE_CALLS}[name]:
         call_t = Def(name, args)
-        nf = normalise(call_t, env)
-        want = eval_closed(call_t, env)
-        if isinstance(want, Aborted):
-            assert nf == call_t, (name, args)
-            continue
-        assert not (isinstance(nf, Def) and nf.name == name), (name, args)
-        assert eval_closed(nf, env) == want, (name, args)
+        nf = normalise(call_t, env, depth=2)
+        for vals in OPEN_VALUES:
+            want, got = (eval_closed(subst(t, 0, *map(Lit, vals)), env)
+                         for t in (call_t, nf))
+            if isinstance(want, Aborted):
+                assert nf == call_t, (name, args)
+            else:
+                assert not (isinstance(nf, Def) and nf.name == name), (name, args)
+                assert got == want, (name, args, vals)
+
+
+def test_sel_of_an_imap_reads_the_bound_from_the_index_type():
+    # out of bounds, the evaluator aborts but the clause still applies the
+    # index function: no well-typed index is out of bounds
+    env = seed_env()
+    call_t = Def("sel", _shape3_imap(2) + (_ix1(5),))
+    assert eval_closed(call_t, env) == Aborted("index (5,) out of bounds")
+    assert normalise(call_t, env) == Lit(10)
+    with pytest.raises(EslError, match="obligation index bound 5 is false"):
+        load_sources([("w", "w : Ar Nat 1 (3 ∷ []) -> Nat\nw a = sel a (5 ∷ [])\n")])
+
+
+def test_only_scaling_a_vector_has_a_delta_rule_of_its_own():
+    folds = {p.name for p in PRIMS.values() if p.folds}
+    assert set(normalize._DELTA) - folds == {"_*v_"}
 
 
 # vector primitives the SaC backend lowers to a library call or a

@@ -562,12 +562,39 @@ def test_unbounded_recursion_aborts():
     assert SacAborted is Aborted
 
 
+SCALE = ("g : Nat -> Vec Nat 2\ng k = (1 ∷ 2 ∷ []) *v k\n"
+         "f : {d : Nat} -> Vec Nat d -> Vec Nat d\nf v = v *v 3\n")
+
+
+@pytest.mark.parametrize("entry, base, line, args, want", [
+    # a closed spine, which only a base `_*v_` keeps from the normalizer
+    ("g", ["_*v_"], "__ret = cons (1 $* k, cons (2 $* k, []));", [3], [3, 6]),
+    # a vector of symbolic length scales as a whole
+    ("f", [], "__ret = v * 3;", [3, [1, 2, 3]], [3, 6, 9]),
+])
+def test_scaling_a_vector_agrees_with_the_source(entry, base, line, args, want):
+    e = load_sources([("w", SCALE)])
+    text = kompile(entry, base, [], SacBackend(), e.env, e.rules)
+    assert f"  {line}" in text.splitlines()
+    source = call(e.env, entry, [vvec(a) if isinstance(a, list) else a for a in args])
+    got = interp_sac(text, entry, [np.array(a) if isinstance(a, list) else a
+                                   for a in args])
+    assert list(source[1]) == got.tolist() == want
+
+
 def test_nat_subtraction_truncates_at_zero():
     e = load_sources([("s", "sub : Nat -> Nat -> Nat\nsub a b = a - b\n")])
     out = kompile("sub", [], [], SacBackend(), e.env, e.rules)
     assert "max (a $- b, 0)" in out
     assert interp_sac(out, "sub", [3, 5]) == 0
     assert interp_sac(out, "sub", [5, 3]) == 2
+    # taking back what was just added cannot go below zero
+    e = load_sources([("s", "sub : Nat -> Nat -> Nat\nsub a b = (a + b) - b\n"
+                            "bus : Nat -> Nat -> Nat\nbus a b = (a + b) - a\n")])
+    out = kompile("sub", [], [], SacBackend(), e.env, e.rules)
+    assert "__ret = a $+ b $- b;" in out
+    assert interp_sac(out, "sub", [3, 5]) == 3
+    assert "max (a $+ b $- a, 0)" in kompile("bus", [], [], SacBackend(), e.env, e.rules)
 
 
 def test_max_of_scalars_and_arrays():
