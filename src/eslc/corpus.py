@@ -1,5 +1,6 @@
 """Built-in program corpus: source texts, reference oracles, and input
-samplers for the differential harness."""
+samplers for the differential harness.  A sampler draws only the source
+evaluator's arguments; harness.to_target derives the target's."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from functools import cache
 import numpy as np
 
 from .evaluate import varr, vvec
+from .harness import to_target
 
 LOG2 = """
 log2' : {m : Nat} -> (n : Nat) -> n < m -> Nat
@@ -155,112 +157,104 @@ def oracle_avgpool(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CorpusEntry:
+    """A corpus program, diffed on its own inputs: draw(rng) gives the
+    source evaluator's arguments of one sample, and sampler(rng) gives
+    them as (eval_args, target_args), the second half by to_target."""
     name: str
     entry: str
     backend: str  # "kaleid" | "sac"
     sources: list = field(default_factory=list)  # extra (path, text) pairs
     base: list = field(default_factory=list)
-    # sampler(rng) -> (eval_args, target_args); eval args feed the source
-    # evaluator, target args feed the emitted program's interpreter
-    sampler: object = None
+    draw: object = None
+
+    def sampler(self, rng):
+        args = self.draw(rng)
+        return args, [to_target(a) for a in args]
 
 
 def _s_log2(rng):
-    n = rng.randrange(0, 1025)
-    return [n], [n]
+    return [rng.randrange(0, 1025)]
 
 
 def _s_ack(rng):
     m = rng.randrange(0, 4)
     n = rng.randrange(0, 7 if m < 3 else 5)  # keep the deep case tractable
-    return [m, n], [m, n]
+    return [m, n]
 
 
 def _s_ex7(rng):
-    n = rng.randrange(0, 60)
-    return [n], [n]
+    return [rng.randrange(0, 60)]
 
 
 def _s_fib(rng):
-    n = rng.randrange(0, 25)
-    return [n], [n]
+    return [rng.randrange(0, 25)]
 
 
 def _rand_arr(rng, shape):
-    flat = [rng.uniform(-4.0, 4.0) for _ in range(int(np.prod(shape)))]
-    return varr(shape, flat), np.array(flat).reshape(shape)
+    return varr(shape, [rng.uniform(-4.0, 4.0) for _ in range(math.prod(shape))])
 
 
 def _s_logistic(rng):
     d = rng.randrange(1, 4)
     shape = tuple(rng.randrange(1, 5) for _ in range(d))
-    ev, tv = _rand_arr(rng, shape)
-    return [d, vvec(shape), ev], [d, np.array(shape), tv]
+    return [d, vvec(shape), _rand_arr(rng, shape)]
 
 
 def _s_meansqerr(rng):
     d = rng.randrange(1, 3)
     shape = tuple(rng.randrange(1, 5) for _ in range(d))
-    e1, t1 = _rand_arr(rng, shape)
-    e2, t2 = _rand_arr(rng, shape)
-    return [d, vvec(shape), e1, e2], [d, np.array(shape), t1, t2]
+    return [d, vvec(shape), _rand_arr(rng, shape), _rand_arr(rng, shape)]
 
 
 def _s_backavgpool(rng):
     shape = (rng.randrange(1, 7), rng.randrange(1, 7))
-    ev, tv = _rand_arr(rng, shape)
-    return [vvec(shape), ev], [np.array(shape), tv]
+    return [vvec(shape), _rand_arr(rng, shape)]
 
 
 def _s_avgpool(rng, hi: int = 8):
     half = (rng.randrange(1, hi + 1), rng.randrange(1, hi + 1))
-    shape = (2 * half[0], 2 * half[1])
-    ev, tv = _rand_arr(rng, shape)
-    return [vvec(half), ev], [np.array(half), tv]
+    return [vvec(half), _rand_arr(rng, (2 * half[0], 2 * half[1]))]
 
 
 def _s_fuse2(rng):
     m, n = rng.randrange(1, 5), rng.randrange(1, 5)
     a = [rng.randrange(0, 30) for _ in range(n * m)]
     b = [rng.randrange(0, 30) for _ in range(m * n)]
-    return ([m, n, varr((n, m), a), varr((m, n), b)],
-            [m, n, np.array(a).reshape(n, m), np.array(b).reshape(m, n)])
+    return [m, n, varr((n, m), a), varr((m, n), b)]
 
 
 def _s_matmul(rng):
     a, b, c = (rng.randrange(1, 5) for _ in range(3))
     x = [rng.randrange(0, 12) for _ in range(a * b)]
     y = [rng.randrange(0, 12) for _ in range(b * c)]
-    return ([a, b, c, varr((a, b), x), varr((b, c), y)],
-            [a, b, c, np.array(x).reshape(a, b), np.array(y).reshape(b, c)])
+    return [a, b, c, varr((a, b), x), varr((b, c), y)]
 
 
 def _s_rotate(rng):
     n = rng.randrange(1, 9)
     k = rng.randrange(0, 20)
-    ev, tv = _rand_arr(rng, (n,))
-    return [n, k, ev], [n, k, tv]
+    return [n, k, _rand_arr(rng, (n,))]
 
 
 CORPUS: dict[str, CorpusEntry] = {
     "log2": CorpusEntry("log2", "log2", "kaleid", [("log2.esl", LOG2)],
-                        base=["n<1+n", "_<_"], sampler=_s_log2),
+                        base=["n<1+n", "_<_"], draw=_s_log2),
     "ack": CorpusEntry("ack", "ack", "kaleid", [("ack.esl", ACK)],
-                       sampler=_s_ack),
+                       draw=_s_ack),
     "ex7": CorpusEntry("ex7", "ex7", "kaleid", [("ex7.esl", EX7)],
-                       sampler=_s_ex7),
+                       draw=_s_ex7),
     "fib": CorpusEntry("fib", "fib", "kaleid", [("fib.esl", SHARING)],
-                       sampler=_s_fib),
+                       draw=_s_fib),
     "logistic": CorpusEntry("logistic", "logistic", "sac",
-                            sampler=_s_logistic),
+                            draw=_s_logistic),
     "meansqerr": CorpusEntry("meansqerr", "meansqerr", "sac",
-                             sampler=_s_meansqerr),
+                             draw=_s_meansqerr),
     "backavgpool": CorpusEntry("backavgpool", "backavgpool", "sac",
-                               sampler=_s_backavgpool),
-    "avgpool": CorpusEntry("avgpool", "avgpool", "sac", sampler=_s_avgpool),
+                               draw=_s_backavgpool),
+    "avgpool": CorpusEntry("avgpool", "avgpool", "sac", draw=_s_avgpool),
     "fuse2": CorpusEntry("fuse2", "fuse2", "sac", [("fuse2.esl", FUSION)],
-                         sampler=_s_fuse2),
-    "matmul": CorpusEntry("matmul", "matmul", "sac", sampler=_s_matmul),
+                         draw=_s_fuse2),
+    "matmul": CorpusEntry("matmul", "matmul", "sac", draw=_s_matmul),
     "rotate": CorpusEntry("rotate", "rot-there-and-back", "sac",
-                          [("rotate.esl", ROTATE)], sampler=_s_rotate),
+                          [("rotate.esl", ROTATE)], draw=_s_rotate),
 }

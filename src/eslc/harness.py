@@ -6,6 +6,10 @@ it once per process, keyed on the text.  One sampling loop (`_diff`)
 runs a corpus entry on its own sampler (`run_corpus_diff`) and any other
 entry on arguments drawn from its signature (`run_signature_diff`).
 
+Each input is drawn once, as source values.  One conversion, `to_target`,
+turns them into the target's arguments (`target_args`) and turns both
+sides' results into comparable values (`compare`).
+
 Every evaluator returns an abort as a value, `Aborted(reason)`.  A
 sample on which either side runs out of Python stack,
 Aborted("recursion depth"), shows neither agreement nor a mismatch: it
@@ -20,7 +24,6 @@ import numpy as np
 
 from . import evaluate, ir
 from .builtins import is_prop_type
-from .corpus import CorpusEntry
 from .extract import ExtractOptions, entry_name, kompile
 from .ir import EXHAUSTED, Aborted, EslError, pi_spine
 from .kaleid import KaleidBackend, interp_kaleid
@@ -44,25 +47,34 @@ class DiffRow:
                 f"{len(self.inconclusive)}")
 
 
-def to_plain(v):
-    """Flatten both value domains into comparable python data; a decision
-    is the C boolean both targets return for it."""
-    if isinstance(v, tuple) and v and v[0] == "arr":
+def to_target(v):
+    """The target's value of a source value: a vector, index, list or
+    array is a numpy array, and a decision the C boolean both targets
+    return for it.  Anything else, a target value included, is left as it
+    is."""
+    if type(v) is not tuple:
+        return v
+    if v[0] == "arr":
         return np.array(v[2]).reshape(v[1])
-    if isinstance(v, tuple) and v and v[0] == "dec":
+    if v[0] == "dec":
         return int(v[1])
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    return np.array([to_target(x) for x in v[1]])  # "vec", "ix" or "list"
+
+
+def target_args(env, entry: str, target: str):
+    """The function that turns the source arguments of entry into the
+    target's, each by to_target.  SaC takes no proofs, as its functions
+    have no parameters for them."""
+    tel, _ = pi_spine(env.lookup(entry).signature)
+    kept = [target == "kaleid" or not is_prop_type(a.value) for _, a in tel]
+    return lambda args: [to_target(a) for a, k in zip(args, kept) if k]
 
 
 def compare(a, b) -> bool:
     """Whether a and b are equal values, or both aborts."""
     if type(a) is int and type(b) is int:
         return a == b  # a natural may be too large for a float
-    a, b = to_plain(a), to_plain(b)
+    a, b = to_target(a), to_target(b)
     if isinstance(a, Aborted) or isinstance(b, Aborted):
         return isinstance(a, Aborted) and isinstance(b, Aborted)
     return np.array_equal(a, b)
@@ -71,21 +83,22 @@ def compare(a, b) -> bool:
 def _diff(name: str, elab, entry: str, base, opts, target: str,
           samples: int, seed: int, draw) -> DiffRow:
     """The sampling loop of every differential run: entry extracted to the
-    target ("kaleid" or "sac") under base, then `samples` draws of
-    `draw(rng) -> (eval_args, target_args)` from one RNG seeded by seed.
+    target ("kaleid" or "sac") under base, then `samples` draws of the
+    source arguments, `draw(rng) -> args`, from one RNG seeded by seed.
     The target runs only where the source evaluator did not run out of
     stack."""
     backend = KaleidBackend() if target == "kaleid" else SacBackend()
     text = kompile(entry, list(base), [], backend, elab.env, elab.rules, opts)
     interp = interp_kaleid if target == "kaleid" else interp_sac
     fn = entry_name(entry, backend)
+    to_args = target_args(elab.env, entry, target)
     rng = random.Random(seed)
     row = DiffRow(name, samples, 0)
     for _ in range(samples):
-        eval_args, target_args = draw(rng)
-        ev = evaluate.call(elab.env, entry, list(eval_args))
-        if _exhausted(ev) or _exhausted(tv := interp(text, fn, list(target_args))):
-            row.inconclusive.append(eval_args)
+        args = draw(rng)
+        ev = evaluate.call(elab.env, entry, args)
+        if _exhausted(ev) or _exhausted(tv := interp(text, fn, to_args(args))):
+            row.inconclusive.append(args)
         elif not compare(ev, tv):
             row.mismatches += 1
     return row
@@ -95,10 +108,11 @@ def _exhausted(v) -> bool:
     return isinstance(v, Aborted) and v.reason == EXHAUSTED
 
 
-def run_corpus_diff(entry: CorpusEntry, samples: int, seed: int,
+def run_corpus_diff(entry, samples: int, seed: int,
                     opts: ExtractOptions | None = None) -> DiffRow:
+    """The diff of a corpus.CorpusEntry on its own sampler."""
     return _diff(entry.name, load_sources(entry.sources), entry.entry,
-                 entry.base, opts, entry.backend, samples, seed, entry.sampler)
+                 entry.base, opts, entry.backend, samples, seed, entry.draw)
 
 
 def signature_sampler(env, name: str, rng, hi: int = 24):
@@ -137,11 +151,5 @@ def signature_sampler(env, name: str, rng, hi: int = 24):
 def run_signature_diff(elab, entry: str, samples: int, seed: int, base=(),
                        opts: ExtractOptions | None = None,
                        target: str = "kaleid") -> DiffRow:
-    """SaC takes no proofs, as its functions have no parameters for them."""
-    tel, _ = pi_spine(elab.env.lookup(entry).signature)
-    kept = [target == "kaleid" or not is_prop_type(a.value) for _, a in tel]
-
-    def draw(rng):
-        vals = signature_sampler(elab.env, entry, rng)
-        return vals, [v for v, k in zip(vals, kept) if k]
-    return _diff(entry, elab, entry, base, opts, target, samples, seed, draw)
+    return _diff(entry, elab, entry, base, opts, target, samples, seed,
+                 lambda rng: signature_sampler(elab.env, entry, rng))

@@ -21,7 +21,7 @@ from .extract import (KALEID_KEYWORDS, RET, Check, ExtractError, ExtractState,
                       PatternOps, TokenReader, kaleid_final_pass,
                       lower_clauses, subjects)
 from .ir import (Abort, Aborted, Con, Def, Definition, Env, Function, Lam,
-                 Let, Lit, Term, Unknown, Var)
+                 Let, Lit, Term, Var)
 
 OPS = ("Plus", "Minus", "Times", "Divide", "Eq", "Neq", "And", "Gt", "Lt")
 _OP_TEXT = {"Plus": "+", "Minus": "-", "Times": "*", "Divide": "/",
@@ -127,12 +127,10 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env) -> KEx
             return KNat(v)
         case Lit(_):
             raise ExtractError("this target has no floats, only naturals")
+        # no variable is applied: no parameter has a function type, and
+        # the normalizer substitutes every let of one
         case Var(i, ()):
             return KVar(venv[i])
-        case Var(_, _):
-            raise ExtractError("applied variable is higher-order")
-        case Unknown():
-            return KNat(0)  # erased position; reachable only behind asserts
         case Let(bound, scope):
             name = state.binder(scope.name, set(venv))
             return KLet(name, kompile_term(bound, venv, state, env),
@@ -143,7 +141,7 @@ def kompile_term(t: Term, venv: list[str], state: ExtractState, env: Env) -> KEx
             return _kompile_def(name, args, venv, state, env)
         case Con(name, _):
             raise ExtractError(f"constructor {name} has no scalar translation")
-    raise ExtractError("a type has no scalar translation")
+    raise ExtractError("a type or an erased value has no scalar translation")
 
 
 _BINOPS = {"_+_": "Plus", "_-_": "Minus", "_*_": "Times", "_/_": "Divide",
@@ -172,8 +170,6 @@ def _kompile_def(name: str, args, venv, state, env) -> KExpr:
         for v, e in reversed(lets):
             out = KLet(v, e, out)
         return out
-    if name not in env:
-        raise ExtractError(f"unknown definition {name}")
     kargs = [kompile_term(x, venv, state, env) for x in va]
     state.push(name)
     return KCall(state.target_name(name, kaleid_final_pass), tuple(kargs))

@@ -354,8 +354,6 @@ class SacBackend:
         if name == "ravel":
             self.need_ravel = True
             return SCall("ravel", (self._term(va[-1], venv, cx),))
-        if name not in cx.env:
-            raise ExtractError(f"unknown definition {name}")
         tel, _ = pi_spine(cx.env.lookup(name).signature)
         kargs = [self._term(a.value, venv, cx) for (a, (_, dom)) in zip(args, tel)
                  if not is_prop_type(dom.value)]

@@ -28,33 +28,22 @@ from .sac import (SacParseError, SBin, SCall, SFlt, SNum, SSel, SVarE,
 
 
 def interp_sac(program: str, entry: str, args):
-    """Evaluate the emitted text on arrays as (shape, flat data) pairs,
-    numpy arrays or scalars.  Aborted is a value, also when the program
-    runs out of Python stack; a program too deeply nested to stage is a
-    SacParseError."""
+    """Evaluate the emitted text on numpy arrays and scalars.  Aborted is
+    a value, also when the program runs out of Python stack; a program too
+    deeply nested to stage is a SacParseError."""
     try:
         fns = _staged(program)
     except RecursionError as err:
         raise SacParseError(f"program too deeply nested to stage: {err}") from err
-    vals = [_to_value(a) for a in args]
     if entry not in fns:
         raise SacParseError(f"unknown function {entry}")
     arity, fn = fns[entry]
-    if arity != len(vals):
+    if arity != len(args):
         raise SacParseError(f"{entry} expects {arity} arguments")
     try:  # a zero divisor aborts too: _quotient checks it first
-        return ir.outcome(fn, *vals)
+        return ir.outcome(fn, *args)
     except NameError:  # no assignment reached the local of a declared name
         raise SacParseError("a declared variable is read unassigned") from None
-
-
-def _to_value(a):
-    if isinstance(a, tuple) and len(a) == 2 and isinstance(a[0], (tuple, list)):
-        shape, flat = a
-        return np.array(flat).reshape(tuple(shape))
-    if isinstance(a, list):
-        return np.array(a)
-    return a
 
 
 @functools.lru_cache(maxsize=64)
@@ -214,7 +203,8 @@ def _check(v, why: str) -> None:
 
 
 def _quotient(a, b, op: str):
-    # a 0-d array (how a `((), [x])` argument arrives) is a scalar
+    # a 0-d array (how a rank-0 argument, to_target(varr((), [x])),
+    # arrives) is a scalar
     if type(a) is np.ndarray and not a.ndim:
         a = a[()]
     if type(b) is np.ndarray and not b.ndim:

@@ -330,7 +330,7 @@ def test_a_bare_name_takes_its_hidden_arguments():
     import random
     import numpy as np
     from eslc.corpus import _s_logistic, oracle_logistic
-    from eslc.evaluate import call
+    from eslc.evaluate import call, varr
     from eslc.extract import kompile
     from eslc.ir import Def, Var, hid, vis
     from eslc.sac import SacBackend
@@ -346,17 +346,19 @@ def test_a_bare_name_takes_its_hidden_arguments():
             for f in ("sum1", "sum2")]
     rng = random.Random(5)
     for _ in range(5):
-        (d, s, ev), (_, ts, tv) = _s_logistic(rng)
-        want = oracle_logistic(tv)
-        for got in (call(e.env, "lg", [d, s, ev]), interp_sac(lg, "lg", [d, ts, tv]),
-                    call(e.env, "logistic", [d, s, ev])):
+        args = _s_logistic(rng)
+        want = oracle_logistic(harness.to_target(args[2]))
+        for got in (call(e.env, "lg", args),
+                    interp_sac(lg, "lg", [harness.to_target(a) for a in args]),
+                    call(e.env, "logistic", args)):
             # the oracle's np.exp is not the targets' expf
-            assert np.allclose(harness.to_plain(got), want, rtol=1e-9, atol=1e-9)
+            assert np.allclose(harness.to_target(got), want, rtol=1e-9, atol=1e-9)
         # the evaluator and SaC fold in one order
-        n = tv.size
-        ev1, tv1 = ("arr", (n,), list(tv.flat)), tv.reshape(n)
-        s1, s2 = (call(e.env, f, [n, ev1]) for f in ("sum1", "sum2"))
-        t1, t2 = (interp_sac(text, f, [n, tv1]) for text, f in zip(sums, ("sum1", "sum2")))
+        flat = args[2][2]
+        n, a1 = len(flat), varr((len(flat),), flat)
+        s1, s2 = (call(e.env, f, [n, a1]) for f in ("sum1", "sum2"))
+        t1, t2 = (interp_sac(text, f, [n, harness.to_target(a1)])
+                  for text, f in zip(sums, ("sum1", "sum2")))
         assert s1 == s2 and t1 == t2 and s1 == t1
     assert sums[0] == sums[1].replace("sum2", "sum1")
 
@@ -568,7 +570,7 @@ def _readme_commands() -> list[list[str]]:
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     commands = _readme_commands()
-    assert len(commands) == 7
+    assert len(commands) == 8
     for argv in commands:
         if "--out" in argv:
             k = argv.index("--out") + 1

@@ -10,6 +10,7 @@ import random
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from eslc import corpus
@@ -122,17 +123,6 @@ def test_accepted_bodies_contain_no_unknown():
         if isinstance(d.payload, Function):
             for cl in d.payload.clauses:
                 assert cl.body is None or not scan(cl.body), name
-
-
-def test_fixture_format_shape_data_pairs():
-    from eslc.loader import load_prelude
-    from eslc.sac import SacBackend
-    from eslc.sacinterp import interp_sac
-    e = load_prelude()
-    text = kompile("logistic", [], [], SacBackend(), e.env, e.rules)
-    # arrays as (shape, row-major data) pairs
-    out = interp_sac(text, "logistic", [1, ((1,), [2]), ((2,), [0.0, 0.0])])
-    assert list(out) == [0.5, 0.5]
 
 
 # -- evaluator semantics --------------------------------------------------------
@@ -427,6 +417,39 @@ def test_values_on_the_corpus_samplers_are_unchanged(name):
               for _ in range(10)]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
     assert digest == VALUES[name], values
+
+
+# sha256 of the target arguments of the first ten sampler draws (seed 0)
+# of each corpus entry, one draw a line: each array's dtype, shape and
+# bytes, and each scalar's repr
+TARGET_ARGS = {
+    "log2": "14aa3b824677a8174cf59e321902b4c2d2efb25ba84f81b78e08f6530025dc27",
+    "ack": "1900f006f9208e143df86123be35ecda15a22af922f85a322805f23309fc6954",
+    "ex7": "35b8cf3f4a4768c6b101700f7b55a2ec5e5e76f08aea74d768ab21ff6e13b04e",
+    "fib": "909656a833948ae18600cba9cc31ade3601b39dcf5e049a77a4a912941f3e4d3",
+    "logistic": "1295addf39aeb39de0c18bbd2f4cea8ac526998670df9b2a0e12337c01011b2b",
+    "meansqerr": "2e8550e87f74f7cb8a212e7e8944b4e2e1f36911597286c6f891bdcdc3af6ee6",
+    "backavgpool": "e91857b429bfc0f56c9296d7a7443b4c2456314a2ed783daba5626db8502d624",
+    "avgpool": "d2ed73c85d544ccc3ce8d259982554c55ccf18440848e77f7d63574963032b22",
+    "fuse2": "0bfac332b573fedc555b230a021f632a52140f9a1dbb772d9f37c4a36c19c174",
+    "matmul": "ece1f9a11aa730728c2876fb3e4844acb2f1e4161a95c6b87f0e64be98bd61ec",
+    "rotate": "efefa0b9319993f3463abc2889e7258467709d57859197827037de265dbdacee",
+}
+
+
+def _target_arg(a) -> str:
+    if isinstance(a, np.ndarray):
+        return f"{a.dtype} {a.shape} {a.tobytes().hex()}"
+    return repr(a)
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_target_arguments_on_the_corpus_samplers_are_unchanged(name):
+    rng = random.Random(0)
+    lines = [" ".join(map(_target_arg, corpus.CORPUS[name].sampler(rng)[1]))
+             for _ in range(10)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TARGET_ARGS[name], lines
 
 
 def _ixc_of_shape(n):

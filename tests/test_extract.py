@@ -18,7 +18,7 @@ from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, Check, ExtractError,
                           ExtractOptions, ExtractState, checks,
                           kaleid_final_pass, kompile, normalise_name,
                           sac_final_pass)
-from eslc.harness import compare, run_signature_diff
+from eslc.harness import compare, run_signature_diff, target_args, to_target
 from eslc.ir import (Clause, Con, Def, Definition, Function, Lit, PCon, PVar,
                      Var, hid, vis)
 from eslc.kaleid import KaleidBackend, KCall, interp_kaleid, parse_kaleid
@@ -108,8 +108,9 @@ def test_no_assert_emits_no_callee_that_only_the_checks_call():
     assert "assert (h (x_1) < 10);" in full and "int h(" in full
     assert "assert" not in bare and "int h(" not in bare
     for v in [(1, 2), (7, 9)]:
-        assert interp_sac(bare, "f", [np.array(v)]) == \
-            call(e.env, "f", [vvec(v), 1]) == v[0]
+        args = [vvec(v), 1]
+        assert interp_sac(bare, "f", target_args(e.env, "f", "sac")(args)) == \
+            call(e.env, "f", args) == v[0]
 
 
 def test_no_assert_still_refuses_what_the_target_lacks():
@@ -211,6 +212,31 @@ def test_a_lambda_argument_is_refused_on_both_targets():
                                             "translation")]:
         with pytest.raises(ExtractError, match=f"^lm: {message}$"):
             kompile("lm", ["tw"], [], backend, e.env, e.rules)
+
+
+# a term in the body of f that a target has no translation for: (source,
+# base, the targets that refuse it with their messages)
+UNTRANSLATED = [
+    ("gf : Float -> Nat\ngf x = 1\nf : Nat -> Nat\nf x = gf 1.5 + x\n", ["gf"],
+     [(KaleidBackend(), "this target has no floats, only naturals")]),
+    ("h : Vec Nat 1 -> Nat\nh v = vhd v\nf : Nat -> Nat\nf x = h (x ∷ [])\n", ["h"],
+     [(KaleidBackend(), "constructor vcons has no scalar translation")]),
+    # an fsuc pattern matched against a literal leaves its hidden bound
+    # erased, and g's clause passes that bound on to idf
+    ("idf : {n : Nat} -> Fin n -> Nat\nidf {n} i = n\n"
+     "g : (m : Nat) -> Fin (suc m) -> Nat\ng m (fsuc i) = idf i\ng m fzero = 0\n"
+     "f : Nat -> Nat\nf x = g 5 (fsuc (fsuc fzero)) + x\n", ["idf"],
+     [(KaleidBackend(), "a type or an erased value has no scalar translation"),
+      (SacBackend(), "a type or an erased value has no array translation")]),
+]
+
+
+@pytest.mark.parametrize("src, base, refusals", UNTRANSLATED)
+def test_a_term_with_no_translation_is_refused(src, base, refusals):
+    e = load_sources([("t", src)])
+    for backend, message in refusals:
+        with pytest.raises(ExtractError, match=f"^f: {message}$"):
+            kompile("f", base, [], backend, e.env, e.rules)
 
 
 def _nat_pi(*tys):
@@ -457,8 +483,9 @@ def test_a_let_in_an_inferred_position_extracts_and_agrees():
                             "f n v = vhd (let w = v in w)\n")])
     text = kompile("f", [], [], SacBackend(), e.env, e.rules)
     for v in [(4,), (2, 7, 1)]:
-        assert interp_sac(text, "f", [len(v) - 1, np.array(v)]) == \
-            call(e.env, "f", [len(v) - 1, vvec(v)]) == v[0]
+        args = [len(v) - 1, vvec(v)]
+        assert interp_sac(text, "f", [to_target(a) for a in args]) == \
+            call(e.env, "f", args) == v[0]
     e = load_sources([("t", "f : (n : Nat) -> (let m = n in m) ≡ n -> Nat\n"
                             "f n p = n + 1\n")])
     text = kompile("f", [], [], KaleidBackend(), e.env, e.rules)
@@ -553,13 +580,15 @@ ARR_V = ("v : Float -> Ar Float 1 (3 ∷ []) -> Ar Float 1 (3 ∷ [])\n"
 
 
 def _disagreements(src: str, entry: str, backend, inputs) -> list:
-    """The (source, target) arguments on which the backend's text and the
-    source evaluator disagree."""
+    """The source arguments on which the backend's text and the source
+    evaluator disagree."""
     e = load_sources([("w", src)])
     text = kompile(entry, [], [], backend, e.env, e.rules)
-    run = interp_kaleid if isinstance(backend, KaleidBackend) else interp_sac
-    return [(args, targs) for args, targs in inputs
-            if not compare(call(e.env, entry, args), run(text, entry, targs))]
+    target = "kaleid" if isinstance(backend, KaleidBackend) else "sac"
+    run = interp_kaleid if target == "kaleid" else interp_sac
+    to_args = target_args(e.env, entry, target)
+    return [args for args in inputs
+            if not compare(call(e.env, entry, args), run(text, entry, to_args(args)))]
 
 
 @seed(11)
@@ -570,14 +599,11 @@ def _disagreements(src: str, entry: str, backend, inputs) -> list:
 def test_binder_names_keep_their_meaning(names, lets):
     nat = NAT_W.format(*names, *lets)
     grid = [(0, 1), (3, 4), (7, 2)]
-    assert _disagreements(nat, "w", KaleidBackend(),
-                          [([a, b, 1], [a, b, 1]) for a, b in grid]) == []
-    assert _disagreements(nat, "w", SacBackend(),
-                          [([a, b, 1], [a, b]) for a, b in grid]) == []
+    for backend in (KaleidBackend(), SacBackend()):
+        assert _disagreements(nat, "w", backend, [[a, b, 1] for a, b in grid]) == []
     arr = ARR_V.format(*names, lets[0])
-    xs = [1.0, 2.5, -4.0]
     assert _disagreements(arr, "v", SacBackend(),
-                          [([0.5, varr((3,), xs)], [0.5, np.array(xs)])]) == []
+                          [[0.5, varr((3,), [1.0, 2.5, -4.0])]]) == []
 
 
 def test_unicode_names_transliterate_end_to_end():

@@ -7,13 +7,15 @@ builtins.PRIMS."""
 import inspect
 from functools import cache
 
+import numpy as np
 import pytest
 
 from eslc import builtins, kaleid, normalize, sac, shapes
 from eslc.builtins import PRIMS, seed_env
 from eslc.elaborate import Ctx, Elaborator
-from eslc.evaluate import call, eval_closed
+from eslc.evaluate import call, eval_closed, vvec
 from eslc.extract import kompile
+from eslc.harness import to_target
 from eslc.ir import (Abs, Builtin, Con, Def, EslError, Function, Lam, Lit,
                      Var, hid, pi_spine, subst, vis)
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid
@@ -340,12 +342,8 @@ VEC_CASES = {
 def test_vector_primitive_means_the_same_in_sac(name):
     src, lengths = VEC_CASES[name]
     for first in (0, 2, 7):
-        vecs = [[first + 3 * j + i for i in range(n)]
+        vecs = [vvec(first + 3 * j + i for i in range(n))
                 for j, (n,) in enumerate(lengths)]
-        want = call(_elaborated(src).env, "w",
-                    [("vec", tuple(v)) for v in vecs])
-        got = interp_sac(_program(src, "sac"), "w", vecs)
-        if isinstance(want, tuple):
-            assert got.tolist() == list(want[1]), (name, vecs)
-        else:
-            assert got == want, (name, vecs)
+        want = call(_elaborated(src).env, "w", vecs)
+        got = interp_sac(_program(src, "sac"), "w", [to_target(v) for v in vecs])
+        assert np.array_equal(got, to_target(want)), (name, vecs)

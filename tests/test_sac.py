@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from eslc import corpus
 from eslc.evaluate import PRF, call, varr, vvec
 from eslc.extract import ExtractError, ExtractOptions, kompile
-from eslc.harness import compare, run_corpus_diff
+from eslc.harness import compare, run_corpus_diff, target_args, to_target
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
 from eslc.loader import load_prelude, load_sources
 from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, SacParseError,
@@ -180,7 +180,8 @@ float g(float a) {
 }
 """
     # the empty selection is the scalar itself
-    assert interp_sac(prog, "f", [2.5]) == interp_sac(prog, "f", [((), [2.5])]) == 2.5
+    assert interp_sac(prog, "f", [2.5]) == \
+        interp_sac(prog, "f", [to_target(varr((), [2.5]))]) == 2.5
     assert interp_sac(prog, "g", [2.5]) == \
         Aborted("selection 0 from an array of rank 0")
 
@@ -242,9 +243,7 @@ def test_the_source_evaluator_and_sac_abort_for_the_same_reason(f, args, why):
     e = load_sources([("w", ABORTS_ALIKE)])
     text = kompile(f, [], [], SacBackend(), e.env, e.rules,
                    ExtractOptions(no_assert=True))
-    sac_args = [np.array(a[2]).reshape(a[1]) if isinstance(a, tuple) else a
-                for a in args]
-    assert interp_sac(text, f, sac_args) == Aborted(why)
+    assert interp_sac(text, f, [to_target(a) for a in args]) == Aborted(why)
     assert call(e.env, f, args) == Aborted(why)
 
 
@@ -539,21 +538,24 @@ int f(int x, int y) {
 
 
 def test_zero_rank_operands_are_scalars():
-    # ((), [x]) arguments arrive as 0-d arrays; `$/` and `$%` treat them
-    # as the scalars they hold
+    # arrays of rank 0 arrive as 0-d arrays; `$/` and `$%` treat them as
+    # the scalars they hold
     div = "int f(int x, int y) { return x $/ y; }"
     mod = "int f(int x, int y) { return x $% y; }"
     fdiv = "double f(double x, double y) { return x $/ y; }"
+
+    def rank0(*xs):
+        return [to_target(varr((), [x])) for x in xs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert interp_sac(div, "f", [7, 2]) == 3
-        q = interp_sac(div, "f", [((), [7]), ((), [2])])
+        q = interp_sac(div, "f", rank0(7, 2))
         assert q == 3 and isinstance(q, (int, np.integer))
-        assert interp_sac(mod, "f", [((), [7]), ((), [3])]) == 1
-        assert interp_sac(fdiv, "f", [((), [7.0]), ((), [2.0])]) == 3.5
-        assert interp_sac(div, "f", [((), [7]), ((), [0])]) == SacAborted("division by zero")
-        assert interp_sac(mod, "f", [((), [7]), ((), [0])]) == SacAborted("mod by zero")
-        assert interp_sac(fdiv, "f", [((), [7.0]), ((), [0.0])]) == SacAborted("division by zero")
+        assert interp_sac(mod, "f", rank0(7, 3)) == 1
+        assert interp_sac(fdiv, "f", rank0(7.0, 2.0)) == 3.5
+        assert interp_sac(div, "f", rank0(7, 0)) == SacAborted("division by zero")
+        assert interp_sac(mod, "f", rank0(7, 0)) == SacAborted("mod by zero")
+        assert interp_sac(fdiv, "f", rank0(7.0, 0.0)) == SacAborted("division by zero")
 
 
 def test_unbounded_recursion_aborts():
@@ -570,16 +572,14 @@ SCALE = ("g : Nat -> Vec Nat 2\ng k = (1 ∷ 2 ∷ []) *v k\n"
     # a closed spine, which only a base `_*v_` keeps from the normalizer
     ("g", ["_*v_"], "__ret = cons (1 $* k, cons (2 $* k, []));", [3], [3, 6]),
     # a vector of symbolic length scales as a whole
-    ("f", [], "__ret = v * 3;", [3, [1, 2, 3]], [3, 6, 9]),
+    ("f", [], "__ret = v * 3;", [3, vvec([1, 2, 3])], [3, 6, 9]),
 ])
 def test_scaling_a_vector_agrees_with_the_source(entry, base, line, args, want):
     e = load_sources([("w", SCALE)])
     text = kompile(entry, base, [], SacBackend(), e.env, e.rules)
     assert f"  {line}" in text.splitlines()
-    source = call(e.env, entry, [vvec(a) if isinstance(a, list) else a for a in args])
-    got = interp_sac(text, entry, [np.array(a) if isinstance(a, list) else a
-                                   for a in args])
-    assert list(source[1]) == got.tolist() == want
+    got = interp_sac(text, entry, [to_target(a) for a in args])
+    assert compare(call(e.env, entry, args), got) and got.tolist() == want
 
 
 def test_nat_subtraction_truncates_at_zero():
@@ -670,57 +670,53 @@ dbl : {n : Nat} -> Ar Float 1 (n ∷ []) -> Ar Float 1 (n ∷ [])
 dbl a = imap (\\(i ∷ []) -> 1.0 +f (let x = sel a (i ∷ []) in x +f x))
 """
 
-# (source, entry, source evaluator arguments, SaC arguments)
+# (source, entry, source evaluator arguments)
 AGREEMENT = {
-    "small float": ("w : Float -> Float\nw x = x *f 0.00001\n", "w",
-                    [2.5], [2.5]),
+    "small float": ("w : Float -> Float\nw x = x *f 0.00001\n", "w", [2.5]),
     "large float": ("w : Float -> Float\nw x = x +f 100000000000000000.0\n",
-                    "w", [3.0], [3.0]),
+                    "w", [3.0]),
     "keyword variable": ("k : Float -> Float\nk return = return +f 1.0\n",
-                         "k", [2.0], [2.0]),
-    "let in a loop body": (DBL, "dbl", [3, varr((3,), [1.0, 2.5, -4.0])],
-                           [3, np.array([1.0, 2.5, -4.0])]),
+                         "k", [2.0]),
+    "let in a loop body": (DBL, "dbl", [3, varr((3,), [1.0, 2.5, -4.0])]),
     # binders named like the ones the backend binds
     "pattern variables named as parameters": (
         "w : Float -> Float -> Float\nw x_2 x_1 = x_2 -f x_1\n", "w",
-        [5.0, 1.0], [5.0, 1.0]),
+        [5.0, 1.0]),
     "argument named as a loop index": (
         "w : Float -> Ar Float 1 (3 ∷ [])\n"
-        "w iv_1 = imap (\\(i ∷ []) -> iv_1 +f 1.0)\n", "w", [2.0], [2.0]),
+        "w iv_1 = imap (\\(i ∷ []) -> iv_1 +f 1.0)\n", "w", [2.0]),
     "let shadows a pattern variable": (
         "w : Nat -> Nat -> Nat\nw a_1 a = let a = a + 1 in a * a + a_1\n",
-        "w", [10, 3], [10, 3]),
+        "w", [10, 3]),
     "let renamed onto a parameter": (
         "w : Nat -> Nat -> Nat\n"
         "w t_1 b = let t = b + 1 in let t = t * t in t * t + t_1\n", "w",
-        [10, 3], [10, 3]),
+        [10, 3]),
     # a bare ravel, which the corpus fuses into a fold, is a library call
     "ravel": ("rv : Ar Float 2 (2 ∷ 3 ∷ []) -> Ar Float 1 (6 ∷ [])\nrv a = ravel a\n",
-              "rv", [varr((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.5])],
-              [np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.5]])]),
+              "rv", [varr((2, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.5])]),
     "ravel of a symbolic shape": (
         "rv : (m n : Nat) -> Ar Float 2 (m ∷ n ∷ []) -> Ar Float 1 (m * n ∷ [])\n"
-        "rv m n a = ravel a\n", "rv", [3, 1, varr((3, 1), [1.0, -2.0, 0.5])],
-        [3, 1, np.array([[1.0], [-2.0], [0.5]])]),
+        "rv m n a = ravel a\n", "rv", [3, 1, varr((3, 1), [1.0, -2.0, 0.5])]),
     # an int array's element is a numpy integer on the SaC side
     "natural selected from an array": (
         "w : Ar Nat 1 (3 ∷ []) -> Nat\nw a = sel a (1 ∷ [])\n", "w",
-        [varr((3,), [4, 5, 6])], [np.array([4, 5, 6])]),
+        [varr((3,), [4, 5, 6])]),
     "a vector's tail": ("w : Vec Nat 3 -> Nat\nw (x ∷ xs) = x + vhd xs\n", "w",
-                        [vvec([1, 2, 3])], [np.array([1, 2, 3])]),
+                        [vvec([1, 2, 3])]),
     "% operand named as a let": (
         "w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
-        "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1], [20, 1]),
+        "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1]),
 }
 
 
 @pytest.mark.parametrize("case", list(AGREEMENT))
 def test_target_agrees_with_the_source(case):
-    src, entry, eval_args, target_args = AGREEMENT[case]
+    src, entry, args = AGREEMENT[case]
     e = load_sources([("w", src)])
     text = kompile(entry, [], [], SacBackend(), e.env, e.rules)
-    want = call(e.env, entry, eval_args)
-    assert compare(want, interp_sac(text, entry, target_args))
+    got = interp_sac(text, entry, target_args(e.env, entry, "sac")(args))
+    assert compare(call(e.env, entry, args), got)
 
 
 @pytest.mark.parametrize("name", ["log2", "ack", "fib", "ex7"])
@@ -775,10 +771,10 @@ def test_a_list_pattern_tests_the_list_length():
         return out
 
     for xs in ([], [1], [1, 2], [4, 5, 6]):
-        arr = np.array(xs, dtype=np.int64)
         for f, rest in [("g", []), ("len", []), ("h", [0]), ("h", [3])]:
-            assert interp_sac(text[f], f, [arr, *rest]) == \
-                source(f, [("list", tuple(xs)), *rest]), (f, xs, rest)
+            args = [("list", tuple(xs)), *rest]
+            assert interp_sac(text[f], f, [to_target(a) for a in args]) == \
+                source(f, args), (f, xs, rest)
 
 
 def test_lets_follow_the_macros_they_use():
