@@ -195,17 +195,23 @@ class Ctx:
 
     def push(self, name: str, ty, hyps=()) -> None:
         n = len(self.entries)
-        hyps = list(hyps)
-        if is_prop_type(ty := _force(ty)):
-            # the constraint keys variables by absolute position, so it
-            # is the same at every later depth: derive it once, here
-            c = _prop_to_constraint(_quote(ty, n), self.names)
-            if c is not None:
-                hyps.append(c)
-        self.entries.append((name, ty, self.names, self.hyps))
+        entry = (name, ty := _force(ty), self.names, self.hyps)
+        if is_prop_type(ty):
+            self.assume(ty)
+        self.entries.append(entry)
         self.env = (VVar(n),) + self.env
         self.names = [f"{name}#{n}"] + self.names
-        self.hyps = hyps + self.hyps if hyps else self.hyps
+        if hyps:
+            self.hyps = list(hyps) + self.hyps
+
+    def assume(self, prop) -> None:
+        """Puts the proposition `prop`, a value in this context, among the
+        hypotheses of the rest of the scope."""
+        # the constraint keys variables by absolute position, so it is the
+        # same at every later depth: derive it once, here
+        c = _prop_to_constraint(_quote(prop, len(self.entries)), self.names)
+        if c is not None:
+            self.hyps = [c] + self.hyps
 
     def pop(self, k: int = 1) -> None:
         _, _, self.names, self.hyps = self.entries[-k]
@@ -847,16 +853,19 @@ class Elaborator:
                 raise EslError(f"line {line}: suc takes one pattern")
             sub, v = self._elab_pattern(args[0][0], NAT, ctx, line)
             return PCon("suc", (vis(sub),)), Con("suc", (vis(v),))
-        if name in ("zero", "fzero"):
+        if name == "zero":
             return PCon(name), Lit(0)
-        if name == "fsuc":
+        if name in ("fzero", "fsuc"):
+            if not (isinstance(ty, Def) and ty.name == "Fin"):
+                raise UnsupportedType(
+                    f"line {line}: {name} pattern at {self._show_v(ty, ctx)}")
+            k = self._forced_pred(ty.args[0].value, ctx)
+            if name == "fzero":
+                return PCon(name), Lit(0)
             if len(args) != 1:
                 raise EslError(f"line {line}: fsuc takes one pattern")
-            ctx.push("_ub", NAT)
-            ub = PVar(len(ctx) - 1)
-            sub, v = self._elab_pattern(args[0][0], Def("Fin", (vis(ctx.env[0]),)),
-                                        ctx, line)
-            return PCon("fsuc", (hid(ub), vis(sub))), Con("fsuc", (vis(v),))
+            sub, v = self._elab_pattern(args[0][0], Def("Fin", (vis(k),)), ctx, line)
+            return PCon("fsuc", (vis(sub),)), Con("fsuc", (hid(k), vis(v)))
         if name == "imap":
             if not (isinstance(ty, Def) and ty.name == "Ar") or len(args) != 1:
                 raise UnsupportedType(
@@ -870,6 +879,16 @@ class Elaborator:
             return (PCon("imap", (vis(PVar(len(ctx) - 1)),)),
                     Con("imap", (hid(x), hid(d), hid(sh), vis(ctx.env[0]))))
         raise UnsupportedType(f"line {line}: unsupported pattern head {name}")
+
+    def _forced_pred(self, n, ctx: Ctx):
+        """The index `k` of a matched `Fin n`, forced as unification
+        forces it in dependent pattern matching: `k` where `n` is `suc k`,
+        else `n - 1`, and the match puts `0 < n` among the hypotheses."""
+        k = ir.suc_view(self._whnf(n))
+        if k is not None:
+            return k
+        ctx.assume(Def("_<_", (vis(Lit(0)), vis(n))))
+        return Def("_-_", (vis(n), vis(Lit(1))))
 
     def _container_pattern(self, p: SPat, ty: Def, ctx: Ctx, line: int):
         """[] and _∷_ against Vec / List."""

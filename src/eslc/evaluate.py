@@ -27,9 +27,9 @@ anything evaluates.  A term given to eval_closed is staged the same
 way, into a function of no arguments.
 
 As in the two target interpreters, an abort is a value: inside, the
-primitives and the staged code raise ir.Abort (no clause matching, an
-absurd clause, applying a value that is not a function, a primitive out
-of its contract); `call` and `eval_closed` return it as Aborted(reason),
+primitives and the staged code raise ir.Abort (no clause matching,
+applying a value that is not a function, a primitive out of its
+contract); `call` and `eval_closed` return it as Aborted(reason),
 and running out of Python stack as Aborted("recursion depth").
 """
 
@@ -42,7 +42,7 @@ from itertools import product
 from . import pycode as py
 from .builtins import PRIMS, arr_index
 from .ir import (Abort, Con, Datatype, Def, Env, Function, Lam, Let, Lit,
-                 PAbsurd, PCon, Pi, PVar, Sort, Term, Unknown, UnknownName, Var,
+                 PCon, Pi, PVar, Sort, Term, Unknown, UnknownName, Var,
                  outcome, pi_spine)
 
 PRF = ("prf",)
@@ -172,7 +172,9 @@ class _Stager:
         params = [f"a{j}" for j in range(arity)]
         stmts: list[ast.stmt] = []
         for cl in clauses:
-            test, run = self.clause(name, cl, params)
+            if cl.body is None:  # its absurd pattern matches nothing
+                continue
+            test, run = self.clause(cl, params)
             if test is None:  # every later clause is unreachable
                 stmts += run
                 break
@@ -182,40 +184,29 @@ class _Stager:
                 py.const(name), *map(py.load, params)])))
         return py.fundef(g, params, stmts)
 
-    def clause(self, name: str, cl, params: list[str]):
-        """The test of one clause (None if it always matches) and the
-        statements run when it matches: its pattern variables bound, then
-        its body."""
+    def clause(self, cl, params: list[str]):
+        """The test of one clause without an absurd pattern (None if it
+        always matches) and the statements run when it matches: its
+        pattern variables bound, then its body."""
         size = len(cl.telescope)
         tests: list[ast.expr] = []
         binds: dict[int, ast.expr] = {}  # the last binding of an index wins
-        for p, v in zip(cl.patterns[:len(params)], params):
-            self.pat(p.value, py.load(v), size, tests, binds)
-        # index i is scope[-1 - i]: the parameter a variable pattern binds,
-        # else a local
-        scope = [binds[i].id if isinstance(binds.get(i), ast.Name)
+        for p, v in zip(cl.patterns, params):
+            self.pat(p.value, py.load(v), tests, binds)
+        # every variable is a pattern's; index i is scope[-1 - i]: the
+        # parameter a variable pattern binds, else a local
+        scope = [binds[i].id if isinstance(binds[i], ast.Name)
                  else self.fresh() for i in reversed(range(size))]
-        if cl.body is None:
-            run = [py.ret(py.call("_absurd", [py.const(name)]))]
-        else:
-            run = self.body(cl.body, scope)
-        # a variable no pattern binds is the erased proof
-        run[:0] = [py.assign(scope[-1 - i], binds.get(i, py.load("_PRF")))
-                   for i in range(size)
-                   if scope[-1 - i] in self.used
-                   and not isinstance(binds.get(i), ast.Name)]
+        run = self.body(cl.body, scope)
+        run[:0] = [py.assign(scope[-1 - i], binds[i]) for i in range(size)
+                   if scope[-1 - i] in self.used and not isinstance(binds[i], ast.Name)]
         return (py.all_of(tests) if tests else None), run
 
-    def pat(self, p, v: ast.expr, size: int, tests: list, binds: dict) -> None:
+    def pat(self, p, v: ast.expr, tests: list, binds: dict) -> None:
         """Appends the tests that value v matches p, left to right, and
         records the values p binds."""
         if isinstance(p, PVar):
-            # a variable outside the telescope binds nothing
-            if 0 <= p.idx < size:
-                binds[p.idx] = v
-            return
-        if isinstance(p, PAbsurd):
-            tests.append(py.const(False))
+            binds[p.idx] = v
             return
         assert isinstance(p, PCon)
         name = p.name
@@ -225,13 +216,8 @@ class _Stager:
             if not isinstance(v, ast.BinOp):  # n - 1 of a tested n is an int
                 tests.append(py.call("isinstance", [v, py.load("int")]))
             tests.append(py.compare(v, ast.NotEq(), py.const(0)))
-            # the arguments before the last (fsuc's bound) are not matched;
-            # a variable there is bound to the erased proof
-            for a in p.args[:-1]:
-                if isinstance(a.value, PVar) and 0 <= a.value.idx < size:
-                    binds[a.value.idx] = py.load("_PRF")
-            self.pat(p.args[-1].value, py.binop(v, ast.Sub(), py.const(1)),
-                     size, tests, binds)
+            self.pat(p.args[0].value, py.binop(v, ast.Sub(), py.const(1)),
+                     tests, binds)
         elif name in _SEQ_TAGS:
             tag = _SEQ_TAGS[name]
             if not isinstance(v, ast.Tuple):  # a matched tail has the tag
@@ -241,18 +227,17 @@ class _Stager:
                 tests.append(py.node(ast.UnaryOp, ast.Not(), items))
                 return
             tests.append(items)
-            head, tail = [a.value for a in p.args if not a.hidden][:2]
-            self.pat(head, py.item(items, 0), size, tests, binds)
+            head, tail = (a.value for a in p.args)
+            self.pat(head, py.item(items, 0), tests, binds)
             rest = py.item(items, py.node(ast.Slice, py.const(1), None, None))
-            self.pat(tail, py.tup([py.const(tag), rest]), size, tests, binds)
+            self.pat(tail, py.tup([py.const(tag), rest]), tests, binds)
         else:
             # imap: the elaborator and PRIMS build no other pattern
             assert name == "imap", name
             tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const("arr")))
             ix = self.fresh()
             sel = py.lam([ix], py.call("_arr_index", [v, py.load(ix)]))
-            sub = [a.value for a in p.args if not a.hidden][0]
-            self.pat(sub, sel, size, tests, binds)
+            self.pat(p.args[0].value, sel, tests, binds)
 
     def body(self, t: Term, scope: list[str]) -> list[ast.stmt]:
         """Statements returning the value of t: its outer lets become
@@ -298,9 +283,7 @@ class _Stager:
                 x = self.fresh()
                 value = self.expr(bound, scope)
                 return py.let(x, value, self.expr(s.body, [*scope, x]))
-            case Unknown():
-                return py.load("_PRF")
-            case Pi() | Sort():
+            case Pi() | Sort() | Unknown():  # Unknown: a type left uninferred
                 return py.load("_TYPE")
 
     def con(self, name: str, vals: list[ast.expr]) -> ast.expr:
@@ -378,10 +361,6 @@ def _nomatch(name: str, *args):
     raise Abort(f"{name}: no clause matches {list(args)!r}")
 
 
-def _absurd(name: str):
-    raise Abort(f"{name}: reached an absurd clause")
-
-
 # --------------------------------------------------------------------------
 # constructors: each computes its value from its whole argument list
 
@@ -418,9 +397,9 @@ _CON_GLOBAL = {name: f"c{i}" for i, name in enumerate(_CON)}
 
 # the globals every staged function of an Env starts from
 _HELPERS = {
-    "_PRF": PRF, "_TYPE": TYPE, "_type": _type, "_saturate": _saturate,
+    "_TYPE": TYPE, "_type": _type, "_saturate": _saturate,
     "_apply1": _apply1, "_apply": _apply, "_arr_index": arr_index,
-    "_nomatch": _nomatch, "_absurd": _absurd,
+    "_nomatch": _nomatch,
     **{_CON_GLOBAL[name]: fn for name, fn in _CON.items()},
 }
 

@@ -243,12 +243,11 @@ def _relation(ty: Term, name: str) -> tuple:
         else print_term(ty)))
 
 
-# the target expressions a clause chain is built of: a variable, the guards
-# `e == 0` and `e > 0`, `e - 1` (read only where `e > 0` holds), component
-# `k` of a vector `e`, its components from `k` on, and the guard that a
-# list `e` has `k` items, or more if `tail` (None where the target has no
-# vectors)
-PatternOps = namedtuple("PatternOps", "var is_zero is_pos pred sel drop length")
+# the target expressions a clause chain is built of: the guards `e == 0`
+# and `e > 0`, `e - 1` (read only where `e > 0` holds), component `k` of a
+# vector `e`, its components from `k` on, and the guard that a list `e`
+# has `k` items, or more if `tail` (None where the target has no vectors)
+PatternOps = namedtuple("PatternOps", "is_zero is_pos pred sel drop length")
 
 
 @dataclass
@@ -293,11 +292,7 @@ def lower_clauses(clauses: list[Clause], params: list, scope: set[str],
                 guards.append(ops.is_zero(e))
             elif p.name in ("suc", "fsuc"):
                 guards.append(ops.is_pos(e))
-                items = [(p.args[-1].value, ops.pred(e))]
-                if len(p.args) > 1:  # fsuc's hidden upper bound has no value
-                    ub = state.binder("ub", cscope, fresh=True)
-                    items.insert(0, (p.args[0].value, ops.var(ub)))
-                work[0:0] = items
+                work.insert(0, (p.args[0].value, ops.pred(e)))
             elif p.name == "imap" and type(sub := p.args[-1].value) is PVar:
                 wild = source[sub.idx].startswith("_")
                 # a #define holds for the rest of the text, so its name
@@ -311,7 +306,7 @@ def lower_clauses(clauses: list[Clause], params: list, scope: set[str],
             elif p.name in ("vcons", "lcons", "vnil", "lnil"):
                 listed, k = p.name[0] == "l", 0
                 while type(p) is PCon and p.name in ("vcons", "lcons"):
-                    head, p = (a.value for a in p.args if not a.hidden)
+                    head, p = (a.value for a in p.args)
                     work.insert(k, (head, ops.sel(e, k)))
                     k += 1
                 if type(p) is PVar:  # the tail

@@ -77,6 +77,9 @@ def compare(a, b) -> bool:
     a, b = to_target(a), to_target(b)
     if isinstance(a, Aborted) or isinstance(b, Aborted):
         return isinstance(a, Aborted) and isinstance(b, Aborted)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind == "f" or b.dtype.kind == "f":  # floats bit for bit
+        a, b = (x.astype(np.float64).view(np.int64) for x in (a, b))
     return np.array_equal(a, b)
 
 

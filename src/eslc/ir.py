@@ -158,10 +158,8 @@ class Sort(Term):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Unknown(Term):
-    """An erased position.  The normalizer puts it for a telescope
-    variable that no pattern binds and for a hidden constructor argument
-    it cannot recover; the elaborator, for the value of an absurd pattern
-    and the type of a let whose bound term has none inferred."""
+    """An erased position: the elaborator's value of an absurd pattern
+    and type of a let whose bound term has none inferred."""
 
 
 # --------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def _kompile_def(name: str, args, venv, state, env) -> KExpr:
 # the backend object used by the extraction driver
 
 
-PATTERNS = PatternOps(KVar, lambda e: KBin("Eq", e, KNat(0)),
+PATTERNS = PatternOps(lambda e: KBin("Eq", e, KNat(0)),
                       lambda e: KBin("Gt", e, KNat(0)),
                       lambda e: KBin("Minus", e, KNat(1)), None, None, None)
 

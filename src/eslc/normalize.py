@@ -399,7 +399,7 @@ class Normalizer:
             if res == _STUCK:
                 break
             if res == _YES:
-                env = tuple(binds.get(i, Unknown()) for i in range(len(cl.telescope)))
+                env = tuple(binds[i] for i in range(len(cl.telescope)))
                 return v, _apply(_eval(cl.body, env), args[k:])
         return v, None
 
@@ -428,24 +428,13 @@ class Normalizer:
         if p.name in ("suc", "fsuc"):
             inner = ir.suc_view(v)
             if inner is not None:
-                for a in p.args[:-1]:  # hidden bound args are unrecoverable
-                    if isinstance(a.value, PVar):
-                        binds[a.value.idx] = Unknown()
-                return self._match(p.args[-1].value, inner, binds)
+                return self._match(p.args[0].value, inner, binds)
             return _NO if nat_view(v) == 0 else _STUCK
         if isinstance(v, Con):
             if v.name != p.name:
                 return _NO
-            pvis = [a for a in p.args if not a.hidden]
-            phid = [a for a in p.args if a.hidden]
-            tvis = [a for a in v.args if not a.hidden]
-            thid = [a for a in v.args if a.hidden]
-            if len(pvis) != len(tvis) or len(phid) > len(thid):
-                return _STUCK
-            res = self._match_args(phid, thid[:len(phid)], binds)
-            if res != _YES:
-                return res
-            return self._match_args(pvis, tvis, binds)
+            # a saturated constructor: its visible arguments are the pattern's
+            return self._match_args(p.args, [a for a in v.args if not a.hidden], binds)
         if isinstance(v, Lit):
             return _NO
         return _STUCK

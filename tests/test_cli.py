@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eslc import corpus, harness
+from eslc import cli, corpus, harness
 from eslc.cli import main
 from eslc.harness import run_corpus_diff, run_signature_diff
 from eslc.kaleid import Aborted, interp_kaleid
@@ -395,6 +396,24 @@ def test_exact_compare_of_naturals_too_large_for_a_float():
     assert harness.compare(n, n)
     assert not harness.compare(n, n + 1)
     assert harness.compare(True, 1)
+
+
+def test_floats_compare_bit_for_bit():
+    nan = float("nan")
+    assert harness.compare(nan, nan)
+    assert harness.compare(("vec", (1.5, nan)), np.array([1.5, nan]))
+    assert not harness.compare(0.0, -0.0)
+    assert not harness.compare(np.array([0.0, 1.0]), np.array([-0.0, 1.0]))
+
+
+def test_an_internal_error_exits_2(monkeypatch, capsys):
+    def fail(args):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "cmd_kompile", fail)
+    assert main(["kompile", "--entry", "log2", "--backend", "kaleid"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "eslc: internal error: RuntimeError: broken invariant\n"
 
 
 def test_diff_of_naturals_too_large_for_a_float(tmp_path, capsys):

@@ -18,7 +18,7 @@ from eslc.builtins import PRIMS, seed_env
 from eslc.evaluate import PRF, call, eval_closed, varr, vvec
 from eslc.extract import ExtractOptions, kompile
 from eslc.ir import (Abs, Aborted, Clause, Con, Def, Definition, Function, Let,
-                     Lit, PAbsurd, PCon, Pi, PVar, UnknownName, Var, hid, vis)
+                     Lit, PCon, Pi, PVar, UnknownName, Var, hid, vis)
 from eslc.kaleid import KaleidBackend, interp_kaleid
 from eslc.loader import load_prelude, load_sources
 from eslc.normalize import (NotGroundable, ReductionPolicy, check_rewrite,
@@ -251,27 +251,6 @@ def test_cons_pattern_does_not_match_an_empty_sequence():
                              "hd [] = 0\n")])
     assert call(e.env, "hd", [("list", (4, 5))]) == 4
     assert call(e.env, "hd", [("list", ())]) == 0
-
-
-def test_a_variable_no_pattern_binds_is_the_erased_proof():
-    env = seed_env()
-    cl = Clause((("p", vis(Def("Nat"))), ("n", vis(Def("Nat")))),
-                (vis(PVar(0)),), Var(1))
-    env.add(Definition("f", Pi(vis(Def("Nat")), Abs("n", Def("Nat"))),
-                       Function([cl])))
-    assert call(env, "f", [1]) == PRF
-
-
-def test_reaching_an_absurd_clause_is_an_error():
-    # a hidden constructor argument is never matched, so the absurd
-    # pattern below it does not stop the clause from matching
-    env = seed_env()
-    cl = Clause((("n", vis(Def("Nat"))),),
-                (vis(PCon("suc", (hid(PAbsurd()), vis(PVar(0))))),), None)
-    env.add(Definition("f", Pi(vis(Def("Nat")), Abs("n", Def("Nat"))),
-                       Function([cl])))
-    assert _error(env, "f", [1]) == "f: reached an absurd clause"
-    assert _error(env, "f", [0]) == "f: no clause matches [0]"
 
 
 def test_check_rewrite_evaluates_both_sides():

@@ -4,6 +4,7 @@ normalization and the naming of binders."""
 
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from eslc.sac import Inhomogeneous, SacBackend, SCall, parse_sac
 from eslc.sacinterp import interp_sac
 
 from conftest import mk_pi
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _nat():
@@ -221,13 +224,10 @@ UNTRANSLATED = [
      [(KaleidBackend(), "this target has no floats, only naturals")]),
     ("h : Vec Nat 1 -> Nat\nh v = vhd v\nf : Nat -> Nat\nf x = h (x ∷ [])\n", ["h"],
      [(KaleidBackend(), "constructor vcons has no scalar translation")]),
-    # an fsuc pattern matched against a literal leaves its hidden bound
-    # erased, and g's clause passes that bound on to idf
-    ("idf : {n : Nat} -> Fin n -> Nat\nidf {n} i = n\n"
-     "g : (m : Nat) -> Fin (suc m) -> Nat\ng m (fsuc i) = idf i\ng m fzero = 0\n"
-     "f : Nat -> Nat\nf x = g 5 (fsuc (fsuc fzero)) + x\n", ["idf"],
-     [(KaleidBackend(), "a type or an erased value has no scalar translation"),
-      (SacBackend(), "a type or an erased value has no array translation")]),
+    # ap's hidden type argument is solved to `Nat -> Nat`
+    ("ap : {X : Set} -> X -> Nat -> Nat\nap h x = x\nf : Nat -> Nat\nf x = ap suc x\n",
+     ["ap"], [(KaleidBackend(), "a type or an erased value has no scalar translation"),
+              (SacBackend(), "a type or an erased value has no array translation")]),
 ]
 
 
@@ -354,9 +354,11 @@ CLAUSE_FORMS = {
     "suc": "f : Nat -> Nat -> Nat\nf (suc m) zero = m\nf m n = m + n\n",
     "nested suc": "f : Nat -> Nat\nf (suc (suc x)) = x\nf x = 9\n",
     "literals 0 and 1": "f : Nat -> Nat\nf 0 = 5\nf 1 = 6\nf x = x * 2\n",
-    # fsuc's upper bound is a hidden pattern variable with no value
     "fsuc": "f : (n : Nat) -> Fin n -> Nat\nf n fzero = n\n"
             "f n (fsuc i) = toN i + n\n",
+    # at `Fin n` the pattern `fsuc i` gives `i : Fin (n - 1)` under `0 < n`
+    "fsuc at an open bound": "f : (n : Nat) -> Fin n -> Fin n\n"
+                             "f n (fsuc i) = fsuc i\nf n fzero = fzero\n",
     "wildcard": "f : Nat -> Nat -> Nat\nf 0 _ = 1\nf _ n = n\n",
     "absurd clause": "f : (x : Nat) -> 0 < x -> Nat\nf 0 ()\nf x p = x\n",
     # the chain ends in an abort that no natural reaches
@@ -500,6 +502,28 @@ def test_an_fsuc_pattern_extracts_and_agrees():
     text = kompile("f", [], [], KaleidBackend(), e.env, e.rules)
     for n, i in [(1, 0), (3, 1), (5, 4)]:
         assert interp_kaleid(text, "f", [n, i]) == call(e.env, "f", [n, i]) == i
+
+
+def test_an_fsuc_pattern_forces_its_index_on_all_three_evaluators():
+    # at `Fin (suc m)` the pattern `fsuc i` gives `i : Fin m`, so g's body
+    # is `idf {m} i`; f's call of g reduces away to `idf {5} 1`
+    e = load_sources([("fin", (ROOT / "examples/esl/fin.esl").read_text("utf-8")
+                       + "f : Nat -> Nat\nf x = g 5 (fsuc (fsuc fzero)) + x\n")])
+    cases = [("g", [5, 1], 5), ("w", [2], 10), ("f", [3], 8), ("g2", [3, 2], 1)]
+    for entry, args, want in cases:
+        assert call(e.env, entry, args) == want, entry
+    for target, backend, run in [("kaleid", KaleidBackend(), interp_kaleid),
+                                 ("sac", SacBackend(), interp_sac)]:
+        idf = kompile("idf", [], [], backend, e.env, e.rules)
+        for entry, args, want in cases:
+            emitted = kompile(entry, [], [], backend, e.env, e.rules)
+            based = kompile(entry, ["idf"], [], backend, e.env, e.rules)
+            assert "def idf" not in based and "int idf" not in based
+            assert run(emitted, entry, args) == run(idf + "\n" + based, entry, args) \
+                == want, (entry, target)
+        for entry in ("w", "g2"):
+            row = run_signature_diff(e, entry, 100, 1, target=target)
+            assert (row.mismatches, row.inconclusive) == (0, []), (entry, target)
 
 
 def test_base_names_are_neither_unfolded_nor_emitted():

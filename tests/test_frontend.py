@@ -98,7 +98,7 @@ def test_parse_trees_are_unchanged():
               for p in sorted((ROOT / "examples/esl").glob("*.esl"))]
     trees = repr([parse(text, path) for path, text in texts])
     assert hashlib.sha256(trees.encode("utf-8")).hexdigest() == \
-        "16221f55b1cf84ee23f0646277791d7d1a5d2385b34401654544aa8b20c63c75"
+        "6a3b5e307580018f20156f02d88794f00f9a0b7d900e86098e00331d72ccc55d"
 
 
 def test_unknown_name_is_scope_error():
@@ -246,6 +246,7 @@ N2N = "f : Nat -> Nat\n"
     (N2N + "f (suc x y) = x\n", EslError, "line 2: suc takes one pattern"),
     ("f : (n : Nat) -> Fin n -> Nat\nf n (fsuc {m} i) = m\n", EslError,
      "line 2: fsuc takes one pattern"),
+    (N2N + "f (fsuc x) = x\n", UnsupportedType, "line 2: fsuc pattern at "),
     (N2N + "f (imap g) = 0\n", UnsupportedType, "line 2: imap pattern at "),
     ("f : Ar Nat 1 (3 ∷ []) -> Nat\nf (imap 0) = 0\n", UnsupportedType,
      "line 2: imap takes a variable pattern"),
