@@ -4,11 +4,15 @@ Each primitive is declared once: its signature and its clauses, if it
 has any, as ESL text in `_PRIM_TEXT`, and its meaning in `_MEANING`: a
 Python function of all its parameters, hidden ones included, and the
 obligation a call of it owes if it takes no proof argument.  The
-function is total: it returns a value or raises ir.Abort.  The source
-evaluator calls it, and returns such an abort as an Aborted value; the
-normalizer computes with it the entries marked `folds` once their
-arguments are closed, and leaves a call that aborts unfolded; the
-elaborator discharges the obligation at each saturated call.
+function is total: it returns a value or raises ir.Abort.  It reads and
+returns the source evaluator's values: an int for a natural, a Fin, a
+proof or a decision (1 or 0), a float, a tuple of items for a vector, an
+index or a list, ("arr", shape, flat) for an array, and None for a type
+or an unread hidden argument.  The source evaluator calls it, and
+returns such an abort as an Aborted value; the normalizer computes with
+it the entries marked `folds` once their arguments are closed, and
+leaves a call that aborts unfolded; the elaborator discharges the
+obligation at each saturated call.
 
 Arithmetic on naturals also has ordinary clauses (zero/suc matching), so
 the normalizer can reduce it on symbolic arguments like any user
@@ -221,17 +225,16 @@ def _read(text: str) -> dict[str, tuple[Term, list[Clause]]]:
 
 
 def arr_index(arr, ix):
-    comps = ix[1]
     try:  # an array; this costs no more than the bare unpack
         _, shape, flat = arr
     except TypeError:  # a scalar is an array of rank 0
         shape, flat = (), (arr,)
-    if len(comps) != len(shape):
-        raise Abort(f"selection {comps} from an array of rank {len(shape)}")
+    if len(ix) != len(shape):
+        raise Abort(f"selection {ix} from an array of rank {len(shape)}")
     pos = 0
-    for c, n in zip(comps, shape):
+    for c, n in zip(ix, shape):
         if not 0 <= c < n:
-            raise Abort(f"index {comps} out of bounds")
+            raise Abort(f"index {ix} out of bounds")
         pos = pos * n + c
     return flat[pos]
 
@@ -262,34 +265,34 @@ def _expf(a):
 
 
 def _vidx(X, n, i, v):
-    if not 0 <= i < len(v[1]):
+    if not 0 <= i < len(v):
         raise Abort(f"vector index {i} out of bounds")
-    return v[1][i]
+    return v[i]
 
 
 def _vhd(X, n, v):
-    if not v[1]:
+    if not v:
         raise Abort("vhd of an empty vector")
-    return v[1][0]
+    return v[0]
 
 
 def _vtl(X, n, v):
-    if not v[1]:
+    if not v:
         raise Abort("vtl of an empty vector")
-    return ("vec", v[1][1:])
+    return v[1:]
 
 
 def _vtake(X, n, k, v):
-    if k > len(v[1]):
-        raise Abort(f"vtake {k} of a vector of length {len(v[1])}")
-    return ("vec", v[1][:k])
+    if k > len(v):
+        raise Abort(f"vtake {k} of a vector of length {len(v)}")
+    return v[:k]
 
 
 def _ixc(d, s, k, i):
     try:  # in range, this costs no more than the bare subscript
-        return i[1][k]
+        return i[k]
     except IndexError:
-        raise Abort(f"index component {k} past rank {len(i[1])}") from None
+        raise Abort(f"index component {k} past rank {len(i)}") from None
 
 
 def _ravel(X, d, s, arr):
@@ -297,10 +300,9 @@ def _ravel(X, d, s, arr):
 
 
 def _reshape(X, d, s, e, t, arr):
-    shape = tuple(t[1])
-    if math.prod(shape) != len(arr[2]):
+    if math.prod(t) != len(arr[2]):
         raise Abort("reshape changes the number of elements")
-    return ("arr", shape, list(arr[2]))
+    return ("arr", t, list(arr[2]))
 
 
 def _nonzero_divisor(name):
@@ -320,8 +322,8 @@ _MEANING: dict[str, dict] = {
                 owes=_nonzero_divisor("_%_")),
     "fromN<": dict(fn=lambda m, n, p: m),
     "toN": dict(fn=lambda n, i: i),
-    "_≟_": dict(fn=lambda a, b: ("dec", a == b), folds=True),
-    "_<?_": dict(fn=lambda a, b: ("dec", a < b), folds=True),
+    "_≟_": dict(fn=lambda a, b: int(a == b), folds=True),
+    "_<?_": dict(fn=lambda a, b: int(a < b), folds=True),
     "_+f_": dict(fn=operator.add, folds=True),
     "_-f_": dict(fn=operator.sub, folds=True),
     "_*f_": dict(fn=operator.mul, folds=True),
@@ -330,17 +332,17 @@ _MEANING: dict[str, dict] = {
     "vidx": dict(fn=_vidx, folds=True, owes=(
         "vector index in bounds", lambda names, X, n, i, v: shapes.lt(
             shapes.term_to_scalar(i, names), shapes.term_to_scalar(n, names)))),
-    "vreverse": dict(fn=lambda X, n, v: ("vec", tuple(reversed(v[1]))), folds=True),
+    "vreverse": dict(fn=lambda X, n, v: v[::-1], folds=True),
     "vhd": dict(fn=_vhd, folds=True),
     "vtl": dict(fn=_vtl, folds=True),
     "vtake": dict(fn=_vtake, folds=True, owes=(
         "vector prefix within the length", lambda names, X, n, k, v: shapes.lt(
             shapes.term_to_scalar(k, names),
             shapes.SAdd(shapes.term_to_scalar(n, names), shapes.SLit(1))))),
-    "vdrop": dict(fn=lambda X, n, k, v: ("vec", v[1][k:]), folds=True),
-    "vappend": dict(fn=lambda X, m, n, a, b: ("vec", a[1] + b[1]), folds=True),
-    "_*v_": dict(fn=lambda d, v, k: ("vec", tuple(x * k for x in v[1]))),
-    "prodv": dict(fn=lambda d, v: math.prod(v[1])),
+    "vdrop": dict(fn=lambda X, n, k, v: v[k:], folds=True),
+    "vappend": dict(fn=lambda X, m, n, a, b: a + b, folds=True),
+    "_*v_": dict(fn=lambda d, v, k: tuple(x * k for x in v)),
+    "prodv": dict(fn=lambda d, v: math.prod(v)),
     "sel": dict(fn=lambda X, d, s, a, i: arr_index(a, i), reads_hidden=False),
     "ravel": dict(fn=_ravel),
     "reshape": dict(fn=_reshape, owes=(
@@ -348,7 +350,7 @@ _MEANING: dict[str, dict] = {
         shapes.eq(shapes.SProd(shapes.term_to_vec(t, names)),
                   shapes.SProd(shapes.term_to_vec(s, names))))),
     "ixc": dict(fn=_ixc, folds=True, reads_hidden=False),
-    "ixReverse": dict(fn=lambda d, s, i: ("ix", tuple(reversed(i[1]))), folds=True),
+    "ixReverse": dict(fn=lambda d, s, i: i[::-1], folds=True),
 }
 
 

@@ -10,7 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .evaluate import varr, vvec
+from .evaluate import varr
 from .harness import to_target
 
 LOG2 = """
@@ -197,23 +197,23 @@ def _rand_arr(rng, shape):
 def _s_logistic(rng):
     d = rng.randrange(1, 4)
     shape = tuple(rng.randrange(1, 5) for _ in range(d))
-    return [d, vvec(shape), _rand_arr(rng, shape)]
+    return [d, shape, _rand_arr(rng, shape)]
 
 
 def _s_meansqerr(rng):
     d = rng.randrange(1, 3)
     shape = tuple(rng.randrange(1, 5) for _ in range(d))
-    return [d, vvec(shape), _rand_arr(rng, shape), _rand_arr(rng, shape)]
+    return [d, shape, _rand_arr(rng, shape), _rand_arr(rng, shape)]
 
 
 def _s_backavgpool(rng):
     shape = (rng.randrange(1, 7), rng.randrange(1, 7))
-    return [vvec(shape), _rand_arr(rng, shape)]
+    return [shape, _rand_arr(rng, shape)]
 
 
 def _s_avgpool(rng, hi: int = 8):
     half = (rng.randrange(1, hi + 1), rng.randrange(1, hi + 1))
-    return [vvec(half), _rand_arr(rng, (2 * half[0], 2 * half[1]))]
+    return [half, _rand_arr(rng, (2 * half[0], 2 * half[1]))]
 
 
 def _s_fuse2(rng):

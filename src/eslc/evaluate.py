@@ -1,16 +1,18 @@
 """Evaluator for closed programs, the source-level side of every
 differential test.
 
-Values: naturals and Fin encodings are Python ints, floats are floats,
-vectors/indices/lists are tagged tuples, arrays are ("arr", shape, flat)
-in row major order, and function values are Python callables of one
-argument.  Functions evaluate eagerly, arguments left to right, except
-that a hidden argument of a primitive that never reads it is passed as
-None when computing it cannot fail; imap enumerates its whole index
-space.  A primitive is computed by the Python function of its
-builtins.PRIMS entry, a constructor by its _CON entry (`suc` is `+ 1`
-inline).  The elaborator saturates every constructor application, and
-the terms evaluated are closed.
+Values: a natural, a Fin, a proof and a decision are Python ints (a
+proof is 1, a decision 1 or 0, as extract.erase gives them to both
+targets), a float is a float, a vector, index or list is the tuple of its
+items, an array is ("arr", shape, flat) in row major order, a function
+value is a Python callable of one argument, and a type is None.
+Functions evaluate eagerly, arguments left to right, except that a hidden
+argument of a primitive that never reads it is passed as None when
+computing it cannot fail; imap enumerates its whole index space.  A
+primitive is computed by the Python function of its builtins.PRIMS
+entry, a constructor by its _CON entry (`suc` is `+ 1` inline).  The
+elaborator saturates every constructor application, and the terms
+evaluated are closed.
 
 Each Function definition is staged, on its first call, into one Python
 function of its arity (eslc.pycode): its clauses become an `if` chain of
@@ -44,9 +46,6 @@ from .builtins import PRIMS, arr_index
 from .ir import (Abort, Con, Datatype, Def, Env, Function, Lam, Let, Lit,
                  PCon, Pi, PVar, Sort, Term, Unknown, UnknownName, Var,
                  outcome, pi_spine)
-
-PRF = ("prf",)
-TYPE = ("type",)
 
 # primitive name -> (its global in staged code, its arity); its Python
 # function is read from PRIMS when a call of it is staged
@@ -103,7 +102,7 @@ class _Code:
         d = self.defs.get(name)
         payload = None if d is None else d.payload
         if isinstance(payload, Datatype):
-            return TYPE
+            return None
         if not isinstance(payload, Function):  # every Builtin is a primitive
             raise UnknownName(name)
         clauses = payload.clauses
@@ -148,9 +147,6 @@ class _Code:
         if g not in self.ns:
             self.ns[g] = PRIMS[name].fn
         return g, arity
-
-
-_SEQ_TAGS = {"vcons": "vec", "vnil": "vec", "lcons": "list", "lnil": "list"}
 
 
 class _Stager:
@@ -218,19 +214,14 @@ class _Stager:
             tests.append(py.compare(v, ast.NotEq(), py.const(0)))
             self.pat(p.args[0].value, py.binop(v, ast.Sub(), py.const(1)),
                      tests, binds)
-        elif name in _SEQ_TAGS:
-            tag = _SEQ_TAGS[name]
-            if not isinstance(v, ast.Tuple):  # a matched tail has the tag
-                tests.append(py.compare(py.item(v, 0), ast.Eq(), py.const(tag)))
-            items = py.item(v, 1)
-            if name in ("vnil", "lnil"):
-                tests.append(py.node(ast.UnaryOp, ast.Not(), items))
-                return
-            tests.append(items)
+        elif name in ("vnil", "lnil"):
+            tests.append(py.node(ast.UnaryOp, ast.Not(), v))
+        elif name in ("vcons", "lcons"):
+            tests.append(v)
             head, tail = (a.value for a in p.args)
-            self.pat(head, py.item(items, 0), tests, binds)
-            rest = py.item(items, py.node(ast.Slice, py.const(1), None, None))
-            self.pat(tail, py.tup([py.const(tag), rest]), tests, binds)
+            self.pat(head, py.item(v, 0), tests, binds)
+            rest = py.item(v, py.node(ast.Slice, py.const(1), None, None))
+            self.pat(tail, rest, tests, binds)
         else:
             # imap: the elaborator and PRIMS build no other pattern
             assert name == "imap", name
@@ -284,7 +275,7 @@ class _Stager:
                 value = self.expr(bound, scope)
                 return py.let(x, value, self.expr(s.body, [*scope, x]))
             case Pi() | Sort() | Unknown():  # Unknown: a type left uninferred
-                return py.load("_TYPE")
+                return py.const(None)
 
     def con(self, name: str, vals: list[ast.expr]) -> ast.expr:
         if not vals:
@@ -303,7 +294,7 @@ class _Stager:
             # Datatype or a Function, which has clauses once loaded
             f = self.code.defs[name].payload
             if isinstance(f, Datatype):
-                return py.call("_type", vals) if vals else py.load("_TYPE")
+                return py.call("_type", vals) if vals else py.const(None)
             fn, need = self.code.callee(name), len(f.clauses[0].patterns)
         if len(vals) == need:
             return py.call(fn, vals)
@@ -330,7 +321,7 @@ def _cannot_fail(t: Term) -> bool:
 
 
 def _type(*args):
-    return TYPE
+    return None
 
 
 def _saturate(fn, need: int, args: list):
@@ -368,13 +359,12 @@ def _nomatch(name: str, *args):
 def _c_imap(a):
     # hidden arguments carry element type, rank, and shape; a function
     # value is a Python callable
-    shape, f = tuple(a[-2][1]), a[-1]
-    return ("arr", shape,
-            [f(("ix", ix)) for ix in product(*map(range, shape))])
+    shape, f = a[-2], a[-1]
+    return ("arr", shape, [f(ix) for ix in product(*map(range, shape))])
 
 
-def _cons(tag: str):
-    return lambda a: (tag, (a[-2],) + a[-1][1])
+def _cons(a):
+    return (a[-2],) + a[-1]
 
 
 _CON = {
@@ -382,33 +372,29 @@ _CON = {
     "fzero": lambda a: 0,
     "suc": lambda a: a[-1] + 1,
     "fsuc": lambda a: a[-1] + 1,
-    "vnil": lambda a: ("vec", ()),
-    "vcons": _cons("vec"),
-    "inil": lambda a: ("ix", ()),
-    "icons": _cons("ix"),
-    "lnil": lambda a: ("list", ()),
-    "lcons": _cons("list"),
+    "vnil": lambda a: (),
+    "vcons": _cons,
+    "inil": lambda a: (),
+    "icons": _cons,
+    "lnil": lambda a: (),
+    "lcons": _cons,
     "imap": _c_imap,
-    "yes": lambda a: ("dec", True),
-    "no": lambda a: ("dec", False),
-    "prf": lambda a: PRF,
+    "yes": lambda a: 1,
+    "no": lambda a: 0,
+    "prf": lambda a: 1,
 }
 _CON_GLOBAL = {name: f"c{i}" for i, name in enumerate(_CON)}
 
 # the globals every staged function of an Env starts from
 _HELPERS = {
-    "_TYPE": TYPE, "_type": _type, "_saturate": _saturate,
+    "_type": _type, "_saturate": _saturate,
     "_apply1": _apply1, "_apply": _apply, "_arr_index": arr_index,
     "_nomatch": _nomatch,
     **{_CON_GLOBAL[name]: fn for name, fn in _CON.items()},
 }
 
 
-# value construction helpers for tests and the harness
+# value construction helper for tests and the harness
 
 def varr(shape, flat):
     return ("arr", tuple(shape), list(flat))
-
-
-def vvec(items):
-    return ("vec", tuple(items))

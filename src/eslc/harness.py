@@ -8,7 +8,11 @@ entry on arguments drawn from its signature (`run_signature_diff`).
 
 Each input is drawn once, as source values.  One conversion, `to_target`,
 turns them into the target's arguments (`target_args`) and turns both
-sides' results into comparable values (`compare`).
+sides' results into comparable values (`compare`).  A source value is an
+int (a natural, a Fin, a proof, which is 1, or a decision, 1 or 0), a
+float, a tuple of items (a vector, an index or a list), an array
+("arr", shape, flat), a function or None (a type), and only the tuples
+differ from the targets' values.
 
 Every evaluator returns an abort as a value, `Aborted(reason)`.  A
 sample on which either side runs out of Python stack,
@@ -48,17 +52,14 @@ class DiffRow:
 
 
 def to_target(v):
-    """The target's value of a source value: a vector, index, list or
-    array is a numpy array, and a decision the C boolean both targets
-    return for it.  Anything else, a target value included, is left as it
-    is."""
+    """The target's value of a source value: an array or a sequence (a
+    vector, index or list) is a numpy array.  Anything else, a target
+    value included, is left as it is."""
     if type(v) is not tuple:
         return v
-    if v[0] == "arr":
+    if v and v[0] == "arr":
         return np.array(v[2]).reshape(v[1])
-    if v[0] == "dec":
-        return int(v[1])
-    return np.array([to_target(x) for x in v[1]])  # "vec", "ix" or "list"
+    return np.array([to_target(x) for x in v])
 
 
 def target_args(env, entry: str, target: str):

@@ -531,12 +531,14 @@ def _literal(view):
     return lambda nz, t: view(nz.whnf(t))
 
 
-_SPINES = {"vec": ("vcons", "vnil"), "ix": ("icons", "inil")}
+# a spine type's constructors: cons, then nil
+_SPINES = {"Vec": ("vcons", "vnil"), "Ix": ("icons", "inil"),
+           "List": ("lcons", "lnil")}
 
 
 def _spine(kind: str):
-    """Read a closed spine as the evaluator's value of its kind, with the
-    items left as they are."""
+    """Read a closed spine as the evaluator's value of its kind, the tuple
+    of its items, with the items left as they are."""
     cons, nil = _SPINES[kind]
 
     def read(nz, t):
@@ -545,7 +547,7 @@ def _spine(kind: str):
         while isinstance(t, Con) and t.name == cons:
             items.append(t.args[-2].value)
             t = nz.whnf(t.args[-1].value)
-        return (kind, tuple(items)) if isinstance(t, Con) and t.name == nil else None
+        return tuple(items) if isinstance(t, Con) and t.name == nil else None
     return read
 
 
@@ -557,18 +559,35 @@ def _spine_of(kind: str, items) -> Term:
     return out
 
 
-# a visible parameter is read by the head of its declared type
+def _lit_or_item(v) -> Term | None:
+    """A number's literal (none denotes a float overflowing to infinity);
+    anything else is an item of a spine argument, a term already."""
+    if not isinstance(v, (int, float)):
+        return v
+    return None if isinstance(v, float) and not math.isfinite(v) else Lit(v)
+
+
+# a visible parameter is read by the head of its declared type, and a
+# result of a decision or spine type built by it
 _READ = {NAT: _literal(nat_view), FLOAT: _literal(_float_lit),
-         "Vec": _spine("vec"), "Ix": _spine("ix")}
-_vec_items = _READ["Vec"]
+         "Vec": _spine("Vec"), "Ix": _spine("Ix")}
+_BUILD = {"Dec": lambda b: Con("yes") if b else Con("no"),
+          "Vec": lambda v: _spine_of("Vec", v),
+          "Ix": lambda v: _spine_of("Ix", v)}
 
 
-def _d_fold(fn, reads):
+def _d_fold(fn, sig: Term):
     """A primitive computed by its Python function.  Its arguments are read
     left to right, a hidden one as the value itself; the first that is not
     closed leaves the call to the primitive's clauses, if it has any (1 + x
     must expose its constructor), and so does an Abort or a result that no
-    literal denotes (a float overflowing to infinity)."""
+    literal denotes."""
+    tel, ret = pi_spine(sig)
+    reads = [(lambda nz, v: v) if a.hidden else _READ[a.value.name]
+             for _, a in tel]
+    build = _BUILD.get(ret.name, _lit_or_item) if isinstance(ret, Def) \
+        else _lit_or_item
+
     def h(nz, args):
         if len(args) != len(reads):
             return None
@@ -579,33 +598,21 @@ def _d_fold(fn, reads):
                 return None
             vals.append(v)
         try:
-            out = fn(*vals)
+            return build(fn(*vals))
         except Abort:
             return None
-        if isinstance(out, tuple):  # ("dec", bool) or a ("vec" | "ix", items)
-            if out[0] == "dec":
-                return Con("yes") if out[1] else Con("no")
-            return _spine_of(*out)
-        if not isinstance(out, (int, float)):  # an item of a spine argument
-            return out
-        if isinstance(out, float) and not math.isfinite(out):
-            return None
-        return Lit(out)
     return h
 
 
 def _d_vscale(nz, args):
     va = [a.value for a in args if not a.hidden]
-    v = _vec_items(nz, va[0])
+    v = _READ["Vec"](nz, va[0])
     if v is None:
         return None
-    return _spine_of("vec", [Def("_*_", (vis(x), vis(va[1]))) for x in v[1]])
+    return _spine_of("Vec", [Def("_*_", (vis(x), vis(va[1]))) for x in v])
 
 
-_DELTA = {p.name: _d_fold(p.fn, [(lambda nz, v: v) if a.hidden
-                                 else _READ[a.value.name]
-                                 for _, a in pi_spine(p.sig)[0]])
-          for p in PRIMS.values() if p.folds}
+_DELTA = {p.name: _d_fold(p.fn, p.sig) for p in PRIMS.values() if p.folds}
 _DELTA["_*v_"] = _d_vscale  # as clauses it would spend one step per item
 
 
@@ -656,12 +663,9 @@ def _ground(ty: Term, rng) -> Term:
         case Def("Float", ()):
             return Lit(rng.uniform(-8.0, 8.0))
         case Def("List", (Arg(Def("Nat", ()), _),)):
-            items = [Lit(rng.randrange(20)) for _ in range(rng.randrange(5))]
-            out: Term = Con("lnil")
-            for x in reversed(items):
-                out = Con("lcons", (vis(x), vis(out)))
-            return out
+            return _spine_of("List", [Lit(rng.randrange(20))
+                                      for _ in range(rng.randrange(5))])
         case Def("Vec", (Arg(Def("Nat", ()), _), Arg(n, _))) if nat_view(n) is not None:
-            return _spine_of("vec", [Lit(rng.randrange(20))
+            return _spine_of("Vec", [Lit(rng.randrange(20))
                                      for _ in range(nat_view(n))])
     raise NotGroundable(f"cannot ground a variable of type {ir.print_term(ty)}")

@@ -53,9 +53,7 @@ def lst(elts) -> ast.List:
 
 
 def item(value: ast.expr, k: int | ast.expr) -> ast.expr:
-    """value[k]; a component of a tuple display is taken directly."""
-    if isinstance(value, ast.Tuple) and isinstance(k, int):
-        return value.elts[k]
+    """value[k]."""
     return ast.Subscript(value, const(k) if isinstance(k, int) else k,
                          ast.Load(), **_AT)
 

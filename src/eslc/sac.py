@@ -71,8 +71,8 @@ def flatten_type(ty: Term) -> FlattenedType:
 
 def _flatten(ty: Term, outermost: bool) -> tuple[str, list, bool]:
     match ty:
-        case Def("Nat", ()) | Def("Fin", _) | Def("Dec", _):
-            return "int", [], True
+        case Def("Nat" | "Fin" | "Dec" | "_<_" | "_≡_", _):
+            return "int", [], True  # a proof is 1, a decision 1 or 0
         case Def("Float", ()):
             return "float", [], True
         case Def("Vec", (Arg(x, _), Arg(n, _))):

@@ -15,8 +15,9 @@ import pytest
 
 from eslc import corpus
 from eslc.builtins import PRIMS, seed_env
-from eslc.evaluate import PRF, call, eval_closed, varr, vvec
+from eslc.evaluate import call, eval_closed, varr
 from eslc.extract import ExtractOptions, kompile
+from eslc.harness import to_target
 from eslc.ir import (Abs, Aborted, Clause, Con, Def, Definition, Function, Let,
                      Lit, PCon, Pi, PVar, UnknownName, Var, hid, vis)
 from eslc.kaleid import KaleidBackend, interp_kaleid
@@ -158,7 +159,7 @@ def higher():
 
 def test_partial_application_of_primitives_and_definitions(higher):
     add10 = call(higher, "_+_", [10])
-    assert call(higher, "map", [add10, ("list", (1, 2))]) == ("list", (11, 12))
+    assert call(higher, "map", [add10, (1, 2)]) == (11, 12)
     double_after_suc = call(higher, "comp", [call(higher, "_*_", [2]),
                                              call(higher, "s", [])])
     assert call(higher, "app", [double_after_suc, 4]) == 10
@@ -167,13 +168,13 @@ def test_partial_application_of_primitives_and_definitions(higher):
 def test_partial_application_of_a_constructor(higher):
     suc = call(higher, "s", [])
     assert call(higher, "app", [suc, 4]) == 5
-    assert call(higher, "map", [suc, ("list", (0, 7))]) == ("list", (1, 8))
-    assert call(higher, "sucall", [("list", (0, 7))]) == ("list", (1, 8))
+    assert call(higher, "map", [suc, (0, 7)]) == (1, 8)
+    assert call(higher, "sucall", [(0, 7)]) == (1, 8)
     assert call(higher, "letsuc", [3]) == 5
 
 
 def test_a_call_by_name_of_a_type_or_of_no_definition(higher):
-    assert call(higher, "Nat", []) == ("type",)
+    assert call(higher, "Nat", []) is None
     with pytest.raises(UnknownName, match="nosuch"):
         call(higher, "nosuch", [1])
 
@@ -186,16 +187,16 @@ def test_over_application(higher):
 
 
 def test_higher_order_closures(higher):
-    assert call(higher, "incall", [("list", (1, 2, 3))]) == ("list", (2, 3, 4))
-    assert call(higher, "map", [call(higher, "addk", [5]), ("list", ())]) \
-        == ("list", ())
+    assert call(higher, "incall", [(1, 2, 3)]) == (2, 3, 4)
+    assert call(higher, "map", [call(higher, "addk", [5]), ()]) \
+        == ()
     assert _error(higher, "app", [3, 4]) == "cannot apply non-function value 3"
 
 
 def test_imap_pattern_binds_a_selector():
     e = load_prelude()
     w = varr((2, 4), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-    out = call(e.env, "avgpool", [vvec((1, 2)), w])
+    out = call(e.env, "avgpool", [(1, 2), w])
     assert out == ("arr", (1, 2), [3.5, 5.5])
 
 
@@ -223,34 +224,34 @@ def _error(env, name, args) -> str:
 
 def test_error_messages():
     e = load_sources([("ex", corpus.EX7)])
-    assert _error(e.env, "ex11", [3, PRF]) == \
-        "ex11: no clause matches [3, ('prf',)]"
+    assert _error(e.env, "ex11", [3, 1]) == \
+        "ex11: no clause matches [3, 1]"
     assert _error(e.env, "_/_", [1, 0]) == "division by zero"
     assert _error(e.env, "_%_", [1, 0]) == "mod by zero"
     assert _error(e.env, "_+_", [1, 2, 3]) == \
         "cannot apply non-function value 3"
     arr = varr((3,), [1, 2, 3])
-    assert _error(e.env, "sel", [("type",), 1, vvec((3,)), arr, ("ix", (5,))]) \
+    assert _error(e.env, "sel", [None, 1, (3,), arr, (5,)]) \
         == "index (5,) out of bounds"
-    assert _error(e.env, "vidx", [("type",), 3, 7, vvec((1, 2, 3))]) == \
+    assert _error(e.env, "vidx", [None, 3, 7, (1, 2, 3)]) == \
         "vector index 7 out of bounds"
     # each primitive is total: out of contract, an Aborted, not a
     # Python IndexError or a value its type misstates
-    assert _error(e.env, "vhd", [("type",), 0, vvec(())]) == \
+    assert _error(e.env, "vhd", [None, 0, ()]) == \
         "vhd of an empty vector"
-    assert _error(e.env, "vtl", [("type",), 0, vvec(())]) == \
+    assert _error(e.env, "vtl", [None, 0, ()]) == \
         "vtl of an empty vector"
-    assert _error(e.env, "ixc", [1, vvec((3,)), 1, ("ix", (2,))]) == \
+    assert _error(e.env, "ixc", [1, (3,), 1, (2,)]) == \
         "index component 1 past rank 1"
-    assert _error(e.env, "vtake", [("type",), 2, 5, vvec((1, 2))]) == \
+    assert _error(e.env, "vtake", [None, 2, 5, (1, 2)]) == \
         "vtake 5 of a vector of length 2"
 
 
 def test_cons_pattern_does_not_match_an_empty_sequence():
     e = load_sources([("hd", "hd : List Nat -> Nat\nhd (x ∷ xs) = x\n"
                              "hd [] = 0\n")])
-    assert call(e.env, "hd", [("list", (4, 5))]) == 4
-    assert call(e.env, "hd", [("list", ())]) == 0
+    assert call(e.env, "hd", [(4, 5)]) == 4
+    assert call(e.env, "hd", [()]) == 0
 
 
 def test_check_rewrite_evaluates_both_sides():
@@ -429,6 +430,24 @@ def test_target_arguments_on_the_corpus_samplers_are_unchanged(name):
              for _ in range(10)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TARGET_ARGS[name], lines
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS))
+def test_to_target_converts_only_arrays_and_sequences(name):
+    # a source value other than a tuple is already the targets' value; a
+    # tuple, an array or a sequence, becomes a numpy array
+    entry = corpus.CORPUS[name]
+    env = load_sources(entry.sources).env
+    rng = random.Random(0)
+    values = []
+    for _ in range(10):
+        args = entry.draw(rng)
+        values += [*args, call(env, entry.entry, args)]
+    for v in values:
+        if type(v) is tuple:
+            assert isinstance(to_target(v), np.ndarray), v
+        else:
+            assert to_target(v) is v, v
 
 
 def _ixc_of_shape(n):

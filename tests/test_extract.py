@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from eslc import corpus, ir
 from eslc.builtins import seed_env
 from eslc.elaborate import UnsupportedType
-from eslc.evaluate import call, varr, vvec
+from eslc.evaluate import call, varr
 from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, Check, ExtractError,
-                          ExtractOptions, ExtractState, checks,
+                          ExtractOptions, ExtractState, checks, entry_name,
                           kaleid_final_pass, kompile, normalise_name,
                           sac_final_pass)
 from eslc.harness import compare, run_signature_diff, target_args, to_target
@@ -111,7 +111,7 @@ def test_no_assert_emits_no_callee_that_only_the_checks_call():
     assert "assert (h (x_1) < 10);" in full and "int h(" in full
     assert "assert" not in bare and "int h(" not in bare
     for v in [(1, 2), (7, 9)]:
-        args = [vvec(v), 1]
+        args = [v, 1]
         assert interp_sac(bare, "f", target_args(e.env, "f", "sac")(args)) == \
             call(e.env, "f", args) == v[0]
 
@@ -485,7 +485,7 @@ def test_a_let_in_an_inferred_position_extracts_and_agrees():
                             "f n v = vhd (let w = v in w)\n")])
     text = kompile("f", [], [], SacBackend(), e.env, e.rules)
     for v in [(4,), (2, 7, 1)]:
-        args = [len(v) - 1, vvec(v)]
+        args = [len(v) - 1, v]
         assert interp_sac(text, "f", [to_target(a) for a in args]) == \
             call(e.env, "f", args) == v[0]
     e = load_sources([("t", "f : (n : Nat) -> (let m = n in m) ≡ n -> Nat\n"
@@ -523,6 +523,24 @@ def test_an_fsuc_pattern_forces_its_index_on_all_three_evaluators():
                 == want, (entry, target)
         for entry in ("w", "g2"):
             row = run_signature_diff(e, entry, 100, 1, target=target)
+            assert (row.mismatches, row.inconclusive) == (0, []), (entry, target)
+
+
+def test_a_proof_or_decision_result_is_the_same_int_on_all_three_evaluators():
+    # a proof is 1 and a decision 1 or 0: the value extraction erases
+    # them to is the source evaluator's value too
+    e = load_sources([("prf", (ROOT / "examples/esl/prf.esl").read_text("utf-8"))])
+    cases = [("plus-0", [4], 1), ("lt1", [0], 1), ("ltq", [2, 3], 1),
+             ("ltq", [3, 3], 0), ("ltq", [5, 1], 0)]
+    for entry, args, want in cases:
+        assert call(e.env, entry, args) == want, entry
+    for target, backend, run in [("kaleid", KaleidBackend(), interp_kaleid),
+                                 ("sac", SacBackend(), interp_sac)]:
+        for entry, args, want in cases:
+            text = kompile(entry, [], [], backend, e.env, e.rules)
+            assert run(text, entry_name(entry, backend), args) == want, (entry, target)
+        for entry in ("plus-0", "lt1", "ltq"):
+            row = run_signature_diff(e, entry, 50, 1, target=target)
             assert (row.mismatches, row.inconclusive) == (0, []), (entry, target)
 
 

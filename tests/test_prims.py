@@ -13,7 +13,7 @@ import pytest
 from eslc import builtins, kaleid, normalize, sac, shapes
 from eslc.builtins import PRIMS, seed_env
 from eslc.elaborate import Ctx, Elaborator
-from eslc.evaluate import call, eval_closed, vvec
+from eslc.evaluate import call, eval_closed
 from eslc.extract import kompile
 from eslc.harness import to_target
 from eslc.ir import (Abs, Builtin, Con, Def, EslError, Function, Lam, Lit,
@@ -342,7 +342,7 @@ VEC_CASES = {
 def test_vector_primitive_means_the_same_in_sac(name):
     src, lengths = VEC_CASES[name]
     for first in (0, 2, 7):
-        vecs = [vvec(first + 3 * j + i for i in range(n))
+        vecs = [tuple(first + 3 * j + i for i in range(n))
                 for j, (n,) in enumerate(lengths)]
         want = call(_elaborated(src).env, "w", vecs)
         got = interp_sac(_program(src, "sac"), "w", [to_target(v) for v in vecs])

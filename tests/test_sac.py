@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eslc import corpus
-from eslc.evaluate import PRF, call, varr, vvec
+from eslc.evaluate import call, varr
 from eslc.extract import ExtractError, ExtractOptions, kompile
 from eslc.harness import compare, run_corpus_diff, target_args, to_target
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
@@ -143,7 +143,7 @@ prow k p a = sel a (k ∷ [])
     assert interp_sac(bare, "prow", [5, 6, 9, arr]) == \
         Aborted("index (9, 0) out of bounds")
     rows = varr((5,), [varr((6,), list(r)) for r in arr])
-    assert call(e.env, "prow", [5, 6, 9, PRF, rows]) == \
+    assert call(e.env, "prow", [5, 6, 9, 1, rows]) == \
         Aborted("index (9,) out of bounds")
 
 
@@ -572,7 +572,7 @@ SCALE = ("g : Nat -> Vec Nat 2\ng k = (1 ∷ 2 ∷ []) *v k\n"
     # a closed spine, which only a base `_*v_` keeps from the normalizer
     ("g", ["_*v_"], "__ret = cons (1 $* k, cons (2 $* k, []));", [3], [3, 6]),
     # a vector of symbolic length scales as a whole
-    ("f", [], "__ret = v * 3;", [3, vvec([1, 2, 3])], [3, 6, 9]),
+    ("f", [], "__ret = v * 3;", [3, (1, 2, 3)], [3, 6, 9]),
 ])
 def test_scaling_a_vector_agrees_with_the_source(entry, base, line, args, want):
     e = load_sources([("w", SCALE)])
@@ -703,7 +703,7 @@ AGREEMENT = {
         "w : Ar Nat 1 (3 ∷ []) -> Nat\nw a = sel a (1 ∷ [])\n", "w",
         [varr((3,), [4, 5, 6])]),
     "a vector's tail": ("w : Vec Nat 3 -> Nat\nw (x ∷ xs) = x + vhd xs\n", "w",
-                        [vvec([1, 2, 3])]),
+                        [(1, 2, 3)]),
     "% operand named as a let": (
         "w : (mod_1 b : Nat) -> 0 < b -> Nat\n"
         "w mod_1 b p = (mod_1 + 1) % (b + mod_1)\n", "w", [20, 1, 1]),
@@ -772,7 +772,7 @@ def test_a_list_pattern_tests_the_list_length():
 
     for xs in ([], [1], [1, 2], [4, 5, 6]):
         for f, rest in [("g", []), ("len", []), ("h", [0]), ("h", [3])]:
-            args = [("list", tuple(xs)), *rest]
+            args = [tuple(xs), *rest]
             assert interp_sac(text[f], f, [to_target(a) for a in args]) == \
                 source(f, args), (f, xs, rest)
 
