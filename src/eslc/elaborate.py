@@ -776,7 +776,7 @@ class Elaborator:
             return
         raise UnprovenConstraint(
             f"cannot discharge obligation {what}; mark the definition trusted "
-            f"with {{-# TRUST ... #-}} to defer it to a runtime assertion")
+            f"with {{-# TRUST ... #-}} to accept it unchecked")
 
     # -- clauses -------------------------------------------------------------------
 

@@ -33,40 +33,17 @@ class Inhomogeneous(ExtractError):
 # types
 
 
-@dataclass(frozen=True)
-class SacType:
-    base: str  # "int" | "float"
-    attr: tuple  # ("static", dims) | ("rank", n) | ("any",)
-
-    def render(self) -> str:
-        kind = self.attr[0]
-        if kind == "static":
-            dims = self.attr[1]
-            if not dims:
-                return self.base
-            return f"{self.base}[{','.join(str(d) for d in dims)}]"
-        if kind == "rank":
-            return f"{self.base}[{','.join('.' * 1 for _ in range(self.attr[1]))}]" \
-                if self.attr[1] else self.base
-        return f"{self.base}[*]"
-
-
-@dataclass(frozen=True)
-class FlattenedType:
-    result: SacType
-    prefix: tuple  # outer dims: ints or symbolic Terms or None (dynamic)
-
-
-def flatten_type(ty: Term) -> FlattenedType:
-    base, dims, exact_rank = _flatten(ty, outermost=True)
-    static = all(isinstance(d, int) for d in dims) and exact_rank
-    if static:
-        attr = ("static", tuple(dims))
-    elif exact_rank:
-        attr = ("rank", len(dims))
-    else:
-        attr = ("any",)
-    return FlattenedType(SacType(base, attr), tuple(dims))
+def render_type(ty: Term) -> str:
+    """The SaC type of a parameter or result: its extents where all are
+    literals, else its rank where that is known, else any rank."""
+    base, dims, exact = _flatten(ty, outermost=True)
+    if not exact:
+        return f"{base}[*]"
+    if not dims:
+        return base
+    if all(isinstance(d, int) for d in dims):
+        return f"{base}[{','.join(map(str, dims))}]"
+    return f"{base}[{','.join('.' * len(dims))}]"
 
 
 def _flatten(ty: Term, outermost: bool) -> tuple[str, list, bool]:
@@ -166,7 +143,7 @@ class SVecLit(SExp):
 @dataclass(frozen=True)
 class SWith(SExp):
     kind: str  # "genarray" | "fold"
-    partitions: tuple  # (lower|None, upper|None, ivar, block, body)
+    part: tuple  # its one partition: (lower|None, upper|None, ivar, block, body)
     shape: SExp | None = None  # genarray shape
     default: SExp | None = None
     op: str = ""  # fold operator
@@ -220,7 +197,7 @@ class SacBackend:
         subj = subjects(d.signature)
         names = [n for n, _ in subj]
         # proofs carry no runtime data; the checks keep their facts
-        kept = [None if is_prop_type(ty) else (flatten_type(ty).result.render(), n)
+        kept = [None if is_prop_type(ty) else (render_type(ty), n)
                 for n, ty in subj[:-1]]
         # the function names its binders apart from all it has bound so far,
         # and each clause its pattern variables apart from the others' too
@@ -251,7 +228,7 @@ class SacBackend:
         for guards, arm in reversed(arms[:-1]):
             stmts = [("if", functools.reduce(lambda a, c: SBin("&&", a, c, False),
                                              guards or [SNum(1)]), arm, stmts)]
-        ret = flatten_type(subj[-1][1]).result.render()
+        ret = render_type(subj[-1][1])
         return "\n".join([
             f"{ret} {state.target_name(name, sac_final_pass)}"
             f"({', '.join(f'{t} {n}' for t, n in filter(None, kept))}) {{",
@@ -389,7 +366,7 @@ class SacBackend:
         default = self._zero_default(x, venv, cx)
         iv = cx.state.binder("iv", cx.scope, fresh=True)
         block, body = self._loop_body(f, iv, venv, cx)
-        return SWith("genarray", ((None, None, iv, block, body),),
+        return SWith("genarray", (None, None, iv, block, body),
                      shape=shape, default=default)
 
     def _loop_body(self, f: Term, iv: str, venv, cx):
@@ -438,23 +415,24 @@ class SacBackend:
             shape = self._term(s, venv, cx)
             block, body = self._loop_body(arr.args[-1].value, iv, venv, cx)
             lower = SBin("*", SNum(0), shape, scalar=False)
-            return SWith("fold", ((lower, shape, iv, block, body),),
+            return SWith("fold", (lower, shape, iv, block, body),
                          op=op, neutral=neutral_x)
         src = self._term(arr, venv, cx)
         shape = SCall("shape", (src,))
         lower = SBin("*", SNum(0), shape, scalar=False)
         body = SSel(src, SVarE(iv))
-        return SWith("fold", ((lower, shape, iv, (), body),),
+        return SWith("fold", (lower, shape, iv, (), body),
                      op=op, neutral=neutral_x)
 
     def kompile_sel(self, args, venv, cx) -> SExp:
         x = args[0].value
         vis = [a.value for a in args if not a.hidden]
         arr, idx = vis
-        elem = flatten_type(x) if _is_array_type(x) else None
+        _, dims, exact = _flatten(x, outermost=True) if _is_array_type(x) \
+            else (None, [], True)
         arr_x = self._term(arr, venv, cx)
         idx_x = self._term(idx, venv, cx)
-        if elem is not None and (elem.prefix or elem.result.attr[0] != "static"):
+        if dims or not exact:  # the element is an array
             self.need_sel = True  # partial selection via the library wrapper
             return SCall("sel", (idx_x, arr_x))
         return SSel(arr_x, idx_x)
@@ -528,18 +506,18 @@ def render_expr(e: SExp, prec: int = 0, ind: int = 2) -> str:
 def render_with(w: SWith, ind: int) -> str:
     pad = " " * ind
     lines = ["with {"]
-    for lower, upper, iv, block, body in w.partitions:
-        if lower is None:
-            head = f"(. <= {iv} <= .)"
-        else:
-            head = f"({render_expr(lower)} <= {iv} < {render_expr(upper)})"
-        if block:
-            lines.append(f"{pad}  {head} {{")
-            for nm, e in block:
-                lines.append(f"{pad}    {nm} = {render_expr(e)};")
-            lines.append(f"{pad}  }} : {render_expr(body, 0, ind + 2)};")
-        else:
-            lines.append(f"{pad}  {head} : {render_expr(body, 0, ind + 2)};")
+    lower, upper, iv, block, body = w.part
+    if lower is None:
+        head = f"(. <= {iv} <= .)"
+    else:
+        head = f"({render_expr(lower)} <= {iv} < {render_expr(upper)})"
+    if block:
+        lines.append(f"{pad}  {head} {{")
+        for nm, e in block:
+            lines.append(f"{pad}    {nm} = {render_expr(e)};")
+        lines.append(f"{pad}  }} : {render_expr(body, 0, ind + 2)};")
+    else:
+        lines.append(f"{pad}  {head} : {render_expr(body, 0, ind + 2)};")
     if w.kind == "genarray":
         lines.append(f"{pad}}}: genarray ({render_expr(w.shape)}, "
                      f"{render_expr(w.default)})")
@@ -743,34 +721,34 @@ class _SacReader(TokenReader):
         return _subst_var(body, param, args[0])
 
     def with_loop(self) -> SExp:
+        """A with-loop of the one partition the backend writes."""
         self.expect("{")
-        partitions = []
-        while not self.accept("}"):
-            self.expect("(")
-            if self.accept("."):
-                self.expect("<=")
-                iv = self.name()
-                self.expect("<=")
-                self.expect(".")
-                lower = upper = None
-            else:
-                lower = self.expr()
-                self.expect("<=")
-                iv = self.name()
-                self.expect("<")
-                upper = self.expr()
-            self.expect(")")
-            block = []
-            if self.accept("{"):
-                while not self.accept("}"):
-                    nm = self.name()
-                    self.expect("=")
-                    block.append((nm, self.expr()))
-                    self.expect(";")
-            self.expect(":")
-            body = self.expr()
-            self.expect(";")
-            partitions.append((lower, upper, iv, tuple(block), body))
+        self.expect("(")
+        if self.accept("."):
+            self.expect("<=")
+            iv = self.name()
+            self.expect("<=")
+            self.expect(".")
+            lower = upper = None
+        else:
+            lower = self.expr()
+            self.expect("<=")
+            iv = self.name()
+            self.expect("<")
+            upper = self.expr()
+        self.expect(")")
+        block = []
+        if self.accept("{"):
+            while not self.accept("}"):
+                nm = self.name()
+                self.expect("=")
+                block.append((nm, self.expr()))
+                self.expect(";")
+        self.expect(":")
+        part = (lower, upper, iv, tuple(block), self.expr())
+        self.expect(";")
+        if not self.accept("}"):
+            raise SacParseError("a with-loop has one partition")
         self.expect(":")
         kind = self.take()
         self.expect("(")
@@ -779,15 +757,14 @@ class _SacReader(TokenReader):
             self.expect(",")
             default = self.expr()
             self.expect(")")
-            return SWith("genarray", tuple(partitions), shape=shape,
-                         default=default)
+            return SWith("genarray", part, shape=shape, default=default)
         if kind != "fold":
             raise SacParseError(f"unknown with-loop kind {kind}")
         op = self.take()
         self.expect(",")
         neutral = self.expr()
         self.expect(")")
-        return SWith("fold", tuple(partitions), op=op, neutral=neutral)
+        return SWith("fold", part, op=op, neutral=neutral)
 
 
 def _subst_var(e: SExp, name: str, repl: SExp) -> SExp:

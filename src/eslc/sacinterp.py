@@ -2,12 +2,11 @@
 values, standing in for SaC's own toolchain: it reads the emitted text.
 Each function of a text is staged once into one Python def (eslc.pycode),
 cached on the text; each assignment binds a fresh local, and a with-loop
-becomes a call of _genarray or _fold, which run each partition's body,
-staged as a function of the index vector, one element at a time: a
-genarray in row-major order, a fold from the last index (and partition)
-back to the first, `acc = op (body, acc)`, as the prelude's `reduce`
-folds.  A malformed program raises SacParseError where the staged code
-reaches it.
+becomes a call of _genarray or _fold, which run its one partition's
+body, staged as a function of the index vector, one element at a time:
+a genarray in row-major order, a fold from the last index back to the
+first, `acc = op (body, acc)`, as the prelude's `reduce` folds.  A
+malformed program raises SacParseError where the staged code reaches it.
 """
 
 from __future__ import annotations
@@ -160,27 +159,25 @@ class _Stager:
 
     def with_loop(self, w: SWith, scope: dict[str, str]) -> ast.expr:
         """A call of _genarray or _fold on the with-loop's shape and default,
-        or its operator and neutral, and on each partition's bounds and
-        body.  A body is a def of the index vector whose block assignments
-        are statements, so a long block nests no deeper."""
+        or its operator and neutral, and on its partition's bounds and
+        body.  The body is a def of the index vector whose block
+        assignments are statements, so a long block nests no deeper."""
         fold = w.kind == "fold"
         if fold and w.op not in _FOLD:
             return _malformed(f"unknown fold operator {w.op}")
-        parts = []
-        for lower, upper, iv, block, body in w.partitions:
-            self.count += 1
-            fn = f"b{self.count}"
-            self.defs.append(self.fun(fn, fn, [iv], [
-                *(("assign", nm, be) for nm, be in block), ("return", body)],
-                dict(scope)))
-            bounds = [py.const(None), py.const(None)] if lower is None else \
-                [self.expr(lower, scope), self.expr(upper, scope)]
-            parts.append(py.tup([*bounds, py.load(fn)]))
+        lower, upper, iv, block, body = w.part
+        self.count += 1
+        fn = f"b{self.count}"
+        self.defs.append(self.fun(fn, fn, [iv], [
+            *(("assign", nm, be) for nm, be in block), ("return", body)],
+            dict(scope)))
+        part = [py.const(None), py.const(None)] if lower is None else \
+            [self.expr(lower, scope), self.expr(upper, scope)]
+        part.append(py.load(fn))
         if fold:
-            return py.call("_fold", [py.const(w.op), self.expr(w.neutral, scope),
-                                     py.lst(parts)])
+            return py.call("_fold", [py.const(w.op), self.expr(w.neutral, scope), *part])
         return py.call("_genarray", [self.expr(w.shape, scope),
-                                     self.expr(w.default, scope), py.lst(parts)])
+                                     self.expr(w.default, scope), *part])
 
 
 def _malformed(why: str, *operands: ast.expr) -> ast.expr:
@@ -228,42 +225,42 @@ def _sel(arr, idx):
         for c, n in zip(comps, arr.shape):
             if not 0 <= c < n:
                 raise Abort(f"index {comps} out of bounds")
-        return arr[comps]
+        # an element is a Python number, as a scalar is
+        return arr.item(comps) if len(comps) == arr.ndim else arr[comps]
     i = int(idx)
     if not arr.ndim:
         raise Abort(f"selection {i} from an array of rank 0")
     if not 0 <= i < arr.shape[0]:
         raise Abort(f"index {i} out of bounds")
-    return arr[i]
+    return arr.item(i) if arr.ndim == 1 else arr[i]
 
 
 def _extent(v) -> tuple:
     return tuple(int(x) for x in np.atleast_1d(v).tolist())
 
 
-def _genarray(shape, default, parts):
-    """Each partition's body at each index of its range, in row-major
-    order, stored into an array of the shape."""
+def _genarray(shape, default, lower, upper, body):
+    """The body at each index of its range, in row-major order, stored
+    into an array of the shape.  A natural stays a Python int, unbounded
+    as a scalar is."""
     shape = _extent(shape)
     dshape = default.shape if isinstance(default, np.ndarray) else ()
     floaty = isinstance(default, float) or (isinstance(default, np.ndarray) and
                                             default.dtype.kind == "f")
-    acc = np.empty(shape + dshape, dtype=np.float64 if floaty else np.int64)
+    acc = np.empty(shape + dshape, dtype=np.float64 if floaty else object)
     acc[...] = default
-    for lower, upper, body in parts:
-        for ix in _cells(False, lower, shape if lower is None else upper):
-            acc[ix] = body(np.array(ix, dtype=np.int64))
+    for ix in _cells(False, lower, shape if lower is None else upper):
+        acc[ix] = body(np.array(ix, dtype=np.int64))
     return acc
 
 
-def _fold(op: str, acc, parts):
-    """Each partition's body at each index of its range folded into acc, as
-    the source's `reduce` folds: `acc = op (body, acc)` from the last index
-    (and partition) back to the first."""
+def _fold(op: str, acc, lower, upper, body):
+    """The body at each index of its range folded into acc, as the
+    source's `reduce` folds: `acc = op (body, acc)` from the last index
+    back to the first."""
     fn = _FOLD[op]
-    for lower, upper, body in reversed(parts):
-        for ix in _cells(True, lower, upper):
-            acc = fn(body(np.array(ix, dtype=np.int64)), acc)
+    for ix in _cells(True, lower, upper):
+        acc = fn(body(np.array(ix, dtype=np.int64)), acc)
     return acc
 
 
@@ -297,6 +294,12 @@ def _count(k) -> int:
     return int(k if np.isscalar(k) else k.flat[0])
 
 
+def _take(k, a):
+    if (n := _count(k)) > len(a):  # as SaC's take, past the extent fails
+        raise Abort(f"take {n} of a vector of length {len(a)}")
+    return a[:n]
+
+
 def _any_array(a, b) -> bool:
     return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
 
@@ -306,7 +309,7 @@ def _any_array(a, b) -> bool:
 _BUILTINS = {
     "shape": lambda a: np.array(a.shape if isinstance(a, np.ndarray) else (),
                                 dtype=np.int64),
-    "take": lambda k, a: a[:_count(k)], "drop": lambda k, a: a[_count(k):],
+    "take": _take, "drop": lambda k, a: a[_count(k):],
     "cons": lambda a, b: np.concatenate([np.atleast_1d(a), np.atleast_1d(b)]),
     "reverse": lambda a: a[::-1], "prod": lambda a: int(np.prod(a)),
     "reshape": _reshape, "expf": _expf,

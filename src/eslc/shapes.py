@@ -421,27 +421,17 @@ def _decide_veq(goal: Constraint, hyps: list[Constraint]) -> str:
 
 
 def _decide_ineq(goal: Constraint, hyps: list[Constraint]) -> str:
-    """Try to refute hyps & not(goal) by Fourier-Motzkin; "yes" on success."""
-    hyp_rows: list[Constraint] = []
-    for h in hyps:
-        if h.kind == "veq":
-            ia, ib = spine_items(norm_vec(h.lhs)), spine_items(norm_vec(h.rhs))
-            if ia is not None and ib is not None and len(ia) == len(ib):
-                hyp_rows.extend(eq(x, y) for x, y in zip(ia, ib))
-        else:
-            hyp_rows.append(h)
-    for split in _monus_splits([goal] + hyp_rows):
+    """Try to refute hyps & not(goal) by Fourier-Motzkin; "yes" on success.
+    The hypotheses are `lt`s and `eq`s, and the goal an `lt`, `le` or
+    `nonzero` (`decide` splits an `eq` goal into two `le`s), so not(goal)
+    is one row."""
+    for split in _monus_splits([goal] + hyps):
         rows, atoms = [], {}
-        for h in hyp_rows:
-            rows.extend(_constraint_rows(h, split, atoms, negate=False))
-        neg = _constraint_rows(goal, split, atoms, negate=True)
+        for h in hyps:
+            rows.extend(_constraint_rows(h, split, atoms))
+        (held,) = _constraint_rows(goal, split, atoms)
         rows.extend(_split_condition_rows(split, atoms))
-        feasible = False
-        for alt in neg:  # negated eq yields two alternatives
-            if not _fm_infeasible(rows + [alt] + _atom_rows(atoms, split, rows)):
-                feasible = True
-                break
-        if feasible:
+        if not _fm_infeasible(rows + [_neg_row(held)] + _atom_rows(atoms, split, rows)):
             return "unknown"
     return "yes"
 
@@ -460,10 +450,6 @@ def _split_condition_rows(split: dict, atoms: dict) -> list[dict]:
     return rows
 
 
-class _NonLinear(Exception):
-    pass
-
-
 # linear rows: dict[monomial-or-(): int], meaning sum >= 0; a polynomial
 # is read as a row as it stands
 
@@ -477,29 +463,21 @@ def _row_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _constraint_rows(c: Constraint, split, atoms, negate: bool) -> list[dict]:
+def _constraint_rows(c: Constraint, split, atoms) -> list[dict]:
+    """The rows that say c holds: one, or two for an `eq`."""
     def poly_of(side):
         p = _poly_split(side, split)
         _collect_atoms(p, atoms)
         return p
 
     if c.kind == "nonzero":
-        l = poly_of(c.lhs)
-        row = _row_sub(l, {(): 1})  # e - 1 >= 0
-        return [_neg_row(row)] if negate else [row]
+        return [_row_sub(poly_of(c.lhs), {(): 1})]  # e - 1 >= 0
     l, r = poly_of(c.lhs), poly_of(c.rhs)
     if c.kind == "lt":
-        row = _row_sub(r, _row_add1(l))  # r - (l+1) >= 0
-        return [_neg_row(row)] if negate else [row]
+        return [_row_sub(r, _row_add1(l))]  # r - (l+1) >= 0
     if c.kind == "le":
-        row = _row_sub(r, l)
-        return [_neg_row(row)] if negate else [row]
-    if c.kind == "eq":
-        if negate:  # l < r or r < l
-            return [_row_sub(r, _row_add1(l)),
-                    _row_sub(l, _row_add1(r))]
-        return [_row_sub(r, l), _row_sub(l, r)]
-    raise AssertionError(c.kind)
+        return [_row_sub(r, l)]
+    return [_row_sub(r, l), _row_sub(l, r)]
 
 
 def _row_add1(row: dict) -> dict:
@@ -682,7 +660,6 @@ def _eval_scalar(s: ShapeExpr, env: dict) -> int:
         case SMod(n, d):
             dv = _eval_scalar(d, env)
             return _eval_scalar(n, env) % dv if dv else 0
-    raise _NonLinear
 
 
 def _eval_constraint(c: Constraint, env: dict) -> bool:
@@ -691,17 +668,15 @@ def _eval_constraint(c: Constraint, env: dict) -> bool:
     l, r = _eval_scalar(c.lhs, env), _eval_scalar(c.rhs, env)
     if c.kind == "lt":
         return l < r
-    if c.kind == "le":
-        return l <= r
     return l == r
 
 
 def find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None:
+    """Values 0..8 of at most four variables that meet the hypotheses and
+    fail the goal, where `_vars_only` admits every side."""
     ok = [True]
     names: set[str] = set()
     for c in [goal] + hyps:
-        if c.kind == "veq":
-            return None
         for side in (c.lhs, c.rhs):
             if side is not None:
                 _vars_only(side, names, ok)
@@ -710,11 +685,8 @@ def find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None
     keys = sorted(names)
     for vals in itertools.product(range(9), repeat=len(keys)):
         env = dict(zip(keys, vals))
-        try:
-            if all(_eval_constraint(h, env) for h in hyps) and not _eval_constraint(goal, env):
-                return env
-        except _NonLinear:
-            return None
+        if all(_eval_constraint(h, env) for h in hyps) and not _eval_constraint(goal, env):
+            return env
     return None
 
 

@@ -20,8 +20,8 @@ from eslc.extract import (KALEID_KEYWORDS, SAC_KEYWORDS, Check, ExtractError,
                           kaleid_final_pass, kompile, normalise_name,
                           sac_final_pass)
 from eslc.harness import compare, run_signature_diff, target_args, to_target
-from eslc.ir import (Clause, Con, Def, Definition, Function, Lit, PCon, PVar,
-                     Var, hid, vis)
+from eslc.ir import (Aborted, Clause, Con, Def, Definition, Function, Lit, PCon,
+                     PVar, Var, hid, vis)
 from eslc.kaleid import KaleidBackend, KCall, interp_kaleid, parse_kaleid
 from eslc.loader import load_sources
 from eslc.parser import RESERVED
@@ -88,6 +88,26 @@ def test_callees_of_signature_assertions_come_first():
     assert out.index("def h") < out.index("def g") < out.index("def main")
     for x in range(4):
         assert interp_kaleid(out, "main", [x]) == call(e.env, "main", [x])
+
+
+def test_a_trusted_obligation_emits_no_assert_and_the_target_aborts():
+    # TRUST accepts what the decider cannot settle, and no assert checks
+    # it: at run time each target's own abort guards it, on a zero
+    # divisor (f) and on a take past the vector's extent (h, on SaC)
+    path = ROOT / "examples/esl/trust.esl"
+    e = load_sources([(path.name, path.read_text("utf-8"))])
+    assert e.def_meta["f"].trusted_obligations == ["nonzero divisor in _/_"]
+    assert e.def_meta["h"].trusted_obligations == ["vector prefix within the length"]
+    for entry, target, backend, interp, aborts in [
+            ("f", "kaleid", KaleidBackend, interp_kaleid, 0),
+            ("f", "sac", SacBackend, interp_sac, 0),
+            ("h", "sac", SacBackend, interp_sac, 2)]:
+        text = kompile(entry, [], [], backend(), e.env, e.rules)
+        assert "assert" not in text
+        assert isinstance(call(e.env, entry, [aborts]), Aborted)
+        assert isinstance(interp(text, entry, [aborts]), Aborted)
+        row = run_signature_diff(e, entry, 50, 1, target=target)
+        assert (row.mismatches, row.inconclusive) == (0, [])
 
 
 def test_no_assert_emits_no_callee_that_only_the_checks_call():

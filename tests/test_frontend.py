@@ -98,7 +98,7 @@ def test_parse_trees_are_unchanged():
               for p in sorted((ROOT / "examples/esl").glob("*.esl"))]
     trees = repr([parse(text, path) for path, text in texts])
     assert hashlib.sha256(trees.encode("utf-8")).hexdigest() == \
-        "ffb332adc925d5e81e7ff87b5b5ea7ff654634ab59709d32f2089dde558fe47e"
+        "e1b37cd97b37fb64314beb05f24e967bf2c61cebb27c868081be2713d24251dd"
 
 
 def test_unknown_name_is_scope_error():

@@ -15,9 +15,10 @@ from eslc.evaluate import call, varr
 from eslc.extract import ExtractError, ExtractOptions, kompile
 from eslc.harness import compare, run_corpus_diff, target_args, to_target
 from eslc.ir import Aborted, Con, Def, Lit, Var, vis
+from eslc.kaleid import KaleidBackend, interp_kaleid
 from eslc.loader import load_prelude, load_sources
 from eslc.sac import (Inhomogeneous, SacAborted, SacBackend, SacParseError,
-                      SFlt, flatten_type, parse_sac, render_expr)
+                      SFlt, _flatten, parse_sac, render_expr, render_type)
 from eslc.sacinterp import interp_sac
 
 
@@ -35,27 +36,24 @@ def _ar(x, d, s):
 def test_flatten_nested_static_vectors():
     inner = _ar(Def("Nat"), Lit(1), _vec(Lit(5)))
     outer = _ar(inner, Lit(1), _vec(Lit(6)))
-    ft = flatten_type(outer)
-    assert ft.result.render() == "int[6,5]"
-    assert ft.prefix == (6, 5)
+    assert render_type(outer) == "int[6,5]"
+    assert _flatten(outer, outermost=True) == ("int", [6, 5], True)
 
 
 def test_flatten_symbolic_shape_degrades_to_dots():
-    ft = flatten_type(_ar(Def("Nat"), Lit(2), _vec(Var(0), Var(1))))
-    assert ft.result.render() == "int[.,.]"
+    assert render_type(_ar(Def("Nat"), Lit(2), _vec(Var(0), Var(1)))) == "int[.,.]"
 
 
 def test_flatten_dynamic_rank():
-    ft = flatten_type(_ar(Def("Float"), Var(0), Var(1)))
-    assert ft.result.render() == "float[*]"
+    assert render_type(_ar(Def("Float"), Var(0), Var(1))) == "float[*]"
 
 
 def test_flatten_list_of_vectors_ok_and_nested_list_rejected():
     lv = Def("List", (vis(Def("Vec", (vis(Def("Nat")), vis(Lit(3))))),))
-    assert flatten_type(lv).result.render() == "int[.,.]"
+    assert render_type(lv) == "int[.,.]"
     ll = Def("List", (vis(Def("List", (vis(Def("Nat")),))),))
     with pytest.raises(Inhomogeneous):
-        flatten_type(ll)
+        render_type(ll)
 
 
 def test_static_vec_argument_keeps_strongest_attribute():
@@ -117,6 +115,23 @@ def test_matmul_genarray_contains_fold():
     b = np.array([[5, 6], [7, 8]])
     r = interp_sac(out, "matmul", [2, 2, 2, a, b])
     assert np.array_equal(r, a @ b)
+
+
+def test_matmul_of_large_naturals_agrees_on_every_evaluator():
+    # 2**40 * 2**40 wraps in int64: an array element is a Python int, as
+    # a scalar is.  Kaleidoscope has no arrays, so it runs the scalar product
+    e = load_prelude()
+    args = [1, 1, 1, varr((1, 1), [2**40]), varr((1, 1), [2**40])]
+    want = call(e.env, "matmul", args)
+    assert want == varr((1, 1), [2**80])
+    out = kompile("matmul", [], [], SacBackend(), e.env, e.rules)
+    got = interp_sac(out, "matmul", target_args(e.env, "matmul", "sac")(args))
+    assert compare(want, got) and got.tolist() == [[2**80]]
+    w = load_sources([("w", "w : Nat -> Nat -> Nat\nw a b = a * b\n")])
+    assert call(w.env, "w", [2**40, 2**40]) == 2**80
+    for backend, interp in ((SacBackend, interp_sac), (KaleidBackend, interp_kaleid)):
+        text = kompile("w", [], [], backend(), w.env, w.rules)
+        assert interp(text, "w", [2**40, 2**40]) == 2**80
 
 
 def test_fusion_single_genarray():
@@ -275,6 +290,11 @@ int f(int x) {
      "a declared variable is read unassigned"),
     ("int f(int x) { return with { ([0] <= iv < [3]) : 1; } : fold (-, 0); }",
      "unknown fold operator -"),
+    # the backend writes one partition per with-loop
+    ("int f(int x) { return with { ([0] <= iv < [1]) : 1; ([1] <= iv < [3]) : 2; }"
+     " : fold (+, 0); }", "a with-loop has one partition"),
+    ("int f(int x) { return with { (. <= iv <= .) : 1; (. <= jv <= .) : 2; }"
+     " : genarray ([3], 0); }", "a with-loop has one partition"),
 ])
 def test_each_malformed_text_is_a_parse_error(text, why):
     with pytest.raises(SacParseError, match=f"^{why}$"):
