@@ -369,6 +369,10 @@ def _prims() -> dict[str, Prim]:
 
 PRIMS: dict[str, Prim] = _prims()
 _SEED: dict[str, Term] = {name: sig for name, (sig, _) in _read(_SEED_TEXT).items()}
+# the type formers: the seed entries whose type ends in a Sort, each a
+# Datatype (no other definition is one)
+TYPE_FORMERS = frozenset(name for name, sig in _SEED.items()
+                         if type(pi_spine(sig)[1]) is Sort)
 
 
 def seed_env() -> Env:

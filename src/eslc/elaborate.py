@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import broadcast, ir, shapes
-from .builtins import PRIMS, is_prop_type, seed_env
-from .ir import (Abs, Arg, Clause, Con, Datatype, Def, Definition, Env,
+from .builtins import PRIMS, TYPE_FORMERS, is_prop_type, seed_env
+from .ir import (Abs, Arg, Clause, Con, Def, Definition, Env,
                  EslError, Function, Lam, Let, Lit, PAbsurd, PCon, Pi, PVar,
                  Sort, Term, Unknown, Var, hid, map_args, nat_view, pi_spine,
                  vis)
@@ -267,9 +267,6 @@ class Elaborator:
         # meta only while this is above zero
         self._open = 0
         self._nz = Normalizer(self.env)
-        # the type formers: a call of one is its own weak head normal form
-        self._formers = frozenset(n for n in self.env.names()
-                                  if isinstance(self.env.lookup(n).payload, Datatype))
         # name -> the value of its closed signature; `Env` never rebinds a name
         self._sigs: dict = {}
 
@@ -281,7 +278,7 @@ class Elaborator:
         itself, so that it keeps the form it reduces to."""
         w = _force(v)
         cls = type(w)
-        if cls is Lit or cls is VVar or cls is Def and w.name in self._formers:
+        if cls is Lit or cls is VVar or cls is Def and w.name in TYPE_FORMERS:
             return w
         self._nz.fuel = WHNF_FUEL
         return self._nz.whnf(v)
@@ -380,7 +377,7 @@ class Elaborator:
                 t = self._finish(s, t, ctx)
                 # a decision states a fact only if its payload is a proposition;
                 # a call of any other type former is no decision
-                if type(t) is not Def or t.name == "Dec" or t.name not in self._formers:
+                if type(t) is not Def or t.name == "Dec" or t.name not in TYPE_FORMERS:
                     w = self._whnf(_eval(t, ctx.env))
                     if type(w) is Def and w.name == "Dec" and \
                             not is_prop_type(self._whnf(w.args[0].value)):

@@ -23,9 +23,13 @@ call takes one Python frame.  The functions of one Env share one
 namespace, in which `f<k>` is the k-th Function staged or called from
 staged code (`_Code.globals` maps the ESL names) and `p<k>` the
 primitive at position k of PRIMS.  The namespace is kept on the Env, so
-the code lives as long as the Env.  A Function is staged once: the
-elaborator adds a Function's clauses while it loads the module, before
-anything evaluates.  A term given to eval_closed is staged the same
+the code lives as long as the Env.  An Env copied from another
+(Env.base, the prelude snapshot of eslc.loader) runs the base's code for
+each definition the two share, the same object: so a prelude Function is
+staged once per process, in the snapshot's namespace, and every other
+Function once per Env.  A Function is staged once: the elaborator adds a
+Function's clauses while it loads the module, before anything
+evaluates.  A term given to eval_closed is staged the same
 way, into a function of no arguments.
 
 As in the two target interpreters, an abort is a value: inside, the
@@ -58,29 +62,32 @@ _UNREAD = {name: {j for j, (_, a) in enumerate(pi_spine(p.sig)[0]) if a.hidden}
 
 def eval_closed(t: Term, env: Env):
     """The value of the closed term t, or an Aborted."""
-    return outcome(_code(env).term, t)
+    return outcome(lambda: _code(env).term(t))
 
 
 def call(env: Env, name: str, args: list):
     """Definition `name` applied to args, or an Aborted."""
-    return outcome(_code(env).apply_def, name, list(args))
+    return outcome(lambda: _code(env).apply_def(name, list(args)))
 
 
 def _code(env: Env) -> _Code:
     """The code staged for env, made on first use."""
     if env.compiled is None:
-        env.compiled = _Code(env._defs)
-        weakref.finalize(env, env.compiled.close)
+        code = _Code(env._defs, None if env.base is None else _code(env.base))
+        weakref.finalize(env, code.close)
+        env.compiled = code
     return env.compiled
 
 
 class _Code:
     """The staged code of one Env's definitions: one namespace of Python
     functions.  It holds the Env's definition table, not the Env, so the
-    two form no reference cycle."""
+    two form no reference cycle.  A definition that is also the base's
+    (the same object) runs the base's code."""
 
-    def __init__(self, defs: dict):
+    def __init__(self, defs: dict, base: _Code | None):
         self.defs = defs
+        self.base = base
         self.ns: dict[str, object] = dict(_HELPERS)
         self.staged: set[str] = set()  # the Functions staged
         self.globals: dict[str, str] = {}  # Function -> its global
@@ -114,9 +121,12 @@ class _Code:
         arity, staged on the first call."""
         g = self.fun_global(name)
         if name not in self.staged:
-            code = _Stager(self).function(
-                name, g, self.defs[name].payload.clauses)
-            exec(py.compile_defs([code], "<esl>"), self.ns)
+            d, base = self.defs[name], self.base
+            if base is not None and base.defs.get(name) is d:
+                self.ns[g] = base.fun(name)
+            else:
+                code = _Stager(self).function(name, g, d.payload.clauses)
+                exec(py.compile_defs([code], "<esl>"), self.ns)
             self.staged.add(name)
         return self.ns[g]
 

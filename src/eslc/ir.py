@@ -246,6 +246,9 @@ class Env:
 
     def __init__(self) -> None:
         self._defs: dict[str, Definition] = {}
+        # the Env this one was copied from (eslc.loader); the evaluator
+        # runs the base's code for each definition the two share
+        self.base: Env | None = None
         # the evaluator's code compiled from these definitions
         # (eslc.evaluate), made on first use
         self.compiled = None

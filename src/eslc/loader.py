@@ -1,7 +1,10 @@
 """Convenience entry points: load the shipped prelude and user sources.
 
 The prelude is elaborated once per process; callers get a cheap clone
-whose environment shares the (immutable once loaded) prelude definitions.
+whose environment shares the (immutable once loaded) prelude definitions
+and keeps the snapshot's as its base, so the source evaluator stages each
+prelude Function once per process, and every other Function once per
+clone.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ def _prelude_snapshot() -> Elaborator:
 def _clone(src: Elaborator) -> Elaborator:
     env = Env()
     env._defs = dict(src.env._defs)
+    env.base = src.env
     out = Elaborator(env)
     out.rules.rules = list(src.rules.rules)
     out.rules.warnings = list(src.rules.warnings)

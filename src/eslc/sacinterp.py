@@ -311,7 +311,7 @@ _BUILTINS = {
                                 dtype=np.int64),
     "take": _take, "drop": lambda k, a: a[_count(k):],
     "cons": lambda a, b: np.concatenate([np.atleast_1d(a), np.atleast_1d(b)]),
-    "reverse": lambda a: a[::-1], "prod": lambda a: int(np.prod(a)),
+    "reverse": lambda a: a[::-1], "prod": lambda a: math.prod(a.tolist()),
     "reshape": _reshape, "expf": _expf,
     "zero_float": lambda s: np.zeros(shp) if (shp := _extent(s)) else 0.0,
     "zero_int": lambda s: np.zeros(shp, dtype=np.int64) if (shp := _extent(s)) else 0,

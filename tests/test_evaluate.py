@@ -9,11 +9,12 @@ import hashlib
 import random
 import weakref
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 
-from eslc import corpus
+from eslc import corpus, loader
 from eslc.builtins import PRIMS, seed_env
 from eslc.evaluate import call, eval_closed, varr
 from eslc.extract import ExtractOptions, kompile
@@ -329,6 +330,71 @@ def test_compiled_code_lives_as_long_as_its_env():
         assert env_ref() is None and code_ref() is None
     finally:
         gc.enable()
+
+
+# avgpool, a prelude Function, halves a 2×2 array to its mean
+POOL_ARGS = [(1, 1), varr((2, 2), [1.0, 2.0, 3.0, 4.0])]
+POOL = varr((1, 1), [2.5])
+TWICE = "twice : Nat -> Nat\ntwice n = n + n\n"
+
+
+def test_clones_share_the_prelude_code_and_stage_their_own():
+    a, b = (load_sources([("t", TWICE)]).env for _ in range(2))
+    for env in (a, b):
+        assert call(env, "avgpool", POOL_ARGS) == POOL
+        assert call(env, "twice", [4]) == 8
+    pool, twice = (a.compiled.fun(n) for n in ("avgpool", "twice"))
+    assert b.compiled.fun("avgpool") is pool
+    assert b.compiled.fun("twice") is not twice
+    # a prelude Function runs in the snapshot's namespace, the clone's own
+    # in the clone's
+    assert pool.__globals__ is a.base.compiled.ns is b.compiled.base.ns
+    assert twice.__globals__ is a.compiled.ns
+
+
+def test_a_seed_env_stages_everything_itself():
+    env = seed_env()
+    assert env.base is None
+    assert call(env, "prodv", [2, (3, 4)]) == 12
+    code = env.compiled
+    assert code.base is None and code.fun("prodv").__globals__ is code.ns
+
+
+def test_the_shared_prelude_code_outlives_each_clone():
+    env = load_prelude().env
+    assert call(env, "avgpool", POOL_ARGS) == POOL
+    env_ref, code_ref = weakref.ref(env), weakref.ref(env.compiled)
+    del env
+    assert env_ref() is None and code_ref() is None
+    assert call(load_prelude().env, "avgpool", POOL_ARGS) == POOL
+
+
+def _frames_left(n: int, f):
+    """f(), called with n frames of the stack left."""
+    def room(k):
+        try:
+            return room(k + 1)
+        except RecursionError:
+            return k
+
+    def down(k):
+        return f() if k <= 0 else down(k - 1)
+    return down(room(0) - n)
+
+
+def test_a_prelude_function_staged_out_of_stack_aborts_and_stays_usable(monkeypatch):
+    aborted = 0
+    for n in range(10, 50):
+        # a snapshot of its own, so that avgpool is first staged here
+        monkeypatch.setattr(loader, "_prelude_snapshot",
+                            cache(loader._prelude_snapshot.__wrapped__))
+        env = load_prelude().env
+        out = _frames_left(n, lambda: call(env, "avgpool", POOL_ARGS))
+        assert out in (POOL, Aborted("recursion depth"))
+        aborted += out != POOL
+        assert call(env, "avgpool", POOL_ARGS) == POOL
+        assert call(load_prelude().env, "avgpool", POOL_ARGS) == POOL
+    assert aborted
 
 
 def test_expf_overflows_to_infinity():

@@ -16,8 +16,8 @@ from eslc.elaborate import Ctx, Elaborator
 from eslc.evaluate import call, eval_closed
 from eslc.extract import kompile
 from eslc.harness import to_target
-from eslc.ir import (Abs, Builtin, Con, Def, EslError, Function, Lam, Lit,
-                     Var, hid, pi_spine, subst, vis)
+from eslc.ir import (Abs, Builtin, Con, Datatype, Def, EslError, Function,
+                     Lam, Lit, Var, hid, pi_spine, subst, vis)
 from eslc.kaleid import Aborted, KaleidBackend, interp_kaleid
 from eslc.loader import load_sources
 from eslc.normalize import normalise
@@ -184,6 +184,14 @@ def test_the_table_and_the_seed_environment_keep_their_order():
         "Nat", "zero", "suc", "Float", "Fin", "fzero", "fsuc", "Vec", "vnil",
         "vcons", "List", "lnil", "lcons", "Ix", "inil", "icons", "Ar", "imap",
         "_<_", "_≡_", "Dec", "yes", "no", "prf", *PRIMS]
+
+
+def test_the_type_formers_are_the_datatypes_of_the_seed_environment():
+    # the elaborator reads them from the seed table, not from its Env
+    env = seed_env()
+    assert builtins.TYPE_FORMERS == {
+        n for n in env.names() if isinstance(env.lookup(n).payload, Datatype)} == {
+        "Nat", "Float", "Fin", "Vec", "List", "Ix", "Ar", "_<_", "_≡_", "Dec"}
 
 
 def test_the_elaborator_reads_each_signature_of_the_text_to_its_term():

@@ -134,6 +134,17 @@ def test_matmul_of_large_naturals_agrees_on_every_evaluator():
         assert interp(text, "w", [2**40, 2**40]) == 2**80
 
 
+def test_a_product_of_large_naturals_agrees_on_both_evaluators():
+    # prodv of an argument vector: to_target makes it an int64 array, whose
+    # product wraps unless it is taken over Python ints
+    e = load_sources([("q", "q : Vec Nat 2 -> Nat\nq s = prodv s\n")])
+    args = [(2**40, 2**40)]
+    out = kompile("q", [], [], SacBackend(), e.env, e.rules)
+    assert "prod (s)" in out
+    got = interp_sac(out, "q", target_args(e.env, "q", "sac")(args))
+    assert call(e.env, "q", args) == got == 2**80
+
+
 def test_fusion_single_genarray():
     e = load_sources([("f", corpus.FUSION)])
     out = kompile("fuse2", [], [], SacBackend(), e.env, e.rules)
