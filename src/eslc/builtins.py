@@ -3,12 +3,13 @@
 Each primitive is declared once: its signature and its clauses, if it
 has any, as ESL text in `_PRIM_TEXT`, and its meaning in `_MEANING`: a
 Python function of all its parameters, hidden ones included, and the
-obligation a call of it owes if it takes no proof argument.  The
-function is total: it returns a value or raises ir.Abort.  It reads and
-returns the source evaluator's values: an int for a natural, a Fin, a
-proof or a decision (1 or 0), a float, a tuple of items for a vector, an
-index or a list, ("arr", shape, flat) for an array, and None for a type
-or an unread hidden argument.  The source evaluator calls it, and
+obligation a call of it owes if it takes no proof argument, a
+proposition over the call's arguments.  The function is total: it
+returns a value or raises ir.Abort.  It reads and returns the source
+evaluator's values: an int for a natural, a Fin, a proof or a decision
+(1 or 0), a float, a tuple of items for a vector, an index or a list,
+("arr", shape, flat) for an array, and None for a type or an unread
+hidden argument.  The source evaluator calls it, and
 returns such an abort as an Aborted value; the normalizer computes with
 it the entries marked `folds` once their arguments are closed, and
 leaves a call that aborts unfolded; the elaborator discharges the
@@ -33,10 +34,9 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from . import shapes
 from .ir import (Abort, Abs, Arg, Builtin, Clause, Con, Constructor, Datatype,
                  Def, Definition, Env, EslError, Function, Lit, PCon, Pi, PVar,
-                 Sort, Term, Var, index_patterns, pi_spine, vis)
+                 Sort, Term, Var, hid, index_patterns, pi_spine, vis)
 from .parser import SApp, SClause, SName, SNum, SPat, SPi, SSignature, parse
 
 NAT = "Nat"
@@ -53,8 +53,8 @@ class Prim:
     # the normalizer computes it once every visible argument is closed: a
     # literal, or a vcons/icons spine of terms
     folds: bool = False
-    # a use-site obligation: how it is described, and its constraint as a
-    # function of the shape keys and of all the call's arguments
+    # a use-site obligation: how it is described, and its proposition (a
+    # `_<_` or `_≡_`) as a function of all the call's arguments
     owes: tuple[str, Callable] | None = None
     # False if fn never reads its hidden parameters: the evaluator then
     # need not compute a hidden argument whose computation cannot fail
@@ -305,9 +305,9 @@ def _reshape(X, d, s, e, t, arr):
     return ("arr", t, list(arr[2]))
 
 
-def _nonzero_divisor(name):
-    return (f"nonzero divisor in {name}", lambda names, a, b:
-            shapes.nonzero(shapes.term_to_scalar(b, names)))
+def _lt(a, b):
+    """The proposition `a < b` of two argument values."""
+    return Def("_<_", (vis(a), vis(b)))
 
 
 # each primitive's meaning, by name; PRIMS takes its order from the text
@@ -317,9 +317,9 @@ _MEANING: dict[str, dict] = {
     "_-_": dict(fn=_monus, folds=True),
     "div-helper": dict(fn=_div_helper),
     "_/_": dict(fn=_by_nonzero(operator.floordiv, "division by zero"),
-                owes=_nonzero_divisor("_/_")),
+                owes=("nonzero divisor in _/_", lambda a, b: _lt(Lit(0), b))),
     "_%_": dict(fn=_by_nonzero(operator.mod, "mod by zero"), folds=True,
-                owes=_nonzero_divisor("_%_")),
+                owes=("nonzero divisor in _%_", lambda a, b: _lt(Lit(0), b))),
     "fromN<": dict(fn=lambda m, n, p: m),
     "toN": dict(fn=lambda n, i: i),
     "_≟_": dict(fn=lambda a, b: int(a == b), folds=True),
@@ -330,15 +330,14 @@ _MEANING: dict[str, dict] = {
     "_/f_": dict(fn=_by_nonzero(operator.truediv, "division by zero"), folds=True),
     "expf": dict(fn=_expf, folds=True),
     "vidx": dict(fn=_vidx, folds=True, owes=(
-        "vector index in bounds", lambda names, X, n, i, v: shapes.lt(
-            shapes.term_to_scalar(i, names), shapes.term_to_scalar(n, names)))),
+        "vector index in bounds", lambda X, n, i, v: _lt(i, n))),
     "vreverse": dict(fn=lambda X, n, v: v[::-1], folds=True),
     "vhd": dict(fn=_vhd, folds=True),
     "vtl": dict(fn=_vtl, folds=True),
+    # `n + 1`, not `suc n`: the decider reads `suc 3` as the literal 4
     "vtake": dict(fn=_vtake, folds=True, owes=(
-        "vector prefix within the length", lambda names, X, n, k, v: shapes.lt(
-            shapes.term_to_scalar(k, names),
-            shapes.SAdd(shapes.term_to_scalar(n, names), shapes.SLit(1))))),
+        "vector prefix within the length", lambda X, n, k, v: _lt(
+            k, Def("_+_", (vis(n), vis(Lit(1))))))),
     "vdrop": dict(fn=lambda X, n, k, v: v[k:], folds=True),
     "vappend": dict(fn=lambda X, m, n, a, b: a + b, folds=True),
     "_*v_": dict(fn=lambda d, v, k: tuple(x * k for x in v)),
@@ -346,10 +345,11 @@ _MEANING: dict[str, dict] = {
     "sel": dict(fn=lambda X, d, s, a, i: arr_index(a, i), reads_hidden=False),
     "ravel": dict(fn=_ravel),
     "reshape": dict(fn=_reshape, owes=(
-        "reshape preserves the element count", lambda names, X, d, s, e, t, a:
-        shapes.eq(shapes.SProd(shapes.term_to_vec(t, names)),
-                  shapes.SProd(shapes.term_to_vec(s, names))))),
-    "ixc": dict(fn=_ixc, folds=True, reads_hidden=False),
+        "reshape preserves the element count", lambda X, d, s, e, t, a: Def(
+            "_≡_", (hid(Def(NAT)), vis(Def("prodv", (hid(e), vis(t)))),
+                    vis(Def("prodv", (hid(d), vis(s)))))))),
+    "ixc": dict(fn=_ixc, folds=True, reads_hidden=False, owes=(
+        "index component within the rank", lambda d, s, k, i: _lt(k, d))),
     "ixReverse": dict(fn=lambda d, s, i: i[::-1], folds=True),
 }
 

@@ -105,17 +105,15 @@ class _Unsolved(Exception):
     pass
 
 
-def _fill(t: Term, depth: int, strict: bool) -> Term:
-    """`t`, under `depth` binders, with each hole of a solved meta
-    replaced by the solution; subterms without one are shared."""
+def _fill(t: Term, depth: int) -> Term:
+    """`t`, under `depth` binders, with each hole replaced by its meta's
+    solution, or `_Unsolved`; subterms without a hole are shared."""
     if type(t) is not Hole:
-        return ir.map_subterms(t, _fill, depth, strict)
-    args = map_args(t.args, _fill, depth, strict)
-    if t.meta.solution is not None:
-        return ir.apply_term(_quote(t.meta.solution, depth, strict), args)
-    if strict:
+        return ir.map_subterms(t, _fill, depth)
+    if t.meta.solution is None:
         raise _Unsolved
-    return t if args is t.args else Hole(t.name, args, t.meta)
+    return ir.apply_term(_quote(t.meta.solution, depth, True),
+                         map_args(t.args, _fill, depth))
 
 
 def _same(a, b, depth: int) -> bool:
@@ -209,9 +207,8 @@ class Ctx:
         hypotheses of the rest of the scope."""
         # the constraint keys variables by absolute position, so it is the
         # same at every later depth: derive it once, here
-        c = _prop_to_constraint(_quote(prop, len(self.entries)), self.names)
-        if c is not None:
-            self.hyps = [c] + self.hyps
+        self.hyps = [_prop_to_constraint(_quote(prop, len(self.entries)), self.names),
+                     *self.hyps]
 
     def pop(self, k: int = 1) -> None:
         _, _, self.names, self.hyps = self.entries[-k]
@@ -241,8 +238,6 @@ def _prop_to_constraint(ty: Term, names) -> shapes.Constraint | None:
     if not is_prop_type(ty):
         return None
     va = [shapes.term_to_scalar(a.value, names) for a in ty.args if not a.hidden]
-    if len(va) != 2:
-        return None
     return (shapes.lt if ty.name == "_<_" else shapes.eq)(*va)
 
 
@@ -394,7 +389,7 @@ class Elaborator:
         if not self._metas:
             return t
         try:
-            return _fill(t, len(ctx), True)
+            return _fill(t, len(ctx))
         except _Unsolved:
             raise UnprovenConstraint(
                 f"unresolved hidden arguments in {_show(s)}") from None
@@ -570,7 +565,8 @@ class Elaborator:
             comp = self._check(h, NAT, ctx)
             if svec is None:
                 svec = shapes.term_to_vec(_quote(sh, len(ctx)), ctx.names)
-            goal = shapes.lt(shapes.term_to_scalar(_fill(comp, len(ctx), False), ctx.names),
+            goal = shapes.lt(shapes.term_to_scalar(_quote(VLazy(comp, ctx.env), len(ctx)),
+                                                   ctx.names),
                              shapes.vec_component(svec, len(comps)))
             self._discharge_constraint(goal, ctx, f"index bound {_show(h)}")
             comps.append(comp)
@@ -622,9 +618,8 @@ class Elaborator:
         if p is not None and p.owes is not None and type(term) is Def \
                 and len(term.args) == p.arity:
             # a saturated call of a primitive owes its use-site obligation
-            what, build = p.owes
-            c = build(ctx.names, *(_quote(v, len(ctx)) for v in vals))
-            self._discharge_constraint(c, ctx, what)
+            what, prop = p.owes
+            self._discharge(prop(*vals), ctx, what)
         return term, ty
 
     def _apply_spine(self, head: Term, sig, args: list, ctx: Ctx, name: str):
@@ -753,9 +748,10 @@ class Elaborator:
 
     # -- obligations ---------------------------------------------------------------
 
-    def _discharge(self, prop, ctx: Ctx) -> None:
+    def _discharge(self, prop, ctx: Ctx, what: str | None = None) -> None:
+        """Proves `prop`, a value in `ctx`, or trusts it; `what` names it."""
         t = _quote(prop, len(ctx))
-        c, what = _prop_to_constraint(t, ctx.names), ir.print_term(t)
+        c, what = _prop_to_constraint(t, ctx.names), what or ir.print_term(t)
         if c is None:
             raise UnprovenConstraint(f"not a decidable proposition: {what}")
         self._discharge_constraint(c, ctx, what)

@@ -23,7 +23,7 @@ from .builtins import is_prop_type
 from .ir import (Arg, Clause, Con, Def, Definition, Env, EslError, Function,
                  Lit, PAbsurd, PCon, Pi, PVar, Sort, Term, map_subterms,
                  pi_spine, print_term)
-from .normalize import Normalizer, RuleSet, dont_reduce, normalise_clause
+from .normalize import RuleSet, dont_reduce, normalise
 
 
 class ExtractError(EslError):
@@ -346,13 +346,15 @@ def kompile(entry: str, base, skip, backend, env: Env,
         dn = env.lookup(name)
         if not isinstance(dn.payload, Function):
             raise ExtractError(f"{name} is not a function")
-        nsig = erase(Normalizer(env, policy, rules).norm(dn.signature, 0), 0, env)
+        nsig = erase(normalise(dn.signature, env, policy, rules, 0), 0, env)
         try:  # a refusal names the function and keeps its class
             plan = checks(nsig)  # refuses what it cannot check, even unrendered
             nclauses = []
             for c in dn.payload.clauses:
-                c = normalise_clause(c, env, policy, rules)
-                body = None if c.body is None else erase(c.body, len(c.telescope), env)
+                # the backends read only the telescope's names and length
+                depth = len(c.telescope)
+                body = None if c.body is None else erase(
+                    normalise(c.body, env, policy, rules, depth), depth, env)
                 nclauses.append(Clause(c.telescope, c.patterns, body))
             state.current = name
             emitted[name] = backend.kompile_fun(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import ir
 from .builtins import FLOAT, NAT, PRIMS
-from .ir import (Abort, Abs, Arg, Clause, Con, Def, Env, EslError, Function,
+from .ir import (Abort, Abs, Arg, Con, Def, Env, EslError, Function,
                  Lam, Let, Lit, PAbsurd, PCon, Pi, PVar, Term, Unknown, Var,
                  free_vars, map_args, map_subterms, nat_view, pi_spine, subst,
                  vis)
@@ -623,16 +623,6 @@ _DELTA["_*v_"] = _d_vscale  # as clauses it would spend one step per item
 def normalise(t: Term, env: Env, policy: ReductionPolicy = REDUCE_ALL,
               rules: RuleSet | None = None, depth: int | None = None) -> Term:
     return Normalizer(env, policy, rules).norm(t, depth)
-
-
-def normalise_clause(cl: Clause, env: Env, policy: ReductionPolicy = REDUCE_ALL,
-                     rules: RuleSet | None = None) -> Clause:
-    # telescope entry i sits under the i entries before it, the body under all
-    tel = tuple((n, Arg(normalise(a.value, env, policy, rules, i), a.hidden))
-                for i, (n, a) in enumerate(cl.telescope))
-    body = None if cl.body is None else \
-        normalise(cl.body, env, policy, rules, len(cl.telescope))
-    return Clause(tel, cl.patterns, body)
 
 
 def check_rewrite(rule: RewriteRule, trials: int, env: Env, seed: int = 0):

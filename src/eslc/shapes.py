@@ -158,9 +158,9 @@ class VAppend(VecExpr):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Constraint:
-    kind: str  # "lt" | "eq" | "nonzero" | "veq"
+    kind: str  # "lt" | "eq" | "veq", and "le" inside `decide`
     lhs: ShapeExpr | VecExpr
-    rhs: ShapeExpr | VecExpr | None = None
+    rhs: ShapeExpr | VecExpr
 
 
 def lt(a, b) -> Constraint:
@@ -173,10 +173,6 @@ def eq(a, b) -> Constraint:
 
 def veq(a, b) -> Constraint:
     return Constraint("veq", a, b)
-
-
-def nonzero(a) -> Constraint:
-    return Constraint("nonzero", a)
 
 
 # --------------------------------------------------------------------------
@@ -394,13 +390,13 @@ def decide(goal: Constraint, hyps: list[Constraint]) -> str:
 
 def _implied(goal: Constraint, hyps: list[Constraint]) -> bool:
     """The goals that hold as they stand, answered before any elimination:
-    a vector equation of equal sides, nonzero of a positive literal, or a
+    a vector equation of equal sides, `a < b` of literals that holds, or a
     scalar goal that is one of the hypotheses.  A vector goal is not looked
     up among the hypotheses, so it is still split into its components."""
     if goal.kind == "veq":
         return goal.lhs == goal.rhs
-    if goal.kind == "nonzero" and isinstance(goal.lhs, SLit):
-        return goal.lhs.value > 0
+    if goal.kind == "lt" and type(goal.lhs) is SLit and type(goal.rhs) is SLit:
+        return goal.lhs.value < goal.rhs.value
     return goal in hyps
 
 
@@ -422,9 +418,9 @@ def _decide_veq(goal: Constraint, hyps: list[Constraint]) -> str:
 
 def _decide_ineq(goal: Constraint, hyps: list[Constraint]) -> str:
     """Try to refute hyps & not(goal) by Fourier-Motzkin; "yes" on success.
-    The hypotheses are `lt`s and `eq`s, and the goal an `lt`, `le` or
-    `nonzero` (`decide` splits an `eq` goal into two `le`s), so not(goal)
-    is one row."""
+    The hypotheses are `lt`s and `eq`s, and the goal an `lt` or `le`
+    (`decide` splits an `eq` goal into two `le`s), so not(goal) is one
+    row."""
     for split in _monus_splits([goal] + hyps):
         rows, atoms = [], {}
         for h in hyps:
@@ -470,8 +466,6 @@ def _constraint_rows(c: Constraint, split, atoms) -> list[dict]:
         _collect_atoms(p, atoms)
         return p
 
-    if c.kind == "nonzero":
-        return [_row_sub(poly_of(c.lhs), {(): 1})]  # e - 1 >= 0
     l, r = poly_of(c.lhs), poly_of(c.rhs)
     if c.kind == "lt":
         return [_row_sub(r, _row_add1(l))]  # r - (l+1) >= 0
@@ -663,8 +657,6 @@ def _eval_scalar(s: ShapeExpr, env: dict) -> int:
 
 
 def _eval_constraint(c: Constraint, env: dict) -> bool:
-    if c.kind == "nonzero":
-        return _eval_scalar(c.lhs, env) != 0
     l, r = _eval_scalar(c.lhs, env), _eval_scalar(c.rhs, env)
     if c.kind == "lt":
         return l < r
@@ -678,8 +670,7 @@ def find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None
     names: set[str] = set()
     for c in [goal] + hyps:
         for side in (c.lhs, c.rhs):
-            if side is not None:
-                _vars_only(side, names, ok)
+            _vars_only(side, names, ok)
     if not ok[0] or len(names) > 4:
         return None
     keys = sorted(names)

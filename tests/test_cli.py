@@ -13,6 +13,7 @@ import pytest
 from eslc import cli, corpus, harness
 from eslc.cli import main
 from eslc.harness import run_corpus_diff, run_signature_diff
+from eslc.ir import EslError
 from eslc.kaleid import Aborted, interp_kaleid
 from eslc.loader import load_sources
 
@@ -94,6 +95,58 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         argv = ["kompile", *argv, "--out", str(tmp_path / "out")]
         loaded = _loaded(f"from eslc.cli import main\nassert main({argv!r}) == 0")
         assert "eslc.extract" in loaded and not loaded & unused, argv
+
+
+def test_extraction_and_evaluation_import_without_the_decider():
+    # a primitive's obligation is a proposition, which only the elaborator
+    # hands to the decider
+    assert "eslc.shapes" not in _loaded("import eslc.extract, eslc.evaluate")
+
+
+# each obligated primitive: its obligation's description, a definition
+# whose obligation is false on literals, and one the decider cannot settle
+# (`sq k` is opaque to it)
+OBLIGATIONS = [
+    ("_/_", "nonzero divisor in _/_",
+     "w : Nat\nw = 7 / 0\n",
+     "w : Nat -> Nat\nw k = 7 / sq k\n"),
+    ("_%_", "nonzero divisor in _%_",
+     "w : Nat\nw = 7 % 0\n",
+     "w : Nat -> Nat\nw k = 7 % sq k\n"),
+    ("vidx", "vector index in bounds",
+     "w : Vec Nat 2 -> Nat\nw v = vidx 2 v\n",
+     "w : Nat -> Vec Nat 2 -> Nat\nw k v = vidx (sq k) v\n"),
+    ("vtake", "vector prefix within the length",
+     "w : Vec Nat 2 -> Vec Nat 3\nw v = vtake 3 v\n",
+     "w : (k : Nat) -> Vec Nat 2 -> Vec Nat (sq k)\nw k v = vtake (sq k) v\n"),
+    ("reshape", "reshape preserves the element count",
+     "w : Ar Nat 1 (4 ∷ []) -> Ar Nat 1 (5 ∷ [])\nw a = reshape (5 ∷ []) a\n",
+     "w : (k : Nat) -> Ar Nat 1 (4 ∷ []) -> Ar Nat 1 (sq k ∷ [])\n"
+     "w k a = reshape (sq k ∷ []) a\n"),
+    ("ixc", "index component within the rank",
+     "w : Ar Nat 2 (3 ∷ 4 ∷ []) -> Ar Nat 2 (3 ∷ 4 ∷ [])\n"
+     "w a = imap (\\iv -> ixc 2 iv)\n",
+     "w : Nat -> Ar Nat 2 (3 ∷ 4 ∷ []) -> Ar Nat 2 (3 ∷ 4 ∷ [])\n"
+     "w k a = imap (\\iv -> ixc (sq k) iv)\n"),
+]
+
+
+@pytest.mark.parametrize("prim, what, false, open_", OBLIGATIONS,
+                         ids=[o[0] for o in OBLIGATIONS])
+def test_each_primitive_owes_its_obligation(tmp_path, capsys, prim, what, false, open_):
+    # the counterexample search reads no product of a vector, so a
+    # reshape's false count is left open, not refuted
+    why = f"cannot discharge obligation {what};" if prim == "reshape" else \
+        f"obligation {what} is false\n"
+    src = _write(tmp_path, "false.esl", false)
+    for backend in ("kaleid", "sac"):
+        assert main(["kompile", src, "--entry", "w", "--backend", backend]) == 1
+        assert capsys.readouterr().err.startswith(f"eslc: {why}")
+    sq = "sq : Nat -> Nat\nsq k = k * k\n"
+    with pytest.raises(EslError, match=f"cannot discharge obligation {re.escape(what)};"):
+        load_sources([("open.esl", sq + open_)])
+    e = load_sources([("open.esl", sq + "{-# TRUST w #-}\n" + open_)])
+    assert e.def_meta["w"].trusted_obligations == [what]
 
 
 def test_a_sac_kompile_runs_without_numpy(tmp_path):

@@ -24,24 +24,17 @@ from eslc.ir import (Abs, Aborted, Clause, Con, Def, Definition, Function, Let,
 from eslc.kaleid import KaleidBackend, interp_kaleid
 from eslc.loader import load_prelude, load_sources
 from eslc.normalize import (NotGroundable, ReductionPolicy, check_rewrite,
-                            normalise_clause)
+                            normalise)
 
 
-def test_normalise_clause_inlines_helpers_and_keeps_sharing():
+def test_normalise_inlines_helpers_and_keeps_sharing():
     e = load_sources([("sh", corpus.SHARING)])
-    d = e.env.lookup("ex8")
-    cl = normalise_clause(d.payload.clauses[0], e.env)
-    assert isinstance(cl.body, Let)  # a + a keeps its binding
-    faithful = normalise_clause(d.payload.clauses[0], e.env,
-                                ReductionPolicy(faithful_lets=True))
-    assert not isinstance(faithful.body, Let)
-
-
-def test_normalise_clause_on_absurd_clause_is_identity():
-    e = load_sources([("ex", corpus.EX7)])
-    d = e.env.lookup("ex11")
-    cl = d.payload.clauses[0]
-    assert normalise_clause(cl, e.env).body is None
+    (cl,) = e.env.lookup("ex8").payload.clauses
+    depth = len(cl.telescope)
+    # a + a keeps its binding
+    assert isinstance(normalise(cl.body, e.env, depth=depth), Let)
+    faithful = normalise(cl.body, e.env, ReductionPolicy(faithful_lets=True), depth=depth)
+    assert not isinstance(faithful, Let)
 
 
 def test_env_lookup_function_after_elaboration():

@@ -14,6 +14,8 @@ number of `shapes.decide` calls, how many were answered "yes" and a
 sha256 of the sequence of (goal, hypotheses, verdict), so a change to
 elaboration that asks a different question, in a different order or
 under different hypotheses fails here even if the text does not change.
+The sequence of verdicts is pinned on its own (`VERDICTS`), so a re-pin
+of the digests shows whether any answer moved.
 """
 
 import hashlib
@@ -58,10 +60,18 @@ NO_ASSERT = {
 # (decide calls, "yes" answers, sha256 of the (goal, hypotheses, verdict)
 # sequence); all but log2 and fuse2 ask only the prelude's questions
 PRELUDE_QUESTIONS = (
-    34, 33, "04707c9d5eae9f9426c02f1c0c3e438d247e6d38a21bc7e2f3737507d73b72b6")
+    34, 33, "d331f554f2851497f2245cfe681707ecd93cb7ce936822543a340f78fe7f80f7")
 DECIDER = {
-    "log2": (37, 36, "a58a79292dcc6127f99041318ab293a61d8376a9d5c03bdbadd3fc34dde06b49"),
-    "fuse2": (36, 35, "6029cd2d57eee1107a007fec9df43df0ff5c13d4ddd612943fba220c74971eff"),
+    "log2": (37, 36, "eab7b082086f63969005e6dc0587fbdc6750d8baa44be72226d53fb78ed1548e"),
+    "fuse2": (36, 35, "707129c297fd9a7a8d15e7189b0ee47123f6e10e896f6ace1dc7e0f206c4ad7f"),
+}
+# each question's verdict in the order asked, by its first letter (yes,
+# no, unknown); pinned apart from the digests above, so a change to how a
+# question is written that keeps every answer re-pins only a digest
+PRELUDE_VERDICTS = "yyyyyyuyyyyyyyyyyyyyyyyyyyyyyyyyyy"
+VERDICTS = {
+    "log2": "yyyyyyuyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy",
+    "fuse2": "yyyyyyuyyyyyyyyyyyyyyyyyyyyyyyyyyyyy",
 }
 
 
@@ -111,6 +121,8 @@ def test_decider_questions_are_unchanged(name, monkeypatch):
 
     monkeypatch.setattr(shapes, "decide", logged)
     _kompile(name)
+    verdicts = "".join(verdict[0] for _, _, verdict in log)
+    assert verdicts == VERDICTS.get(name, PRELUDE_VERDICTS)
     digest = hashlib.sha256(repr(log).encode("utf-8")).hexdigest()
     yes = sum(verdict == "yes" for _, _, verdict in log)
     assert (len(log), yes, digest) == DECIDER.get(name, PRELUDE_QUESTIONS)

@@ -66,7 +66,7 @@ def test_a_hole_reads_its_meta_once_solved():
     assert _quote(_eval(Lam(Abs("y", t)), ()), 1) == \
         Lam(Abs("y", Def("_+_", (vis(Var(1)), vis(Lam(Abs("x", Var(0))))))))
     # filling the term itself gives the same, and shares what has no hole
-    filled = _fill(Lam(Abs("y", t)), 1, True)
+    filled = _fill(Lam(Abs("y", t)), 1)
     assert filled == _quote(_eval(Lam(Abs("y", t)), ()), 1)
     assert filled.scope.body.args[1] is t.args[1]
 

@@ -276,7 +276,7 @@ k x = app (\\y -> let z = y in z) x
 def test_rules_from_source_match_repeats_and_under_binders():
     from eslc import loader
     from eslc.ir import print_term
-    from eslc.normalize import normalise_clause
+    from eslc.normalize import normalise
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfluenceWarning)
         with pytest.warns(InertRuleWarning, match="^rewrite rule app-let never "
@@ -287,7 +287,8 @@ def test_rules_from_source_match_repeats_and_under_binders():
 
     def body(name):
         (cl,) = e.env.lookup(name).payload.clauses
-        return normalise_clause(cl, e.env, dont_reduce({"app"}), e.rules).body
+        return normalise(cl.body, e.env, dont_reduce({"app"}), e.rules,
+                         len(cl.telescope))
 
     # a variable the left-hand side repeats binds equal terms
     assert body("f") == Lit(0)
@@ -410,12 +411,12 @@ def test_a_constructor_pattern_matches_a_reduced_argument():
     from eslc import extract, loader
     from eslc.evaluate import call
     from eslc.kaleid import KaleidBackend, interp_kaleid
-    from eslc.normalize import normalise_clause
+    from eslc.normalize import normalise
     from eslc.sac import SacBackend
     from eslc.sacinterp import interp_sac
     e = loader.load_sources([("vsum.esl", VSUM)])
     (cl,) = e.env.lookup("w").payload.clauses
-    assert normalise_clause(cl, e.env).body == plus(Var(0), Lit(2))
+    assert normalise(cl.body, e.env, depth=len(cl.telescope)) == plus(Var(0), Lit(2))
     texts = [(extract.kompile("w", [], [], backend(), e.env, e.rules), run)
              for backend, run in ((KaleidBackend, interp_kaleid),
                                   (SacBackend, interp_sac))]

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eslc import corpus
+from eslc.cli import main
 from eslc.evaluate import call, varr
 from eslc.extract import ExtractError, ExtractOptions, kompile
 from eslc.harness import compare, run_corpus_diff, target_args, to_target
@@ -640,6 +641,25 @@ def test_expf_overflows_to_infinity():
     prog = "float f(float x) { return expf (x); }"
     assert interp_sac(prog, "f", [1000.0]) == float("inf")
     assert interp_sac(prog, "f", [0.0]) == 1.0
+
+
+def test_an_index_component_past_the_rank_is_refused(tmp_path, capsys):
+    # `ixc k iv` owes `k < d`: past the rank, the source evaluator and SaC
+    # would abort on every index, so nothing extracts
+    sig = "f : Ar Nat 2 (3 ∷ 4 ∷ []) -> Ar Nat 2 (3 ∷ 4 ∷ [])\n"
+    bad = tmp_path / "bad.esl"
+    bad.write_text(sig + "f a = imap (\\iv -> ixc 5 iv)\n", encoding="utf-8")
+    assert main(["kompile", str(bad), "--entry", "f", "--backend", "sac"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "eslc: obligation index component within the rank is false\n"
+    e = load_sources([("ok", sig + "f a = imap (\\iv -> ixc 1 iv)\n")])
+    text = kompile("f", [], [], SacBackend(), e.env, e.rules)
+    assert "iv_1[1]" in text
+    args = [varr((3, 4), list(range(12)))]
+    want = call(e.env, "f", args)
+    assert want == varr((3, 4), [0, 1, 2, 3] * 3)
+    assert compare(want, interp_sac(text, "f", target_args(e.env, "f", "sac")(args)))
 
 
 def test_reshape_to_another_element_count_aborts():

@@ -8,7 +8,7 @@ from eslc import shapes as sh
 from eslc.elaborate import Hole, Meta
 from eslc.ir import Abs, Def, Lam, Var, print_term, vis
 from eslc.shapes import (SAdd, SDiv, SLit, SMod, SMonus, SMul, SVar, VCons,
-                         VNil, VScale, VVar, decide, eq, lt, nonzero, veq)
+                         VNil, VScale, VVar, decide, eq, lt, veq)
 
 
 def v(k):
@@ -81,8 +81,9 @@ def test_ground_false_goal_is_no():
 
 
 def test_nonzero():
-    assert decide(nonzero(SAdd(v("x"), SLit(1))), []) == "yes"
-    assert decide(nonzero(v("x")), []) == "no"
+    # a nonzero divisor is asked as `0 < e`
+    assert decide(lt(SLit(0), SAdd(v("x"), SLit(1))), []) == "yes"
+    assert decide(lt(SLit(0), v("x")), []) == "no"
 
 
 def _random_exprs(rng, names, depth):
