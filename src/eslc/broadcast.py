@@ -60,16 +60,16 @@ def _elem_of(x: Term) -> str:
 
 def resolve_dyargs(rank_l: Term | None, shape_l: Term | None,
                    rank_r: Term | None, shape_r: Term | None,
-                   names=None, hyps=None) -> str:
+                   names, hyps, decide) -> str:
     """The deterministic resolution order; raises ShapeMismatch otherwise."""
     l0 = rank_l is None or nat_view(rank_l) == 0
     r0 = rank_r is None or nat_view(rank_r) == 0
     if l0 and r0:
         return NN
     if not l0 and not r0:
-        sl = shapes.term_to_vec(shape_l, names or [])
-        sr = shapes.term_to_vec(shape_r, names or [])
-        if shapes.decide(shapes.veq(sl, sr), hyps or []) == "yes":
+        sl = shapes.term_to_vec(shape_l, names)
+        sr = shapes.term_to_vec(shape_r, names)
+        if decide(shapes.veq(sl, sr), hyps) == "yes":
             return NN
     if r0:
         return N0
@@ -130,7 +130,7 @@ def _select(op: Operand, ref, replicated: bool, depth: int,
 
 
 def lift(ops: tuple[str | None, str], operands: list[Operand],
-         names, hyps) -> tuple[Term, Term]:
+         names, hyps, decide) -> tuple[Term, Term]:
     """One or two operands under the scalar operator ops[0] (naturals) or
     ops[1] (floats): the operator itself on scalars, else an imap over
     the carrier's shape.  Returns the term and its type."""
@@ -143,7 +143,7 @@ def lift(ops: tuple[str | None, str], operands: list[Operand],
     x = _elem_type(l.elem)
     if all(o.kind == SCAL for o in operands):
         return Def(op_name, tuple(vis(o.term) for o in operands)), x
-    dy = resolve_dyargs(l.rank, l.shape, r.rank, r.shape, names, hyps) \
+    dy = resolve_dyargs(l.rank, l.shape, r.rank, r.shape, names, hyps, decide) \
         if len(operands) == 2 else NN
     carrier = l if dy in (NN, N0) and l.kind != SCAL else r
     if carrier.kind == SCAL:

@@ -264,6 +264,7 @@ class Elaborator:
         self._nz = Normalizer(self.env)
         # name -> the value of its closed signature; `Env` never rebinds a name
         self._sigs: dict = {}
+        self._verdicts: dict = {}  # (goal, hypotheses) -> the decider's verdict
 
     def _whnf(self, v):
         """The weak head normal form of a value, with a fresh budget of
@@ -395,28 +396,28 @@ class Elaborator:
                 f"unresolved hidden arguments in {_show(s)}") from None
 
     def _infer(self, s: SExpr, ctx: Ctx) -> tuple[Term, object]:
-        match s:
-            case SNum(v):
-                return Lit(v), NAT
-            case SFloat(v):
-                return Lit(v), Def("Float")
-            case SName(name, line):
-                return self._infer_name(name, line, ctx)
-            case SApp(fn, args):
-                return self._elab_app(fn, args, ctx, expected=None)
-            case SLet(name, bound, body):
-                bt, bty = self._infer(bound, ctx)
-                n = len(ctx)
-                ctx.push(name, bty if bty is not None else Unknown())
-                inner, ity = self._infer(body, ctx)
-                ctx.pop()
-                if ity is not None and _mentions(
-                        ity, lambda x: isinstance(x, VVar) and x.level >= n):
-                    ity = None
-                return Let(bt, Abs(name, inner)), ity
-            case SLam() | SLamPat():
-                raise UnprovenConstraint(
-                    "cannot infer a type for a bare lambda; add an annotation")
+        cls = type(s)
+        if cls is SName:
+            return self._infer_name(s.name, s.line, ctx)
+        if cls is SApp:
+            return self._elab_app(s.fn, s.args, ctx, expected=None)
+        if cls is SNum:
+            return Lit(s.value), NAT
+        if cls is SFloat:
+            return Lit(s.value), Def("Float")
+        if cls is SLet:
+            bt, bty = self._infer(s.bound, ctx)
+            n = len(ctx)
+            ctx.push(s.name, bty if bty is not None else Unknown())
+            inner, ity = self._infer(s.body, ctx)
+            ctx.pop()
+            if ity is not None and _mentions(
+                    ity, lambda x: isinstance(x, VVar) and x.level >= n):
+                ity = None
+            return Let(bt, Abs(s.name, inner)), ity
+        if cls is SLam or cls is SLamPat:
+            raise UnprovenConstraint(
+                "cannot infer a type for a bare lambda; add an annotation")
         raise UnsupportedType(f"cannot elaborate {_show(s)}")
 
     def _infer_name(self, name: str, line: int, ctx: Ctx):
@@ -441,39 +442,15 @@ class Elaborator:
     def _check(self, s: SExpr, ty, ctx: Ctx) -> Term:
         ty = _force(ty)
         whty = self._whnf(ty) if isinstance(ty, Def) else ty
-        match s:
-            case SLam(binder, body):
-                if not _is_pi(whty):
-                    raise UnsupportedType(f"lambda checked against non-function type")
-                ctx.push(binder, whty.dom)
-                inner = self._check(body, whty.body(ctx.env[0]), ctx)
-                ctx.pop()
-                return Lam(Abs(binder, inner), whty.hidden)
-            case SLamPat(comps, body):
-                return self._check_lampat(comps, body, whty, ctx)
-            case SName("prf"):
+        cls = type(s)
+        if cls is SName:
+            name, line = s.name, s.line
+            if name == "prf":
                 self._discharge(whty, ctx)
                 return Con("prf")
-            case SName("[]") | SName("_∷_") | SApp(SName("_∷_"), _):
+            if name == "[]" or name == "_∷_":
                 return self._check_spine(s, whty, ctx)
-            case SApp(SName("imap"), args) if len(args) == 1 and not args[0][1]:
-                if not (isinstance(whty, Def) and whty.name == "Ar"):
-                    raise UnsupportedType("imap checked against a non-array type")
-                x, d, sh = (a.value for a in whty.args)
-                fn_ty = VBind("pi", "iv", False, Def("Ix", (vis(d), vis(sh))),
-                              lambda _: x)
-                f = self._check(args[0][0], fn_ty, ctx)
-                n = len(ctx)
-                return Con("imap", (hid(_quote(x, n)), hid(_quote(d, n)),
-                                    hid(_quote(sh, n)), vis(f)))
-            case SLet(name, bound, body):
-                bt, bty = self._infer(bound, ctx)
-                ctx.push(name, bty if bty is not None else Unknown())
-                inner = self._check(body, ty, ctx)
-                ctx.pop()
-                return Let(bt, Abs(name, inner))
-            case SName(name, line) if name in _BARE_CONS \
-                    and ctx.lookup(name) is None:
+            if name in _BARE_CONS and ctx.lookup(name) is None:
                 # a bare constructor: against a function type it is `\x -> c
                 # x`, whose hidden arguments are inferred as at any other use
                 if _is_pi(whty):
@@ -489,20 +466,47 @@ class Elaborator:
                 if name == "fzero":  # fzero : Fin (suc n)
                     self._discharge(Def("_<_", (vis(Lit(0)), whty.args[0])), ctx)
                 return Con(name)
-            case _:
-                # a name other than a bare constructor, a number or an
-                # application: each has a type
-                t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty) \
-                    if isinstance(s, SApp) else self._infer(s, ctx)
-                ity = _force(ity)
-                if _is_pi(ity) and ity.hidden and (
-                        type(whty) in (Def, VVar) or _is_pi(whty) and not whty.hidden):
-                    # a type that starts with hidden binders against a
-                    # rigid one that does not: the hidden arguments are
-                    # inferred, as at an application (`lg = logistic`)
-                    t, ity, _ = self._apply_spine(t, ity, [], ctx, _show(s))
-                self._unify(ity, whty, ctx)
-                return t
+            t, ity = self._infer_name(name, line, ctx)
+        elif cls is SApp:
+            head = s.fn.name if type(s.fn) is SName else None
+            if head == "_∷_":
+                return self._check_spine(s, whty, ctx)
+            if head == "imap" and len(s.args) == 1 and not s.args[0][1]:
+                if not (isinstance(whty, Def) and whty.name == "Ar"):
+                    raise UnsupportedType("imap checked against a non-array type")
+                x, d, sh = (a.value for a in whty.args)
+                fn_ty = VBind("pi", "iv", False, Def("Ix", (vis(d), vis(sh))), lambda _: x)
+                f = self._check(s.args[0][0], fn_ty, ctx)
+                n = len(ctx)
+                return Con("imap", (hid(_quote(x, n)), hid(_quote(d, n)),
+                                    hid(_quote(sh, n)), vis(f)))
+            t, ity = self._elab_app(s.fn, s.args, ctx, expected=whty)
+        elif cls is SLamPat:
+            return self._check_lampat(s.comps, s.body, whty, ctx)
+        elif cls is SLam:
+            if not _is_pi(whty):
+                raise UnsupportedType("lambda checked against non-function type")
+            ctx.push(s.binder, whty.dom)
+            inner = self._check(s.body, whty.body(ctx.env[0]), ctx)
+            ctx.pop()
+            return Lam(Abs(s.binder, inner), whty.hidden)
+        elif cls is SLet:
+            bt, bty = self._infer(s.bound, ctx)
+            ctx.push(s.name, bty if bty is not None else Unknown())
+            inner = self._check(s.body, ty, ctx)
+            ctx.pop()
+            return Let(bt, Abs(s.name, inner))
+        else:  # a number; `_infer` refuses the forms left
+            t, ity = self._infer(s, ctx)
+        ity = _force(ity)
+        if _is_pi(ity) and ity.hidden and (
+                type(whty) in (Def, VVar) or _is_pi(whty) and not whty.hidden):
+            # a type that starts with hidden binders against a rigid one
+            # that does not: the hidden arguments are inferred, as at an
+            # application of no arguments, which needs no name (`lg = logistic`)
+            t, ity, _ = self._apply_spine(t, ity, [], ctx, "")
+        self._unify(ity, whty, ctx)
+        return t
 
     def _check_lampat(self, comps, body, ty, ctx: Ctx) -> Term:
         dom = _force(ty.dom) if _is_pi(ty) else None
@@ -568,7 +572,7 @@ class Elaborator:
             goal = shapes.lt(shapes.term_to_scalar(_quote(VLazy(comp, ctx.env), len(ctx)),
                                                    ctx.names),
                              shapes.vec_component(svec, len(comps)))
-            self._discharge_constraint(goal, ctx, f"index bound {_show(h)}")
+            self._discharge_constraint(goal, ctx, lambda: f"index bound {_show(h)}")
             comps.append(comp)
             d = self._peel_suc(d, ctx)
             cell = _spine_cell(t)
@@ -680,7 +684,8 @@ class Elaborator:
         operands = [self._operand(s, ctx) for s, _ in args]
         if name == "nega":
             operands.insert(0, broadcast.classify(Lit(0.0), Def("Float"), self.env))
-        t, ty = broadcast.lift((nat_op, float_op), operands, ctx.names, ctx.hyps)
+        t, ty = broadcast.lift((nat_op, float_op), operands, ctx.names, ctx.hyps,
+                               self.decide)
         return t, _eval(ty, ctx.env)
 
     # -- unification -------------------------------------------------------------
@@ -723,17 +728,22 @@ class Elaborator:
                 and len(a.args) == len(b.args) \
                 and all(self._unify1(x.value, y.value, ctx) for x, y in zip(a.args, b.args)):
             return True
-        # arithmetic fallback: compare as shape expressions
+        # arithmetic fallback: compare as shape expressions, as vectors first
+        # where a side is built by a vector operation (a hypothesis is scalar)
         if not (_shapeish(a) or _shapeish(b)):
             return False
         names, n = ctx.names, len(ctx)
         ta, tb = _quote(a, n), _quote(b, n)
-        sa, sb = shapes.term_to_scalar(ta, names), shapes.term_to_scalar(tb, names)
-        if not (isinstance(sa, shapes.SOpaque) and isinstance(sb, shapes.SOpaque)) \
-                and shapes.decide(shapes.eq(sa, sb), ctx.hyps) == "yes":
-            return True
-        va, vb = shapes.term_to_vec(ta, names), shapes.term_to_vec(tb, names)
-        return shapes.decide(shapes.veq(va, vb), ctx.hyps) == "yes"
+        def scalar():
+            sa, sb = shapes.term_to_scalar(ta, names), shapes.term_to_scalar(tb, names)
+            return not (type(sa) is shapes.SOpaque and type(sb) is shapes.SOpaque) \
+                and self.decide(shapes.eq(sa, sb), ctx.hyps) == "yes"
+        def vector():
+            va, vb = shapes.term_to_vec(ta, names), shapes.term_to_vec(tb, names)
+            return self.decide(shapes.veq(va, vb), ctx.hyps) == "yes"
+        if any(type(x) in (Con, Def) and x.name in shapes.VECTOR_HEADS for x in (a, b)):
+            return vector() or scalar()
+        return scalar() or vector()
 
     def _solve(self, m: Hole, v) -> bool:
         if type(v) is Hole and v.meta is m.meta and not v.args:
@@ -748,18 +758,29 @@ class Elaborator:
 
     # -- obligations ---------------------------------------------------------------
 
+    def decide(self, goal: shapes.Constraint, hyps) -> str:
+        """The decider's verdict on `goal` under `hyps`: each distinct
+        question is answered once per Elaborator."""
+        key = (goal, tuple(hyps))
+        if key not in self._verdicts:
+            self._verdicts[key] = shapes.decide(goal, hyps)
+        return self._verdicts[key]
+
     def _discharge(self, prop, ctx: Ctx, what: str | None = None) -> None:
         """Proves `prop`, a value in `ctx`, or trusts it; `what` names it."""
         t = _quote(prop, len(ctx))
-        c, what = _prop_to_constraint(t, ctx.names), what or ir.print_term(t)
+        c = _prop_to_constraint(t, ctx.names)
         if c is None:
-            raise UnprovenConstraint(f"not a decidable proposition: {what}")
-        self._discharge_constraint(c, ctx, what)
+            raise UnprovenConstraint(f"not a decidable proposition: {what or ir.print_term(t)}")
+        self._discharge_constraint(c, ctx, lambda: what or ir.print_term(t))
 
-    def _discharge_constraint(self, c: shapes.Constraint, ctx: Ctx, what: str) -> None:
-        verdict = shapes.decide(c, ctx.hyps)
+    def _discharge_constraint(self, c: shapes.Constraint, ctx: Ctx, name) -> None:
+        """Proves `c` under the hypotheses in scope, or trusts it; `name()`
+        describes it, called only for a refusal or a trusted obligation."""
+        verdict = self.decide(c, ctx.hyps)
         if verdict == "yes":
             return
+        what = name()
         if verdict == "no":
             cx = shapes.find_counterexample(c, ctx.hyps)
             raise UnprovenConstraint(f"obligation {what} is false"

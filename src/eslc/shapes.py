@@ -371,21 +371,17 @@ def decide(goal: Constraint, hyps: list[Constraint]) -> str:
     if goal.kind == "veq":
         return _decide_veq(goal, hyps)
     if goal.kind == "eq":
-        if _poly(goal.lhs) == _poly(goal.rhs):
-            return "yes"
-        a = _decide_ineq(Constraint("le", goal.lhs, goal.rhs), hyps)
-        b = _decide_ineq(Constraint("le", goal.rhs, goal.lhs), hyps)
-        if a == "yes" and b == "yes":
-            return "yes"
-        if find_counterexample(goal, hyps) is not None:
-            return "no"
-        return "unknown"
-    res = _decide_ineq(goal, hyps)
-    if res == "yes":
+        proved = _poly(goal.lhs) == _poly(goal.rhs) or all(
+            _decide_ineq(Constraint("le", x, y), hyps) == "yes"
+            for x, y in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)))
+    else:
+        # over the naturals `a % d < d` holds exactly where `0 < d` does
+        proved = type(goal.lhs) is SMod and goal.lhs.den == goal.rhs \
+            and _decide_ineq(lt(SLit(0), goal.rhs), hyps) == "yes" \
+            or _decide_ineq(goal, hyps) == "yes"
+    if proved:
         return "yes"
-    if find_counterexample(goal, hyps) is not None:
-        return "no"
-    return "unknown"
+    return "no" if find_counterexample(goal, hyps) is not None else "unknown"
 
 
 def _implied(goal: Constraint, hyps: list[Constraint]) -> bool:
@@ -685,10 +681,11 @@ def find_counterexample(goal: Constraint, hyps: list[Constraint]) -> dict | None
 # Term -> ShapeExpr translation
 
 _SCALAR_DEFS = {"_+_": SAdd, "_*_": SMul, "_-_": SMonus}
+# the heads that build a vector, which `term_to_vec` reads structurally
+VECTOR_HEADS = frozenset({"vnil", "vcons", "_*v_", "vreverse", "vappend"})
 # the constructor and definition heads that the two translations below read
 # structurally; under any other head a term is an opaque atom
-SHAPE_HEADS = frozenset({"zero", "suc", "vnil", "vcons", *_SCALAR_DEFS, "_/_",
-                         "_%_", "vidx", "prodv", "_*v_", "vreverse", "vappend"})
+SHAPE_HEADS = VECTOR_HEADS | {"zero", "suc", *_SCALAR_DEFS, "_/_", "_%_", "vidx", "prodv"}
 
 
 def term_to_scalar(t: Term, names: list[str]) -> ShapeExpr:

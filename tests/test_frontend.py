@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from eslc import corpus, loader
+from eslc import corpus, elaborate, loader, shapes
 from eslc.broadcast import ShapeMismatch, resolve_dyargs
-from eslc.elaborate import (ScopeError, UnprovenConstraint, UnsupportedType,
-                            _show)
+from eslc.elaborate import (Elaborator, ScopeError, UnprovenConstraint,
+                            UnsupportedType, _show)
 from eslc.evaluate import call, varr
 from eslc.ir import Arg, Con, EslError, Lit, PVar, Var, vis
 from eslc.loader import load_prelude, load_sources
@@ -386,6 +386,50 @@ def test_unknown_obligation_needs_trust():
     assert e.def_meta["f"].trusted_obligations
 
 
+def test_an_obligation_is_named_only_when_refused_or_trusted(monkeypatch):
+    shown, show = [], elaborate._show
+    monkeypatch.setattr(elaborate, "_show", lambda s: shown.append(s) or show(s))
+    elab = Elaborator()
+    for module in loader.PRELUDE_MODULES:
+        elab.load_source(loader.prelude_text(module), f"prelude/{module}")
+    for entry in corpus.CORPUS.values():
+        load_sources(entry.sources)
+    assert shown == []
+    # an index bound the decider cannot settle, refused and then trusted
+    src = "f : (a : Nat) -> Ix 1 ((a * a + 1) ∷ [])\nf a = (a ∷ [])\n"
+    with pytest.raises(UnprovenConstraint,
+                       match="^cannot discharge obligation index bound a; mark"):
+        load_sources([("t", src)])
+    e = load_sources([("t", "{-# TRUST f #-}\n" + src)])
+    assert e.def_meta["f"].trusted_obligations == ["index bound a"]
+    assert [show(s) for s in shown] == ["a", "a"]
+    # a proposition is named by its core term
+    e = load_sources([("t", "{-# TRUST g #-}\ng : (a : Nat) -> a < a * a + 1\ng a = prf\n")])
+    assert e.def_meta["g"].trusted_obligations == [
+        '(def "_<_" (v (var 0)) (v (def "_+_" (v (def "_*_" (v (var 0)) (v (var 0)))) '
+        '(v (lit 1)))))']
+
+
+def test_each_distinct_decider_question_is_answered_once_per_elaborator(monkeypatch):
+    # both divisions owe `0 < 3` with no hypotheses: the Elaborator asks it
+    # twice and the decider answers it once; a fresh Elaborator and a
+    # clone of the prelude snapshot each answer it again
+    load_prelude()  # the snapshot, built before the count
+    question = shapes.lt(shapes.SLit(0), shapes.SLit(3))
+    asked, answered = [], []
+    ask, answer = Elaborator.decide, shapes.decide
+    monkeypatch.setattr(Elaborator, "decide", lambda self, goal, hyps: (
+        asked.append(goal == question) or ask(self, goal, hyps)))
+    monkeypatch.setattr(shapes, "decide", lambda goal, hyps: (
+        answered.append(goal == question) or answer(goal, hyps)))
+    src = "h : Nat -> Nat\nh x = x / 3\nk : Nat -> Nat\nk y = y / 3\n"
+    for elab in (Elaborator(), Elaborator(), load_prelude(), load_prelude()):
+        before = asked.count(True), answered.count(True)
+        elab.load_source(src)
+        assert (asked.count(True), answered.count(True)) == \
+            (before[0] + 2, before[1] + 1)
+
+
 def test_log2_evaluates():
     e = load_sources([("log2", corpus.LOG2)])
     for n in range(1, 300):
@@ -522,16 +566,66 @@ def test_nega_is_zero_minus_and_lifted_unaries_take_floats():
             load_sources([("bad", f"w : Nat -> Nat\nw x = {op} x\n")])
 
 
+def test_broadcast_compares_shapes_component_by_component(monkeypatch):
+    # operand shapes equal by a hypothesis, one component at a time, equal
+    # as opaque terms, and of different lengths: the decider's vector
+    # `yes`, `yes` and `no`
+    load_prelude()
+    verdicts, decide = [], Elaborator.decide
+
+    def logged(self, goal, hyps):
+        verdict = decide(self, goal, hyps)
+        if goal.kind == "veq":
+            verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(Elaborator, "decide", logged)
+    e = load_sources([("b", """
+f : (m : Nat) -> (n : Nat) -> m ≡ n -> Ar Nat 1 (m ∷ []) -> Ar Nat 1 (n ∷ []) -> Ar Nat 1 (m ∷ [])
+f m n p a b = a +a b
+sh : Nat -> Vec Nat 1
+sh n = n ∷ []
+h : (n : Nat) -> Ar Nat 1 (sh n) -> Ar Nat 1 (sh n) -> Ar Nat 1 (sh n)
+h n a b = a +a b
+""")])
+    assert verdicts == ["yes", "yes"]
+    assert call(e.env, "f", [2, 2, 1, varr((2,), [1, 2]), varr((2,), [3, 4])]) == \
+        varr((2,), [4, 6])
+    with pytest.raises(ShapeMismatch, match="neither match nor broadcast"):
+        load_sources([("bad", """
+g : (m : Nat) -> (n : Nat) -> Ar Nat 1 (m ∷ []) -> Ar Nat 2 (m ∷ n ∷ []) -> Ar Nat 1 (m ∷ [])
+g m n a b = a +a b
+""")])
+    assert verdicts == ["yes", "yes", "no"]
+
+
+def test_a_shape_equal_to_a_spine_by_hypothesis_unifies_with_it():
+    # `s ≡ (n ∷ [])` is a scalar `eq` of `s` and an opaque spine; the vector
+    # question cannot settle `s` against `n ∷ []`, so the scalar one that
+    # follows it finds the hypothesis
+    e = load_sources([("t", """
+f : (n : Nat) -> (s : Vec Nat 1) -> s ≡ (n ∷ []) -> Ar Nat 1 s -> Ar Nat 1 (n ∷ [])
+f n s p a = a
+""")])
+    assert call(e.env, "f", [2, [2], 1, varr((2,), [1, 2])]) == varr((2,), [1, 2])
+    with pytest.raises(UnsupportedType, match="type mismatch"):
+        load_sources([("t", """
+f : (n : Nat) -> (s : Vec Nat 1) -> Ar Nat 1 s -> Ar Nat 1 (n ∷ [])
+f n s a = a
+""")])
+
+
 def test_resolver_is_total_on_rank0_combinations():
     z = Lit(0)
     one = Lit(1)
     sh = Con("vcons", (vis(Lit(3)), vis(Con("vnil"))))
     empty = Con("vnil")
-    assert resolve_dyargs(z, empty, z, empty) == "NN"
-    assert resolve_dyargs(None, None, None, None) == "NN"
-    assert resolve_dyargs(one, sh, z, empty) == "N0"
-    assert resolve_dyargs(z, empty, one, sh) == "0N"
-    assert resolve_dyargs(one, sh, one, sh) == "NN"
+    args = [], [], shapes.decide  # names, hypotheses and the decider
+    assert resolve_dyargs(z, empty, z, empty, *args) == "NN"
+    assert resolve_dyargs(None, None, None, None, *args) == "NN"
+    assert resolve_dyargs(one, sh, z, empty, *args) == "N0"
+    assert resolve_dyargs(z, empty, one, sh, *args) == "0N"
+    assert resolve_dyargs(one, sh, one, sh, *args) == "NN"
 
 
 def test_rotation_inverse_law():
